@@ -9,10 +9,8 @@ over cyclotomic rationals.
 
 from .algebra import (
     AlgebraElement,
-    CycMatrix,
     lambda_idempotent,
     left_ideal_dimension,
-    rank,
     s_element,
     sandwich_dimension,
     verify_defining_relations,

@@ -77,6 +77,7 @@ class LabelledPartition:
     def parse(cls, n: int, m: int, text: str) -> "LabelledPartition":
         """Parse a spec string, validating labels and the total size."""
         blocks = [Partition() for _ in range(n)]
+        seen: set[int] = set()
         text = text.strip()
         if text:
             for piece in text.split(";"):
@@ -86,8 +87,9 @@ class LabelledPartition:
                 label = int(label_text)
                 if not 0 <= label < n:
                     raise ValueError(f"label {label} out of range 0..{n - 1}")
-                if blocks[label].size:
+                if label in seen:
                     raise ValueError(f"label {label} given twice")
+                seen.add(label)
                 blocks[label] = Partition(int(p) for p in parts_text.split(",") if p)
         beta = cls(n, blocks)
         if beta.m != m:

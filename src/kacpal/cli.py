@@ -56,8 +56,11 @@ def _parse_checks(text: str | None, default: tuple[str, ...]) -> tuple[str, ...]
 
 def _emit(config: RunConfig, text: str):
     if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(config.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {config.out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 

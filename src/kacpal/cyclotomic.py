@@ -255,6 +255,9 @@ class CycNumber:
         return self.order == other.order and self.coeffs == other.coeffs
 
     def __hash__(self):
+        # A rational value equals its Fraction (see __eq__), so it must hash alike.
+        if self.is_rational():
+            return hash(self.coeffs[0])
         return hash((self.order, self.coeffs))
 
     def __repr__(self):

@@ -12,6 +12,7 @@ from functools import lru_cache
 from itertools import permutations, product
 from math import factorial
 
+from .sparse import SparseSum
 from .wreath import Perm
 
 
@@ -146,9 +147,6 @@ class Tableau:
     def size(self) -> int:
         return self.shape.size
 
-    def entry(self, row: int, col: int) -> int:
-        return self.rows[row][col]
-
     def is_standard(self) -> bool:
         for r, row in enumerate(self.rows):
             for c, v in enumerate(row):
@@ -232,10 +230,10 @@ def vertical_group(t: Tableau) -> list[Perm]:
     return _value_perms_preserving(cols, t.size)
 
 
-class SymFormalSum:
+class SymFormalSum(SparseSum):
     """A finitely supported rational formal sum over permutations of m points."""
 
-    __slots__ = ("m", "terms")
+    __slots__ = ("m",)
 
     def __init__(self, m: int, terms=None):
         clean: dict[Perm, Fraction] = {}
@@ -245,59 +243,24 @@ class SymFormalSum:
                 if perm.m != m:
                     raise ValueError("permutation size does not match ambient size")
                 clean[perm] = coeff
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "terms", clean)
+        self._assign(m, clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SymFormalSum is immutable")
+    # The benchmark's tracer wraps SymFormalSum.__mul__ found in this class's
+    # own __dict__; without this binding its product counts would read zero.
+    __mul__ = SparseSum.__mul__
+
+    def _scalar(self, value) -> Fraction:
+        return Fraction(value)
+
+    def _one(self) -> "SymFormalSum":
+        return SymFormalSum.identity(self.m)
+
+    def _row(self, perm: Perm):
+        return perm.__mul__
 
     @classmethod
     def identity(cls, m: int) -> "SymFormalSum":
         return cls(m, {Perm.identity(m): Fraction(1)})
-
-    @classmethod
-    def zero(cls, m: int) -> "SymFormalSum":
-        return cls(m, {})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _check(self, other: "SymFormalSum"):
-        if self.m != other.m:
-            raise ValueError("ambient symmetric-group size mismatch")
-
-    def __add__(self, other: "SymFormalSum") -> "SymFormalSum":
-        self._check(other)
-        terms = dict(self.terms)
-        for perm, coeff in other.terms.items():
-            terms[perm] = terms.get(perm, Fraction(0)) + coeff
-        return SymFormalSum(self.m, terms)
-
-    def __sub__(self, other: "SymFormalSum") -> "SymFormalSum":
-        return self + other.scale(-1)
-
-    def scale(self, factor) -> "SymFormalSum":
-        factor = Fraction(factor)
-        return SymFormalSum(self.m, {p: c * factor for p, c in self.terms.items()})
-
-    def __mul__(self, other: "SymFormalSum") -> "SymFormalSum":
-        self._check(other)
-        terms: dict[Perm, Fraction] = {}
-        for p, a in self.terms.items():
-            for q, b in other.terms.items():
-                pq = p * q
-                terms[pq] = terms.get(pq, Fraction(0)) + a * b
-        return SymFormalSum(self.m, terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SymFormalSum)
-            and self.m == other.m
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.m, frozenset(self.terms.items())))
 
     def __repr__(self):
         body = " + ".join(f"{c}*{list(p.images)}" for p, c in sorted(

@@ -238,10 +238,6 @@ def mul_row(n: int, m: int, i: int) -> tuple[int, ...]:
     return tuple(element_index(left * right) for right in elems)
 
 
-def mul_index(n: int, m: int, i: int, j: int) -> int:
-    return mul_row(n, m, i)[j]
-
-
 def conjugacy_class_count(n: int, m: int, cap: int = 10000) -> int:
     """Number of conjugacy classes, by a brute-force orbit sweep."""
     order = group_order(n, m)

@@ -230,6 +230,8 @@ def test_parse_errors():
         LabelledPartition.parse(2, 3, "2:3")  # label out of range
     with pytest.raises(ValueError):
         LabelledPartition.parse(2, 3, "0:2;0:1")  # duplicate label
+    with pytest.raises(ValueError, match="given twice"):
+        LabelledPartition.parse(2, 3, "0:;0:3")  # duplicate label, first block empty
     with pytest.raises(ValueError):
         LabelledPartition.parse(2, 3, "0-3")  # malformed
     with pytest.raises(ValueError):

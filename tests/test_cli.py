@@ -206,3 +206,19 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith("beta_spec,")
+
+
+def test_duplicate_label_rejected_even_when_first_block_empty(capsys):
+    code, _, err = run(capsys, "idempotent", "--n", "2", "--m", "3", "--beta", "0:;0:3")
+    assert code == 2
+    assert "given twice" in err
+
+
+def test_out_unwritable_exits_2_without_traceback(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.txt"
+    code, out, err = run(capsys, "count", "--n", "2", "--m", "2", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    assert not target.exists()

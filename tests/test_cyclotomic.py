@@ -181,3 +181,12 @@ def test_rational_accessor():
 def test_too_many_coefficients_rejected():
     with pytest.raises(ValueError):
         CycNumber(4, (1, 2, 3))
+
+
+def test_hash_agrees_with_equality_on_rationals():
+    assert CycNumber(4, [1]) == 1
+    assert len({CycNumber(4, [1]), 1}) == 1
+    half = CycNumber.from_rational(6, Fraction(1, 2))
+    assert half == Fraction(1, 2)
+    assert hash(half) == hash(Fraction(1, 2))
+    assert {half: "x"}[Fraction(1, 2)] == "x"

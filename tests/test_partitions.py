@@ -113,7 +113,7 @@ def test_tableau_validation():
     t = Tableau([[1, 3], [2]])
     assert t.is_standard()
     assert not Tableau([[2, 3], [1]]).is_standard()
-    assert t.entry(0, 1) == 3
+    assert t.rows[0][1] == 3
 
 
 def test_row_groups_single_row():
