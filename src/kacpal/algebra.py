@@ -14,15 +14,16 @@ indices to scalars.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 
 from .cyclotomic import CycNumber, zeta_power
 from .sparse import SparseSum, add_into
 from .wreath import (
-    CapExceededError,
+    CapExceededError,  # re-exported for callers of the capped checks below
     Perm,
     WreathElement,
+    check_cap,
     element_index,
     generator_b,
     group_order,
@@ -201,22 +202,29 @@ def z_element(n: int, m: int, l: int) -> AlgebraElement:
     return y_inverse_element(n, m, l) * s_element(n, m, l)
 
 
+def z_square_sum(n: int, m: int, l: int, mono):
+    """(1/n) sum over i,j in 0..n-1 of q^(-ij) mono(x_l^i x_{l+1}^j), q = zeta^2.
+
+    mono maps an x-monomial's exponent vector (a tuple) to its image, a
+    sparse sum; the result has the same type.
+    """
+    order = 2 * n
+    norm = CycNumber.from_rational(order, Fraction(1, n))
+    acc: dict = {}
+    for i in range(n):
+        for j in range(n):
+            image = mono((0,) * (l - 1) + (i, j) + (0,) * (m - l - 1))
+            add_into(acc, image.terms, zeta_power(order, -2 * i * j) * norm)
+    return image._new(acc)
+
+
 def z_square_rhs(n: int, m: int, l: int) -> AlgebraElement:
     """(1/n) sum over i,j in 0..n-1 of q^(-ij) x_l^i x_{l+1}^j.
 
     The exact value of z_l^2; the sum starts at zero, which is the only
     range consistent with z_l^2 = y_l^(-2).
     """
-    order = 2 * n
-    norm = CycNumber.from_rational(order, Fraction(1, n))
-    acc: dict[int, CycNumber] = {}
-    for i in range(n):
-        for j in range(n):
-            exps = [0] * m
-            exps[l - 1] = i
-            exps[l] = j
-            add_into(acc, x_monomial(n, m, exps).terms, zeta_power(order, -2 * i * j) * norm)
-    return AlgebraElement._make(n, m, acc)
+    return z_square_sum(n, m, l, partial(x_monomial, n, m))
 
 
 def permute_character(lam: tuple[int, ...], perm: Perm) -> tuple[int, ...]:
@@ -227,12 +235,94 @@ def permute_character(lam: tuple[int, ...], perm: Perm) -> tuple[int, ...]:
 # -- relation verification ----------------------------------------------------
 
 
-def _difference_head(lhs: AlgebraElement, rhs: AlgebraElement):
+def _swap(l: int, i: int) -> int:
+    """The slot that slot i moves to under the transposition of l and l+1."""
+    return {l: l + 1, l + 1: l}.get(i, i)
+
+
+def _braid(p: str, g: dict) -> dict:
+    """The Coxeter relations of generators g[1..m-1] named with prefix p:
+    distant generators commute and neighbours satisfy the braid relation."""
+    return {
+        f"{p}_commute": [
+            (f"{p}_{l} {p}_{k} = {p}_{k} {p}_{l}", g[l] * g[k], g[k] * g[l])
+            for l in g
+            for k in g
+            if k >= l + 2
+        ],
+        f"{p}_braid": [
+            (
+                f"{p}_{l} {p}_{l + 1} {p}_{l} = {p}_{l + 1} {p}_{l} {p}_{l + 1}",
+                g[l] * g[l + 1] * g[l],
+                g[l + 1] * g[l] * g[l + 1],
+            )
+            for l in g
+            if l + 1 in g
+        ],
+    }
+
+
+def _moves_x(p: str, g: dict, xs: dict) -> list:
+    """g_l x_i = x_swap(l,i) g_l for generators g[l] named with prefix p."""
+    return [
+        (f"{p}_{l} x_{i} = x_{_swap(l, i)} {p}_{l}", g[l] * xs[i], xs[_swap(l, i)] * g[l])
+        for l in g
+        for i in xs
+    ]
+
+
+def presentation(n: int, m: int, mono, z: dict) -> dict:
+    """The defining relations of the generalised Kac-Paljutkin algebra,
+    evaluated on images of its generators.
+
+    mono(exponents) is the image of the x-monomial with that exponent tuple
+    and z[l] the image of z_l for l = 1..m-1, all sparse sums of one type.
+    Returns an ordered dict family -> [(name, lhs, rhs)].
+    """
+    one = mono((0,) * m)
+    xs = {i: mono(tuple(int(j == i - 1) for j in range(m))) for i in range(1, m + 1)}
+    return {
+        "x_power": [(f"x_{i}^{n} = 1", xs[i] ** n, one) for i in xs],
+        "x_commute": [
+            (f"x_{i} x_{j} = x_{j} x_{i}", xs[i] * xs[j], xs[j] * xs[i])
+            for i in xs
+            for j in xs
+            if i < j
+        ],
+        "zx": _moves_x("z", z, xs),
+        **_braid("z", z),
+        "z_square": [
+            (
+                f"z_{l}^2 = (1/n) sum q^(-ij) x_{l}^i x_{l + 1}^j",
+                z[l] * z[l],
+                z_square_sum(n, m, l, mono),
+            )
+            for l in z
+        ],
+    }
+
+
+def _difference_head(lhs, rhs):
     diff = lhs - rhs
     if diff.is_zero():
         return None
     head = min(diff.terms)
     return {"index": head, "coeff": diff.terms[head].to_json()}
+
+
+def relation_report(families: dict) -> dict:
+    """Check each family of (name, lhs, rhs) relations: pass, or fail with
+    the first failing relation and the head term of its difference."""
+    report = {}
+    for family, items in families.items():
+        entry: dict = {"status": "pass"}
+        for name, lhs, rhs in items:
+            head = _difference_head(lhs, rhs)
+            if head is not None:
+                entry = {"status": "fail", "counterexample": {"relation": name, "difference_head": head}}
+                break
+        report[family] = entry
+    return report
 
 
 def verify_defining_relations(n: int, m: int, cap: int = DEFAULT_RELATION_CAP) -> dict:
@@ -241,56 +331,14 @@ def verify_defining_relations(n: int, m: int, cap: int = DEFAULT_RELATION_CAP) -
     Returns a JSON-ready report mapping each relation family to pass/fail,
     with the head term of the first nonzero difference as counterexample.
     """
-    order = group_order(n, m)
-    if order > cap:
-        raise CapExceededError(
-            f"group order {order} exceeds relation-suite cap {cap}"
-        )
+    check_cap(n, m, cap, "relation-suite")
     one = AlgebraElement.one(n, m)
     xs = {i: x_element(n, m, i) for i in range(1, m + 1)}
     ys = {l: y_element(n, m, l) for l in range(1, m)}
     zs = {l: z_element(n, m, l) for l in range(1, m)}
     ss = {l: s_element(n, m, l) for l in range(1, m)}
 
-    def sigma(l: int, i: int) -> int:
-        if i == l:
-            return l + 1
-        if i == l + 1:
-            return l
-        return i
-
-    checks: dict[str, list] = {}
-
-    checks["x_power"] = [
-        (f"x_{i}^{n} = 1", xs[i] ** n, one) for i in range(1, m + 1)
-    ]
-    checks["x_commute"] = [
-        (f"x_{i} x_{j} = x_{j} x_{i}", xs[i] * xs[j], xs[j] * xs[i])
-        for i in range(1, m + 1)
-        for j in range(i + 1, m + 1)
-    ]
-    checks["zx"] = [
-        (f"z_{l} x_{i} = x_{sigma(l, i)} z_{l}", zs[l] * xs[i], xs[sigma(l, i)] * zs[l])
-        for l in range(1, m)
-        for i in range(1, m + 1)
-    ]
-    checks["z_commute"] = [
-        (f"z_{l} z_{k} = z_{k} z_{l}", zs[l] * zs[k], zs[k] * zs[l])
-        for l in range(1, m)
-        for k in range(l + 2, m)
-    ]
-    checks["z_braid"] = [
-        (
-            f"z_{l} z_{l + 1} z_{l} = z_{l + 1} z_{l} z_{l + 1}",
-            zs[l] * zs[l + 1] * zs[l],
-            zs[l + 1] * zs[l] * zs[l + 1],
-        )
-        for l in range(1, m - 1)
-    ]
-    checks["z_square"] = [
-        (f"z_{l}^2 = (1/n) sum q^(-ij) x_{l}^i x_{l + 1}^j", zs[l] * zs[l], z_square_rhs(n, m, l))
-        for l in range(1, m)
-    ]
+    checks = presentation(n, m, partial(x_monomial, n, m), zs)
     checks["z_square_y"] = [
         (f"z_{l}^2 = y_{l}^(-2)", zs[l] * zs[l], y_inverse_element(n, m, l) ** 2)
         for l in range(1, m)
@@ -307,37 +355,13 @@ def verify_defining_relations(n: int, m: int, cap: int = DEFAULT_RELATION_CAP) -
     checks["s_square"] = [
         (f"s_{l}^2 = 1", ss[l] * ss[l], one) for l in range(1, m)
     ]
-    checks["s_commute"] = [
-        (f"s_{l} s_{k} = s_{k} s_{l}", ss[l] * ss[k], ss[k] * ss[l])
-        for l in range(1, m)
-        for k in range(l + 2, m)
-    ]
-    checks["s_braid"] = [
-        (
-            f"s_{l} s_{l + 1} s_{l} = s_{l + 1} s_{l} s_{l + 1}",
-            ss[l] * ss[l + 1] * ss[l],
-            ss[l + 1] * ss[l] * ss[l + 1],
-        )
-        for l in range(1, m - 1)
-    ]
-    checks["sx"] = [
-        (f"s_{l} x_{i} = x_{sigma(l, i)} s_{l}", ss[l] * xs[i], xs[sigma(l, i)] * ss[l])
-        for l in range(1, m)
-        for i in range(1, m + 1)
-    ]
+    checks.update(_braid("s", ss))
+    checks["sx"] = _moves_x("s", ss, xs)
     checks["s_from_y_z"] = [
         (f"s_{l} = y_{l} z_{l}", ss[l], ys[l] * zs[l]) for l in range(1, m)
     ]
 
-    report: dict = {"n": n, "m": m, "relations": {}}
-    for family, items in checks.items():
-        entry: dict = {"status": "pass"}
-        for name, lhs, rhs in items:
-            head = _difference_head(lhs, rhs)
-            if head is not None:
-                entry = {"status": "fail", "counterexample": {"relation": name, "difference_head": head}}
-                break
-        report["relations"][family] = entry
+    report: dict = {"n": n, "m": m, "relations": relation_report(checks)}
 
     # y_l must have multiplicative order exactly 2n.
     y_entry: dict = {"status": "pass"}
@@ -401,17 +425,10 @@ def _sparse_rank(vectors) -> int:
     return len(pivots)
 
 
-def _require_rank_cap(n: int, m: int, cap: int, what: str):
-    order = group_order(n, m)
-    if order > cap:
-        raise CapExceededError(f"group order {order} exceeds {what} cap {cap}")
-    return order
-
-
 def left_ideal_dimension(e: AlgebraElement, cap: int = DEFAULT_RANK_CAP) -> int:
     """Dimension of the left ideal generated by e: rank of {g * e : g in G}."""
     n, m = e.n, e.m
-    order = _require_rank_cap(n, m, cap, "rank-check")
+    order = check_cap(n, m, cap, "rank-check")
 
     def columns():
         for g in range(order):
@@ -430,7 +447,7 @@ def sandwich_dimension(e: AlgebraElement, f: AlgebraElement, cap: int = DEFAULT_
     """
     e._check(f)
     n, m = e.n, e.m
-    order = _require_rank_cap(n, m, cap, "rank-check")
+    order = check_cap(n, m, cap, "rank-check")
     # The scalar products do not depend on the sandwiched basis element, so
     # hoist them out of the per-g loop; each column is then pure accumulation.
     by_i = [

@@ -20,7 +20,6 @@ from math import factorial
 from .algebra import (
     DEFAULT_RANK_CAP,
     AlgebraElement,
-    CapExceededError,
     lambda_idempotent,
     left_ideal_dimension,
     sandwich_dimension,
@@ -37,7 +36,15 @@ from .partitions import (
     standard_tableaux_count,
     young_symmetrizer,
 )
-from .wreath import WreathElement, conjugacy_class_count, element_index, group_order
+from .wreath import (
+    DEFAULT_ENUMERATION_CAP,
+    CheckFailedError,
+    WreathElement,
+    check_cap,
+    conjugacy_class_count,
+    element_index,
+    group_order,
+)
 
 
 class LabelledPartition:
@@ -205,7 +212,8 @@ def dimension_by_hooks(beta: LabelledPartition) -> int:
             for c in range(block[r]):
                 denom *= hook_length(block, r, c)
     dim, rem = divmod(factorial(beta.m), denom)
-    assert rem == 0
+    if rem:
+        raise CheckFailedError(f"hook lengths of {beta!r} do not divide {beta.m}!")
     return dim
 
 
@@ -221,15 +229,11 @@ class IrrepRecord:
     dim_rank: int | None = None
 
     def __post_init__(self):
+        # A rank disagreement is left to irrep_table's rank_agreement check.
         if self.dim_formula != self.dim_hook:
-            raise ValueError(
+            raise CheckFailedError(
                 f"dimension formulas disagree for {self.beta!r}: "
                 f"{self.dim_formula} != {self.dim_hook}"
-            )
-        if self.dim_rank is not None and self.dim_rank != self.dim_formula:
-            raise ValueError(
-                f"rank dimension disagrees for {self.beta!r}: "
-                f"{self.dim_rank} != {self.dim_formula}"
             )
 
 
@@ -283,7 +287,7 @@ def irrep_table(
     check_orthogonality: bool = False,
     check_conjugacy: bool = False,
     rank_cap: int = DEFAULT_RANK_CAP,
-    conjugacy_cap: int = 10000,
+    conjugacy_cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> IrrepTable:
     """Build the full table of irreducibles with optional exact cross-checks.
 
@@ -292,10 +296,7 @@ def irrep_table(
     """
     order = group_order(n, m)
     if check_ranks or check_orthogonality:
-        if order > rank_cap:
-            raise CapExceededError(
-                f"group order {order} exceeds rank-check cap {rank_cap}"
-            )
+        check_cap(n, m, rank_cap, "rank-check")
 
     betas = enumerate_labelled_partitions(n, m)
     records = []

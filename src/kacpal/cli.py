@@ -22,11 +22,30 @@ from .classifier import (
     lambda_from_beta,
 )
 from .hopf import DEFAULT_TENSOR_CAP, hopf_axiom_report
-from .wreath import CapExceededError, conjugacy_class_count, group_order
+from .wreath import (
+    DEFAULT_ENUMERATION_CAP,
+    CapExceededError,
+    CheckFailedError,
+    check_cap,
+    conjugacy_class_count,
+)
 
 KNOWN_CHECKS = ("relations", "idempotency", "ranks", "orthogonality", "hopf", "conjugacy")
+TABLE_CHECKS = ("idempotency", "ranks", "orthogonality", "conjugacy")
 DEFAULT_VERIFY_CHECKS = ("relations", "idempotency")
-DEFAULT_CONJUGACY_CAP = 10000
+
+# Every check, and every command whose own cost grows with |G|, against
+# (default cap on the group order, cap name, checks to disable instead).
+CAPS = {
+    "relations": (DEFAULT_RELATION_CAP, "relation-suite", "relations"),
+    "idempotency": (DEFAULT_ENUMERATION_CAP, "enumeration", "idempotency"),
+    "ranks": (DEFAULT_RANK_CAP, "rank-check", "ranks,orthogonality"),
+    "orthogonality": (DEFAULT_RANK_CAP, "rank-check", "ranks,orthogonality"),
+    "hopf": (DEFAULT_TENSOR_CAP, "tensor-square", "hopf"),
+    "conjugacy": (DEFAULT_ENUMERATION_CAP, "conjugacy", "conjugacy"),
+    "table": (DEFAULT_ENUMERATION_CAP, "enumeration", None),
+    "idempotent": (DEFAULT_ENUMERATION_CAP, "enumeration", None),
+}
 
 
 @dataclass
@@ -44,14 +63,30 @@ class RunConfig:
         return self.cap_group_order if self.cap_group_order is not None else default
 
 
-def _parse_checks(text: str | None, default: tuple[str, ...]) -> tuple[str, ...]:
+def _parse_checks(text: str | None, command: str) -> tuple[str, ...]:
     if text is None:
-        return default
+        return DEFAULT_VERIFY_CHECKS if command == "verify" else ()
     checks = tuple(c.strip() for c in text.split(",") if c.strip())
     for c in checks:
         if c not in KNOWN_CHECKS:
             raise ValueError(f"unknown check {c!r}; known: {', '.join(KNOWN_CHECKS)}")
+    if command == "verify" and not checks:
+        raise ValueError(f"verify --checks needs at least one of: {', '.join(KNOWN_CHECKS)}")
     return checks
+
+
+def _check_caps(config: RunConfig, names):
+    """Refuse the run, before any work, if one of the named checks or
+    commands exceeds its cap."""
+    for name in names:
+        if name not in CAPS:
+            continue
+        default, what, disable = CAPS[name]
+        try:
+            check_cap(config.n, config.m, config.cap(default), what)
+        except CapExceededError as exc:
+            hint = f"disable checks: {disable} or raise" if disable else "raise"
+            raise CapExceededError(f"{exc}; {hint} --cap-group-order") from None
 
 
 def _emit(config: RunConfig, text: str):
@@ -65,23 +100,9 @@ def _emit(config: RunConfig, text: str):
         sys.stdout.write(text)
 
 
-def _require_cap(order: int, cap: int, what: str, disable: str):
-    if order > cap:
-        raise CapExceededError(
-            f"group order {order} exceeds {what} cap {cap}; "
-            f"disable checks: {disable} or raise --cap-group-order"
-        )
-
-
-def cmd_table(config: RunConfig) -> int:
+def _irrep_table(config: RunConfig):
     checks = config.checks
-    order = group_order(config.n, config.m)
-    if "ranks" in checks or "orthogonality" in checks:
-        _require_cap(order, config.cap(DEFAULT_RANK_CAP), "rank-check", "ranks,orthogonality")
-    if "conjugacy" in checks:
-        _require_cap(order, config.cap(DEFAULT_CONJUGACY_CAP), "conjugacy", "conjugacy")
-
-    table = irrep_table(
+    return irrep_table(
         config.n,
         config.m,
         check_idempotency="idempotency" in checks,
@@ -89,8 +110,12 @@ def cmd_table(config: RunConfig) -> int:
         check_orthogonality="orthogonality" in checks,
         check_conjugacy="conjugacy" in checks,
         rank_cap=config.cap(DEFAULT_RANK_CAP),
-        conjugacy_cap=config.cap(DEFAULT_CONJUGACY_CAP),
+        conjugacy_cap=config.cap(DEFAULT_ENUMERATION_CAP),
     )
+
+
+def cmd_table(config: RunConfig) -> int:
+    table = _irrep_table(config)
 
     if config.format == "csv":
         _emit(config, table.to_csv())
@@ -116,51 +141,21 @@ def cmd_table(config: RunConfig) -> int:
 
 
 def cmd_verify(config: RunConfig) -> int:
-    checks = config.checks or DEFAULT_VERIFY_CHECKS
-    order = group_order(config.n, config.m)
-    report: dict = {"n": config.n, "m": config.m, "checks": {}}
-
+    checks = config.checks
+    parts: dict = {}
     if "relations" in checks:
-        _require_cap(order, config.cap(DEFAULT_RELATION_CAP), "relation-suite", "relations")
-        report["checks"]["relations"] = verify_defining_relations(
+        parts["relations"] = verify_defining_relations(
             config.n, config.m, cap=config.cap(DEFAULT_RELATION_CAP)
         )
-    if "ranks" in checks or "orthogonality" in checks:
-        _require_cap(order, config.cap(DEFAULT_RANK_CAP), "rank-check", "ranks,orthogonality")
     if "hopf" in checks:
-        _require_cap(order, config.cap(DEFAULT_TENSOR_CAP), "tensor-square", "hopf")
-        report["checks"]["hopf"] = hopf_axiom_report(
-            config.n, config.m, cap=config.cap(DEFAULT_TENSOR_CAP)
-        )
-    if "conjugacy" in checks:
-        _require_cap(order, config.cap(DEFAULT_CONJUGACY_CAP), "conjugacy", "conjugacy")
+        parts["hopf"] = hopf_axiom_report(config.n, config.m, cap=config.cap(DEFAULT_TENSOR_CAP))
+    if any(c in TABLE_CHECKS for c in checks):
+        parts["classification"] = _irrep_table(config).checks
 
-    table_checks = [c for c in ("idempotency", "ranks", "orthogonality", "conjugacy") if c in checks]
-    if table_checks:
-        table = irrep_table(
-            config.n,
-            config.m,
-            check_idempotency="idempotency" in checks,
-            check_ranks="ranks" in checks,
-            check_orthogonality="orthogonality" in checks,
-            check_conjugacy="conjugacy" in checks,
-            rank_cap=config.cap(DEFAULT_RANK_CAP),
-            conjugacy_cap=config.cap(DEFAULT_CONJUGACY_CAP),
-        )
-        report["checks"]["classification"] = table.checks
-
-    ok = True
-    rel = report["checks"].get("relations")
-    if rel is not None and not rel["all_pass"]:
-        ok = False
-    hopf_part = report["checks"].get("hopf")
-    if hopf_part is not None and not hopf_part["all_pass"]:
-        ok = False
-    cls = report["checks"].get("classification")
-    if cls is not None and any(v == "fail" for v in cls.values()):
-        ok = False
-
-    report["all_pass"] = ok
+    ok = all(parts[k]["all_pass"] for k in ("relations", "hopf") if k in parts) and all(
+        v != "fail" for v in parts.get("classification", {}).values()
+    )
+    report = {"n": config.n, "m": config.m, "checks": parts, "all_pass": ok}
     _emit(config, json.dumps(report, indent=2) + "\n")
     return 0 if ok else 1
 
@@ -186,10 +181,8 @@ def cmd_count(config: RunConfig) -> int:
     lines = [f"count = {formula}"]
     code = 0
     if "conjugacy" in config.checks:
-        order = group_order(config.n, config.m)
-        _require_cap(order, config.cap(DEFAULT_CONJUGACY_CAP), "conjugacy", "conjugacy")
         classes = conjugacy_class_count(
-            config.n, config.m, cap=config.cap(DEFAULT_CONJUGACY_CAP)
+            config.n, config.m, cap=config.cap(DEFAULT_ENUMERATION_CAP)
         )
         lines.append(f"conjugacy classes = {classes}")
         if classes != formula:
@@ -197,6 +190,15 @@ def cmd_count(config: RunConfig) -> int:
             code = 1
     _emit(config, "\n".join(lines) + "\n")
     return code
+
+
+# command -> (handler, the checks it runs; other requested checks are ignored)
+COMMANDS = {
+    "table": (cmd_table, TABLE_CHECKS),
+    "verify": (cmd_verify, KNOWN_CHECKS),
+    "idempotent": (cmd_idempotent, ()),
+    "count": (cmd_count, ("conjugacy",)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -252,41 +254,26 @@ def main(argv=None) -> int:
         print("need --n >= 1 and --m >= 1", file=sys.stderr)
         return 2
 
+    handler, runs = COMMANDS[args.command]
     try:
-        checks = _parse_checks(getattr(args, "checks", None), ())
-    except ValueError as exc:
+        config = RunConfig(
+            n=args.n,
+            m=args.m,
+            format=getattr(args, "format", "text"),
+            checks=_parse_checks(getattr(args, "checks", None), args.command),
+            cap_group_order=cap,
+            out=args.out,
+            beta=getattr(args, "beta", None),
+            expanded=getattr(args, "expanded", False),
+        )
+        _check_caps(config, [c for c in config.checks if c in runs] + [args.command])
+        return handler(config)
+    except (CapExceededError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
-
-    config = RunConfig(
-        n=args.n,
-        m=args.m,
-        format=getattr(args, "format", "text"),
-        checks=checks,
-        cap_group_order=cap,
-        out=args.out,
-        beta=getattr(args, "beta", None),
-        expanded=getattr(args, "expanded", False),
-    )
-
-    try:
-        if args.command == "table":
-            return cmd_table(config)
-        if args.command == "verify":
-            if getattr(args, "checks", None) is None:
-                config.checks = DEFAULT_VERIFY_CHECKS
-            return cmd_verify(config)
-        if args.command == "idempotent":
-            return cmd_idempotent(config)
-        if args.command == "count":
-            return cmd_count(config)
-    except CapExceededError as exc:
+    except CheckFailedError as exc:
         print(str(exc), file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    raise AssertionError("unreachable")
+        return 1
 
 
 if __name__ == "__main__":

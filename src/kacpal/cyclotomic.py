@@ -15,6 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from .wreath import CheckFailedError
+
 # All scalar coefficients in the package are stdlib Fractions: always
 # reduced, denominator > 0, arbitrary precision.
 Rational = Fraction
@@ -61,7 +63,10 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
     for d in range(1, order):
         if order % d == 0:
             poly, rem = _monic_divmod(poly, cyclotomic_polynomial(d))
-            assert not any(rem)
+            if any(rem):
+                raise CheckFailedError(
+                    f"cyclotomic polynomial of order {d} does not divide x^{order} - 1"
+                )
     return poly
 
 

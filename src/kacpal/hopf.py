@@ -23,16 +23,18 @@ from .algebra import (
     AlgebraElement,
     basis_element,
     character_combination,
+    presentation,
     s_element,
     x_element,
     x_monomial,
     y_element,
     z_element,
+    z_square_sum,
 )
 from .cyclotomic import CycNumber, zeta_power
 from .partitions import SymFormalSum
 from .sparse import SparseSum, add_into
-from .wreath import CapExceededError, elements, group_order, mul_row
+from .wreath import check_cap, elements, group_order, mul_row
 
 DEFAULT_TENSOR_CAP = 100
 
@@ -99,20 +101,16 @@ def _diagonal(a: AlgebraElement) -> TensorElement:
 
 @lru_cache(maxsize=None)
 def _delta_z(n: int, m: int, l: int) -> TensorElement:
-    """The defining comultiplication of the square-root generator."""
-    order = 2 * n
-    prefactor: dict[tuple[int, int], CycNumber] = {}
-    norm = CycNumber.from_rational(order, Fraction(1, n))
-    for i in range(n):
-        for j in range(n):
-            xi = [0] * m
-            xi[l - 1] = i
-            xj = [0] * m
-            xj[l] = j
-            term = tensor(x_monomial(n, m, xi), x_monomial(n, m, xj))
-            add_into(prefactor, term.terms, zeta_power(order, -2 * i * j) * norm)
+    """The defining comultiplication of the square-root generator: the z_l^2
+    double sum with each monomial x_l^i x_{l+1}^j split as x_l^i (x) x_{l+1}^j,
+    times z_l (x) z_l."""
+
+    def split(e):
+        left = x_monomial(n, m, e[:l] + (0,) * (m - l))
+        return tensor(left, x_monomial(n, m, (0,) * l + e[l:]))
+
     z = z_element(n, m, l)
-    return TensorElement._make(n, m, prefactor) * tensor(z, z)
+    return z_square_sum(n, m, l, split) * tensor(z, z)
 
 
 @lru_cache(maxsize=None)
@@ -255,69 +253,15 @@ def _generators(n: int, m: int) -> list[tuple[str, AlgebraElement]]:
 def _delta_relation_pairs(n: int, m: int) -> list[tuple[str, TensorElement, TensorElement]]:
     """Comultiplication applied to both sides of every defining relation,
     computed multiplicatively from the generator images."""
-    dx = {i: _diagonal(x_element(n, m, i)) for i in range(1, m + 1)}
-    dz = {l: _delta_z(n, m, l) for l in range(1, m)}
-    unit = TensorElement.unit(n, m)
-
-    def sigma(l: int, i: int) -> int:
-        if i == l:
-            return l + 1
-        if i == l + 1:
-            return l
-        return i
-
-    pairs = []
-    for i in dx:
-        power = unit
-        for _ in range(n):
-            power = power * dx[i]
-        pairs.append((f"delta(x_{i}^n) = delta(1)", power, unit))
-    for i in dx:
-        for j in dx:
-            if i < j:
-                pairs.append(
-                    (f"delta(x_{i} x_{j}) = delta(x_{j} x_{i})", dx[i] * dx[j], dx[j] * dx[i])
-                )
-    for l in dz:
-        for i in dx:
-            pairs.append(
-                (
-                    f"delta(z_{l} x_{i}) = delta(x_{sigma(l, i)} z_{l})",
-                    dz[l] * dx[i],
-                    dx[sigma(l, i)] * dz[l],
-                )
-            )
-    for l in dz:
-        for k in dz:
-            if k >= l + 2:
-                pairs.append(
-                    (f"delta commutes z_{l}, z_{k}", dz[l] * dz[k], dz[k] * dz[l])
-                )
-    for l in dz:
-        if l + 1 in dz:
-            pairs.append(
-                (
-                    f"delta braid z_{l}, z_{l + 1}",
-                    dz[l] * dz[l + 1] * dz[l],
-                    dz[l + 1] * dz[l] * dz[l + 1],
-                )
-            )
-    order = 2 * n
-    for l in dz:
-        rhs: dict[tuple[int, int], CycNumber] = {}
-        norm = CycNumber.from_rational(order, Fraction(1, n))
-        for a in range(n):
-            for b in range(n):
-                xa = [0] * m
-                xa[l - 1] = a
-                xb = [0] * m
-                xb[l] = b
-                mono = x_monomial(n, m, xa) * x_monomial(n, m, xb)
-                add_into(rhs, _diagonal(mono).terms, zeta_power(order, -2 * a * b) * norm)
-        pairs.append(
-            (f"delta(z_{l}^2) = delta(sum)", dz[l] * dz[l], TensorElement._make(n, m, rhs))
-        )
-    return pairs
+    families = presentation(
+        n,
+        m,
+        lambda e: _diagonal(x_monomial(n, m, e)),
+        {l: _delta_z(n, m, l) for l in range(1, m)},
+    )
+    return [
+        (f"delta({name})", lhs, rhs) for items in families.values() for name, lhs, rhs in items
+    ]
 
 
 def hopf_axiom_report(n: int, m: int, cap: int = DEFAULT_TENSOR_CAP) -> dict:
@@ -327,12 +271,7 @@ def hopf_axiom_report(n: int, m: int, cap: int = DEFAULT_TENSOR_CAP) -> dict:
     multiplicative extension), multiplicativity spot checks on fixed
     pseudo-random sparse elements, and the non-cocommutativity witnesses.
     """
-    order = group_order(n, m)
-    if order > cap:
-        raise CapExceededError(
-            f"group order {order} exceeds tensor-square cap {cap}"
-        )
-
+    check_cap(n, m, cap, "tensor-square")
     report: dict = {"n": n, "m": m, "axioms": {}}
     gens = _generators(n, m)
 
@@ -391,9 +330,7 @@ def _fixed_sparse(n: int, m: int, rng: random.Random, size: int = 3) -> AlgebraE
 def cocommutativity_witness(n: int, m: int, cap: int = DEFAULT_TENSOR_CAP) -> dict:
     """Report that delta(z_l) differs from its flip, with one nonzero
     coordinate as witness, and that the x generators are symmetric."""
-    order = group_order(n, m)
-    if order > cap:
-        raise CapExceededError(f"group order {order} exceeds tensor-square cap {cap}")
+    check_cap(n, m, cap, "tensor-square")
     out: dict = {}
     for l in range(1, m):
         d = delta(z_element(n, m, l))

@@ -13,7 +13,7 @@ from itertools import permutations, product
 from math import factorial
 
 from .sparse import SparseSum
-from .wreath import Perm
+from .wreath import CheckFailedError, Perm
 
 
 class Partition:
@@ -122,7 +122,8 @@ def standard_tableaux_count(mu: Partition) -> int:
         for c in range(mu[r]):
             denom *= hook_length(mu, r, c)
     count, rem = divmod(factorial(k), denom)
-    assert rem == 0
+    if rem:
+        raise CheckFailedError(f"hook lengths of {mu!r} do not divide {k}!")
     return count
 
 

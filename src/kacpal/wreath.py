@@ -12,8 +12,15 @@ from functools import lru_cache
 from math import factorial
 
 
+DEFAULT_ENUMERATION_CAP = 10000
+
+
 class CapExceededError(Exception):
     """A brute-force computation would exceed its configured cap."""
+
+
+class CheckFailedError(Exception):
+    """An exact mathematical check or invariant does not hold."""
 
 
 class Perm:
@@ -188,6 +195,14 @@ def group_order(n: int, m: int) -> int:
     return n**m * factorial(m)
 
 
+def check_cap(n: int, m: int, cap: int, what: str) -> int:
+    """The group order, or CapExceededError if it exceeds the named cap."""
+    order = group_order(n, m)
+    if order > cap:
+        raise CapExceededError(f"group order {order} exceeds {what} cap {cap}")
+    return order
+
+
 def generator_a(n: int, m: int, i: int) -> WreathElement:
     """The order-n twist generator at slot i (1-based)."""
     if not 1 <= i <= m:
@@ -238,13 +253,9 @@ def mul_row(n: int, m: int, i: int) -> tuple[int, ...]:
     return tuple(element_index(left * right) for right in elems)
 
 
-def conjugacy_class_count(n: int, m: int, cap: int = 10000) -> int:
+def conjugacy_class_count(n: int, m: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
     """Number of conjugacy classes, by a brute-force orbit sweep."""
-    order = group_order(n, m)
-    if order > cap:
-        raise CapExceededError(
-            f"group order {order} exceeds enumeration cap {cap} for conjugacy classes"
-        )
+    order = check_cap(n, m, cap, "conjugacy")
     elems = elements(n, m)
     visited = bytearray(order)
     count = 0

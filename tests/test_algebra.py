@@ -11,6 +11,8 @@ from kacpal.algebra import (
     CapExceededError,
     lambda_idempotent,
     left_ideal_dimension,
+    presentation,
+    relation_report,
     s_element,
     sandwich_dimension,
     verify_defining_relations,
@@ -175,6 +177,30 @@ def test_perturbed_y_breaks_braid():
     s_tilde = (y_element(n, m, 1) - dropped) * z_element(n, m, 1)
     s2 = s_element(n, m, 2)
     assert s_tilde * s2 * s_tilde != s2 * s_tilde * s2
+
+
+def test_perturbed_z_fails_presentation_with_counterexample():
+    # negative control through the shared relation table: drop one character
+    # term from y_1^(-1) in z_1; the first family that notices must name the
+    # failing relation and the head term of its difference
+    n, m = 2, 3
+    lam_star = (1, 1, 0)
+    dropped = lambda_idempotent(n, m, lam_star).scale(
+        zeta_power(2 * n, lam_star[0] * lam_star[1])
+    )
+    zs = {l: z_element(n, m, l) for l in range(1, m)}
+    zs[1] = (y_inverse_element(n, m, 1) - dropped) * s_element(n, m, 1)
+    families = presentation(n, m, lambda e: x_monomial(n, m, e), zs)
+    report = relation_report(families)
+    assert list(report) == ["x_power", "x_commute", "zx", "z_commute", "z_braid", "z_square"]
+    failing = [family for family, entry in report.items() if entry["status"] == "fail"]
+    assert failing[0] == "z_braid"
+    counterexample = report["z_braid"]["counterexample"]
+    assert counterexample["relation"] == "z_1 z_2 z_1 = z_2 z_1 z_2"
+    ((_, lhs, rhs),) = families["z_braid"]
+    diff = lhs - rhs
+    head = min(diff.terms)
+    assert counterexample["difference_head"] == {"index": head, "coeff": diff.terms[head].to_json()}
 
 
 @settings(max_examples=30, deadline=None)

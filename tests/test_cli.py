@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from kacpal.algebra import AlgebraElement, lambda_idempotent, s_element
+from kacpal import classifier, cli
 from kacpal.cli import main
 
 
@@ -79,6 +80,71 @@ def test_verify_rank_cap_exceeded(capsys):
     assert code == 2
     assert "46080" in err
     assert "ranks" in err
+
+
+def test_caps_checked_before_any_work(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the relation suite ran before the rank cap was checked")
+
+    monkeypatch.setattr(cli, "verify_defining_relations", refuse)
+    code, out, err = run(
+        capsys, "verify", "--n", "2", "--m", "5", "--checks", "relations,ranks"
+    )
+    assert code == 2
+    assert out == ""
+    assert "ranks" in err
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (("table", "--n", "2", "--m", "6"), "enumeration cap 10000"),
+        (("idempotent", "--n", "2", "--m", "6", "--beta", "0:6"), "enumeration cap 10000"),
+        (("verify", "--n", "2", "--m", "6", "--checks", "idempotency"), "idempotency"),
+        (("table", "--n", "2", "--m", "6", "--checks", "conjugacy"), "conjugacy"),
+    ],
+)
+def test_enumeration_paths_are_capped(capsys, argv, named):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "46080" in err
+    assert named in err
+
+
+def test_verify_explicit_empty_checks_rejected(capsys):
+    code, out, err = run(capsys, "verify", "--n", "2", "--m", "2", "--checks", ",")
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_table_explicit_empty_checks_means_no_extra_checks(capsys):
+    code, out, _ = run(capsys, "table", "--n", "2", "--m", "2", "--checks", ",")
+    assert code == 0
+    assert "check count_formula: pass" in out
+    assert "idempotency" not in out
+
+
+def test_rank_disagreement_is_a_failed_check(capsys, monkeypatch):
+    real = classifier.left_ideal_dimension
+    monkeypatch.setattr(classifier, "left_ideal_dimension", lambda e, cap: real(e, cap=cap) + 1)
+    code, out, err = run(capsys, "table", "--n", "2", "--m", "2", "--checks", "ranks")
+    assert code == 1
+    assert "check rank_agreement: fail" in out
+    assert err == ""
+
+
+def test_hook_disagreement_exits_1(capsys, monkeypatch):
+    real = classifier.dimension_by_hooks
+    monkeypatch.setattr(classifier, "dimension_by_hooks", lambda beta: real(beta) + 1)
+    code, out, err = run(capsys, "verify", "--n", "2", "--m", "2", "--checks", "idempotency")
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "disagree" in err
+    assert "Traceback" not in err
 
 
 def test_cap_override_allows_more(capsys):

@@ -200,6 +200,29 @@ def test_non_cocommutativity_witness(n, m):
     assert out["x_generators"] == "symmetric"
 
 
+def test_wrong_delta_z_fails_relation_preservation(monkeypatch):
+    # negative control: a group-like delta(z_l) = z_l (x) z_l respects every
+    # relation except the twisted square of z_l
+    from kacpal import hopf
+
+    n, m = 2, 2
+    caches = (hopf._delta_z, hopf._delta_s, hopf._delta_basis)
+    for cache in caches:
+        cache.cache_clear()
+    monkeypatch.setattr(
+        hopf, "_delta_z", lambda n, m, l: tensor(z_element(n, m, l), z_element(n, m, l))
+    )
+    try:
+        report = hopf_axiom_report(n, m)
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    entry = report["axioms"]["delta_preserves_relations"]
+    assert entry["status"] == "fail"
+    assert entry["detail"] == ["delta(z_1^2 = (1/n) sum q^(-ij) x_1^i x_2^j)"]
+    assert not report["all_pass"]
+
+
 def test_tensor_cap():
     with pytest.raises(CapExceededError):
         hopf_axiom_report(2, 4)

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -212,3 +216,22 @@ def formal_sums(draw, m=4):
 def test_formal_sum_associativity(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+
+
+def test_hook_invariant_survives_python_O():
+    # the divisibility invariant is checked by code, so -O cannot strip it
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "from kacpal import partitions\n"
+        "from kacpal.wreath import CheckFailedError\n"
+        "partitions.hook_length = lambda mu, r, c: 5\n"
+        "try:\n"
+        "    partitions.standard_tableaux_count(partitions.Partition([2, 1]))\n"
+        "except CheckFailedError:\n"
+        "    print('raised')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "raised"
