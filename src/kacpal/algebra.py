@@ -331,6 +331,8 @@ def verify_defining_relations(n: int, m: int, cap: int = DEFAULT_RELATION_CAP) -
     Returns a JSON-ready report mapping each relation family to pass/fail,
     with the head term of the first nonzero difference as counterexample.
     """
+    if n < 2:
+        raise ValueError(f"the relation suite needs n >= 2, got n={n}: at n = 1 every y_l is 1")
     check_cap(n, m, cap, "relation-suite")
     one = AlgebraElement.one(n, m)
     xs = {i: x_element(n, m, i) for i in range(1, m + 1)}
@@ -396,8 +398,9 @@ def verify_defining_relations(n: int, m: int, cap: int = DEFAULT_RELATION_CAP) -
 # -- exact linear algebra -----------------------------------------------------
 
 
-def _sparse_rank(vectors) -> int:
-    """Rank of an iterable of sparse {position: CycNumber} vectors.
+def _echelon(vectors) -> list[dict[int, CycNumber]]:
+    """Normalised pivot rows spanning an iterable of sparse {position: CycNumber}
+    vectors; the only elimination loop in the package.
 
     Incremental echelon: each new vector is reduced against the pivots in
     insertion order (each pivot row is already clean at all earlier pivot
@@ -422,50 +425,39 @@ def _sparse_rank(vectors) -> int:
         lead = min(vec)
         inv = vec[lead].inverse()
         pivots.append((lead, {p: c * inv for p, c in vec.items()}))
-    return len(pivots)
+    return [row for _, row in pivots]
+
+
+def _sparse_rank(vectors) -> int:
+    """Rank of an iterable of sparse {position: CycNumber} vectors."""
+    return len(_echelon(vectors))
+
+
+def _left_translates(e: AlgebraElement, cap: int):
+    """The vectors g * e for g in G; the cap is checked before the first one."""
+    n, m = e.n, e.m
+    order = check_cap(n, m, cap, "rank-check")
+    rows = (mul_row(n, m, g) for g in range(order))
+    return ({row[h]: c for h, c in e.terms.items()} for row in rows)
 
 
 def left_ideal_dimension(e: AlgebraElement, cap: int = DEFAULT_RANK_CAP) -> int:
     """Dimension of the left ideal generated by e: rank of {g * e : g in G}."""
-    n, m = e.n, e.m
-    order = check_cap(n, m, cap, "rank-check")
-
-    def columns():
-        for g in range(order):
-            row = mul_row(n, m, g)
-            yield {row[h]: c for h, c in e.terms.items()}
-
-    return _sparse_rank(columns())
+    return _sparse_rank(_left_translates(e, cap))
 
 
 def sandwich_dimension(e: AlgebraElement, f: AlgebraElement, cap: int = DEFAULT_RANK_CAP) -> int:
     """Rank of the span of {e * g * f : g in G}.
 
-    For idempotents of a split semisimple algebra this is 1 exactly when e
-    is primitive and f generates an isomorphic simple module, and 0 exactly
+    Since A f = span{g * f}, this is the rank of {e * v} over a basis v of
+    A f, which needs dim(A f) products instead of |G| columns.  For
+    idempotents of a split semisimple algebra it is 1 exactly when e is
+    primitive and f generates an isomorphic simple module, and 0 exactly
     when the modules are non-isomorphic.
     """
     e._check(f)
-    n, m = e.n, e.m
-    order = check_cap(n, m, cap, "rank-check")
-    # The scalar products do not depend on the sandwiched basis element, so
-    # hoist them out of the per-g loop; each column is then pure accumulation.
-    by_i = [
-        (i, [(j, a * b) for j, b in f.terms.items()]) for i, a in e.terms.items()
-    ]
-
-    def columns():
-        for g in range(order):
-            acc: dict[int, CycNumber] = {}
-            for i, jabs in by_i:
-                row = mul_row(n, m, mul_row(n, m, i)[g])
-                for j, ab in jabs:
-                    k = row[j]
-                    cur = acc.get(k)
-                    acc[k] = ab if cur is None else cur + ab
-            yield acc
-
-    return _sparse_rank(columns())
+    basis = _echelon(_left_translates(f, cap))
+    return _sparse_rank((e * AlgebraElement._make(f.n, f.m, row)).terms for row in basis)
 
 
 def basis_element(n: int, m: int, index: int) -> AlgebraElement:

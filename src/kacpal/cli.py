@@ -67,9 +67,12 @@ def _parse_checks(text: str | None, command: str) -> tuple[str, ...]:
     if text is None:
         return DEFAULT_VERIFY_CHECKS if command == "verify" else ()
     checks = tuple(c.strip() for c in text.split(",") if c.strip())
+    runs = COMMANDS[command][1]
     for c in checks:
         if c not in KNOWN_CHECKS:
             raise ValueError(f"unknown check {c!r}; known: {', '.join(KNOWN_CHECKS)}")
+        if c not in runs:
+            raise ValueError(f"{command} does not run the {c!r} check; it runs: {', '.join(runs)}")
     if command == "verify" and not checks:
         raise ValueError(f"verify --checks needs at least one of: {', '.join(KNOWN_CHECKS)}")
     return checks
@@ -192,7 +195,7 @@ def cmd_count(config: RunConfig) -> int:
     return code
 
 
-# command -> (handler, the checks it runs; other requested checks are ignored)
+# command -> (handler, the checks it runs; --checks accepts no others)
 COMMANDS = {
     "table": (cmd_table, TABLE_CHECKS),
     "verify": (cmd_verify, KNOWN_CHECKS),
@@ -254,7 +257,7 @@ def main(argv=None) -> int:
         print("need --n >= 1 and --m >= 1", file=sys.stderr)
         return 2
 
-    handler, runs = COMMANDS[args.command]
+    handler = COMMANDS[args.command][0]
     try:
         config = RunConfig(
             n=args.n,
@@ -266,7 +269,7 @@ def main(argv=None) -> int:
             beta=getattr(args, "beta", None),
             expanded=getattr(args, "expanded", False),
         )
-        _check_caps(config, [c for c in config.checks if c in runs] + [args.command])
+        _check_caps(config, config.checks + (args.command,))
         return handler(config)
     except (CapExceededError, ValueError) as exc:
         print(str(exc), file=sys.stderr)

@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from .sparse import power
 from .wreath import CheckFailedError
 
 # All scalar coefficients in the package are stdlib Fractions: always
@@ -22,7 +23,6 @@ from .wreath import CheckFailedError
 Rational = Fraction
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def euler_phi(n: int) -> int:
@@ -71,23 +71,38 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(order: int) -> tuple[tuple[int, ...], ...]:
-    """x^(deg+j) reduced modulo the cyclotomic polynomial, j = 0..deg-2.
+def _x_power(order: int, k: int) -> tuple[int, ...]:
+    """x^k reduced modulo the cyclotomic polynomial: euler_phi(order) integers.
 
-    Rows have integer entries because the modulus is monic over the integers.
+    The only reduction of a power; it is integral because the modulus is monic
+    over the integers.
     """
     phi = cyclotomic_polynomial(order)
     deg = len(phi) - 1
-    rows = []
-    cur = [-c for c in phi[:deg]]
-    rows.append(tuple(cur))
-    for _ in range(max(deg - 2, 0)):
-        top = cur[-1]
-        cur = [0] + cur[:-1]
-        if top:
-            cur = [c + top * r for c, r in zip(cur, rows[0])]
-        rows.append(tuple(cur))
-    return tuple(rows)
+    _, rem = _monic_divmod((0,) * k + (1,), phi)
+    return rem + (0,) * (deg - len(rem))
+
+
+@lru_cache(maxsize=None)
+def _reduction_rows(order: int) -> tuple[tuple[int, ...], ...]:
+    """x^(deg+j) reduced modulo the cyclotomic polynomial, j = 0..deg-2."""
+    deg = len(cyclotomic_polynomial(order)) - 1
+    return tuple(_x_power(order, deg + j) for j in range(deg - 1))
+
+
+@lru_cache(maxsize=None)
+def _galois_images(order: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """For each unit k != 1 modulo the order, the vectors of zeta^(i*k), i < deg.
+
+    The automorphism zeta -> zeta^k maps sum a_i zeta^i to sum a_i zeta^(i*k),
+    so these rows are its matrix on coefficient vectors.
+    """
+    deg = len(cyclotomic_polynomial(order)) - 1
+    return tuple(
+        tuple(_x_power(order, i * k % order) for i in range(deg))
+        for k in range(2, order)
+        if gcd(k, order) == 1
+    )
 
 
 class CycNumber:
@@ -214,22 +229,26 @@ class CycNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNumber":
-        """Multiplicative inverse via the extended Euclidean algorithm in Q[x]."""
+        """Multiplicative inverse: the product of the other Galois conjugates
+        divided by the norm, the product of all of them, which is rational."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta)")
-        modulus = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        old_r, r = list(self.coeffs), modulus
-        old_s, s = [_ONE], [_ZERO]
-        while any(r):
-            quot, rem = _frac_poly_divmod(old_r, r)
-            old_r, r = r, rem
-            old_s, s = s, _frac_poly_sub(old_s, _frac_poly_mul(quot, s))
-        # old_r is a nonzero constant gcd; old_s / old_r[0] inverts self mod the cyclotomic polynomial
-        g = next(c for c in old_r if c)
-        inv_coeffs = [c / g for c in old_s]
-        deg = len(self.coeffs)
-        inv_coeffs += [_ZERO] * (deg - len(inv_coeffs))
-        return CycNumber._make(self.order, tuple(inv_coeffs[:deg]))
+        others = None
+        for images in _galois_images(self.order):
+            conj = [_ZERO] * len(self.coeffs)
+            for a, image in zip(self.coeffs, images):
+                if a:
+                    for j, r in enumerate(image):
+                        if r:
+                            conj[j] += a * r
+            conj = CycNumber._make(self.order, tuple(conj))
+            others = conj if others is None else others * conj
+        if others is None:  # Q(zeta) = Q
+            return CycNumber._make(self.order, (1 / self.coeffs[0],))
+        norm = self * others
+        if not norm.is_rational():
+            raise CheckFailedError(f"norm of {self!r} is not rational: {norm!r}")
+        return CycNumber._make(self.order, tuple(c / norm.coeffs[0] for c in others.coeffs))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -240,15 +259,7 @@ class CycNumber:
     def __pow__(self, exponent: int) -> "CycNumber":
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = CycNumber.one(self.order)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, exponent, lambda: CycNumber.one(self.order))
 
     # -- comparison / hashing ----------------------------------------------
 
@@ -301,58 +312,10 @@ class CycNumber:
         return cls.from_json(json.loads(text))
 
 
-def _frac_poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _frac_poly_divmod(num: list[Fraction], den: list[Fraction]):
-    num = _frac_poly_trim(list(num))
-    den = _frac_poly_trim(list(den))
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    if len(num) < len(den):
-        return [_ZERO], num
-    quot = [_ZERO] * (len(num) - len(den) + 1)
-    lead = den[-1]
-    for i in reversed(range(len(quot))):
-        c = num[i + len(den) - 1] / lead
-        quot[i] = c
-        if c:
-            for j, d in enumerate(den):
-                num[i + j] -= c * d
-    return quot, _frac_poly_trim(num[: len(den) - 1])
-
-
-def _frac_poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
-def _frac_poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = list(a) + [_ZERO] * (len(b) - len(a))
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    return out
-
-
 @lru_cache(maxsize=None)
 def zeta_power(order: int, k: int) -> CycNumber:
     """zeta^k in Q(zeta_order), exponent taken modulo the order."""
-    k %= order
-    deg = len(cyclotomic_polynomial(order)) - 1
-    if k < deg:
-        coeffs = tuple(_ONE if i == k else _ZERO for i in range(deg))
-        return CycNumber._make(order, coeffs)
-    return zeta(order) ** k
+    return CycNumber._make(order, tuple(Fraction(c) for c in _x_power(order, k % order)))
 
 
 def zeta(order: int) -> CycNumber:

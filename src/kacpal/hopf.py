@@ -271,6 +271,11 @@ def hopf_axiom_report(n: int, m: int, cap: int = DEFAULT_TENSOR_CAP) -> dict:
     multiplicative extension), multiplicativity spot checks on fixed
     pseudo-random sparse elements, and the non-cocommutativity witnesses.
     """
+    if n < 2:
+        raise ValueError(
+            f"the Hopf report needs n >= 2, got n={n}: at n = 1 the algebra is Q[S_m], "
+            "whose comultiplication is cocommutative"
+        )
     check_cap(n, m, cap, "tensor-square")
     report: dict = {"n": n, "m": m, "axioms": {}}
     gens = _generators(n, m)

@@ -4,7 +4,8 @@ The group algebra of Z_n wr S_m, its tensor square and Q[S_k] are all sparse
 maps from group keys to nonzero scalars.  This module holds the only code that
 adds and multiplies such sums.  An element type subclasses SparseSum and
 supplies what differs: its parameters (declared as its __slots__), scalar
-coercion, its identity element, and the row of its key product.
+coercion, its identity element, and the row of its key product.  The
+repeated-squaring loop, power, is shared with the scalar field.
 """
 
 from __future__ import annotations
@@ -27,6 +28,27 @@ def add_into(acc: dict, terms: dict, factor=None) -> dict:
         else:
             acc.pop(key, None)
     return acc
+
+
+def power(x, exponent: int, one):
+    """x ** exponent for exponent >= 0 by repeated squaring; one() gives x ** 0.
+
+    Starts from the lowest set bit and squares only while bits remain, so
+    x ** 4 costs two products and x ** 5 three.
+    """
+    if not exponent:
+        return one()
+    while not exponent & 1:
+        x = x * x
+        exponent >>= 1
+    result = x
+    exponent >>= 1
+    while exponent:
+        x = x * x
+        if exponent & 1:
+            result = result * x
+        exponent >>= 1
+    return result
 
 
 class SparseSum:
@@ -108,15 +130,7 @@ class SparseSum:
     def __pow__(self, exponent: int):
         if exponent < 0:
             raise ValueError(f"negative powers are not supported on {type(self).__name__}")
-        result = self._one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, exponent, self._one)
 
     def __eq__(self, other):
         return (

@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from kacpal.algebra import (
     AlgebraElement,
+    _left_translates,
     _sparse_rank,
     DEFAULT_RANK_CAP,
     CapExceededError,
+    basis_element,
     lambda_idempotent,
     left_ideal_dimension,
     presentation,
@@ -23,6 +25,7 @@ from kacpal.algebra import (
     z_element,
     z_square_rhs,
 )
+from kacpal.classifier import irrep_table
 from kacpal.cyclotomic import CycNumber, zeta_power
 from kacpal.wreath import group_order
 
@@ -301,6 +304,47 @@ def test_rank_cap():
         left_ideal_dimension(one(2, 5), cap=DEFAULT_RANK_CAP)
     with pytest.raises(CapExceededError):
         sandwich_dimension(one(2, 5), one(2, 5), cap=DEFAULT_RANK_CAP)
+    with pytest.raises(CapExceededError):
+        _left_translates(one(2, 5), cap=DEFAULT_RANK_CAP)  # before the first vector
+
+
+def sandwich_by_group_columns(e, f):
+    """Reference for sandwich_dimension: the rank of the |G| columns e * g * f."""
+    n, m = e.n, e.m
+    return _sparse_rank(
+        (e * basis_element(n, m, g) * f).terms for g in range(group_order(n, m))
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(2, 2), (3, 2)]), st.data())
+def test_sandwich_dimension_matches_group_columns(nm, data):
+    n, m = nm
+    order = 2 * n
+    coeffs = st.builds(
+        lambda k, q: zeta_power(order, k) * CycNumber.from_rational(order, q),
+        st.integers(0, order - 1),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    )
+    indices = st.integers(0, group_order(n, m) - 1)
+    e, f = (
+        AlgebraElement(n, m, data.draw(st.dictionaries(indices, coeffs, max_size=4)))
+        for _ in range(2)
+    )
+    assert sandwich_dimension(e, f) == sandwich_by_group_columns(e, f)
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (3, 2)])
+def test_sandwich_dimension_matches_group_columns_on_idempotents(n, m):
+    idempotents = [r.idempotent for r in irrep_table(n, m).records]
+    for e in idempotents:
+        for f in idempotents:
+            assert sandwich_dimension(e, f) == sandwich_by_group_columns(e, f)
+
+
+def test_relation_suite_needs_n_at_least_2():
+    with pytest.raises(ValueError, match="n >= 2"):
+        verify_defining_relations(1, 3)
 
 
 def test_element_json_round_trip():

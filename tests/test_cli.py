@@ -253,6 +253,39 @@ def test_unknown_check_rejected(capsys):
     assert "unknown check" in err
 
 
+@pytest.mark.parametrize(
+    "argv, check",
+    [
+        (("table", "--n", "2", "--m", "2", "--checks", "hopf,relations"), "'hopf'"),
+        (("count", "--n", "2", "--m", "2", "--checks", "ranks"), "'ranks'"),
+    ],
+)
+def test_checks_the_command_does_not_run_are_rejected(capsys, argv, check):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert check in err and argv[0] in err
+
+
+@pytest.mark.parametrize("checks", [(), ("--checks", "hopf")])
+def test_verify_at_n_1_needs_n_2(capsys, checks):
+    code, out, err = run(capsys, "verify", "--n", "1", "--m", "3", *checks)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "needs n >= 2" in err
+
+
+def test_table_checks_at_n_1_run_in_the_rational_field(capsys):
+    code, out, _ = run(
+        capsys, "table", "--n", "1", "--m", "3", "--checks", "ranks,orthogonality,idempotency"
+    )
+    assert code == 0
+    for check in ("idempotency", "rank_agreement", "orthogonality"):
+        assert f"check {check}: pass" in out
+
+
 def test_invalid_parameters(capsys):
     code, _, err = run(capsys, "count", "--n", "0", "--m", "3")
     assert code == 2

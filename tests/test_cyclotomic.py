@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kacpal import cyclotomic
 from kacpal.cyclotomic import (
     CycNumber,
     cyclotomic_polynomial,
@@ -11,6 +12,7 @@ from kacpal.cyclotomic import (
     zeta,
     zeta_power,
 )
+from kacpal.wreath import CheckFailedError
 
 
 def poly_mul(a, b):
@@ -51,6 +53,16 @@ def test_zeta_power_examples():
     assert zeta_power(4, 0) == CycNumber.one(4)
     assert zeta_power(4, 2) == CycNumber.from_rational(4, -1)
     assert zeta_power(6, 3) == CycNumber.from_rational(6, -1)
+    assert zeta_power(2, 1) == -1
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6, 8, 10, 12])
+def test_zeta_power_matches_repeated_multiplication(order):
+    z = zeta(order)
+    acc = CycNumber.one(order)
+    for k in range(2 * order):
+        assert zeta_power(order, k) == acc, k
+        acc = acc * z
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -106,10 +118,18 @@ def test_field_axioms(triple):
 
 
 @settings(max_examples=60, deadline=None)
-@given(cyc_numbers())
+@given(cyc_numbers(orders=(2, 4, 6, 8, 10, 12)))
 def test_inverse_cancels(a):
     if not a.is_zero():
         assert a * a.inverse() == CycNumber.one(a.order)
+
+
+def test_inverse_checks_that_the_norm_is_rational(monkeypatch):
+    # With the identity in place of the other conjugate of Q(zeta_4), the
+    # "norm" of 1 + zeta is (1 + zeta)^2 = 2 zeta, which is not rational.
+    monkeypatch.setattr(cyclotomic, "_galois_images", lambda order: (((1, 0), (0, 1)),))
+    with pytest.raises(CheckFailedError, match="not rational"):
+        (zeta(4) + 1).inverse()
 
 
 def test_inverse_of_zero_raises():

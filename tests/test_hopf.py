@@ -223,6 +223,11 @@ def test_wrong_delta_z_fails_relation_preservation(monkeypatch):
     assert not report["all_pass"]
 
 
+def test_hopf_report_needs_n_at_least_2():
+    with pytest.raises(ValueError, match="n >= 2"):
+        hopf_axiom_report(1, 3)
+
+
 def test_tensor_cap():
     with pytest.raises(CapExceededError):
         hopf_axiom_report(2, 4)

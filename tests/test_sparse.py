@@ -7,10 +7,11 @@ convolution built directly from the group elements.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from kacpal.algebra import AlgebraElement
-from kacpal.cyclotomic import CycNumber, zeta_power
+from kacpal.cyclotomic import CycNumber, zeta, zeta_power
 from kacpal.hopf import TensorElement
 from kacpal.partitions import SymFormalSum
 from kacpal.sparse import add_into
@@ -107,3 +108,25 @@ def test_powers_and_hashes_shared_by_every_element_type():
     assert t**0 == TensorElement.unit(2, 2)
     assert t**2 == t * t
     assert len({t, t.scale(1), t - t, TensorElement.zero(2, 2)}) == 2
+
+
+@pytest.mark.parametrize("exponent, products", [(1, 0), (2, 1), (4, 2), (5, 3), (6, 3), (7, 4)])
+def test_powers_spend_no_product_on_the_identity(monkeypatch, exponent, products):
+    element = AlgebraElement(2, 2, {1: CycNumber.one(4), 5: zeta_power(4, 1)})
+    for x in (element, zeta(8) + 1):
+        expected = x
+        for _ in range(exponent - 1):
+            expected = expected * x
+        cls = type(x)
+        real = cls.__mul__
+        calls = []
+
+        def counting(a, b):
+            calls.append(1)
+            return real(a, b)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cls, "__mul__", counting)
+            value = x**exponent
+        assert value == expected
+        assert len(calls) == products
