@@ -456,8 +456,12 @@ def sandwich_dimension(e: AlgebraElement, f: AlgebraElement, cap: int = DEFAULT_
     when the modules are non-isomorphic.
     """
     e._check(f)
-    basis = _echelon(_left_translates(f, cap))
-    return _sparse_rank((e * AlgebraElement._make(f.n, f.m, row)).terms for row in basis)
+    return _rank_on_basis(e, _echelon(_left_translates(f, cap)))
+
+
+def _rank_on_basis(e: AlgebraElement, basis: list[dict[int, CycNumber]]) -> int:
+    """Rank of {e * v : v in basis}, for basis vectors with e's parameters."""
+    return _sparse_rank((e * AlgebraElement._make(e.n, e.m, row)).terms for row in basis)
 
 
 def basis_element(n: int, m: int, index: int) -> AlgebraElement:

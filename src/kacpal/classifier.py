@@ -20,9 +20,11 @@ from math import factorial
 from .algebra import (
     DEFAULT_RANK_CAP,
     AlgebraElement,
+    _echelon,
+    _left_translates,
+    _rank_on_basis,
     lambda_idempotent,
     left_ideal_dimension,
-    sandwich_dimension,
 )
 from .cyclotomic import CycNumber
 from .partitions import (
@@ -300,9 +302,16 @@ def irrep_table(
 
     betas = enumerate_labelled_partitions(n, m)
     records = []
+    bases = []  # a basis of each left ideal A e, built once for all k^2 sandwiches
     for beta in betas:
         e = idempotent_from_beta(beta)
-        dim_rank = left_ideal_dimension(e, cap=rank_cap) if check_ranks else None
+        if check_orthogonality:
+            bases.append(_echelon(_left_translates(e, rank_cap)))
+        dim_rank = None
+        if check_ranks and check_orthogonality:
+            dim_rank = len(bases[-1])
+        elif check_ranks:
+            dim_rank = left_ideal_dimension(e, cap=rank_cap)
         records.append(
             IrrepRecord(
                 beta=beta,
@@ -333,15 +342,12 @@ def irrep_table(
         )
 
     if check_orthogonality:
-        ok = True
-        for i, ri in enumerate(records):
-            for j, rj in enumerate(records):
-                expected = 1 if i == j else 0
-                if sandwich_dimension(ri.idempotent, rj.idempotent, cap=rank_cap) != expected:
-                    ok = False
-                    break
-            if not ok:
-                break
+        # sandwich_dimension(e_i, e_j) is the rank of e_i times a basis of A e_j.
+        ok = all(
+            _rank_on_basis(ri.idempotent, basis) == (1 if i == j else 0)
+            for i, ri in enumerate(records)
+            for j, basis in enumerate(bases)
+        )
         checks["orthogonality"] = "pass" if ok else "fail"
 
     if check_conjugacy:

@@ -3,9 +3,13 @@
 A field element is a polynomial in zeta with rational coefficients, kept
 reduced modulo the N-th cyclotomic polynomial.  Reduction modulo the
 cyclotomic polynomial (rather than x^N - 1) makes the quotient a field, so
-zero divisors cannot appear and two elements are equal exactly when their
-coefficient vectors coincide.  Everything is arbitrary-precision rational;
-no floating point is used anywhere.
+zero divisors cannot appear.  The element is stored as integer numerators
+over one positive common denominator (the representation of FLINT's
+fmpq_poly), kept in lowest terms, so two elements are equal exactly when
+their numerators and denominators coincide.  Arithmetic runs on Python ints
+with one gcd per result; Fractions appear only where values enter or leave
+(construction, coeffs, rational(), JSON).  No floating point is used
+anywhere.
 """
 
 from __future__ import annotations
@@ -13,16 +17,16 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
+from operator import add, neg, sub
 
 from .sparse import power
 from .wreath import CheckFailedError
 
-# All scalar coefficients in the package are stdlib Fractions: always
+# The rational scalars of the package (the coefficients of Q[S_k] sums, and
+# the values CycNumber takes in and hands out) are stdlib Fractions: always
 # reduced, denominator > 0, arbitrary precision.
 Rational = Fraction
-
-_ZERO = Fraction(0)
 
 
 def euler_phi(n: int) -> int:
@@ -106,31 +110,28 @@ def _galois_images(order: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
 
 
 class CycNumber:
-    """An element of Q(zeta_N): euler_phi(N) rational coefficients in zeta.
+    """An element of Q(zeta_N): euler_phi(N) integer numerators of the powers
+    of zeta over one positive common denominator.
 
-    Values are immutable; arithmetic returns new instances in canonical
-    reduced form.  Mixing different orders raises ValueError rather than
-    coercing.
+    The form is canonical: den > 0, gcd(den, *num) == 1, and zero is all-zero
+    numerators over den == 1.  Values are immutable; arithmetic returns new
+    canonical instances.  Mixing different orders raises ValueError rather
+    than coercing.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "num", "den")
 
     def __init__(self, order: int, coeffs=()):
         deg = len(cyclotomic_polynomial(order)) - 1
-        vec = tuple(Fraction(c) for c in coeffs)
+        vec = [Fraction(c) for c in coeffs]
         if len(vec) > deg:
             raise ValueError(f"too many coefficients for Q(zeta_{order}): {len(vec)} > {deg}")
-        if len(vec) < deg:
-            vec = vec + (_ZERO,) * (deg - len(vec))
+        # Over the lcm of reduced denominators the numerators share no factor with it.
+        den = lcm(*(c.denominator for c in vec))
+        num = tuple(c.numerator * (den // c.denominator) for c in vec)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", vec)
-
-    @staticmethod
-    def _make(order: int, coeffs: tuple[Fraction, ...]) -> "CycNumber":
-        self = object.__new__(CycNumber)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
-        return self
+        object.__setattr__(self, "num", num + (0,) * (deg - len(vec)))
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycNumber is immutable")
@@ -139,8 +140,9 @@ class CycNumber:
 
     @classmethod
     def from_rational(cls, order: int, value) -> "CycNumber":
+        value = Fraction(value)
         deg = len(cyclotomic_polynomial(order)) - 1
-        return cls._make(order, (Fraction(value),) + (_ZERO,) * (deg - 1))
+        return _make(order, (value.numerator,) + (0,) * (deg - 1), value.denominator)
 
     @classmethod
     def zero(cls, order: int) -> "CycNumber":
@@ -150,22 +152,29 @@ class CycNumber:
     def one(cls, order: int) -> "CycNumber":
         return cls.from_rational(order, 1)
 
-    # -- predicates --------------------------------------------------------
+    # -- the boundary to Fractions -------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def __bool__(self) -> bool:
-        return any(self.coeffs)
-
-    def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients of zeta^0, ..., zeta^(deg-1) as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def rational(self) -> Fraction:
         """The value as a Fraction; ValueError if the element is irrational."""
         if not self.is_rational():
             raise ValueError(f"not a rational element: {self!r}")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
+
+    # -- predicates --------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not any(self.num)
+
+    def __bool__(self) -> bool:
+        return any(self.num)
+
+    def is_rational(self) -> bool:
+        return not any(self.num[1:])
 
     # -- arithmetic --------------------------------------------------------
 
@@ -182,7 +191,11 @@ class CycNumber:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CycNumber._make(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        da, db = self.den, other.den
+        if da == db:
+            return _reduced(self.order, tuple(map(add, self.num, other.num)), da)
+        num = tuple([a * db + b * da for a, b in zip(self.num, other.num)])
+        return _reduced(self.order, num, da * db)
 
     __radd__ = __add__
 
@@ -190,7 +203,11 @@ class CycNumber:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CycNumber._make(self.order, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        da, db = self.den, other.den
+        if da == db:
+            return _reduced(self.order, tuple(map(sub, self.num, other.num)), da)
+        num = tuple([a * db - b * da for a, b in zip(self.num, other.num)])
+        return _reduced(self.order, num, da * db)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -199,56 +216,61 @@ class CycNumber:
         return other - self
 
     def __neg__(self):
-        return CycNumber._make(self.order, tuple(-a for a in self.coeffs))
+        return _make(self.order, tuple(map(neg, self.num)), self.den)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b = self.num, other.num
         deg = len(a)
         if deg == 1:
-            return CycNumber._make(self.order, (a[0] * b[0],))
-        conv = [_ZERO] * (2 * deg - 1)
+            return _reduced(self.order, (a[0] * b[0],), self.den * other.den)
+        conv = [0] * (2 * deg - 1)
         for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
+                for j, bj in enumerate(b, i):
+                    conv[j] += ai * bj
         out = conv[:deg]
-        rows = _reduction_rows(self.order)
-        for k in range(deg, 2 * deg - 1):
-            c = conv[k]
+        for c, row in zip(conv[deg:], _reduction_rows(self.order)):
             if c:
-                row = rows[k - deg]
                 for idx, r in enumerate(row):
                     if r:
                         out[idx] += c * r
-        return CycNumber._make(self.order, tuple(out))
+        return _reduced(self.order, tuple(out), self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNumber":
-        """Multiplicative inverse: the product of the other Galois conjugates
-        divided by the norm, the product of all of them, which is rational."""
+        """Multiplicative inverse.
+
+        With self = N / den for the integer numerator N, the inverse is
+        den * others / norm: others is the product of the Galois conjugates
+        of N other than N, and norm = N * others, the product of all of them,
+        is a nonzero integer.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta)")
+        order, num = self.order, self.num
         others = None
-        for images in _galois_images(self.order):
-            conj = [_ZERO] * len(self.coeffs)
-            for a, image in zip(self.coeffs, images):
+        for images in _galois_images(order):
+            conj = [0] * len(num)
+            for a, image in zip(num, images):
                 if a:
                     for j, r in enumerate(image):
                         if r:
                             conj[j] += a * r
-            conj = CycNumber._make(self.order, tuple(conj))
+            conj = _make(order, tuple(conj), 1)
             others = conj if others is None else others * conj
         if others is None:  # Q(zeta) = Q
-            return CycNumber._make(self.order, (1 / self.coeffs[0],))
-        norm = self * others
-        if not norm.is_rational():
-            raise CheckFailedError(f"norm of {self!r} is not rational: {norm!r}")
-        return CycNumber._make(self.order, tuple(c / norm.coeffs[0] for c in others.coeffs))
+            norm, cofactor = num[0], (1,)
+        else:
+            product = _make(order, num, 1) * others
+            if not product.is_rational():
+                raise CheckFailedError(f"norm of {self!r} is not rational: {product!r}")
+            norm, cofactor = product.num[0], others.num
+        scale = self.den if norm > 0 else -self.den
+        return _reduced(order, tuple([c * scale for c in cofactor]), abs(norm))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -268,13 +290,13 @@ class CycNumber:
             other = CycNumber.from_rational(self.order, other)
         if not isinstance(other, CycNumber):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return self.order == other.order and self.den == other.den and self.num == other.num
 
     def __hash__(self):
         # A rational value equals its Fraction (see __eq__), so it must hash alike.
         if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash((self.order, self.coeffs))
+            return hash(self.rational())
+        return hash((self.order, self.den, self.num))
 
     def __repr__(self):
         parts = []
@@ -312,10 +334,39 @@ class CycNumber:
         return cls.from_json(json.loads(text))
 
 
+# The slot setters get past CycNumber.__setattr__ more cheaply than
+# object.__setattr__ does, which matters on the hot path of every operation.
+_set_order = CycNumber.order.__set__
+_set_num = CycNumber.num.__set__
+_set_den = CycNumber.den.__set__
+
+
+def _make(order: int, num: tuple[int, ...], den: int) -> CycNumber:
+    """An instance from canonical numerators and denominator, unchecked."""
+    self = object.__new__(CycNumber)
+    _set_order(self, order)
+    _set_num(self, num)
+    _set_den(self, den)
+    return self
+
+
+def _reduced(order: int, num: tuple[int, ...], den: int) -> CycNumber:
+    """num / den in lowest terms, for den > 0: one gcd, skipped when den is 1.
+
+    Dividing out gcd(den, *num) also turns any zero into 0 / 1.
+    """
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple([c // g for c in num])
+            den //= g
+    return _make(order, num, den)
+
+
 @lru_cache(maxsize=None)
 def zeta_power(order: int, k: int) -> CycNumber:
     """zeta^k in Q(zeta_order), exponent taken modulo the order."""
-    return CycNumber._make(order, tuple(Fraction(c) for c in _x_power(order, k % order)))
+    return _make(order, _x_power(order, k % order), 1)
 
 
 def zeta(order: int) -> CycNumber:

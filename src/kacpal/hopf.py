@@ -276,6 +276,11 @@ def hopf_axiom_report(n: int, m: int, cap: int = DEFAULT_TENSOR_CAP) -> dict:
             f"the Hopf report needs n >= 2, got n={n}: at n = 1 the algebra is Q[S_m], "
             "whose comultiplication is cocommutative"
         )
+    if m < 2:
+        raise ValueError(
+            f"the Hopf report needs m >= 2, got m={m}: at m = 1 there is no z_l, "
+            "so no non-cocommutativity witness exists"
+        )
     check_cap(n, m, cap, "tensor-square")
     report: dict = {"n": n, "m": m, "axioms": {}}
     gens = _generators(n, m)

@@ -156,7 +156,7 @@ def test_criterion_2_relation_suite():
             assert z_element(n, m, l) ** 2 == y_inverse_element(n, m, l) ** 2
             assert y_element(n, m, l) * y_inverse_element(n, m, l) == AlgebraElement.one(n, m)
     elapsed = time.time() - start
-    assert elapsed < 300, f"criterion 2 took {elapsed:.1f}s"
+    assert elapsed < 60, f"criterion 2 took {elapsed:.1f}s"
     announce(2, f"all defining relations hold exactly for {RELATION_PAIRS} in {elapsed:.1f}s")
 
 
@@ -183,7 +183,7 @@ def test_criterion_4_dimension_triple_agreement():
                 expected = 1 if i == j else 0
                 assert sandwich_dimension(e, f) == expected, (n, m, i, j)
     elapsed = time.time() - start
-    assert elapsed < 600, f"criterion 4 took {elapsed:.1f}s"
+    assert elapsed < 60, f"criterion 4 took {elapsed:.1f}s"
     announce(
         4,
         f"formula = hooks = rank and primitivity/orthogonality for {RANK_PAIRS} "

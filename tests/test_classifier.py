@@ -7,7 +7,9 @@ from kacpal.algebra import (
     lambda_idempotent,
     left_ideal_dimension,
     s_element,
+    sandwich_dimension,
 )
+from kacpal import classifier
 from kacpal.classifier import (
     LabelledPartition,
     count_formula,
@@ -203,6 +205,31 @@ def test_rank_dimension_for_each_idempotent_2_3():
     for rec in table.records:
         assert rec.dim_rank == rec.dim_formula
         assert left_ideal_dimension(rec.idempotent) == rec.dim_formula
+
+
+@pytest.mark.parametrize(
+    "n,m,duplicate", [(2, 2, False), (3, 2, False), (2, 2, True)]
+)
+def test_orthogonality_verdict_matches_pairwise_sandwiches(monkeypatch, n, m, duplicate):
+    # irrep_table reuses one left-ideal basis per record; the verdict must be
+    # what the k^2 independent sandwich_dimension calls give.  The negative
+    # control gives the second labelled partition the first one's idempotent.
+    if duplicate:
+        betas = enumerate_labelled_partitions(n, m)
+        real = classifier.idempotent_from_beta
+        monkeypatch.setattr(
+            classifier,
+            "idempotent_from_beta",
+            lambda beta: real(betas[0] if beta == betas[1] else beta),
+        )
+    table = irrep_table(n, m, check_ranks=True, check_orthogonality=True)
+    idempotents = [rec.idempotent for rec in table.records]
+    matrix = [[sandwich_dimension(e, f) for f in idempotents] for e in idempotents]
+    identity = [[int(i == j) for j in range(len(idempotents))] for i in range(len(idempotents))]
+    assert table.checks["orthogonality"] == ("pass" if matrix == identity else "fail")
+    assert table.checks["orthogonality"] == ("fail" if duplicate else "pass")
+    for rec in table.records:
+        assert rec.dim_rank == left_ideal_dimension(rec.idempotent)
 
 
 def test_ideal_and_complement_dimensions_fill_the_algebra():

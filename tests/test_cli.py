@@ -277,6 +277,15 @@ def test_verify_at_n_1_needs_n_2(capsys, checks):
     assert "needs n >= 2" in err
 
 
+def test_hopf_at_m_1_needs_m_2(capsys):
+    # At m = 1 there is no z_l, so no non-cocommutativity witness exists.
+    code, out, err = run(capsys, "verify", "--n", "2", "--m", "1", "--checks", "hopf")
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "needs m >= 2" in err
+
+
 def test_table_checks_at_n_1_run_in_the_rational_field(capsys):
     code, out, _ = run(
         capsys, "table", "--n", "1", "--m", "3", "--checks", "ranks,orthogonality,idempotency"
