@@ -32,6 +32,7 @@ from .wreath import (
 
 DEFAULT_RELATION_CAP = 10000
 DEFAULT_RANK_CAP = 2000
+ONE = Fraction(1)
 
 
 class AlgebraElement(SparseSum):
@@ -93,14 +94,13 @@ class AlgebraElement(SparseSum):
 
     # -- serialization -------------------------------------------------------
 
+    def json_terms(self):
+        """The entries of ``to_json()["terms"]``, one at a time in index order."""
+        for ix in sorted(self.terms):
+            yield {"index": ix, "coeff": self.terms[ix].to_json()}
+
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "terms": [
-                {"index": ix, "coeff": self.terms[ix].to_json()} for ix in sorted(self.terms)
-            ],
-        }
+        return {"n": self.n, "m": self.m, "terms": list(self.json_terms())}
 
     @classmethod
     def from_json(cls, data: dict) -> "AlgebraElement":
@@ -227,9 +227,14 @@ def z_square_rhs(n: int, m: int, l: int) -> AlgebraElement:
     return z_square_sum(n, m, l, partial(x_monomial, n, m))
 
 
-def permute_character(lam: tuple[int, ...], perm: Perm) -> tuple[int, ...]:
-    """The character composed with a slot permutation (entry j moves to sigma(j))."""
-    return tuple(lam[perm(j)] for j in range(len(lam)))
+def permute_character(lam: tuple[int, ...], perm) -> tuple[int, ...]:
+    """The character lam composed with a slot permutation: entry j of the
+    result is lam[perm(j)], so entry i of lam moves to slot perm^(-1)(i).
+
+    perm is a Perm or its one-line tuple.  Composition is contravariant:
+    permuting by a then by b is permuting by a * b.
+    """
+    return tuple([lam[j] for j in perm])
 
 
 # -- relation verification ----------------------------------------------------
@@ -398,17 +403,20 @@ def verify_defining_relations(n: int, m: int, cap: int = DEFAULT_RELATION_CAP) -
 # -- exact linear algebra -----------------------------------------------------
 
 
-def _echelon(vectors) -> list[dict[int, CycNumber]]:
-    """Normalised pivot rows spanning an iterable of sparse {position: CycNumber}
+def _echelon(vectors) -> list[dict]:
+    """Normalised pivot rows spanning an iterable of sparse {position: scalar}
     vectors; the only elimination loop in the package.
 
-    Incremental echelon: each new vector is reduced against the pivots in
-    insertion order (each pivot row is already clean at all earlier pivot
-    positions), then normalised on its first nonzero position.
+    The scalars are ints, Fractions or CycNumbers (the rows come out as
+    Fractions or CycNumbers); positions need only be hashable and mutually
+    ordered.  Incremental echelon: each new vector is reduced
+    against the pivots in insertion order (each pivot row is already clean at
+    all earlier pivot positions), then normalised on its first nonzero
+    position.
     """
-    pivots: list[tuple[int, dict[int, CycNumber]]] = []
+    pivots: list[tuple] = []
     for vec in vectors:
-        vec = {p: c for p, c in vec.items() if not c.is_zero()}
+        vec = {p: c for p, c in vec.items() if c}
         for pos, row in pivots:
             c = vec.get(pos)
             if c is None:
@@ -416,20 +424,20 @@ def _echelon(vectors) -> list[dict[int, CycNumber]]:
             for p2, r2 in row.items():
                 cur = vec.get(p2)
                 s = -(c * r2) if cur is None else cur - c * r2
-                if s.is_zero():
-                    vec.pop(p2, None)
-                else:
+                if s:
                     vec[p2] = s
+                else:
+                    vec.pop(p2, None)
         if not vec:
             continue
         lead = min(vec)
-        inv = vec[lead].inverse()
+        inv = ONE / vec[lead]
         pivots.append((lead, {p: c * inv for p, c in vec.items()}))
     return [row for _, row in pivots]
 
 
 def _sparse_rank(vectors) -> int:
-    """Rank of an iterable of sparse {position: CycNumber} vectors."""
+    """Rank of an iterable of sparse {position: scalar} vectors."""
     return len(_echelon(vectors))
 
 
@@ -456,11 +464,7 @@ def sandwich_dimension(e: AlgebraElement, f: AlgebraElement, cap: int = DEFAULT_
     when the modules are non-isomorphic.
     """
     e._check(f)
-    return _rank_on_basis(e, _echelon(_left_translates(f, cap)))
-
-
-def _rank_on_basis(e: AlgebraElement, basis: list[dict[int, CycNumber]]) -> int:
-    """Rank of {e * v : v in basis}, for basis vectors with e's parameters."""
+    basis = _echelon(_left_translates(f, cap))
     return _sparse_rank((e * AlgebraElement._make(e.n, e.m, row)).terms for row in basis)
 
 

@@ -3,9 +3,11 @@
 A labelled partition assigns one (possibly empty) partition to each of the
 n twist characters, with sizes summing to m.  Each produces a primitive
 idempotent: the character idempotent of its non-decreasing character vector
-times the embedded Young symmetrizers of its blocks.  Counting and
-dimension formulas are cross-checked three ways (closed formula, hook
-lengths, exact rank of the generated left ideal).
+times the embedded Young symmetrizers of its blocks.  The idempotent is built
+in the character basis (kacpal.character_basis), where its coordinates are
+rational, and mapped to the group basis by an exact change of basis.
+Counting and dimension formulas are cross-checked three ways (closed formula,
+hook lengths, exact rank of the generated left ideal).
 """
 
 from __future__ import annotations
@@ -13,20 +15,12 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import product
 from math import factorial
 
-from .algebra import (
-    DEFAULT_RANK_CAP,
-    AlgebraElement,
-    _echelon,
-    _left_translates,
-    _rank_on_basis,
-    lambda_idempotent,
-    left_ideal_dimension,
-)
-from .cyclotomic import CycNumber
+from .algebra import DEFAULT_RANK_CAP, AlgebraElement
+from .character_basis import CharacterElement, check_model, left_ideal_basis, sandwich_rank
 from .partitions import (
     Partition,
     Perm,
@@ -41,10 +35,8 @@ from .partitions import (
 from .wreath import (
     DEFAULT_ENUMERATION_CAP,
     CheckFailedError,
-    WreathElement,
     check_cap,
     conjugacy_class_count,
-    element_index,
     group_order,
 )
 
@@ -160,40 +152,39 @@ def lambda_from_beta(beta: LabelledPartition) -> tuple[int, ...]:
     return tuple(lam)
 
 
-def iota_embed(beta: LabelledPartition, label: int, s: SymFormalSum) -> AlgebraElement:
-    """Embed a formal sum over the label's block slots into the group algebra.
+def symmetrizer_product(beta: LabelledPartition) -> SymFormalSum:
+    """The product in Q[S_m] of the row-consecutive Young symmetrizers of the
+    blocks, each acting on its block's contiguous slots (offset by the sizes
+    of the earlier blocks)."""
+    m = beta.m
+    result = SymFormalSum.identity(m)
+    offset = 0
+    for block in beta.blocks:
+        if block.size:
+            symmetrizer = young_symmetrizer(row_consecutive_tableau(block))
+            terms = {}
+            for perm, coeff in symmetrizer.terms.items():
+                images = list(range(m))
+                for a in range(block.size):
+                    images[offset + a] = offset + perm(a)
+                terms[Perm(images)] = coeff
+            result = result * SymFormalSum(m, terms)
+        offset += block.size
+    return result
 
-    Permutations act on the contiguous slot range of the block (offset by
-    the sizes of the earlier blocks); twists stay zero.
-    """
-    sizes = beta.block_sizes
-    if not 0 <= label < beta.n:
-        raise ValueError(f"label {label} out of range")
-    size = sizes[label]
-    if s.m != size:
-        raise ValueError(f"formal sum over S_{s.m} does not fit block of size {size}")
-    offset = sum(sizes[:label])
-    n, m = beta.n, beta.m
-    terms = {}
-    for perm, coeff in s.terms.items():
-        images = list(range(m))
-        for a in range(size):
-            images[offset + a] = offset + perm(a)
-        index = element_index(WreathElement(n, (0,) * m, Perm(images)))
-        terms[index] = CycNumber.from_rational(2 * n, coeff)
-    return AlgebraElement(n, m, terms)
+
+def character_idempotent(beta: LabelledPartition) -> CharacterElement:
+    """The classification idempotent in the character basis:
+    sum over sigma of c_sigma F(lambda, sigma), with c the symmetrizer product."""
+    lam = lambda_from_beta(beta)
+    terms = {(lam, perm.images): coeff for perm, coeff in symmetrizer_product(beta).terms.items()}
+    return CharacterElement._make(beta.n, beta.m, terms)
 
 
 def idempotent_from_beta(beta: LabelledPartition) -> AlgebraElement:
     """The classification idempotent: character idempotent times the embedded
-    row-consecutive Young symmetrizers of the blocks."""
-    result = lambda_idempotent(beta.n, beta.m, lambda_from_beta(beta))
-    for label, block in enumerate(beta.blocks):
-        if block.size == 0:
-            continue
-        symmetrizer = young_symmetrizer(row_consecutive_tableau(block))
-        result = result * iota_embed(beta, label, symmetrizer)
-    return result
+    row-consecutive Young symmetrizers of the blocks, in the group basis."""
+    return character_idempotent(beta).to_group()
 
 
 def irrep_dimension(beta: LabelledPartition) -> int:
@@ -221,11 +212,15 @@ def dimension_by_hooks(beta: LabelledPartition) -> int:
 
 @dataclass(frozen=True)
 class IrrepRecord:
-    """One classified irreducible with its three dimension computations."""
+    """One classified irreducible with its three dimension computations.
+
+    element is its idempotent in the character basis; idempotent, the
+    group-basis image, is built on first use.
+    """
 
     beta: LabelledPartition
     lam: tuple[int, ...]
-    idempotent: AlgebraElement
+    element: CharacterElement
     dim_formula: int
     dim_hook: int
     dim_rank: int | None = None
@@ -237,6 +232,10 @@ class IrrepRecord:
                 f"dimension formulas disagree for {self.beta!r}: "
                 f"{self.dim_formula} != {self.dim_hook}"
             )
+
+    @cached_property
+    def idempotent(self) -> AlgebraElement:
+        return self.element.to_group()
 
 
 @dataclass(frozen=True)
@@ -294,29 +293,31 @@ def irrep_table(
     """Build the full table of irreducibles with optional exact cross-checks.
 
     The summary always reports the count against the closed counting formula
-    and the sum of squared dimensions against the algebra dimension.
+    and the sum of squared dimensions against the algebra dimension.  The
+    idempotency, rank and orthogonality checks run in the character basis,
+    after check_model has verified that basis against the group algebra at
+    this (n, m); a failure there raises CheckFailedError.
     """
     order = group_order(n, m)
     if check_ranks or check_orthogonality:
         check_cap(n, m, rank_cap, "rank-check")
+    if check_idempotency or check_ranks or check_orthogonality:
+        check_model(n, m)
 
-    betas = enumerate_labelled_partitions(n, m)
     records = []
     bases = []  # a basis of each left ideal A e, built once for all k^2 sandwiches
-    for beta in betas:
-        e = idempotent_from_beta(beta)
-        if check_orthogonality:
-            bases.append(_echelon(_left_translates(e, rank_cap)))
+    for beta in enumerate_labelled_partitions(n, m):
+        e = character_idempotent(beta)
         dim_rank = None
-        if check_ranks and check_orthogonality:
-            dim_rank = len(bases[-1])
-        elif check_ranks:
-            dim_rank = left_ideal_dimension(e, cap=rank_cap)
+        if check_ranks or check_orthogonality:
+            bases.append(left_ideal_basis(e))
+            if check_ranks:
+                dim_rank = len(bases[-1])
         records.append(
             IrrepRecord(
                 beta=beta,
                 lam=lambda_from_beta(beta),
-                idempotent=e,
+                element=e,
                 dim_formula=irrep_dimension(beta),
                 dim_hook=dimension_by_hooks(beta),
                 dim_rank=dim_rank,
@@ -330,10 +331,7 @@ def irrep_table(
     )
 
     if check_idempotency:
-        ok = all(
-            not r.idempotent.is_zero() and r.idempotent * r.idempotent == r.idempotent
-            for r in records
-        )
+        ok = all(not r.element.is_zero() and r.element * r.element == r.element for r in records)
         checks["idempotency"] = "pass" if ok else "fail"
 
     if check_ranks:
@@ -342,9 +340,9 @@ def irrep_table(
         )
 
     if check_orthogonality:
-        # sandwich_dimension(e_i, e_j) is the rank of e_i times a basis of A e_j.
+        # dim e_i A e_j is the rank of e_i times a basis of A e_j.
         ok = all(
-            _rank_on_basis(ri.idempotent, basis) == (1 if i == j else 0)
+            sandwich_rank(ri.element, basis) == (1 if i == j else 0)
             for i, ri in enumerate(records)
             for j, basis in enumerate(bases)
         )

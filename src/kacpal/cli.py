@@ -6,6 +6,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .algebra import (
@@ -92,15 +93,33 @@ def _check_caps(config: RunConfig, names):
             raise CapExceededError(f"{exc}; {hint} --cap-group-order") from None
 
 
-def _emit(config: RunConfig, text: str):
+def _emit(config: RunConfig, text: str | Iterable[str]):
+    """Write the output, given whole or as pieces written as they come."""
+    pieces = (text,) if isinstance(text, str) else text
     if config.out:
         try:
             with open(config.out, "w") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
         except OSError as exc:
             raise ValueError(f"cannot write --out {config.out}: {exc.strerror}") from exc
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
+
+
+def _expanded_json(payload: dict, e) -> Iterator[str]:
+    """``json.dumps(payload | {"element": e.to_json()}, indent=2) + "\\n"`` in
+    pieces, one term at a time, so that the peak memory of an expanded
+    idempotent does not grow with its number of terms."""
+    shell = json.dumps({**payload, "element": {"n": e.n, "m": e.m, "terms": []}}, indent=2)
+    head, tail = shell.rsplit('"terms": []', 1)
+    encode = json.JSONEncoder(indent=2).encode
+    yield head + '"terms": ['
+    sep = ""
+    for term in e.json_terms():
+        # a term sits three levels deep; its strings hold no newlines
+        yield sep + "\n      " + encode(term).replace("\n", "\n      ")
+        sep = ","
+    yield ("\n    ]" if sep else "]") + tail + "\n"
 
 
 def _irrep_table(config: RunConfig):
@@ -174,8 +193,9 @@ def cmd_idempotent(config: RunConfig) -> int:
         "num_terms": len(e.terms),
     }
     if config.expanded:
-        payload["element"] = e.to_json()
-    _emit(config, json.dumps(payload, indent=2) + "\n")
+        _emit(config, _expanded_json(payload, e))
+    else:
+        _emit(config, json.dumps(payload, indent=2) + "\n")
     return 0
 
 

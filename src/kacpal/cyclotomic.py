@@ -278,6 +278,12 @@ class CycNumber:
             return NotImplemented
         return self * other.inverse()
 
+    def __rtruediv__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other * self.inverse()
+
     def __pow__(self, exponent: int) -> "CycNumber":
         if exponent < 0:
             return self.inverse() ** (-exponent)
@@ -286,10 +292,10 @@ class CycNumber:
     # -- comparison / hashing ----------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycNumber.from_rational(self.order, other)
         if not isinstance(other, CycNumber):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = CycNumber.from_rational(self.order, other)
         return self.order == other.order and self.den == other.den and self.num == other.num
 
     def __hash__(self):

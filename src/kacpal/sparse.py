@@ -57,7 +57,8 @@ class SparseSum:
     A subclass names its parameters (such as n and m) in its own __slots__;
     two sums combine only when those parameters agree.  It also defines
     _scalar(value), which coerces a scalar; _one(), its identity element; and
-    _row(key), a callable mapping a right key k to the key of key * k.
+    _row(key), a callable mapping a right key k to the key of key * k, or to
+    None when that product is zero.
     """
 
     __slots__ = ("terms",)
@@ -122,6 +123,8 @@ class SparseSum:
                 row = self._row(i)
                 for j, b in right.items():
                     k = row(j)
+                    if k is None:
+                        continue
                     c = a * b
                     cur = acc.get(k)
                     acc[k] = c if cur is None else cur + c

@@ -61,12 +61,16 @@ class Perm:
     def __call__(self, point: int) -> int:
         return self.images[point]
 
+    def __iter__(self):
+        # the images in order, as a one-line tuple yields them
+        return iter(self.images)
+
     def __mul__(self, other: "Perm") -> "Perm":
         # composition: (self * other)(i) = self(other(i))
         if not isinstance(other, Perm):
             return NotImplemented
         mine = self.images
-        return Perm._make(tuple(mine[j] for j in other.images))
+        return Perm._make(tuple([mine[j] for j in other.images]))
 
     def inverse(self) -> "Perm":
         inv = [0] * len(self.images)

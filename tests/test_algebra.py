@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from kacpal.algebra import (
     AlgebraElement,
+    _echelon,
     _left_translates,
     _sparse_rank,
     DEFAULT_RANK_CAP,
@@ -13,6 +14,7 @@ from kacpal.algebra import (
     basis_element,
     lambda_idempotent,
     left_ideal_dimension,
+    permute_character,
     presentation,
     relation_report,
     s_element,
@@ -27,7 +29,7 @@ from kacpal.algebra import (
 )
 from kacpal.classifier import irrep_table
 from kacpal.cyclotomic import CycNumber, zeta_power
-from kacpal.wreath import group_order
+from kacpal.wreath import Perm, group_order
 
 
 def one(n, m):
@@ -260,6 +262,26 @@ def test_matrix_rank_examples():
         [CycNumber.from_rational(order, 3), CycNumber.from_rational(order, 6)],
     ]
     assert _sparse_rank(rows_as_vectors(dep)) == 1
+
+
+def test_echelon_over_ints_normalises_to_fractions():
+    rows = _echelon([{0: 3, 1: 1}, {0: 6, 1: 2}, {1: 4, 2: 2}])
+    assert rows == [{0: 1, 1: Fraction(1, 3)}, {1: 1, 2: Fraction(1, 2)}]
+    assert all(isinstance(c, Fraction) for row in rows for c in row.values())
+
+
+def test_permute_character_moves_entry_i_to_the_inverse_image():
+    # perm = [1, 2, 0] is the 3-cycle 0 -> 1 -> 2 -> 0: entry j of the result
+    # is lam[perm(j)], so entry i of lam lands in slot perm^(-1)(i).
+    perm = Perm([1, 2, 0])
+    lam = ("a", "b", "c")
+    assert permute_character(lam, perm) == ("b", "c", "a")
+    assert permute_character(lam, perm.images) == ("b", "c", "a")
+    for i in range(3):
+        assert permute_character(lam, perm)[perm.inverse()(i)] == lam[i]
+    # permuting by a then by b is permuting by a * b
+    b = Perm([0, 2, 1])
+    assert permute_character(permute_character(lam, perm), b) == permute_character(lam, perm * b)
 
 
 def test_matrix_of_lambda_translates_has_rank_m_factorial():

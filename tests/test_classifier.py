@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from group_basis_oracle import idempotent_by_products, iota_embed
 from kacpal.algebra import (
     AlgebraElement,
     lambda_idempotent,
@@ -16,7 +17,6 @@ from kacpal.classifier import (
     dimension_by_hooks,
     enumerate_labelled_partitions,
     idempotent_from_beta,
-    iota_embed,
     irrep_dimension,
     irrep_table,
     lambda_from_beta,
@@ -25,10 +25,8 @@ from kacpal.partitions import (
     Partition,
     SymFormalSum,
     partition_count,
-    row_consecutive_tableau,
-    young_symmetrizer,
 )
-from kacpal.wreath import Perm, group_order
+from kacpal.wreath import Perm, group_order, mul_row
 
 
 def beta_of(n, m, spec):
@@ -147,15 +145,16 @@ def test_idempotents_are_idempotent():
 
 def test_factor_order_independence():
     beta = beta_of(3, 4, "0:2;1:1;2:1")
-    forward = idempotent_from_beta(beta)
-    reversed_product = lambda_idempotent(beta.n, beta.m, lambda_from_beta(beta))
-    for label in reversed(range(beta.n)):
-        block = beta.blocks[label]
-        if block.size:
-            reversed_product = reversed_product * iota_embed(
-                beta, label, young_symmetrizer(row_consecutive_tableau(block))
-            )
-    assert forward == reversed_product
+    reversed_product = idempotent_by_products(beta, labels=reversed(range(beta.n)))
+    assert idempotent_from_beta(beta) == reversed_product
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3)])
+def test_idempotent_matches_the_group_basis_product_chain(n, m):
+    # idempotent_from_beta changes basis from the character basis; the
+    # oracle multiplies lambda_idempotent by the embedded symmetrizers.
+    for beta in enumerate_labelled_partitions(n, m):
+        assert idempotent_from_beta(beta) == idempotent_by_products(beta), beta
 
 
 def test_dimension_examples():
@@ -216,10 +215,10 @@ def test_orthogonality_verdict_matches_pairwise_sandwiches(monkeypatch, n, m, du
     # control gives the second labelled partition the first one's idempotent.
     if duplicate:
         betas = enumerate_labelled_partitions(n, m)
-        real = classifier.idempotent_from_beta
+        real = classifier.character_idempotent
         monkeypatch.setattr(
             classifier,
-            "idempotent_from_beta",
+            "character_idempotent",
             lambda beta: real(betas[0] if beta == betas[1] else beta),
         )
     table = irrep_table(n, m, check_ranks=True, check_orthogonality=True)
@@ -276,3 +275,22 @@ def test_table_json_and_csv_shapes():
     lines = table.to_csv().strip().splitlines()
     assert lines[0] == "beta_spec,lambda,dim_formula,dim_hook,dim_rank"
     assert len(lines) == 6
+
+
+@pytest.mark.parametrize("n, m", [(4, 3), (2, 4)])
+def test_table_passes_every_character_basis_check(n, m):
+    table = irrep_table(
+        n, m, check_idempotency=True, check_ranks=True, check_orthogonality=True
+    )
+    for name in ("idempotency", "rank_agreement", "orthogonality"):
+        assert table.checks[name] == "pass", name
+    assert all(rec.dim_rank == rec.dim_formula for rec in table.records)
+
+
+@pytest.mark.parametrize("checks", [False, True])
+def test_table_builds_no_group_product_rows(checks):
+    mul_row.cache_clear()
+    irrep_table(
+        3, 3, check_idempotency=checks, check_ranks=checks, check_orthogonality=checks
+    )
+    assert mul_row.cache_info().currsize == 0

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from kacpal.algebra import AlgebraElement, lambda_idempotent, s_element
-from kacpal import classifier, cli
+from kacpal import character_basis, classifier, cli
 from kacpal.cli import main
+from kacpal.wreath import CheckFailedError, Perm
 
 
 def run(capsys, *argv):
@@ -128,12 +129,30 @@ def test_table_explicit_empty_checks_means_no_extra_checks(capsys):
 
 
 def test_rank_disagreement_is_a_failed_check(capsys, monkeypatch):
-    real = classifier.left_ideal_dimension
-    monkeypatch.setattr(classifier, "left_ideal_dimension", lambda e, cap: real(e, cap=cap) + 1)
+    # a left-ideal basis one row short gives every rank one too few
+    real = classifier.left_ideal_basis
+    monkeypatch.setattr(classifier, "left_ideal_basis", lambda e: real(e)[:-1])
     code, out, err = run(capsys, "table", "--n", "2", "--m", "2", "--checks", "ranks")
     assert code == 1
     assert "check rank_agreement: fail" in out
     assert err == ""
+
+
+def test_model_failure_exits_1(capsys, monkeypatch):
+    # The product rule reading lam o p^(-1) where it should read lam o p: the
+    # two agree on involutions, so only a 3-cycle (m >= 3) tells them apart.
+    real = character_basis.permute_character
+    monkeypatch.setattr(
+        character_basis, "permute_character", lambda lam, p: real(lam, Perm(p).inverse())
+    )
+    character_basis.check_model(2, 2)
+    with pytest.raises(CheckFailedError, match="does not model"):
+        character_basis.check_model(2, 3)
+    code, out, err = run(capsys, "table", "--n", "2", "--m", "3", "--checks", "ranks")
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "does not model the group algebra" in err
 
 
 def test_hook_disagreement_exits_1(capsys, monkeypatch):
@@ -234,6 +253,27 @@ def test_idempotent_sign_block_row(capsys):
     ).scale(Fraction(1, 2))
     assert AlgebraElement.from_json(payload["element"]) == expected
     assert payload["dimension"] == 3
+
+
+@pytest.mark.parametrize("n,m,spec", [(2, 3, "0:1,1;1:1"), (3, 2, "0:1;2:1"), (4, 2, "3:2")])
+def test_expanded_idempotent_streams_the_whole_payload_bytes(tmp_path, capsys, n, m, spec):
+    argv = ["idempotent", "--n", str(n), "--m", str(m), "--beta", spec, "--expanded"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    payload = json.loads(out)
+    beta = classifier.LabelledPartition.parse(n, m, spec)
+    assert payload["element"] == classifier.idempotent_from_beta(beta).to_json()
+    assert out == json.dumps(payload, indent=2) + "\n"
+    target = tmp_path / "e.json"
+    assert run(capsys, *argv, "--out", str(target))[:2] == (0, "")
+    assert target.read_text() == out
+
+
+def test_expanded_json_of_an_empty_element():
+    payload = {"beta": "x", "num_terms": 0}
+    empty = AlgebraElement(2, 2, {})
+    text = "".join(cli._expanded_json(payload, empty))
+    assert text == json.dumps({**payload, "element": empty.to_json()}, indent=2) + "\n"
 
 
 def test_idempotent_wrong_total(capsys):

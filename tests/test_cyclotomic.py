@@ -122,6 +122,9 @@ def test_field_axioms(triple):
 def test_inverse_cancels(a):
     if not a.is_zero():
         assert a * a.inverse() == CycNumber.one(a.order)
+        # a rational over a field element, as the shared echelon normalises its pivots
+        assert Fraction(1) / a == a.inverse()
+        assert 3 / a == a.inverse() * 3
 
 
 def test_inverse_checks_that_the_norm_is_rational(monkeypatch):
