@@ -28,10 +28,9 @@ from .wreath import (
     generator_b,
     group_order,
     mul_row,
+    twist_index,
 )
 
-DEFAULT_RELATION_CAP = 10000
-DEFAULT_RANK_CAP = 2000
 ONE = Fraction(1)
 
 
@@ -125,10 +124,7 @@ def x_monomial(n: int, m: int, exponents) -> AlgebraElement:
         raise ValueError("exponent vector length must be m")
     # x-monomials carry the identity permutation, whose Lehmer rank is 0,
     # so their index is just the mixed-radix twist value.
-    index = 0
-    for e in reversed(exponents):
-        index = index * n + e
-    return AlgebraElement._make(n, m, {index: CycNumber.one(2 * n)})
+    return AlgebraElement._make(n, m, {twist_index(n, exponents): CycNumber.one(2 * n)})
 
 
 @lru_cache(maxsize=None)
@@ -145,10 +141,7 @@ def lambda_idempotent(n: int, m: int, lam: tuple[int, ...]) -> AlgebraElement:
     terms: dict[int, CycNumber] = {}
     for exps in product(range(n), repeat=m):
         dot = sum(a * b for a, b in zip(lam, exps))
-        index = 0
-        for e in reversed(exps):
-            index = index * n + e
-        terms[index] = zeta_power(order, 2 * dot) * norm
+        terms[twist_index(n, exps)] = zeta_power(order, 2 * dot) * norm
     return AlgebraElement._make(n, m, terms)
 
 
@@ -330,7 +323,7 @@ def relation_report(families: dict) -> dict:
     return report
 
 
-def verify_defining_relations(n: int, m: int, cap: int = DEFAULT_RELATION_CAP) -> dict:
+def verify_defining_relations(n: int, m: int, cap: int | None = None) -> dict:
     """Exactly check every defining relation on the reconstructed generators.
 
     Returns a JSON-ready report mapping each relation family to pass/fail,
@@ -338,7 +331,7 @@ def verify_defining_relations(n: int, m: int, cap: int = DEFAULT_RELATION_CAP) -
     """
     if n < 2:
         raise ValueError(f"the relation suite needs n >= 2, got n={n}: at n = 1 every y_l is 1")
-    check_cap(n, m, cap, "relation-suite")
+    check_cap(n, m, "relation-suite", cap)
     one = AlgebraElement.one(n, m)
     xs = {i: x_element(n, m, i) for i in range(1, m + 1)}
     ys = {l: y_element(n, m, l) for l in range(1, m)}
@@ -441,20 +434,20 @@ def _sparse_rank(vectors) -> int:
     return len(_echelon(vectors))
 
 
-def _left_translates(e: AlgebraElement, cap: int):
+def _left_translates(e: AlgebraElement, cap: int | None = None):
     """The vectors g * e for g in G; the cap is checked before the first one."""
     n, m = e.n, e.m
-    order = check_cap(n, m, cap, "rank-check")
+    order = check_cap(n, m, "rank-check", cap)
     rows = (mul_row(n, m, g) for g in range(order))
     return ({row[h]: c for h, c in e.terms.items()} for row in rows)
 
 
-def left_ideal_dimension(e: AlgebraElement, cap: int = DEFAULT_RANK_CAP) -> int:
+def left_ideal_dimension(e: AlgebraElement, cap: int | None = None) -> int:
     """Dimension of the left ideal generated by e: rank of {g * e : g in G}."""
     return _sparse_rank(_left_translates(e, cap))
 
 
-def sandwich_dimension(e: AlgebraElement, f: AlgebraElement, cap: int = DEFAULT_RANK_CAP) -> int:
+def sandwich_dimension(e: AlgebraElement, f: AlgebraElement, cap: int | None = None) -> int:
     """Rank of the span of {e * g * f : g in G}.
 
     Since A f = span{g * f}, this is the rank of {e * v} over a basis v of

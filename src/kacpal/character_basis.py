@@ -40,6 +40,7 @@ from .wreath import (
     elements,
     generator_a,
     generator_b,
+    perm_index,
 )
 
 
@@ -93,18 +94,19 @@ class CharacterElement(SparseSum):
 
     def to_group(self) -> AlgebraElement:
         """The group-basis image Phi(self), with no group-algebra product."""
-        return AlgebraElement._make(self.n, self.m, _group_terms(self, {}, {}))
+        return AlgebraElement._make(self.n, self.m, _group_terms(self, {}))
 
 
-def _group_terms(x: CharacterElement, columns: dict, bases: dict) -> dict:
+def _group_terms(x: CharacterElement, columns: dict) -> dict:
     """Phi(x) as {group index: coefficient}.
 
-    The index of (t, p) is lehmer(p) * n^m plus the index of t, so
-    F(lam, p) maps to c * Lambda_lam shifted by lehmer(p) * n^m.  columns
-    caches c * Lambda_lam per (lam, c) and bases the shift per p, so terms
-    sharing a character and a coefficient share their multiplications.
+    The index of (t, p) is perm_index(p) * n^m plus the index of t, so
+    F(lam, p) maps to c * Lambda_lam shifted by perm_index(p) * n^m.  columns
+    caches c * Lambda_lam per (lam, c), so terms sharing a character and a
+    coefficient share their multiplications.
     """
     n, m = x.n, x.m
+    size = n**m
     acc: dict = {}
     for (lam, p), c in x.terms.items():
         col = columns.get((lam, c))
@@ -112,9 +114,7 @@ def _group_terms(x: CharacterElement, columns: dict, bases: dict) -> dict:
             col = columns[lam, c] = {
                 t: z * c for t, z in lambda_idempotent(n, m, lam).terms.items()
             }
-        base = bases.get(p)
-        if base is None:
-            base = bases[p] = Perm(p).lehmer_rank() * n**m
+        base = perm_index(p) * size
         shifted = {base + t: z for t, z in col.items()}
         acc = add_into(acc, shifted) if acc else shifted
     return acc
@@ -199,11 +199,10 @@ def check_model(n: int, m: int) -> None:
     The cost is about 4m |G| n^m coefficient comparisons.
     """
     columns: dict = {}
-    bases: dict = {}
     elems = elements(n, m)
     gens = []
     for name, g, image in _generator_images(n, m):
-        if _group_terms(image, columns, bases) != AlgebraElement.basis(g).terms:
+        if _group_terms(image, columns) != AlgebraElement.basis(g).terms:
             raise CheckFailedError(
                 f"the character basis does not model the group algebra at (n={n}, m={m}): "
                 f"Phi maps the image of {name} elsewhere"
@@ -214,10 +213,10 @@ def check_model(n: int, m: int) -> None:
     for lam in product(range(n), repeat=m):
         for p in symmetric_group(m):
             f = CharacterElement._make(n, m, {(lam, p.images): ONE})
-            phi = _group_terms(f, columns, bases)
+            phi = _group_terms(f, columns)
             for name, image, left, right in gens:
                 for side, moved, model in (("left", left, image * f), ("right", right, f * image)):
-                    if _group_terms(model, columns, bases) != {moved[h]: c for h, c in phi.items()}:
+                    if _group_terms(model, columns) != {moved[h]: c for h, c in phi.items()}:
                         raise CheckFailedError(
                             f"the character basis does not model the group algebra at "
                             f"(n={n}, m={m}): the {side} product of {name} and "

@@ -15,25 +15,24 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import product
 from math import factorial
 
-from .algebra import DEFAULT_RANK_CAP, AlgebraElement
+from .algebra import AlgebraElement
 from .character_basis import CharacterElement, check_model, left_ideal_basis, sandwich_rank
 from .partitions import (
     Partition,
     Perm,
     SymFormalSum,
     hook_length,
-    partition_count,
+    partition_counts,
     partitions_of,
     row_consecutive_tableau,
     standard_tableaux_count,
     young_symmetrizer,
 )
 from .wreath import (
-    DEFAULT_ENUMERATION_CAP,
     CheckFailedError,
     check_cap,
     conjugacy_class_count,
@@ -137,11 +136,19 @@ def enumerate_labelled_partitions(n: int, m: int) -> list[LabelledPartition]:
 
 
 def count_formula(n: int, m: int) -> int:
-    """Sum over compositions of m into n parts of the partition-count product."""
-    return sum(
-        reduce(lambda acc, size: acc * partition_count(size), comp, 1)
-        for comp in _compositions(n, m)
-    )
+    """The number of labelled partitions: the sum over compositions of m into
+    n parts of the product of the parts' partition counts, which is the
+    coefficient of x^m in P(x)^n with P(x) = sum_k p(k) x^k.
+
+    J. C. P. Miller's power recurrence gives the coefficients q_k of P^n as
+    k q_k = sum_{j=1..k} ((n+1) j - k) p(j) q_(k-j), each division exact, in
+    O(m^2) steps whatever n is.
+    """
+    p = partition_counts(m)
+    q = [1]
+    for k in range(1, m + 1):
+        q.append(sum(((n + 1) * j - k) * p[j] * q[k - j] for j in range(1, k + 1)) // k)
+    return q[m]
 
 
 def lambda_from_beta(beta: LabelledPartition) -> tuple[int, ...]:
@@ -287,8 +294,7 @@ def irrep_table(
     check_ranks: bool = False,
     check_orthogonality: bool = False,
     check_conjugacy: bool = False,
-    rank_cap: int = DEFAULT_RANK_CAP,
-    conjugacy_cap: int = DEFAULT_ENUMERATION_CAP,
+    cap: int | None = None,
 ) -> IrrepTable:
     """Build the full table of irreducibles with optional exact cross-checks.
 
@@ -296,11 +302,14 @@ def irrep_table(
     and the sum of squared dimensions against the algebra dimension.  The
     idempotency, rank and orthogonality checks run in the character basis,
     after check_model has verified that basis against the group algebra at
-    this (n, m); a failure there raises CheckFailedError.
+    this (n, m); a failure there raises CheckFailedError.  cap, when given,
+    replaces the default rank-check and conjugacy caps of wreath.CAPS.
     """
     order = group_order(n, m)
     if check_ranks or check_orthogonality:
-        check_cap(n, m, rank_cap, "rank-check")
+        check_cap(n, m, "rank-check", cap)
+    if check_conjugacy:
+        check_cap(n, m, "conjugacy", cap)
     if check_idempotency or check_ranks or check_orthogonality:
         check_model(n, m)
 
@@ -349,7 +358,7 @@ def irrep_table(
         checks["orthogonality"] = "pass" if ok else "fail"
 
     if check_conjugacy:
-        classes = conjugacy_class_count(n, m, cap=conjugacy_cap)
+        classes = conjugacy_class_count(n, m, cap=cap)
         checks["conjugacy_count"] = "pass" if classes == len(records) else "fail"
         checks["conjugacy_classes"] = classes
 

@@ -7,13 +7,8 @@ import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 
-from .algebra import (
-    DEFAULT_RANK_CAP,
-    DEFAULT_RELATION_CAP,
-    verify_defining_relations,
-)
+from .algebra import verify_defining_relations
 from .classifier import (
     LabelledPartition,
     count_formula,
@@ -22,9 +17,8 @@ from .classifier import (
     irrep_table,
     lambda_from_beta,
 )
-from .hopf import DEFAULT_TENSOR_CAP, hopf_axiom_report
+from .hopf import hopf_axiom_report
 from .wreath import (
-    DEFAULT_ENUMERATION_CAP,
     CapExceededError,
     CheckFailedError,
     check_cap,
@@ -36,32 +30,17 @@ TABLE_CHECKS = ("idempotency", "ranks", "orthogonality", "conjugacy")
 DEFAULT_VERIFY_CHECKS = ("relations", "idempotency")
 
 # Every check, and every command whose own cost grows with |G|, against
-# (default cap on the group order, cap name, checks to disable instead).
+# (its cap's name in wreath.CAPS, checks to disable instead).
 CAPS = {
-    "relations": (DEFAULT_RELATION_CAP, "relation-suite", "relations"),
-    "idempotency": (DEFAULT_ENUMERATION_CAP, "enumeration", "idempotency"),
-    "ranks": (DEFAULT_RANK_CAP, "rank-check", "ranks,orthogonality"),
-    "orthogonality": (DEFAULT_RANK_CAP, "rank-check", "ranks,orthogonality"),
-    "hopf": (DEFAULT_TENSOR_CAP, "tensor-square", "hopf"),
-    "conjugacy": (DEFAULT_ENUMERATION_CAP, "conjugacy", "conjugacy"),
-    "table": (DEFAULT_ENUMERATION_CAP, "enumeration", None),
-    "idempotent": (DEFAULT_ENUMERATION_CAP, "enumeration", None),
+    "relations": ("relation-suite", "relations"),
+    "idempotency": ("enumeration", "idempotency"),
+    "ranks": ("rank-check", "ranks,orthogonality"),
+    "orthogonality": ("rank-check", "ranks,orthogonality"),
+    "hopf": ("tensor-square", "hopf"),
+    "conjugacy": ("conjugacy", "conjugacy"),
+    "table": ("enumeration", None),
+    "idempotent": ("enumeration", None),
 }
-
-
-@dataclass
-class RunConfig:
-    n: int
-    m: int
-    format: str = "text"
-    checks: tuple[str, ...] = ()
-    cap_group_order: int | None = None
-    out: str | None = None
-    beta: str | None = None
-    expanded: bool = False
-
-    def cap(self, default: int) -> int:
-        return self.cap_group_order if self.cap_group_order is not None else default
 
 
 def _parse_checks(text: str | None, command: str) -> tuple[str, ...]:
@@ -79,29 +58,29 @@ def _parse_checks(text: str | None, command: str) -> tuple[str, ...]:
     return checks
 
 
-def _check_caps(config: RunConfig, names):
+def _check_caps(args, names):
     """Refuse the run, before any work, if one of the named checks or
     commands exceeds its cap."""
     for name in names:
         if name not in CAPS:
             continue
-        default, what, disable = CAPS[name]
+        what, disable = CAPS[name]
         try:
-            check_cap(config.n, config.m, config.cap(default), what)
+            check_cap(args.n, args.m, what, args.cap)
         except CapExceededError as exc:
             hint = f"disable checks: {disable} or raise" if disable else "raise"
             raise CapExceededError(f"{exc}; {hint} --cap-group-order") from None
 
 
-def _emit(config: RunConfig, text: str | Iterable[str]):
+def _emit(args, text: str | Iterable[str]):
     """Write the output, given whole or as pieces written as they come."""
     pieces = (text,) if isinstance(text, str) else text
-    if config.out:
+    if args.out:
         try:
-            with open(config.out, "w") as fh:
+            with open(args.out, "w") as fh:
                 fh.writelines(pieces)
         except OSError as exc:
-            raise ValueError(f"cannot write --out {config.out}: {exc.strerror}") from exc
+            raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from exc
     else:
         sys.stdout.writelines(pieces)
 
@@ -122,29 +101,28 @@ def _expanded_json(payload: dict, e) -> Iterator[str]:
     yield ("\n    ]" if sep else "]") + tail + "\n"
 
 
-def _irrep_table(config: RunConfig):
-    checks = config.checks
+def _irrep_table(args):
+    checks = args.checks
     return irrep_table(
-        config.n,
-        config.m,
+        args.n,
+        args.m,
         check_idempotency="idempotency" in checks,
         check_ranks="ranks" in checks,
         check_orthogonality="orthogonality" in checks,
         check_conjugacy="conjugacy" in checks,
-        rank_cap=config.cap(DEFAULT_RANK_CAP),
-        conjugacy_cap=config.cap(DEFAULT_ENUMERATION_CAP),
+        cap=args.cap,
     )
 
 
-def cmd_table(config: RunConfig) -> int:
-    table = _irrep_table(config)
+def cmd_table(args) -> int:
+    table = _irrep_table(args)
 
-    if config.format == "csv":
-        _emit(config, table.to_csv())
-    elif config.format == "json":
-        _emit(config, json.dumps(table.to_json(), indent=2) + "\n")
+    if args.format == "csv":
+        _emit(args, table.to_csv())
+    elif args.format == "json":
+        _emit(args, json.dumps(table.to_json(), indent=2) + "\n")
     else:
-        lines = [f"irreducible representations for n={config.n}, m={config.m}"]
+        lines = [f"irreducible representations for n={args.n}, m={args.m}"]
         lines.append(f"{'beta':<24}{'lambda':<16}{'dim':>5}{'rank':>6}")
         for rec in table.records:
             lam = "(" + ",".join(str(v) for v in rec.lam) + ")"
@@ -156,34 +134,32 @@ def cmd_table(config: RunConfig) -> int:
         lines.append(f"sum of squared dimensions = {sum(r.dim_formula ** 2 for r in table.records)}")
         for name, value in table.checks.items():
             lines.append(f"check {name}: {value}")
-        _emit(config, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
 
     failed = [k for k, v in table.checks.items() if v == "fail"]
     return 1 if failed else 0
 
 
-def cmd_verify(config: RunConfig) -> int:
-    checks = config.checks
+def cmd_verify(args) -> int:
+    checks = args.checks
     parts: dict = {}
     if "relations" in checks:
-        parts["relations"] = verify_defining_relations(
-            config.n, config.m, cap=config.cap(DEFAULT_RELATION_CAP)
-        )
+        parts["relations"] = verify_defining_relations(args.n, args.m, cap=args.cap)
     if "hopf" in checks:
-        parts["hopf"] = hopf_axiom_report(config.n, config.m, cap=config.cap(DEFAULT_TENSOR_CAP))
+        parts["hopf"] = hopf_axiom_report(args.n, args.m, cap=args.cap)
     if any(c in TABLE_CHECKS for c in checks):
-        parts["classification"] = _irrep_table(config).checks
+        parts["classification"] = _irrep_table(args).checks
 
     ok = all(parts[k]["all_pass"] for k in ("relations", "hopf") if k in parts) and all(
         v != "fail" for v in parts.get("classification", {}).values()
     )
-    report = {"n": config.n, "m": config.m, "checks": parts, "all_pass": ok}
-    _emit(config, json.dumps(report, indent=2) + "\n")
+    report = {"n": args.n, "m": args.m, "checks": parts, "all_pass": ok}
+    _emit(args, json.dumps(report, indent=2) + "\n")
     return 0 if ok else 1
 
 
-def cmd_idempotent(config: RunConfig) -> int:
-    beta = LabelledPartition.parse(config.n, config.m, config.beta or "")
+def cmd_idempotent(args) -> int:
+    beta = LabelledPartition.parse(args.n, args.m, args.beta or "")
     e = idempotent_from_beta(beta)
     payload = {
         "beta": beta.spec_string(),
@@ -192,30 +168,30 @@ def cmd_idempotent(config: RunConfig) -> int:
         "dimension": irrep_dimension(beta),
         "num_terms": len(e.terms),
     }
-    if config.expanded:
-        _emit(config, _expanded_json(payload, e))
+    if args.expanded:
+        _emit(args, _expanded_json(payload, e))
     else:
-        _emit(config, json.dumps(payload, indent=2) + "\n")
+        _emit(args, json.dumps(payload, indent=2) + "\n")
     return 0
 
 
-def cmd_count(config: RunConfig) -> int:
-    formula = count_formula(config.n, config.m)
+def cmd_count(args) -> int:
+    formula = count_formula(args.n, args.m)
     lines = [f"count = {formula}"]
     code = 0
-    if "conjugacy" in config.checks:
-        classes = conjugacy_class_count(
-            config.n, config.m, cap=config.cap(DEFAULT_ENUMERATION_CAP)
-        )
+    if "conjugacy" in args.checks:
+        classes = conjugacy_class_count(args.n, args.m, cap=args.cap)
         lines.append(f"conjugacy classes = {classes}")
         if classes != formula:
             lines.append("MISMATCH: counting formula disagrees with brute-force classes")
             code = 1
-    _emit(config, "\n".join(lines) + "\n")
+    _emit(args, "\n".join(lines) + "\n")
     return code
 
 
-# command -> (handler, the checks it runs; --checks accepts no others)
+# command -> (handler, the checks it runs; --checks accepts no others).  A
+# handler takes the parsed arguments, with the parsed checks and the cap in
+# force (--cap-group-order, else KACPAL_CAP, else None for the defaults) set.
 COMMANDS = {
     "table": (cmd_table, TABLE_CHECKS),
     "verify": (cmd_verify, KNOWN_CHECKS),
@@ -265,10 +241,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    cap = args.cap_group_order
-    if cap is None and os.environ.get("KACPAL_CAP"):
+    args.cap = args.cap_group_order
+    if args.cap is None and os.environ.get("KACPAL_CAP"):
         try:
-            cap = int(os.environ["KACPAL_CAP"])
+            args.cap = int(os.environ["KACPAL_CAP"])
         except ValueError:
             print("KACPAL_CAP must be an integer", file=sys.stderr)
             return 2
@@ -279,18 +255,9 @@ def main(argv=None) -> int:
 
     handler = COMMANDS[args.command][0]
     try:
-        config = RunConfig(
-            n=args.n,
-            m=args.m,
-            format=getattr(args, "format", "text"),
-            checks=_parse_checks(getattr(args, "checks", None), args.command),
-            cap_group_order=cap,
-            out=args.out,
-            beta=getattr(args, "beta", None),
-            expanded=getattr(args, "expanded", False),
-        )
-        _check_caps(config, config.checks + (args.command,))
-        return handler(config)
+        args.checks = _parse_checks(getattr(args, "checks", None), args.command)
+        _check_caps(args, args.checks + (args.command,))
+        return handler(args)
     except (CapExceededError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -36,8 +36,6 @@ from .partitions import SymFormalSum
 from .sparse import SparseSum, add_into
 from .wreath import check_cap, elements, group_order, mul_row
 
-DEFAULT_TENSOR_CAP = 100
-
 
 class TensorElement(SparseSum):
     """A sparse element of the tensor square of the group algebra."""
@@ -264,7 +262,7 @@ def _delta_relation_pairs(n: int, m: int) -> list[tuple[str, TensorElement, Tens
     ]
 
 
-def hopf_axiom_report(n: int, m: int, cap: int = DEFAULT_TENSOR_CAP) -> dict:
+def hopf_axiom_report(n: int, m: int, cap: int | None = None) -> dict:
     """Verify every coalgebra and antipode axiom on the generators.
 
     Includes the relation-preservation suite (well-definedness of the
@@ -281,7 +279,7 @@ def hopf_axiom_report(n: int, m: int, cap: int = DEFAULT_TENSOR_CAP) -> dict:
             f"the Hopf report needs m >= 2, got m={m}: at m = 1 there is no z_l, "
             "so no non-cocommutativity witness exists"
         )
-    check_cap(n, m, cap, "tensor-square")
+    check_cap(n, m, "tensor-square", cap)
     report: dict = {"n": n, "m": m, "axioms": {}}
     gens = _generators(n, m)
 
@@ -337,10 +335,10 @@ def _fixed_sparse(n: int, m: int, rng: random.Random, size: int = 3) -> AlgebraE
     return AlgebraElement(n, m, terms)
 
 
-def cocommutativity_witness(n: int, m: int, cap: int = DEFAULT_TENSOR_CAP) -> dict:
+def cocommutativity_witness(n: int, m: int, cap: int | None = None) -> dict:
     """Report that delta(z_l) differs from its flip, with one nonzero
     coordinate as witness, and that the x generators are symmetric."""
-    check_cap(n, m, cap, "tensor-square")
+    check_cap(n, m, "tensor-square", cap)
     out: dict = {}
     for l in range(1, m):
         d = delta(z_element(n, m, l))

@@ -82,27 +82,26 @@ def partitions_of(k: int) -> tuple[Partition, ...]:
     return tuple(Partition(p) for p in gen(k, k))
 
 
-@lru_cache(maxsize=None)
 def partition_count(k: int) -> int:
-    """The partition function p(k), by the Euler recurrence."""
-    if k < 0:
-        return 0
-    if k == 0:
-        return 1
-    total = 0
-    j = 1
-    while True:
-        g1 = j * (3 * j - 1) // 2
-        g2 = j * (3 * j + 1) // 2
-        if g1 > k and g2 > k:
-            break
-        sign = -1 if j % 2 == 0 else 1
-        if g1 <= k:
-            total += sign * partition_count(k - g1)
-        if g2 <= k:
-            total += sign * partition_count(k - g2)
-        j += 1
-    return total
+    """The partition function p(k)."""
+    return partition_counts(k)[k] if k >= 0 else 0
+
+
+def partition_counts(k: int) -> list[int]:
+    """[p(0), ..., p(k)], filled bottom-up by the Euler recurrence over the
+    generalised pentagonal numbers g = j(3j -+ 1)/2."""
+    p = [1]
+    for i in range(1, k + 1):
+        total = 0
+        j = 1
+        g = 1  # j(3j - 1)/2; the other pentagonal number of j is g + j
+        while g <= i:
+            term = p[i - g] + (p[i - g - j] if g + j <= i else 0)
+            total += term if j % 2 else -term
+            j += 1
+            g += 3 * j - 2
+        p.append(total)
+    return p
 
 
 def hook_length(mu: Partition, row: int, col: int) -> int:

@@ -3,7 +3,10 @@
 Elements are pairs (twists, perm) with the product rule that routes the
 right factor's twists through the left factor's inverse permutation.  A
 dense integer index (Lehmer rank of the permutation, then mixed-radix
-twists) gives cache-friendly addressing for the group algebra.
+twists) gives cache-friendly addressing for the group algebra; twist_index
+and perm_index are the package's only index arithmetic.  CAPS holds the
+default bound on the group order of every brute-force path, and check_cap is
+the one comparison against it.
 """
 
 from __future__ import annotations
@@ -11,8 +14,14 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial
 
-
-DEFAULT_ENUMERATION_CAP = 10000
+# Each cap name that an error prints, against its default bound on |G|.
+CAPS = {
+    "relation-suite": 10000,
+    "rank-check": 2000,
+    "tensor-square": 100,
+    "conjugacy": 10000,
+    "enumeration": 10000,
+}
 
 
 class CapExceededError(Exception):
@@ -95,12 +104,7 @@ class Perm:
         return sgn
 
     def lehmer_rank(self) -> int:
-        n = len(self.images)
-        rank = 0
-        for i in range(n):
-            smaller = sum(1 for j in range(i + 1, n) if self.images[j] < self.images[i])
-            rank += smaller * factorial(n - 1 - i)
-        return rank
+        return perm_index(self.images)
 
     @classmethod
     def from_lehmer(cls, m: int, rank: int) -> "Perm":
@@ -199,11 +203,18 @@ def group_order(n: int, m: int) -> int:
     return n**m * factorial(m)
 
 
-def check_cap(n: int, m: int, cap: int, what: str) -> int:
-    """The group order, or CapExceededError if it exceeds the named cap."""
+def check_cap(n: int, m: int, what: str, cap: int | None = None) -> int:
+    """The group order, or CapExceededError if it exceeds cap, which
+    defaults to CAPS[what]."""
+    if cap is None:
+        cap = CAPS[what]
     order = group_order(n, m)
     if order > cap:
-        raise CapExceededError(f"group order {order} exceeds {what} cap {cap}")
+        try:
+            shown = str(order)
+        except ValueError:  # more digits than Python converts to decimal
+            shown = f"{n}^{m}*{m}!"
+        raise CapExceededError(f"group order {shown} exceeds {what} cap {cap}")
     return order
 
 
@@ -222,13 +233,28 @@ def generator_b(n: int, m: int, l: int) -> WreathElement:
     return WreathElement(n, (0,) * m, Perm.transposition(m, l - 1, l))
 
 
+def twist_index(n: int, twists) -> int:
+    """The mixed-radix value of a twist vector, slot 0 least significant."""
+    index = 0
+    for t in reversed(twists):
+        index = index * n + t
+    return index
+
+
+@lru_cache(maxsize=None)
+def perm_index(images: tuple[int, ...]) -> int:
+    """The Lehmer rank of a permutation in one-line notation."""
+    m = len(images)
+    rank = 0
+    for i in range(m):
+        smaller = sum(1 for j in range(i + 1, m) if images[j] < images[i])
+        rank += smaller * factorial(m - 1 - i)
+    return rank
+
+
 def element_index(u: WreathElement) -> int:
     """Dense index: Lehmer rank of the permutation, then base-n twists."""
-    base = u.n**u.m
-    twist_part = 0
-    for t in reversed(u.twists):
-        twist_part = twist_part * u.n + t
-    return u.perm.lehmer_rank() * base + twist_part
+    return perm_index(u.perm.images) * u.n**u.m + twist_index(u.n, u.twists)
 
 
 def element_at(n: int, m: int, index: int) -> WreathElement:
@@ -257,9 +283,9 @@ def mul_row(n: int, m: int, i: int) -> tuple[int, ...]:
     return tuple(element_index(left * right) for right in elems)
 
 
-def conjugacy_class_count(n: int, m: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
+def conjugacy_class_count(n: int, m: int, cap: int | None = None) -> int:
     """Number of conjugacy classes, by a brute-force orbit sweep."""
-    order = check_cap(n, m, cap, "conjugacy")
+    order = check_cap(n, m, "conjugacy", cap)
     elems = elements(n, m)
     visited = bytearray(order)
     count = 0

@@ -9,7 +9,6 @@ from kacpal.algebra import (
     _echelon,
     _left_translates,
     _sparse_rank,
-    DEFAULT_RANK_CAP,
     CapExceededError,
     basis_element,
     lambda_idempotent,
@@ -29,7 +28,7 @@ from kacpal.algebra import (
 )
 from kacpal.classifier import irrep_table
 from kacpal.cyclotomic import CycNumber, zeta_power
-from kacpal.wreath import Perm, group_order
+from kacpal.wreath import Perm, WreathElement, element_index, group_order
 
 
 def one(n, m):
@@ -321,13 +320,24 @@ def test_sandwich_dimension_whole_algebra():
     assert sandwich_dimension(one(n, m), one(n, m)) == group_order(n, m)
 
 
+def test_x_and_lambda_supports_are_element_indices():
+    n, m = 3, 3
+    ident = Perm.identity(m)
+    twists = list(product(range(n), repeat=m))
+    support = {element_index(WreathElement(n, t, ident)) for t in twists}
+    for t in twists:
+        assert set(x_monomial(n, m, t).terms) == {element_index(WreathElement(n, t, ident))}
+        assert set(lambda_idempotent(n, m, t).terms) == support
+
+
 def test_rank_cap():
+    # |G| = 3840 at (2, 5), above the default rank-check cap of wreath.CAPS
     with pytest.raises(CapExceededError):
-        left_ideal_dimension(one(2, 5), cap=DEFAULT_RANK_CAP)
+        left_ideal_dimension(one(2, 5))
     with pytest.raises(CapExceededError):
-        sandwich_dimension(one(2, 5), one(2, 5), cap=DEFAULT_RANK_CAP)
+        sandwich_dimension(one(2, 5), one(2, 5))
     with pytest.raises(CapExceededError):
-        _left_translates(one(2, 5), cap=DEFAULT_RANK_CAP)  # before the first vector
+        _left_translates(one(2, 5))  # before the first vector
 
 
 def sandwich_by_group_columns(e, f):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -66,6 +67,33 @@ def test_count_formula_values():
     assert count_formula(2, 4) == 20
     assert count_formula(3, 2) == 9
     assert count_formula(1, 5) == 7
+
+
+def compositions(n, m):
+    """All n-tuples of non-negative integers summing to m."""
+    if n == 1:
+        yield (m,)
+        return
+    for first in range(m + 1):
+        for rest in compositions(n - 1, m - first):
+            yield (first,) + rest
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_count_formula_matches_the_composition_sum(n):
+    for m in range(0, 12):
+        expected = sum(prod(partition_count(k) for k in comp) for comp in compositions(n, m))
+        assert count_formula(n, m) == expected
+
+
+@pytest.mark.parametrize("n,m", [(30, 30), (7, 40), (1, 60)])
+def test_count_formula_matches_the_power_series(n, m):
+    # the coefficient of x^m in (sum_k p(k) x^k)^n, by n truncated products
+    series = [partition_count(k) for k in range(m + 1)]
+    power = [1] + [0] * m
+    for _ in range(n):
+        power = [sum(power[j] * series[k - j] for j in range(k + 1)) for k in range(m + 1)]
+    assert count_formula(n, m) == power[m]
 
 
 def test_lambda_from_beta_examples():

@@ -6,7 +6,7 @@ import pytest
 from kacpal.algebra import AlgebraElement, lambda_idempotent, s_element
 from kacpal import character_basis, classifier, cli
 from kacpal.cli import main
-from kacpal.wreath import CheckFailedError, Perm
+from kacpal.wreath import CheckFailedError, Perm, group_order
 
 
 def run(capsys, *argv):
@@ -77,10 +77,31 @@ def test_verify_hopf(capsys):
 
 
 def test_verify_rank_cap_exceeded(capsys):
-    code, _, err = run(capsys, "verify", "--n", "2", "--m", "6", "--checks", "ranks")
-    assert code == 2
-    assert "46080" in err
-    assert "ranks" in err
+    code, out, err = run(capsys, "verify", "--n", "2", "--m", "6", "--checks", "ranks")
+    assert (code, out) == (2, "")
+    assert err == (
+        "group order 46080 exceeds rank-check cap 2000; "
+        "disable checks: ranks,orthogonality or raise --cap-group-order\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv,tail",
+    [
+        (("table", "--n", "1", "--m", "2000"), "1^2000*2000! exceeds enumeration cap 10000; "
+         "raise --cap-group-order\n"),
+        (("verify", "--n", "2", "--m", "2000"), "2^2000*2000! exceeds relation-suite cap 10000; "
+         "disable checks: relations or raise --cap-group-order\n"),
+    ],
+)
+def test_cap_message_names_an_order_too_long_for_decimal(capsys, argv, tail):
+    n, m = int(argv[2]), int(argv[4])
+    try:
+        tail = tail.replace(f"{n}^{m}*{m}!", str(group_order(n, m)))
+    except ValueError:  # past the int-to-str digit limit of this interpreter
+        pass
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "group order " + tail)
 
 
 def test_caps_checked_before_any_work(capsys, monkeypatch):
@@ -204,6 +225,13 @@ def test_count_degenerate(capsys):
     code, out, _ = run(capsys, "count", "--n", "1", "--m", "5")
     assert code == 0
     assert out.strip() == "count = 7"
+
+
+def test_count_at_large_m(capsys):
+    code, out, err = run(capsys, "count", "--n", "1", "--m", "1000")
+    assert (code, out, err) == (0, "count = 24061467864032622473692149727991\n", "")
+    code, out, _ = run(capsys, "count", "--n", "30", "--m", "30")
+    assert (code, out) == (0, "count = 349988092393850120947\n")
 
 
 def test_count_with_conjugacy(capsys):

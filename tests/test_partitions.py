@@ -15,6 +15,7 @@ from kacpal.partitions import (
     hook_length,
     horizontal_group,
     partition_count,
+    partition_counts,
     partitions_of,
     row_consecutive_tableau,
     standard_tableaux,
@@ -55,6 +56,24 @@ def test_partition_count_matches_enumeration(k):
 
 def test_partition_count_known_values():
     assert [partition_count(k) for k in range(10)] == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30]
+
+
+def test_partition_count_matches_the_product_formula():
+    # the coefficients of prod_i 1/(1 - x^i), by the coin-change recurrence
+    top = 400
+    coeffs = [1] + [0] * top
+    for part in range(1, top + 1):
+        for k in range(part, top + 1):
+            coeffs[k] += coeffs[k - part]
+    assert partition_counts(top) == coeffs
+    assert partition_count(-1) == 0
+
+
+def test_partition_count_is_not_recursive():
+    # a recursion over k would pass the default recursion limit here
+    counts = partition_counts(5000)
+    assert counts[5000] > counts[4999] > 0
+    assert partition_count(1000) == 24061467864032622473692149727991
 
 
 def test_conjugate():

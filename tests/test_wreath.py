@@ -1,3 +1,4 @@
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -16,6 +17,7 @@ from kacpal.wreath import (
     generator_b,
     group_order,
     mul_row,
+    perm_index,
 )
 
 SMALL_GROUPS = [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4), (5, 2), (1, 3)]
@@ -44,6 +46,12 @@ def test_perm_lehmer_round_trip():
             assert p.lehmer_rank() == rank
             ranks.add(p.images)
         assert len(ranks) == factorial(m)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_perm_index_numbers_permutations_in_order(m):
+    ranks = [perm_index(p) for p in permutations(range(m))]
+    assert ranks == list(range(factorial(m)))
 
 
 def test_identity_multiplication():
