@@ -224,8 +224,8 @@ def permute_character(lam: tuple[int, ...], perm) -> tuple[int, ...]:
     """The character lam composed with a slot permutation: entry j of the
     result is lam[perm(j)], so entry i of lam moves to slot perm^(-1)(i).
 
-    perm is a Perm or its one-line tuple.  Composition is contravariant:
-    permuting by a then by b is permuting by a * b.
+    perm is a Perm, which is its one-line tuple.  Composition is
+    contravariant: permuting by a then by b is permuting by a * b.
     """
     return tuple([lam[j] for j in perm])
 

@@ -46,8 +46,8 @@ from .wreath import (
 
 class CharacterElement(SparseSum):
     """A sparse element over the basis F(lam, p), keyed by (lam, p): lam a
-    tuple in Z_n^m and p a permutation of m points in one-line notation (a
-    tuple, like Perm.images), so keys hash and compare as plain tuples.
+    tuple in Z_n^m and p a permutation of m points: a Perm, or its one-line
+    tuple, which is the same key because a Perm is that tuple.
 
     Coefficients are Fractions.  The generator images that check_model
     multiplies by carry roots of unity (CycNumbers of order 2n) instead;
@@ -59,11 +59,11 @@ class CharacterElement(SparseSum):
     def __init__(self, n: int, m: int, terms=None):
         clean: dict[tuple, Fraction] = {}
         for (lam, p), coeff in (terms or {}).items():
-            lam, p = tuple(lam), tuple(p)
+            lam, p = tuple(lam), Perm(p)
             if len(lam) != m or any(not 0 <= v < n for v in lam):
                 raise ValueError(f"character {lam} not in Z_{n}^{m}")
-            if sorted(p) != list(range(m)):
-                raise ValueError(f"{p} is not a permutation of {m} slots")
+            if p.m != m:
+                raise ValueError(f"{tuple(p)} is not a permutation of {m} slots")
             coeff = Fraction(coeff)
             if coeff:
                 clean[lam, p] = coeff
@@ -122,7 +122,7 @@ def _group_terms(x: CharacterElement, columns: dict) -> dict:
 
 def symmetric_group(m: int) -> list[Perm]:
     """All permutations of m points, in Lehmer-rank order."""
-    return [Perm(images) for images in permutations(range(m))]
+    return [Perm._make(images) for images in permutations(range(m))]
 
 
 def left_translates(x: CharacterElement):
@@ -137,7 +137,7 @@ def left_translates(x: CharacterElement):
     for q in symmetric_group(m):
         q_inv = q.inverse()
         for lam in chars:
-            translate = CharacterElement._make(n, m, {(permute_character(lam, q_inv), q.images): ONE})
+            translate = CharacterElement._make(n, m, {(permute_character(lam, q_inv), q): ONE})
             yield (translate * x).terms
 
 
@@ -180,7 +180,7 @@ def _generator_images(n: int, m: int) -> list[tuple]:
         images.append((f"x_{i}", generator_a(n, m, i), CharacterElement._make(n, m, terms)))
     for l in range(1, m):
         g = generator_b(n, m, l)
-        terms = {(lam, g.perm.images): ONE for lam in chars}
+        terms = {(lam, g.perm): ONE for lam in chars}
         images.append((f"s_{l}", g, CharacterElement._make(n, m, terms)))
     return images
 
@@ -212,7 +212,7 @@ def check_model(n: int, m: int) -> None:
         gens.append((name, image, left, right))
     for lam in product(range(n), repeat=m):
         for p in symmetric_group(m):
-            f = CharacterElement._make(n, m, {(lam, p.images): ONE})
+            f = CharacterElement._make(n, m, {(lam, p): ONE})
             phi = _group_terms(f, columns)
             for name, image, left, right in gens:
                 for side, moved, model in (("left", left, image * f), ("right", right, f * image)):
@@ -220,5 +220,5 @@ def check_model(n: int, m: int) -> None:
                         raise CheckFailedError(
                             f"the character basis does not model the group algebra at "
                             f"(n={n}, m={m}): the {side} product of {name} and "
-                            f"F({lam}, {list(p.images)}) differs under Phi"
+                            f"F({lam}, {list(p)}) differs under Phi"
                         )

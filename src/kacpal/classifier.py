@@ -16,7 +16,7 @@ import csv
 import io
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import combinations, product
 from math import factorial
 
 from .algebra import AlgebraElement
@@ -40,10 +40,13 @@ from .wreath import (
 )
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class LabelledPartition:
     """A map from the n labels to partitions whose sizes sum to m."""
 
-    __slots__ = ("n", "blocks")
+    __slots__ = ("n", "blocks")  # not slots=True; see wreath.WreathElement
+    n: int
+    blocks: tuple[Partition, ...]
 
     def __init__(self, n: int, blocks):
         blocks = tuple(blocks)
@@ -53,9 +56,6 @@ class LabelledPartition:
             raise ValueError("blocks must be Partitions")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "blocks", blocks)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LabelledPartition is immutable")
 
     @property
     def m(self) -> int:
@@ -96,16 +96,6 @@ class LabelledPartition:
             raise ValueError(f"block sizes sum to {beta.m}, expected {m}")
         return beta
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, LabelledPartition)
-            and self.n == other.n
-            and self.blocks == other.blocks
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.blocks))
-
     def __repr__(self):
         return f"LabelledPartition({self.n}, {[list(b) for b in self.blocks]})"
 
@@ -114,13 +104,15 @@ class LabelledPartition:
 
 
 def _compositions(n: int, m: int):
-    """All n-tuples of non-negative integers summing to m, lexicographically."""
-    if n == 1:
-        yield (m,)
-        return
-    for first in range(m + 1):
-        for rest in _compositions(n - 1, m - first):
-            yield (first,) + rest
+    """All n-tuples of non-negative integers summing to m, lexicographically.
+
+    Stars and bars: the n - 1 bars sit among m + n - 1 places, and the parts
+    are the runs of stars between them.  Bar positions in lexicographic order
+    give the parts in lexicographic order, with no recursion on n.
+    """
+    for bars in combinations(range(m + n - 1), n - 1):
+        edges = (-1, *bars, m + n - 1)
+        yield tuple(edges[i + 1] - edges[i] - 1 for i in range(n))
 
 
 def enumerate_labelled_partitions(n: int, m: int) -> list[LabelledPartition]:
@@ -184,7 +176,7 @@ def character_idempotent(beta: LabelledPartition) -> CharacterElement:
     """The classification idempotent in the character basis:
     sum over sigma of c_sigma F(lambda, sigma), with c the symmetrizer product."""
     lam = lambda_from_beta(beta)
-    terms = {(lam, perm.images): coeff for perm, coeff in symmetrizer_product(beta).terms.items()}
+    terms = {(lam, perm): coeff for perm, coeff in symmetrizer_product(beta).terms.items()}
     return CharacterElement._make(beta.n, beta.m, terms)
 
 

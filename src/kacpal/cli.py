@@ -175,9 +175,22 @@ def cmd_idempotent(args) -> int:
     return 0
 
 
+def _decimal(value: int) -> str:
+    """The exact decimal of value, past the interpreter's int-to-str digit
+    limit too, which is lifted for this one conversion only."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(value)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def cmd_count(args) -> int:
     formula = count_formula(args.n, args.m)
-    lines = [f"count = {formula}"]
+    lines = [f"count = {_decimal(formula)}"]
     code = 0
     if "conjugacy" in args.checks:
         classes = conjugacy_class_count(args.n, args.m, cap=args.cap)

@@ -142,7 +142,7 @@ def _delta_basis(n: int, m: int, index: int) -> TensorElement:
     """Comultiplication of a single group basis element."""
     u = elements(n, m)[index]
     result = _diagonal(x_monomial(n, m, u.twists))
-    for l in _perm_word(u.perm.images):
+    for l in _perm_word(u.perm):
         result = result * _delta_s(n, m, l)
     return result
 
@@ -184,7 +184,7 @@ def _antipode_basis(n: int, m: int, index: int) -> AlgebraElement:
     inverted x-monomial."""
     u = elements(n, m)[index]
     result = x_monomial(n, m, tuple((-t) % n for t in u.twists))
-    for l in _perm_word(u.perm.images):
+    for l in _perm_word(u.perm):
         result = _antipode_s(n, m, l) * result
     return result
 

@@ -16,53 +16,35 @@ from .sparse import SparseSum
 from .wreath import CheckFailedError, Perm
 
 
-class Partition:
+class Partition(tuple):
     """A non-increasing tuple of positive integers; () is the partition of 0."""
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
-    def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts)
-        if any(p <= 0 for p in parts):
-            raise ValueError(f"partition parts must be positive: {parts}")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValueError(f"partition parts must be non-increasing: {parts}")
-        object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
+    def __new__(cls, parts=()):
+        self = tuple.__new__(cls, (int(p) for p in parts))
+        if any(p <= 0 for p in self):
+            raise ValueError(f"partition parts must be positive: {tuple(self)}")
+        if any(self[i] < self[i + 1] for i in range(len(self) - 1)):
+            raise ValueError(f"partition parts must be non-increasing: {tuple(self)}")
+        return self
 
     @property
     def size(self) -> int:
-        return sum(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __getitem__(self, i: int) -> int:
-        return self.parts[i]
-
-    def __iter__(self):
-        return iter(self.parts)
+        return sum(self)
 
     def conjugate(self) -> "Partition":
-        if not self.parts:
+        if not self:
             return Partition()
         return Partition(
-            sum(1 for p in self.parts if p > c) for c in range(self.parts[0])
+            sum(1 for p in self if p > c) for c in range(self[0])
         )
 
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
-
     def __repr__(self):
-        return f"Partition({list(self.parts)})"
+        return f"Partition({list(self)})"
 
     def to_json(self) -> list[int]:
-        return list(self.parts)
+        return list(self)
 
 
 @lru_cache(maxsize=None)
@@ -126,47 +108,44 @@ def standard_tableaux_count(mu: Partition) -> int:
     return count
 
 
-class Tableau:
-    """A filling of a Young diagram with 1..k, stored as rows."""
+class Tableau(tuple):
+    """A filling of a Young diagram with 1..k: the tuple of its rows."""
 
-    __slots__ = ("shape", "rows")
+    __slots__ = ()
 
-    def __init__(self, rows):
-        rows = tuple(tuple(int(v) for v in row) for row in rows)
-        shape = Partition(len(row) for row in rows)
-        k = shape.size
-        if sorted(v for row in rows for v in row) != list(range(1, k + 1)):
+    def __new__(cls, rows):
+        self = tuple.__new__(cls, (tuple(int(v) for v in row) for row in rows))
+        k = self.shape.size  # the shape validates the row lengths
+        if sorted(v for row in self for v in row) != list(range(1, k + 1)):
             raise ValueError("tableau entries must be a bijection onto 1..k")
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "rows", rows)
+        return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Tableau is immutable")
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return self
+
+    @property
+    def shape(self) -> Partition:
+        return Partition(len(row) for row in self)
 
     @property
     def size(self) -> int:
-        return self.shape.size
+        return sum(len(row) for row in self)
 
     def is_standard(self) -> bool:
-        for r, row in enumerate(self.rows):
+        for r, row in enumerate(self):
             for c, v in enumerate(row):
                 if c + 1 < len(row) and not v < row[c + 1]:
                     return False
-                if r + 1 < len(self.rows) and c < len(self.rows[r + 1]) and not v < self.rows[r + 1][c]:
+                if r + 1 < len(self) and c < len(self[r + 1]) and not v < self[r + 1][c]:
                     return False
         return True
 
-    def __eq__(self, other):
-        return isinstance(other, Tableau) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
     def __repr__(self):
-        return f"Tableau({[list(r) for r in self.rows]})"
+        return f"Tableau({[list(r) for r in self]})"
 
     def to_json(self) -> list[list[int]]:
-        return [list(r) for r in self.rows]
+        return [list(r) for r in self]
 
 
 def row_consecutive_tableau(mu: Partition) -> Tableau:
@@ -218,15 +197,15 @@ def _value_perms_preserving(blocks: list[tuple[int, ...]], k: int) -> list[Perm]
 
 def horizontal_group(t: Tableau) -> list[Perm]:
     """Permutations preserving the entry set of every row."""
-    return _value_perms_preserving([row for row in t.rows], t.size)
+    return _value_perms_preserving(list(t), t.size)
 
 
 def vertical_group(t: Tableau) -> list[Perm]:
     """Permutations preserving the entry set of every column."""
     cols = []
-    if t.rows:
+    if t:
         for c in range(t.shape[0]):
-            cols.append(tuple(row[c] for row in t.rows if c < len(row)))
+            cols.append(tuple(row[c] for row in t if c < len(row)))
     return _value_perms_preserving(cols, t.size)
 
 
@@ -263,8 +242,7 @@ class SymFormalSum(SparseSum):
         return cls(m, {Perm.identity(m): Fraction(1)})
 
     def __repr__(self):
-        body = " + ".join(f"{c}*{list(p.images)}" for p, c in sorted(
-            self.terms.items(), key=lambda item: item[0].images))
+        body = " + ".join(f"{c}*{list(p)}" for p, c in sorted(self.terms.items()))
         return f"SymFormalSum({self.m}, {body or '0'})"
 
 

@@ -11,7 +11,10 @@ the one comparison against it.
 
 from __future__ import annotations
 
+import sys
+from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, repeat
 from math import factorial
 
 # Each cap name that an error prints, against its default bound on |G|.
@@ -32,26 +35,25 @@ class CheckFailedError(Exception):
     """An exact mathematical check or invariant does not hold."""
 
 
-class Perm:
-    """A permutation of {0,..,m-1} in one-line notation."""
+class Perm(tuple):
+    """A permutation of {0,..,m-1}: its one-line tuple of images, validated."""
 
-    __slots__ = ("images",)
+    __slots__ = ()
 
-    def __init__(self, images):
-        images = tuple(images)
-        if sorted(images) != list(range(len(images))):
-            raise ValueError(f"not a permutation of 0..{len(images) - 1}: {images}")
-        object.__setattr__(self, "images", images)
-
-    @staticmethod
-    def _make(images: tuple[int, ...]) -> "Perm":
-        # products and inverses of valid permutations need no re-validation
-        self = object.__new__(Perm)
-        object.__setattr__(self, "images", images)
+    def __new__(cls, images):
+        self = tuple.__new__(cls, images)
+        if sorted(self) != list(range(len(self))):
+            raise ValueError(f"not a permutation of 0..{len(self) - 1}: {tuple(self)}")
         return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Perm is immutable")
+    @staticmethod
+    def _make(images) -> "Perm":
+        # products and inverses of valid permutations need no re-validation
+        return tuple.__new__(Perm, images)
+
+    @property
+    def images(self) -> tuple[int, ...]:
+        return self
 
     @classmethod
     def identity(cls, m: int) -> "Perm":
@@ -65,46 +67,41 @@ class Perm:
 
     @property
     def m(self) -> int:
-        return len(self.images)
+        return len(self)
 
     def __call__(self, point: int) -> int:
-        return self.images[point]
-
-    def __iter__(self):
-        # the images in order, as a one-line tuple yields them
-        return iter(self.images)
+        return self[point]
 
     def __mul__(self, other: "Perm") -> "Perm":
         # composition: (self * other)(i) = self(other(i))
         if not isinstance(other, Perm):
             return NotImplemented
-        mine = self.images
-        return Perm._make(tuple([mine[j] for j in other.images]))
+        return Perm._make([self[j] for j in other])
 
     def inverse(self) -> "Perm":
-        inv = [0] * len(self.images)
-        for i, img in enumerate(self.images):
+        inv = [0] * len(self)
+        for i, img in enumerate(self):
             inv[img] = i
-        return Perm._make(tuple(inv))
+        return Perm._make(inv)
 
     def sign(self) -> int:
         sgn = 1
-        seen = [False] * len(self.images)
-        for start in range(len(self.images)):
+        seen = [False] * len(self)
+        for start in range(len(self)):
             if seen[start]:
                 continue
             length = 0
             cur = start
             while not seen[cur]:
                 seen[cur] = True
-                cur = self.images[cur]
+                cur = self[cur]
                 length += 1
             if length % 2 == 0:
                 sgn = -sgn
         return sgn
 
     def lehmer_rank(self) -> int:
-        return perm_index(self.images)
+        return perm_index(self)
 
     @classmethod
     def from_lehmer(cls, m: int, rank: int) -> "Perm":
@@ -118,20 +115,21 @@ class Perm:
             images.append(available.pop(digit))
         return cls(images)
 
-    def __eq__(self, other):
-        return isinstance(other, Perm) and self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
-
     def __repr__(self):
-        return f"Perm({list(self.images)})"
+        return f"Perm({list(self)})"
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class WreathElement:
     """A group element: Z_n twist vector plus a permutation of the slots."""
 
+    # Slots declared here, not by slots=True: on Python 3.10 and 3.11 the
+    # class that slots=True rebuilds raises TypeError, not AttributeError,
+    # when a name that is not a field is assigned.
     __slots__ = ("n", "twists", "perm")
+    n: int
+    twists: tuple[int, ...]
+    perm: Perm
 
     def __init__(self, n: int, twists, perm: Perm):
         twists = tuple(int(t) for t in twists)
@@ -151,9 +149,6 @@ class WreathElement:
         object.__setattr__(self, "perm", perm)
         return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError("WreathElement is immutable")
-
     @classmethod
     def identity(cls, n: int, m: int) -> "WreathElement":
         return cls(n, (0,) * m, Perm.identity(m))
@@ -167,32 +162,21 @@ class WreathElement:
             return NotImplemented
         if self.n != other.n or self.m != other.m:
             raise ValueError("wreath parameter mismatch")
-        inv = self.perm.inverse().images
+        inv = self.perm.inverse()
         mine, theirs, n = self.twists, other.twists, self.n
         twists = tuple((mine[i] + theirs[inv[i]]) % n for i in range(len(mine)))
         return WreathElement._make(n, twists, self.perm * other.perm)
 
     def inverse(self) -> "WreathElement":
-        perm = self.perm.images
+        perm = self.perm
         twists = tuple((-self.twists[perm[j]]) % self.n for j in range(self.m))
-        return WreathElement._make(self.n, twists, self.perm.inverse())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WreathElement)
-            and self.n == other.n
-            and self.twists == other.twists
-            and self.perm == other.perm
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.twists, self.perm))
+        return WreathElement._make(self.n, twists, perm.inverse())
 
     def __repr__(self):
-        return f"WreathElement(n={self.n}, twists={list(self.twists)}, perm={list(self.perm.images)})"
+        return f"WreathElement(n={self.n}, twists={list(self.twists)}, perm={list(self.perm)})"
 
     def to_json(self) -> dict:
-        return {"twists": list(self.twists), "perm": list(self.perm.images)}
+        return {"twists": list(self.twists), "perm": list(self.perm)}
 
     @classmethod
     def from_json(cls, n: int, data: dict) -> "WreathElement":
@@ -208,13 +192,18 @@ def check_cap(n: int, m: int, what: str, cap: int | None = None) -> int:
     defaults to CAPS[what]."""
     if cap is None:
         cap = CAPS[what]
-    order = group_order(n, m)
+    # An order past the cap and past the longest decimal Python prints is
+    # refused under its formula, so it is built one factor at a time and no
+    # further: the refusal costs what those bounds cost, not what m does.
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    named = max(cap, 10**digits - 1) if digits else None
+    order = 1
+    for factor in chain(range(2, m + 1), repeat(n, m)):
+        order *= factor
+        if named is not None and order > named:
+            raise CapExceededError(f"group order {n}^{m}*{m}! exceeds {what} cap {cap}")
     if order > cap:
-        try:
-            shown = str(order)
-        except ValueError:  # more digits than Python converts to decimal
-            shown = f"{n}^{m}*{m}!"
-        raise CapExceededError(f"group order {shown} exceeds {what} cap {cap}")
+        raise CapExceededError(f"group order {order} exceeds {what} cap {cap}")
     return order
 
 
@@ -254,7 +243,7 @@ def perm_index(images: tuple[int, ...]) -> int:
 
 def element_index(u: WreathElement) -> int:
     """Dense index: Lehmer rank of the permutation, then base-n twists."""
-    return perm_index(u.perm.images) * u.n**u.m + twist_index(u.n, u.twists)
+    return perm_index(u.perm) * u.n**u.m + twist_index(u.n, u.twists)
 
 
 def element_at(n: int, m: int, index: int) -> WreathElement:

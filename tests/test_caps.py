@@ -1,6 +1,7 @@
 """The one cap table, wreath.CAPS: every capped library entry point reads its
 default there, names that cap in its error, and takes an explicit cap."""
 
+import time
 from math import isqrt
 
 import pytest
@@ -15,7 +16,7 @@ from kacpal.algebra import (
 )
 from kacpal.classifier import irrep_table
 from kacpal.hopf import cocommutativity_witness, hopf_axiom_report
-from kacpal.wreath import CAPS, CapExceededError, conjugacy_class_count, group_order
+from kacpal.wreath import CAPS, CapExceededError, check_cap, conjugacy_class_count, group_order
 
 
 def one(n, m):
@@ -92,3 +93,13 @@ def test_cli_caps_name_table_entries():
     for check, (what, disable) in cli.CAPS.items():
         assert what in CAPS, check
         assert disable is None or check in disable.split(",")
+
+
+def test_a_refusal_costs_no_more_than_the_cap():
+    # n^m * m! at m = 10^6 has millions of digits; the refusal stops building
+    # it once it is past the cap and past what Python prints in decimal.
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError) as info:
+        check_cap(2, 10**6, "enumeration")
+    assert time.perf_counter() - start < 1
+    assert str(info.value) == "group order 2^1000000*1000000! exceeds enumeration cap 10000"

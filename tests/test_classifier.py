@@ -57,6 +57,13 @@ def test_enumeration_order_frozen_2_3():
     ]
 
 
+def test_enumeration_at_more_labels_than_the_recursion_limit():
+    # one labelled partition per label that holds the single box
+    betas = enumerate_labelled_partitions(1100, 1)
+    assert len(betas) == 1100
+    assert [b.spec_string() for b in betas[:2]] == ["1099:1", "1098:1"]
+
+
 def test_enumeration_no_duplicates():
     betas = enumerate_labelled_partitions(3, 3)
     assert len(set(betas)) == len(betas) == count_formula(3, 3) == 22

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -232,6 +233,26 @@ def test_count_at_large_m(capsys):
     assert (code, out, err) == (0, "count = 24061467864032622473692149727991\n", "")
     code, out, _ = run(capsys, "count", "--n", "30", "--m", "30")
     assert (code, out) == (0, "count = 349988092393850120947\n")
+
+
+def _decimal(value):
+    """The decimal of value in chunks of 100 digits, so that no conversion
+    meets the interpreter's int-to-str digit limit."""
+    chunks = []
+    while value >= 10**100:
+        value, low = divmod(value, 10**100)
+        chunks.append(f"{low:0100d}")
+    return str(value) + "".join(reversed(chunks))
+
+
+def test_count_prints_every_digit(capsys):
+    n, m = 10**30, 200
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run(capsys, "count", "--n", str(n), "--m", str(m))
+    expected = _decimal(classifier.count_formula(n, m))
+    assert len(expected) == 5626
+    assert (code, out, err) == (0, f"count = {expected}\n", "")
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_count_with_conjugacy(capsys):

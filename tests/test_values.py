@@ -1,0 +1,60 @@
+"""The immutable value types: Perm, Partition and Tableau are validated
+tuples, WreathElement and LabelledPartition frozen dataclasses."""
+
+import pytest
+
+from kacpal.character_basis import CharacterElement
+from kacpal.classifier import LabelledPartition
+from kacpal.partitions import Partition, Tableau
+from kacpal.wreath import Perm, WreathElement
+
+# type -> (a builder of one value, a field or property name, a call on
+# invalid input, the value's plain tuple or None for the dataclasses)
+VALUES = {
+    "Perm": (lambda: Perm([1, 2, 0]), "images", lambda: Perm([0, 0, 1]), (1, 2, 0)),
+    "Partition": (lambda: Partition([3, 1]), "size", lambda: Partition([1, 3]), (3, 1)),
+    "Tableau": (
+        lambda: Tableau([[1, 2], [3]]),
+        "rows",
+        lambda: Tableau([[1, 3], [3]]),
+        ((1, 2), (3,)),
+    ),
+    "WreathElement": (
+        lambda: WreathElement(3, [2, 0], Perm([1, 0])),
+        "twists",
+        lambda: WreathElement(3, [3, 0], Perm([1, 0])),
+        None,
+    ),
+    "LabelledPartition": (
+        lambda: LabelledPartition(2, [Partition([2]), Partition([1])]),
+        "blocks",
+        lambda: LabelledPartition(2, [Partition([2])]),
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", VALUES)
+def test_value_type_is_immutable_hashable_and_validated(kind):
+    build, field, invalid, plain = VALUES[kind]
+    value = build()
+    for name in (field, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    other = build()
+    assert other is not value
+    assert other == value and hash(other) == hash(value)
+    with pytest.raises(ValueError):
+        invalid()
+    if plain is not None:
+        assert value == plain and plain == value
+        assert hash(value) == hash(plain)
+        assert {plain: 1}[value] == 1
+
+
+def test_a_perm_key_is_its_plain_tuple_key():
+    lam = (0, 1)
+    by_perm = CharacterElement(2, 2, {(lam, Perm([1, 0])): 1})
+    by_tuple = CharacterElement(2, 2, {(lam, (1, 0)): 1})
+    assert by_perm == by_tuple and hash(by_perm) == hash(by_tuple)
+    assert by_perm * by_perm == by_tuple * by_tuple
