@@ -20,12 +20,19 @@ The change of basis Phi: F(lam, p) -> Lambda_lam p is exact,
     Lambda_lam p = n^(-m) sum_t zeta^(2 lam . t) (t, p),
 
 and check_model verifies at a given (n, m) that Phi carries the model's
-product to the group's before any check relies on the model.
+product to the group's before any check relies on the model.  Its inverse,
+character_coordinates, keeps cyclotomic coefficients,
+
+    (t, p) = x^t p = sum_lam zeta^(-2 lam . t) F(lam, p),
+
+and is how kacpal.hopf reads the comultiplication and the antipode in this
+basis.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations, product
 from math import lcm
 
@@ -36,11 +43,13 @@ from .sparse import SparseSum, add_into
 from .wreath import (
     CheckFailedError,
     Perm,
+    element_at,
     element_index,
     elements,
     generator_a,
     generator_b,
     perm_index,
+    twist_index,
 )
 
 
@@ -118,6 +127,44 @@ def _group_terms(x: CharacterElement, columns: dict) -> dict:
         shifted = {base + t: z for t, z in col.items()}
         acc = add_into(acc, shifted) if acc else shifted
     return acc
+
+
+@lru_cache(maxsize=None)
+def characters(n: int, m: int) -> tuple:
+    """The characters of Z_n^m in twist-index order: entry k has twist_index k."""
+    return tuple(element_at(n, m, k).twists for k in range(n**m))
+
+
+@lru_cache(maxsize=None)
+def _fourier(n: int, m: int) -> tuple:
+    """Row k: zeta^(-2 lam . t) for the twist vector t of twist_index k, over
+    the characters lam in twist-index order."""
+    order = 2 * n
+    chars = characters(n, m)
+    return tuple(
+        tuple(zeta_power(order, -2 * sum(a * b for a, b in zip(lam, t))) for lam in chars)
+        for t in chars
+    )
+
+
+def character_coordinates(n: int, m: int, terms: dict) -> dict:
+    """Phi^(-1) on coordinates: a group-basis vector {index: c} as
+    {(lam, p): c'}, with the coefficients kept in Q(zeta_2n).
+
+    The group element (t, p) is x^t p = sum_lam zeta^(-2 lam . t) F(lam, p),
+    so each term spreads over the n^m characters of its own permutation.
+    """
+    chars, rows = characters(n, m), _fourier(n, m)
+    acc: dict = {}
+    for index, c in terms.items():
+        u = element_at(n, m, index)
+        p = u.perm
+        for lam, z in zip(chars, rows[twist_index(n, u.twists)]):
+            key = (lam, p)
+            v = c * z
+            cur = acc.get(key)
+            acc[key] = v if cur is None else cur + v
+    return {key: v for key, v in acc.items() if v}
 
 
 def symmetric_group(m: int) -> list[Perm]:

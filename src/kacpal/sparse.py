@@ -1,11 +1,14 @@
 """Finitely supported linear combinations over a group basis.
 
 The group algebra of Z_n wr S_m, its tensor square and Q[S_k] are all sparse
-maps from group keys to nonzero scalars.  This module holds the only code that
+maps from group keys to nonzero scalars.  This module holds the code that
 adds and multiplies such sums.  An element type subclasses SparseSum and
 supplies what differs: its parameters (declared as its __slots__), scalar
-coercion, its identity element, and the row of its key product.  The
-repeated-squaring loop, power, is shared with the scalar field.
+coercion, its identity element, and the row of its key product.  The one
+exception is hopf.CharacterTensor, whose key product is zero unless the right
+key's characters are fixed by the left key, so it replaces the product by a
+lookup of those keys.  The repeated-squaring loop, power, is shared with the
+scalar field.
 """
 
 from __future__ import annotations

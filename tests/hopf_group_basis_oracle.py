@@ -1,0 +1,70 @@
+"""The group-basis checks of the Hopf axioms, kept as the reference that the
+character-basis report is tested against.
+
+Each check applies the package's delta, counit and antipode to one
+group-algebra element and compares the two sides of an axiom as dense
+tensor-square or group-algebra sums: (delta x id) delta against
+(id x delta) delta, (eps x id) delta against the identity, and
+m (S x id) delta against eps 1.
+"""
+
+import random
+from fractions import Fraction
+
+from kacpal.algebra import AlgebraElement, basis_element
+from kacpal.cyclotomic import CycNumber, zeta_power
+from kacpal.hopf import TensorElement, _delta_basis, antipode, counit, delta
+from kacpal.sparse import add_into
+from kacpal.wreath import group_order
+
+
+def _delta_leg(t: TensorElement, leg: int) -> dict:
+    """(delta (x) id)(t) for leg 0, (id (x) delta)(t) for leg 1, as a sparse
+    map from index triples."""
+    out: dict[tuple[int, int, int], CycNumber] = {}
+    for (i, j), c in t.terms.items():
+        image = _delta_basis(t.n, t.m, (i, j)[leg]).terms
+        add_into(
+            out, {((p, q, j) if leg == 0 else (i, p, q)): d for (p, q), d in image.items()}, c
+        )
+    return out
+
+
+def coassociativity_holds(u: AlgebraElement) -> bool:
+    d = delta(u)
+    return _delta_leg(d, 0) == _delta_leg(d, 1)
+
+
+def counit_axiom_holds(u: AlgebraElement) -> bool:
+    d = delta(u)
+    left: dict[int, CycNumber] = {}  # epsilon on the first leg
+    right: dict[int, CycNumber] = {}
+    for (i, j), c in d.terms.items():
+        add_into(left, {j: c})
+        add_into(right, {i: c})
+    return left == u.terms and right == u.terms
+
+
+def antipode_axiom_holds(u: AlgebraElement) -> bool:
+    d = delta(u)
+    n, m = u.n, u.m
+    target = AlgebraElement.one(n, m).scale(counit(u))
+    left: dict[int, CycNumber] = {}
+    right: dict[int, CycNumber] = {}
+    for (i, j), c in d.terms.items():
+        add_into(left, (antipode(basis_element(n, m, i)) * basis_element(n, m, j)).terms, c)
+        add_into(right, (basis_element(n, m, i) * antipode(basis_element(n, m, j))).terms, c)
+    return left == target.terms and right == target.terms
+
+
+def _fixed_sparse(n: int, m: int, rng: random.Random, size: int = 3) -> AlgebraElement:
+    """A deterministic sparse element driven by the caller's seeded RNG."""
+    order = group_order(n, m)
+    terms: dict[int, CycNumber] = {}
+    for _ in range(size):
+        ix = rng.randrange(order)
+        coeff = zeta_power(2 * n, rng.randrange(2 * n)) * CycNumber.from_rational(
+            2 * n, Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+        )
+        add_into(terms, {ix: coeff})
+    return AlgebraElement(n, m, terms)

@@ -206,6 +206,15 @@ def test_criterion_5_hopf_axioms():
     announce(5, f"coalgebra and antipode axioms verified for {RANK_PAIRS}")
 
 
+def test_criterion_5_hopf_axioms_at_4_2_within_3s():
+    start = time.time()
+    report = hopf_axiom_report(4, 2)
+    elapsed = time.time() - start
+    assert report["all_pass"], report
+    assert elapsed < 3, f"the Hopf report at (4, 2) took {elapsed:.1f}s"
+    announce(5, f"every Hopf axiom on every basis element at (4, 2) in {elapsed:.1f}s")
+
+
 def test_criterion_6_combinatorial_oracles():
     for k in range(0, 9):
         for mu in partitions_of(k):

@@ -3,33 +3,52 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hopf_group_basis_oracle import (
+    _fixed_sparse,
+    antipode_axiom_holds,
+    coassociativity_holds,
+    counit_axiom_holds,
+)
 from kacpal.algebra import (
     AlgebraElement,
     lambda_idempotent,
     s_element,
     x_element,
+    x_monomial,
     y_element,
     z_element,
 )
-from kacpal.cyclotomic import CycNumber, zeta
+from kacpal.character_basis import CharacterElement, character_coordinates
+from kacpal.cli import main
+from kacpal.cyclotomic import CycNumber, zeta, zeta_power
 from kacpal.hopf import (
     TensorElement,
+    _CharacterHopf,
+    _antipode_basis,
+    _delta_basis,
     _delta_z,
-    _fixed_sparse,
+    _to_characters,
     _perm_word,
     antipode,
-    coassociativity_holds,
     cocommutativity_witness,
     counit,
-    counit_axiom_holds,
     delta,
     hopf_axiom_report,
     quotient_to_sym,
     tensor,
 )
 from kacpal.partitions import SymFormalSum
-from kacpal.wreath import CapExceededError, Perm, elements, generator_b
+from kacpal.wreath import (
+    CapExceededError,
+    Perm,
+    WreathElement,
+    elements,
+    generator_b,
+    group_order,
+    twist_index,
+)
 
 
 def test_tensor_unit():
@@ -177,6 +196,70 @@ def test_axiom_report_all_pass(n, m):
     assert report["axioms"]["delta_multiplicative"] == "pass"
 
 
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 2)])
+def test_group_basis_oracle_on_generators(n, m):
+    gens = [x_element(n, m, i) for i in range(1, m + 1)]
+    gens += [f(n, m, l) for f in (z_element, s_element) for l in range(1, m)]
+    for u in gens:
+        assert coassociativity_holds(u)
+        assert counit_axiom_holds(u)
+        assert antipode_axiom_holds(u)
+
+
+def character_basis_images(hopf):
+    """(lam, p, Phi(F(lam, p))) for every basis element."""
+    n, m = hopf.n, hopf.m
+    for p in hopf.perms:
+        for lam, chars in enumerate(hopf.chars):
+            yield lam, p, CharacterElement._make(n, m, {(chars, p): Fraction(1)}).to_group()
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 3), (4, 2)])
+def test_character_delta_matches_the_group_basis_delta(n, m):
+    # delta of every basis element F(lam, p), built from the exponent tables,
+    # against the group-basis delta changed to the character basis
+    hopf = _CharacterHopf(n, m)
+    size = len(hopf.chars)
+    for lam, p, phi in character_basis_images(hopf):
+        expected = {
+            ((hopf.chars[a], p), (hopf.chars[b], p)): zeta_power(2 * n, hopf.omega[p][a][b])
+            for a in range(size)
+            for b in range(size)
+            if hopf.plus[a][b] == lam
+        }
+        assert _to_characters(delta(phi)).terms == expected, (hopf.chars[lam], p)
+
+
+# (3, 3) is the smallest size where sigma is not zero (n >= 3) and a word
+# has two letters (m >= 3)
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3)])
+def test_character_antipode_matches_the_group_basis_antipode(n, m):
+    hopf = _CharacterHopf(n, m)
+    for lam, p, phi in character_basis_images(hopf):
+        e, b = hopf.antipode_term(lam, p)
+        expected = {(hopf.chars[b], p.inverse()): zeta_power(2 * n, e)}
+        assert character_coordinates(n, m, antipode(phi).terms) == expected, (hopf.chars[lam], p)
+
+
+def sparse_elements(n, m):
+    coeffs = st.builds(
+        lambda k, r: zeta_power(2 * n, k) * CycNumber.from_rational(2 * n, r),
+        st.integers(0, 2 * n - 1),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    )
+    terms = st.dictionaries(st.integers(0, group_order(n, m) - 1), coeffs, max_size=3)
+    return terms.map(lambda t: AlgebraElement(n, m, t))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([(2, 2), (3, 2), (2, 3)]), st.data())
+def test_delta_multiplicative_on_random_pairs(size, data):
+    # the group-basis reference for the report's delta_multiplicative
+    a = data.draw(sparse_elements(*size))
+    b = data.draw(sparse_elements(*size))
+    assert delta(a * b) == delta(a) * delta(b)
+
+
 def test_delta_multiplicative_random():
     n, m = 2, 2
     rng = random.Random(5)
@@ -221,6 +304,133 @@ def test_wrong_delta_z_fails_relation_preservation(monkeypatch):
     assert entry["status"] == "fail"
     assert entry["detail"] == ["delta(z_1^2 = (1/n) sum q^(-ij) x_1^i x_2^j)"]
     assert not report["all_pass"]
+
+
+def test_delta_s_off_by_a_root_of_unity_is_a_failed_check(monkeypatch, capsys):
+    # negative control: one group-basis coefficient of delta(s_1) times zeta
+    # leaves the character-basis coefficients off the roots of unity
+    from kacpal import hopf
+
+    real = hopf._delta_s
+
+    def skewed(n, m, l):
+        d = real(n, m, l)
+        head = min(d.terms)
+        return d._new({**d.terms, head: d.terms[head] * zeta(2 * n)})
+
+    hopf._delta_basis.cache_clear()
+    monkeypatch.setattr(hopf, "_delta_s", skewed)
+    try:
+        code = main(["verify", "--n", "2", "--m", "2", "--checks", "hopf"])
+    finally:
+        hopf._delta_basis.cache_clear()
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1, err
+    assert "Traceback" not in err
+    assert err.startswith("delta(s_1) has the coefficient")
+
+
+def _with_unit_term(real):
+    # adds 1 (x) 1, a term outside F(mu, s_l) (x) F(nu, s_l)
+    return lambda n, m, l: real(n, m, l) + TensorElement.unit(n, m)
+
+
+def _with_unit(real):
+    # adds 1, a term outside F(lam, s_l)
+    return lambda n, m, l: real(n, m, l) + AlgebraElement.one(n, m)
+
+
+def _skew_first(real):
+    # one group-basis coefficient of an antipode times zeta
+    def skewed(n, m, l):
+        a = real(n, m, l)
+        head = min(a.terms)
+        return a._new({**a.terms, head: a.terms[head] * zeta(2 * n)})
+
+    return skewed
+
+
+def _x_on_left_leg(real):
+    # x^t (x) 1 instead of the group-like x^t (x) x^t
+    return lambda a: TensorElement._make(a.n, a.m, {(i, 0): c for i, c in a.terms.items()})
+
+
+@pytest.mark.parametrize(
+    "name, patch, message",
+    [
+        ("_delta_s", _with_unit_term, r"delta\(s_1\) has a term outside"),
+        ("_antipode_s", _with_unit, r"S\(s_1\) has a term outside"),
+        ("_antipode_s", _skew_first, r"S\(s_1\) has the coefficient"),
+        ("_diagonal", _x_on_left_leg, r"delta\(x_1\) is not group-like"),
+    ],
+)
+def test_broken_generator_images_are_failed_checks(monkeypatch, name, patch, message):
+    # negative controls for the invariants read off the group-basis maps
+    from kacpal import hopf
+    from kacpal.wreath import CheckFailedError
+
+    caches = (hopf._delta_s, hopf._delta_basis, hopf._antipode_basis)
+    for cache in caches:
+        cache.cache_clear()
+    monkeypatch.setattr(hopf, name, patch(getattr(hopf, name)))
+    try:
+        with pytest.raises(CheckFailedError, match=message):
+            hopf_axiom_report(3, 2)
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "entry, broken",
+    [
+        ((1, 2), {"coassociativity", "delta_multiplicative"}),
+        ((0, 1), {"counit"}),
+    ],
+)
+def test_perturbed_cocycle_fails(monkeypatch, entry, broken):
+    # negative control: one exponent of omega_(s_1) moved by one; an entry
+    # in row 0 is the counit's
+    from kacpal import hopf
+
+    real = hopf._delta_s_exponents
+
+    def perturbed(n, m, l):
+        table = [row[:] for row in real(n, m, l)]
+        a, b = entry
+        table[a][b] = (table[a][b] + 1) % (2 * n)
+        return table
+
+    monkeypatch.setattr(hopf, "_delta_s_exponents", perturbed)
+    report = hopf_axiom_report(3, 2)
+    failed = {name for name, status in report["axioms"].items() if status != "pass"}
+    assert failed & broken, report["axioms"]
+    assert all(report["axioms"][name]["status"] == "fail" for name in failed)
+    assert not report["all_pass"]
+
+
+def test_basis_maps_decode_one_index(monkeypatch):
+    # delta and S of a basis element and the quotient look up each index on
+    # its own; none of them may enumerate the 3840 elements of (2, 5)
+    from kacpal import hopf, wreath
+
+    def refuse(n, m):
+        raise AssertionError(f"enumerated all of G at (n={n}, m={m})")
+
+    for module in (wreath, hopf):
+        monkeypatch.setattr(module, "elements", refuse, raising=False)
+    n, m = 2, 5
+    twists = (1, 0, 1, 1, 0)
+    x = x_monomial(n, m, twists)
+    index = twist_index(n, twists)
+    assert _delta_basis.__wrapped__(n, m, index) == tensor(x, x)
+    assert _antipode_basis.__wrapped__(n, m, index) == x ** (n - 1)
+    u = WreathElement(n, (1, 0, 0, 1, 1), Perm((4, 2, 3, 0, 1)))
+    assert quotient_to_sym(AlgebraElement.basis(u) + x) == SymFormalSum(
+        m, {u.perm: Fraction(1), Perm.identity(m): Fraction(1)}
+    )
 
 
 def test_hopf_report_needs_n_at_least_2():
