@@ -42,21 +42,23 @@ class AlgebraElement(SparseSum):
     def __init__(self, n: int, m: int, terms=None):
         order = group_order(n, m)
         clean: dict[int, CycNumber] = {}
+        self._assign(n, m, clean)  # _scalar reads n
         for index, coeff in (terms or {}).items():
             if not 0 <= index < order:
                 raise ValueError(f"group index {index} out of range for (n={n}, m={m})")
-            if coeff.order != 2 * n:
-                raise ValueError(f"coefficient order {coeff.order} != {2 * n}")
-            if not coeff.is_zero():
+            coeff = self._scalar(coeff)
+            if coeff:
                 clean[index] = coeff
-        self._assign(n, m, clean)
 
     # The benchmark's tracer wraps AlgebraElement.__mul__ found in this class's
     # own __dict__; without this binding its product counts would read zero.
     __mul__ = SparseSum.__mul__
 
     def _scalar(self, value) -> CycNumber:
+        """value in Q(zeta_2n): a CycNumber of order 2n, or a rational."""
         if isinstance(value, CycNumber):
+            if value.order != 2 * self.n:
+                raise ValueError(f"coefficient order {value.order} != {2 * self.n}")
             return value
         return CycNumber.from_rational(2 * self.n, Fraction(value))
 

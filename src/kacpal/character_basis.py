@@ -26,7 +26,8 @@ character_coordinates, keeps cyclotomic coefficients,
     (t, p) = x^t p = sum_lam zeta^(-2 lam . t) F(lam, p),
 
 and is how kacpal.hopf reads the comultiplication and the antipode in this
-basis.
+basis.  The tensor square of the algebra at (n, m) is modelled by the same
+elements at (n, 2m), keyed by tensor_key.
 """
 
 from __future__ import annotations
@@ -59,8 +60,9 @@ class CharacterElement(SparseSum):
     tuple, which is the same key because a Perm is that tuple.
 
     Coefficients are Fractions.  The generator images that check_model
-    multiplies by carry roots of unity (CycNumbers of order 2n) instead;
-    they multiply by the same rule.
+    multiplies by carry roots of unity (CycNumbers of order 2n) instead, and
+    tensors, elements at (n, 2m) keyed by tensor_key, carry any coefficients
+    in Q(zeta_2n); all multiply by the same rule.
     """
 
     __slots__ = ("n", "m")
@@ -84,16 +86,22 @@ class CharacterElement(SparseSum):
     def _one(self) -> "CharacterElement":
         return CharacterElement.one(self.n, self.m)
 
-    def _row(self, key):
-        lam, p = key
-        # lam = mu o p^(-1) exactly when mu = lam o p
-        partner = permute_character(lam, p)
-
-        def row(right):
-            mu, q = right
-            return (lam, tuple([p[j] for j in q])) if mu == partner else None
-
-        return row
+    def __mul__(self, other):
+        """F(lam, p) F(mu, q) = [mu = lam o p] F(lam, pq): each left key meets
+        only the right terms on its partner character, found by lookup."""
+        self._check(other)
+        by_character: dict = {}
+        for (mu, q), b in other.terms.items():
+            by_character.setdefault(mu, []).append((q, b))
+        acc: dict = {}
+        for (lam, p), a in self.terms.items():
+            # lam = mu o p^(-1) exactly when mu = lam o p
+            for q, b in by_character.get(permute_character(lam, p), ()):
+                key = (lam, tuple([p[j] for j in q]))
+                c = a * b
+                cur = acc.get(key)
+                acc[key] = c if cur is None else cur + c
+        return self._new({k: v for k, v in acc.items() if v})
 
     @classmethod
     def one(cls, n: int, m: int) -> "CharacterElement":
@@ -104,6 +112,19 @@ class CharacterElement(SparseSum):
     def to_group(self) -> AlgebraElement:
         """The group-basis image Phi(self), with no group-algebra product."""
         return AlgebraElement._make(self.n, self.m, _group_terms(self, {}))
+
+
+def tensor_key(left: tuple, right: tuple) -> tuple:
+    """The key of F(lam, p) (x) F(nu, q) in the model at (n, 2m).
+
+    The tensor square of the algebra at (n, m) is that of G x G, the subgroup
+    of the group at (n, 2m) whose permutations keep each half of the slots,
+    so F(lam, p) (x) F(nu, q) is F(lam nu, p (+) q), with q moved to the
+    slots m..2m-1; the model's product on these keys is that of each leg.
+    """
+    (lam, p), (nu, q) = left, right
+    m = len(p)
+    return (*lam, *nu), (*p, *[m + j for j in q])
 
 
 def _group_terms(x: CharacterElement, columns: dict) -> dict:

@@ -19,7 +19,9 @@ report's (n, m).  Changed to the character basis on both legs,
 
 so delta and S are fixed by exponent tables with values in Z_2n: the
 comultiplication is a 2-cocycle twist (Majid, Foundations of Quantum Group
-Theory).  omega and sigma of s_l are read off the group-basis delta(s_l) and
+Theory).  A tensor changed to the character basis on both legs is a
+CharacterElement at (n, 2m), keyed by character_basis.tensor_key, whose
+product is that of the tensor square.  omega and sigma of s_l are read off the group-basis delta(s_l) and
 S(s_l) by the exact change of basis; a coefficient that is not a 2n-th root
 of unity, or a term of another form, raises CheckFailedError, and so does a
 delta(x_i) that is not group-like.  The tables of every other permutation
@@ -34,7 +36,7 @@ then holds on every basis element exactly when
 - counit and antipode: the scalar identities (eps (x) id) delta = id,
   m (S (x) id) delta = eps 1 and their mirrors hold on every F(lam, p);
 - relations: algebra.presentation holds on the changed images of the
-  x-monomials and the z_l, multiplied in the character basis.
+  x-monomials and the z_l, multiplied in the model at (n, 2m).
 
 The group-basis axiom checks on the generators are kept as the reference in
 tests/hopf_group_basis_oracle.py.
@@ -57,11 +59,13 @@ from .algebra import (
     z_square_sum,
 )
 from .character_basis import (
+    CharacterElement,
     _generator_images,
     character_coordinates,
     characters,
     check_model,
     symmetric_group,
+    tensor_key,
 )
 from .cyclotomic import CycNumber, zeta_power
 from .partitions import SymFormalSum
@@ -86,12 +90,13 @@ class TensorElement(SparseSum):
     def __init__(self, n: int, m: int, terms=None):
         order = group_order(n, m)
         clean: dict[tuple[int, int], CycNumber] = {}
+        self._assign(n, m, clean)  # _scalar reads n
         for (i, j), coeff in (terms or {}).items():
             if not (0 <= i < order and 0 <= j < order):
                 raise ValueError(f"tensor index ({i}, {j}) out of range")
-            if not coeff.is_zero():
+            coeff = self._scalar(coeff)
+            if coeff:
                 clean[(i, j)] = coeff
-        self._assign(n, m, clean)
 
     # The benchmark's tracer wraps TensorElement.__mul__ found in this class's
     # own __dict__; without this binding its product counts would read zero.
@@ -243,45 +248,9 @@ def antipode(a: AlgebraElement) -> AlgebraElement:
 # -- the character basis of the tensor square -----------------------------------
 
 
-class CharacterTensor(SparseSum):
-    """A sparse element of the tensor square over the character basis, keyed
-    by pairs of CharacterElement keys ((lam, p), (nu, q)), with coefficients
-    in Q(zeta_2n).
-
-    F(lam, p) F(mu, q) is nonzero only for mu = lam o p, so each left key
-    meets only the right keys whose two characters it fixes.  The product
-    looks those up instead of scanning every right term; it replaces
-    SparseSum.__mul__ and needs no _row.
-    """
-
-    __slots__ = ("n", "m")
-
-    _scalar = AlgebraElement._scalar
-
-    def _one(self) -> "CharacterTensor":
-        ident = tuple(range(self.m))
-        one = CycNumber.one(2 * self.n)
-        chars = characters(self.n, self.m)
-        return self._new({((lam, ident), (nu, ident)): one for lam in chars for nu in chars})
-
-    def __mul__(self, other):
-        self._check(other)
-        by_characters: dict = {}
-        for ((mu, q), (nu, r)), b in other.terms.items():
-            by_characters.setdefault((mu, nu), []).append((q, r, b))
-        acc: dict = {}
-        for ((lam, p), (lam2, p2)), a in self.terms.items():
-            partners = (permute_character(lam, p), permute_character(lam2, p2))
-            for q, r, b in by_characters.get(partners, ()):
-                key = ((lam, tuple([p[j] for j in q])), (lam2, tuple([p2[j] for j in r])))
-                c = a * b
-                cur = acc.get(key)
-                acc[key] = c if cur is None else cur + c
-        return self._new({k: v for k, v in acc.items() if v})
-
-
-def _to_characters(t: TensorElement) -> CharacterTensor:
-    """The exact change of basis of both legs of a tensor, one leg at a time."""
+def _to_characters(t: TensorElement) -> CharacterElement:
+    """The exact change of basis of both legs of a tensor, one leg at a time:
+    an element of the model at (n, 2m), keyed by tensor_key."""
     n, m = t.n, t.m
     columns: dict = {}
     for (i, j), c in t.terms.items():
@@ -290,11 +259,11 @@ def _to_characters(t: TensorElement) -> CharacterTensor:
     for j, column in columns.items():
         for key, c in character_coordinates(n, m, column).items():
             rows.setdefault(key, {})[j] = c
-    return CharacterTensor._make(
+    return CharacterElement._make(
         n,
-        m,
+        2 * m,
         {
-            (key, key2): c
+            tensor_key(key, key2): c
             for key, row in rows.items()
             for key2, c in character_coordinates(n, m, row).items()
         },
@@ -317,11 +286,12 @@ def _delta_s_exponents(n: int, m: int, l: int) -> list[list[int]]:
     on both legs must be sum over mu, nu of zeta^omega(mu, nu) F(mu, s_l) (x) F(nu, s_l)."""
     s, chars = generator_b(n, m, l).perm, characters(n, m)
     terms = _to_characters(_delta_s(n, m, l)).terms
-    if any(p != s or q != s for (_, p), (_, q) in terms):
+    _, s_s = tensor_key((chars[0], s), (chars[0], s))
+    if any(p != s_s for _, p in terms):
         raise CheckFailedError(f"delta(s_{l}) has a term outside F(mu, s_{l}) (x) F(nu, s_{l})")
-    roots, zero = _roots(2 * n), CycNumber.zero(2 * n)
+    roots, zero, what = _roots(2 * n), CycNumber.zero(2 * n), f"delta(s_{l})"
     return [
-        [_exponent(roots, terms.get(((mu, s), (nu, s)), zero), f"delta(s_{l})") for nu in chars]
+        [_exponent(roots, terms.get(tensor_key((mu, s), (nu, s)), zero), what) for nu in chars]
         for mu in chars
     ]
 
@@ -399,7 +369,7 @@ class _CharacterHopf:
             if not name.startswith("x_"):
                 continue
             terms = image.terms.items()
-            expected = {(a, b): c * d for a, c in terms for b, d in terms}
+            expected = {tensor_key(a, b): c * d for a, c in terms for b, d in terms}
             if _to_characters(delta(AlgebraElement.basis(g))).terms != expected:
                 raise CheckFailedError(f"delta({name}) is not group-like in the character basis")
 

@@ -5,10 +5,11 @@ maps from group keys to nonzero scalars.  This module holds the code that
 adds and multiplies such sums.  An element type subclasses SparseSum and
 supplies what differs: its parameters (declared as its __slots__), scalar
 coercion, its identity element, and the row of its key product.  The one
-exception is hopf.CharacterTensor, whose key product is zero unless the right
-key's characters are fixed by the left key, so it replaces the product by a
-lookup of those keys.  The repeated-squaring loop, power, is shared with the
-scalar field.
+type with its own product is character_basis.CharacterElement, the algebra
+and its tensor square in the character basis: there the product of two keys
+is zero unless the right key's character is the left key's moved by its
+permutation, so it looks those keys up instead of taking rows.  The
+repeated-squaring loop, power, is shared with the scalar field.
 """
 
 from __future__ import annotations
@@ -60,8 +61,7 @@ class SparseSum:
     A subclass names its parameters (such as n and m) in its own __slots__;
     two sums combine only when those parameters agree.  It also defines
     _scalar(value), which coerces a scalar; _one(), its identity element; and
-    _row(key), a callable mapping a right key k to the key of key * k, or to
-    None when that product is zero.
+    _row(key), a callable mapping a right key k to the key of key * k.
     """
 
     __slots__ = ("terms",)
@@ -126,8 +126,6 @@ class SparseSum:
                 row = self._row(i)
                 for j, b in right.items():
                     k = row(j)
-                    if k is None:
-                        continue
                     c = a * b
                     cur = acc.get(k)
                     acc[k] = c if cur is None else cur + c

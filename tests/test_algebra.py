@@ -242,6 +242,12 @@ def test_coefficient_order_validated():
         AlgebraElement(2, 2, {99: CycNumber.one(4)})
 
 
+def test_rational_coefficients_are_coerced():
+    half = CycNumber.from_rational(4, Fraction(1, 2))
+    assert AlgebraElement(2, 2, {3: Fraction(1, 2), 5: 0}).terms == {3: half}
+    assert AlgebraElement(2, 2, {0: 1}) == one(2, 2)
+
+
 def rows_as_vectors(rows):
     return [dict(enumerate(row)) for row in rows]
 

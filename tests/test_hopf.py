@@ -20,7 +20,7 @@ from kacpal.algebra import (
     y_element,
     z_element,
 )
-from kacpal.character_basis import CharacterElement, character_coordinates
+from kacpal.character_basis import CharacterElement, character_coordinates, tensor_key
 from kacpal.cli import main
 from kacpal.cyclotomic import CycNumber, zeta, zeta_power
 from kacpal.hopf import (
@@ -222,7 +222,9 @@ def test_character_delta_matches_the_group_basis_delta(n, m):
     size = len(hopf.chars)
     for lam, p, phi in character_basis_images(hopf):
         expected = {
-            ((hopf.chars[a], p), (hopf.chars[b], p)): zeta_power(2 * n, hopf.omega[p][a][b])
+            tensor_key((hopf.chars[a], p), (hopf.chars[b], p)): zeta_power(
+                2 * n, hopf.omega[p][a][b]
+            )
             for a in range(size)
             for b in range(size)
             if hopf.plus[a][b] == lam
@@ -241,13 +243,16 @@ def test_character_antipode_matches_the_group_basis_antipode(n, m):
         assert character_coordinates(n, m, antipode(phi).terms) == expected, (hopf.chars[lam], p)
 
 
-def sparse_elements(n, m):
-    coeffs = st.builds(
+def coefficients(n):
+    return st.builds(
         lambda k, r: zeta_power(2 * n, k) * CycNumber.from_rational(2 * n, r),
         st.integers(0, 2 * n - 1),
         st.fractions(min_value=-3, max_value=3, max_denominator=4),
     )
-    terms = st.dictionaries(st.integers(0, group_order(n, m) - 1), coeffs, max_size=3)
+
+
+def sparse_elements(n, m):
+    terms = st.dictionaries(st.integers(0, group_order(n, m) - 1), coefficients(n), max_size=3)
     return terms.map(lambda t: AlgebraElement(n, m, t))
 
 
@@ -258,6 +263,30 @@ def test_delta_multiplicative_on_random_pairs(size, data):
     a = data.draw(sparse_elements(*size))
     b = data.draw(sparse_elements(*size))
     assert delta(a * b) == delta(a) * delta(b)
+
+
+def sparse_tensors(n, m):
+    index = st.integers(0, group_order(n, m) - 1)
+    terms = st.dictionaries(st.tuples(index, index), coefficients(n), max_size=4)
+    return terms.map(lambda t: TensorElement(n, m, t))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([(2, 2), (3, 2), (2, 3)]), st.data())
+def test_character_model_at_2m_multiplies_as_the_tensor_square(size, data):
+    # the keyed product at (n, 2m) against the group-basis tensor product
+    n, m = size
+    a, b = data.draw(sparse_tensors(n, m)), data.draw(sparse_tensors(n, m))
+    assert _to_characters(a * b) == _to_characters(a) * _to_characters(b)
+    assert _to_characters(TensorElement.unit(n, m)) == CharacterElement.one(n, 2 * m)
+
+
+def test_tensor_coefficients_are_checked_and_coerced():
+    with pytest.raises(ValueError, match="coefficient order 6 != 4"):
+        TensorElement(2, 2, {(0, 0): CycNumber.one(6)})
+    half = CycNumber.from_rational(4, Fraction(1, 2))
+    assert TensorElement(2, 2, {(0, 1): Fraction(1, 2), (1, 0): 0}).terms == {(0, 1): half}
+    assert TensorElement(2, 2, {(0, 0): 1}) == TensorElement.unit(2, 2)
 
 
 def test_delta_multiplicative_random():
