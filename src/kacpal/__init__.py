@@ -10,9 +10,7 @@ over cyclotomic rationals.
 from .algebra import (
     AlgebraElement,
     lambda_idempotent,
-    left_ideal_dimension,
     s_element,
-    sandwich_dimension,
     verify_defining_relations,
     x_element,
     x_monomial,

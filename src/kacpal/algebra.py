@@ -28,6 +28,7 @@ from .wreath import (
     generator_b,
     group_order,
     mul_row,
+    perm_index,
     twist_index,
 )
 
@@ -81,12 +82,6 @@ class AlgebraElement(SparseSum):
         )
 
     # -- structure ---------------------------------------------------------
-
-    def coefficient(self, index: int) -> CycNumber:
-        return self.terms.get(index, CycNumber.zero(2 * self.n))
-
-    def support(self) -> list[int]:
-        return sorted(self.terms)
 
     def __repr__(self):
         head = ", ".join(f"{ix}: {c!r}" for ix, c in sorted(self.terms.items())[:4])
@@ -147,15 +142,26 @@ def lambda_idempotent(n: int, m: int, lam: tuple[int, ...]) -> AlgebraElement:
     return AlgebraElement._make(n, m, terms)
 
 
-def character_combination(n: int, m: int, weight) -> AlgebraElement:
-    """Sum of weight(lam) * Lambda_lam over all characters lam.
+def character_combination(n: int, m: int, terms: dict, columns: dict) -> AlgebraElement:
+    """Phi: the group-basis element sum of c * Lambda_lam p over the terms
+    {(lam, p): c} of an element of the character basis F(lam, p) = Lambda_lam p.
 
-    weight maps a character tuple to a CycNumber; this is the generic way to
-    build elements that are diagonal on the character idempotent basis.
+    The index of (t, p) is perm_index(p) * n^m plus the index of t, so
+    c * Lambda_lam p is c * Lambda_lam shifted by perm_index(p) * n^m.
+    columns caches c * Lambda_lam per (lam, c), so terms sharing a character
+    and a coefficient share their multiplications.
     """
-    acc: dict[int, CycNumber] = {}
-    for lam in product(range(n), repeat=m):
-        add_into(acc, lambda_idempotent(n, m, lam).terms, weight(lam))
+    size = n**m
+    acc: dict = {}
+    for (lam, p), c in terms.items():
+        col = columns.get((lam, c))
+        if col is None:
+            col = columns[lam, c] = {
+                t: z * c for t, z in lambda_idempotent(n, m, lam).terms.items()
+            }
+        base = perm_index(p) * size
+        shifted = {base + t: z for t, z in col.items()}
+        acc = add_into(acc, shifted) if acc else shifted
     return AlgebraElement._make(n, m, acc)
 
 
@@ -169,20 +175,24 @@ def y_element(n: int, m: int, l: int) -> AlgebraElement:
     """The unit of order 2n acting on the character idempotents by
     zeta^(-lam_l * lam_{l+1})."""
     _check_transposition_index(m, l)
-    order = 2 * n
-    return character_combination(
-        n, m, lambda lam: zeta_power(order, -lam[l - 1] * lam[l])
-    )
+    ident = tuple(range(m))
+    terms = {
+        (lam, ident): zeta_power(2 * n, -lam[l - 1] * lam[l])
+        for lam in product(range(n), repeat=m)
+    }
+    return character_combination(n, m, terms, {})
 
 
 @lru_cache(maxsize=None)
 def y_inverse_element(n: int, m: int, l: int) -> AlgebraElement:
     """Inverse of y_element, by inverting each diagonal eigenvalue."""
     _check_transposition_index(m, l)
-    order = 2 * n
-    return character_combination(
-        n, m, lambda lam: zeta_power(order, lam[l - 1] * lam[l])
-    )
+    ident = tuple(range(m))
+    terms = {
+        (lam, ident): zeta_power(2 * n, lam[l - 1] * lam[l])
+        for lam in product(range(n), repeat=m)
+    }
+    return character_combination(n, m, terms, {})
 
 
 @lru_cache(maxsize=None)
@@ -434,34 +444,3 @@ def _echelon(vectors) -> list[dict]:
 def _sparse_rank(vectors) -> int:
     """Rank of an iterable of sparse {position: scalar} vectors."""
     return len(_echelon(vectors))
-
-
-def _left_translates(e: AlgebraElement, cap: int | None = None):
-    """The vectors g * e for g in G; the cap is checked before the first one."""
-    n, m = e.n, e.m
-    order = check_cap(n, m, "rank-check", cap)
-    rows = (mul_row(n, m, g) for g in range(order))
-    return ({row[h]: c for h, c in e.terms.items()} for row in rows)
-
-
-def left_ideal_dimension(e: AlgebraElement, cap: int | None = None) -> int:
-    """Dimension of the left ideal generated by e: rank of {g * e : g in G}."""
-    return _sparse_rank(_left_translates(e, cap))
-
-
-def sandwich_dimension(e: AlgebraElement, f: AlgebraElement, cap: int | None = None) -> int:
-    """Rank of the span of {e * g * f : g in G}.
-
-    Since A f = span{g * f}, this is the rank of {e * v} over a basis v of
-    A f, which needs dim(A f) products instead of |G| columns.  For
-    idempotents of a split semisimple algebra it is 1 exactly when e is
-    primitive and f generates an isomorphic simple module, and 0 exactly
-    when the modules are non-isomorphic.
-    """
-    e._check(f)
-    basis = _echelon(_left_translates(f, cap))
-    return _sparse_rank((e * AlgebraElement._make(e.n, e.m, row)).terms for row in basis)
-
-
-def basis_element(n: int, m: int, index: int) -> AlgebraElement:
-    return AlgebraElement._make(n, m, {index: CycNumber.one(2 * n)})

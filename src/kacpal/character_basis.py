@@ -19,7 +19,8 @@ The change of basis Phi: F(lam, p) -> Lambda_lam p is exact,
 
     Lambda_lam p = n^(-m) sum_t zeta^(2 lam . t) (t, p),
 
-and check_model verifies at a given (n, m) that Phi carries the model's
+computed by algebra.character_combination beside lambda_idempotent, and
+check_model verifies at a given (n, m) that Phi carries the model's
 product to the group's before any check relies on the model.  Its inverse,
 character_coordinates, keeps cyclotomic coefficients,
 
@@ -38,9 +39,9 @@ from itertools import permutations, product
 from math import lcm
 
 from . import algebra
-from .algebra import ONE, AlgebraElement, _echelon, lambda_idempotent, permute_character
-from .cyclotomic import zeta_power
-from .sparse import SparseSum, add_into
+from .algebra import ONE, AlgebraElement, _echelon, character_combination, permute_character
+from .cyclotomic import CycNumber, zeta_power
+from .sparse import SparseSum
 from .wreath import (
     CheckFailedError,
     Perm,
@@ -49,7 +50,6 @@ from .wreath import (
     elements,
     generator_a,
     generator_b,
-    perm_index,
     twist_index,
 )
 
@@ -59,28 +59,33 @@ class CharacterElement(SparseSum):
     tuple in Z_n^m and p a permutation of m points: a Perm, or its one-line
     tuple, which is the same key because a Perm is that tuple.
 
-    Coefficients are Fractions.  The generator images that check_model
-    multiplies by carry roots of unity (CycNumbers of order 2n) instead, and
-    tensors, elements at (n, 2m) keyed by tensor_key, carry any coefficients
-    in Q(zeta_2n); all multiply by the same rule.
+    Coefficients are Fractions, or CycNumbers of order 2n: the generator
+    images that check_model multiplies by carry roots of unity, and tensors,
+    elements at (n, 2m) keyed by tensor_key, carry any coefficients in
+    Q(zeta_2n); all multiply by the same rule.
     """
 
     __slots__ = ("n", "m")
 
     def __init__(self, n: int, m: int, terms=None):
-        clean: dict[tuple, Fraction] = {}
+        clean: dict = {}
+        self._assign(n, m, clean)  # _scalar reads n
         for (lam, p), coeff in (terms or {}).items():
             lam, p = tuple(lam), Perm(p)
             if len(lam) != m or any(not 0 <= v < n for v in lam):
                 raise ValueError(f"character {lam} not in Z_{n}^{m}")
             if p.m != m:
                 raise ValueError(f"{tuple(p)} is not a permutation of {m} slots")
-            coeff = Fraction(coeff)
+            coeff = self._scalar(coeff)
             if coeff:
                 clean[lam, p] = coeff
-        self._assign(n, m, clean)
 
-    def _scalar(self, value) -> Fraction:
+    def _scalar(self, value):
+        """value in Q(zeta_2n): a CycNumber of order 2n, or a rational as a Fraction."""
+        if isinstance(value, CycNumber):
+            if value.order != 2 * self.n:
+                raise ValueError(f"coefficient order {value.order} != {2 * self.n}")
+            return value
         return Fraction(value)
 
     def _one(self) -> "CharacterElement":
@@ -111,7 +116,7 @@ class CharacterElement(SparseSum):
 
     def to_group(self) -> AlgebraElement:
         """The group-basis image Phi(self), with no group-algebra product."""
-        return AlgebraElement._make(self.n, self.m, _group_terms(self, {}))
+        return character_combination(self.n, self.m, self.terms, {})
 
 
 def tensor_key(left: tuple, right: tuple) -> tuple:
@@ -125,29 +130,6 @@ def tensor_key(left: tuple, right: tuple) -> tuple:
     (lam, p), (nu, q) = left, right
     m = len(p)
     return (*lam, *nu), (*p, *[m + j for j in q])
-
-
-def _group_terms(x: CharacterElement, columns: dict) -> dict:
-    """Phi(x) as {group index: coefficient}.
-
-    The index of (t, p) is perm_index(p) * n^m plus the index of t, so
-    F(lam, p) maps to c * Lambda_lam shifted by perm_index(p) * n^m.  columns
-    caches c * Lambda_lam per (lam, c), so terms sharing a character and a
-    coefficient share their multiplications.
-    """
-    n, m = x.n, x.m
-    size = n**m
-    acc: dict = {}
-    for (lam, p), c in x.terms.items():
-        col = columns.get((lam, c))
-        if col is None:
-            col = columns[lam, c] = {
-                t: z * c for t, z in lambda_idempotent(n, m, lam).terms.items()
-            }
-        base = perm_index(p) * size
-        shifted = {base + t: z for t, z in col.items()}
-        acc = add_into(acc, shifted) if acc else shifted
-    return acc
 
 
 @lru_cache(maxsize=None)
@@ -270,7 +252,7 @@ def check_model(n: int, m: int) -> None:
     elems = elements(n, m)
     gens = []
     for name, g, image in _generator_images(n, m):
-        if _group_terms(image, columns) != AlgebraElement.basis(g).terms:
+        if character_combination(n, m, image.terms, columns) != AlgebraElement.basis(g):
             raise CheckFailedError(
                 f"the character basis does not model the group algebra at (n={n}, m={m}): "
                 f"Phi maps the image of {name} elsewhere"
@@ -281,10 +263,11 @@ def check_model(n: int, m: int) -> None:
     for lam in product(range(n), repeat=m):
         for p in symmetric_group(m):
             f = CharacterElement._make(n, m, {(lam, p): ONE})
-            phi = _group_terms(f, columns)
+            phi = character_combination(n, m, f.terms, columns).terms
             for name, image, left, right in gens:
                 for side, moved, model in (("left", left, image * f), ("right", right, f * image)):
-                    if _group_terms(model, columns) != {moved[h]: c for h, c in phi.items()}:
+                    phi_model = character_combination(n, m, model.terms, columns).terms
+                    if phi_model != {moved[h]: c for h, c in phi.items()}:
                         raise CheckFailedError(
                             f"the character basis does not model the group algebra at "
                             f"(n={n}, m={m}): the {side} product of {name} and "

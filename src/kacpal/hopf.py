@@ -45,6 +45,7 @@ tests/hopf_group_basis_oracle.py.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 
 from .algebra import (
     AlgebraElement,
@@ -214,14 +215,12 @@ def _antipode_s(n: int, m: int, l: int) -> AlgebraElement:
     Negating the character representatives changes the integer products in
     the exponents, so for n >= 3 this differs from s_l itself.
     """
-    order = 2 * n
-
-    def weight(lam):
-        neg_l = (-lam[l - 1]) % n
-        neg_next = (-lam[l]) % n
-        return zeta_power(order, -neg_l * neg_next)
-
-    return z_element(n, m, l) * character_combination(n, m, weight)
+    ident = tuple(range(m))
+    terms = {}
+    for lam in product(range(n), repeat=m):
+        neg_l, neg_next = (-lam[l - 1]) % n, (-lam[l]) % n
+        terms[lam, ident] = zeta_power(2 * n, -neg_l * neg_next)
+    return z_element(n, m, l) * character_combination(n, m, terms, {})
 
 
 @lru_cache(maxsize=None)

@@ -121,10 +121,6 @@ class Tableau(tuple):
         return self
 
     @property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        return self
-
-    @property
     def shape(self) -> Partition:
         return Partition(len(row) for row in self)
 

@@ -51,10 +51,6 @@ class Perm(tuple):
         # products and inverses of valid permutations need no re-validation
         return tuple.__new__(Perm, images)
 
-    @property
-    def images(self) -> tuple[int, ...]:
-        return self
-
     @classmethod
     def identity(cls, m: int) -> "Perm":
         return cls(range(m))
@@ -99,9 +95,6 @@ class Perm(tuple):
             if length % 2 == 0:
                 sgn = -sgn
         return sgn
-
-    def lehmer_rank(self) -> int:
-        return perm_index(self)
 
     @classmethod
     def from_lehmer(cls, m: int, rank: int) -> "Perm":

@@ -11,7 +11,8 @@ m (S x id) delta against eps 1.
 import random
 from fractions import Fraction
 
-from kacpal.algebra import AlgebraElement, basis_element
+from group_basis_oracle import basis_element
+from kacpal.algebra import AlgebraElement
 from kacpal.cyclotomic import CycNumber, zeta_power
 from kacpal.hopf import TensorElement, _delta_basis, antipode, counit, delta
 from kacpal.sparse import add_into

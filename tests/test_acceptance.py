@@ -11,12 +11,11 @@ from math import factorial
 
 import pytest
 
+from group_basis_oracle import left_ideal_dimension, sandwich_dimension
 from kacpal.algebra import (
     AlgebraElement,
     lambda_idempotent,
-    left_ideal_dimension,
     s_element,
-    sandwich_dimension,
     verify_defining_relations,
     y_element,
     y_inverse_element,

@@ -1,19 +1,15 @@
-"""The one cap table, wreath.CAPS: every capped library entry point reads its
-default there, names that cap in its error, and takes an explicit cap."""
+"""The one cap table, wreath.CAPS: every capped library entry point, and the
+group-basis rank oracle, reads its default there, names that cap in its
+error, and takes an explicit cap."""
 
 import time
 from math import isqrt
 
 import pytest
 
+from group_basis_oracle import _left_translates, left_ideal_dimension, sandwich_dimension
 from kacpal import cli
-from kacpal.algebra import (
-    AlgebraElement,
-    _left_translates,
-    left_ideal_dimension,
-    sandwich_dimension,
-    verify_defining_relations,
-)
+from kacpal.algebra import AlgebraElement, verify_defining_relations
 from kacpal.classifier import irrep_table
 from kacpal.hopf import cocommutativity_witness, hopf_axiom_report
 from kacpal.wreath import CAPS, CapExceededError, check_cap, conjugacy_class_count, group_order

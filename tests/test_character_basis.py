@@ -6,7 +6,14 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kacpal.algebra import AlgebraElement, left_ideal_dimension, sandwich_dimension
+from group_basis_oracle import left_ideal_dimension, sandwich_dimension
+from kacpal.algebra import (
+    AlgebraElement,
+    character_combination,
+    lambda_idempotent,
+    y_element,
+    y_inverse_element,
+)
 from kacpal.character_basis import (
     CharacterElement,
     check_model,
@@ -15,16 +22,23 @@ from kacpal.character_basis import (
     sandwich_rank,
     symmetric_group,
 )
+from kacpal.cyclotomic import CycNumber, zeta, zeta_power
+from kacpal.hopf import TensorElement, _to_characters
+from kacpal.sparse import add_into
+from kacpal.wreath import Perm, WreathElement, element_index
 
 SIZES = [(2, 2), (3, 2), (2, 3)]
+PHI_SIZES = [(2, 2), (3, 2), (2, 3), (4, 2)]
 
 
 def basis_keys(n, m):
-    return [(lam, p.images) for lam in product(range(n), repeat=m) for p in symmetric_group(m)]
+    return [(lam, tuple(p)) for lam in product(range(n), repeat=m) for p in symmetric_group(m)]
 
 
-def character_elements(n, m, max_size=4):
-    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def character_elements(n, m, coeffs=RATIONALS, max_size=4):
     terms = st.dictionaries(st.sampled_from(basis_keys(n, m)), coeffs, max_size=max_size)
     return terms.map(lambda t: CharacterElement(n, m, t))
 
@@ -78,3 +92,63 @@ def test_keys_are_validated():
     with pytest.raises(ValueError, match="not a permutation"):
         CharacterElement(2, 2, {((0, 1), (1, 1)): 1})
     assert CharacterElement(2, 2, {((0, 1), (1, 0)): 0}).is_zero()
+
+
+def phi_reference(n, m, terms):
+    """Phi written out: c F(lam, p) maps to c n^-m sum_t zeta^(2 lam . t) (t, p)."""
+    acc = {}
+    norm = Fraction(1, n**m)
+    for (lam, p), c in terms.items():
+        for t in product(range(n), repeat=m):
+            z = zeta_power(2 * n, 2 * sum(a * b for a, b in zip(lam, t)))
+            add_into(acc, {element_index(WreathElement(n, t, Perm(p))): z * c * norm})
+    return acc
+
+
+def field_coefficients(n):
+    """Rationals, and rational multiples of the roots of unity in Q(zeta_2n)."""
+    order = 2 * n
+    cyclotomics = st.builds(
+        lambda k, q: zeta_power(order, k) * CycNumber.from_rational(order, q),
+        st.integers(0, order - 1),
+        RATIONALS,
+    )
+    return st.one_of(RATIONALS, cyclotomics)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(PHI_SIZES), st.data())
+def test_the_change_of_basis_matches_its_definition(nm, data):
+    n, m = nm
+    x, y = (data.draw(character_elements(n, m, field_coefficients(n))) for _ in range(2))
+    assert x.to_group().terms == phi_reference(n, m, x.terms)
+    # one column cache shared by two elements, as check_model shares it
+    columns: dict = {}
+    for z in (x, y, x):
+        assert character_combination(n, m, z.terms, columns).terms == phi_reference(n, m, z.terms)
+
+
+@pytest.mark.parametrize("n, m", PHI_SIZES)
+def test_y_is_its_sum_of_character_idempotents(n, m):
+    one = AlgebraElement.one(n, m)
+    for l in range(1, m):
+        acc: dict = {}
+        for lam in product(range(n), repeat=m):
+            weight = zeta_power(2 * n, -lam[l - 1] * lam[l])
+            add_into(acc, lambda_idempotent(n, m, lam).terms, weight)
+        assert y_element(n, m, l).terms == acc
+        assert y_element(n, m, l) * y_inverse_element(n, m, l) == one
+
+
+def test_scalars_are_rational_or_of_the_model_order():
+    tensor = _to_characters(TensorElement.unit(2, 2))
+    scaled = tensor.scale(zeta(4))
+    assert scaled.terms == {key: c * zeta(4) for key, c in tensor.terms.items()}
+    with pytest.raises(ValueError, match="order 6 != 4"):
+        tensor.scale(zeta(6))
+    key = basis_keys(2, 2)[-1]
+    assert CharacterElement(2, 2, {key: zeta(4)}).terms == {key: zeta(4)}
+    with pytest.raises(ValueError, match="order 8 != 4"):
+        CharacterElement(2, 2, {key: zeta(8)})
+    halved = CharacterElement(2, 2, {key: 1}).scale(Fraction(1, 2))
+    assert type(halved.terms[key]) is Fraction and halved.terms[key] == Fraction(1, 2)

@@ -3,14 +3,13 @@ from math import prod
 
 import pytest
 
-from group_basis_oracle import idempotent_by_products, iota_embed
-from kacpal.algebra import (
-    AlgebraElement,
-    lambda_idempotent,
+from group_basis_oracle import (
+    idempotent_by_products,
+    iota_embed,
     left_ideal_dimension,
-    s_element,
     sandwich_dimension,
 )
+from kacpal.algebra import AlgebraElement, lambda_idempotent, s_element
 from kacpal import classifier
 from kacpal.classifier import (
     LabelledPartition,

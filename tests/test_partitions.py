@@ -122,9 +122,9 @@ def test_sum_of_squares_is_factorial(k):
 
 
 def test_row_consecutive_tableau():
-    assert row_consecutive_tableau(Partition((3, 2, 2))).rows == ((1, 2, 3), (4, 5), (6, 7))
-    assert row_consecutive_tableau(Partition((1, 1, 1))).rows == ((1,), (2,), (3,))
-    assert row_consecutive_tableau(Partition((4,))).rows == ((1, 2, 3, 4),)
+    assert row_consecutive_tableau(Partition((3, 2, 2))) == ((1, 2, 3), (4, 5), (6, 7))
+    assert row_consecutive_tableau(Partition((1, 1, 1))) == ((1,), (2,), (3,))
+    assert row_consecutive_tableau(Partition((4,))) == ((1, 2, 3, 4),)
     for k in range(1, 7):
         for mu in partitions_of(k):
             assert row_consecutive_tableau(mu).is_standard()
@@ -136,7 +136,7 @@ def test_tableau_validation():
     t = Tableau([[1, 3], [2]])
     assert t.is_standard()
     assert not Tableau([[2, 3], [1]]).is_standard()
-    assert t.rows[0][1] == 3
+    assert t[0][1] == 3
 
 
 def test_row_groups_single_row():

@@ -86,7 +86,7 @@ def test_sym_product_matches_perm_composition(k, data):
     a, b = (SymFormalSum(k, data.draw(sparse_terms(perms, small_fractions))) for _ in range(2))
 
     def compose(p, q):
-        return Perm(p.images[q.images[i]] for i in range(k))
+        return Perm(p[q[i]] for i in range(k))
 
     expected = reference_product(a.terms, b.terms, compose, Fraction(0))
     assert (a * b).terms == expected

@@ -11,11 +11,11 @@ from kacpal.wreath import Perm, WreathElement
 # type -> (a builder of one value, a field or property name, a call on
 # invalid input, the value's plain tuple or None for the dataclasses)
 VALUES = {
-    "Perm": (lambda: Perm([1, 2, 0]), "images", lambda: Perm([0, 0, 1]), (1, 2, 0)),
+    "Perm": (lambda: Perm([1, 2, 0]), "m", lambda: Perm([0, 0, 1]), (1, 2, 0)),
     "Partition": (lambda: Partition([3, 1]), "size", lambda: Partition([1, 3]), (3, 1)),
     "Tableau": (
         lambda: Tableau([[1, 2], [3]]),
-        "rows",
+        "shape",
         lambda: Tableau([[1, 3], [3]]),
         ((1, 2), (3,)),
     ),

@@ -27,7 +27,7 @@ def test_perm_compose_convention():
     g = Perm([1, 2, 0])
     h = Perm([0, 2, 1])
     # (g * h)(i) = g(h(i))
-    assert (g * h).images == tuple(g(h(i)) for i in range(3))
+    assert tuple(g * h) == tuple(g(h(i)) for i in range(3))
 
 
 def test_perm_inverse_and_sign():
@@ -43,8 +43,8 @@ def test_perm_lehmer_round_trip():
         ranks = set()
         for rank in range(factorial(m)):
             p = Perm.from_lehmer(m, rank)
-            assert p.lehmer_rank() == rank
-            ranks.add(p.images)
+            assert perm_index(p) == rank
+            ranks.add(tuple(p))
         assert len(ranks) == factorial(m)
 
 
