@@ -4,8 +4,8 @@ This algebra carries the generalised Kac-Paljutkin structure: the twist
 generators x_i, the transposition basis elements s_l, the character
 idempotents Lambda_lambda of the abelian subalgebra, and the square roots
 z_l = y_l^(-1) s_l reconstructed from the diagonal units y_l.  Every
-defining relation of the abstract presentation is then verified by exact
-convolution rather than imposed.
+defining relation of the abstract presentation is then verified exactly
+rather than imposed, in the character basis of kacpal.character_basis.
 
 Scalars live in Q(zeta_2n); elements are sparse maps from dense group
 indices to scalars.
@@ -16,8 +16,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
+from math import gcd, lcm
 
-from .cyclotomic import CycNumber, zeta_power
+from .cyclotomic import CycNumber, zeta_over, zeta_power
 from .sparse import SparseSum, add_into
 from .wreath import (
     CapExceededError,  # re-exported for callers of the capped checks below
@@ -68,6 +69,15 @@ class AlgebraElement(SparseSum):
 
     def _row(self, index: int):
         return mul_row(self.n, self.m, index).__getitem__
+
+    def root_sum(self, pairs, den: int):
+        """(1/den) sum of zeta^k x over the (k, x) pairs, x of this type and
+        zeta of order 2n; self gives only the type and its parameters."""
+        order = 2 * self.n
+        acc: dict = {}
+        for k, x in pairs:
+            add_into(acc, x.terms, zeta_over(order, k, den))
+        return self._new(acc)
 
     # -- constructors ------------------------------------------------------
 
@@ -129,16 +139,16 @@ def lambda_idempotent(n: int, m: int, lam: tuple[int, ...]) -> AlgebraElement:
     """The character idempotent of the abelian subalgebra for character lam.
 
     Averages all x-monomials against the character q^(lam . i); the family
-    over all lam forms a complete set of orthogonal idempotents.
+    over all lam forms a complete set of orthogonal idempotents.  Each
+    coefficient is zeta^(2 lam . i) over the common denominator n^m.
     """
     if len(lam) != m or any(not 0 <= v < n for v in lam):
         raise ValueError(f"character {lam} not in Z_{n}^{m}")
-    order = 2 * n
-    norm = CycNumber.from_rational(order, Fraction(1, n**m))
+    order, den = 2 * n, n**m
     terms: dict[int, CycNumber] = {}
     for exps in product(range(n), repeat=m):
         dot = sum(a * b for a, b in zip(lam, exps))
-        terms[twist_index(n, exps)] = zeta_power(order, 2 * dot) * norm
+        terms[twist_index(n, exps)] = zeta_over(order, 2 * dot, den)
     return AlgebraElement._make(n, m, terms)
 
 
@@ -170,29 +180,32 @@ def _check_transposition_index(m: int, l: int):
         raise ValueError(f"index {l} out of range 1..{m - 1}")
 
 
+def y_exponent(lam: tuple[int, ...], l: int) -> int:
+    """y_l acts on Lambda_lam by zeta^k for this k, -lam_l * lam_{l+1}."""
+    return -lam[l - 1] * lam[l]
+
+
+def _y_power(n: int, m: int, l: int, sign: int) -> AlgebraElement:
+    _check_transposition_index(m, l)
+    ident = tuple(range(m))
+    terms = {
+        (lam, ident): zeta_power(2 * n, sign * y_exponent(lam, l))
+        for lam in product(range(n), repeat=m)
+    }
+    return character_combination(n, m, terms, {})
+
+
 @lru_cache(maxsize=None)
 def y_element(n: int, m: int, l: int) -> AlgebraElement:
     """The unit of order 2n acting on the character idempotents by
     zeta^(-lam_l * lam_{l+1})."""
-    _check_transposition_index(m, l)
-    ident = tuple(range(m))
-    terms = {
-        (lam, ident): zeta_power(2 * n, -lam[l - 1] * lam[l])
-        for lam in product(range(n), repeat=m)
-    }
-    return character_combination(n, m, terms, {})
+    return _y_power(n, m, l, 1)
 
 
 @lru_cache(maxsize=None)
 def y_inverse_element(n: int, m: int, l: int) -> AlgebraElement:
     """Inverse of y_element, by inverting each diagonal eigenvalue."""
-    _check_transposition_index(m, l)
-    ident = tuple(range(m))
-    terms = {
-        (lam, ident): zeta_power(2 * n, lam[l - 1] * lam[l])
-        for lam in product(range(n), repeat=m)
-    }
-    return character_combination(n, m, terms, {})
+    return _y_power(n, m, l, -1)
 
 
 @lru_cache(maxsize=None)
@@ -210,17 +223,12 @@ def z_element(n: int, m: int, l: int) -> AlgebraElement:
 def z_square_sum(n: int, m: int, l: int, mono):
     """(1/n) sum over i,j in 0..n-1 of q^(-ij) mono(x_l^i x_{l+1}^j), q = zeta^2.
 
-    mono maps an x-monomial's exponent vector (a tuple) to its image, a
-    sparse sum; the result has the same type.
+    mono maps an x-monomial's exponent vector (a tuple) to its image; the
+    images' root_sum forms the sum, which has their type.
     """
-    order = 2 * n
-    norm = CycNumber.from_rational(order, Fraction(1, n))
-    acc: dict = {}
-    for i in range(n):
-        for j in range(n):
-            image = mono((0,) * (l - 1) + (i, j) + (0,) * (m - l - 1))
-            add_into(acc, image.terms, zeta_power(order, -2 * i * j) * norm)
-    return image._new(acc)
+    before, after = (0,) * (l - 1), (0,) * (m - l - 1)
+    pairs = [(-2 * i * j, mono(before + (i, j) + after)) for i in range(n) for j in range(n)]
+    return pairs[0][1].root_sum(pairs, n)
 
 
 def z_square_rhs(n: int, m: int, l: int) -> AlgebraElement:
@@ -312,26 +320,80 @@ def presentation(n: int, m: int, mono, z: dict) -> dict:
     }
 
 
-def _difference_head(lhs, rhs):
-    diff = lhs - rhs
-    if diff.is_zero():
-        return None
-    head = min(diff.terms)
-    return {"index": head, "coeff": diff.terms[head].to_json()}
+def relation_families(n: int, m: int, mono, ys: dict, y_invs: dict, ss: dict, idempotent) -> dict:
+    """presentation and the further families of the relation suite, on
+    images of one type.
+
+    mono is as in presentation; ys, y_invs and ss map l = 1..m-1 to the
+    images of y_l, y_l^(-1) and s_l, and idempotent(lam) is the image of
+    Lambda_lam.  z_l is taken as y_l^(-1) s_l.  Returns an ordered dict
+    family -> [(name, lhs, rhs)].
+    """
+    one = mono((0,) * m)
+    xs = {i: mono(tuple(int(j == i - 1) for j in range(m))) for i in range(1, m + 1)}
+    zs = {l: y_invs[l] * ss[l] for l in ss}
+    moved = {l: partial(permute_character, perm=generator_b(n, m, l).perm) for l in ss}
+    checks = presentation(n, m, mono, zs)
+    checks["z_square_y"] = [(f"z_{l}^2 = y_{l}^(-2)", zs[l] * zs[l], y_invs[l] ** 2) for l in zs]
+    checks["z_lambda"] = [
+        (
+            f"z_{l} Lambda_{lam} = Lambda_{moved[l](lam)} z_{l}",
+            zs[l] * idempotent(lam),
+            idempotent(moved[l](lam)) * zs[l],
+        )
+        for l in zs
+        for lam in product(range(n), repeat=m)
+    ]
+    checks["s_square"] = [(f"s_{l}^2 = 1", ss[l] * ss[l], one) for l in ss]
+    checks.update(_braid("s", ss))
+    checks["sx"] = _moves_x("s", ss, xs)
+    checks["s_from_y_z"] = [(f"s_{l} = y_{l} z_{l}", ss[l], ys[l] * zs[l]) for l in ss]
+    return checks
 
 
 def relation_report(families: dict) -> dict:
     """Check each family of (name, lhs, rhs) relations: pass, or fail with
-    the first failing relation and the head term of its difference."""
+    the first failing relation and the head term of lhs - rhs, a group-basis
+    element."""
     report = {}
     for family, items in families.items():
         entry: dict = {"status": "pass"}
         for name, lhs, rhs in items:
-            head = _difference_head(lhs, rhs)
-            if head is not None:
-                entry = {"status": "fail", "counterexample": {"relation": name, "difference_head": head}}
+            if lhs != rhs:
+                diff = lhs - rhs
+                head = min(diff.terms)
+                entry = {
+                    "status": "fail",
+                    "counterexample": {
+                        "relation": name,
+                        "difference_head": {"index": head, "coeff": diff.terms[head].to_json()},
+                    },
+                }
                 break
         report[family] = entry
+    return report
+
+
+def relation_suite_report(n: int, m: int, families: dict, y_order) -> dict:
+    """The relation suite's report on relation_families' families.
+
+    y_order(l) is the least k <= 2n with y_l^k = 1, or None; y_l must have
+    multiplicative order exactly 2n.
+    """
+    report: dict = {"n": n, "m": m, "relations": relation_report(families)}
+    y_entry: dict = {"status": "pass"}
+    for l in range(1, m):
+        k = y_order(l)
+        if k != 2 * n:
+            relation = f"y_{l}^{2 * n} != 1" if k is None else f"y_{l}^{k} = 1 with {k} < {2 * n}"
+            y_entry = {"status": "fail", "counterexample": {"relation": relation}}
+            break
+    report["relations"]["y_order"] = y_entry
+    report["notes"] = [
+        "the z_l^2 relation is checked with the index range starting at 0; "
+        "a range starting at 1 is inconsistent with z_l^2 = y_l^(-2)"
+    ]
+    report["all_pass"] = all(e["status"] == "pass" for e in report["relations"].values())
     return report
 
 
@@ -340,69 +402,41 @@ def verify_defining_relations(n: int, m: int, cap: int | None = None) -> dict:
 
     Returns a JSON-ready report mapping each relation family to pass/fail,
     with the head term of the first nonzero difference as counterexample.
+
+    The relations are evaluated in the character basis F(lam, p) =
+    Lambda_lam p, where x^t, s_l, y_l^(+-1), z_l and Lambda_lam = F(lam, 1)
+    are monomial: one permutation and, per character, a 2n-th root of unity
+    or zero.  There they are exponent tables (character_basis.Monomial) that
+    multiply by adding integers, and the z_l^2 sum counts its exponents per
+    character before one reduction.  check_model first proves at (n, m) that
+    the change of basis Phi carries these products to the group algebra's.
+    At m = 1 the suite has only x-monomials, whose tables are the characters
+    of Z_n: they multiply by adding exponents, as the group does, and are 1
+    only at x^0, so they need no model check.  A failing relation is rebuilt
+    exactly and its difference mapped through Phi, so its counterexample is a
+    group index.  The group-basis evaluation is kept as the reference in
+    tests/group_basis_oracle.py.
     """
     if n < 2:
         raise ValueError(f"the relation suite needs n >= 2, got n={n}: at n = 1 every y_l is 1")
     check_cap(n, m, "relation-suite", cap)
-    one = AlgebraElement.one(n, m)
-    xs = {i: x_element(n, m, i) for i in range(1, m + 1)}
-    ys = {l: y_element(n, m, l) for l in range(1, m)}
-    zs = {l: z_element(n, m, l) for l in range(1, m)}
-    ss = {l: s_element(n, m, l) for l in range(1, m)}
+    # kacpal.character_basis builds on this module, so it is imported here.
+    from .character_basis import MonomialModel, check_model
 
-    checks = presentation(n, m, partial(x_monomial, n, m), zs)
-    checks["z_square_y"] = [
-        (f"z_{l}^2 = y_{l}^(-2)", zs[l] * zs[l], y_inverse_element(n, m, l) ** 2)
-        for l in range(1, m)
-    ]
-    checks["z_lambda"] = [
-        (
-            f"z_{l} Lambda_{lam} = Lambda_{permute_character(lam, generator_b(n, m, l).perm)} z_{l}",
-            zs[l] * lambda_idempotent(n, m, lam),
-            lambda_idempotent(n, m, permute_character(lam, generator_b(n, m, l).perm)) * zs[l],
-        )
-        for l in range(1, m)
-        for lam in product(range(n), repeat=m)
-    ]
-    checks["s_square"] = [
-        (f"s_{l}^2 = 1", ss[l] * ss[l], one) for l in range(1, m)
-    ]
-    checks.update(_braid("s", ss))
-    checks["sx"] = _moves_x("s", ss, xs)
-    checks["s_from_y_z"] = [
-        (f"s_{l} = y_{l} z_{l}", ss[l], ys[l] * zs[l]) for l in range(1, m)
-    ]
+    if m > 1:
+        check_model(n, m)
+    model = MonomialModel(n, m)
+    ys = {l: model.diagonal([y_exponent(lam, l) for lam in model.chars]) for l in range(1, m)}
+    y_invs = {l: model.diagonal([-y_exponent(lam, l) for lam in model.chars]) for l in ys}
+    ss = {l: model.monomial(generator_b(n, m, l).perm) for l in ys}
+    families = relation_families(n, m, model.x_monomial, ys, y_invs, ss, model.idempotent)
+    order = 2 * n
 
-    report: dict = {"n": n, "m": m, "relations": relation_report(checks)}
+    def y_order(l):
+        # y_l is diagonal: y_l^k = 1 exactly when k e = 0 mod 2n for each exponent e
+        return lcm(*(order // gcd(e, order) for e in ys[l].entries))
 
-    # y_l must have multiplicative order exactly 2n.
-    y_entry: dict = {"status": "pass"}
-    for l in range(1, m):
-        power = one
-        for k in range(1, 2 * n + 1):
-            power = power * ys[l]
-            if k < 2 * n and power == one:
-                y_entry = {
-                    "status": "fail",
-                    "counterexample": {"relation": f"y_{l}^{k} = 1 with {k} < {2 * n}"},
-                }
-                break
-        else:
-            if power != one:
-                y_entry = {
-                    "status": "fail",
-                    "counterexample": {"relation": f"y_{l}^{2 * n} != 1"},
-                }
-        if y_entry["status"] == "fail":
-            break
-    report["relations"]["y_order"] = y_entry
-
-    report["notes"] = [
-        "the z_l^2 relation is checked with the index range starting at 0; "
-        "a range starting at 1 is inconsistent with z_l^2 = y_l^(-2)"
-    ]
-    report["all_pass"] = all(e["status"] == "pass" for e in report["relations"].values())
-    return report
+    return relation_suite_report(n, m, families, y_order)
 
 
 # -- exact linear algebra -----------------------------------------------------

@@ -20,8 +20,9 @@ The change of basis Phi: F(lam, p) -> Lambda_lam p is exact,
     Lambda_lam p = n^(-m) sum_t zeta^(2 lam . t) (t, p),
 
 computed by algebra.character_combination beside lambda_idempotent, and
-check_model verifies at a given (n, m) that Phi carries the model's
-product to the group's before any check relies on the model.  Its inverse,
+check_model verifies at a given (n, m), from the lemmas behind the product
+rule, that Phi carries the model's product to the group's before any check
+relies on the model.  Its inverse,
 character_coordinates, keeps cyclotomic coefficients,
 
     (t, p) = x^t p = sum_lam zeta^(-2 lam . t) F(lam, p),
@@ -29,6 +30,13 @@ character_coordinates, keeps cyclotomic coefficients,
 and is how kacpal.hopf reads the comultiplication and the antipode in this
 basis.  The tensor square of the algebra at (n, m) is modelled by the same
 elements at (n, 2m), keyed by tensor_key.
+
+An element with one permutation p whose coefficients are 2n-th roots of
+unity or zero, sum_lam zeta^e(lam) F(lam, p), is monomial: the generators
+x_i and s_l, the units y_l and z_l and each Lambda_lam = F(lam, 1) are.
+Monomial stores it as an exponent table, and two tables multiply by adding
+integers along permute_character; MonomialModel holds the character
+arithmetic of one (n, m).
 """
 
 from __future__ import annotations
@@ -40,14 +48,13 @@ from math import lcm
 
 from . import algebra
 from .algebra import ONE, AlgebraElement, _echelon, character_combination, permute_character
-from .cyclotomic import CycNumber, zeta_power
-from .sparse import SparseSum
+from .cyclotomic import CycNumber, _x_power, root_count_sum, zeta_power
+from .sparse import SparseSum, power
 from .wreath import (
     CheckFailedError,
     Perm,
+    WreathElement,
     element_at,
-    element_index,
-    elements,
     generator_a,
     generator_b,
     twist_index,
@@ -113,6 +120,8 @@ class CharacterElement(SparseSum):
         """The identity: the sum of all F(lam, 1)."""
         ident = tuple(range(m))
         return cls._make(n, m, {(lam, ident): ONE for lam in product(range(n), repeat=m)})
+
+    root_sum = AlgebraElement.root_sum
 
     def to_group(self) -> AlgebraElement:
         """The group-basis image Phi(self), with no group-algebra product."""
@@ -218,58 +227,297 @@ def integral(terms: dict) -> dict:
     return {key: c.numerator * (den // c.denominator) for key, c in terms.items()}
 
 
-def _generator_images(n: int, m: int) -> list[tuple]:
+@lru_cache(maxsize=None)
+def _roots(order: int) -> dict:
+    """The numerators of zeta^k -> k for the roots of unity of Q(zeta_order)."""
+    return {_x_power(order, k): k for k in range(order)}
+
+
+def root_exponent(c: CycNumber, den: int = 1) -> int | None:
+    """k with c = zeta^k / den, or None when c is not of that form.
+
+    A root of unity is a unit of the integers of Q(zeta), so its numerators
+    share no factor and zeta^k / den in lowest terms has denominator den.
+    """
+    return _roots(c.order).get(c.num) if c.den == den else None
+
+
+class MonomialModel:
+    """The character arithmetic of the model at one (n, m), for Monomial
+    tables: the characters in twist-index order, and the action of each
+    permutation that a product has met on their indices."""
+
+    def __init__(self, n: int, m: int):
+        self.n, self.m, self.order = n, m, 2 * n
+        self.chars = characters(n, m)
+        self._moved: dict = {}
+
+    def moved(self, p) -> list[int]:
+        """Entry a is the index of chars[a] o p: F(chars[a], p) F(mu, q) is
+        nonzero only for that mu."""
+        act = self._moved.get(p)
+        if act is None:
+            n = self.n
+            act = self._moved[p] = [twist_index(n, permute_character(lam, p)) for lam in self.chars]
+        return act
+
+    def monomial(self, p, exponents=None) -> "Monomial":
+        """sum_lam zeta^e F(lam, p) over exponents e by character (None for a
+        zero coefficient); all exponents 0 by default."""
+        if exponents is None:
+            exponents = [0] * len(self.chars)
+        order = self.order
+        entries = tuple(None if e is None else e % order for e in exponents)
+        return Monomial(self, Perm(p), entries, {})
+
+    def diagonal(self, exponents) -> "Monomial":
+        return self.monomial(range(self.m), exponents)
+
+    def one(self) -> "Monomial":
+        return self.diagonal(None)
+
+    def x_monomial(self, t) -> "Monomial":
+        """x^t = sum_lam zeta^(-2 lam . t) F(lam, 1)."""
+        return self.diagonal([-2 * sum(a * b for a, b in zip(lam, t)) for lam in self.chars])
+
+    def idempotent(self, lam) -> "Monomial":
+        """Lambda_lam = F(lam, 1)."""
+        exponents = [None] * len(self.chars)
+        exponents[twist_index(self.n, lam)] = 0
+        return self.diagonal(exponents)
+
+
+class Monomial:
+    """sum_lam c_lam F(lam, p) at one (n, m), as an exponent table: entry a
+    is e with c_lam = zeta^e for lam = chars[a], or None for c_lam = 0.
+
+    non_roots holds, by character index, the coefficients that are neither,
+    exactly; only root_sum makes them, so a relation whose side has one
+    fails, and no product takes them.
+    """
+
+    __slots__ = ("model", "perm", "entries", "non_roots")
+
+    def __init__(self, model: MonomialModel, perm: Perm, entries: tuple, non_roots: dict):
+        self.model, self.perm, self.entries, self.non_roots = model, perm, entries, non_roots
+
+    def is_zero(self) -> bool:
+        return not self.non_roots and all(e is None for e in self.entries)
+
+    def __eq__(self, other):
+        if not isinstance(other, Monomial):
+            return NotImplemented
+        model, theirs = self.model, other.model
+        return (
+            (model.n, model.m) == (theirs.n, theirs.m)
+            and self.entries == other.entries
+            and self.non_roots == other.non_roots
+            and (self.perm == other.perm or self.is_zero())
+        )
+
+    def __mul__(self, other: "Monomial") -> "Monomial":
+        # F(lam, p) F(mu, q) = [mu = lam o p] F(lam, pq)
+        if self.non_roots or other.non_roots:
+            raise ValueError("a coefficient off the roots of unity has no exponent to add")
+        order, right = self.model.order, other.entries
+        entries = tuple(
+            None if e is None or (f := right[b]) is None else (e + f) % order
+            for e, b in zip(self.entries, self.model.moved(self.perm))
+        )
+        return Monomial(self.model, self.perm * other.perm, entries, {})
+
+    def __pow__(self, exponent: int) -> "Monomial":
+        return power(self, exponent, self.model.one)
+
+    def root_sum(self, pairs, den: int) -> "Monomial":
+        """(1/den) sum of zeta^k x over the (k, x) pairs, tables on one
+        permutation: each character counts its exponents with integers, and
+        each distinct count is reduced once."""
+        model, perm = self.model, self.perm
+        order = model.order
+        counts = [[0] * order for _ in model.chars]
+        for k, x in pairs:
+            if x.perm != perm or x.non_roots:
+                raise ValueError("a root sum takes exponent tables on one permutation")
+            for row, e in zip(counts, x.entries):
+                if e is not None:
+                    row[(k + e) % order] += 1
+        entries, non_roots = [], {}
+        for a, row in enumerate(counts):
+            value = root_count_sum(order, tuple(row), den)
+            e = root_exponent(value)
+            if e is None and value:
+                non_roots[a] = value
+            entries.append(e)
+        return Monomial(model, perm, tuple(entries), non_roots)
+
+    def exact(self) -> CharacterElement:
+        """The element with its coefficients in Q(zeta_2n)."""
+        model, p = self.model, self.perm
+        terms = {
+            (model.chars[a], p): zeta_power(model.order, e)
+            for a, e in enumerate(self.entries)
+            if e is not None
+        }
+        terms.update({(model.chars[a], p): c for a, c in self.non_roots.items()})
+        return CharacterElement._make(model.n, model.m, terms)
+
+    def __sub__(self, other: "Monomial") -> AlgebraElement:
+        """The difference in the group basis, for a relation's report: both
+        sides rebuilt exactly and their difference mapped through Phi."""
+        return (self.exact() - other.exact()).to_group()
+
+
+def _generator_tables(model: MonomialModel) -> list[tuple]:
     """(name, g, g~) for each generator g of the group, with g~ = Phi^(-1)(g):
     x_i = sum_lam zeta^(-2 lam_i) F(lam, 1) and s_l = sum_lam F(lam, s_l)."""
-    order = 2 * n
-    chars = list(product(range(n), repeat=m))
-    ident = tuple(range(m))
+    n, m = model.n, model.m
     images = []
     for i in range(1, m + 1):
-        terms = {(lam, ident): zeta_power(order, -2 * lam[i - 1]) for lam in chars}
-        images.append((f"x_{i}", generator_a(n, m, i), CharacterElement._make(n, m, terms)))
+        g = generator_a(n, m, i)
+        images.append((f"x_{i}", g, model.x_monomial(g.twists)))
     for l in range(1, m):
         g = generator_b(n, m, l)
-        terms = {(lam, g.perm): ONE for lam in chars}
-        images.append((f"s_{l}", g, CharacterElement._make(n, m, terms)))
+        images.append((f"s_{l}", g, model.monomial(g.perm)))
     return images
 
 
-def check_model(n: int, m: int) -> None:
-    """Check that Phi intertwines the group's generators with the model, on
-    every basis element F; CheckFailedError names the first failure.
+def _generator_images(n: int, m: int) -> list[tuple]:
+    """_generator_tables at (n, m) with each g~ a CharacterElement."""
+    return [(name, g, table.exact()) for name, g, table in _generator_tables(MonomialModel(n, m))]
 
-    For each generator g with preimage g~ it checks Phi(g~) = g, then
-    g Phi(F) = Phi(g~ F) and Phi(F) g = Phi(F g~), with the products on the
-    right taken by the model's own rule and those on the left by the group's
-    product of elements.  On the left these read x_i Phi(F(lam, p)) =
-    zeta^(-2 lam_i) Phi(F(lam, p)) and s_l Phi(F(lam, p)) =
-    Phi(F(lam o s_l, s_l p)).  The right products put every p on the left of
-    the rule, where its inverse matters (a 3-cycle is not an involution).
-    The cost is about 4m |G| n^m coefficient comparisons.
+
+def _lambda_exponents(n: int, m: int, lam: tuple, fail) -> list[int]:
+    """k by twist index t for the coefficients n^-m zeta^k of Lambda_lam, as
+    algebra.lambda_idempotent builds it; fail names any other coefficient."""
+    terms, den = algebra.lambda_idempotent(n, m, lam).terms, n**m
+    row = [root_exponent(terms[t], den) if t in terms else None for t in range(den)]
+    if None in row or len(terms) != den:
+        t = row.index(None) if None in row else max(terms)
+        fail(
+            "the coefficients of Lambda",
+            f"Lambda_{lam} has {terms.get(t, 0)!r} at twist index {t}, "
+            f"not n^-m times a root of unity",
+        )
+    return row
+
+
+def check_model(n: int, m: int) -> None:
+    """Check at (n, m) the lemmas from which Phi carries the model's product
+    to the group's; CheckFailedError names the first lemma that fails.
+
+    Phi(F(lam, p)) = Lambda_lam p, and Lambda_lam lies in the group algebra
+    of the twist subgroup, so
+
+        Lambda_lam p Lambda_mu q = Lambda_lam (p Lambda_mu p^(-1)) pq
+                                 = Lambda_lam Lambda_(mu o p^(-1)) pq
+                                 = [lam = mu o p^(-1)] Lambda_lam pq,
+
+    which is Phi(F(lam, p) F(mu, q)), as mu o p^(-1) = lam exactly when
+    mu = lam o p (o is permute_character).  Every coefficient of every
+    Lambda_lam is read as n^-m zeta^k through the root table, and these
+    lemmas are checked on the exponents k, exactly:
+
+    - factorisation: Lambda_lam is the product over the slots i of the
+      one-slot idempotent Lambda_(lam_i) of (n, 1) placed at slot i, so the
+      Lambda_lam are orthogonal idempotents summing to 1 when those are;
+    - the one-slot idempotents: Lambda_a = n^-1 sum_j zeta^(j r_a) x^j with
+      n r_a = 0 mod 2n, so Lambda_a Lambda_b = (S(r_a - r_b) / n) Lambda_b
+      for S(e) = sum_j zeta^(j e); S(r_a - r_b) = n [a = b], and the sum
+      over a, n^-1 sum_j (sum_a zeta^(j r_a)) x^j, is 1.  Each such sum of
+      roots counts its exponents with integers and is reduced once;
+    - the character action x_i Lambda_lam = zeta^(-2 lam_i) Lambda_lam,
+      which by the factorisation is x Lambda_a = zeta^(-2a) Lambda_a on
+      one slot;
+    - conjugation s_l Lambda_mu s_l = Lambda_(mu o s_l), with each twist
+      index conjugated by the group's own product;
+    - the composition law (mu o a) o s = mu o (a s) for a in S_m and each
+      generator s, and mu o 1 = mu, read on character indices.  Along words
+      these extend the conjugation to p Lambda_mu p^(-1) = Lambda_(mu o p^(-1))
+      and give (mu o p^(-1)) o p = mu.  A p / p^(-1) swap in permute_character
+      fails here: it agrees with o on involutions only;
+    - the generator images: by the action and completeness a group element
+      (t, p) is sum_lam zeta^(-2 lam . t) Lambda_lam p, and the Lambda_lam p
+      are linearly independent, so Phi(g~) = g exactly when g~ has these
+      coefficients.
+
+    The cost is about (m + 1) n^(2m) integer comparisons, with n^(2m)
+    coefficients read, and m! m n^m character moves: no group element is
+    enumerated and no element multiplied.
     """
-    columns: dict = {}
-    elems = elements(n, m)
-    gens = []
-    for name, g, image in _generator_images(n, m):
-        if character_combination(n, m, image.terms, columns) != AlgebraElement.basis(g):
-            raise CheckFailedError(
-                f"the character basis does not model the group algebra at (n={n}, m={m}): "
-                f"Phi maps the image of {name} elsewhere"
+    order, size = 2 * n, n**m
+
+    def fail(lemma, detail):
+        raise CheckFailedError(
+            f"the character basis does not model the group algebra at (n={n}, m={m}): "
+            f"{lemma}: {detail}"
+        )
+
+    model = MonomialModel(n, m)
+    chars = model.chars
+    table = [_lambda_exponents(n, m, lam, fail) for lam in chars]
+    slot = table if m == 1 else [_lambda_exponents(n, 1, (a,), fail) for a in range(n)]
+
+    for lam, row in zip(chars, table):
+        product_row = [0]
+        for a in lam:
+            product_row = [(e + f) % order for f in slot[a] for e in product_row]
+        if row != product_row:
+            fail("factorisation", f"Lambda_{lam} is not the product of its one-slot idempotents")
+
+    rates = [row[1] if n > 1 else 0 for row in slot]
+    for a, (row, r) in enumerate(zip(slot, rates)):
+        if (n * r) % order or any((e - j * r) % order for j, e in enumerate(row)):
+            fail(
+                "the one-slot idempotents",
+                f"Lambda_{a} is not n^-1 sum_j zeta^(j r) x^j with n r = 0 mod 2n",
             )
-        left = [element_index(g * h) for h in elems]
-        right = [element_index(h * g) for h in elems]
-        gens.append((name, image, left, right))
-    for lam in product(range(n), repeat=m):
-        for p in symmetric_group(m):
-            f = CharacterElement._make(n, m, {(lam, p): ONE})
-            phi = character_combination(n, m, f.terms, columns).terms
-            for name, image, left, right in gens:
-                for side, moved, model in (("left", left, image * f), ("right", right, f * image)):
-                    phi_model = character_combination(n, m, model.terms, columns).terms
-                    if phi_model != {moved[h]: c for h, c in phi.items()}:
-                        raise CheckFailedError(
-                            f"the character basis does not model the group algebra at "
-                            f"(n={n}, m={m}): the {side} product of {name} and "
-                            f"F({lam}, {list(p)}) differs under Phi"
-                        )
+    vanishes: dict = {}  # e -> whether S(e) is 0; S(0) = n is a count
+    for a, ra in enumerate(rates):
+        for b, rb in enumerate(rates):
+            e = (ra - rb) % order
+            if e not in vanishes:
+                counts = [0] * order
+                for j in range(n):
+                    counts[j * e % order] += 1
+                vanishes[e] = not root_count_sum(order, tuple(counts))
+            if vanishes[e] == (a == b):
+                fail("the one-slot idempotents", f"Lambda_{a} Lambda_{b} is not [a = b] Lambda_{b}")
+    for j in range(n):
+        counts = [0] * order
+        for row in slot:
+            counts[row[j]] += 1
+        if root_count_sum(order, tuple(counts)) != (n if j == 0 else 0):
+            fail("the one-slot idempotents", f"their sum has the coefficient of x^{j} wrong")
+
+    for a, row in enumerate(slot):
+        if any((row[j - 1] - row[j] + 2 * a) % order for j in range(n)):
+            fail("the character action", f"x Lambda_{a} is not zeta^{-2 * a} Lambda_{a}")
+
+    ident = Perm.identity(m)
+    for l in range(1, m):
+        s = generator_b(n, m, l)
+        conj = [twist_index(n, (s * WreathElement._make(n, t, ident) * s).twists) for t in chars]
+        for a, b in enumerate(model.moved(s.perm)):
+            row, moved_row = table[a], table[b]
+            if any(e != moved_row[c] for e, c in zip(row, conj)):
+                fail("conjugation", f"s_{l} Lambda_{chars[a]} s_{l} is not Lambda_{chars[b]}")
+
+    if model.moved(ident) != list(range(size)):
+        fail("the composition law", "permute_character moves a character by the identity")
+    gens = {l: generator_b(n, m, l).perm for l in range(1, m)}
+    for a in symmetric_group(m):
+        first = model.moved(a)
+        for l, s in gens.items():
+            then = model.moved(s)
+            if [then[b] for b in first] != model.moved(a * s):
+                fail(
+                    "the composition law",
+                    f"permute_character by {list(a)} then s_{l} is not by their product",
+                )
+
+    for name, g, image in _generator_tables(model):
+        twists = g.twists
+        expected = tuple((-2 * sum(x * t for x, t in zip(lam, twists))) % order for lam in chars)
+        if image.perm != g.perm or image.entries != expected or image.non_roots:
+            fail("the generator images", f"Phi maps the image of {name} elsewhere")

@@ -375,6 +375,30 @@ def zeta_power(order: int, k: int) -> CycNumber:
     return _make(order, _x_power(order, k % order), 1)
 
 
+def zeta_over(order: int, k: int, den: int) -> CycNumber:
+    """zeta^k / den for den > 0, with no product and no reduction.
+
+    It is already in lowest terms: zeta^k is a unit of the ring of integers
+    Z[zeta], whose basis is the powers of zeta, so if d divided all its
+    numerators then 1/d = zeta^(-k) (zeta^k / d) would be an integer.
+    """
+    return _make(order, _x_power(order, k % order), den)
+
+
+@lru_cache(maxsize=None)
+def root_count_sum(order: int, counts: tuple[int, ...], den: int = 1) -> CycNumber:
+    """The sum over k of counts[k] zeta^k / den, for integer counts indexed
+    by the exponents 0..order-1: one integer vector per nonzero count, then
+    one reduction."""
+    num = [0] * (len(cyclotomic_polynomial(order)) - 1)
+    for k, c in enumerate(counts):
+        if c:
+            for i, r in enumerate(_x_power(order, k)):
+                if r:
+                    num[i] += c * r
+    return _reduced(order, tuple(num), den)
+
+
 def zeta(order: int) -> CycNumber:
     """The distinguished primitive root of unity generating Q(zeta_order)."""
     return zeta_power(order, 1)

@@ -51,7 +51,6 @@ from .algebra import (
     AlgebraElement,
     character_combination,
     lambda_idempotent,
-    permute_character,
     presentation,
     x_element,
     x_monomial,
@@ -61,10 +60,12 @@ from .algebra import (
 )
 from .character_basis import (
     CharacterElement,
+    MonomialModel,
     _generator_images,
     character_coordinates,
     characters,
     check_model,
+    root_exponent,
     symmetric_group,
     tensor_key,
 )
@@ -105,6 +106,7 @@ class TensorElement(SparseSum):
 
     # Scalars are those of the algebra, Q(zeta_2n).
     _scalar = AlgebraElement._scalar
+    root_sum = AlgebraElement.root_sum
 
     def _one(self) -> "TensorElement":
         return TensorElement.unit(self.n, self.m)
@@ -269,9 +271,9 @@ def _to_characters(t: TensorElement) -> CharacterElement:
     )
 
 
-def _exponent(roots: dict, c: CycNumber, what: str) -> int:
+def _exponent(c: CycNumber, what: str) -> int:
     """k with c = zeta^k, or CheckFailedError naming what c is a coefficient of."""
-    k = roots.get(c)
+    k = root_exponent(c)
     if k is None:
         raise CheckFailedError(
             f"{what} has the coefficient {c!r} in the character basis, "
@@ -288,9 +290,9 @@ def _delta_s_exponents(n: int, m: int, l: int) -> list[list[int]]:
     _, s_s = tensor_key((chars[0], s), (chars[0], s))
     if any(p != s_s for _, p in terms):
         raise CheckFailedError(f"delta(s_{l}) has a term outside F(mu, s_{l}) (x) F(nu, s_{l})")
-    roots, zero, what = _roots(2 * n), CycNumber.zero(2 * n), f"delta(s_{l})"
+    zero, what = CycNumber.zero(2 * n), f"delta(s_{l})"
     return [
-        [_exponent(roots, terms.get(tensor_key((mu, s), (nu, s)), zero), what) for nu in chars]
+        [_exponent(terms.get(tensor_key((mu, s), (nu, s)), zero), what) for nu in chars]
         for mu in chars
     ]
 
@@ -302,14 +304,8 @@ def _antipode_s_exponents(n: int, m: int, l: int) -> list[int]:
     terms = character_coordinates(n, m, _antipode_s(n, m, l).terms)
     if any(p != s for _, p in terms):
         raise CheckFailedError(f"S(s_{l}) has a term outside F(lam, s_{l})")
-    roots, zero = _roots(2 * n), CycNumber.zero(2 * n)
-    return [_exponent(roots, terms.get((lam, s), zero), f"S(s_{l})") for lam in chars]
-
-
-@lru_cache(maxsize=None)
-def _roots(order: int) -> dict:
-    """zeta^k -> k for the roots of unity of Q(zeta_order)."""
-    return {zeta_power(order, k): k for k in range(order)}
+    zero = CycNumber.zero(2 * n)
+    return [_exponent(terms.get((lam, s), zero), f"S(s_{l})") for lam in chars]
 
 
 class _CharacterHopf:
@@ -326,15 +322,14 @@ class _CharacterHopf:
     def __init__(self, n: int, m: int):
         self.n, self.m, self.order = n, m, 2 * n
         self.zetas = [zeta_power(self.order, k) for k in range(self.order)]
-        chars = self.chars = characters(n, m)
+        model = MonomialModel(n, m)
+        chars = self.chars = model.chars
         self.plus = [
             [twist_index(n, [(a + b) % n for a, b in zip(mu, nu)]) for nu in chars] for mu in chars
         ]
         self.neg = [twist_index(n, [-a % n for a in mu]) for mu in chars]
         self.perms = symmetric_group(m)
-        self.moved = {
-            p: [twist_index(n, permute_character(mu, p)) for mu in chars] for p in self.perms
-        }
+        self.moved = {p: model.moved(p) for p in self.perms}
         self._check_x_group_like()
         # Phi(F(lam, p)) is Lambda_lam moved to the block of p, with the same
         # coefficients, so its counit is that of Lambda_lam.

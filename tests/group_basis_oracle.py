@@ -1,5 +1,5 @@
-"""The group-basis classification, kept as the reference that the
-character-basis construction and ranks are tested against.
+"""The group-basis classification, model check and relation suite, kept as
+the reference that the character-basis versions are tested against.
 
 The idempotent of a labelled partition is the character idempotent of its
 character vector times, for each block, the row-consecutive Young
@@ -7,13 +7,42 @@ symmetrizer embedded into the group algebra at the block's slots: a chain
 of group-algebra products.  The dimension of a left ideal A e is the rank
 of the |G| left translates g * e, and a sandwich dimension dim e A f the
 rank of e times a basis of A f, all taken by the package's one echelon.
+
+check_model_by_products compares, under Phi, both products of every
+generator with every basis element of the character basis, and
+relation_suite_by_group_basis evaluates the relation families by group-basis
+convolution.
 """
 
-from kacpal.algebra import AlgebraElement, _echelon, _sparse_rank, lambda_idempotent
+from functools import partial
+from itertools import product
+
+from kacpal.algebra import (
+    AlgebraElement,
+    _echelon,
+    _sparse_rank,
+    character_combination,
+    lambda_idempotent,
+    relation_families,
+    relation_suite_report,
+    s_element,
+    x_monomial,
+    y_element,
+    y_inverse_element,
+)
+from kacpal.character_basis import CharacterElement, _generator_images, symmetric_group
 from kacpal.classifier import LabelledPartition, lambda_from_beta
 from kacpal.cyclotomic import CycNumber
 from kacpal.partitions import SymFormalSum, row_consecutive_tableau, young_symmetrizer
-from kacpal.wreath import Perm, WreathElement, check_cap, element_index, mul_row
+from kacpal.wreath import (
+    CheckFailedError,
+    Perm,
+    WreathElement,
+    check_cap,
+    element_index,
+    elements,
+    mul_row,
+)
 
 
 def iota_embed(beta: LabelledPartition, label: int, s: SymFormalSum) -> AlgebraElement:
@@ -80,3 +109,73 @@ def sandwich_dimension(e: AlgebraElement, f: AlgebraElement, cap: int | None = N
     e._check(f)
     basis = _echelon(_left_translates(f, cap))
     return _sparse_rank((e * AlgebraElement._make(e.n, e.m, row)).terms for row in basis)
+
+
+def check_model_by_products(n: int, m: int) -> None:
+    """Check that Phi intertwines the group's generators with the model, on
+    every basis element F; CheckFailedError names the first failure.
+
+    For each generator g with preimage g~ it checks Phi(g~) = g, then
+    g Phi(F) = Phi(g~ F) and Phi(F) g = Phi(F g~), with the products on the
+    right taken by the model's own rule and those on the left by the group's
+    product of elements.  On the left these read x_i Phi(F(lam, p)) =
+    zeta^(-2 lam_i) Phi(F(lam, p)) and s_l Phi(F(lam, p)) =
+    Phi(F(lam o s_l, s_l p)).  The right products put every p on the left of
+    the rule, where its inverse matters (a 3-cycle is not an involution).
+    The cost is about 4m |G| n^m coefficient comparisons.
+    """
+    columns: dict = {}
+    elems = elements(n, m)
+    gens = []
+    for name, g, image in _generator_images(n, m):
+        if character_combination(n, m, image.terms, columns) != AlgebraElement.basis(g):
+            raise CheckFailedError(
+                f"the character basis does not model the group algebra at (n={n}, m={m}): "
+                f"Phi maps the image of {name} elsewhere"
+            )
+        left = [element_index(g * h) for h in elems]
+        right = [element_index(h * g) for h in elems]
+        gens.append((name, image, left, right))
+    for lam in product(range(n), repeat=m):
+        for p in symmetric_group(m):
+            f = CharacterElement._make(n, m, {(lam, p): 1})
+            phi = character_combination(n, m, f.terms, columns).terms
+            for name, image, left, right in gens:
+                for side, moved, model in (("left", left, image * f), ("right", right, f * image)):
+                    phi_model = character_combination(n, m, model.terms, columns).terms
+                    if phi_model != {moved[h]: c for h, c in phi.items()}:
+                        raise CheckFailedError(
+                            f"the character basis does not model the group algebra at "
+                            f"(n={n}, m={m}): the {side} product of {name} and "
+                            f"F({lam}, {list(p)}) differs under Phi"
+                        )
+
+
+def relation_suite_by_group_basis(n: int, m: int, cap: int | None = None) -> dict:
+    """verify_defining_relations' report, with every relation family
+    evaluated on group-basis elements by convolution and the order of y_l
+    found by repeated products."""
+    if n < 2:
+        raise ValueError(f"the relation suite needs n >= 2, got n={n}: at n = 1 every y_l is 1")
+    check_cap(n, m, "relation-suite", cap)
+    one = AlgebraElement.one(n, m)
+    ys = {l: y_element(n, m, l) for l in range(1, m)}
+    families = relation_families(
+        n,
+        m,
+        partial(x_monomial, n, m),
+        ys,
+        {l: y_inverse_element(n, m, l) for l in ys},
+        {l: s_element(n, m, l) for l in ys},
+        partial(lambda_idempotent, n, m),
+    )
+
+    def y_order(l):
+        power = one
+        for k in range(1, 2 * n + 1):
+            power = power * ys[l]
+            if power == one:
+                return k
+        return None
+
+    return relation_suite_report(n, m, families, y_order)

@@ -21,6 +21,7 @@ from kacpal.algebra import (
     y_inverse_element,
     z_element,
 )
+from kacpal.character_basis import check_model
 from kacpal.classifier import (
     count_formula,
     enumerate_labelled_partitions,
@@ -157,6 +158,37 @@ def test_criterion_2_relation_suite():
     elapsed = time.time() - start
     assert elapsed < 60, f"criterion 2 took {elapsed:.1f}s"
     announce(2, f"all defining relations hold exactly for {RELATION_PAIRS} in {elapsed:.1f}s")
+
+
+def test_criterion_2_relation_suite_at_4_4_and_2_6_within_5s():
+    for (n, m), cap in (((4, 4), None), ((2, 6), 50000)):
+        lambda_idempotent.cache_clear()
+        start = time.time()
+        report = verify_defining_relations(n, m, cap=cap)
+        elapsed = time.time() - start
+        assert report["all_pass"], (n, m, report)
+        assert elapsed < 5, f"the relation suite at ({n}, {m}) took {elapsed:.1f}s"
+    announce(2, "all defining relations hold exactly at (4, 4) and (2, 6), each within 5s")
+
+
+def test_criterion_2_relation_suite_at_2000_1_within_1s():
+    # the group-basis suite took 1.0 s here on a shared 2-core VM, Python 3.11
+    start = time.time()
+    report = verify_defining_relations(2000, 1)
+    elapsed = time.time() - start
+    assert report["all_pass"], report
+    assert elapsed < 1, f"the relation suite at (2000, 1) took {elapsed:.1f}s"
+    announce(2, f"all defining relations hold exactly at (2000, 1) in {elapsed:.2f}s")
+
+
+def test_criterion_4_model_check_at_4_4_and_2_6_within_3s():
+    for n, m in ((4, 4), (2, 6)):
+        lambda_idempotent.cache_clear()
+        start = time.time()
+        check_model(n, m)
+        elapsed = time.time() - start
+        assert elapsed < 3, f"check_model({n}, {m}) took {elapsed:.1f}s"
+    announce(4, "the character basis models the group algebra at (4, 4) and (2, 6), each within 3s")
 
 
 def test_criterion_3_classification_counts():

@@ -8,8 +8,10 @@ from group_basis_oracle import (
     _left_translates,
     basis_element,
     left_ideal_dimension,
+    relation_suite_by_group_basis,
     sandwich_dimension,
 )
+from kacpal import algebra
 from kacpal.algebra import (
     AlgebraElement,
     _echelon,
@@ -385,6 +387,75 @@ def test_sandwich_dimension_matches_group_columns_on_idempotents(n, m):
 def test_relation_suite_needs_n_at_least_2():
     with pytest.raises(ValueError, match="n >= 2"):
         verify_defining_relations(1, 3)
+
+
+RELATION_SIZES = [(2, 2), (2, 3), (3, 2), (4, 2), (3, 3), (2, 4)]
+
+
+@pytest.mark.parametrize("n, m", RELATION_SIZES)
+def test_relation_report_matches_the_group_basis_oracle(n, m):
+    assert verify_defining_relations(n, m) == relation_suite_by_group_basis(n, m)
+
+
+@pytest.fixture
+def fresh_generators():
+    """Clears the cached group-basis generators before and after a test that
+    perturbs their definitions."""
+    caches = (y_element, y_inverse_element, algebra.z_element)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def _y_exponent_off_by_one(lam_star):
+    real = algebra.y_exponent
+    return lambda lam, l: real(lam, l) + (l == 1 and lam == lam_star)
+
+
+def _z_square_sum_from_1(n, m, l, mono):
+    # the z_l^2 double sum with both indices started at 1
+    before, after = (0,) * (l - 1), (0,) * (m - l - 1)
+    pairs = [(-2 * i * j, mono(before + (i, j) + after)) for i in range(1, n) for j in range(1, n)]
+    return pairs[0][1].root_sum(pairs, n)
+
+
+@pytest.mark.parametrize("n, m", RELATION_SIZES)
+@pytest.mark.parametrize(
+    "name, perturbed",
+    [
+        ("y_exponent", lambda m: _y_exponent_off_by_one((1,) * m)),
+        ("y_exponent", lambda m: _y_exponent_off_by_one((0,) * (m - 1) + (1,))),
+        ("z_square_sum", lambda m: _z_square_sum_from_1),
+    ],
+    ids=["y_1-off-at-ones", "y_1-off-at-last-slot", "z_square-from-1"],
+)
+def test_perturbed_relation_reports_match_the_oracle(
+    monkeypatch, fresh_generators, n, m, name, perturbed
+):
+    # the same broken definition reaches the exponent tables and the
+    # group-basis elements: both reports fail alike, difference heads included
+    monkeypatch.setattr(algebra, name, perturbed(m))
+    report = verify_defining_relations(n, m)
+    assert not report["all_pass"]
+    failing = [entry for entry in report["relations"].values() if entry["status"] == "fail"]
+    assert "difference_head" in failing[0]["counterexample"]
+    assert report == relation_suite_by_group_basis(n, m)
+
+
+@pytest.mark.parametrize("n, m", [(2, 3), (3, 2), (4, 2)])
+def test_lambda_idempotent_matches_the_product_formula(n, m):
+    # each coefficient was zeta^(2 lam . t) times the rational n^-m
+    order = 2 * n
+    norm = CycNumber.from_rational(order, Fraction(1, n**m))
+    for lam in product(range(n), repeat=m):
+        expected = {}
+        for t in product(range(n), repeat=m):
+            dot = sum(a * b for a, b in zip(lam, t))
+            index = element_index(WreathElement(n, t, Perm.identity(m)))
+            expected[index] = zeta_power(order, 2 * dot) * norm
+        assert lambda_idempotent.__wrapped__(n, m, lam).terms == expected
 
 
 def test_element_json_round_trip():

@@ -6,7 +6,8 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from group_basis_oracle import left_ideal_dimension, sandwich_dimension
+from group_basis_oracle import check_model_by_products, left_ideal_dimension, sandwich_dimension
+from kacpal import algebra, character_basis
 from kacpal.algebra import (
     AlgebraElement,
     character_combination,
@@ -16,6 +17,7 @@ from kacpal.algebra import (
 )
 from kacpal.character_basis import (
     CharacterElement,
+    MonomialModel,
     check_model,
     integral,
     left_ideal_basis,
@@ -25,7 +27,7 @@ from kacpal.character_basis import (
 from kacpal.cyclotomic import CycNumber, zeta, zeta_power
 from kacpal.hopf import TensorElement, _to_characters
 from kacpal.sparse import add_into
-from kacpal.wreath import Perm, WreathElement, element_index
+from kacpal.wreath import CheckFailedError, Perm, WreathElement, element_index
 
 SIZES = [(2, 2), (3, 2), (2, 3)]
 PHI_SIZES = [(2, 2), (3, 2), (2, 3), (4, 2)]
@@ -78,6 +80,7 @@ def test_identity_and_model_check(n, m):
     f = CharacterElement(n, m, {basis_keys(n, m)[-1]: Fraction(2, 3)})
     assert one * f == f == f * one
     check_model(n, m)
+    check_model_by_products(n, m)
 
 
 def test_integral_keeps_the_line():
@@ -152,3 +155,114 @@ def test_scalars_are_rational_or_of_the_model_order():
         CharacterElement(2, 2, {key: zeta(8)})
     halved = CharacterElement(2, 2, {key: 1}).scale(Fraction(1, 2))
     assert type(halved.terms[key]) is Fraction and halved.terms[key] == Fraction(1, 2)
+
+
+def _swapped_permute_character(monkeypatch, n, m):
+    # the product rule reading lam o p^(-1) where it should read lam o p
+    real = character_basis.permute_character
+    monkeypatch.setattr(
+        character_basis, "permute_character", lambda lam, p: real(lam, Perm(p).inverse())
+    )
+
+
+def _unmoved_characters(monkeypatch, n, m):
+    # permute_character ignoring the permutation: a composition law still holds
+    monkeypatch.setattr(character_basis, "permute_character", lambda lam, p: tuple(lam))
+
+
+def _flipped_fourier_sign(monkeypatch, n, m):
+    # n^-m sum_t zeta^(-2 lam . t) x^t is Lambda_(-lam)
+    real = algebra.lambda_idempotent
+    monkeypatch.setattr(
+        algebra, "lambda_idempotent", lambda n, m, lam: real(n, m, tuple(-v % n for v in lam))
+    )
+
+
+def _one_lambda_off_by_a_root(monkeypatch, n, m):
+    real = algebra.lambda_idempotent
+    lam_star = (1,) + (0,) * (m - 1)
+    monkeypatch.setattr(
+        algebra,
+        "lambda_idempotent",
+        lambda n, m, lam: real(n, m, lam).scale(zeta(2 * n) if lam == lam_star else 1),
+    )
+
+
+def _repeated_lambda(monkeypatch, n, m):
+    # Lambda_(1, 0, ...) replaced by Lambda_0: still idempotent, not orthogonal
+    real = algebra.lambda_idempotent
+    lam_star = (1,) + (0,) * (m - 1)
+    monkeypatch.setattr(
+        algebra,
+        "lambda_idempotent",
+        lambda n, m, lam: real(n, m, (0,) * m if lam == lam_star else lam),
+    )
+
+
+@pytest.mark.parametrize(
+    "mutate, n, m, lemma",
+    [
+        (_swapped_permute_character, 2, 3, "the composition law"),
+        (_swapped_permute_character, 3, 3, "the composition law"),
+        (_unmoved_characters, 2, 2, "conjugation"),
+        (_flipped_fourier_sign, 3, 2, "the character action"),
+        (_flipped_fourier_sign, 4, 3, "the character action"),
+        (_one_lambda_off_by_a_root, 3, 2, "factorisation"),
+        (_one_lambda_off_by_a_root, 2, 3, "factorisation"),
+        (_one_lambda_off_by_a_root, 3, 1, "the one-slot idempotents"),
+        (_repeated_lambda, 3, 1, "the one-slot idempotents"),
+        (_repeated_lambda, 2, 3, "factorisation"),
+    ],
+)
+def test_a_broken_model_fails_its_lemma(monkeypatch, mutate, n, m, lemma):
+    mutate(monkeypatch, n, m)
+    message = f"does not model the group algebra at \\(n={n}, m={m}\\): {lemma}:"
+    with pytest.raises(CheckFailedError, match=message):
+        check_model(n, m)
+    with pytest.raises(CheckFailedError, match="does not model"):
+        check_model_by_products(n, m)
+
+
+@pytest.mark.parametrize("mutate", [_swapped_permute_character, _flipped_fourier_sign])
+def test_mutations_the_model_cannot_see_pass(monkeypatch, mutate):
+    # at m = 2 every permutation is an involution, and at n = 2 -lam = lam
+    mutate(monkeypatch, 2, 2)
+    check_model(2, 2)
+    check_model_by_products(2, 2)
+
+
+def monomials(model):
+    size = len(model.chars)
+    entry = st.one_of(st.none(), st.integers(0, model.order - 1))
+    exponents = st.lists(entry, min_size=size, max_size=size)
+    return st.builds(model.monomial, st.sampled_from(symmetric_group(model.m)), exponents)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 2), (3, 2), (2, 3), (4, 2)]), st.data())
+def test_monomial_tables_multiply_as_the_model(nm, data):
+    model = MonomialModel(*nm)
+    a, b = (data.draw(monomials(model)) for _ in range(2))
+    product_ = a * b
+    assert product_.exact() == a.exact() * b.exact()
+    assert (product_ == a * b) and ((a == b) == (a.exact() == b.exact()))
+    assert (a - b).terms == (a.exact() - b.exact()).to_group().terms
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (3, 2), (3, 3)])
+def test_root_sums_of_tables_match_the_model(n, m):
+    # the z_l^2 sum over x-monomial tables, and the same sum started at 1,
+    # whose coefficients are off the roots of unity
+    model = MonomialModel(n, m)
+    for start in (0, 1):
+        for l in range(1, m):
+            before, after = (0,) * (l - 1), (0,) * (m - l - 1)
+            pairs = [
+                (-2 * i * j, model.x_monomial(before + (i, j) + after))
+                for i in range(start, n)
+                for j in range(start, n)
+            ]
+            table = pairs[0][1].root_sum(pairs, n)
+            exact = pairs[0][1].exact().root_sum([(k, x.exact()) for k, x in pairs], n)
+            assert table.exact() == exact
+            assert bool(table.non_roots) == bool(start)

@@ -175,6 +175,12 @@ def test_model_failure_exits_1(capsys, monkeypatch):
     assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert "does not model the group algebra" in err
+    # the relation suite rests on the same model check
+    code, out, err = run(capsys, "verify", "--n", "2", "--m", "3", "--checks", "relations")
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "does not model the group algebra at (n=2, m=3): the composition law" in err
 
 
 def test_hook_disagreement_exits_1(capsys, monkeypatch):
