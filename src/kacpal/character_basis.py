@@ -36,7 +36,7 @@ unity or zero, sum_lam zeta^e(lam) F(lam, p), is monomial: the generators
 x_i and s_l, the units y_l and z_l and each Lambda_lam = F(lam, 1) are.
 Monomial stores it as an exponent table, and two tables multiply by adding
 integers along permute_character; MonomialModel holds the character
-arithmetic of one (n, m).
+arithmetic of one (n, m) and reads a table off the terms of an element.
 """
 
 from __future__ import annotations
@@ -278,13 +278,34 @@ class MonomialModel:
 
     def x_monomial(self, t) -> "Monomial":
         """x^t = sum_lam zeta^(-2 lam . t) F(lam, 1)."""
-        return self.diagonal([-2 * sum(a * b for a, b in zip(lam, t)) for lam in self.chars])
+        support = [(j, v) for j, v in enumerate(t) if v]
+        return self.diagonal([-2 * sum(lam[j] * v for j, v in support) for lam in self.chars])
 
     def idempotent(self, lam) -> "Monomial":
         """Lambda_lam = F(lam, 1)."""
         exponents = [None] * len(self.chars)
         exponents[twist_index(self.n, lam)] = 0
         return self.diagonal(exponents)
+
+    def read(self, terms: dict, perm, what: str) -> "Monomial":
+        """The table of sum_lam zeta^e F(lam, perm) from the terms {(lam, p): c}
+        of an element at this (n, m); CheckFailedError names what the terms
+        are of unless they all lie on perm and every character has a 2n-th
+        root of unity there."""
+        perm = Perm(perm)
+        if any(p != perm for _, p in terms):
+            raise CheckFailedError(f"{what} has a term outside F(lam, {list(perm)})")
+        zero, entries = CycNumber.zero(self.order), []
+        for lam in self.chars:
+            c = terms.get((lam, perm), zero)
+            k = root_exponent(c)
+            if k is None:
+                raise CheckFailedError(
+                    f"{what} has the coefficient {c!r} in the character basis, "
+                    f"which is not a power of zeta_{c.order}"
+                )
+            entries.append(k)
+        return Monomial(self, perm, tuple(entries), {})
 
 
 class Monomial:
@@ -382,11 +403,6 @@ def _generator_tables(model: MonomialModel) -> list[tuple]:
     return images
 
 
-def _generator_images(n: int, m: int) -> list[tuple]:
-    """_generator_tables at (n, m) with each g~ a CharacterElement."""
-    return [(name, g, table.exact()) for name, g, table in _generator_tables(MonomialModel(n, m))]
-
-
 def _lambda_exponents(n: int, m: int, lam: tuple, fail) -> list[int]:
     """k by twist index t for the coefficients n^-m zeta^k of Lambda_lam, as
     algebra.lambda_idempotent builds it; fail names any other coefficient."""
@@ -402,9 +418,13 @@ def _lambda_exponents(n: int, m: int, lam: tuple, fail) -> list[int]:
     return row
 
 
+@lru_cache(maxsize=None)
 def check_model(n: int, m: int) -> None:
     """Check at (n, m) the lemmas from which Phi carries the model's product
     to the group's; CheckFailedError names the first lemma that fails.
+
+    A pass is remembered, so a process checks each (n, m) once however many
+    suites rest on the model; a failure raises again on every call.
 
     Phi(F(lam, p)) = Lambda_lam p, and Lambda_lam lies in the group algebra
     of the twist subgroup, so

@@ -19,14 +19,15 @@ report's (n, m).  Changed to the character basis on both legs,
 
 so delta and S are fixed by exponent tables with values in Z_2n: the
 comultiplication is a 2-cocycle twist (Majid, Foundations of Quantum Group
-Theory).  A tensor changed to the character basis on both legs is a
-CharacterElement at (n, 2m), keyed by character_basis.tensor_key, whose
-product is that of the tensor square.  omega and sigma of s_l are read off the group-basis delta(s_l) and
-S(s_l) by the exact change of basis; a coefficient that is not a 2n-th root
-of unity, or a term of another form, raises CheckFailedError, and so does a
-delta(x_i) that is not group-like.  The tables of every other permutation
-are built along its canonical word, as the group-basis maps are.  Every axiom
-then holds on every basis element exactly when
+Theory).  A tensor changed to the character basis on both legs is an
+element of the model at (n, 2m), keyed by character_basis.tensor_key, whose
+product is that of the tensor square.  delta(s_l) is read there, and S(s_l)
+at (n, m), as one character_basis.Monomial each by MonomialModel.read; a
+coefficient that is not a 2n-th root of unity, or a term on another
+permutation, raises CheckFailedError, and so does a delta(x_i) other than
+x^t (x) x^t.  delta(p) and S(p) of every other permutation are products of
+these tables along its canonical word, as the group-basis maps are.  Every
+axiom then holds on every basis element exactly when
 
 - coassociativity: omega_p(mu, nu) + omega_p(mu + nu, rho)
   = omega_p(mu, nu + rho) + omega_p(nu, rho) mod 2n, over all m! n^(3m)
@@ -35,10 +36,12 @@ then holds on every basis element exactly when
   mod 2n, over all m!^2 n^(2m) pairs of basis elements;
 - counit and antipode: the scalar identities (eps (x) id) delta = id,
   m (S (x) id) delta = eps 1 and their mirrors hold on every F(lam, p);
-- relations: algebra.presentation holds on the changed images of the
-  x-monomials and the z_l, multiplied in the model at (n, 2m).
+- relations: algebra.presentation holds on the images of the x-monomials
+  and the z_l as exponent tables at (n, 2m), multiplied by adding exponents;
+  delta(z_l) must be monomial there, or CheckFailedError names it.
 
-The group-basis axiom checks on the generators are kept as the reference in
+The group-basis axiom checks on the generators, and the relation check on
+dense character-basis tensors, are kept as the reference in
 tests/hopf_group_basis_oracle.py.
 """
 
@@ -60,12 +63,10 @@ from .algebra import (
 )
 from .character_basis import (
     CharacterElement,
+    Monomial,
     MonomialModel,
-    _generator_images,
     character_coordinates,
-    characters,
     check_model,
-    root_exponent,
     symmetric_group,
     tensor_key,
 )
@@ -74,9 +75,9 @@ from .partitions import SymFormalSum
 from .sparse import SparseSum, add_into
 from .wreath import (
     CheckFailedError,
-    Perm,
     check_cap,
     element_at,
+    generator_a,
     generator_b,
     group_order,
     mul_row,
@@ -271,41 +272,12 @@ def _to_characters(t: TensorElement) -> CharacterElement:
     )
 
 
-def _exponent(c: CycNumber, what: str) -> int:
-    """k with c = zeta^k, or CheckFailedError naming what c is a coefficient of."""
-    k = root_exponent(c)
-    if k is None:
-        raise CheckFailedError(
-            f"{what} has the coefficient {c!r} in the character basis, "
-            f"which is not a power of zeta_{c.order}"
-        )
-    return k
-
-
-def _delta_s_exponents(n: int, m: int, l: int) -> list[list[int]]:
-    """omega_(s_l) by twist indices: delta(s_l) changed to the character basis
-    on both legs must be sum over mu, nu of zeta^omega(mu, nu) F(mu, s_l) (x) F(nu, s_l)."""
-    s, chars = generator_b(n, m, l).perm, characters(n, m)
-    terms = _to_characters(_delta_s(n, m, l)).terms
-    _, s_s = tensor_key((chars[0], s), (chars[0], s))
-    if any(p != s_s for _, p in terms):
-        raise CheckFailedError(f"delta(s_{l}) has a term outside F(mu, s_{l}) (x) F(nu, s_{l})")
-    zero, what = CycNumber.zero(2 * n), f"delta(s_{l})"
-    return [
-        [_exponent(terms.get(tensor_key((mu, s), (nu, s)), zero), what) for nu in chars]
-        for mu in chars
-    ]
-
-
-def _antipode_s_exponents(n: int, m: int, l: int) -> list[int]:
-    """sigma_(s_l) by twist indices: S(s_l) changed to the character basis
-    must be sum over lam of zeta^sigma(lam) F(lam, s_l)."""
-    s, chars = generator_b(n, m, l).perm, characters(n, m)
-    terms = character_coordinates(n, m, _antipode_s(n, m, l).terms)
-    if any(p != s for _, p in terms):
-        raise CheckFailedError(f"S(s_{l}) has a term outside F(lam, s_{l})")
-    zero = CycNumber.zero(2 * n)
-    return [_exponent(terms.get((lam, s), zero), f"S(s_{l})") for lam in chars]
+def _delta_table(model2: MonomialModel, t: TensorElement, p, what: str) -> Monomial:
+    """The exponent table at (n, 2m) of a tensor that must be
+    sum zeta^e F(mu, p) (x) F(nu, p), the image under delta of an element on
+    the permutation p; CheckFailedError names what it is otherwise."""
+    _, doubled = tensor_key(((), p), ((), p))  # p (+) p
+    return model2.read(_to_characters(t).terms, doubled, what)
 
 
 class _CharacterHopf:
@@ -330,42 +302,36 @@ class _CharacterHopf:
         self.neg = [twist_index(n, [-a % n for a in mu]) for mu in chars]
         self.perms = symmetric_group(m)
         self.moved = {p: model.moved(p) for p in self.perms}
+        model2 = self.model2 = MonomialModel(n, 2 * m)
         self._check_x_group_like()
         # Phi(F(lam, p)) is Lambda_lam moved to the block of p, with the same
         # coefficients, so its counit is that of Lambda_lam.
         self.eps = [counit(lambda_idempotent(n, m, lam)) for lam in chars]
-        s = {l: generator_b(n, m, l).perm for l in range(1, m)}
-        omega_s = {l: _delta_s_exponents(n, m, l) for l in s}
-        sigma_s = {l: _antipode_s_exponents(n, m, l) for l in s}
-        size, order = len(chars), self.order
+        delta_s, antipode_s = {}, {}
+        for l in range(1, m):
+            s = generator_b(n, m, l).perm
+            delta_s[l] = _delta_table(model2, _delta_s(n, m, l), s, f"delta(s_{l})")
+            terms = character_coordinates(n, m, _antipode_s(n, m, l).terms)
+            antipode_s[l] = model.read(terms, s, f"S(s_{l})")
+        # along the word w of p, delta(p) = delta(s_w0) delta(s_w1) ... and
+        # S(p) = ... S(s_w1) S(s_w0); F(a, p) (x) F(b, p) is entry a + n^m b
+        # of the table of delta(p), its twist index at (n, 2m)
+        size = len(chars)
         self.omega, self.sigma = {}, {}
         for p in self.perms:
-            # delta(1) = sum F(mu, 1) (x) F(nu, 1) and S(1) = sum F(mu, 1)
-            omega = [[0] * size for _ in chars]
-            sigma = [0] * size
-            r = Perm.identity(m)
+            delta_p, antipode_p = model2.one(), model.one()
             for l in _perm_word(p):
-                # delta(r) delta(s_l): F(mu, r) F(mu', s_l) needs mu' = mu o r
-                w, act = omega_s[l], self.moved[r]
-                omega = [
-                    [(e + w[act[a]][act[b]]) % order for b, e in enumerate(row)]
-                    for a, row in enumerate(omega)
-                ]
-                # S(s_l) S(r): F(mu, s_l) F(mu', r^(-1)) needs mu' = mu o s_l
-                act = self.moved[s[l]]
-                sigma = [(e + sigma[act[a]]) % order for a, e in enumerate(sigma_s[l])]
-                r = r * s[l]
-            self.omega[p], self.sigma[p] = omega, sigma
+                delta_p, antipode_p = delta_p * delta_s[l], antipode_s[l] * antipode_p
+            self.omega[p] = [delta_p.entries[a::size] for a in range(size)]
+            self.sigma[p] = antipode_p.entries
 
     def _check_x_group_like(self):
-        n, m = self.n, self.m
-        for name, g, image in _generator_images(n, m):
-            if not name.startswith("x_"):
-                continue
-            terms = image.terms.items()
-            expected = {tensor_key(a, b): c * d for a, c in terms for b, d in terms}
-            if _to_characters(delta(AlgebraElement.basis(g))).terms != expected:
-                raise CheckFailedError(f"delta({name}) is not group-like in the character basis")
+        n, m, model2 = self.n, self.m, self.model2
+        for i in range(1, m + 1):
+            t = generator_a(n, m, i).twists
+            table = _delta_table(model2, delta(x_element(n, m, i)), range(m), f"delta(x_{i})")
+            if table != model2.x_monomial(t + t):
+                raise CheckFailedError(f"delta(x_{i}) is not group-like in the character basis")
 
     def name(self, a: int, p) -> str:
         return f"F({self.chars[a]}, {list(p)})"
@@ -455,14 +421,15 @@ class _CharacterHopf:
 
 
 def _relation_failures(n: int, m: int) -> list[str]:
-    """The defining relations that delta, changed to the character basis on
-    both legs and extended multiplicatively from the generator images, breaks."""
-    families = presentation(
-        n,
-        m,
-        lambda e: _to_characters(_diagonal(x_monomial(n, m, e))),
-        {l: _to_characters(_delta_z(n, m, l)) for l in range(1, m)},
-    )
+    """The defining relations that delta, extended multiplicatively from the
+    generator images, breaks: each image is an exponent table at (n, 2m),
+    x^t (x) x^t = x^(t t) and delta(z_l) read off the defining formula."""
+    model2 = MonomialModel(n, 2 * m)
+    z = {
+        l: _delta_table(model2, _delta_z(n, m, l), generator_b(n, m, l).perm, f"delta(z_{l})")
+        for l in range(1, m)
+    }
+    families = presentation(n, m, lambda e: model2.x_monomial(e + e), z)
     return [
         f"delta({name})" for items in families.values() for name, lhs, rhs in items if lhs != rhs
     ]

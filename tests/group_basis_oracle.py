@@ -30,7 +30,12 @@ from kacpal.algebra import (
     y_element,
     y_inverse_element,
 )
-from kacpal.character_basis import CharacterElement, _generator_images, symmetric_group
+from kacpal.character_basis import (
+    CharacterElement,
+    MonomialModel,
+    _generator_tables,
+    symmetric_group,
+)
 from kacpal.classifier import LabelledPartition, lambda_from_beta
 from kacpal.cyclotomic import CycNumber
 from kacpal.partitions import SymFormalSum, row_consecutive_tableau, young_symmetrizer
@@ -127,7 +132,8 @@ def check_model_by_products(n: int, m: int) -> None:
     columns: dict = {}
     elems = elements(n, m)
     gens = []
-    for name, g, image in _generator_images(n, m):
+    for name, g, table in _generator_tables(MonomialModel(n, m)):
+        image = table.exact()
         if character_combination(n, m, image.terms, columns) != AlgebraElement.basis(g):
             raise CheckFailedError(
                 f"the character basis does not model the group algebra at (n={n}, m={m}): "

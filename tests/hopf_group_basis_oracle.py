@@ -5,14 +5,17 @@ Each check applies the package's delta, counit and antipode to one
 group-algebra element and compares the two sides of an axiom as dense
 tensor-square or group-algebra sums: (delta x id) delta against
 (id x delta) delta, (eps x id) delta against the identity, and
-m (S x id) delta against eps 1.
+m (S x id) delta against eps 1.  relation_failures evaluates the defining
+relations on dense character-basis tensors at (n, 2m), the reference for the
+report's check on exponent tables.
 """
 
 import random
 from fractions import Fraction
 
 from group_basis_oracle import basis_element
-from kacpal.algebra import AlgebraElement
+from kacpal import hopf
+from kacpal.algebra import AlgebraElement, presentation, x_monomial
 from kacpal.cyclotomic import CycNumber, zeta_power
 from kacpal.hopf import TensorElement, _delta_basis, antipode, counit, delta
 from kacpal.sparse import add_into
@@ -69,3 +72,20 @@ def _fixed_sparse(n: int, m: int, rng: random.Random, size: int = 3) -> AlgebraE
         )
         add_into(terms, {ix: coeff})
     return AlgebraElement(n, m, terms)
+
+
+def relation_failures(n: int, m: int) -> list[str]:
+    """The defining relations that delta breaks, as the report names them,
+    with the images of the x-monomials and of the z_l changed to the
+    character basis on both legs and multiplied as CharacterElements at
+    (n, 2m).  delta(z_l) is looked up on kacpal.hopf at call time, so a test
+    that replaces it there reaches both this and the report's check."""
+    families = presentation(
+        n,
+        m,
+        lambda e: hopf._to_characters(hopf._diagonal(x_monomial(n, m, e))),
+        {l: hopf._to_characters(hopf._delta_z(n, m, l)) for l in range(1, m)},
+    )
+    return [
+        f"delta({name})" for items in families.values() for name, lhs, rhs in items if lhs != rhs
+    ]

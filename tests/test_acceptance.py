@@ -12,6 +12,7 @@ from math import factorial
 import pytest
 
 from group_basis_oracle import left_ideal_dimension, sandwich_dimension
+from kacpal import hopf
 from kacpal.algebra import (
     AlgebraElement,
     lambda_idempotent,
@@ -21,14 +22,14 @@ from kacpal.algebra import (
     y_inverse_element,
     z_element,
 )
-from kacpal.character_basis import check_model
+from kacpal.character_basis import _fourier, characters, check_model
 from kacpal.classifier import (
     count_formula,
     enumerate_labelled_partitions,
     irrep_table,
 )
 from kacpal.cli import main
-from kacpal.cyclotomic import CycNumber, gauss_sum_check, zeta_power
+from kacpal.cyclotomic import CycNumber, gauss_sum_check, root_count_sum, zeta_power
 from kacpal.hopf import hopf_axiom_report
 from kacpal.partitions import (
     partitions_of,
@@ -37,7 +38,7 @@ from kacpal.partitions import (
     standard_tableaux_count,
     young_symmetrizer,
 )
-from kacpal.wreath import conjugacy_class_count, group_order
+from kacpal.wreath import conjugacy_class_count, group_order, mul_row
 
 RELATION_PAIRS = [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4)]
 RANK_PAIRS = [(2, 2), (3, 2), (2, 3)]
@@ -244,6 +245,21 @@ def test_criterion_5_hopf_axioms_at_4_2_within_3s():
     assert report["all_pass"], report
     assert elapsed < 3, f"the Hopf report at (4, 2) took {elapsed:.1f}s"
     announce(5, f"every Hopf axiom on every basis element at (4, 2) in {elapsed:.1f}s")
+
+
+def test_criterion_5_hopf_relation_check_at_4_3_within_4s():
+    # the evaluation on dense tensors at (n, 2m) took 6.1 s here on a shared
+    # 2-core VM, Python 3.11
+    for cache in (hopf._delta_z, z_element, y_inverse_element, s_element, mul_row):
+        cache.cache_clear()
+    for cache in (characters, _fourier, root_count_sum):
+        cache.cache_clear()
+    start = time.time()
+    failures = hopf._relation_failures(4, 3)
+    elapsed = time.time() - start
+    assert failures == []
+    assert elapsed < 4, f"the Hopf relation check at (4, 3) took {elapsed:.1f}s"
+    announce(5, f"delta preserves every defining relation at (4, 3) in {elapsed:.1f}s")
 
 
 def test_criterion_6_combinatorial_oracles():

@@ -183,6 +183,15 @@ def test_model_failure_exits_1(capsys, monkeypatch):
     assert "does not model the group algebra at (n=2, m=3): the composition law" in err
 
 
+def test_verify_checks_the_model_once(capsys):
+    # relations, idempotency and hopf all rest on check_model; a process
+    # runs its lemmas once per (n, m)
+    code, _, _ = run(capsys, "verify", "--n", "2", "--m", "2", "--checks", "relations,idempotency,hopf")
+    assert code == 0
+    info = character_basis.check_model.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
 def test_hook_disagreement_exits_1(capsys, monkeypatch):
     real = classifier.dimension_by_hooks
     monkeypatch.setattr(classifier, "dimension_by_hooks", lambda beta: real(beta) + 1)

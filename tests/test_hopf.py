@@ -11,6 +11,7 @@ from hopf_group_basis_oracle import (
     antipode_axiom_holds,
     coassociativity_holds,
     counit_axiom_holds,
+    relation_failures,
 )
 from kacpal.algebra import (
     AlgebraElement,
@@ -21,7 +22,13 @@ from kacpal.algebra import (
     y_element,
     z_element,
 )
-from kacpal.character_basis import CharacterElement, character_coordinates, tensor_key
+from kacpal.character_basis import (
+    CharacterElement,
+    MonomialModel,
+    character_coordinates,
+    characters,
+    tensor_key,
+)
 from kacpal.cli import main
 from kacpal.cyclotomic import CycNumber, zeta, zeta_power
 from kacpal.hopf import (
@@ -32,6 +39,7 @@ from kacpal.hopf import (
     _delta_z,
     _to_characters,
     _perm_word,
+    _relation_failures,
     antipode,
     cocommutativity_witness,
     counit,
@@ -311,27 +319,110 @@ def test_non_cocommutativity_witness(n, m):
     assert out["x_generators"] == "symmetric"
 
 
+def _group_like_delta_z(real):
+    # z_l (x) z_l: respects every relation except the twisted square of z_l
+    return lambda n, m, l: tensor(z_element(n, m, l), z_element(n, m, l))
+
+
+def _one_entry_off(l_star, a, b):
+    """delta(z_l) for l = l_star with the coefficient of
+    F(chars[a], s_l) (x) F(chars[b], s_l) times zeta: one entry of its
+    exponent table off by one, added in the group basis as a multiple of
+    Phi(F(chars[a], s_l)) (x) Phi(F(chars[b], s_l))."""
+
+    def patch(real):
+        def perturbed(n, m, l):
+            d = real(n, m, l)
+            if l != l_star:
+                return d
+            chars, s = characters(n, m), generator_b(n, m, l).perm
+            left, right = (chars[a], s), (chars[b], s)
+            c = _to_characters(d).terms[tensor_key(left, right)]
+            phi = [CharacterElement(n, m, {key: 1}).to_group() for key in (left, right)]
+            return d + tensor(*phi).scale(c * (zeta(2 * n) - CycNumber.one(2 * n)))
+
+        return perturbed
+
+    return patch
+
+
+Z1_SQUARE = "delta(z_1^2 = (1/n) sum q^(-ij) x_1^i x_2^j)"
+
+
 def test_wrong_delta_z_fails_relation_preservation(monkeypatch):
-    # negative control: a group-like delta(z_l) = z_l (x) z_l respects every
-    # relation except the twisted square of z_l
+    # negative controls: the report names exactly the relations a broken
+    # delta(z_l) violates.  One entry of delta(z_l) breaks z_l^2, the braid
+    # relations with its neighbours and its commutation with the distant
+    # z_k; a relation between x-monomials, or moving x_i past z_l, cannot
+    # see it
     from kacpal import hopf
 
-    n, m = 2, 2
-    caches = (hopf._delta_z, hopf._delta_s, hopf._delta_basis)
-    for cache in caches:
-        cache.cache_clear()
-    monkeypatch.setattr(
-        hopf, "_delta_z", lambda n, m, l: tensor(z_element(n, m, l), z_element(n, m, l))
-    )
-    try:
-        report = hopf_axiom_report(n, m)
-    finally:
+    real = hopf._delta_z
+    caches = (real, hopf._delta_s, hopf._delta_basis)
+    cases = [
+        (_group_like_delta_z, 2, 2, [Z1_SQUARE]),
+        (_one_entry_off(1, 1, 2), 2, 2, [Z1_SQUARE]),
+        (_one_entry_off(1, 1, 2), 2, 3, ["delta(z_1 z_2 z_1 = z_2 z_1 z_2)", Z1_SQUARE]),
+        (
+            _one_entry_off(3, 1, 2),
+            2,
+            4,
+            [
+                "delta(z_1 z_3 = z_3 z_1)",
+                "delta(z_2 z_3 z_2 = z_3 z_2 z_3)",
+                "delta(z_3^2 = (1/n) sum q^(-ij) x_3^i x_4^j)",
+            ],
+        ),
+    ]
+    for patch, n, m, detail in cases:
         for cache in caches:
             cache.cache_clear()
-    entry = report["axioms"]["delta_preserves_relations"]
-    assert entry["status"] == "fail"
-    assert entry["detail"] == ["delta(z_1^2 = (1/n) sum q^(-ij) x_1^i x_2^j)"]
-    assert not report["all_pass"]
+        monkeypatch.setattr(hopf, "_delta_z", patch(real))
+        try:
+            report = hopf_axiom_report(n, m, cap=group_order(n, m))
+        finally:
+            for cache in caches:
+                cache.cache_clear()
+        entry = report["axioms"]["delta_preserves_relations"]
+        assert entry["status"] == "fail", (n, m)
+        assert entry["detail"] == detail, (n, m)
+        assert not report["all_pass"]
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (3, 2), (2, 3), (4, 2)])
+@pytest.mark.parametrize(
+    "patch",
+    [None, _group_like_delta_z, _one_entry_off(1, 1, 2)],
+    ids=["true", "group_like", "one_entry_off"],
+)
+def test_relation_check_on_tables_matches_the_dense_oracle(monkeypatch, n, m, patch):
+    # the relation check on exponent tables against the evaluation on dense
+    # CharacterElements at (n, 2m), for the true delta(z_l) and two breaks
+    from kacpal import hopf
+
+    if patch is not None:
+        monkeypatch.setattr(hopf, "_delta_z", patch(hopf._delta_z))
+    expected = relation_failures(n, m)
+    assert _relation_failures(n, m) == expected
+    assert bool(expected) == (patch is not None)
+
+
+def test_non_monomial_delta_z_is_a_failed_check(monkeypatch, capsys):
+    # negative control: one group-basis coefficient of delta(z_1) times zeta,
+    # with delta(s_1) kept, leaves the relation check's table of delta(z_1)
+    # off the roots of unity
+    from kacpal import hopf
+
+    kept = {l: hopf._delta_s(2, 2, l) for l in (1,)}
+    monkeypatch.setattr(hopf, "_delta_s", lambda n, m, l: kept[l])
+    monkeypatch.setattr(hopf, "_delta_z", _skew_first(hopf._delta_z))
+    code = main(["verify", "--n", "2", "--m", "2", "--checks", "hopf"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1, err
+    assert "Traceback" not in err
+    assert err.startswith("delta(z_1) has the coefficient")
 
 
 def test_delta_s_off_by_a_root_of_unity_is_a_failed_check(monkeypatch, capsys):
@@ -371,7 +462,7 @@ def _with_unit(real):
 
 
 def _skew_first(real):
-    # one group-basis coefficient of an antipode times zeta
+    # one group-basis coefficient times zeta
     def skewed(n, m, l):
         a = real(n, m, l)
         head = min(a.terms)
@@ -411,6 +502,11 @@ def test_broken_generator_images_are_failed_checks(monkeypatch, name, patch, mes
             cache.cache_clear()
 
 
+# every axiom each perturbation below breaks: those named in its broken set,
+# and these too
+ALSO_FAILING = {(1, 2): {"antipode"}, (0, 1): {"coassociativity", "delta_multiplicative"}}
+
+
 @pytest.mark.parametrize(
     "entry, broken",
     [
@@ -419,22 +515,24 @@ def test_broken_generator_images_are_failed_checks(monkeypatch, name, patch, mes
     ],
 )
 def test_perturbed_cocycle_fails(monkeypatch, entry, broken):
-    # negative control: one exponent of omega_(s_1) moved by one; an entry
-    # in row 0 is the counit's
-    from kacpal import hopf
+    # negative control: one exponent of omega_(s_1) moved by one, as the
+    # coefficient of F(chars[a], s_1) (x) F(chars[b], s_1) in delta(s_1)
+    # times zeta before its table is read; an entry in row 0 is the counit's
+    real = MonomialModel.read
 
-    real = hopf._delta_s_exponents
+    def perturbed(model, terms, perm, what):
+        if what == "delta(s_1)":
+            a, b = entry
+            chars, s = characters(3, 2), perm[:2]
+            key = tensor_key((chars[a], s), (chars[b], s))
+            terms = {**terms, key: terms[key] * zeta(6)}
+        return real(model, terms, perm, what)
 
-    def perturbed(n, m, l):
-        table = [row[:] for row in real(n, m, l)]
-        a, b = entry
-        table[a][b] = (table[a][b] + 1) % (2 * n)
-        return table
-
-    monkeypatch.setattr(hopf, "_delta_s_exponents", perturbed)
+    monkeypatch.setattr(MonomialModel, "read", perturbed)
     report = hopf_axiom_report(3, 2)
     failed = {name for name, status in report["axioms"].items() if status != "pass"}
     assert failed & broken, report["axioms"]
+    assert failed == broken | ALSO_FAILING[entry], report["axioms"]
     assert all(report["axioms"][name]["status"] == "fail" for name in failed)
     assert not report["all_pass"]
 
