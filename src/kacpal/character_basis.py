@@ -28,8 +28,15 @@ character_coordinates, keeps cyclotomic coefficients,
     (t, p) = x^t p = sum_lam zeta^(-2 lam . t) F(lam, p),
 
 and is how kacpal.hopf reads the comultiplication and the antipode in this
-basis.  The tensor square of the algebra at (n, m) is modelled by the same
-elements at (n, 2m), keyed by tensor_key.
+basis.  It runs on integers: block_coordinates lifts the coefficients of one
+permutation block, over a common denominator, into the group ring Z[C_2n],
+where a product by zeta^k is a rotation of integer counts; it applies a
+one-slot DFT along each slot that the block twists, and reduces each
+coefficient of the result once.  A block twisting k slots costs about
+k n^(k+1) rotations of 2n integers and n^k reductions, and the n^m results
+are copies across the untwisted slots, against n^m CycNumber products per
+term of the dense transform.  The tensor square of the algebra at (n, m) is
+modelled by the same elements at (n, 2m), keyed by tensor_key.
 
 An element with one permutation p whose coefficients are 2n-th roots of
 unity or zero, sum_lam zeta^e(lam) F(lam, p), is monomial: the generators
@@ -45,16 +52,23 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 from math import lcm
+from operator import add
 
 from . import algebra
 from .algebra import ONE, AlgebraElement, _echelon, character_combination, permute_character
-from .cyclotomic import CycNumber, _x_power, root_count_sum, zeta_power
+from .cyclotomic import (
+    CycNumber,
+    _x_power,
+    cyclotomic_polynomial,
+    group_ring_value,
+    root_count_sum,
+    zeta_power,
+)
 from .sparse import SparseSum, power
 from .wreath import (
     CheckFailedError,
     Perm,
     WreathElement,
-    element_at,
     generator_a,
     generator_b,
     twist_index,
@@ -143,40 +157,81 @@ def tensor_key(left: tuple, right: tuple) -> tuple:
 
 @lru_cache(maxsize=None)
 def characters(n: int, m: int) -> tuple:
-    """The characters of Z_n^m in twist-index order: entry k has twist_index k."""
-    return tuple(element_at(n, m, k).twists for k in range(n**m))
+    """The characters of Z_n^m in twist-index order: entry k has twist_index k,
+    so slot 0 varies fastest."""
+    return tuple(t[::-1] for t in product(range(n), repeat=m))
 
 
-@lru_cache(maxsize=None)
-def _fourier(n: int, m: int) -> tuple:
-    """Row k: zeta^(-2 lam . t) for the twist vector t of twist_index k, over
-    the characters lam in twist-index order."""
+def _rotate(counts: list, k: int) -> list:
+    """counts times zeta^k in Z[C_2n]: each count moves k exponents on."""
+    k %= len(counts)
+    return counts[-k:] + counts[:-k]
+
+
+def _slot_dft(entries: dict, n: int, i: int) -> dict:
+    """The one-slot DFT along slot i of vectors in Z[C_2n] keyed by digit
+    tuples: the twist t_i of each key becomes every character value v, its
+    vector times zeta^(-2 v t_i)."""
+    out: dict = {}
+    for key, counts in entries.items():
+        t, head, tail = key[i], key[:i], key[i + 1 :]
+        for v in range(n):
+            target = (*head, v, *tail)
+            moved = _rotate(counts, -2 * v * t)
+            cur = out.get(target)
+            out[target] = moved if cur is None else list(map(add, cur, moved))
+    return out
+
+
+def block_coordinates(n: int, m: int, p, column: dict) -> dict:
+    """Phi^(-1) of one permutation block: sum_s c_s x^t p over twist indices
+    s, t the twist vector of s, as {(lam, p): c'} with the coefficients in
+    Q(zeta_2n).
+
+    x^t p = sum_lam zeta^(-2 lam . t) F(lam, p), and the sum over t
+    factors slot by slot.  Each c_s, over the common denominator D of the
+    block, is lifted to an integer vector in Z[C_2n] indexed by the exponent
+    of zeta, where a product by zeta^k is a rotation.  A one-slot DFT then
+    runs along each slot that some t twists, at most k n^(k+1) rotations for
+    k such slots, and fewer while the block is sparse: a one-term block
+    such as delta(x_i) takes n + n^2.  Each coefficient of the result is
+    reduced once.  On a slot that no t twists the coefficient does not
+    depend on lam there, so the reduced values are copied across it.
+    """
     order = 2 * n
-    chars = characters(n, m)
-    return tuple(
-        tuple(zeta_power(order, -2 * sum(a * b for a, b in zip(lam, t))) for lam in chars)
-        for t in chars
-    )
+    deg = len(cyclotomic_polynomial(order)) - 1
+    den = lcm(*(c.den for c in column.values()))
+    chars, pad = characters(n, m), [0] * (order - deg)
+    entries = {chars[s]: [a * (den // c.den) for a in c.num] + pad for s, c in column.items()}
+    twisted = sorted({i for t in entries for i, v in enumerate(t) if v})
+    for i in twisted:
+        entries = _slot_dft(entries, n, i)
+    untwisted = [i for i in range(m) if i not in twisted]
+    fills = list(product(range(n), repeat=len(untwisted)))
+    out: dict = {}
+    for key, counts in entries.items():
+        c = group_ring_value(order, counts, den)
+        if c:
+            lam = list(key)
+            for fill in fills:
+                for i, v in zip(untwisted, fill):
+                    lam[i] = v
+                out[tuple(lam), p] = c
+    return out
 
 
 def character_coordinates(n: int, m: int, terms: dict) -> dict:
     """Phi^(-1) on coordinates: a group-basis vector {index: c} as
-    {(lam, p): c'}, with the coefficients kept in Q(zeta_2n).
-
-    The group element (t, p) is x^t p = sum_lam zeta^(-2 lam . t) F(lam, p),
-    so each term spreads over the n^m characters of its own permutation.
-    """
-    chars, rows = characters(n, m), _fourier(n, m)
-    acc: dict = {}
+    {(lam, p): c'}, with the coefficients kept in Q(zeta_2n), one
+    permutation block at a time by block_coordinates."""
+    size, blocks = n**m, {}
     for index, c in terms.items():
-        u = element_at(n, m, index)
-        p = u.perm
-        for lam, z in zip(chars, rows[twist_index(n, u.twists)]):
-            key = (lam, p)
-            v = c * z
-            cur = acc.get(key)
-            acc[key] = v if cur is None else cur + v
-    return {key: v for key, v in acc.items() if v}
+        rank, s = divmod(index, size)
+        blocks.setdefault(rank, {})[s] = c
+    out: dict = {}
+    for rank, column in blocks.items():
+        out.update(block_coordinates(n, m, Perm.from_lehmer(m, rank), column))
+    return out
 
 
 def symmetric_group(m: int) -> list[Perm]:
@@ -277,9 +332,15 @@ class MonomialModel:
         return self.diagonal(None)
 
     def x_monomial(self, t) -> "Monomial":
-        """x^t = sum_lam zeta^(-2 lam . t) F(lam, 1)."""
-        support = [(j, v) for j, v in enumerate(t) if v]
-        return self.diagonal([-2 * sum(lam[j] * v for j, v in support) for lam in self.chars])
+        """x^t = sum_lam zeta^(-2 lam . t) F(lam, 1), its table built slot by
+        slot in twist-index order."""
+        exponents = [0]
+        for v in t:
+            if v:
+                exponents = [e - 2 * v * a for a in range(self.n) for e in exponents]
+            else:
+                exponents *= self.n
+        return self.diagonal(exponents)
 
     def idempotent(self, lam) -> "Monomial":
         """Lambda_lam = F(lam, 1)."""

@@ -25,8 +25,8 @@ from .partitions import (
     Partition,
     Perm,
     SymFormalSum,
+    count_formula,
     hook_length,
-    partition_counts,
     partitions_of,
     row_consecutive_tableau,
     standard_tableaux_count,
@@ -125,22 +125,6 @@ def enumerate_labelled_partitions(n: int, m: int) -> list[LabelledPartition]:
         for blocks in product(*(partitions_of(size) for size in comp)):
             out.append(LabelledPartition(n, blocks))
     return out
-
-
-def count_formula(n: int, m: int) -> int:
-    """The number of labelled partitions: the sum over compositions of m into
-    n parts of the product of the parts' partition counts, which is the
-    coefficient of x^m in P(x)^n with P(x) = sum_k p(k) x^k.
-
-    J. C. P. Miller's power recurrence gives the coefficients q_k of P^n as
-    k q_k = sum_{j=1..k} ((n+1) j - k) p(j) q_(k-j), each division exact, in
-    O(m^2) steps whatever n is.
-    """
-    p = partition_counts(m)
-    q = [1]
-    for k in range(1, m + 1):
-        q.append(sum(((n + 1) * j - k) * p[j] * q[k - j] for j in range(1, k + 1)) // k)
-    return q[m]
 
 
 def lambda_from_beta(beta: LabelledPartition) -> tuple[int, ...]:

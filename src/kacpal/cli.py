@@ -1,4 +1,10 @@
-"""Command-line front end: tables, verification suites, idempotents, counts."""
+"""Command-line front end: tables, verification suites, idempotents, counts.
+
+Each handler imports the modules it runs when it runs, so a call loads only
+what its command and checks need: `verify --checks hopf` leaves the
+classifier out, `--checks relations` the Hopf module too, and `count` the
+algebra.
+"""
 
 from __future__ import annotations
 
@@ -8,16 +14,6 @@ import os
 import sys
 from collections.abc import Iterable, Iterator
 
-from .algebra import verify_defining_relations
-from .classifier import (
-    LabelledPartition,
-    count_formula,
-    idempotent_from_beta,
-    irrep_dimension,
-    irrep_table,
-    lambda_from_beta,
-)
-from .hopf import hopf_axiom_report
 from .wreath import (
     CapExceededError,
     CheckFailedError,
@@ -102,6 +98,8 @@ def _expanded_json(payload: dict, e) -> Iterator[str]:
 
 
 def _irrep_table(args):
+    from .classifier import irrep_table
+
     checks = args.checks
     return irrep_table(
         args.n,
@@ -144,8 +142,12 @@ def cmd_verify(args) -> int:
     checks = args.checks
     parts: dict = {}
     if "relations" in checks:
+        from .algebra import verify_defining_relations
+
         parts["relations"] = verify_defining_relations(args.n, args.m, cap=args.cap)
     if "hopf" in checks:
+        from .hopf import hopf_axiom_report
+
         parts["hopf"] = hopf_axiom_report(args.n, args.m, cap=args.cap)
     if any(c in TABLE_CHECKS for c in checks):
         parts["classification"] = _irrep_table(args).checks
@@ -159,6 +161,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_idempotent(args) -> int:
+    from .classifier import (
+        LabelledPartition,
+        idempotent_from_beta,
+        irrep_dimension,
+        lambda_from_beta,
+    )
+
     beta = LabelledPartition.parse(args.n, args.m, args.beta or "")
     e = idempotent_from_beta(beta)
     payload = {
@@ -189,6 +198,8 @@ def _decimal(value: int) -> str:
 
 
 def cmd_count(args) -> int:
+    from .partitions import count_formula
+
     formula = count_formula(args.n, args.m)
     lines = [f"count = {_decimal(formula)}"]
     code = 0

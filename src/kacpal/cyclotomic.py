@@ -385,10 +385,10 @@ def zeta_over(order: int, k: int, den: int) -> CycNumber:
     return _make(order, _x_power(order, k % order), den)
 
 
-@lru_cache(maxsize=None)
-def root_count_sum(order: int, counts: tuple[int, ...], den: int = 1) -> CycNumber:
+def group_ring_value(order: int, counts, den: int = 1) -> CycNumber:
     """The sum over k of counts[k] zeta^k / den, for integer counts indexed
-    by the exponents 0..order-1: one integer vector per nonzero count, then
+    by the exponents 0..order-1: the image of an element of the group ring
+    Z[C_order] in Q(zeta), with one integer vector per nonzero count, then
     one reduction."""
     num = [0] * (len(cyclotomic_polynomial(order)) - 1)
     for k, c in enumerate(counts):
@@ -397,6 +397,13 @@ def root_count_sum(order: int, counts: tuple[int, ...], den: int = 1) -> CycNumb
                 if r:
                     num[i] += c * r
     return _reduced(order, tuple(num), den)
+
+
+@lru_cache(maxsize=None)
+def root_count_sum(order: int, counts: tuple[int, ...], den: int = 1) -> CycNumber:
+    """group_ring_value, remembered: sums of roots that a check meets again
+    and again, such as a Gauss sum, are reduced once."""
+    return group_ring_value(order, counts, den)
 
 
 def zeta(order: int) -> CycNumber:

@@ -34,21 +34,32 @@ axiom then holds on every basis element exactly when
   triples (the 2-cocycle identity);
 - multiplicativity: omega_pq(mu, nu) = omega_p(mu, nu) + omega_q(mu o p, nu o p)
   mod 2n, over all m!^2 n^(2m) pairs of basis elements;
-- counit and antipode: the scalar identities (eps (x) id) delta = id,
-  m (S (x) id) delta = eps 1 and their mirrors hold on every F(lam, p);
+- counit: (eps (x) id) delta = id and its mirror.  With eps(F(a, p)) =
+  eps(Lambda_a), read once, this is eps(Lambda_a) = [a = 0] for every
+  character a, which allows no value but 0 or 1, and omega_p(mu, nu) = 0
+  wherever mu or nu is 0: integer comparisons, m! n^m of them;
+- antipode: m (S (x) id) delta = eps 1 and its mirror hold on every
+  F(lam, p);
 - relations: algebra.presentation holds on the images of the x-monomials
   and the z_l as exponent tables at (n, 2m), multiplied by adding exponents;
   delta(z_l) must be monomial there, or CheckFailedError names it.
 
-The group-basis axiom checks on the generators, and the relation check on
-dense character-basis tensors, are kept as the reference in
-tests/hopf_group_basis_oracle.py.
+The tensors are changed to the character basis by
+character_basis.block_coordinates, on integer counts.  The
+non-cocommutativity witness stays in the group basis: it reads
+delta(z_l) from _delta_z, the defining formula that the relation check has
+already built, and compares it with its flip.
+
+The group-basis axiom checks on the generators, the relation check on dense
+character-basis tensors, and the dense change of basis are kept as the
+reference in tests/hopf_group_basis_oracle.py.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+from typing import TYPE_CHECKING
 
 from .algebra import (
     AlgebraElement,
@@ -65,16 +76,17 @@ from .character_basis import (
     CharacterElement,
     Monomial,
     MonomialModel,
+    block_coordinates,
     character_coordinates,
     check_model,
     symmetric_group,
     tensor_key,
 )
 from .cyclotomic import CycNumber, zeta_power
-from .partitions import SymFormalSum
 from .sparse import SparseSum, add_into
 from .wreath import (
     CheckFailedError,
+    Perm,
     check_cap,
     element_at,
     generator_a,
@@ -83,6 +95,9 @@ from .wreath import (
     mul_row,
     twist_index,
 )
+
+if TYPE_CHECKING:  # imported where it is used, so the report does not load it
+    from .partitions import SymFormalSum
 
 
 class TensorElement(SparseSum):
@@ -251,25 +266,20 @@ def antipode(a: AlgebraElement) -> AlgebraElement:
 
 
 def _to_characters(t: TensorElement) -> CharacterElement:
-    """The exact change of basis of both legs of a tensor, one leg at a time:
-    an element of the model at (n, 2m), keyed by tensor_key."""
+    """The exact change of basis of both legs of a tensor: an element of the
+    model at (n, 2m), keyed by tensor_key.  (s, p) (x) (u, q) is the group
+    element (s + n^m u, p (+) q) at (n, 2m), so each block p (+) q is changed
+    in one pass over its 2m slots."""
     n, m = t.n, t.m
-    columns: dict = {}
+    size, blocks = n**m, {}
     for (i, j), c in t.terms.items():
-        columns.setdefault(j, {})[i] = c
-    rows: dict = {}
-    for j, column in columns.items():
-        for key, c in character_coordinates(n, m, column).items():
-            rows.setdefault(key, {})[j] = c
-    return CharacterElement._make(
-        n,
-        2 * m,
-        {
-            tensor_key(key, key2): c
-            for key, row in rows.items()
-            for key2, c in character_coordinates(n, m, row).items()
-        },
-    )
+        (p, s), (q, u) = divmod(i, size), divmod(j, size)
+        blocks.setdefault((p, q), {})[s + size * u] = c
+    terms: dict = {}
+    for (p, q), column in blocks.items():
+        _, doubled = tensor_key(((), Perm.from_lehmer(m, p)), ((), Perm.from_lehmer(m, q)))
+        terms.update(block_coordinates(n, 2 * m, doubled, column))
+    return CharacterElement._make(n, 2 * m, terms)
 
 
 def _delta_table(model2: MonomialModel, t: TensorElement, p, what: str) -> Monomial:
@@ -379,17 +389,22 @@ class _CharacterHopf:
 
     def counit_failure(self) -> str | None:
         # the term F(a, p) (x) F(b, p) of delta(F(a + b, p)) must contribute
-        # eps(F(a, p)) zeta^omega F(b, p) = [a = 0] F(b, p) and its mirror
-        unit = (CycNumber.zero(self.order), CycNumber.one(self.order))  # by [a = 0]
-        zetas, eps = self.zetas, self.eps
+        # eps(F(a, p)) zeta^omega F(b, p) = [a = 0] F(b, p) and its mirror:
+        # eps[a] = [a = 0] and eps[b] = [b = 0], which leaves no value but 0
+        # or 1, and omega = 0 wherever a or b is 0.  The first failing pair in
+        # the order of p, a, b is the least of four candidates.
+        bad = [a for a, value in enumerate(self.eps) if value != (1 if a == 0 else 0)]
         for p in self.perms:
-            for a, row in enumerate(self.omega[p]):
-                for b, e in enumerate(row):
-                    if eps[a] * zetas[e] != unit[a == 0] or eps[b] * zetas[e] != unit[b == 0]:
-                        return (
-                            f"(eps x id) delta or (id x eps) delta is not the identity on "
-                            f"{self.name(self.plus[a][b], p)}"
-                        )
+            w = self.omega[p]
+            failing = [(x, 0) for x in bad[:1]] + [(0, x) for x in bad[:1]]
+            failing += [(0, b) for b, e in enumerate(w[0]) if e][:1]
+            failing += [(a, 0) for a, row in enumerate(w) if row[0]][:1]
+            if failing:
+                a, b = min(failing)
+                return (
+                    f"(eps x id) delta or (id x eps) delta is not the identity on "
+                    f"{self.name(self.plus[a][b], p)}"
+                )
         return None
 
     def antipode_failure(self) -> str | None:
@@ -482,11 +497,15 @@ def hopf_axiom_report(n: int, m: int, cap: int | None = None) -> dict:
 
 def cocommutativity_witness(n: int, m: int, cap: int | None = None) -> dict:
     """Report that delta(z_l) differs from its flip, with one nonzero
-    coordinate as witness, and that the x generators are symmetric."""
+    coordinate as witness, and that the x generators are symmetric.
+
+    delta(z_l) is _delta_z, its defining formula, which the relation check
+    has already built; delta applied to the group-basis terms of z_l gives
+    the same tensor."""
     check_cap(n, m, "tensor-square", cap)
     out: dict = {}
     for l in range(1, m):
-        d = delta(z_element(n, m, l))
+        d = _delta_z(n, m, l)
         diff = d - d.flip()
         if diff.is_zero():
             out[f"z_{l}"] = {"status": "cocommutative"}
@@ -514,6 +533,8 @@ def quotient_to_sym(a: AlgebraElement) -> SymFormalSum:
     permutation.  Raises ValueError if a projected coefficient is not
     rational (such a value cannot be represented in a rational formal sum).
     """
+    from .partitions import SymFormalSum
+
     acc: dict = {}
     for ix, c in a.terms.items():
         add_into(acc, {element_at(a.n, a.m, ix).perm: c})

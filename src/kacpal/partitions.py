@@ -1,5 +1,8 @@
 """Partitions, Young tableaux, hook lengths, and normalised Young symmetrizers.
 
+count_formula, the number of labelled partitions, lives here beside the
+partition counts it is built from, so that the count command loads no more.
+
 The symmetrizer of a standard tableau is returned as an exact rational
 formal sum over permutations; with the standard-tableau-count prefactor it
 is an idempotent of the symmetric group algebra.
@@ -84,6 +87,23 @@ def partition_counts(k: int) -> list[int]:
             g += 3 * j - 2
         p.append(total)
     return p
+
+
+def count_formula(n: int, m: int) -> int:
+    """The number of labelled partitions, n-tuples of partitions whose sizes
+    sum to m: the sum over compositions of m into n parts of the product of
+    the parts' partition counts, which is the coefficient of x^m in P(x)^n
+    with P(x) = sum_k p(k) x^k.
+
+    J. C. P. Miller's power recurrence gives the coefficients q_k of P^n as
+    k q_k = sum_{j=1..k} ((n+1) j - k) p(j) q_(k-j), each division exact, in
+    O(m^2) steps whatever n is.
+    """
+    p = partition_counts(m)
+    q = [1]
+    for k in range(1, m + 1):
+        q.append(sum(((n + 1) * j - k) * p[j] * q[k - j] for j in range(1, k + 1)) // k)
+    return q[m]
 
 
 def hook_length(mu: Partition, row: int, col: int) -> int:

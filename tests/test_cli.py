@@ -1,11 +1,14 @@
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from kacpal.algebra import AlgebraElement, lambda_idempotent, s_element
-from kacpal import character_basis, classifier, cli
+from kacpal import algebra, character_basis, classifier, cli
 from kacpal.cli import main
 from kacpal.wreath import CheckFailedError, Perm, group_order
 
@@ -109,7 +112,8 @@ def test_caps_checked_before_any_work(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the relation suite ran before the rank cap was checked")
 
-    monkeypatch.setattr(cli, "verify_defining_relations", refuse)
+    # cmd_verify imports the suite from kacpal.algebra when it runs it
+    monkeypatch.setattr(algebra, "verify_defining_relations", refuse)
     code, out, err = run(
         capsys, "verify", "--n", "2", "--m", "5", "--checks", "relations,ranks"
     )
@@ -434,3 +438,51 @@ def test_out_unwritable_exits_2_without_traceback(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
     assert not target.exists()
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def modules_loaded_by(tmp_path, *argv) -> set:
+    """The kacpal modules, and csv, in sys.modules after one CLI call in a
+    fresh interpreter, which must pass."""
+    script = (
+        "import json, sys\n"
+        "from kacpal.cli import main\n"
+        f"code = main({[*argv, '--out', str(tmp_path / 'out')]!r})\n"
+        "print(json.dumps([code, [m for m in sys.modules if m.startswith('kacpal') or m == 'csv']]))\n"
+    )
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    code, modules = json.loads(done.stdout)
+    assert code == 0
+    return set(modules)
+
+
+def test_each_command_imports_only_what_it_runs(tmp_path):
+    hopf = modules_loaded_by(tmp_path, "verify", "--n", "2", "--m", "2", "--checks", "hopf")
+    assert "kacpal.hopf" in hopf
+    assert not {"kacpal.classifier", "kacpal.partitions", "csv"} & hopf
+    relations = modules_loaded_by(tmp_path, "verify", "--n", "2", "--m", "2", "--checks", "relations")
+    assert "kacpal.algebra" in relations
+    assert not {"kacpal.hopf", "kacpal.classifier", "kacpal.partitions", "csv"} & relations
+    count = modules_loaded_by(tmp_path, "count", "--n", "3", "--m", "4")
+    assert not {"kacpal.algebra", "kacpal.classifier", "kacpal.cyclotomic", "csv"} & count
+
+
+def test_every_exported_name_resolves():
+    import kacpal
+
+    for name in kacpal.__all__:
+        value = getattr(kacpal, name)
+        module = kacpal._MODULE_OF[name]
+        assert value is getattr(sys.modules[f"kacpal.{module}"], name), name
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        kacpal.nonexistent

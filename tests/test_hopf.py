@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from group_basis_oracle import basis_element
+import hopf_group_basis_oracle as oracle
 from hopf_group_basis_oracle import (
     _fixed_sparse,
     antipode_axiom_holds,
@@ -22,6 +24,7 @@ from kacpal.algebra import (
     y_element,
     z_element,
 )
+from kacpal import character_basis
 from kacpal.character_basis import (
     CharacterElement,
     MonomialModel,
@@ -51,6 +54,7 @@ from kacpal.hopf import (
 from kacpal.partitions import SymFormalSum
 from kacpal.wreath import (
     CapExceededError,
+    CheckFailedError,
     Perm,
     WreathElement,
     elements,
@@ -96,6 +100,7 @@ def test_delta_group_like_on_x():
 
 
 def test_delta_z_matches_defining_formula():
+    # cocommutativity_witness reads _delta_z in place of delta(z_l)
     for n, m in [(2, 2), (3, 2), (2, 3)]:
         for l in range(1, m):
             assert delta(z_element(n, m, l)) == _delta_z(n, m, l)
@@ -286,6 +291,30 @@ def test_character_model_at_2m_multiplies_as_the_tensor_square(size, data):
     a, b = data.draw(sparse_tensors(n, m)), data.draw(sparse_tensors(n, m))
     assert _to_characters(a * b) == _to_characters(a) * _to_characters(b)
     assert _to_characters(TensorElement.unit(n, m)) == CharacterElement.one(n, 2 * m)
+
+
+def field_elements(n):
+    """Elements of Q(zeta_2n) with rational coordinates of mixed denominators:
+    mostly not roots of unity, nor rational multiples of one."""
+    order = 2 * n
+    fractions = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    return st.lists(fractions, min_size=1, max_size=len(zeta_power(order, 0).num)).map(
+        lambda coeffs: CycNumber(order, coeffs)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 2), (3, 2), (2, 3), (4, 2)]), st.data())
+def test_rotation_kernel_matches_the_dense_change_of_basis(size, data):
+    # Phi^(-1) by rotations of integer counts against one CycNumber product
+    # per term and character, on vectors and tensors over several blocks
+    n, m = size
+    coeff = st.one_of(coefficients(n), field_elements(n))
+    index = st.integers(0, group_order(n, m) - 1)
+    vector = data.draw(st.dictionaries(index, coeff, max_size=8))
+    assert character_coordinates(n, m, vector) == oracle.character_coordinates(n, m, vector)
+    t = TensorElement(n, m, data.draw(st.dictionaries(st.tuples(index, index), coeff, max_size=8)))
+    assert _to_characters(t).terms == oracle.to_characters(t).terms
 
 
 def test_tensor_coefficients_are_checked_and_coerced():
@@ -535,6 +564,64 @@ def test_perturbed_cocycle_fails(monkeypatch, entry, broken):
     assert failed == broken | ALSO_FAILING[entry], report["axioms"]
     assert all(report["axioms"][name]["status"] == "fail" for name in failed)
     assert not report["all_pass"]
+
+
+def _rotation_of_the_wrong_sign(monkeypatch):
+    # x^t p read as sum_lam zeta^(+2 lam . t) F(lam, p); invisible at n = 2
+    real = character_basis._rotate
+    monkeypatch.setattr(character_basis, "_rotate", lambda counts, k: real(counts, -k))
+
+
+def _dft_along_the_next_slot(monkeypatch):
+    real = character_basis._slot_dft
+
+    def shifted(entries, n, i):
+        return real(entries, n, (i + 1) % len(next(iter(entries))))
+
+    monkeypatch.setattr(character_basis, "_slot_dft", shifted)
+
+
+def _counit_of_two(monkeypatch):
+    # eps(Lambda_0) = 2, every other eps(Lambda_lam) still 0
+    from kacpal import hopf
+
+    real = hopf.counit
+    monkeypatch.setattr(hopf, "counit", lambda a: real(a) * 2)
+
+
+@pytest.mark.parametrize(
+    "mutate, failure",
+    [
+        (_rotation_of_the_wrong_sign, r"delta\(x_1\) is not group-like"),
+        (_dft_along_the_next_slot, r"delta\(x_1\) has the coefficient CycNumber\(6, '0'\)"),
+    ],
+)
+def test_a_broken_change_of_basis_is_a_failed_check(monkeypatch, capsys, mutate, failure):
+    # negative controls for Phi^(-1) on counts: the report raises, and
+    # verify exits 1 with one line on stderr
+    mutate(monkeypatch)
+    with pytest.raises(CheckFailedError, match=failure):
+        hopf_axiom_report(3, 2)
+    code = main(["verify", "--n", "3", "--m", "2", "--checks", "hopf"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1, err
+    assert "Traceback" not in err
+
+
+def test_a_counit_off_0_and_1_fails_the_report(monkeypatch, capsys):
+    # negative control for the counit read on exponents
+    _counit_of_two(monkeypatch)
+    report = hopf_axiom_report(3, 2)
+    assert report["axioms"]["counit"] == {
+        "status": "fail",
+        "detail": "(eps x id) delta or (id x eps) delta is not the identity on F((0, 0), [0, 1])",
+    }
+    assert not report["all_pass"]
+    code = main(["verify", "--n", "3", "--m", "2", "--checks", "hopf"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    assert json.loads(out)["all_pass"] is False
 
 
 def test_basis_maps_decode_one_index(monkeypatch):
