@@ -185,14 +185,18 @@ def y_exponent(lam: tuple[int, ...], l: int) -> int:
     return -lam[l - 1] * lam[l]
 
 
-def _y_power(n: int, m: int, l: int, sign: int) -> AlgebraElement:
-    _check_transposition_index(m, l)
+def diagonal_element(n: int, m: int, exponent) -> AlgebraElement:
+    """sum_lam zeta^exponent(lam) Lambda_lam, by the change of basis."""
     ident = tuple(range(m))
     terms = {
-        (lam, ident): zeta_power(2 * n, sign * y_exponent(lam, l))
-        for lam in product(range(n), repeat=m)
+        (lam, ident): zeta_power(2 * n, exponent(lam)) for lam in product(range(n), repeat=m)
     }
     return character_combination(n, m, terms, {})
+
+
+def _y_power(n: int, m: int, l: int, sign: int) -> AlgebraElement:
+    _check_transposition_index(m, l)
+    return diagonal_element(n, m, lambda lam: sign * y_exponent(lam, l))
 
 
 @lru_cache(maxsize=None)
@@ -229,15 +233,6 @@ def z_square_sum(n: int, m: int, l: int, mono):
     before, after = (0,) * (l - 1), (0,) * (m - l - 1)
     pairs = [(-2 * i * j, mono(before + (i, j) + after)) for i in range(n) for j in range(n)]
     return pairs[0][1].root_sum(pairs, n)
-
-
-def z_square_rhs(n: int, m: int, l: int) -> AlgebraElement:
-    """(1/n) sum over i,j in 0..n-1 of q^(-ij) x_l^i x_{l+1}^j.
-
-    The exact value of z_l^2; the sum starts at zero, which is the only
-    range consistent with z_l^2 = y_l^(-2).
-    """
-    return z_square_sum(n, m, l, partial(x_monomial, n, m))
 
 
 def permute_character(lam: tuple[int, ...], perm) -> tuple[int, ...]:

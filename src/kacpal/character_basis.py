@@ -22,20 +22,7 @@ The change of basis Phi: F(lam, p) -> Lambda_lam p is exact,
 computed by algebra.character_combination beside lambda_idempotent, and
 check_model verifies at a given (n, m), from the lemmas behind the product
 rule, that Phi carries the model's product to the group's before any check
-relies on the model.  Its inverse,
-character_coordinates, keeps cyclotomic coefficients,
-
-    (t, p) = x^t p = sum_lam zeta^(-2 lam . t) F(lam, p),
-
-and is how kacpal.hopf reads the comultiplication and the antipode in this
-basis.  It runs on integers: block_coordinates lifts the coefficients of one
-permutation block, over a common denominator, into the group ring Z[C_2n],
-where a product by zeta^k is a rotation of integer counts; it applies a
-one-slot DFT along each slot that the block twists, and reduces each
-coefficient of the result once.  A block twisting k slots costs about
-k n^(k+1) rotations of 2n integers and n^k reductions, and the n^m results
-are copies across the untwisted slots, against n^m CycNumber products per
-term of the dense transform.  The tensor square of the algebra at (n, m) is
+relies on the model.  The tensor square of the algebra at (n, m) is
 modelled by the same elements at (n, 2m), keyed by tensor_key.
 
 An element with one permutation p whose coefficients are 2n-th roots of
@@ -43,7 +30,10 @@ unity or zero, sum_lam zeta^e(lam) F(lam, p), is monomial: the generators
 x_i and s_l, the units y_l and z_l and each Lambda_lam = F(lam, 1) are.
 Monomial stores it as an exponent table, and two tables multiply by adding
 integers along permute_character; MonomialModel holds the character
-arithmetic of one (n, m) and reads a table off the terms of an element.
+arithmetic of one (n, m).  The relation suite and the Hopf report evaluate
+their defining formulas on these tables, at (n, m) and, for the tensor
+square, at (n, 2m), so no element is changed to this basis from the group
+basis.
 """
 
 from __future__ import annotations
@@ -52,18 +42,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 from math import lcm
-from operator import add
 
 from . import algebra
 from .algebra import ONE, AlgebraElement, _echelon, character_combination, permute_character
-from .cyclotomic import (
-    CycNumber,
-    _x_power,
-    cyclotomic_polynomial,
-    group_ring_value,
-    root_count_sum,
-    zeta_power,
-)
+from .cyclotomic import CycNumber, _x_power, root_count_sum, zeta_power
 from .sparse import SparseSum, power
 from .wreath import (
     CheckFailedError,
@@ -160,78 +142,6 @@ def characters(n: int, m: int) -> tuple:
     """The characters of Z_n^m in twist-index order: entry k has twist_index k,
     so slot 0 varies fastest."""
     return tuple(t[::-1] for t in product(range(n), repeat=m))
-
-
-def _rotate(counts: list, k: int) -> list:
-    """counts times zeta^k in Z[C_2n]: each count moves k exponents on."""
-    k %= len(counts)
-    return counts[-k:] + counts[:-k]
-
-
-def _slot_dft(entries: dict, n: int, i: int) -> dict:
-    """The one-slot DFT along slot i of vectors in Z[C_2n] keyed by digit
-    tuples: the twist t_i of each key becomes every character value v, its
-    vector times zeta^(-2 v t_i)."""
-    out: dict = {}
-    for key, counts in entries.items():
-        t, head, tail = key[i], key[:i], key[i + 1 :]
-        for v in range(n):
-            target = (*head, v, *tail)
-            moved = _rotate(counts, -2 * v * t)
-            cur = out.get(target)
-            out[target] = moved if cur is None else list(map(add, cur, moved))
-    return out
-
-
-def block_coordinates(n: int, m: int, p, column: dict) -> dict:
-    """Phi^(-1) of one permutation block: sum_s c_s x^t p over twist indices
-    s, t the twist vector of s, as {(lam, p): c'} with the coefficients in
-    Q(zeta_2n).
-
-    x^t p = sum_lam zeta^(-2 lam . t) F(lam, p), and the sum over t
-    factors slot by slot.  Each c_s, over the common denominator D of the
-    block, is lifted to an integer vector in Z[C_2n] indexed by the exponent
-    of zeta, where a product by zeta^k is a rotation.  A one-slot DFT then
-    runs along each slot that some t twists, at most k n^(k+1) rotations for
-    k such slots, and fewer while the block is sparse: a one-term block
-    such as delta(x_i) takes n + n^2.  Each coefficient of the result is
-    reduced once.  On a slot that no t twists the coefficient does not
-    depend on lam there, so the reduced values are copied across it.
-    """
-    order = 2 * n
-    deg = len(cyclotomic_polynomial(order)) - 1
-    den = lcm(*(c.den for c in column.values()))
-    chars, pad = characters(n, m), [0] * (order - deg)
-    entries = {chars[s]: [a * (den // c.den) for a in c.num] + pad for s, c in column.items()}
-    twisted = sorted({i for t in entries for i, v in enumerate(t) if v})
-    for i in twisted:
-        entries = _slot_dft(entries, n, i)
-    untwisted = [i for i in range(m) if i not in twisted]
-    fills = list(product(range(n), repeat=len(untwisted)))
-    out: dict = {}
-    for key, counts in entries.items():
-        c = group_ring_value(order, counts, den)
-        if c:
-            lam = list(key)
-            for fill in fills:
-                for i, v in zip(untwisted, fill):
-                    lam[i] = v
-                out[tuple(lam), p] = c
-    return out
-
-
-def character_coordinates(n: int, m: int, terms: dict) -> dict:
-    """Phi^(-1) on coordinates: a group-basis vector {index: c} as
-    {(lam, p): c'}, with the coefficients kept in Q(zeta_2n), one
-    permutation block at a time by block_coordinates."""
-    size, blocks = n**m, {}
-    for index, c in terms.items():
-        rank, s = divmod(index, size)
-        blocks.setdefault(rank, {})[s] = c
-    out: dict = {}
-    for rank, column in blocks.items():
-        out.update(block_coordinates(n, m, Perm.from_lehmer(m, rank), column))
-    return out
 
 
 def symmetric_group(m: int) -> list[Perm]:
@@ -347,26 +257,6 @@ class MonomialModel:
         exponents = [None] * len(self.chars)
         exponents[twist_index(self.n, lam)] = 0
         return self.diagonal(exponents)
-
-    def read(self, terms: dict, perm, what: str) -> "Monomial":
-        """The table of sum_lam zeta^e F(lam, perm) from the terms {(lam, p): c}
-        of an element at this (n, m); CheckFailedError names what the terms
-        are of unless they all lie on perm and every character has a 2n-th
-        root of unity there."""
-        perm = Perm(perm)
-        if any(p != perm for _, p in terms):
-            raise CheckFailedError(f"{what} has a term outside F(lam, {list(perm)})")
-        zero, entries = CycNumber.zero(self.order), []
-        for lam in self.chars:
-            c = terms.get((lam, perm), zero)
-            k = root_exponent(c)
-            if k is None:
-                raise CheckFailedError(
-                    f"{what} has the coefficient {c!r} in the character basis, "
-                    f"which is not a power of zeta_{c.order}"
-                )
-            entries.append(k)
-        return Monomial(self, perm, tuple(entries), {})
 
 
 class Monomial:

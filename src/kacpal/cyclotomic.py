@@ -29,13 +29,6 @@ from .wreath import CheckFailedError
 Rational = Fraction
 
 
-def euler_phi(n: int) -> int:
-    """Number of integers in 1..n coprime to n."""
-    if n < 1:
-        raise ValueError("euler_phi requires n >= 1")
-    return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
-
-
 def _monic_divmod(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Divide integer polynomials (ascending coefficients); den must be monic."""
     num_l = list(num)
@@ -56,10 +49,10 @@ def _monic_divmod(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[tuple[int
 def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
     """Integer coefficients of the cyclotomic polynomial of the given order.
 
-    Ascending degree, monic, degree euler_phi(order).  Computed by exact
-    division of x^order - 1 by the cyclotomic polynomials of all proper
-    divisors, so the product over all divisors d of x^d-factors is x^order - 1
-    by construction.
+    Ascending degree, monic, of degree phi(order) (Euler's totient).
+    Computed by exact division of x^order - 1 by the cyclotomic polynomials
+    of all proper divisors, so the product over all divisors d of x^d-factors
+    is x^order - 1 by construction.
     """
     if order < 1:
         raise ValueError("cyclotomic_polynomial requires order >= 1")
@@ -76,7 +69,7 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _x_power(order: int, k: int) -> tuple[int, ...]:
-    """x^k reduced modulo the cyclotomic polynomial: euler_phi(order) integers.
+    """x^k reduced modulo the cyclotomic polynomial: phi(order) integers.
 
     The only reduction of a power; it is integral because the modulus is monic
     over the integers.
@@ -110,7 +103,7 @@ def _galois_images(order: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
 
 
 class CycNumber:
-    """An element of Q(zeta_N): euler_phi(N) integer numerators of the powers
+    """An element of Q(zeta_N): phi(N) integer numerators of the powers
     of zeta over one positive common denominator.
 
     The form is canonical: den > 0, gcd(den, *num) == 1, and zero is all-zero
@@ -385,11 +378,13 @@ def zeta_over(order: int, k: int, den: int) -> CycNumber:
     return _make(order, _x_power(order, k % order), den)
 
 
-def group_ring_value(order: int, counts, den: int = 1) -> CycNumber:
+@lru_cache(maxsize=None)
+def root_count_sum(order: int, counts: tuple[int, ...], den: int = 1) -> CycNumber:
     """The sum over k of counts[k] zeta^k / den, for integer counts indexed
     by the exponents 0..order-1: the image of an element of the group ring
     Z[C_order] in Q(zeta), with one integer vector per nonzero count, then
-    one reduction."""
+    one reduction.  Remembered: sums of roots that a check meets again and
+    again, such as a Gauss sum, are reduced once."""
     num = [0] * (len(cyclotomic_polynomial(order)) - 1)
     for k, c in enumerate(counts):
         if c:
@@ -397,13 +392,6 @@ def group_ring_value(order: int, counts, den: int = 1) -> CycNumber:
                 if r:
                     num[i] += c * r
     return _reduced(order, tuple(num), den)
-
-
-@lru_cache(maxsize=None)
-def root_count_sum(order: int, counts: tuple[int, ...], den: int = 1) -> CycNumber:
-    """group_ring_value, remembered: sums of roots that a check meets again
-    and again, such as a Gauss sum, are reduced once."""
-    return group_ring_value(order, counts, den)
 
 
 def zeta(order: int) -> CycNumber:

@@ -2,94 +2,117 @@
 
 The comultiplication is group-like on x-monomials and is given on the
 square-root generators by the twisted formula
-delta(z_l) = ((1/n) sum q^(-ij) x_l^i (x) x_{l+1}^j) (z_l (x) z_l),
-extended multiplicatively along a canonical adjacent-transposition word for
-each basis permutation.  The counit is the group-algebra counit (one on every
-basis element).  The antipode inverts x-monomials and fixes the square-root
-generators, extended anti-homomorphically along the same canonical words.
-These definitions live in the group basis.
+delta(z_l) = P (z_l (x) z_l), P = (1/n) sum q^(-ij) x_l^i (x) x_{l+1}^j,
+so delta(s_l) = delta(y_l) delta(z_l); it is extended multiplicatively along
+a canonical adjacent-transposition word for each basis permutation.  The
+counit is the group-algebra counit (one on every basis element).  The
+antipode inverts x-monomials and fixes the square-root generators, so
+S(s_l) = z_l S(y_l), extended anti-homomorphically along the same words.
 
-The axioms are checked in the character basis F(lam, p) = Lambda_lam p of
-kacpal.character_basis, after check_model has verified that basis at the
-report's (n, m).  Changed to the character basis on both legs,
+Each of these formulas is written once, on images (_delta_z_image,
+_delta_s_image and _antipode_s_image), over the primitives of one
+representation: x-monomials x(t), diagonal elements
+diagonal(e) = sum_lam zeta^e(lam) Lambda_lam, z(l), the tensor of two
+elements and the group-like delta of a diagonal one.  _GroupBasis holds them
+in the group basis, where delta, antipode and the non-cocommutativity
+witness use them.  _CharacterHopf holds them as exponent tables
+(character_basis.Monomial) in the character basis F(lam, p) = Lambda_lam p,
+at (n, m) for the algebra and at (n, 2m) for its tensor square, and the
+report runs on those tables.  They are the group-basis images changed to the
+character basis on each leg, exactly:
+
+- check_model at (n, m) proves that Phi: F(lam, p) -> Lambda_lam p carries
+  the model's product to the group's, and that Phi^(-1) maps x^t to
+  sum_lam zeta^(-2 lam . t) F(lam, 1) and s_l to sum_lam F(lam, s_l).  So
+  the tables of x-monomials, of diagonal elements and of z_l = y_l^(-1) s_l
+  are those elements, and their products are the group's;
+- the tensor square is the model at (n, 2m) keyed by
+  character_basis.tensor_key: F(lam, p) (x) F(nu, q) is F(lam nu, p (+) q),
+  whose product is the model's product on each leg.  So a (x) b is the table
+  at (n, 2m) whose entry a' + n^m b' is e_a' + f_b', and tables there
+  multiply as the tensor square does;
+- delta(Lambda_lam) = sum over mu + nu = lam of Lambda_mu (x) Lambda_nu.
+  Lambda_lam = n^-m sum_t zeta^(2 lam . t) x^t, delta(x^t) = x^t (x) x^t,
+  and on each leg x^t = sum_mu zeta^(-2 mu . t) Lambda_mu, so the
+  coefficient of Lambda_mu (x) Lambda_nu in delta(Lambda_lam) is
+  n^-m sum_t zeta^(2 (lam - mu - nu) . t), which is [mu + nu = lam] by the
+  orthogonality of the characters of Z_n^m.  So the group-like delta of the
+  diagonal table e is the diagonal table at (n, 2m) with entry e(mu + nu)
+  at (mu, nu), and delta(x^t) is the table of x^(t t);
+- the prefactor P is evaluated exactly by root_sum: each character counts
+  its exponents with integers, and each count is reduced once.  By the Gauss
+  sum P is diagonal with entry zeta^(2 mu_l nu_(l+1)); a P with another
+  coefficient raises CheckFailedError naming delta(z_l) before any table
+  product takes it.
+
+The tests compare these tables with the group-basis definitions under the
+dense change of basis of tests/hopf_group_basis_oracle.py.
+
+On the basis F(lam, p) the comultiplication is then a 2-cocycle twist
+(Majid, Foundations of Quantum Group Theory):
 
     delta(F(lam, p)) = sum over mu + nu = lam of
                        zeta^omega_p(mu, nu) F(mu, p) (x) F(nu, p),
     S(F(lam, p)) = zeta^sigma_p(mu) F(mu, p^(-1)),  mu = (-lam) o p,
 
-so delta and S are fixed by exponent tables with values in Z_2n: the
-comultiplication is a 2-cocycle twist (Majid, Foundations of Quantum Group
-Theory).  A tensor changed to the character basis on both legs is an
-element of the model at (n, 2m), keyed by character_basis.tensor_key, whose
-product is that of the tensor square.  delta(s_l) is read there, and S(s_l)
-at (n, m), as one character_basis.Monomial each by MonomialModel.read; a
-coefficient that is not a 2n-th root of unity, or a term on another
-permutation, raises CheckFailedError, and so does a delta(x_i) other than
-x^t (x) x^t.  delta(p) and S(p) of every other permutation are products of
-these tables along its canonical word, as the group-basis maps are.  Every
-axiom then holds on every basis element exactly when
+where omega_p is the table of delta(p), the product of the delta(s_l) tables
+along the canonical word of p, and sigma_p that of S(p), the product of the
+S(s_l) tables along the reversed word.  Every axiom then holds on every
+basis element exactly when
 
 - coassociativity: omega_p(mu, nu) + omega_p(mu + nu, rho)
   = omega_p(mu, nu + rho) + omega_p(nu, rho) mod 2n, over all m! n^(3m)
   triples (the 2-cocycle identity);
-- multiplicativity: omega_pq(mu, nu) = omega_p(mu, nu) + omega_q(mu o p, nu o p)
-  mod 2n, over all m!^2 n^(2m) pairs of basis elements;
+- multiplicativity: delta(p) delta(s_l) = delta(p s_l) as tables at
+  (n, 2m), for every p and l: m! (m - 1) n^(2m) entries.  This gives
+  delta(p) delta(q) = delta(pq) for every pair: delta(q) is by construction
+  the product of the delta(s_l) tables along the word w of q, and table
+  products are associative, so delta(p) delta(q) = delta(p s_w0) delta(s_w1)
+  ... = delta(pq), one letter at a time.  With
+  delta(F(lam, p)) = delta(Lambda_lam) delta(p) and p Lambda_mu =
+  Lambda_(mu o p^(-1)) p, that is delta(F F') = delta(F) delta(F') on every
+  pair of basis elements;
 - counit: (eps (x) id) delta = id and its mirror.  With eps(F(a, p)) =
   eps(Lambda_a), read once, this is eps(Lambda_a) = [a = 0] for every
   character a, which allows no value but 0 or 1, and omega_p(mu, nu) = 0
   wherever mu or nu is 0: integer comparisons, m! n^m of them;
 - antipode: m (S (x) id) delta = eps 1 and its mirror hold on every
-  F(lam, p);
-- relations: algebra.presentation holds on the images of the x-monomials
-  and the z_l as exponent tables at (n, 2m), multiplied by adding exponents;
-  delta(z_l) must be monomial there, or CheckFailedError names it.
+  F(lam, p).  For fixed lam and p, a -> (-a) o p is a bijection of the
+  characters, so each side carries at most one root of unity per character
+  and nothing cancels: both sides are {character: exponent} maps, and
+  eps(Lambda_lam) 1 is the empty map, zeta^k on every character, or, when
+  eps(Lambda_lam) is neither 0 nor a root of unity, no such map;
+- relations: algebra.presentation holds on the tables of the x-monomials
+  and of the delta(z_l) at (n, 2m), multiplied by adding exponents.
 
-The tensors are changed to the character basis by
-character_basis.block_coordinates, on integer counts.  The
-non-cocommutativity witness stays in the group basis: it reads
-delta(z_l) from _delta_z, the defining formula that the relation check has
-already built, and compares it with its flip.
-
-The group-basis axiom checks on the generators, the relation check on dense
-character-basis tensors, and the dense change of basis are kept as the
-reference in tests/hopf_group_basis_oracle.py.
+The group-basis axiom checks, the dense change of basis, the relation check
+on dense character-basis tensors and the all-pairs multiplicativity and
+antipode loops are kept as the reference in tests/hopf_group_basis_oracle.py.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import product
+from functools import lru_cache, partial
 from typing import TYPE_CHECKING
 
 from .algebra import (
     AlgebraElement,
-    character_combination,
+    diagonal_element,
     lambda_idempotent,
     presentation,
     x_element,
     x_monomial,
-    y_element,
+    y_exponent,
     z_element,
     z_square_sum,
 )
-from .character_basis import (
-    CharacterElement,
-    Monomial,
-    MonomialModel,
-    block_coordinates,
-    character_coordinates,
-    check_model,
-    symmetric_group,
-    tensor_key,
-)
-from .cyclotomic import CycNumber, zeta_power
+from .character_basis import MonomialModel, check_model, root_exponent, symmetric_group, tensor_key
+from .cyclotomic import CycNumber
 from .sparse import SparseSum, add_into
 from .wreath import (
     CheckFailedError,
-    Perm,
     check_cap,
     element_at,
-    generator_a,
     generator_b,
     group_order,
     mul_row,
@@ -162,25 +185,76 @@ def _diagonal(a: AlgebraElement) -> TensorElement:
     return TensorElement._make(a.n, a.m, {(i, i): c for i, c in a.terms.items()})
 
 
-@lru_cache(maxsize=None)
-def _delta_z(n: int, m: int, l: int) -> TensorElement:
-    """The defining comultiplication of the square-root generator: the z_l^2
-    double sum with each monomial x_l^i x_{l+1}^j split as x_l^i (x) x_{l+1}^j,
-    times z_l (x) z_l."""
+# -- the defining formulas, on the primitives of a representation -------------
+
+
+def _delta_z_image(im, l: int):
+    """delta(z_l) = P (z_l (x) z_l), with P the z_l^2 double sum whose
+    monomials x_l^i x_{l+1}^j are split as x_l^i (x) x_{l+1}^j."""
+    m = im.m
 
     def split(e):
-        left = x_monomial(n, m, e[:l] + (0,) * (m - l))
-        return tensor(left, x_monomial(n, m, (0,) * l + e[l:]))
+        return im.tensor(im.x(e[:l] + (0,) * (m - l)), im.x((0,) * l + e[l:]))
 
-    z = z_element(n, m, l)
-    return z_square_sum(n, m, l, split) * tensor(z, z)
+    z = im.z(l)
+    prefactor = im.monomial(z_square_sum(im.n, m, l, split), f"the prefactor of delta(z_{l})")
+    return prefactor * im.tensor(z, z)
+
+
+def _delta_s_image(im, l: int, delta_z):
+    """delta(s_l) = delta(y_l) delta(z_l); y_l is diagonal, so its
+    comultiplication is group-like."""
+    return im.group_like(im.diagonal(partial(y_exponent, l=l))) * delta_z
+
+
+def _antipode_s_image(im, l: int):
+    """S(s_l) = z_l S(y_l): S fixes z_l and inverts the x-monomials, so
+    S(y_l) is diagonal with exponent -((-lam_l) mod n)((-lam_{l+1}) mod n).
+
+    Negating the character representatives changes the integer products in
+    the exponents, so for n >= 3 this differs from s_l itself.
+    """
+    n = im.n
+    return im.z(l) * im.diagonal(lambda lam: -((-lam[l - 1]) % n) * ((-lam[l]) % n))
+
+
+class _GroupBasis:
+    """The primitives of the defining formulas in the group basis."""
+
+    tensor = staticmethod(tensor)
+    group_like = staticmethod(_diagonal)
+
+    def __init__(self, n: int, m: int):
+        self.n, self.m = n, m
+
+    def x(self, t) -> AlgebraElement:
+        return x_monomial(self.n, self.m, t)
+
+    def diagonal(self, exponent) -> AlgebraElement:
+        return diagonal_element(self.n, self.m, exponent)
+
+    def z(self, l: int) -> AlgebraElement:
+        return z_element(self.n, self.m, l)
+
+    @staticmethod
+    def monomial(a, what: str):
+        # the group algebra takes any coefficient
+        return a
+
+
+@lru_cache(maxsize=None)
+def _delta_z(n: int, m: int, l: int) -> TensorElement:
+    return _delta_z_image(_GroupBasis(n, m), l)
 
 
 @lru_cache(maxsize=None)
 def _delta_s(n: int, m: int, l: int) -> TensorElement:
-    """delta(s_l) = delta(y_l) delta(z_l); y_l is a combination of x-monomials,
-    so its comultiplication is diagonal."""
-    return _diagonal(y_element(n, m, l)) * _delta_z(n, m, l)
+    return _delta_s_image(_GroupBasis(n, m), l, _delta_z(n, m, l))
+
+
+@lru_cache(maxsize=None)
+def _antipode_s(n: int, m: int, l: int) -> AlgebraElement:
+    return _antipode_s_image(_GroupBasis(n, m), l)
 
 
 def _perm_word(images: tuple[int, ...]) -> tuple[int, ...]:
@@ -226,22 +300,6 @@ def counit(a: AlgebraElement) -> CycNumber:
 
 
 @lru_cache(maxsize=None)
-def _antipode_s(n: int, m: int, l: int) -> AlgebraElement:
-    """The antipode of s_l: fixes z_l and reverses the factors,
-    S(s_l) = z_l * sum over lam of zeta^(-lam_l lam_{l+1}) Lambda_(-lam).
-
-    Negating the character representatives changes the integer products in
-    the exponents, so for n >= 3 this differs from s_l itself.
-    """
-    ident = tuple(range(m))
-    terms = {}
-    for lam in product(range(n), repeat=m):
-        neg_l, neg_next = (-lam[l - 1]) % n, (-lam[l]) % n
-        terms[lam, ident] = zeta_power(2 * n, -neg_l * neg_next)
-    return z_element(n, m, l) * character_combination(n, m, terms, {})
-
-
-@lru_cache(maxsize=None)
 def _antipode_basis(n: int, m: int, index: int) -> AlgebraElement:
     """Antipode of one basis element: reversed word of s-antipodes times the
     inverted x-monomial."""
@@ -262,49 +320,26 @@ def antipode(a: AlgebraElement) -> AlgebraElement:
     return AlgebraElement._make(a.n, a.m, acc)
 
 
-# -- the character basis of the tensor square -----------------------------------
-
-
-def _to_characters(t: TensorElement) -> CharacterElement:
-    """The exact change of basis of both legs of a tensor: an element of the
-    model at (n, 2m), keyed by tensor_key.  (s, p) (x) (u, q) is the group
-    element (s + n^m u, p (+) q) at (n, 2m), so each block p (+) q is changed
-    in one pass over its 2m slots."""
-    n, m = t.n, t.m
-    size, blocks = n**m, {}
-    for (i, j), c in t.terms.items():
-        (p, s), (q, u) = divmod(i, size), divmod(j, size)
-        blocks.setdefault((p, q), {})[s + size * u] = c
-    terms: dict = {}
-    for (p, q), column in blocks.items():
-        _, doubled = tensor_key(((), Perm.from_lehmer(m, p)), ((), Perm.from_lehmer(m, q)))
-        terms.update(block_coordinates(n, 2 * m, doubled, column))
-    return CharacterElement._make(n, 2 * m, terms)
-
-
-def _delta_table(model2: MonomialModel, t: TensorElement, p, what: str) -> Monomial:
-    """The exponent table at (n, 2m) of a tensor that must be
-    sum zeta^e F(mu, p) (x) F(nu, p), the image under delta of an element on
-    the permutation p; CheckFailedError names what it is otherwise."""
-    _, doubled = tensor_key(((), p), ((), p))  # p (+) p
-    return model2.read(_to_characters(t).terms, doubled, what)
+# -- the character basis -------------------------------------------------------
 
 
 class _CharacterHopf:
     """delta, S and the counit on every basis element F(lam, p) at one (n, m),
-    as exponent tables over characters numbered by twist index.
+    as exponent tables over characters numbered by twist index, and the
+    primitives of the defining formulas in the model.
 
-    omega[p][a][b] is the exponent of F(a, p) (x) F(b, p) in delta(p), so
-    delta(F(lam, p)) collects the pairs with a + b = lam; sigma[p][a] that of
-    F(a, p^(-1)) in S(p); eps[a] = eps(F(a, p)), for every p.  The remaining
-    tables hold character arithmetic: plus[a][b] is the index of a + b,
-    neg[a] that of -a and moved[p][a] that of a o p; zetas[k] is zeta^k.
+    delta_p[p] is the table of delta(p) at (n, 2m), so F(a, p) (x) F(b, p)
+    is its entry a + n^m b and delta(F(lam, p)) collects the pairs with
+    a + b = lam; sigma[p][a] is the exponent of F(a, p^(-1)) in S(p);
+    eps[a] = eps(F(a, p)), for every p.  delta_z, delta_s and antipode_s map
+    l to the tables of the generator images.  The remaining tables hold
+    character arithmetic: plus[a][b] is the index of a + b, neg[a] that of
+    -a and moved[p][a] that of a o p.
     """
 
     def __init__(self, n: int, m: int):
         self.n, self.m, self.order = n, m, 2 * n
-        self.zetas = [zeta_power(self.order, k) for k in range(self.order)]
-        model = MonomialModel(n, m)
+        model = self.model = MonomialModel(n, m)
         chars = self.chars = model.chars
         self.plus = [
             [twist_index(n, [(a + b) % n for a, b in zip(mu, nu)]) for nu in chars] for mu in chars
@@ -312,36 +347,64 @@ class _CharacterHopf:
         self.neg = [twist_index(n, [-a % n for a in mu]) for mu in chars]
         self.perms = symmetric_group(m)
         self.moved = {p: model.moved(p) for p in self.perms}
-        model2 = self.model2 = MonomialModel(n, 2 * m)
-        self._check_x_group_like()
+        self.model2 = MonomialModel(n, 2 * m)
+        self.gens = {l: generator_b(n, m, l).perm for l in range(1, m)}
         # Phi(F(lam, p)) is Lambda_lam moved to the block of p, with the same
         # coefficients, so its counit is that of Lambda_lam.
         self.eps = [counit(lambda_idempotent(n, m, lam)) for lam in chars]
-        delta_s, antipode_s = {}, {}
-        for l in range(1, m):
-            s = generator_b(n, m, l).perm
-            delta_s[l] = _delta_table(model2, _delta_s(n, m, l), s, f"delta(s_{l})")
-            terms = character_coordinates(n, m, _antipode_s(n, m, l).terms)
-            antipode_s[l] = model.read(terms, s, f"S(s_{l})")
+        self.delta_z = {l: _delta_z_image(self, l) for l in self.gens}
+        self.delta_s = {l: _delta_s_image(self, l, self.delta_z[l]) for l in self.gens}
+        self.antipode_s = {l: _antipode_s_image(self, l) for l in self.gens}
         # along the word w of p, delta(p) = delta(s_w0) delta(s_w1) ... and
-        # S(p) = ... S(s_w1) S(s_w0); F(a, p) (x) F(b, p) is entry a + n^m b
-        # of the table of delta(p), its twist index at (n, 2m)
-        size = len(chars)
-        self.omega, self.sigma = {}, {}
+        # S(p) = ... S(s_w1) S(s_w0)
+        self.delta_p, self.sigma = {}, {}
         for p in self.perms:
-            delta_p, antipode_p = model2.one(), model.one()
+            delta_p, antipode_p = self.model2.one(), model.one()
             for l in _perm_word(p):
-                delta_p, antipode_p = delta_p * delta_s[l], antipode_s[l] * antipode_p
-            self.omega[p] = [delta_p.entries[a::size] for a in range(size)]
+                delta_p, antipode_p = delta_p * self.delta_s[l], self.antipode_s[l] * antipode_p
+            self.delta_p[p] = delta_p
             self.sigma[p] = antipode_p.entries
 
-    def _check_x_group_like(self):
-        n, m, model2 = self.n, self.m, self.model2
-        for i in range(1, m + 1):
-            t = generator_a(n, m, i).twists
-            table = _delta_table(model2, delta(x_element(n, m, i)), range(m), f"delta(x_{i})")
-            if table != model2.x_monomial(t + t):
-                raise CheckFailedError(f"delta(x_{i}) is not group-like in the character basis")
+    # the primitives of _delta_z_image, _delta_s_image and _antipode_s_image
+
+    def x(self, t):
+        return self.model.x_monomial(t)
+
+    def diagonal(self, exponent):
+        return self.model.diagonal([exponent(lam) for lam in self.chars])
+
+    def z(self, l: int):
+        """z_l = y_l^(-1) s_l."""
+        return self.diagonal(lambda lam: -y_exponent(lam, l)) * self.model.monomial(self.gens[l])
+
+    def tensor(self, a, b):
+        """a (x) b at (n, 2m): entry i + n^m j is e_i + f_j, on p (+) q."""
+        _, perm = tensor_key(((), a.perm), ((), b.perm))
+        entries = [None if e is None or f is None else e + f for f in b.entries for e in a.entries]
+        return self.model2.monomial(perm, entries)
+
+    def group_like(self, a):
+        """delta of the diagonal table a: entry e(mu + nu) at (mu, nu)."""
+        e = a.entries
+        return self.model2.diagonal([e[c] for row in self.plus for c in row])
+
+    def monomial(self, a, what: str):
+        """a, unless it has a coefficient off the roots of unity."""
+        if a.non_roots:
+            c = a.non_roots[min(a.non_roots)]
+            raise CheckFailedError(
+                f"{what} has the coefficient {c!r} in the character basis, "
+                f"which is not a power of zeta_{c.order}"
+            )
+        return a
+
+    # the checks
+
+    def omega(self, p) -> list:
+        """Row a of the table of delta(p): entry b is the exponent of
+        F(a, p) (x) F(b, p)."""
+        entries, size = self.delta_p[p].entries, len(self.chars)
+        return [entries[a::size] for a in range(size)]
 
     def name(self, a: int, p) -> str:
         return f"F({self.chars[a]}, {list(p)})"
@@ -354,7 +417,7 @@ class _CharacterHopf:
     def coassociativity_failure(self) -> str | None:
         plus, order, size = self.plus, self.order, len(self.chars)
         for p in self.perms:
-            w = self.omega[p]
+            w = self.omega(p)
             for a in range(size):
                 wa = w[a]
                 for b in range(size):
@@ -370,21 +433,19 @@ class _CharacterHopf:
         return None
 
     def multiplicativity_failure(self) -> str | None:
-        order, size = self.order, len(self.chars)
+        size = len(self.chars)
         for p in self.perms:
-            wp, act = self.omega[p], self.moved[p]
-            for q in self.perms:
-                wq, wpq = self.omega[q], self.omega[p * q]
-                for a in range(size):
-                    rp, rpq, rq = wp[a], wpq[a], wq[act[a]]
-                    for b in range(size):
-                        if (rpq[b] - rp[b] - rq[act[b]]) % order:
-                            lam = self.plus[a][b]
-                            return (
-                                f"delta(F F') and delta(F) delta(F') differ for F = "
-                                f"{self.name(lam, p)}, F' = {self.name(act[lam], q)} at the term "
-                                f"{self.name(a, p * q)} (x) {self.name(b, p * q)}"
-                            )
+            for l, s in self.gens.items():
+                got, want = (self.delta_p[p] * self.delta_s[l]).entries, self.delta_p[p * s].entries
+                if got != want:
+                    # the first differing term F(a, ps) (x) F(b, ps) in the order of a, b
+                    a, b = min((k % size, k // size) for k, e in enumerate(got) if e != want[k])
+                    lam = self.plus[a][b]
+                    return (
+                        f"delta(F F') and delta(F) delta(F') differ for F = "
+                        f"{self.name(lam, p)}, F' = {self.name(self.moved[p][lam], s)} at the term "
+                        f"{self.name(a, p * s)} (x) {self.name(b, p * s)}"
+                    )
         return None
 
     def counit_failure(self) -> str | None:
@@ -395,7 +456,7 @@ class _CharacterHopf:
         # the order of p, a, b is the least of four candidates.
         bad = [a for a, value in enumerate(self.eps) if value != (1 if a == 0 else 0)]
         for p in self.perms:
-            w = self.omega[p]
+            w = self.omega(p)
             failing = [(x, 0) for x in bad[:1]] + [(0, x) for x in bad[:1]]
             failing += [(0, b) for b, e in enumerate(w[0]) if e][:1]
             failing += [(a, 0) for a, row in enumerate(w) if row[0]][:1]
@@ -408,46 +469,52 @@ class _CharacterHopf:
         return None
 
     def antipode_failure(self) -> str | None:
-        order, size, zetas = self.order, len(self.chars), self.zetas
+        order, size = self.order, len(self.chars)
+
+        def unit_times(value):
+            # value 1, with 1 = sum F(mu, 1), as {mu: exponent}; None, which
+            # no side equals, when value is neither 0 nor a root of unity
+            if not value:
+                return {}
+            k = root_exponent(value)
+            return None if k is None else dict.fromkeys(range(size), k)
+
+        expected = [unit_times(value) for value in self.eps]
         for p in self.perms:
-            w, fwd, back = self.omega[p], self.moved[p], self.moved[p.inverse()]
+            w, fwd, back = self.omega(p), self.moved[p], self.moved[p.inverse()]
             for lam in range(size):
-                # eps(F(lam, p)) 1, with 1 = sum F(mu, 1)
-                expected = dict.fromkeys(range(size), self.eps[lam]) if self.eps[lam] else {}
                 left: dict = {}
                 right: dict = {}
                 for a in range(size):
                     b = self.plus[lam][self.neg[a]]
                     e = w[a][b]
-                    # S(F(a, p)) F(b, p) = zeta^k F(c, p^(-1)) F(b, p): F(c, 1) when b = c o p^(-1)
+                    # S(F(a, p)) F(b, p) = zeta^k F(c, p^(-1)) F(b, p): F(c, 1)
+                    # when b = c o p^(-1); c = (-a) o p differs for each a
                     k, c = self.antipode_term(a, p)
                     if back[c] == b:
-                        add_into(left, {c: zetas[(e + k) % order]})
+                        left[c] = (e + k) % order
                     # F(a, p) S(F(b, p)) = zeta^k F(a, p) F(c, p^(-1)): F(a, 1) when c = a o p
                     k, c = self.antipode_term(b, p)
                     if c == fwd[a]:
-                        add_into(right, {a: zetas[(e + k) % order]})
-                if left != expected or right != expected:
+                        right[a] = (e + k) % order
+                if left != expected[lam] or right != expected[lam]:
                     return (
                         f"m (S x id) delta or m (id x S) delta is not eps 1 on "
                         f"{self.name(lam, p)}"
                     )
         return None
 
-
-def _relation_failures(n: int, m: int) -> list[str]:
-    """The defining relations that delta, extended multiplicatively from the
-    generator images, breaks: each image is an exponent table at (n, 2m),
-    x^t (x) x^t = x^(t t) and delta(z_l) read off the defining formula."""
-    model2 = MonomialModel(n, 2 * m)
-    z = {
-        l: _delta_table(model2, _delta_z(n, m, l), generator_b(n, m, l).perm, f"delta(z_{l})")
-        for l in range(1, m)
-    }
-    families = presentation(n, m, lambda e: model2.x_monomial(e + e), z)
-    return [
-        f"delta({name})" for items in families.values() for name, lhs, rhs in items if lhs != rhs
-    ]
+    def relation_failures(self) -> list[str]:
+        """The defining relations that delta, extended multiplicatively from
+        the generator images, breaks, on the tables at (n, 2m):
+        delta(x^t) = x^(t t) and the delta(z_l) built from their formula."""
+        families = presentation(self.n, self.m, lambda e: self.model2.x_monomial(e + e), self.delta_z)
+        return [
+            f"delta({name})"
+            for items in families.values()
+            for name, lhs, rhs in items
+            if lhs != rhs
+        ]
 
 
 def hopf_axiom_report(n: int, m: int, cap: int | None = None) -> dict:
@@ -475,7 +542,7 @@ def hopf_axiom_report(n: int, m: int, cap: int | None = None) -> dict:
         "coassociativity": hopf.coassociativity_failure(),
         "counit": hopf.counit_failure(),
         "antipode": hopf.antipode_failure(),
-        "delta_preserves_relations": _relation_failures(n, m) or None,
+        "delta_preserves_relations": hopf.relation_failures() or None,
         "delta_multiplicative": hopf.multiplicativity_failure(),
     }
     report: dict = {
@@ -499,9 +566,8 @@ def cocommutativity_witness(n: int, m: int, cap: int | None = None) -> dict:
     """Report that delta(z_l) differs from its flip, with one nonzero
     coordinate as witness, and that the x generators are symmetric.
 
-    delta(z_l) is _delta_z, its defining formula, which the relation check
-    has already built; delta applied to the group-basis terms of z_l gives
-    the same tensor."""
+    delta(z_l) is _delta_z, its defining formula in the group basis; delta
+    applied to the group-basis terms of z_l gives the same tensor."""
     check_cap(n, m, "tensor-square", cap)
     out: dict = {}
     for l in range(1, m):

@@ -11,7 +11,7 @@ rank of e times a basis of A f, all taken by the package's one echelon.
 check_model_by_products compares, under Phi, both products of every
 generator with every basis element of the character basis, and
 relation_suite_by_group_basis evaluates the relation families by group-basis
-convolution.
+convolution; z_square_rhs is the group-basis value of z_l^2.
 """
 
 from functools import partial
@@ -29,6 +29,7 @@ from kacpal.algebra import (
     x_monomial,
     y_element,
     y_inverse_element,
+    z_square_sum,
 )
 from kacpal.character_basis import (
     CharacterElement,
@@ -155,6 +156,15 @@ def check_model_by_products(n: int, m: int) -> None:
                             f"(n={n}, m={m}): the {side} product of {name} and "
                             f"F({lam}, {list(p)}) differs under Phi"
                         )
+
+
+def z_square_rhs(n: int, m: int, l: int) -> AlgebraElement:
+    """(1/n) sum over i,j in 0..n-1 of q^(-ij) x_l^i x_{l+1}^j.
+
+    The exact value of z_l^2; the sum starts at zero, which is the only
+    range consistent with z_l^2 = y_l^(-2).
+    """
+    return z_square_sum(n, m, l, partial(x_monomial, n, m))
 
 
 def relation_suite_by_group_basis(n: int, m: int, cap: int | None = None) -> dict:

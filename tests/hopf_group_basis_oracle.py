@@ -9,8 +9,11 @@ m (S x id) delta against eps 1.  relation_failures evaluates the defining
 relations on dense character-basis tensors at (n, 2m), the reference for the
 report's check on exponent tables.  character_coordinates and to_characters
 are the dense change of basis Phi^(-1), one CycNumber product per term and
-character, the reference for the rotation kernel of
-kacpal.character_basis.block_coordinates.
+character, the reference for the generator tables that the report builds
+from the defining formulas.  multiplicativity_failure and antipode_failure
+are the report's loops before it checked delta(p) delta(s_l) = delta(p s_l)
+and compared the antipode identity on exponents: every pair of permutations,
+and sums of CycNumbers.
 """
 
 import random
@@ -137,8 +140,9 @@ def relation_failures(n: int, m: int) -> list[str]:
     """The defining relations that delta breaks, as the report names them,
     with the images of the x-monomials and of the z_l changed to the
     character basis on both legs and multiplied as CharacterElements at
-    (n, 2m).  delta(z_l) is looked up on kacpal.hopf at call time, so a test
-    that replaces it there reaches both this and the report's check."""
+    (n, 2m).  The group-basis delta(z_l) is built by hopf._delta_z_image,
+    looked up at call time, so a test that replaces that formula (and clears
+    the cache of hopf._delta_z) reaches both this and the report's check."""
     families = presentation(
         n,
         m,
@@ -148,3 +152,55 @@ def relation_failures(n: int, m: int) -> list[str]:
     return [
         f"delta({name})" for items in families.values() for name, lhs, rhs in items if lhs != rhs
     ]
+
+
+def multiplicativity_failure(hopf) -> str | None:
+    """delta(p) delta(q) = delta(pq) on the tables of a hopf._CharacterHopf,
+    checked entry by entry for every pair of permutations:
+    omega_pq(mu, nu) = omega_p(mu, nu) + omega_q(mu o p, nu o p) mod 2n."""
+    order, size = hopf.order, len(hopf.chars)
+    omega = {p: hopf.omega(p) for p in hopf.perms}
+    for p in hopf.perms:
+        wp, act = omega[p], hopf.moved[p]
+        for q in hopf.perms:
+            wq, wpq = omega[q], omega[p * q]
+            for a in range(size):
+                rp, rpq, rq = wp[a], wpq[a], wq[act[a]]
+                for b in range(size):
+                    if (rpq[b] - rp[b] - rq[act[b]]) % order:
+                        lam = hopf.plus[a][b]
+                        return (
+                            f"delta(F F') and delta(F) delta(F') differ for F = "
+                            f"{hopf.name(lam, p)}, F' = {hopf.name(act[lam], q)} at the term "
+                            f"{hopf.name(a, p * q)} (x) {hopf.name(b, p * q)}"
+                        )
+    return None
+
+
+def antipode_failure(hopf) -> str | None:
+    """m (S x id) delta = eps 1 and its mirror on every F(lam, p), on the
+    tables of a hopf._CharacterHopf, with each side summed as CycNumbers."""
+    order, size = hopf.order, len(hopf.chars)
+    zetas = [zeta_power(order, k) for k in range(order)]
+    for p in hopf.perms:
+        w, fwd, back = hopf.omega(p), hopf.moved[p], hopf.moved[p.inverse()]
+        for lam in range(size):
+            # eps(F(lam, p)) 1, with 1 = sum F(mu, 1)
+            expected = dict.fromkeys(range(size), hopf.eps[lam]) if hopf.eps[lam] else {}
+            left: dict = {}
+            right: dict = {}
+            for a in range(size):
+                b = hopf.plus[lam][hopf.neg[a]]
+                e = w[a][b]
+                k, c = hopf.antipode_term(a, p)
+                if back[c] == b:
+                    add_into(left, {c: zetas[(e + k) % order]})
+                k, c = hopf.antipode_term(b, p)
+                if c == fwd[a]:
+                    add_into(right, {a: zetas[(e + k) % order]})
+            if left != expected or right != expected:
+                return (
+                    f"m (S x id) delta or m (id x S) delta is not eps 1 on "
+                    f"{hopf.name(lam, p)}"
+                )
+    return None

@@ -10,6 +10,7 @@ from group_basis_oracle import (
     left_ideal_dimension,
     relation_suite_by_group_basis,
     sandwich_dimension,
+    z_square_rhs,
 )
 from kacpal import algebra
 from kacpal.algebra import (
@@ -28,7 +29,6 @@ from kacpal.algebra import (
     y_element,
     y_inverse_element,
     z_element,
-    z_square_rhs,
 )
 from kacpal.classifier import irrep_table
 from kacpal.cyclotomic import CycNumber, zeta_power

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from group_basis_oracle import check_model_by_products, left_ideal_dimension, sandwich_dimension
+from hopf_group_basis_oracle import to_characters
 from kacpal import algebra, character_basis
 from kacpal.algebra import (
     AlgebraElement,
@@ -25,7 +26,7 @@ from kacpal.character_basis import (
     symmetric_group,
 )
 from kacpal.cyclotomic import CycNumber, zeta, zeta_power
-from kacpal.hopf import TensorElement, _to_characters
+from kacpal.hopf import TensorElement
 from kacpal.sparse import add_into
 from kacpal.wreath import CheckFailedError, Perm, WreathElement, element_index
 
@@ -144,7 +145,7 @@ def test_y_is_its_sum_of_character_idempotents(n, m):
 
 
 def test_scalars_are_rational_or_of_the_model_order():
-    tensor = _to_characters(TensorElement.unit(2, 2))
+    tensor = to_characters(TensorElement.unit(2, 2))
     scaled = tensor.scale(zeta(4))
     assert scaled.terms == {key: c * zeta(4) for key, c in tensor.terms.items()}
     with pytest.raises(ValueError, match="order 6 != 4"):

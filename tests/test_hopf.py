@@ -1,5 +1,6 @@
 import json
 import random
+from copy import copy
 from fractions import Fraction
 from itertools import product
 
@@ -24,25 +25,19 @@ from kacpal.algebra import (
     y_element,
     z_element,
 )
-from kacpal import character_basis
-from kacpal.character_basis import (
-    CharacterElement,
-    MonomialModel,
-    character_coordinates,
-    characters,
-    tensor_key,
-)
+from kacpal.character_basis import CharacterElement, Monomial, characters, tensor_key
 from kacpal.cli import main
 from kacpal.cyclotomic import CycNumber, zeta, zeta_power
 from kacpal.hopf import (
     TensorElement,
     _CharacterHopf,
     _antipode_basis,
+    _antipode_s,
     _delta_basis,
+    _delta_s,
     _delta_z,
-    _to_characters,
+    _diagonal,
     _perm_word,
-    _relation_failures,
     antipode,
     cocommutativity_witness,
     counit,
@@ -54,7 +49,6 @@ from kacpal.hopf import (
 from kacpal.partitions import SymFormalSum
 from kacpal.wreath import (
     CapExceededError,
-    CheckFailedError,
     Perm,
     WreathElement,
     elements,
@@ -235,13 +229,13 @@ def test_character_delta_matches_the_group_basis_delta(n, m):
     for lam, p, phi in character_basis_images(hopf):
         expected = {
             tensor_key((hopf.chars[a], p), (hopf.chars[b], p)): zeta_power(
-                2 * n, hopf.omega[p][a][b]
+                2 * n, hopf.omega(p)[a][b]
             )
             for a in range(size)
             for b in range(size)
             if hopf.plus[a][b] == lam
         }
-        assert _to_characters(delta(phi)).terms == expected, (hopf.chars[lam], p)
+        assert oracle.to_characters(delta(phi)).terms == expected, (hopf.chars[lam], p)
 
 
 # (3, 3) is the smallest size where sigma is not zero (n >= 3) and a word
@@ -252,7 +246,87 @@ def test_character_antipode_matches_the_group_basis_antipode(n, m):
     for lam, p, phi in character_basis_images(hopf):
         e, b = hopf.antipode_term(lam, p)
         expected = {(hopf.chars[b], p.inverse()): zeta_power(2 * n, e)}
-        assert character_coordinates(n, m, antipode(phi).terms) == expected, (hopf.chars[lam], p)
+        assert oracle.character_coordinates(n, m, antipode(phi).terms) == expected, (
+            hopf.chars[lam],
+            p,
+        )
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3), (2, 4)])
+def test_generator_tables_match_the_group_basis_images(n, m):
+    # the tables built from the defining formulas against the group-basis
+    # images under the dense change of basis: delta(z_l) and delta(s_l) at
+    # (n, 2m), S(s_l) at (n, m), and delta(x_i) = x_i (x) x_i at (n, 2m)
+    hopf = _CharacterHopf(n, m)
+    for l in range(1, m):
+        assert hopf.delta_z[l].exact() == oracle.to_characters(_delta_z(n, m, l)), l
+        assert hopf.delta_s[l].exact() == oracle.to_characters(_delta_s(n, m, l)), l
+        expected = oracle.character_coordinates(n, m, _antipode_s(n, m, l).terms)
+        assert hopf.antipode_s[l].exact().terms == expected, l
+    for i in range(1, m + 1):
+        t = tuple(int(j == i - 1) for j in range(m))
+        x_twice = hopf.model2.x_monomial(t + t)
+        assert hopf.group_like(hopf.x(t)) == x_twice == hopf.tensor(hopf.x(t), hopf.x(t))
+        assert x_twice.exact() == oracle.to_characters(_diagonal(x_monomial(n, m, t)))
+
+
+@pytest.mark.parametrize("n,m", [(2, 3), (3, 3), (2, 4)])
+def test_multiplicativity_on_generators_matches_the_all_pairs_oracle(
+    monkeypatch, fresh_images, n, m
+):
+    # delta(p) delta(s_l) = delta(p s_l) against delta(p) delta(q) = delta(pq)
+    # over every pair: the true tables, one entry of delta(s_1) off, and one
+    # entry off in delta(p) of a permutation of two or more letters
+    from kacpal import hopf as module
+
+    hopf = _CharacterHopf(n, m)
+    assert hopf.multiplicativity_failure() is None
+    assert oracle.multiplicativity_failure(hopf) is None
+    size = n**m
+    entries = [(0, 1), (1, 2), (size - 1, 1), (size - 1, size - 1)]
+    real = module._delta_s_image
+    for a, b in entries:
+        monkeypatch.setattr(module, "_delta_s_image", _delta_s1_off(real, a, b))
+        broken = _CharacterHopf(n, m)
+        assert broken.multiplicativity_failure() is not None, (a, b)
+        assert oracle.multiplicativity_failure(broken) is not None, (a, b)
+    p = next(p for p in hopf.perms if len(_perm_word(p)) >= 2)
+    for a, b in entries:
+        broken = copy(hopf)
+        broken.delta_p = {**hopf.delta_p, p: _bumped(hopf.delta_p[p], a + size * b)}
+        assert broken.multiplicativity_failure() is not None, (p, a, b)
+        assert oracle.multiplicativity_failure(broken) is not None, (p, a, b)
+
+
+@pytest.mark.parametrize("n,m", [(3, 2), (2, 3), (3, 3)])
+def test_antipode_on_exponents_matches_the_cyclotomic_oracle(monkeypatch, n, m):
+    # the antipode identity compared as {character: exponent} maps against
+    # the sums of CycNumbers: the true tables, a counit of 2, one entry of
+    # delta(s_1) off and one exponent of S(p) off.  The identity reads the
+    # entries F(a, p) (x) F(-a, p) of delta(p) only
+    from kacpal import hopf as module
+
+    hopf = _CharacterHopf(n, m)
+    assert hopf.antipode_failure() is None
+    assert oracle.antipode_failure(hopf) is None
+    cases = []
+    with monkeypatch.context() as patch:
+        off = _delta_s1_off(module._delta_s_image, 1, hopf.neg[1])
+        patch.setattr(module, "_delta_s_image", off)
+        cases.append(_CharacterHopf(n, m))
+    with monkeypatch.context() as patch:
+        _counit_of_two(patch)
+        cases.append(_CharacterHopf(n, m))
+    p = hopf.perms[-1]
+    skewed = copy(hopf)
+    sigma = list(hopf.sigma[p])
+    sigma[1] += 1
+    skewed.sigma = {**hopf.sigma, p: tuple(sigma)}
+    cases.append(skewed)
+    for broken in cases:
+        failure = broken.antipode_failure()
+        assert failure is not None
+        assert failure == oracle.antipode_failure(broken)
 
 
 def coefficients(n):
@@ -289,32 +363,9 @@ def test_character_model_at_2m_multiplies_as_the_tensor_square(size, data):
     # the keyed product at (n, 2m) against the group-basis tensor product
     n, m = size
     a, b = data.draw(sparse_tensors(n, m)), data.draw(sparse_tensors(n, m))
-    assert _to_characters(a * b) == _to_characters(a) * _to_characters(b)
-    assert _to_characters(TensorElement.unit(n, m)) == CharacterElement.one(n, 2 * m)
-
-
-def field_elements(n):
-    """Elements of Q(zeta_2n) with rational coordinates of mixed denominators:
-    mostly not roots of unity, nor rational multiples of one."""
-    order = 2 * n
-    fractions = st.fractions(min_value=-3, max_value=3, max_denominator=6)
-    return st.lists(fractions, min_size=1, max_size=len(zeta_power(order, 0).num)).map(
-        lambda coeffs: CycNumber(order, coeffs)
-    )
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from([(2, 2), (3, 2), (2, 3), (4, 2)]), st.data())
-def test_rotation_kernel_matches_the_dense_change_of_basis(size, data):
-    # Phi^(-1) by rotations of integer counts against one CycNumber product
-    # per term and character, on vectors and tensors over several blocks
-    n, m = size
-    coeff = st.one_of(coefficients(n), field_elements(n))
-    index = st.integers(0, group_order(n, m) - 1)
-    vector = data.draw(st.dictionaries(index, coeff, max_size=8))
-    assert character_coordinates(n, m, vector) == oracle.character_coordinates(n, m, vector)
-    t = TensorElement(n, m, data.draw(st.dictionaries(st.tuples(index, index), coeff, max_size=8)))
-    assert _to_characters(t).terms == oracle.to_characters(t).terms
+    to_characters = oracle.to_characters
+    assert to_characters(a * b) == to_characters(a) * to_characters(b)
+    assert to_characters(TensorElement.unit(n, m)) == CharacterElement.one(n, 2 * m)
 
 
 def test_tensor_coefficients_are_checked_and_coerced():
@@ -348,25 +399,49 @@ def test_non_cocommutativity_witness(n, m):
     assert out["x_generators"] == "symmetric"
 
 
+@pytest.fixture
+def fresh_images():
+    # the group-basis generator images are remembered per process; a test
+    # that replaces a formula must neither read nor leave a remembered image
+    from kacpal import hopf
+
+    caches = (hopf._delta_z, hopf._delta_s, hopf._delta_basis, hopf._antipode_s, hopf._antipode_basis)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def _bumped(table, k):
+    """The exponent table with entry k times zeta."""
+    entries = list(table.entries)
+    entries[k] += 1
+    return table.model.monomial(table.perm, entries)
+
+
 def _group_like_delta_z(real):
     # z_l (x) z_l: respects every relation except the twisted square of z_l
-    return lambda n, m, l: tensor(z_element(n, m, l), z_element(n, m, l))
+    return lambda im, l: im.tensor(im.z(l), im.z(l))
 
 
 def _one_entry_off(l_star, a, b):
-    """delta(z_l) for l = l_star with the coefficient of
+    """The formula of delta(z_l), for l = l_star with the coefficient of
     F(chars[a], s_l) (x) F(chars[b], s_l) times zeta: one entry of its
-    exponent table off by one, added in the group basis as a multiple of
-    Phi(F(chars[a], s_l)) (x) Phi(F(chars[b], s_l))."""
+    exponent table off by one, or, in the group basis, a multiple of
+    Phi(F(chars[a], s_l)) (x) Phi(F(chars[b], s_l)) added."""
 
     def patch(real):
-        def perturbed(n, m, l):
-            d = real(n, m, l)
+        def perturbed(im, l):
+            d = real(im, l)
             if l != l_star:
                 return d
+            n, m = im.n, im.m
+            if isinstance(d, Monomial):
+                return _bumped(d, a + n**m * b)
             chars, s = characters(n, m), generator_b(n, m, l).perm
             left, right = (chars[a], s), (chars[b], s)
-            c = _to_characters(d).terms[tensor_key(left, right)]
+            c = oracle.to_characters(d).terms[tensor_key(left, right)]
             phi = [CharacterElement(n, m, {key: 1}).to_group() for key in (left, right)]
             return d + tensor(*phi).scale(c * (zeta(2 * n) - CycNumber.one(2 * n)))
 
@@ -378,7 +453,7 @@ def _one_entry_off(l_star, a, b):
 Z1_SQUARE = "delta(z_1^2 = (1/n) sum q^(-ij) x_1^i x_2^j)"
 
 
-def test_wrong_delta_z_fails_relation_preservation(monkeypatch):
+def test_wrong_delta_z_fails_relation_preservation(monkeypatch, fresh_images):
     # negative controls: the report names exactly the relations a broken
     # delta(z_l) violates.  One entry of delta(z_l) breaks z_l^2, the braid
     # relations with its neighbours and its commutation with the distant
@@ -386,8 +461,8 @@ def test_wrong_delta_z_fails_relation_preservation(monkeypatch):
     # see it
     from kacpal import hopf
 
-    real = hopf._delta_z
-    caches = (real, hopf._delta_s, hopf._delta_basis)
+    real = hopf._delta_z_image
+    caches = (hopf._delta_z, hopf._delta_s, hopf._delta_basis)
     cases = [
         (_group_like_delta_z, 2, 2, [Z1_SQUARE]),
         (_one_entry_off(1, 1, 2), 2, 2, [Z1_SQUARE]),
@@ -406,7 +481,7 @@ def test_wrong_delta_z_fails_relation_preservation(monkeypatch):
     for patch, n, m, detail in cases:
         for cache in caches:
             cache.cache_clear()
-        monkeypatch.setattr(hopf, "_delta_z", patch(real))
+        monkeypatch.setattr(hopf, "_delta_z_image", patch(real))
         try:
             report = hopf_axiom_report(n, m, cap=group_order(n, m))
         finally:
@@ -424,111 +499,57 @@ def test_wrong_delta_z_fails_relation_preservation(monkeypatch):
     [None, _group_like_delta_z, _one_entry_off(1, 1, 2)],
     ids=["true", "group_like", "one_entry_off"],
 )
-def test_relation_check_on_tables_matches_the_dense_oracle(monkeypatch, n, m, patch):
+def test_relation_check_on_tables_matches_the_dense_oracle(
+    monkeypatch, fresh_images, n, m, patch
+):
     # the relation check on exponent tables against the evaluation on dense
-    # CharacterElements at (n, 2m), for the true delta(z_l) and two breaks
+    # CharacterElements at (n, 2m), for the true delta(z_l) and two breaks,
+    # each made in the one formula that both evaluate
     from kacpal import hopf
 
     if patch is not None:
-        monkeypatch.setattr(hopf, "_delta_z", patch(hopf._delta_z))
+        monkeypatch.setattr(hopf, "_delta_z_image", patch(hopf._delta_z_image))
     expected = relation_failures(n, m)
-    assert _relation_failures(n, m) == expected
+    assert _CharacterHopf(n, m).relation_failures() == expected
     assert bool(expected) == (patch is not None)
 
 
 def test_non_monomial_delta_z_is_a_failed_check(monkeypatch, capsys):
-    # negative control: one group-basis coefficient of delta(z_1) times zeta,
-    # with delta(s_1) kept, leaves the relation check's table of delta(z_1)
-    # off the roots of unity
+    # negative control: the prefactor of delta(z_1) in the model with one
+    # coefficient doubled, off the roots of unity; the report names
+    # delta(z_1) before any table product takes it
     from kacpal import hopf
 
-    kept = {l: hopf._delta_s(2, 2, l) for l in (1,)}
-    monkeypatch.setattr(hopf, "_delta_s", lambda n, m, l: kept[l])
-    monkeypatch.setattr(hopf, "_delta_z", _skew_first(hopf._delta_z))
+    real = hopf.z_square_sum
+
+    def doubled(n, m, l, mono):
+        prefactor = real(n, m, l, mono)
+        if not isinstance(prefactor, Monomial):
+            return prefactor
+        entries, order = prefactor.entries, prefactor.model.order
+        value = zeta_power(order, entries[0]) * 2
+        return Monomial(prefactor.model, prefactor.perm, (None, *entries[1:]), {0: value})
+
+    monkeypatch.setattr(hopf, "z_square_sum", doubled)
     code = main(["verify", "--n", "2", "--m", "2", "--checks", "hopf"])
     out, err = capsys.readouterr()
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1, err
     assert "Traceback" not in err
-    assert err.startswith("delta(z_1) has the coefficient")
+    assert err.startswith("the prefactor of delta(z_1) has the coefficient")
 
 
-def test_delta_s_off_by_a_root_of_unity_is_a_failed_check(monkeypatch, capsys):
-    # negative control: one group-basis coefficient of delta(s_1) times zeta
-    # leaves the character-basis coefficients off the roots of unity
-    from kacpal import hopf
+def _delta_s1_off(real, a, b):
+    # the formula of delta(s_l), with one entry of the table of delta(s_1)
+    # off by one in the model
+    def perturbed(im, l, delta_z):
+        d = real(im, l, delta_z)
+        if l == 1 and isinstance(d, Monomial):
+            return _bumped(d, a + len(im.chars) * b)
+        return d
 
-    real = hopf._delta_s
-
-    def skewed(n, m, l):
-        d = real(n, m, l)
-        head = min(d.terms)
-        return d._new({**d.terms, head: d.terms[head] * zeta(2 * n)})
-
-    hopf._delta_basis.cache_clear()
-    monkeypatch.setattr(hopf, "_delta_s", skewed)
-    try:
-        code = main(["verify", "--n", "2", "--m", "2", "--checks", "hopf"])
-    finally:
-        hopf._delta_basis.cache_clear()
-    out, err = capsys.readouterr()
-    assert code == 1
-    assert out == ""
-    assert len(err.splitlines()) == 1, err
-    assert "Traceback" not in err
-    assert err.startswith("delta(s_1) has the coefficient")
-
-
-def _with_unit_term(real):
-    # adds 1 (x) 1, a term outside F(mu, s_l) (x) F(nu, s_l)
-    return lambda n, m, l: real(n, m, l) + TensorElement.unit(n, m)
-
-
-def _with_unit(real):
-    # adds 1, a term outside F(lam, s_l)
-    return lambda n, m, l: real(n, m, l) + AlgebraElement.one(n, m)
-
-
-def _skew_first(real):
-    # one group-basis coefficient times zeta
-    def skewed(n, m, l):
-        a = real(n, m, l)
-        head = min(a.terms)
-        return a._new({**a.terms, head: a.terms[head] * zeta(2 * n)})
-
-    return skewed
-
-
-def _x_on_left_leg(real):
-    # x^t (x) 1 instead of the group-like x^t (x) x^t
-    return lambda a: TensorElement._make(a.n, a.m, {(i, 0): c for i, c in a.terms.items()})
-
-
-@pytest.mark.parametrize(
-    "name, patch, message",
-    [
-        ("_delta_s", _with_unit_term, r"delta\(s_1\) has a term outside"),
-        ("_antipode_s", _with_unit, r"S\(s_1\) has a term outside"),
-        ("_antipode_s", _skew_first, r"S\(s_1\) has the coefficient"),
-        ("_diagonal", _x_on_left_leg, r"delta\(x_1\) is not group-like"),
-    ],
-)
-def test_broken_generator_images_are_failed_checks(monkeypatch, name, patch, message):
-    # negative controls for the invariants read off the group-basis maps
-    from kacpal import hopf
-    from kacpal.wreath import CheckFailedError
-
-    caches = (hopf._delta_s, hopf._delta_basis, hopf._antipode_basis)
-    for cache in caches:
-        cache.cache_clear()
-    monkeypatch.setattr(hopf, name, patch(getattr(hopf, name)))
-    try:
-        with pytest.raises(CheckFailedError, match=message):
-            hopf_axiom_report(3, 2)
-    finally:
-        for cache in caches:
-            cache.cache_clear()
+    return perturbed
 
 
 # every axiom each perturbation below breaks: those named in its broken set,
@@ -544,20 +565,12 @@ ALSO_FAILING = {(1, 2): {"antipode"}, (0, 1): {"coassociativity", "delta_multipl
     ],
 )
 def test_perturbed_cocycle_fails(monkeypatch, entry, broken):
-    # negative control: one exponent of omega_(s_1) moved by one, as the
-    # coefficient of F(chars[a], s_1) (x) F(chars[b], s_1) in delta(s_1)
-    # times zeta before its table is read; an entry in row 0 is the counit's
-    real = MonomialModel.read
+    # negative control: one exponent of omega_(s_1) moved by one, the entry
+    # of F(chars[a], s_1) (x) F(chars[b], s_1) in the table of delta(s_1)
+    # built from its formula; an entry in row 0 is the counit's
+    from kacpal import hopf
 
-    def perturbed(model, terms, perm, what):
-        if what == "delta(s_1)":
-            a, b = entry
-            chars, s = characters(3, 2), perm[:2]
-            key = tensor_key((chars[a], s), (chars[b], s))
-            terms = {**terms, key: terms[key] * zeta(6)}
-        return real(model, terms, perm, what)
-
-    monkeypatch.setattr(MonomialModel, "read", perturbed)
+    monkeypatch.setattr(hopf, "_delta_s_image", _delta_s1_off(hopf._delta_s_image, *entry))
     report = hopf_axiom_report(3, 2)
     failed = {name for name, status in report["axioms"].items() if status != "pass"}
     assert failed & broken, report["axioms"]
@@ -566,47 +579,12 @@ def test_perturbed_cocycle_fails(monkeypatch, entry, broken):
     assert not report["all_pass"]
 
 
-def _rotation_of_the_wrong_sign(monkeypatch):
-    # x^t p read as sum_lam zeta^(+2 lam . t) F(lam, p); invisible at n = 2
-    real = character_basis._rotate
-    monkeypatch.setattr(character_basis, "_rotate", lambda counts, k: real(counts, -k))
-
-
-def _dft_along_the_next_slot(monkeypatch):
-    real = character_basis._slot_dft
-
-    def shifted(entries, n, i):
-        return real(entries, n, (i + 1) % len(next(iter(entries))))
-
-    monkeypatch.setattr(character_basis, "_slot_dft", shifted)
-
-
 def _counit_of_two(monkeypatch):
     # eps(Lambda_0) = 2, every other eps(Lambda_lam) still 0
     from kacpal import hopf
 
     real = hopf.counit
     monkeypatch.setattr(hopf, "counit", lambda a: real(a) * 2)
-
-
-@pytest.mark.parametrize(
-    "mutate, failure",
-    [
-        (_rotation_of_the_wrong_sign, r"delta\(x_1\) is not group-like"),
-        (_dft_along_the_next_slot, r"delta\(x_1\) has the coefficient CycNumber\(6, '0'\)"),
-    ],
-)
-def test_a_broken_change_of_basis_is_a_failed_check(monkeypatch, capsys, mutate, failure):
-    # negative controls for Phi^(-1) on counts: the report raises, and
-    # verify exits 1 with one line on stderr
-    mutate(monkeypatch)
-    with pytest.raises(CheckFailedError, match=failure):
-        hopf_axiom_report(3, 2)
-    code = main(["verify", "--n", "3", "--m", "2", "--checks", "hopf"])
-    out, err = capsys.readouterr()
-    assert (code, out) == (1, "")
-    assert len(err.splitlines()) == 1, err
-    assert "Traceback" not in err
 
 
 def test_a_counit_off_0_and_1_fails_the_report(monkeypatch, capsys):
