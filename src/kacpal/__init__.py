@@ -55,7 +55,6 @@ _EXPORTS = {
     ),
     "partitions": (
         "Partition",
-        "SymFormalSum",
         "Tableau",
         "count_formula",
         "hook_length",

@@ -62,7 +62,7 @@ class AlgebraElement(SparseSum):
             if value.order != 2 * self.n:
                 raise ValueError(f"coefficient order {value.order} != {2 * self.n}")
             return value
-        return CycNumber.from_rational(2 * self.n, Fraction(value))
+        return CycNumber.from_rational(2 * self.n, value)
 
     def _one(self) -> "AlgebraElement":
         return AlgebraElement.one(self.n, self.m)

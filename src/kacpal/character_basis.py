@@ -38,14 +38,13 @@ basis.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 from math import lcm
 
 from . import algebra
 from .algebra import ONE, AlgebraElement, _echelon, character_combination, permute_character
-from .cyclotomic import CycNumber, _x_power, root_count_sum, zeta_power
+from .cyclotomic import CycNumber, _rational, _x_power, root_count_sum, zeta_power
 from .sparse import SparseSum, power
 from .wreath import (
     CheckFailedError,
@@ -89,7 +88,7 @@ class CharacterElement(SparseSum):
             if value.order != 2 * self.n:
                 raise ValueError(f"coefficient order {value.order} != {2 * self.n}")
             return value
-        return Fraction(value)
+        return _rational(value)
 
     def _one(self) -> "CharacterElement":
         return CharacterElement.one(self.n, self.m)

@@ -5,7 +5,8 @@ n twist characters, with sizes summing to m.  Each produces a primitive
 idempotent: the character idempotent of its non-decreasing character vector
 times the embedded Young symmetrizers of its blocks.  The idempotent is built
 in the character basis (kacpal.character_basis), where its coordinates are
-rational, and mapped to the group basis by an exact change of basis.
+rational, by that model's own product, and mapped to the group basis by an
+exact change of basis.
 Counting and dimension formulas are cross-checked three ways (closed formula,
 hook lengths, exact rank of the generated left ideal).
 """
@@ -19,12 +20,10 @@ from functools import cached_property
 from itertools import combinations, product
 from math import factorial
 
-from .algebra import AlgebraElement
+from .algebra import ONE, AlgebraElement, permute_character
 from .character_basis import CharacterElement, check_model, left_ideal_basis, sandwich_rank
 from .partitions import (
     Partition,
-    Perm,
-    SymFormalSum,
     count_formula,
     hook_length,
     partitions_of,
@@ -135,33 +134,45 @@ def lambda_from_beta(beta: LabelledPartition) -> tuple[int, ...]:
     return tuple(lam)
 
 
-def symmetrizer_product(beta: LabelledPartition) -> SymFormalSum:
-    """The product in Q[S_m] of the row-consecutive Young symmetrizers of the
-    blocks, each acting on its block's contiguous slots (offset by the sizes
-    of the earlier blocks)."""
-    m = beta.m
-    result = SymFormalSum.identity(m)
-    offset = 0
-    for block in beta.blocks:
-        if block.size:
-            symmetrizer = young_symmetrizer(row_consecutive_tableau(block))
-            terms = {}
-            for perm, coeff in symmetrizer.terms.items():
-                images = list(range(m))
-                for a in range(block.size):
-                    images[offset + a] = offset + perm(a)
-                terms[Perm(images)] = coeff
-            result = result * SymFormalSum(m, terms)
-        offset += block.size
-    return result
+def embed_permutation(p, offset: int, m: int) -> tuple[int, ...]:
+    """The permutation of m slots that acts as p on the slots offset, ...,
+    offset + len(p) - 1 and fixes the others."""
+    images = list(range(m))
+    for a, image in enumerate(p):
+        images[offset + a] = offset + image
+    return tuple(images)
 
 
 def character_idempotent(beta: LabelledPartition) -> CharacterElement:
-    """The classification idempotent in the character basis:
-    sum over sigma of c_sigma F(lambda, sigma), with c the symmetrizer product."""
+    """The classification idempotent in the character basis: F(lam, 1) times
+    the row-consecutive Young symmetrizer of each block, embedded on the
+    block's contiguous slots (offset by the sizes of the earlier blocks) and
+    keyed (lam, sigma).
+
+    The model's product F(lam, s) F(lam, t) = [lam = lam o s] F(lam, st)
+    keeps every term only because each block permutation fixes lam, which is
+    non-decreasing and constant on each block: the blocks' permutations lie
+    in the stabiliser of lam.  That lemma is checked on every embedded
+    permutation, and a failure raises CheckFailedError.
+    """
+    n, m = beta.n, beta.m
     lam = lambda_from_beta(beta)
-    terms = {(lam, perm): coeff for perm, coeff in symmetrizer_product(beta).terms.items()}
-    return CharacterElement._make(beta.n, beta.m, terms)
+    result = CharacterElement._make(n, m, {(lam, tuple(range(m))): ONE})
+    offset = 0
+    for block in beta.blocks:
+        if block.size:
+            terms = {}
+            for (_, p), coeff in young_symmetrizer(row_consecutive_tableau(block)).terms.items():
+                sigma = embed_permutation(p, offset, m)
+                if permute_character(lam, sigma) != lam:
+                    raise CheckFailedError(
+                        f"the block permutations of {beta.spec_string()} do not fix "
+                        f"lambda = {list(lam)}: the stabiliser lemma fails at {list(sigma)}"
+                    )
+                terms[lam, sigma] = coeff
+            result = result * CharacterElement._make(n, m, terms)
+        offset += block.size
+    return result
 
 
 def idempotent_from_beta(beta: LabelledPartition) -> AlgebraElement:

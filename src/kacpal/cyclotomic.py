@@ -23,10 +23,20 @@ from operator import add, neg, sub
 from .sparse import power
 from .wreath import CheckFailedError
 
-# The rational scalars of the package (the coefficients of Q[S_k] sums, and
-# the values CycNumber takes in and hands out) are stdlib Fractions: always
+# The rational scalars of the package (the coefficients of rational
+# character-basis elements, Q[S_k] among them as the model at n = 1, and the
+# values CycNumber takes in and hands out) are stdlib Fractions: always
 # reduced, denominator > 0, arbitrary precision.
 Rational = Fraction
+
+
+def _rational(value) -> Fraction:
+    """value as a Fraction, at every place where a scalar enters the exact
+    arithmetic.  A float raises TypeError: its binary value (0.1 reads as
+    3602879701896397/36028797018963968) is seldom the number meant."""
+    if isinstance(value, float):
+        raise TypeError(f"a float ({value!r}) cannot enter exact arithmetic: use an int or a Fraction")
+    return Fraction(value)
 
 
 def _monic_divmod(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -116,7 +126,7 @@ class CycNumber:
 
     def __init__(self, order: int, coeffs=()):
         deg = len(cyclotomic_polynomial(order)) - 1
-        vec = [Fraction(c) for c in coeffs]
+        vec = [_rational(c) for c in coeffs]
         if len(vec) > deg:
             raise ValueError(f"too many coefficients for Q(zeta_{order}): {len(vec)} > {deg}")
         # Over the lcm of reduced denominators the numerators share no factor with it.
@@ -133,7 +143,7 @@ class CycNumber:
 
     @classmethod
     def from_rational(cls, order: int, value) -> "CycNumber":
-        value = Fraction(value)
+        value = _rational(value)
         deg = len(cyclotomic_polynomial(order)) - 1
         return _make(order, (value.numerator,) + (0,) * (deg - 1), value.denominator)
 

@@ -93,7 +93,6 @@ antipode loops are kept as the reference in tests/hopf_group_basis_oracle.py.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from typing import TYPE_CHECKING
 
 from .algebra import (
     AlgebraElement,
@@ -106,7 +105,14 @@ from .algebra import (
     z_element,
     z_square_sum,
 )
-from .character_basis import MonomialModel, check_model, root_exponent, symmetric_group, tensor_key
+from .character_basis import (
+    CharacterElement,
+    MonomialModel,
+    check_model,
+    root_exponent,
+    symmetric_group,
+    tensor_key,
+)
 from .cyclotomic import CycNumber
 from .sparse import SparseSum, add_into
 from .wreath import (
@@ -118,10 +124,6 @@ from .wreath import (
     mul_row,
     twist_index,
 )
-
-if TYPE_CHECKING:  # imported where it is used, so the report does not load it
-    from .partitions import SymFormalSum
-
 
 class TensorElement(SparseSum):
     """A sparse element of the tensor square of the group algebra."""
@@ -592,16 +594,16 @@ def cocommutativity_witness(n: int, m: int, cap: int | None = None) -> dict:
     return out
 
 
-def quotient_to_sym(a: AlgebraElement) -> SymFormalSum:
-    """Project onto the symmetric group algebra by forgetting twists.
+def quotient_to_sym(a: AlgebraElement) -> CharacterElement:
+    """Project onto the symmetric group algebra Q[S_m] by forgetting twists.
 
-    The projection kills x_i - 1, so every x-monomial maps to the identity
-    permutation.  Raises ValueError if a projected coefficient is not
-    rational (such a value cannot be represented in a rational formal sum).
+    Q[S_m] is the character model at (1, m), whose key ((0,)*m, p) is the
+    permutation p.  The projection kills x_i - 1, so every x-monomial maps to
+    the identity permutation.  Raises ValueError if a projected coefficient
+    is not rational (the model at n = 1 has rational coefficients only).
     """
-    from .partitions import SymFormalSum
-
     acc: dict = {}
     for ix, c in a.terms.items():
         add_into(acc, {element_at(a.n, a.m, ix).perm: c})
-    return SymFormalSum(a.m, {perm: c.rational() for perm, c in acc.items()})
+    trivial = (0,) * a.m
+    return CharacterElement(1, a.m, {(trivial, perm): c.rational() for perm, c in acc.items()})

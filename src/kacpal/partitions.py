@@ -4,8 +4,8 @@ count_formula, the number of labelled partitions, lives here beside the
 partition counts it is built from, so that the count command loads no more.
 
 The symmetrizer of a standard tableau is returned as an exact rational
-formal sum over permutations; with the standard-tableau-count prefactor it
-is an idempotent of the symmetric group algebra.
+element of Q[S_k], the character model at n = 1; with the
+standard-tableau-count prefactor it is an idempotent of that algebra.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from functools import lru_cache
 from itertools import permutations, product
 from math import factorial
 
-from .sparse import SparseSum
 from .wreath import CheckFailedError, Perm
 
 
@@ -225,56 +224,23 @@ def vertical_group(t: Tableau) -> list[Perm]:
     return _value_perms_preserving(cols, t.size)
 
 
-class SymFormalSum(SparseSum):
-    """A finitely supported rational formal sum over permutations of m points."""
-
-    __slots__ = ("m",)
-
-    def __init__(self, m: int, terms=None):
-        clean: dict[Perm, Fraction] = {}
-        for perm, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
-            if coeff:
-                if perm.m != m:
-                    raise ValueError("permutation size does not match ambient size")
-                clean[perm] = coeff
-        self._assign(m, clean)
-
-    # The benchmark's tracer wraps SymFormalSum.__mul__ found in this class's
-    # own __dict__; without this binding its product counts would read zero.
-    __mul__ = SparseSum.__mul__
-
-    def _scalar(self, value) -> Fraction:
-        return Fraction(value)
-
-    def _one(self) -> "SymFormalSum":
-        return SymFormalSum.identity(self.m)
-
-    def _row(self, perm: Perm):
-        return perm.__mul__
-
-    @classmethod
-    def identity(cls, m: int) -> "SymFormalSum":
-        return cls(m, {Perm.identity(m): Fraction(1)})
-
-    def __repr__(self):
-        body = " + ".join(f"{c}*{list(p)}" for p, c in sorted(self.terms.items()))
-        return f"SymFormalSum({self.m}, {body or '0'})"
-
-
-def young_symmetrizer(t: Tableau) -> SymFormalSum:
-    """The normalised Young symmetrizer of a standard tableau.
+def young_symmetrizer(t: Tableau):
+    """The normalised Young symmetrizer of a standard tableau, in Q[S_k].
 
     Row sum times sign-weighted column sum, scaled by the number of standard
     tableaux over k factorial; with that prefactor the result squares to
-    itself.
+    itself.  Q[S_k] is the character model at (1, k): the element is a
+    CharacterElement whose key ((0,)*k, p) is the permutation p.
     """
+    # imported here, so that the count command, which needs only the counts
+    # above, loads no algebra
+    from .character_basis import CharacterElement
+
     if not t.is_standard():
         raise ValueError("young_symmetrizer requires a standard tableau")
     k = t.size
-    if k == 0:
-        return SymFormalSum.identity(0)
-    h = SymFormalSum(k, {p: Fraction(1) for p in horizontal_group(t)})
-    v = SymFormalSum(k, {p: Fraction(p.sign()) for p in vertical_group(t)})
+    trivial = (0,) * k
+    h = CharacterElement(1, k, {(trivial, p): 1 for p in horizontal_group(t)})
+    v = CharacterElement(1, k, {(trivial, p): p.sign() for p in vertical_group(t)})
     prefactor = Fraction(standard_tableaux_count(t.shape), factorial(k))
     return (h * v).scale(prefactor)

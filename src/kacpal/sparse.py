@@ -1,13 +1,14 @@
 """Finitely supported linear combinations over a group basis.
 
-The group algebra of Z_n wr S_m, its tensor square and Q[S_k] are all sparse
-maps from group keys to nonzero scalars.  This module holds the code that
-adds and multiplies such sums.  An element type subclasses SparseSum and
-supplies what differs: its parameters (declared as its __slots__), scalar
-coercion, its identity element, and the row of its key product.  The one
-type with its own product is character_basis.CharacterElement, the algebra
-and its tensor square in the character basis: there the product of two keys
-is zero unless the right key's character is the left key's moved by its
+The group algebra of Z_n wr S_m and its tensor square are sparse maps from
+group keys to nonzero scalars, and so are their elements in the character
+basis, Q[S_k] among them as the character model at n = 1.  This module holds
+the code that adds and multiplies such sums.  An element type subclasses
+SparseSum and supplies what differs: its parameters (declared as its
+__slots__), scalar coercion, its identity element, and the row of its key
+product.  The one type with its own product is
+character_basis.CharacterElement: there the product of two keys is zero
+unless the right key's character is the left key's moved by its
 permutation, so it looks those keys up instead of taking rows.  The
 repeated-squaring loop, power, is shared with the scalar field.
 """

@@ -39,7 +39,7 @@ from kacpal.character_basis import (
 )
 from kacpal.classifier import LabelledPartition, lambda_from_beta
 from kacpal.cyclotomic import CycNumber
-from kacpal.partitions import SymFormalSum, row_consecutive_tableau, young_symmetrizer
+from kacpal.partitions import row_consecutive_tableau, young_symmetrizer
 from kacpal.wreath import (
     CheckFailedError,
     Perm,
@@ -51,8 +51,9 @@ from kacpal.wreath import (
 )
 
 
-def iota_embed(beta: LabelledPartition, label: int, s: SymFormalSum) -> AlgebraElement:
-    """Embed a formal sum over the label's block slots into the group algebra.
+def iota_embed(beta: LabelledPartition, label: int, s: CharacterElement) -> AlgebraElement:
+    """Embed an element of Q[S_k], the character model at (1, k) keyed
+    ((0,)*k, p), over the label's block slots into the group algebra.
 
     Permutations act on the contiguous slot range of the block (offset by
     the sizes of the earlier blocks); twists stay zero.
@@ -61,15 +62,15 @@ def iota_embed(beta: LabelledPartition, label: int, s: SymFormalSum) -> AlgebraE
     if not 0 <= label < beta.n:
         raise ValueError(f"label {label} out of range")
     size = sizes[label]
-    if s.m != size:
-        raise ValueError(f"formal sum over S_{s.m} does not fit block of size {size}")
+    if (s.n, s.m) != (1, size):
+        raise ValueError(f"element of the model at ({s.n}, {s.m}) does not fit block of size {size}")
     offset = sum(sizes[:label])
     n, m = beta.n, beta.m
     terms = {}
-    for perm, coeff in s.terms.items():
+    for (_, perm), coeff in s.terms.items():
         images = list(range(m))
         for a in range(size):
-            images[offset + a] = offset + perm(a)
+            images[offset + a] = offset + perm[a]
         index = element_index(WreathElement(n, (0,) * m, Perm(images)))
         terms[index] = CycNumber.from_rational(2 * n, coeff)
     return AlgebraElement(n, m, terms)

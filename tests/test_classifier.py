@@ -10,6 +10,7 @@ from group_basis_oracle import (
     sandwich_dimension,
 )
 from kacpal.algebra import AlgebraElement, lambda_idempotent, s_element
+from kacpal.character_basis import CharacterElement
 from kacpal import classifier
 from kacpal.classifier import (
     LabelledPartition,
@@ -21,11 +22,7 @@ from kacpal.classifier import (
     irrep_table,
     lambda_from_beta,
 )
-from kacpal.partitions import (
-    Partition,
-    SymFormalSum,
-    partition_count,
-)
+from kacpal.partitions import Partition, partition_count
 from kacpal.wreath import Perm, group_order, mul_row
 
 
@@ -112,18 +109,18 @@ def test_lambda_from_beta_examples():
 
 def test_iota_embed_identity():
     beta = beta_of(2, 3, "0:2;1:1")
-    assert iota_embed(beta, 0, SymFormalSum.identity(2)) == AlgebraElement.one(2, 3)
+    assert iota_embed(beta, 0, CharacterElement.one(1, 2)) == AlgebraElement.one(2, 3)
 
 
 def test_iota_embed_offsets():
-    swap = SymFormalSum(2, {Perm([1, 0]): Fraction(1)})
+    swap = CharacterElement(1, 2, {((0, 0), Perm([1, 0])): Fraction(1)})
     assert iota_embed(beta_of(2, 3, "0:2;1:1"), 0, swap) == s_element(2, 3, 1)
     assert iota_embed(beta_of(2, 3, "0:1;1:2"), 1, swap) == s_element(2, 3, 2)
 
 
 def test_iota_embed_wrong_size():
     with pytest.raises(ValueError):
-        iota_embed(beta_of(2, 3, "0:2;1:1"), 0, SymFormalSum.identity(3))
+        iota_embed(beta_of(2, 3, "0:2;1:1"), 0, CharacterElement.one(1, 3))
 
 
 def sym3_word(n, m):
@@ -164,7 +161,7 @@ def test_embedded_vertical_term_equals_s_word():
     # same basis element as the length-three word in adjacent swaps
     n, m = 2, 3
     beta = beta_of(n, m, "0:3")
-    transposition = SymFormalSum(3, {Perm([2, 1, 0]): Fraction(1)})
+    transposition = CharacterElement(1, 3, {((0, 0, 0), Perm([2, 1, 0])): Fraction(1)})
     s1, s2 = s_element(n, m, 1), s_element(n, m, 2)
     assert iota_embed(beta, 0, transposition) == s1 * s2 * s1
 
@@ -183,7 +180,7 @@ def test_factor_order_independence():
     assert idempotent_from_beta(beta) == reversed_product
 
 
-@pytest.mark.parametrize("n, m", [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3)])
+@pytest.mark.parametrize("n, m", [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3), (2, 4)])
 def test_idempotent_matches_the_group_basis_product_chain(n, m):
     # idempotent_from_beta changes basis from the character basis; the
     # oracle multiplies lambda_idempotent by the embedded symmetrizers.

@@ -207,6 +207,28 @@ def test_hook_disagreement_exits_1(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("mutation", ["block one slot off", "lambda reversed"])
+def test_stabiliser_lemma_failure_exits_1(capsys, monkeypatch, mutation):
+    # The model's product keeps F(lam, s) F(lam, t) only when s fixes lam, so
+    # a block permutation that moves lam would be dropped without a word; at
+    # (2, 3) the block (2) of 0:2;1:1 placed on the slots 1, 2 and the
+    # reversed lam (1, 1, 0) of 0:1;1:2 each move it.  The default table runs
+    # no idempotency check, so only the lemma's own check can see them.
+    if mutation == "block one slot off":
+        real = classifier.embed_permutation
+        monkeypatch.setattr(
+            classifier, "embed_permutation", lambda p, offset, m: real(p, min(offset + 1, m - len(p)), m)
+        )
+    else:
+        real = classifier.lambda_from_beta
+        monkeypatch.setattr(classifier, "lambda_from_beta", lambda beta: real(beta)[::-1])
+    code, out, err = run(capsys, "table", "--n", "2", "--m", "3")
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "the stabiliser lemma fails" in err
+
+
 def test_cap_override_allows_more(capsys):
     # order 96 exceeds the tensor cap of 100? no: raise the rank cap instead
     code, out, _ = run(
@@ -474,7 +496,14 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
     assert "kacpal.algebra" in relations
     assert not {"kacpal.hopf", "kacpal.classifier", "kacpal.partitions", "csv"} & relations
     count = modules_loaded_by(tmp_path, "count", "--n", "3", "--m", "4")
-    assert not {"kacpal.algebra", "kacpal.classifier", "kacpal.cyclotomic", "csv"} & count
+    assert not {
+        "kacpal.algebra",
+        "kacpal.character_basis",
+        "kacpal.classifier",
+        "kacpal.cyclotomic",
+        "kacpal.sparse",
+        "csv",
+    } & count
 
 
 def test_every_exported_name_resolves():

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kacpal import cyclotomic
+from kacpal.algebra import AlgebraElement
+from kacpal.character_basis import CharacterElement
 from kacpal.cyclotomic import (
     CycNumber,
     cyclotomic_polynomial,
@@ -213,3 +215,21 @@ def test_hash_agrees_with_equality_on_rationals():
     assert half == Fraction(1, 2)
     assert hash(half) == hash(Fraction(1, 2))
     assert {half: "x"}[Fraction(1, 2)] == "x"
+
+
+FLOAT_ENTRY_POINTS = {
+    "CycNumber": lambda: CycNumber(4, [0.5]),
+    "from_rational": lambda: CycNumber.from_rational(4, 0.25),
+    "CycNumber product": lambda: zeta(4) * 0.5,
+    "AlgebraElement": lambda: AlgebraElement(2, 2, {0: 0.1}),
+    "AlgebraElement.scale": lambda: AlgebraElement.one(2, 2).scale(0.25),
+    "CharacterElement": lambda: CharacterElement(2, 2, {((0, 1), (1, 0)): 0.1}),
+    "CharacterElement.scale": lambda: CharacterElement.one(1, 3).scale(0.25),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(FLOAT_ENTRY_POINTS))
+def test_floats_never_enter_the_exact_arithmetic(entry):
+    # 0.1 as a Fraction is 3602879701896397/36028797018963968, not 1/10
+    with pytest.raises(TypeError):
+        FLOAT_ENTRY_POINTS[entry]()

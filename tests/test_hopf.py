@@ -46,7 +46,6 @@ from kacpal.hopf import (
     quotient_to_sym,
     tensor,
 )
-from kacpal.partitions import SymFormalSum
 from kacpal.wreath import (
     CapExceededError,
     Perm,
@@ -619,9 +618,7 @@ def test_basis_maps_decode_one_index(monkeypatch):
     assert _delta_basis.__wrapped__(n, m, index) == tensor(x, x)
     assert _antipode_basis.__wrapped__(n, m, index) == x ** (n - 1)
     u = WreathElement(n, (1, 0, 0, 1, 1), Perm((4, 2, 3, 0, 1)))
-    assert quotient_to_sym(AlgebraElement.basis(u) + x) == SymFormalSum(
-        m, {u.perm: Fraction(1), Perm.identity(m): Fraction(1)}
-    )
+    assert quotient_to_sym(AlgebraElement.basis(u) + x) == sym(m, u.perm, Perm.identity(m))
 
 
 def test_hopf_report_needs_n_at_least_2():
@@ -636,13 +633,18 @@ def test_tensor_cap():
         cocommutativity_witness(3, 3)
 
 
+def sym(m, *perms):
+    """The sum of the given permutations in Q[S_m], the character model at (1, m)."""
+    return CharacterElement(1, m, {((0,) * m, p): Fraction(1) for p in perms})
+
+
 def test_quotient_on_generators():
     n, m = 2, 3
     sigma1 = generator_b(n, m, 1).perm
-    assert quotient_to_sym(x_element(n, m, 1)) == SymFormalSum.identity(m)
-    assert quotient_to_sym(s_element(n, m, 1)) == SymFormalSum(m, {sigma1: Fraction(1)})
-    assert quotient_to_sym(z_element(n, m, 1)) == SymFormalSum(m, {sigma1: Fraction(1)})
-    assert quotient_to_sym(y_element(n, m, 1)) == SymFormalSum.identity(m)
+    assert quotient_to_sym(x_element(n, m, 1)) == CharacterElement.one(1, m)
+    assert quotient_to_sym(s_element(n, m, 1)) == sym(m, sigma1)
+    assert quotient_to_sym(z_element(n, m, 1)) == sym(m, sigma1)
+    assert quotient_to_sym(y_element(n, m, 1)) == CharacterElement.one(1, m)
 
 
 def test_quotient_kills_nontrivial_characters():
@@ -652,7 +654,7 @@ def test_quotient_kills_nontrivial_characters():
         if any(lam):
             assert image.is_zero()
         else:
-            assert image == SymFormalSum.identity(m)
+            assert image == CharacterElement.one(1, m)
 
 
 def test_quotient_is_algebra_map():
@@ -680,5 +682,5 @@ def test_quotient_reproduces_transposition_relations():
     n, m = 2, 3
     pi = quotient_to_sym
     z1, z2 = z_element(n, m, 1), z_element(n, m, 2)
-    assert pi(z1 * z1) == SymFormalSum.identity(m)
+    assert pi(z1 * z1) == CharacterElement.one(1, m)
     assert pi(z1 * z2 * z1) == pi(z2 * z1 * z2)

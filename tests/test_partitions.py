@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kacpal.character_basis import CharacterElement
 from kacpal.partitions import (
     Partition,
-    SymFormalSum,
     Tableau,
     hook_length,
     horizontal_group,
@@ -162,13 +162,15 @@ def test_group_sizes_match_shape_factorials():
 
 def test_symmetrizer_single_row_and_column():
     k = 4
+    trivial = (0,) * k
     full = young_symmetrizer(row_consecutive_tableau(Partition((k,))))
+    assert (full.n, full.m) == (1, k)
     assert full.terms == {
-        Perm.from_lehmer(k, r): Fraction(1, factorial(k)) for r in range(factorial(k))
+        (trivial, Perm.from_lehmer(k, r)): Fraction(1, factorial(k)) for r in range(factorial(k))
     }
     sign = young_symmetrizer(row_consecutive_tableau(Partition((1,) * k)))
     assert sign.terms == {
-        Perm.from_lehmer(k, r): Fraction(Perm.from_lehmer(k, r).sign(), factorial(k))
+        (trivial, Perm.from_lehmer(k, r)): Fraction(Perm.from_lehmer(k, r).sign(), factorial(k))
         for r in range(factorial(k))
     }
 
@@ -178,13 +180,15 @@ def test_symmetrizer_hook_expansion():
     e = young_symmetrizer(t)
     swap01 = Perm([1, 0, 2])
     swap02 = Perm([2, 1, 0])
-    expected = SymFormalSum(
+    trivial = (0, 0, 0)
+    expected = CharacterElement(
+        1,
         3,
         {
-            Perm.identity(3): Fraction(1, 3),
-            swap01: Fraction(1, 3),
-            swap02: Fraction(-1, 3),
-            swap01 * swap02: Fraction(-1, 3),
+            (trivial, Perm.identity(3)): Fraction(1, 3),
+            (trivial, swap01): Fraction(1, 3),
+            (trivial, swap02): Fraction(-1, 3),
+            (trivial, swap01 * swap02): Fraction(-1, 3),
         },
     )
     assert e == expected
@@ -210,13 +214,14 @@ def test_symmetrizer_rejects_non_standard():
 
 
 def test_formal_sum_algebra():
-    one = SymFormalSum.identity(3)
-    g = SymFormalSum(3, {Perm([1, 0, 2]): Fraction(1)})
+    # Q[S_3] as the character model at (1, 3)
+    one = CharacterElement.one(1, 3)
+    g = CharacterElement(1, 3, {((0, 0, 0), Perm([1, 0, 2])): Fraction(1)})
     assert one * g == g
     assert (g + g).scale(Fraction(1, 2)) == g
     assert (g - g).is_zero()
     with pytest.raises(ValueError):
-        g * SymFormalSum.identity(4)
+        g * CharacterElement.one(1, 4)
 
 
 @st.composite
@@ -226,8 +231,8 @@ def formal_sums(draw, m=4):
     for _ in range(size):
         rank = draw(st.integers(0, factorial(m) - 1))
         coeff = draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
-        terms[Perm.from_lehmer(m, rank)] = coeff
-    return SymFormalSum(m, terms)
+        terms[(0,) * m, Perm.from_lehmer(m, rank)] = coeff
+    return CharacterElement(1, m, terms)
 
 
 @settings(max_examples=40, deadline=None)

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kacpal.algebra import AlgebraElement
+from kacpal.character_basis import CharacterElement
 from kacpal.cyclotomic import CycNumber, zeta, zeta_power
 from kacpal.hopf import TensorElement
-from kacpal.partitions import SymFormalSum
 from kacpal.sparse import add_into
 from kacpal.wreath import Perm, element_at, element_index, group_order
 
@@ -82,11 +82,14 @@ def test_tensor_product_matches_legwise_group_convolution(nm, data):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 4), st.data())
 def test_sym_product_matches_perm_composition(k, data):
-    perms = st.permutations(range(k)).map(Perm)
-    a, b = (SymFormalSum(k, data.draw(sparse_terms(perms, small_fractions))) for _ in range(2))
+    # Q[S_k] is the character model at (1, k): the key ((0,)*k, p) is p
+    trivial = (0,) * k
+    keys = st.permutations(range(k)).map(lambda images: (trivial, Perm(images)))
+    a, b = (CharacterElement(1, k, data.draw(sparse_terms(keys, small_fractions))) for _ in range(2))
 
-    def compose(p, q):
-        return Perm(p[q[i]] for i in range(k))
+    def compose(left, right):
+        p, q = left[1], right[1]
+        return trivial, Perm(p[q[i]] for i in range(k))
 
     expected = reference_product(a.terms, b.terms, compose, Fraction(0))
     assert (a * b).terms == expected
@@ -102,8 +105,8 @@ def test_add_into_accumulates_in_place_and_drops_cancellations():
 
 
 def test_powers_and_hashes_shared_by_every_element_type():
-    s = SymFormalSum(3, {Perm([1, 2, 0]): Fraction(1)})
-    assert s**3 == SymFormalSum.identity(3)
+    s = CharacterElement(1, 3, {((0, 0, 0), Perm([1, 2, 0])): Fraction(1)})
+    assert s**3 == CharacterElement.one(1, 3)
     t = TensorElement(2, 2, {(1, 2): CycNumber.one(4)})
     assert t**0 == TensorElement.unit(2, 2)
     assert t**2 == t * t
