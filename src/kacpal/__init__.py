@@ -44,14 +44,10 @@ _EXPORTS = {
         "zeta_power",
     ),
     "hopf": (
-        "TensorElement",
-        "antipode",
         "cocommutativity_witness",
         "counit",
-        "delta",
         "hopf_axiom_report",
         "quotient_to_sym",
-        "tensor",
     ),
     "partitions": (
         "Partition",

@@ -13,13 +13,11 @@ Each of these formulas is written once, on images (_delta_z_image,
 _delta_s_image and _antipode_s_image), over the primitives of one
 representation: x-monomials x(t), diagonal elements
 diagonal(e) = sum_lam zeta^e(lam) Lambda_lam, z(l), the tensor of two
-elements and the group-like delta of a diagonal one.  _GroupBasis holds them
-in the group basis, where delta, antipode and the non-cocommutativity
-witness use them.  _CharacterHopf holds them as exponent tables
-(character_basis.Monomial) in the character basis F(lam, p) = Lambda_lam p,
-at (n, m) for the algebra and at (n, 2m) for its tensor square, and the
-report runs on those tables.  They are the group-basis images changed to the
-character basis on each leg, exactly:
+elements and the group-like delta of a diagonal one.  _CharacterHopf holds
+them as exponent tables (character_basis.Monomial) in the character basis
+F(lam, p) = Lambda_lam p, at (n, m) for the algebra and at (n, 2m) for its
+tensor square, and the report runs on those tables.  They are the
+group-basis images changed to the character basis on each leg, exactly:
 
 - check_model at (n, m) proves that Phi: F(lam, p) -> Lambda_lam p carries
   the model's product to the group's, and that Phi^(-1) maps x^t to
@@ -45,8 +43,8 @@ character basis on each leg, exactly:
   coefficient raises CheckFailedError naming delta(z_l) before any table
   product takes it.
 
-The tests compare these tables with the group-basis definitions under the
-dense change of basis of tests/hopf_group_basis_oracle.py.
+tests/hopf_group_basis_oracle.py evaluates the same formulas in the group
+basis and compares these tables with them under the dense change of basis.
 
 On the basis F(lam, p) the comultiplication is then a 2-cocycle twist
 (Majid, Foundations of Quantum Group Theory):
@@ -85,26 +83,42 @@ basis element exactly when
 - relations: algebra.presentation holds on the tables of the x-monomials
   and of the delta(z_l) at (n, 2m), multiplied by adding exponents.
 
-The group-basis axiom checks, the dense change of basis, the relation check
-on dense character-basis tensors and the all-pairs multiplicativity and
-antipode loops are kept as the reference in tests/hopf_group_basis_oracle.py.
+The non-cocommutativity witness is read from the same tables.  The flip
+a (x) b -> b (x) a takes entry a + n^m b of a table at (n, 2m) to entry
+b + n^m a, and Phi (x) Phi is a linear bijection that commutes with it, so
+delta(z_l) is cocommutative exactly when its table equals its flip; so is
+delta(x_i), the table of x^(t t).  Otherwise the witness is the first
+nonzero group-basis coordinate of delta(z_l) - flip delta(z_l).  check_model
+reads every coefficient of every Lambda_lam as n^-m zeta^k and proves the
+factorisation into one-slot idempotents, that each is
+Lambda_a = n^-1 sum_j zeta^(j r_a) x^j, and the character action
+x Lambda_a = zeta^(-2a) Lambda_a, which forces r_a = 2a.  With
+x^t p = (t, p) in the group,
+
+    Phi(F(lam, p)) = Lambda_lam p = n^-m sum_t zeta^(2 lam . t) (t, p).
+
+P is diagonal and z_l lies on s_l, so both legs of the table d of
+delta(z_l) lie on s_l, and the coordinate of (t, s_l) (x) (u, s_l) in the
+difference is
+
+    n^-2m sum over mu, nu of (zeta^d(mu, nu) - zeta^d(nu, mu)) zeta^(2 (mu . t + nu . u)).
+
+The group index of (t, p) is perm_index(p) n^m + twist_index(t), so the
+first nonzero coordinate in the order of (t, u) is the least pair of
+indices.  Each coordinate counts its exponents with integers and is reduced
+once by root_count_sum, and the sum over mu is taken once for each t.
+
+The group-basis delta, antipode, tensor square and witness, the axiom checks
+on them, the dense change of basis, the relation check on dense
+character-basis tensors and the all-pairs multiplicativity and antipode
+loops are kept as the reference in tests/hopf_group_basis_oracle.py.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import cached_property, partial
 
-from .algebra import (
-    AlgebraElement,
-    diagonal_element,
-    lambda_idempotent,
-    presentation,
-    x_element,
-    x_monomial,
-    y_exponent,
-    z_element,
-    z_square_sum,
-)
+from .algebra import AlgebraElement, lambda_idempotent, presentation, y_exponent, z_square_sum
 from .character_basis import (
     CharacterElement,
     MonomialModel,
@@ -113,78 +127,9 @@ from .character_basis import (
     symmetric_group,
     tensor_key,
 )
-from .cyclotomic import CycNumber
-from .sparse import SparseSum, add_into
-from .wreath import (
-    CheckFailedError,
-    check_cap,
-    element_at,
-    generator_b,
-    group_order,
-    mul_row,
-    twist_index,
-)
-
-class TensorElement(SparseSum):
-    """A sparse element of the tensor square of the group algebra."""
-
-    __slots__ = ("n", "m")
-
-    def __init__(self, n: int, m: int, terms=None):
-        order = group_order(n, m)
-        clean: dict[tuple[int, int], CycNumber] = {}
-        self._assign(n, m, clean)  # _scalar reads n
-        for (i, j), coeff in (terms or {}).items():
-            if not (0 <= i < order and 0 <= j < order):
-                raise ValueError(f"tensor index ({i}, {j}) out of range")
-            coeff = self._scalar(coeff)
-            if coeff:
-                clean[(i, j)] = coeff
-
-    # The benchmark's tracer wraps TensorElement.__mul__ found in this class's
-    # own __dict__; without this binding its product counts would read zero.
-    __mul__ = SparseSum.__mul__
-
-    # Scalars are those of the algebra, Q(zeta_2n).
-    _scalar = AlgebraElement._scalar
-    root_sum = AlgebraElement.root_sum
-
-    def _one(self) -> "TensorElement":
-        return TensorElement.unit(self.n, self.m)
-
-    def _row(self, key: tuple[int, int]):
-        # componentwise group product in both tensor legs
-        left = mul_row(self.n, self.m, key[0])
-        right = mul_row(self.n, self.m, key[1])
-        return lambda k: (left[k[0]], right[k[1]])
-
-    @classmethod
-    def unit(cls, n: int, m: int) -> "TensorElement":
-        return cls._make(n, m, {(0, 0): CycNumber.one(2 * n)})
-
-    def flip(self) -> "TensorElement":
-        return TensorElement._make(
-            self.n, self.m, {(j, i): c for (i, j), c in self.terms.items()}
-        )
-
-    def __repr__(self):
-        return f"TensorElement(n={self.n}, m={self.m}, {len(self.terms)} terms)"
-
-
-def tensor(a: AlgebraElement, b: AlgebraElement) -> TensorElement:
-    """The elementary tensor of two algebra elements."""
-    a._check(b)
-    terms = {}
-    for i, ca in a.terms.items():
-        for j, cb in b.terms.items():
-            terms[(i, j)] = ca * cb
-    return TensorElement._make(a.n, a.m, terms)
-
-
-def _diagonal(a: AlgebraElement) -> TensorElement:
-    """Apply the group-like comultiplication to an element supported on
-    x-monomials."""
-    return TensorElement._make(a.n, a.m, {(i, i): c for i, c in a.terms.items()})
+from .cyclotomic import CycNumber, root_count_sum
+from .sparse import add_into
+from .wreath import CheckFailedError, check_cap, element_at, generator_b, perm_index, twist_index
 
 
 # -- the defining formulas, on the primitives of a representation -------------
@@ -220,45 +165,6 @@ def _antipode_s_image(im, l: int):
     return im.z(l) * im.diagonal(lambda lam: -((-lam[l - 1]) % n) * ((-lam[l]) % n))
 
 
-class _GroupBasis:
-    """The primitives of the defining formulas in the group basis."""
-
-    tensor = staticmethod(tensor)
-    group_like = staticmethod(_diagonal)
-
-    def __init__(self, n: int, m: int):
-        self.n, self.m = n, m
-
-    def x(self, t) -> AlgebraElement:
-        return x_monomial(self.n, self.m, t)
-
-    def diagonal(self, exponent) -> AlgebraElement:
-        return diagonal_element(self.n, self.m, exponent)
-
-    def z(self, l: int) -> AlgebraElement:
-        return z_element(self.n, self.m, l)
-
-    @staticmethod
-    def monomial(a, what: str):
-        # the group algebra takes any coefficient
-        return a
-
-
-@lru_cache(maxsize=None)
-def _delta_z(n: int, m: int, l: int) -> TensorElement:
-    return _delta_z_image(_GroupBasis(n, m), l)
-
-
-@lru_cache(maxsize=None)
-def _delta_s(n: int, m: int, l: int) -> TensorElement:
-    return _delta_s_image(_GroupBasis(n, m), l, _delta_z(n, m, l))
-
-
-@lru_cache(maxsize=None)
-def _antipode_s(n: int, m: int, l: int) -> AlgebraElement:
-    return _antipode_s_image(_GroupBasis(n, m), l)
-
-
 def _perm_word(images: tuple[int, ...]) -> tuple[int, ...]:
     """A canonical adjacent-transposition word for a permutation.
 
@@ -278,48 +184,9 @@ def _perm_word(images: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(reversed(swaps))
 
 
-@lru_cache(maxsize=None)
-def _delta_basis(n: int, m: int, index: int) -> TensorElement:
-    """Comultiplication of a single group basis element."""
-    u = element_at(n, m, index)
-    result = _diagonal(x_monomial(n, m, u.twists))
-    for l in _perm_word(u.perm):
-        result = result * _delta_s(n, m, l)
-    return result
-
-
-def delta(a: AlgebraElement) -> TensorElement:
-    """Comultiplication, extended linearly over the group basis."""
-    acc: dict[tuple[int, int], CycNumber] = {}
-    for ix, c in a.terms.items():
-        add_into(acc, _delta_basis(a.n, a.m, ix).terms, c)
-    return TensorElement._make(a.n, a.m, acc)
-
-
 def counit(a: AlgebraElement) -> CycNumber:
     """The counit: one on every group basis element, extended linearly."""
     return sum(a.terms.values(), CycNumber.zero(2 * a.n))
-
-
-@lru_cache(maxsize=None)
-def _antipode_basis(n: int, m: int, index: int) -> AlgebraElement:
-    """Antipode of one basis element: reversed word of s-antipodes times the
-    inverted x-monomial."""
-    u = element_at(n, m, index)
-    result = x_monomial(n, m, tuple((-t) % n for t in u.twists))
-    for l in _perm_word(u.perm):
-        result = _antipode_s(n, m, l) * result
-    return result
-
-
-def antipode(a: AlgebraElement) -> AlgebraElement:
-    """The antipode: x-monomials map to their inverses, square-root
-    generators are fixed, extended anti-homomorphically along the canonical
-    word of each basis element."""
-    acc: dict[int, CycNumber] = {}
-    for ix, c in a.terms.items():
-        add_into(acc, _antipode_basis(a.n, a.m, ix).terms, c)
-    return AlgebraElement._make(a.n, a.m, acc)
 
 
 # -- the character basis -------------------------------------------------------
@@ -357,15 +224,31 @@ class _CharacterHopf:
         self.delta_z = {l: _delta_z_image(self, l) for l in self.gens}
         self.delta_s = {l: _delta_s_image(self, l, self.delta_z[l]) for l in self.gens}
         self.antipode_s = {l: _antipode_s_image(self, l) for l in self.gens}
-        # along the word w of p, delta(p) = delta(s_w0) delta(s_w1) ... and
-        # S(p) = ... S(s_w1) S(s_w0)
-        self.delta_p, self.sigma = {}, {}
+
+    # built on first use, so that the witness alone multiplies no tables
+    # along words
+
+    @cached_property
+    def delta_p(self) -> dict:
+        """delta(p) = delta(s_w0) delta(s_w1) ... along the word w of p."""
+        out = {}
         for p in self.perms:
-            delta_p, antipode_p = self.model2.one(), model.one()
+            table = self.model2.one()
             for l in _perm_word(p):
-                delta_p, antipode_p = delta_p * self.delta_s[l], self.antipode_s[l] * antipode_p
-            self.delta_p[p] = delta_p
-            self.sigma[p] = antipode_p.entries
+                table = table * self.delta_s[l]
+            out[p] = table
+        return out
+
+    @cached_property
+    def sigma(self) -> dict:
+        """The exponents of S(p) = ... S(s_w1) S(s_w0) along the word w of p."""
+        out = {}
+        for p in self.perms:
+            table = self.model.one()
+            for l in _perm_word(p):
+                table = self.antipode_s[l] * table
+            out[p] = table.entries
+        return out
 
     # the primitives of _delta_z_image, _delta_s_image and _antipode_s_image
 
@@ -506,6 +389,64 @@ class _CharacterHopf:
                     )
         return None
 
+    def flip(self, t):
+        """The table of the flipped tensor: F(a, p) (x) F(b, q) -> F(b, q) (x) F(a, p)."""
+        m, size, entries = self.m, len(self.chars), t.entries
+        _, perm = tensor_key(((), [j - m for j in t.perm[m:]]), ((), t.perm[:m]))
+        return self.model2.monomial(perm, [e for b in range(size) for e in entries[b::size]])
+
+    def first_difference(self, l: int) -> tuple[list, CycNumber]:
+        """The least pair of group indices at which delta(z_l) and its flip
+        differ, and the coefficient of the difference there; delta(z_l) must
+        differ from its flip."""
+        order, size, entries = self.order, len(self.chars), self.delta_z[l].entries
+        base = perm_index(self.gens[l]) * size
+        # twice_dot[t][mu] = 2 mu . t, the exponent of (t, p) in n^m Lambda_mu p
+        twice_dot = [[-e % order for e in self.x(t).entries] for t in self.chars]
+        for t, phase in enumerate(twice_dot):
+            # by nu, the counts of sum_mu (zeta^d(mu, nu) - zeta^d(nu, mu)) zeta^(2 mu . t)
+            by_nu = []
+            for nu in range(size):
+                counts = [0] * order
+                for e, f, k in zip(entries[nu * size : (nu + 1) * size], entries[nu::size], phase):
+                    if e is not None:
+                        counts[(e + k) % order] += 1
+                    if f is not None:
+                        counts[(f + k) % order] -= 1
+                by_nu.append(counts)
+            for u, shifts in enumerate(twice_dot):
+                counts = [0] * order
+                for row, shift in zip(by_nu, shifts):
+                    for k, c in enumerate(row):
+                        if c:
+                            counts[(k + shift) % order] += c
+                value = root_count_sum(order, tuple(counts), size * size)
+                if value:
+                    return [base + t, base + u], value
+        raise CheckFailedError(
+            f"delta(z_{l}) differs from its flip as a table but in no group-basis coordinate"
+        )
+
+    def cocommutativity_witness(self) -> dict:
+        """Whether each delta(z_l) differs from its flip, with the first
+        nonzero coordinate of the difference as witness, and whether the
+        x generators are symmetric."""
+        out: dict = {}
+        for l, table in self.delta_z.items():
+            if table == self.flip(table):
+                out[f"z_{l}"] = {"status": "cocommutative"}
+            else:
+                pair, value = self.first_difference(l)
+                out[f"z_{l}"] = {
+                    "status": "noncocommutative",
+                    "witness": {"pair": pair, "coefficient": value.to_json()},
+                }
+        m = self.m
+        x_tables = (self.model2.x_monomial(2 * [int(j == i) for j in range(m)]) for i in range(m))
+        x_symmetric = all(table == self.flip(table) for table in x_tables)
+        out["x_generators"] = "symmetric" if x_symmetric else "asymmetric"
+        return out
+
     def relation_failures(self) -> list[str]:
         """The defining relations that delta, extended multiplicatively from
         the generator images, breaks, on the tables at (n, 2m):
@@ -525,7 +466,7 @@ def hopf_axiom_report(n: int, m: int, cap: int | None = None) -> dict:
 
     check_model runs first at (n, m).  Includes the relation-preservation
     suite (well-definedness of the multiplicative extension) and the
-    non-cocommutativity witnesses, which stay in the group basis.
+    non-cocommutativity witnesses, read from the tables of the delta(z_l).
     """
     if n < 2:
         raise ValueError(
@@ -555,7 +496,7 @@ def hopf_axiom_report(n: int, m: int, cap: int | None = None) -> dict:
             for name, detail in failures.items()
         },
     }
-    report["non_cocommutativity"] = cocommutativity_witness(n, m, cap=cap)
+    report["non_cocommutativity"] = hopf.cocommutativity_witness()
     report["all_pass"] = all(v == "pass" for v in report["axioms"].values()) and all(
         entry["status"] == "noncocommutative"
         for key, entry in report["non_cocommutativity"].items()
@@ -568,30 +509,11 @@ def cocommutativity_witness(n: int, m: int, cap: int | None = None) -> dict:
     """Report that delta(z_l) differs from its flip, with one nonzero
     coordinate as witness, and that the x generators are symmetric.
 
-    delta(z_l) is _delta_z, its defining formula in the group basis; delta
-    applied to the group-basis terms of z_l gives the same tensor."""
+    check_model runs first at (n, m); the tables of the delta(z_l) are built,
+    and no delta(p) along a longer word."""
     check_cap(n, m, "tensor-square", cap)
-    out: dict = {}
-    for l in range(1, m):
-        d = _delta_z(n, m, l)
-        diff = d - d.flip()
-        if diff.is_zero():
-            out[f"z_{l}"] = {"status": "cocommutative"}
-        else:
-            key = min(diff.terms)
-            out[f"z_{l}"] = {
-                "status": "noncocommutative",
-                "witness": {
-                    "pair": list(key),
-                    "coefficient": diff.terms[key].to_json(),
-                },
-            }
-    x_symmetric = all(
-        delta(x_element(n, m, i)) == delta(x_element(n, m, i)).flip()
-        for i in range(1, m + 1)
-    )
-    out["x_generators"] = "symmetric" if x_symmetric else "asymmetric"
-    return out
+    check_model(n, m)
+    return _CharacterHopf(n, m).cocommutativity_witness()
 
 
 def quotient_to_sym(a: AlgebraElement) -> CharacterElement:

@@ -1,8 +1,9 @@
 """Finitely supported linear combinations over a group basis.
 
-The group algebra of Z_n wr S_m and its tensor square are sparse maps from
-group keys to nonzero scalars, and so are their elements in the character
-basis, Q[S_k] among them as the character model at n = 1.  This module holds
+The group algebra of Z_n wr S_m is a sparse map from group keys to nonzero
+scalars, and so are its elements in the character basis, Q[S_k] among them
+as the character model at n = 1, and the tensor square as that model at
+(n, 2m).  This module holds
 the code that adds and multiplies such sums.  An element type subclasses
 SparseSum and supplies what differs: its parameters (declared as its
 __slots__), scalar coercion, its identity element, and the row of its key

@@ -1,19 +1,27 @@
-"""The group-basis checks of the Hopf axioms, kept as the reference that the
-character-basis report is tested against.
+"""The group-basis Hopf structure and the checks of the Hopf axioms on it,
+kept as the reference that the character-basis report is tested against.
 
-Each check applies the package's delta, counit and antipode to one
-group-algebra element and compares the two sides of an axiom as dense
-tensor-square or group-algebra sums: (delta x id) delta against
-(id x delta) delta, (eps x id) delta against the identity, and
-m (S x id) delta against eps 1.  relation_failures evaluates the defining
-relations on dense character-basis tensors at (n, 2m), the reference for the
-report's check on exponent tables.  character_coordinates and to_characters
-are the dense change of basis Phi^(-1), one CycNumber product per term and
-character, the reference for the generator tables that the report builds
-from the defining formulas.  multiplicativity_failure and antipode_failure
-are the report's loops before it checked delta(p) delta(s_l) = delta(p s_l)
-and compared the antipode identity on exponents: every pair of permutations,
-and sums of CycNumbers.
+TensorElement, tensor and the group-like _diagonal are the tensor square of
+the group algebra; _GroupBasis holds the primitives of the package's defining
+formulas there, and _delta_z, _delta_s and _antipode_s evaluate
+hopf._delta_z_image, hopf._delta_s_image and hopf._antipode_s_image on it,
+each looked up at call time, so a test that replaces a formula (and clears
+these caches) reaches both representations.  delta and antipode extend them
+along the canonical word of each basis element, and cocommutativity_witness
+compares _delta_z with its flip as dense tensors.
+
+Each check applies delta, counit and antipode to one group-algebra element
+and compares the two sides of an axiom as dense tensor-square or
+group-algebra sums: (delta x id) delta against (id x delta) delta,
+(eps x id) delta against the identity, and m (S x id) delta against eps 1.
+relation_failures evaluates the defining relations on dense character-basis
+tensors at (n, 2m), the reference for the report's check on exponent tables.
+character_coordinates and to_characters are the dense change of basis
+Phi^(-1), one CycNumber product per term and character, the reference for
+the generator tables that the report builds from the defining formulas.
+multiplicativity_failure and antipode_failure are the report's loops before
+it checked delta(p) delta(s_l) = delta(p s_l) and compared the antipode
+identity on exponents: every pair of permutations, and sums of CycNumbers.
 """
 
 import random
@@ -22,12 +30,182 @@ from functools import lru_cache
 
 from group_basis_oracle import basis_element
 from kacpal import hopf
-from kacpal.algebra import AlgebraElement, presentation, x_monomial
+from kacpal.algebra import (
+    AlgebraElement,
+    diagonal_element,
+    presentation,
+    x_element,
+    x_monomial,
+    z_element,
+)
 from kacpal.character_basis import CharacterElement, characters, tensor_key
 from kacpal.cyclotomic import CycNumber, zeta_power
-from kacpal.hopf import TensorElement, _delta_basis, antipode, counit, delta
-from kacpal.sparse import add_into
-from kacpal.wreath import element_at, group_order, twist_index
+from kacpal.hopf import counit
+from kacpal.sparse import SparseSum, add_into
+from kacpal.wreath import element_at, group_order, mul_row, twist_index
+
+
+class TensorElement(SparseSum):
+    """A sparse element of the tensor square of the group algebra."""
+
+    __slots__ = ("n", "m")
+
+    def __init__(self, n: int, m: int, terms=None):
+        order = group_order(n, m)
+        clean: dict[tuple[int, int], CycNumber] = {}
+        self._assign(n, m, clean)  # _scalar reads n
+        for (i, j), coeff in (terms or {}).items():
+            if not (0 <= i < order and 0 <= j < order):
+                raise ValueError(f"tensor index ({i}, {j}) out of range")
+            coeff = self._scalar(coeff)
+            if coeff:
+                clean[(i, j)] = coeff
+
+    # Scalars are those of the algebra, Q(zeta_2n).
+    _scalar = AlgebraElement._scalar
+    root_sum = AlgebraElement.root_sum
+
+    def _one(self) -> "TensorElement":
+        return TensorElement.unit(self.n, self.m)
+
+    def _row(self, key: tuple[int, int]):
+        # componentwise group product in both tensor legs
+        left = mul_row(self.n, self.m, key[0])
+        right = mul_row(self.n, self.m, key[1])
+        return lambda k: (left[k[0]], right[k[1]])
+
+    @classmethod
+    def unit(cls, n: int, m: int) -> "TensorElement":
+        return cls._make(n, m, {(0, 0): CycNumber.one(2 * n)})
+
+    def flip(self) -> "TensorElement":
+        return TensorElement._make(
+            self.n, self.m, {(j, i): c for (i, j), c in self.terms.items()}
+        )
+
+    def __repr__(self):
+        return f"TensorElement(n={self.n}, m={self.m}, {len(self.terms)} terms)"
+
+
+def tensor(a: AlgebraElement, b: AlgebraElement) -> TensorElement:
+    """The elementary tensor of two algebra elements."""
+    a._check(b)
+    terms = {}
+    for i, ca in a.terms.items():
+        for j, cb in b.terms.items():
+            terms[(i, j)] = ca * cb
+    return TensorElement._make(a.n, a.m, terms)
+
+
+def _diagonal(a: AlgebraElement) -> TensorElement:
+    """Apply the group-like comultiplication to an element supported on
+    x-monomials."""
+    return TensorElement._make(a.n, a.m, {(i, i): c for i, c in a.terms.items()})
+
+
+class _GroupBasis:
+    """The primitives of the defining formulas in the group basis."""
+
+    tensor = staticmethod(tensor)
+    group_like = staticmethod(_diagonal)
+
+    def __init__(self, n: int, m: int):
+        self.n, self.m = n, m
+
+    def x(self, t) -> AlgebraElement:
+        return x_monomial(self.n, self.m, t)
+
+    def diagonal(self, exponent) -> AlgebraElement:
+        return diagonal_element(self.n, self.m, exponent)
+
+    def z(self, l: int) -> AlgebraElement:
+        return z_element(self.n, self.m, l)
+
+    @staticmethod
+    def monomial(a, what: str):
+        # the group algebra takes any coefficient
+        return a
+
+
+@lru_cache(maxsize=None)
+def _delta_z(n: int, m: int, l: int) -> TensorElement:
+    return hopf._delta_z_image(_GroupBasis(n, m), l)
+
+
+@lru_cache(maxsize=None)
+def _delta_s(n: int, m: int, l: int) -> TensorElement:
+    return hopf._delta_s_image(_GroupBasis(n, m), l, _delta_z(n, m, l))
+
+
+@lru_cache(maxsize=None)
+def _antipode_s(n: int, m: int, l: int) -> AlgebraElement:
+    return hopf._antipode_s_image(_GroupBasis(n, m), l)
+
+
+@lru_cache(maxsize=None)
+def _delta_basis(n: int, m: int, index: int) -> TensorElement:
+    """Comultiplication of a single group basis element."""
+    u = element_at(n, m, index)
+    result = _diagonal(x_monomial(n, m, u.twists))
+    for l in hopf._perm_word(u.perm):
+        result = result * _delta_s(n, m, l)
+    return result
+
+
+def delta(a: AlgebraElement) -> TensorElement:
+    """Comultiplication, extended linearly over the group basis."""
+    acc: dict[tuple[int, int], CycNumber] = {}
+    for ix, c in a.terms.items():
+        add_into(acc, _delta_basis(a.n, a.m, ix).terms, c)
+    return TensorElement._make(a.n, a.m, acc)
+
+
+@lru_cache(maxsize=None)
+def _antipode_basis(n: int, m: int, index: int) -> AlgebraElement:
+    """Antipode of one basis element: reversed word of s-antipodes times the
+    inverted x-monomial."""
+    u = element_at(n, m, index)
+    result = x_monomial(n, m, tuple((-t) % n for t in u.twists))
+    for l in hopf._perm_word(u.perm):
+        result = _antipode_s(n, m, l) * result
+    return result
+
+
+def antipode(a: AlgebraElement) -> AlgebraElement:
+    """The antipode: x-monomials map to their inverses, square-root
+    generators are fixed, extended anti-homomorphically along the canonical
+    word of each basis element."""
+    acc: dict[int, CycNumber] = {}
+    for ix, c in a.terms.items():
+        add_into(acc, _antipode_basis(a.n, a.m, ix).terms, c)
+    return AlgebraElement._make(a.n, a.m, acc)
+
+
+def cocommutativity_witness(n: int, m: int) -> dict:
+    """The report's non_cocommutativity entry from dense tensors: delta(z_l)
+    against its flip, with the least differing pair of indices as witness,
+    and delta(x_i) against its flip."""
+    out: dict = {}
+    for l in range(1, m):
+        d = _delta_z(n, m, l)
+        diff = d - d.flip()
+        if diff.is_zero():
+            out[f"z_{l}"] = {"status": "cocommutative"}
+        else:
+            key = min(diff.terms)
+            out[f"z_{l}"] = {
+                "status": "noncocommutative",
+                "witness": {
+                    "pair": list(key),
+                    "coefficient": diff.terms[key].to_json(),
+                },
+            }
+    x_symmetric = all(
+        delta(x_element(n, m, i)) == delta(x_element(n, m, i)).flip()
+        for i in range(1, m + 1)
+    )
+    out["x_generators"] = "symmetric" if x_symmetric else "asymmetric"
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -142,12 +320,12 @@ def relation_failures(n: int, m: int) -> list[str]:
     character basis on both legs and multiplied as CharacterElements at
     (n, 2m).  The group-basis delta(z_l) is built by hopf._delta_z_image,
     looked up at call time, so a test that replaces that formula (and clears
-    the cache of hopf._delta_z) reaches both this and the report's check."""
+    the cache of _delta_z) reaches both this and the report's check."""
     families = presentation(
         n,
         m,
-        lambda e: to_characters(hopf._diagonal(x_monomial(n, m, e))),
-        {l: to_characters(hopf._delta_z(n, m, l)) for l in range(1, m)},
+        lambda e: to_characters(_diagonal(x_monomial(n, m, e))),
+        {l: to_characters(_delta_z(n, m, l)) for l in range(1, m)},
     )
     return [
         f"delta({name})" for items in families.values() for name, lhs, rhs in items if lhs != rhs

@@ -13,6 +13,7 @@ from math import factorial
 import pytest
 
 from group_basis_oracle import left_ideal_dimension, sandwich_dimension
+from hopf_group_basis_oracle import _delta_z
 from kacpal import hopf
 from kacpal.algebra import (
     AlgebraElement,
@@ -31,7 +32,7 @@ from kacpal.classifier import (
 )
 from kacpal.cli import main
 from kacpal.cyclotomic import CycNumber, gauss_sum_check, root_count_sum, zeta_power
-from kacpal.hopf import hopf_axiom_report
+from kacpal.hopf import cocommutativity_witness, hopf_axiom_report
 from kacpal.partitions import (
     partitions_of,
     row_consecutive_tableau,
@@ -251,7 +252,7 @@ def test_criterion_5_hopf_axioms_at_4_2_within_3s():
 def test_criterion_5_hopf_relation_check_at_4_3_within_4s():
     # the evaluation on dense tensors at (n, 2m) took 6.1 s here on a shared
     # 2-core VM, Python 3.11
-    for cache in (hopf._delta_z, z_element, y_inverse_element, s_element, mul_row):
+    for cache in (_delta_z, z_element, y_inverse_element, s_element, mul_row):
         cache.cache_clear()
     for cache in (characters, root_count_sum):
         cache.cache_clear()
@@ -297,6 +298,22 @@ def test_criterion_5_whole_hopf_report_at_2_5_within_3s():
     assert report["all_pass"], report
     assert elapsed < 3, f"the Hopf report at (2, 5) took {elapsed:.1f}s"
     announce(5, f"every Hopf axiom on every basis element at (2, 5) in {elapsed:.1f}s")
+
+
+def test_criterion_5_witness_at_2_6_within_1_5s():
+    # the non-cocommutativity witness from the tables of the delta(z_l), with
+    # every module cache of kacpal cleared; building each delta(z_l) in the
+    # group basis and subtracting its flip took 5.7 s here on a shared 2-core
+    # VM, Python 3.11
+    _clear_kacpal_caches()
+    start = time.time()
+    out = cocommutativity_witness(2, 6, cap=50000)
+    elapsed = time.time() - start
+    assert out["z_1"]["witness"]["pair"] == [7680, 7681]
+    assert all(out[f"z_{l}"]["status"] == "noncocommutative" for l in range(1, 6))
+    assert out["x_generators"] == "symmetric"
+    assert elapsed < 1.5, f"the witness at (2, 6) took {elapsed:.1f}s"
+    announce(5, f"delta(z_l) is not cocommutative at (2, 6), witnessed in {elapsed:.1f}s")
 
 
 def test_criterion_6_combinatorial_oracles():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from group_basis_oracle import check_model_by_products, left_ideal_dimension, sandwich_dimension
-from hopf_group_basis_oracle import to_characters
+from hopf_group_basis_oracle import TensorElement, to_characters
 from kacpal import algebra, character_basis
 from kacpal.algebra import (
     AlgebraElement,
@@ -26,7 +26,6 @@ from kacpal.character_basis import (
     symmetric_group,
 )
 from kacpal.cyclotomic import CycNumber, zeta, zeta_power
-from kacpal.hopf import TensorElement
 from kacpal.sparse import add_into
 from kacpal.wreath import CheckFailedError, Perm, WreathElement, element_index
 

@@ -10,11 +10,21 @@ from hypothesis import given, settings, strategies as st
 from group_basis_oracle import basis_element
 import hopf_group_basis_oracle as oracle
 from hopf_group_basis_oracle import (
+    TensorElement,
+    _antipode_basis,
+    _antipode_s,
+    _delta_basis,
+    _delta_s,
+    _delta_z,
+    _diagonal,
     _fixed_sparse,
+    antipode,
     antipode_axiom_holds,
     coassociativity_holds,
     counit_axiom_holds,
+    delta,
     relation_failures,
+    tensor,
 )
 from kacpal.algebra import (
     AlgebraElement,
@@ -29,22 +39,12 @@ from kacpal.character_basis import CharacterElement, Monomial, characters, tenso
 from kacpal.cli import main
 from kacpal.cyclotomic import CycNumber, zeta, zeta_power
 from kacpal.hopf import (
-    TensorElement,
     _CharacterHopf,
-    _antipode_basis,
-    _antipode_s,
-    _delta_basis,
-    _delta_s,
-    _delta_z,
-    _diagonal,
     _perm_word,
-    antipode,
     cocommutativity_witness,
     counit,
-    delta,
     hopf_axiom_report,
     quotient_to_sym,
-    tensor,
 )
 from kacpal.wreath import (
     CapExceededError,
@@ -402,9 +402,13 @@ def test_non_cocommutativity_witness(n, m):
 def fresh_images():
     # the group-basis generator images are remembered per process; a test
     # that replaces a formula must neither read nor leave a remembered image
-    from kacpal import hopf
-
-    caches = (hopf._delta_z, hopf._delta_s, hopf._delta_basis, hopf._antipode_s, hopf._antipode_basis)
+    caches = (
+        oracle._delta_z,
+        oracle._delta_s,
+        oracle._delta_basis,
+        oracle._antipode_s,
+        oracle._antipode_basis,
+    )
     for cache in caches:
         cache.cache_clear()
     yield
@@ -449,6 +453,66 @@ def _one_entry_off(l_star, a, b):
     return patch
 
 
+def _left_x1(real):
+    # (x_1 (x) 1) delta(z_l): a tensor that is not its flip
+    def perturbed(im, l):
+        unit = (1,) + (0,) * (im.m - 1)
+        return im.tensor(im.x(unit), im.x((0,) * im.m)) * real(im, l)
+
+    return perturbed
+
+
+def _right_last_twist(real):
+    # (1 (x) x_m) delta(z_l): a twist on the last slot of the right leg
+    def perturbed(im, l):
+        unit = (0,) * (im.m - 1) + (1,)
+        return im.tensor(im.x((0,) * im.m), im.x(unit)) * real(im, l)
+
+    return perturbed
+
+
+@pytest.mark.parametrize("n, m", [(1, 3), (2, 2), (3, 2), (2, 3), (4, 2), (3, 3), (2, 4)])
+@pytest.mark.parametrize(
+    "patch",
+    [None, _group_like_delta_z, _left_x1, _right_last_twist],
+    ids=["true", "group_like", "left_x1", "right_last_twist"],
+)
+def test_witness_on_tables_matches_the_group_basis_witness(
+    monkeypatch, fresh_images, capsys, n, m, patch
+):
+    # the witness read from the delta(z_l) tables against the group-basis
+    # delta(z_l) minus its flip, each made from the one formula both evaluate
+    from kacpal import hopf
+
+    if patch is not None:
+        monkeypatch.setattr(hopf, "_delta_z_image", patch(hopf._delta_z_image))
+    out = cocommutativity_witness(n, m, cap=group_order(n, m))
+    assert out == oracle.cocommutativity_witness(n, m)
+    if patch is _group_like_delta_z:
+        assert all(out[f"z_{l}"] == {"status": "cocommutative"} for l in range(1, m))
+        if n >= 2:
+            argv = ["verify", "--n", str(n), "--m", str(m), "--checks", "hopf"]
+            assert main([*argv, "--cap-group-order", str(group_order(n, m))]) == 1
+            capsys.readouterr()
+
+
+def test_hopf_report_builds_no_group_product_rows(monkeypatch):
+    # every axiom and the witness on tables: no group-basis product row, no
+    # enumeration of G and no group-algebra product
+    from kacpal import wreath
+
+    def refuse(*args):
+        raise AssertionError("a group-algebra product in the Hopf report")
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", refuse)
+    wreath.mul_row.cache_clear()
+    wreath.elements.cache_clear()
+    report = hopf_axiom_report(3, 3, cap=200)
+    assert report["all_pass"]
+    assert wreath.mul_row.cache_info().currsize == 0
+    assert wreath.elements.cache_info().currsize == 0
+
+
 Z1_SQUARE = "delta(z_1^2 = (1/n) sum q^(-ij) x_1^i x_2^j)"
 
 
@@ -461,7 +525,7 @@ def test_wrong_delta_z_fails_relation_preservation(monkeypatch, fresh_images):
     from kacpal import hopf
 
     real = hopf._delta_z_image
-    caches = (hopf._delta_z, hopf._delta_s, hopf._delta_basis)
+    caches = (oracle._delta_z, oracle._delta_s, oracle._delta_basis)
     cases = [
         (_group_like_delta_z, 2, 2, [Z1_SQUARE]),
         (_one_entry_off(1, 1, 2), 2, 2, [Z1_SQUARE]),
@@ -609,7 +673,7 @@ def test_basis_maps_decode_one_index(monkeypatch):
     def refuse(n, m):
         raise AssertionError(f"enumerated all of G at (n={n}, m={m})")
 
-    for module in (wreath, hopf):
+    for module in (wreath, hopf, oracle):
         monkeypatch.setattr(module, "elements", refuse, raising=False)
     n, m = 2, 5
     twists = (1, 0, 1, 1, 0)

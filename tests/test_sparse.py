@@ -10,10 +10,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hopf_group_basis_oracle import TensorElement
 from kacpal.algebra import AlgebraElement
 from kacpal.character_basis import CharacterElement
 from kacpal.cyclotomic import CycNumber, zeta, zeta_power
-from kacpal.hopf import TensorElement
 from kacpal.sparse import add_into
 from kacpal.wreath import Perm, element_at, element_index, group_order
 
