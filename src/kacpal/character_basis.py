@@ -369,9 +369,11 @@ def _lambda_exponents(n: int, m: int, lam: tuple, fail) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def check_model(n: int, m: int) -> None:
+def check_model(n: int, m: int) -> tuple:
     """Check at (n, m) the lemmas from which Phi carries the model's product
-    to the group's; CheckFailedError names the first lemma that fails.
+    to the group's; CheckFailedError names the first lemma that fails.  On a
+    pass, return the exponents it read: row a holds k by twist index for the
+    coefficients n^-m zeta^k of Lambda_lam, lam = chars[a].
 
     A pass is remembered, so a process checks each (n, m) once however many
     suites rest on the model; a failure raises again on every call.
@@ -491,3 +493,4 @@ def check_model(n: int, m: int) -> None:
         expected = tuple((-2 * sum(x * t for x, t in zip(lam, twists))) % order for lam in chars)
         if image.perm != g.perm or image.entries != expected or image.non_roots:
             fail("the generator images", f"Phi maps the image of {name} elsewhere")
+    return tuple(map(tuple, table))

@@ -239,10 +239,9 @@ class IrrepTable:
     records: tuple[IrrepRecord, ...]
     checks: dict
 
-    def to_json(self, include_idempotents: bool = False) -> dict:
-        irreps = []
-        for rec in self.records:
-            entry = {
+    def to_json(self) -> dict:
+        irreps = [
+            {
                 "beta": rec.beta.spec_string(),
                 "blocks": rec.beta.to_json(),
                 "lambda": list(rec.lam),
@@ -251,9 +250,8 @@ class IrrepTable:
                 "dim_hook": rec.dim_hook,
                 "dim_rank": rec.dim_rank,
             }
-            if include_idempotents:
-                entry["idempotent"] = rec.idempotent.to_json()
-            irreps.append(entry)
+            for rec in self.records
+        ]
         return {"n": self.n, "m": self.m, "irreps": irreps, "checks": self.checks}
 
     def to_csv(self) -> str:

@@ -3,11 +3,11 @@
 The comultiplication is group-like on x-monomials and is given on the
 square-root generators by the twisted formula
 delta(z_l) = P (z_l (x) z_l), P = (1/n) sum q^(-ij) x_l^i (x) x_{l+1}^j,
-so delta(s_l) = delta(y_l) delta(z_l); it is extended multiplicatively along
-a canonical adjacent-transposition word for each basis permutation.  The
-counit is the group-algebra counit (one on every basis element).  The
-antipode inverts x-monomials and fixes the square-root generators, so
-S(s_l) = z_l S(y_l), extended anti-homomorphically along the same words.
+so delta(s_l) = delta(y_l) delta(z_l); it is extended multiplicatively to
+every permutation, breadth-first over S_m from the identity.  The counit is
+the group-algebra counit (one on every basis element).  The antipode
+inverts x-monomials and fixes the square-root generators, so
+S(s_l) = z_l S(y_l), extended anti-homomorphically along the same walk.
 
 Each of these formulas is written once, on images (_delta_z_image,
 _delta_s_image and _antipode_s_image), over the primitives of one
@@ -53,27 +53,33 @@ On the basis F(lam, p) the comultiplication is then a 2-cocycle twist
                        zeta^omega_p(mu, nu) F(mu, p) (x) F(nu, p),
     S(F(lam, p)) = zeta^sigma_p(mu) F(mu, p^(-1)),  mu = (-lam) o p,
 
-where omega_p is the table of delta(p), the product of the delta(s_l) tables
-along the canonical word of p, and sigma_p that of S(p), the product of the
-S(s_l) tables along the reversed word.  Every axiom then holds on every
-basis element exactly when
+where omega_p is the table of delta(p) and sigma_p that of S(p).  They are
+built in one breadth-first walk over S_m from the identity, taking
+l = 1..m-1 in order: the first p to reach p s_l gives
+delta(p s_l) = delta(p) delta(s_l) and S(p s_l) = S(s_l) S(p), one table
+product each, so delta(p) is the product of the delta(s_l) tables along the
+word w = w0 w1 ... by which the walk reached p, and S(p) that of the S(s_l)
+tables along its reverse.  Every axiom then holds on every basis element
+exactly when
 
 - coassociativity: omega_p(mu, nu) + omega_p(mu + nu, rho)
   = omega_p(mu, nu + rho) + omega_p(nu, rho) mod 2n, over all m! n^(3m)
   triples (the 2-cocycle identity);
 - multiplicativity: delta(p) delta(s_l) = delta(p s_l) as tables at
-  (n, 2m), for every p and l: m! (m - 1) n^(2m) entries.  This gives
-  delta(p) delta(q) = delta(pq) for every pair: delta(q) is by construction
-  the product of the delta(s_l) tables along the word w of q, and table
-  products are associative, so delta(p) delta(q) = delta(p s_w0) delta(s_w1)
-  ... = delta(pq), one letter at a time.  With
+  (n, 2m), for every p and l: m! (m - 1) n^(2m) entries, so also for the
+  pairs the walk did not take.  This gives delta(p) delta(q) = delta(pq)
+  for every pair: delta(q) is the product of the delta(s_l) tables along
+  the walk's word w of q, and table products are associative, so
+  delta(p) delta(q) = delta(p s_w0) delta(s_w1) ... = delta(pq), one
+  letter at a time.  With
   delta(F(lam, p)) = delta(Lambda_lam) delta(p) and p Lambda_mu =
   Lambda_(mu o p^(-1)) p, that is delta(F F') = delta(F) delta(F') on every
   pair of basis elements;
 - counit: (eps (x) id) delta = id and its mirror.  With eps(F(a, p)) =
-  eps(Lambda_a), read once, this is eps(Lambda_a) = [a = 0] for every
-  character a, which allows no value but 0 or 1, and omega_p(mu, nu) = 0
-  wherever mu or nu is 0: integer comparisons, m! n^m of them;
+  eps(Lambda_a), the sum of the coefficients n^-m zeta^k that check_model
+  read, this is eps(Lambda_a) = [a = 0] for every character a, which allows
+  no value but 0 or 1, and omega_p(mu, nu) = 0 wherever mu or nu is 0:
+  integer comparisons, m! n^m of them;
 - antipode: m (S (x) id) delta = eps 1 and its mirror hold on every
   F(lam, p).  For fixed lam and p, a -> (-a) o p is a bijection of the
   characters, so each side carries at most one root of unity per character
@@ -118,7 +124,7 @@ from __future__ import annotations
 
 from functools import cached_property, partial
 
-from .algebra import AlgebraElement, lambda_idempotent, presentation, y_exponent, z_square_sum
+from .algebra import AlgebraElement, presentation, y_exponent, z_square_sum
 from .character_basis import (
     CharacterElement,
     MonomialModel,
@@ -165,25 +171,6 @@ def _antipode_s_image(im, l: int):
     return im.z(l) * im.diagonal(lambda lam: -((-lam[l - 1]) % n) * ((-lam[l]) % n))
 
 
-def _perm_word(images: tuple[int, ...]) -> tuple[int, ...]:
-    """A canonical adjacent-transposition word for a permutation.
-
-    Bubble sort the one-line form; the reversed swap sequence gives 1-based
-    subscripts w so that the basis element equals s_{w[0]} * s_{w[1]} * ...
-    """
-    work = list(images)
-    swaps = []
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(work) - 1):
-            if work[i] > work[i + 1]:
-                work[i], work[i + 1] = work[i + 1], work[i]
-                swaps.append(i + 1)
-                changed = True
-    return tuple(reversed(swaps))
-
-
 def counit(a: AlgebraElement) -> CycNumber:
     """The counit: one on every group basis element, extended linearly."""
     return sum(a.terms.values(), CycNumber.zero(2 * a.n))
@@ -207,6 +194,7 @@ class _CharacterHopf:
     """
 
     def __init__(self, n: int, m: int):
+        rows = check_model(n, m)
         self.n, self.m, self.order = n, m, 2 * n
         model = self.model = MonomialModel(n, m)
         chars = self.chars = model.chars
@@ -219,36 +207,36 @@ class _CharacterHopf:
         self.model2 = MonomialModel(n, 2 * m)
         self.gens = {l: generator_b(n, m, l).perm for l in range(1, m)}
         # Phi(F(lam, p)) is Lambda_lam moved to the block of p, with the same
-        # coefficients, so its counit is that of Lambda_lam.
-        self.eps = [counit(lambda_idempotent(n, m, lam)) for lam in chars]
+        # coefficients, so its counit is that of Lambda_lam: n^-m times the
+        # sum of zeta^k over the exponents k of its row, as check_model read them.
+        self.eps = [
+            root_count_sum(self.order, tuple(map(row.count, range(self.order))), n**m)
+            for row in rows
+        ]
         self.delta_z = {l: _delta_z_image(self, l) for l in self.gens}
         self.delta_s = {l: _delta_s_image(self, l, self.delta_z[l]) for l in self.gens}
         self.antipode_s = {l: _antipode_s_image(self, l) for l in self.gens}
 
-    # built on first use, so that the witness alone multiplies no tables
-    # along words
-
     @cached_property
-    def delta_p(self) -> dict:
-        """delta(p) = delta(s_w0) delta(s_w1) ... along the word w of p."""
-        out = {}
-        for p in self.perms:
-            table = self.model2.one()
-            for l in _perm_word(p):
-                table = table * self.delta_s[l]
-            out[p] = table
-        return out
+    def _walk(self) -> tuple[dict, dict]:
+        """delta(p) and the exponents of S(p) for every p, breadth-first over
+        S_m from the identity: the first p to reach p s_l (l = 1..m-1 in
+        order) gives delta(p s_l) = delta(p) delta(s_l) and
+        S(p s_l) = S(s_l) S(p), one table product each."""
+        one = self.perms[0]
+        delta, antipode = {one: self.model2.one()}, {one: self.model.one()}
+        reached = [one]
+        for p in reached:  # grows as the walk reaches new permutations
+            for l, s in self.gens.items():
+                if (q := p * s) not in delta:
+                    delta[q] = delta[p] * self.delta_s[l]
+                    antipode[q] = self.antipode_s[l] * antipode[p]
+                    reached.append(q)
+        return delta, {p: table.entries for p, table in antipode.items()}
 
-    @cached_property
-    def sigma(self) -> dict:
-        """The exponents of S(p) = ... S(s_w1) S(s_w0) along the word w of p."""
-        out = {}
-        for p in self.perms:
-            table = self.model.one()
-            for l in _perm_word(p):
-                table = self.antipode_s[l] * table
-            out[p] = table.entries
-        return out
+    # walked on first use, so that the witness alone multiplies no tables
+    delta_p = cached_property(lambda self: self._walk[0])
+    sigma = cached_property(lambda self: self._walk[1])
 
     # the primitives of _delta_z_image, _delta_s_image and _antipode_s_image
 
@@ -479,7 +467,6 @@ def hopf_axiom_report(n: int, m: int, cap: int | None = None) -> dict:
             "so no non-cocommutativity witness exists"
         )
     check_cap(n, m, "tensor-square", cap)
-    check_model(n, m)
     hopf = _CharacterHopf(n, m)
     failures = {
         "coassociativity": hopf.coassociativity_failure(),
@@ -510,9 +497,8 @@ def cocommutativity_witness(n: int, m: int, cap: int | None = None) -> dict:
     coordinate as witness, and that the x generators are symmetric.
 
     check_model runs first at (n, m); the tables of the delta(z_l) are built,
-    and no delta(p) along a longer word."""
+    and the walk over S_m is not taken."""
     check_cap(n, m, "tensor-square", cap)
-    check_model(n, m)
     return _CharacterHopf(n, m).cocommutativity_witness()
 
 

@@ -12,9 +12,13 @@ check_model_by_products compares, under Phi, both products of every
 generator with every basis element of the character basis, and
 relation_suite_by_group_basis evaluates the relation families by group-basis
 convolution; z_square_rhs is the group-basis value of z_l^2.
+
+elements enumerates G, and conjugacy_class_count sweeps the classes by
+conjugating by all of it, the reference for the generator-orbit sweep of
+wreath.conjugacy_class_count.
 """
 
-from functools import partial
+from functools import lru_cache, partial
 from itertools import product
 
 from kacpal.algebra import (
@@ -45,10 +49,33 @@ from kacpal.wreath import (
     Perm,
     WreathElement,
     check_cap,
+    element_at,
     element_index,
-    elements,
+    group_order,
     mul_row,
 )
+
+
+@lru_cache(maxsize=None)
+def elements(n: int, m: int) -> tuple[WreathElement, ...]:
+    """All group elements in index order (index 0 is the identity)."""
+    return tuple(element_at(n, m, ix) for ix in range(group_order(n, m)))
+
+
+def conjugacy_class_count(n: int, m: int) -> int:
+    """Number of conjugacy classes, by conjugating a representative of each
+    class by every element of G."""
+    elems = elements(n, m)
+    pairs = [(g, g.inverse()) for g in elems]
+    visited = bytearray(len(elems))
+    count = 0
+    for rep_ix, rep in enumerate(elems):
+        if visited[rep_ix]:
+            continue
+        count += 1
+        for g, g_inv in pairs:
+            visited[element_index(g * rep * g_inv)] = 1
+    return count
 
 
 def iota_embed(beta: LabelledPartition, label: int, s: CharacterElement) -> AlgebraElement:

@@ -7,8 +7,10 @@ formulas there, and _delta_z, _delta_s and _antipode_s evaluate
 hopf._delta_z_image, hopf._delta_s_image and hopf._antipode_s_image on it,
 each looked up at call time, so a test that replaces a formula (and clears
 these caches) reaches both representations.  delta and antipode extend them
-along the canonical word of each basis element, and cocommutativity_witness
-compares _delta_z with its flip as dense tensors.
+along the canonical word of each basis element (_perm_word), and
+cocommutativity_witness compares _delta_z with its flip as dense tensors.
+tables_along_words multiplies the report's own generator tables along the
+same words, the reference for its breadth-first tables of delta(p) and S(p).
 
 Each check applies delta, counit and antipode to one group-algebra element
 and compares the two sides of an axiom as dense tensor-square or
@@ -142,12 +144,45 @@ def _antipode_s(n: int, m: int, l: int) -> AlgebraElement:
     return hopf._antipode_s_image(_GroupBasis(n, m), l)
 
 
+def _perm_word(images: tuple[int, ...]) -> tuple[int, ...]:
+    """A canonical adjacent-transposition word for a permutation.
+
+    Bubble sort the one-line form; the reversed swap sequence gives 1-based
+    subscripts w so that the basis element equals s_{w[0]} * s_{w[1]} * ...
+    """
+    work = list(images)
+    swaps = []
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(work) - 1):
+            if work[i] > work[i + 1]:
+                work[i], work[i + 1] = work[i + 1], work[i]
+                swaps.append(i + 1)
+                changed = True
+    return tuple(reversed(swaps))
+
+
+def tables_along_words(hopf) -> tuple[dict, dict]:
+    """delta(p) and the exponents of S(p) for every p of a
+    hopf._CharacterHopf, each multiplied out along the canonical word of p:
+    the reference for the report's breadth-first walk."""
+    delta, sigma = {}, {}
+    for p in hopf.perms:
+        table, antipode = hopf.model2.one(), hopf.model.one()
+        for l in _perm_word(p):
+            table = table * hopf.delta_s[l]
+            antipode = hopf.antipode_s[l] * antipode
+        delta[p], sigma[p] = table, antipode.entries
+    return delta, sigma
+
+
 @lru_cache(maxsize=None)
 def _delta_basis(n: int, m: int, index: int) -> TensorElement:
     """Comultiplication of a single group basis element."""
     u = element_at(n, m, index)
     result = _diagonal(x_monomial(n, m, u.twists))
-    for l in hopf._perm_word(u.perm):
+    for l in _perm_word(u.perm):
         result = result * _delta_s(n, m, l)
     return result
 
@@ -166,7 +201,7 @@ def _antipode_basis(n: int, m: int, index: int) -> AlgebraElement:
     inverted x-monomial."""
     u = element_at(n, m, index)
     result = x_monomial(n, m, tuple((-t) % n for t in u.twists))
-    for l in hopf._perm_word(u.perm):
+    for l in _perm_word(u.perm):
         result = _antipode_s(n, m, l) * result
     return result
 

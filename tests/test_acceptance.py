@@ -205,6 +205,19 @@ def test_criterion_3_classification_counts():
     announce(3, f"irrep count = partition formula = conjugacy classes for {RELATION_PAIRS}")
 
 
+def test_criterion_3_conjugacy_classes_at_4_4_within_3s():
+    # the classes as generator orbits, with every module cache of kacpal
+    # cleared; conjugating each representative by all 6144 elements took
+    # 10.5 s here on a shared 2-core VM, Python 3.11
+    _clear_kacpal_caches()
+    start = time.time()
+    classes = conjugacy_class_count(4, 4)
+    elapsed = time.time() - start
+    assert classes == count_formula(4, 4) == 105
+    assert elapsed < 3, f"the conjugacy classes at (4, 4) took {elapsed:.1f}s"
+    announce(3, f"{classes} conjugacy classes at (4, 4) = the partition formula, in {elapsed:.1f}s")
+
+
 def test_criterion_4_dimension_triple_agreement():
     start = time.time()
     for n, m in RANK_PAIRS:

@@ -301,8 +301,6 @@ def test_table_json_and_csv_shapes():
     assert payload["n"] == 2 and payload["m"] == 2
     assert len(payload["irreps"]) == 5
     assert "idempotent" not in payload["irreps"][0]
-    verbose = table.to_json(include_idempotents=True)
-    assert "idempotent" in verbose["irreps"][0]
     lines = table.to_csv().strip().splitlines()
     assert lines[0] == "beta_spec,lambda,dim_formula,dim_hook,dim_rank"
     assert len(lines) == 6

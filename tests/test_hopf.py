@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from group_basis_oracle import basis_element
+from group_basis_oracle import basis_element, elements
 import hopf_group_basis_oracle as oracle
 from hopf_group_basis_oracle import (
     TensorElement,
@@ -18,6 +18,7 @@ from hopf_group_basis_oracle import (
     _delta_z,
     _diagonal,
     _fixed_sparse,
+    _perm_word,
     antipode,
     antipode_axiom_holds,
     coassociativity_holds,
@@ -40,7 +41,6 @@ from kacpal.cli import main
 from kacpal.cyclotomic import CycNumber, zeta, zeta_power
 from kacpal.hopf import (
     _CharacterHopf,
-    _perm_word,
     cocommutativity_witness,
     counit,
     hopf_axiom_report,
@@ -50,7 +50,6 @@ from kacpal.wreath import (
     CapExceededError,
     Perm,
     WreathElement,
-    elements,
     generator_b,
     group_order,
     twist_index,
@@ -267,6 +266,16 @@ def test_generator_tables_match_the_group_basis_images(n, m):
         x_twice = hopf.model2.x_monomial(t + t)
         assert hopf.group_like(hopf.x(t)) == x_twice == hopf.tensor(hopf.x(t), hopf.x(t))
         assert x_twice.exact() == oracle.to_characters(_diagonal(x_monomial(n, m, t)))
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 3), (3, 3), (2, 4), (4, 3)])
+def test_breadth_first_tables_equal_the_products_along_words(n, m):
+    # delta(p) and S(p), one table product per permutation from the first p
+    # that reaches it, against the products along each canonical word
+    hopf = _CharacterHopf(n, m)
+    delta_p, sigma = oracle.tables_along_words(hopf)
+    assert hopf.delta_p == delta_p
+    assert hopf.sigma == sigma
 
 
 @pytest.mark.parametrize("n,m", [(2, 3), (3, 3), (2, 4)])
@@ -506,11 +515,9 @@ def test_hopf_report_builds_no_group_product_rows(monkeypatch):
 
     monkeypatch.setattr(AlgebraElement, "__mul__", refuse)
     wreath.mul_row.cache_clear()
-    wreath.elements.cache_clear()
     report = hopf_axiom_report(3, 3, cap=200)
     assert report["all_pass"]
     assert wreath.mul_row.cache_info().currsize == 0
-    assert wreath.elements.cache_info().currsize == 0
 
 
 Z1_SQUARE = "delta(z_1^2 = (1/n) sum q^(-ij) x_1^i x_2^j)"
@@ -643,11 +650,12 @@ def test_perturbed_cocycle_fails(monkeypatch, entry, broken):
 
 
 def _counit_of_two(monkeypatch):
-    # eps(Lambda_0) = 2, every other eps(Lambda_lam) still 0
+    # eps(Lambda_0) = 2, every other eps(Lambda_lam) still 0: the exponents
+    # of Lambda_0 that check_model reads are counted twice
     from kacpal import hopf
 
-    real = hopf.counit
-    monkeypatch.setattr(hopf, "counit", lambda a: real(a) * 2)
+    real = hopf.check_model
+    monkeypatch.setattr(hopf, "check_model", lambda n, m: (real(n, m)[0] * 2, *real(n, m)[1:]))
 
 
 def test_a_counit_off_0_and_1_fails_the_report(monkeypatch, capsys):
@@ -668,13 +676,12 @@ def test_a_counit_off_0_and_1_fails_the_report(monkeypatch, capsys):
 def test_basis_maps_decode_one_index(monkeypatch):
     # delta and S of a basis element and the quotient look up each index on
     # its own; none of them may enumerate the 3840 elements of (2, 5)
-    from kacpal import hopf, wreath
+    import group_basis_oracle
 
     def refuse(n, m):
         raise AssertionError(f"enumerated all of G at (n={n}, m={m})")
 
-    for module in (wreath, hopf, oracle):
-        monkeypatch.setattr(module, "elements", refuse, raising=False)
+    monkeypatch.setattr(group_basis_oracle, "elements", refuse)
     n, m = 2, 5
     twists = (1, 0, 1, 1, 0)
     x = x_monomial(n, m, twists)

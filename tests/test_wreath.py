@@ -1,10 +1,15 @@
+import json
 from itertools import permutations
 from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import group_basis_oracle as oracle
+from group_basis_oracle import elements
+from kacpal import wreath
 from kacpal.classifier import count_formula
+from kacpal.cli import main
 from kacpal.wreath import (
     CapExceededError,
     Perm,
@@ -12,7 +17,6 @@ from kacpal.wreath import (
     conjugacy_class_count,
     element_at,
     element_index,
-    elements,
     generator_a,
     generator_b,
     group_order,
@@ -180,6 +184,54 @@ def test_conjugacy_class_counts_frozen():
 @pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4)])
 def test_conjugacy_count_matches_partition_formula(n, m):
     assert conjugacy_class_count(n, m) == count_formula(n, m)
+
+
+# every (n, m) with |G| <= 2000 and m >= 3, and m <= 2 up to n = 12: the
+# oracle conjugates by all of G, |G| products per class, so (31, 2) alone
+# would take 15 s and m = 1 runs to n = 2000
+ORBIT_SIZES = [
+    (n, m)
+    for m in range(1, 7)
+    for n in range(1, 32)
+    if group_order(n, m) <= 2000 and (m >= 3 or n <= 12)
+]
+
+
+@pytest.mark.parametrize("n,m", ORBIT_SIZES)
+def test_generator_orbits_match_the_all_elements_sweep(n, m):
+    assert conjugacy_class_count(n, m) == oracle.conjugacy_class_count(n, m)
+
+
+def _left_out(real, which):
+    # conjugation by the identity moves nothing: the generators for which
+    # which(k) holds are left out of the sweep
+    return lambda n, m, k: WreathElement.identity(n, m) if which(k) else real(n, m, k)
+
+
+@pytest.mark.parametrize(
+    "generator, which, classes",
+    [("generator_b", lambda l: l == 1, 16), ("generator_a", lambda i: True, 14)],
+    ids=["without_s_1", "without_every_x_i"],
+)
+def test_an_orbit_sweep_missing_generators_fails_the_check(
+    monkeypatch, capsys, generator, which, classes
+):
+    # negative control: without s_1, or without every x_i, the orbits at
+    # (2, 3) split the 10 classes into more pieces
+    monkeypatch.setattr(wreath, generator, _left_out(getattr(wreath, generator), which))
+    assert conjugacy_class_count(2, 3) == classes
+    code = main(["count", "--n", "2", "--m", "3", "--checks", "conjugacy"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    assert out == (
+        f"count = 10\nconjugacy classes = {classes}\n"
+        "MISMATCH: counting formula disagrees with brute-force classes\n"
+    )
+    code = main(["table", "--n", "2", "--m", "3", "--checks", "conjugacy", "--format", "json"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    checks = json.loads(out)["checks"]
+    assert (checks["conjugacy_count"], checks["conjugacy_classes"]) == ("fail", classes)
 
 
 def test_conjugacy_cap():
