@@ -53,28 +53,34 @@ On the basis F(lam, p) the comultiplication is then a 2-cocycle twist
                        zeta^omega_p(mu, nu) F(mu, p) (x) F(nu, p),
     S(F(lam, p)) = zeta^sigma_p(mu) F(mu, p^(-1)),  mu = (-lam) o p,
 
-where omega_p is the table of delta(p) and sigma_p that of S(p).  They are
-built in one breadth-first walk over S_m from the identity, taking
-l = 1..m-1 in order: the first p to reach p s_l gives
-delta(p s_l) = delta(p) delta(s_l) and S(p s_l) = S(s_l) S(p), one table
-product each, so delta(p) is the product of the delta(s_l) tables along the
-word w = w0 w1 ... by which the walk reached p, and S(p) that of the S(s_l)
-tables along its reverse.  Every axiom then holds on every basis element
-exactly when
+where omega_p is the table of delta(p) and sigma_p that of S(p).  One
+breadth-first walk over the Cayley graph of S_m from the identity, taking
+l = 1..m-1 in order, builds them: each edge p -> p s_l takes one table
+product, delta(p) delta(s_l), and the first edge to reach p s_l stores it as
+delta(p s_l), with S(p s_l) = S(s_l) S(p).  So delta(p) is the product of the
+delta(s_l) tables along the word w = w0 w1 ... by which the walk reached p,
+and S(p) that of the S(s_l) tables along its reverse.  Every axiom then
+holds on every basis element exactly when
 
-- coassociativity: omega_p(mu, nu) + omega_p(mu + nu, rho)
-  = omega_p(mu, nu + rho) + omega_p(nu, rho) mod 2n, over all m! n^(3m)
-  triples (the 2-cocycle identity);
-- multiplicativity: delta(p) delta(s_l) = delta(p s_l) as tables at
-  (n, 2m), for every p and l: m! (m - 1) n^(2m) entries, so also for the
-  pairs the walk did not take.  This gives delta(p) delta(q) = delta(pq)
-  for every pair: delta(q) is the product of the delta(s_l) tables along
-  the walk's word w of q, and table products are associative, so
-  delta(p) delta(q) = delta(p s_w0) delta(s_w1) ... = delta(pq), one
-  letter at a time.  With
+- multiplicativity: every other edge's product equals the stored
+  delta(p s_l), so delta(p) delta(s_l) = delta(p s_l) for all m! (m - 1)
+  pairs.  This gives delta(p) delta(q) = delta(pq) for every pair:
+  delta(q) is the product of the delta(s_l) tables along the walk's word w
+  of q, and table products are associative, so delta(p) delta(q) =
+  delta(p s_w0) delta(s_w1) ... = delta(pq), one letter at a time.  With
   delta(F(lam, p)) = delta(Lambda_lam) delta(p) and p Lambda_mu =
   Lambda_(mu o p^(-1)) p, that is delta(F F') = delta(F) delta(F') on every
-  pair of basis elements;
+  pair of basis elements: delta is an algebra map;
+- coassociativity: omega_p(mu, nu) + omega_p(mu + nu, rho)
+  = omega_p(mu, nu + rho) + omega_p(nu, rho) mod 2n on all n^(3m) triples
+  (the 2-cocycle identity) for p = s_1 .. s_(m-1), or for every p when an
+  edge is not multiplicative.  When delta is an algebra map, so are
+  (delta x id) delta and (id x delta) delta, which then agree on A exactly
+  when they agree on the generators Lambda_lam and s_l.  On Lambda_lam both
+  are the sum of Lambda_mu (x) Lambda_nu (x) Lambda_rho over
+  mu + nu + rho = lam, as the table of delta(1) is 0 by construction; on s_l
+  they agree exactly when omega_(s_l) is a cocycle: (m - 1) n^(3m) triples,
+  not m! n^(3m);
 - counit: (eps (x) id) delta = id and its mirror.  With eps(F(a, p)) =
   eps(Lambda_a), the sum of the coefficients n^-m zeta^k that check_model
   read, this is eps(Lambda_a) = [a = 0] for every character a, which allows
@@ -188,9 +194,10 @@ class _CharacterHopf:
     is its entry a + n^m b and delta(F(lam, p)) collects the pairs with
     a + b = lam; sigma[p][a] is the exponent of F(a, p^(-1)) in S(p);
     eps[a] = eps(F(a, p)), for every p.  delta_z, delta_s and antipode_s map
-    l to the tables of the generator images.  The remaining tables hold
-    character arithmetic: plus[a][b] is the index of a + b, neg[a] that of
-    -a and moved[p][a] that of a o p.
+    l to the tables of the generator images; the walk that builds delta_p
+    and sigma checks multiplicativity, one product per Cayley edge.
+    plus[a][b] is the index of the character a + b, neg[a] that of -a and
+    model.moved(p)[a] that of a o p.
     """
 
     def __init__(self, n: int, m: int):
@@ -203,7 +210,6 @@ class _CharacterHopf:
         ]
         self.neg = [twist_index(n, [-a % n for a in mu]) for mu in chars]
         self.perms = symmetric_group(m)
-        self.moved = {p: model.moved(p) for p in self.perms}
         self.model2 = MonomialModel(n, 2 * m)
         self.gens = {l: generator_b(n, m, l).perm for l in range(1, m)}
         # Phi(F(lam, p)) is Lambda_lam moved to the block of p, with the same
@@ -218,21 +224,30 @@ class _CharacterHopf:
         self.antipode_s = {l: _antipode_s_image(self, l) for l in self.gens}
 
     @cached_property
-    def _walk(self) -> tuple[dict, dict]:
-        """delta(p) and the exponents of S(p) for every p, breadth-first over
-        S_m from the identity: the first p to reach p s_l (l = 1..m-1 in
-        order) gives delta(p s_l) = delta(p) delta(s_l) and
-        S(p s_l) = S(s_l) S(p), one table product each."""
-        one = self.perms[0]
+    def _walk(self) -> tuple[dict, dict, str | None]:
+        """delta(p) and the exponents of S(p) for every p, and the first
+        edge that is not multiplicative, by the walk of the module docstring."""
+        one, size = self.perms[0], len(self.chars)
         delta, antipode = {one: self.model2.one()}, {one: self.model.one()}
-        reached = [one]
+        failure, reached = None, [one]
         for p in reached:  # grows as the walk reaches new permutations
             for l, s in self.gens.items():
-                if (q := p * s) not in delta:
-                    delta[q] = delta[p] * self.delta_s[l]
+                product, q = delta[p] * self.delta_s[l], p * s
+                if q not in delta:
+                    delta[q] = product
                     antipode[q] = self.antipode_s[l] * antipode[p]
                     reached.append(q)
-        return delta, {p: table.entries for p, table in antipode.items()}
+                elif failure is None and product.entries != delta[q].entries:
+                    # the first differing term F(a, q) (x) F(b, q) in the order of a, b
+                    got, want = product.entries, delta[q].entries
+                    a, b = min((k % size, k // size) for k, e in enumerate(got) if e != want[k])
+                    lam = self.plus[a][b]
+                    failure = (
+                        f"delta(F F') and delta(F) delta(F') differ for F = "
+                        f"{self.name(lam, p)}, F' = {self.name(self.model.moved(p)[lam], s)} "
+                        f"at the term {self.name(a, q)} (x) {self.name(b, q)}"
+                    )
+        return delta, {p: table.entries for p, table in antipode.items()}, failure
 
     # walked on first use, so that the witness alone multiplies no tables
     delta_p = cached_property(lambda self: self._walk[0])
@@ -282,14 +297,16 @@ class _CharacterHopf:
     def name(self, a: int, p) -> str:
         return f"F({self.chars[a]}, {list(p)})"
 
-    def antipode_term(self, a: int, p) -> tuple[int, int]:
-        """S(F(a, p)) = S(p) F(-a, 1) = zeta^e F(b, p^(-1)) with b = (-a) o p, as (e, b)."""
-        b = self.moved[p][self.neg[a]]
-        return self.sigma[p][b], b
+    def antipode_terms(self, p) -> list[tuple[int, int]]:
+        """Entry a is (e, b): S(F(a, p)) = S(p) F(-a, 1) = zeta^e F(b, p^(-1)), b = (-a) o p."""
+        sigma, act = self.sigma[p], self.model.moved(p)
+        return [(sigma[b], b) for b in (act[c] for c in self.neg)]
 
     def coassociativity_failure(self) -> str | None:
+        # on the generators when delta is an algebra map (see the module docstring)
+        perms = self.gens.values() if self.multiplicativity_failure() is None else self.perms
         plus, order, size = self.plus, self.order, len(self.chars)
-        for p in self.perms:
+        for p in perms:
             w = self.omega(p)
             for a in range(size):
                 wa = w[a]
@@ -306,20 +323,7 @@ class _CharacterHopf:
         return None
 
     def multiplicativity_failure(self) -> str | None:
-        size = len(self.chars)
-        for p in self.perms:
-            for l, s in self.gens.items():
-                got, want = (self.delta_p[p] * self.delta_s[l]).entries, self.delta_p[p * s].entries
-                if got != want:
-                    # the first differing term F(a, ps) (x) F(b, ps) in the order of a, b
-                    a, b = min((k % size, k // size) for k, e in enumerate(got) if e != want[k])
-                    lam = self.plus[a][b]
-                    return (
-                        f"delta(F F') and delta(F) delta(F') differ for F = "
-                        f"{self.name(lam, p)}, F' = {self.name(self.moved[p][lam], s)} at the term "
-                        f"{self.name(a, p * s)} (x) {self.name(b, p * s)}"
-                    )
-        return None
+        return self._walk[2]
 
     def counit_failure(self) -> str | None:
         # the term F(a, p) (x) F(b, p) of delta(F(a + b, p)) must contribute
@@ -354,7 +358,8 @@ class _CharacterHopf:
 
         expected = [unit_times(value) for value in self.eps]
         for p in self.perms:
-            w, fwd, back = self.omega(p), self.moved[p], self.moved[p.inverse()]
+            w, terms = self.omega(p), self.antipode_terms(p)
+            fwd, back = self.model.moved(p), self.model.moved(p.inverse())
             for lam in range(size):
                 left: dict = {}
                 right: dict = {}
@@ -363,11 +368,11 @@ class _CharacterHopf:
                     e = w[a][b]
                     # S(F(a, p)) F(b, p) = zeta^k F(c, p^(-1)) F(b, p): F(c, 1)
                     # when b = c o p^(-1); c = (-a) o p differs for each a
-                    k, c = self.antipode_term(a, p)
+                    k, c = terms[a]
                     if back[c] == b:
                         left[c] = (e + k) % order
                     # F(a, p) S(F(b, p)) = zeta^k F(a, p) F(c, p^(-1)): F(a, 1) when c = a o p
-                    k, c = self.antipode_term(b, p)
+                    k, c = terms[b]
                     if c == fwd[a]:
                         right[a] = (e + k) % order
                 if left != expected[lam] or right != expected[lam]:

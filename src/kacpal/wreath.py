@@ -1,22 +1,23 @@
 """The generalised symmetric group: m-tuples of Z_n twists permuted by S_m.
 
-Elements are pairs (twists, perm) with the product rule that routes the
-right factor's twists through the left factor's inverse permutation.  A
-dense integer index (Lehmer rank of the permutation, then mixed-radix
-twists) gives cache-friendly addressing for the group algebra; twist_index
-and perm_index are the package's only index arithmetic.  No routine
-enumerates the group: conjugacy classes are swept as generator orbits.
-CAPS holds the default bound on the group order of every brute-force path,
-and check_cap is the one comparison against it.
+Elements are validated tuples (n, twists, perm), as Perm is a validated
+tuple of images, with the product rule that routes the right factor's
+twists through the left factor's inverse permutation.  A dense integer
+index (Lehmer rank of the permutation, then mixed-radix twists) gives
+cache-friendly addressing for the group algebra; twist_index and
+perm_index are the package's only index arithmetic.  No routine enumerates
+the group: conjugacy classes are swept as generator orbits.  CAPS holds
+the default bound on the group order of every brute-force path, and
+check_cap is the one comparison against it.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat
 from math import factorial
+from operator import itemgetter
 
 # Each cap name that an error prints, against its default bound on |G|.
 CAPS = {
@@ -113,35 +114,28 @@ class Perm(tuple):
         return f"Perm({list(self)})"
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class WreathElement:
-    """A group element: Z_n twist vector plus a permutation of the slots."""
+class WreathElement(tuple):
+    """A group element: Z_n twist vector plus a permutation of the slots, as
+    the validated tuple (n, twists, perm)."""
 
-    # Slots declared here, not by slots=True: on Python 3.10 and 3.11 the
-    # class that slots=True rebuilds raises TypeError, not AttributeError,
-    # when a name that is not a field is assigned.
-    __slots__ = ("n", "twists", "perm")
-    n: int
-    twists: tuple[int, ...]
-    perm: Perm
+    __slots__ = ()
 
-    def __init__(self, n: int, twists, perm: Perm):
+    def __new__(cls, n: int, twists, perm: Perm):
         twists = tuple(int(t) for t in twists)
         if len(twists) != perm.m:
             raise ValueError("twist vector and permutation size differ")
         if any(not 0 <= t < n for t in twists):
             raise ValueError(f"twists must lie in 0..{n - 1}: {twists}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "twists", twists)
-        object.__setattr__(self, "perm", perm)
+        return tuple.__new__(cls, (n, twists, perm))
 
     @staticmethod
     def _make(n: int, twists: tuple[int, ...], perm: Perm) -> "WreathElement":
-        self = object.__new__(WreathElement)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "twists", twists)
-        object.__setattr__(self, "perm", perm)
-        return self
+        # products and inverses of valid elements need no re-validation
+        return tuple.__new__(WreathElement, (n, twists, perm))
+
+    n = property(itemgetter(0))
+    twists = property(itemgetter(1))
+    perm = property(itemgetter(2))
 
     @classmethod
     def identity(cls, n: int, m: int) -> "WreathElement":
@@ -154,17 +148,17 @@ class WreathElement:
     def __mul__(self, other: "WreathElement") -> "WreathElement":
         if not isinstance(other, WreathElement):
             return NotImplemented
-        if self.n != other.n or self.m != other.m:
+        (n, mine, perm), (n_other, theirs, perm_other) = self, other
+        if n != n_other or len(mine) != len(theirs):
             raise ValueError("wreath parameter mismatch")
-        inv = self.perm.inverse()
-        mine, theirs, n = self.twists, other.twists, self.n
+        inv = perm.inverse()
         twists = tuple((mine[i] + theirs[inv[i]]) % n for i in range(len(mine)))
-        return WreathElement._make(n, twists, self.perm * other.perm)
+        return WreathElement._make(n, twists, perm * perm_other)
 
     def inverse(self) -> "WreathElement":
-        perm = self.perm
-        twists = tuple((-self.twists[perm[j]]) % self.n for j in range(self.m))
-        return WreathElement._make(self.n, twists, perm.inverse())
+        n, mine, perm = self
+        twists = tuple((-mine[perm[j]]) % n for j in range(len(mine)))
+        return WreathElement._make(n, twists, perm.inverse())
 
     def __repr__(self):
         return f"WreathElement(n={self.n}, twists={list(self.twists)}, perm={list(self.perm)})"

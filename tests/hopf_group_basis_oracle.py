@@ -22,11 +22,14 @@ character_coordinates and to_characters are the dense change of basis
 Phi^(-1), one CycNumber product per term and character, the reference for
 the generator tables that the report builds from the defining formulas.
 multiplicativity_failure and antipode_failure are the report's loops before
-it checked delta(p) delta(s_l) = delta(p s_l) and compared the antipode
-identity on exponents: every pair of permutations, and sums of CycNumbers.
+it checked delta(p) delta(s_l) = delta(p s_l) on the edges of its walk and
+compared the antipode identity on exponents: every pair of permutations, and
+sums of CycNumbers.  coassociativity_on_every_p runs the report's cocycle
+loop over every permutation, the reference for its run over the generators.
 """
 
 import random
+from copy import copy
 from fractions import Fraction
 from functools import lru_cache
 
@@ -374,7 +377,7 @@ def multiplicativity_failure(hopf) -> str | None:
     order, size = hopf.order, len(hopf.chars)
     omega = {p: hopf.omega(p) for p in hopf.perms}
     for p in hopf.perms:
-        wp, act = omega[p], hopf.moved[p]
+        wp, act = omega[p], hopf.model.moved(p)
         for q in hopf.perms:
             wq, wpq = omega[q], omega[p * q]
             for a in range(size):
@@ -390,13 +393,23 @@ def multiplicativity_failure(hopf) -> str | None:
     return None
 
 
+def coassociativity_on_every_p(hopf) -> str | None:
+    """The report's cocycle loop over every permutation of a
+    hopf._CharacterHopf, as it runs when an edge of the walk is not
+    multiplicative: the reference for its run over the generators."""
+    every_p = copy(hopf)
+    every_p.multiplicativity_failure = lambda: "an edge of the walk, as if not multiplicative"
+    return every_p.coassociativity_failure()
+
+
 def antipode_failure(hopf) -> str | None:
     """m (S x id) delta = eps 1 and its mirror on every F(lam, p), on the
     tables of a hopf._CharacterHopf, with each side summed as CycNumbers."""
     order, size = hopf.order, len(hopf.chars)
     zetas = [zeta_power(order, k) for k in range(order)]
     for p in hopf.perms:
-        w, fwd, back = hopf.omega(p), hopf.moved[p], hopf.moved[p.inverse()]
+        w, terms = hopf.omega(p), hopf.antipode_terms(p)
+        fwd, back = hopf.model.moved(p), hopf.model.moved(p.inverse())
         for lam in range(size):
             # eps(F(lam, p)) 1, with 1 = sum F(mu, 1)
             expected = dict.fromkeys(range(size), hopf.eps[lam]) if hopf.eps[lam] else {}
@@ -405,10 +418,10 @@ def antipode_failure(hopf) -> str | None:
             for a in range(size):
                 b = hopf.plus[lam][hopf.neg[a]]
                 e = w[a][b]
-                k, c = hopf.antipode_term(a, p)
+                k, c = terms[a]
                 if back[c] == b:
                     add_into(left, {c: zetas[(e + k) % order]})
-                k, c = hopf.antipode_term(b, p)
+                k, c = terms[b]
                 if c == fwd[a]:
                     add_into(right, {a: zetas[(e + k) % order]})
             if left != expected or right != expected:

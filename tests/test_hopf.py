@@ -3,6 +3,7 @@ import random
 from copy import copy
 from fractions import Fraction
 from itertools import product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -242,7 +243,7 @@ def test_character_delta_matches_the_group_basis_delta(n, m):
 def test_character_antipode_matches_the_group_basis_antipode(n, m):
     hopf = _CharacterHopf(n, m)
     for lam, p, phi in character_basis_images(hopf):
-        e, b = hopf.antipode_term(lam, p)
+        e, b = hopf.antipode_terms(p)[lam]
         expected = {(hopf.chars[b], p.inverse()): zeta_power(2 * n, e)}
         assert oracle.character_coordinates(n, m, antipode(phi).terms) == expected, (
             hopf.chars[lam],
@@ -282,9 +283,10 @@ def test_breadth_first_tables_equal_the_products_along_words(n, m):
 def test_multiplicativity_on_generators_matches_the_all_pairs_oracle(
     monkeypatch, fresh_images, n, m
 ):
-    # delta(p) delta(s_l) = delta(p s_l) against delta(p) delta(q) = delta(pq)
-    # over every pair: the true tables, one entry of delta(s_1) off, and one
-    # entry off in delta(p) of a permutation of two or more letters
+    # the walk's check of delta(p) delta(s_l) = delta(p s_l) on its edges
+    # against delta(p) delta(q) = delta(pq) over every pair: the true tables,
+    # one entry of delta(s_1) off, and one entry off in the product that the
+    # walk stores as delta(p) for a permutation of two or more letters
     from kacpal import hopf as module
 
     hopf = _CharacterHopf(n, m)
@@ -294,16 +296,136 @@ def test_multiplicativity_on_generators_matches_the_all_pairs_oracle(
     entries = [(0, 1), (1, 2), (size - 1, 1), (size - 1, size - 1)]
     real = module._delta_s_image
     for a, b in entries:
-        monkeypatch.setattr(module, "_delta_s_image", _delta_s1_off(real, a, b))
-        broken = _CharacterHopf(n, m)
+        with monkeypatch.context() as patch:
+            patch.setattr(module, "_delta_s_image", _delta_s1_off(real, a, b))
+            broken = _CharacterHopf(n, m)
         assert broken.multiplicativity_failure() is not None, (a, b)
         assert oracle.multiplicativity_failure(broken) is not None, (a, b)
     p = next(p for p in hopf.perms if len(_perm_word(p)) >= 2)
     for a, b in entries:
-        broken = copy(hopf)
-        broken.delta_p = {**hopf.delta_p, p: _bumped(hopf.delta_p[p], a + size * b)}
+        broken = _CharacterHopf(n, m)
+        with monkeypatch.context() as patch:
+            _store_one_product_off(patch, broken, hopf.delta_p[p].perm, a + size * b)
+            stored = broken.delta_p[p]
+        assert stored == _bumped(hopf.delta_p[p], a + size * b), (p, a, b)
         assert broken.multiplicativity_failure() is not None, (p, a, b)
         assert oracle.multiplicativity_failure(broken) is not None, (p, a, b)
+        # the generator tables are true, so only the loop over every p that
+        # a failing walk falls back to sees that omega_p is no cocycle
+        assert broken.coassociativity_failure() is not None, (p, a, b)
+
+
+def _store_one_product_off(patch, hopf, perm, k):
+    # the first table product of the walk of hopf on perm at (n, 2m), the one
+    # it stores, with entry k off by one
+    real = Monomial.__mul__
+    done = []
+
+    def mul(self, other):
+        product = real(self, other)
+        if self.model is hopf.model2 and product.perm == perm and not done:
+            done.append(product)
+            return _bumped(product, k)
+        return product
+
+    patch.setattr(Monomial, "__mul__", mul)
+
+
+def _count_products(patch, hopf):
+    # the number of table products at (n, 2m) and at (n, m), as they are taken
+    counts = {hopf.model2: 0, hopf.model: 0}
+    real = Monomial.__mul__
+
+    def mul(self, other):
+        if self.model in counts:
+            counts[self.model] += 1
+        return real(self, other)
+
+    patch.setattr(Monomial, "__mul__", mul)
+    return counts
+
+
+@pytest.mark.parametrize("n,m", [(2, 3), (3, 3), (2, 4)])
+def test_the_walk_takes_one_table_product_per_edge(monkeypatch, n, m):
+    # m! (m - 1) products of delta tables, one per edge p -> p s_l, and one
+    # antipode product per permutation the walk reaches; the checks after the
+    # walk take none
+    hopf = _CharacterHopf(n, m)
+    with monkeypatch.context() as patch:
+        counts = _count_products(patch, hopf)
+        assert hopf.multiplicativity_failure() is None
+        assert hopf.coassociativity_failure() is None
+        assert hopf.antipode_failure() is None
+    assert counts[hopf.model2] == factorial(m) * (m - 1)
+    assert counts[hopf.model] == factorial(m) - 1
+
+
+def _delta_s1_coboundary(real, f):
+    # the formula of delta(s_l), with omega_(s_1) plus the coboundary
+    # (delta f)(a, b) = f(a) + f(b) - f(a + b): still a 2-cocycle
+    def perturbed(im, l, delta_z):
+        d = real(im, l, delta_z)
+        if l == 1 and isinstance(d, Monomial):
+            size = len(im.chars)
+            entries = [
+                e + f[k % size] + f[k // size] - f[im.plus[k % size][k // size]]
+                for k, e in enumerate(d.entries)
+            ]
+            return d.model.monomial(d.perm, entries)
+        return d
+
+    return perturbed
+
+
+# (n, m, random cases of each kind): at (4, 3) the loop over every p takes
+# about half a second a case, so it checks the true tables only
+@pytest.mark.parametrize(
+    "n,m,cases", [(2, 2, 6), (3, 2, 6), (2, 3, 6), (3, 3, 6), (2, 4, 6), (4, 3, 0)]
+)
+def test_coassociativity_on_generators_matches_the_loop_over_every_p(monkeypatch, n, m, cases):
+    # the cocycle identity on omega_(s_1) .. omega_(s_(m-1)) against the loop
+    # over every permutation: the true tables, then seeded random cases of one
+    # entry of delta(s_1) off and of omega_(s_1) plus a coboundary
+    from kacpal import hopf as module
+
+    hopf = _CharacterHopf(n, m)
+    assert hopf.multiplicativity_failure() is None
+    assert hopf.coassociativity_failure() is None
+    assert oracle.coassociativity_on_every_p(hopf) is None
+    rng, size, order = random.Random(19 * n + m), n**m, 2 * n
+    real = module._delta_s_image
+    for _ in range(cases):
+        off = _delta_s1_off(real, rng.randrange(size), rng.randrange(size))
+        f = [0] + [rng.randrange(order) for _ in range(size - 1)]
+        for patched in (off, _delta_s1_coboundary(real, f)):
+            with monkeypatch.context() as patch:
+                patch.setattr(module, "_delta_s_image", patched)
+                broken = _CharacterHopf(n, m)
+            verdict = broken.coassociativity_failure()
+            assert (verdict is None) == (oracle.coassociativity_on_every_p(broken) is None)
+            if patched is not off:
+                assert verdict is None
+
+
+@pytest.mark.parametrize("n,m", [(3, 2), (2, 3), (3, 3)])
+def test_coassociativity_on_generators_sees_the_last_generator(monkeypatch, n, m):
+    # with the walk's verdict forced to pass, coassociativity runs over the
+    # generators alone, and must still see one entry of delta(s_(m-1)) off
+    from kacpal import hopf as module
+
+    real = module._delta_s_image
+
+    def perturbed(im, l, delta_z):
+        d = real(im, l, delta_z)
+        return _bumped(d, 1 + 2 * len(im.chars)) if l == m - 1 else d
+
+    monkeypatch.setattr(module, "_delta_s_image", perturbed)
+    monkeypatch.setattr(_CharacterHopf, "multiplicativity_failure", lambda self: None)
+    report = hopf_axiom_report(n, m, cap=group_order(n, m))
+    assert report["axioms"]["delta_multiplicative"] == "pass"
+    assert report["axioms"]["coassociativity"]["status"] == "fail"
+    assert f"{list(generator_b(n, m, m - 1).perm)})" in report["axioms"]["coassociativity"]["detail"]
+    assert not report["all_pass"]
 
 
 @pytest.mark.parametrize("n,m", [(3, 2), (2, 3), (3, 3)])

@@ -1,5 +1,5 @@
-"""The immutable value types: Perm, Partition and Tableau are validated
-tuples, WreathElement and LabelledPartition frozen dataclasses."""
+"""The immutable value types: Perm, Partition, Tableau and WreathElement
+are validated tuples, LabelledPartition a frozen dataclass."""
 
 import pytest
 
@@ -9,7 +9,7 @@ from kacpal.partitions import Partition, Tableau
 from kacpal.wreath import Perm, WreathElement
 
 # type -> (a builder of one value, a field or property name, a call on
-# invalid input, the value's plain tuple or None for the dataclasses)
+# invalid input, the value's plain tuple or None for the dataclass)
 VALUES = {
     "Perm": (lambda: Perm([1, 2, 0]), "m", lambda: Perm([0, 0, 1]), (1, 2, 0)),
     "Partition": (lambda: Partition([3, 1]), "size", lambda: Partition([1, 3]), (3, 1)),
@@ -23,7 +23,7 @@ VALUES = {
         lambda: WreathElement(3, [2, 0], Perm([1, 0])),
         "twists",
         lambda: WreathElement(3, [3, 0], Perm([1, 0])),
-        None,
+        (3, (2, 0), (1, 0)),
     ),
     "LabelledPartition": (
         lambda: LabelledPartition(2, [Partition([2]), Partition([1])]),
