@@ -100,13 +100,9 @@ class AlgebraElement(SparseSum):
 
     # -- serialization -------------------------------------------------------
 
-    def json_terms(self):
-        """The entries of ``to_json()["terms"]``, one at a time in index order."""
-        for ix in sorted(self.terms):
-            yield {"index": ix, "coeff": self.terms[ix].to_json()}
-
     def to_json(self) -> dict:
-        return {"n": self.n, "m": self.m, "terms": list(self.json_terms())}
+        terms = [{"index": ix, "coeff": c.to_json()} for ix, c in sorted(self.terms.items())]
+        return {"n": self.n, "m": self.m, "terms": terms}
 
     @classmethod
     def from_json(cls, data: dict) -> "AlgebraElement":

@@ -214,15 +214,32 @@ class MonomialModel:
     def __init__(self, n: int, m: int):
         self.n, self.m, self.order = n, m, 2 * n
         self.chars = characters(n, m)
+        self._indices = list(range(len(self.chars)))
         self._moved: dict = {}
 
     def moved(self, p) -> list[int]:
         """Entry a is the index of chars[a] o p: F(chars[a], p) F(mu, q) is
-        nonzero only for that mu."""
+        nonzero only for that mu.
+
+        The index of a character is linear in its entries, and
+        permute_character moves entries between slots: chars[a] o p has
+        the index sum_i chars[a][i] n^j over the slots j that the entry of
+        slot i moves to, read off permute_character of the slot labels.
+        The table is built slot by slot in twist-index order, as
+        x_monomial builds its exponents, and holds the model's own index
+        objects, so that no map holds an int of its own.
+        """
         act = self._moved.get(p)
         if act is None:
-            n = self.n
-            act = self._moved[p] = [twist_index(n, permute_character(lam, p)) for lam in self.chars]
+            n, m = self.n, self.m
+            weights = [0] * m
+            for j, i in enumerate(permute_character(tuple(range(m)), p)):
+                weights[i] = n**j
+            act = [0]
+            for w in weights:
+                act = [a + d * w for d in range(n) for a in act]
+            indices = self._indices
+            act = self._moved[p] = [indices[a] for a in act]
         return act
 
     def monomial(self, p, exponents=None) -> "Monomial":

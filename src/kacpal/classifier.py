@@ -13,12 +13,10 @@ hook lengths, exact rank of the generated left ideal).
 
 from __future__ import annotations
 
-import csv
-import io
-from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import factorial
+from operator import itemgetter
 
 from .algebra import ONE, AlgebraElement, permute_character
 from .character_basis import CharacterElement, check_model, left_ideal_basis, sandwich_rank
@@ -39,22 +37,22 @@ from .wreath import (
 )
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class LabelledPartition:
-    """A map from the n labels to partitions whose sizes sum to m."""
+class LabelledPartition(tuple):
+    """A map from the n labels to partitions whose sizes sum to m, as the
+    validated tuple (n, blocks)."""
 
-    __slots__ = ("n", "blocks")  # not slots=True; see wreath.WreathElement
-    n: int
-    blocks: tuple[Partition, ...]
+    __slots__ = ()
 
-    def __init__(self, n: int, blocks):
+    def __new__(cls, n: int, blocks):
         blocks = tuple(blocks)
         if len(blocks) != n:
             raise ValueError(f"expected {n} blocks, got {len(blocks)}")
         if not all(isinstance(b, Partition) for b in blocks):
             raise ValueError("blocks must be Partitions")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "blocks", blocks)
+        return tuple.__new__(cls, (n, blocks))
+
+    n = property(itemgetter(0))
+    blocks = property(itemgetter(1))
 
     @property
     def m(self) -> int:
@@ -143,6 +141,15 @@ def embed_permutation(p, offset: int, m: int) -> tuple[int, ...]:
     return tuple(images)
 
 
+@lru_cache(maxsize=None)
+def block_terms(block: Partition) -> tuple:
+    """The (p, coeff) terms of the block's row-consecutive Young symmetrizer
+    in Q[S_k], built once per partition: they depend on neither n nor the
+    label.  A tuple, so that no caller can change what the next one reads."""
+    symmetrizer = young_symmetrizer(row_consecutive_tableau(block))
+    return tuple((p, coeff) for (_, p), coeff in symmetrizer.terms.items())
+
+
 def character_idempotent(beta: LabelledPartition) -> CharacterElement:
     """The classification idempotent in the character basis: F(lam, 1) times
     the row-consecutive Young symmetrizer of each block, embedded on the
@@ -162,7 +169,7 @@ def character_idempotent(beta: LabelledPartition) -> CharacterElement:
     for block in beta.blocks:
         if block.size:
             terms = {}
-            for (_, p), coeff in young_symmetrizer(row_consecutive_tableau(block)).terms.items():
+            for p, coeff in block_terms(block):
                 sigma = embed_permutation(p, offset, m)
                 if permute_character(lam, sigma) != lam:
                     raise CheckFailedError(
@@ -204,7 +211,6 @@ def dimension_by_hooks(beta: LabelledPartition) -> int:
     return dim
 
 
-@dataclass(frozen=True)
 class IrrepRecord:
     """One classified irreducible with its three dimension computations.
 
@@ -212,32 +218,31 @@ class IrrepRecord:
     group-basis image, is built on first use.
     """
 
-    beta: LabelledPartition
-    lam: tuple[int, ...]
-    element: CharacterElement
-    dim_formula: int
-    dim_hook: int
-    dim_rank: int | None = None
-
-    def __post_init__(self):
+    def __init__(
+        self,
+        beta: LabelledPartition,
+        lam: tuple[int, ...],
+        element: CharacterElement,
+        dim_formula: int,
+        dim_hook: int,
+        dim_rank: int | None = None,
+    ):
         # A rank disagreement is left to irrep_table's rank_agreement check.
-        if self.dim_formula != self.dim_hook:
+        if dim_formula != dim_hook:
             raise CheckFailedError(
-                f"dimension formulas disagree for {self.beta!r}: "
-                f"{self.dim_formula} != {self.dim_hook}"
+                f"dimension formulas disagree for {beta!r}: {dim_formula} != {dim_hook}"
             )
+        self.beta, self.lam, self.element = beta, lam, element
+        self.dim_formula, self.dim_hook, self.dim_rank = dim_formula, dim_hook, dim_rank
 
     @cached_property
     def idempotent(self) -> AlgebraElement:
         return self.element.to_group()
 
 
-@dataclass(frozen=True)
 class IrrepTable:
-    n: int
-    m: int
-    records: tuple[IrrepRecord, ...]
-    checks: dict
+    def __init__(self, n: int, m: int, records: tuple[IrrepRecord, ...], checks: dict):
+        self.n, self.m, self.records, self.checks = n, m, records, checks
 
     def to_json(self) -> dict:
         irreps = [
@@ -255,6 +260,9 @@ class IrrepTable:
         return {"n": self.n, "m": self.m, "irreps": irreps, "checks": self.checks}
 
     def to_csv(self) -> str:
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["beta_spec", "lambda", "dim_formula", "dim_hook", "dim_rank"])

@@ -84,15 +84,26 @@ def _emit(args, text: str | Iterable[str]):
 def _expanded_json(payload: dict, e) -> Iterator[str]:
     """``json.dumps(payload | {"element": e.to_json()}, indent=2) + "\\n"`` in
     pieces, one term at a time, so that the peak memory of an expanded
-    idempotent does not grow with its number of terms."""
+    idempotent does not grow with its number of terms.
+
+    A term sits three levels deep and its coefficient four.  The
+    coefficients share one order, so (den, num) is each one's value and
+    fixes its JSON: each distinct value is encoded once.  The key hashes two
+    int tuples, where a CycNumber's own hash builds a Fraction.
+    """
     shell = json.dumps({**payload, "element": {"n": e.n, "m": e.m, "terms": []}}, indent=2)
     head, tail = shell.rsplit('"terms": []', 1)
     encode = json.JSONEncoder(indent=2).encode
+    texts: dict = {}
     yield head + '"terms": ['
     sep = ""
-    for term in e.json_terms():
-        # a term sits three levels deep; its strings hold no newlines
-        yield sep + "\n      " + encode(term).replace("\n", "\n      ")
+    for ix, coeff in sorted(e.terms.items()):
+        key = coeff.den, coeff.num
+        text = texts.get(key)
+        if text is None:
+            # its strings hold no newlines
+            text = texts[key] = encode(coeff.to_json()).replace("\n", "\n        ")
+        yield f'{sep}\n      {{\n        "index": {ix},\n        "coeff": {text}\n      }}'
         sep = ","
     yield ("\n    ]" if sep else "]") + tail + "\n"
 
@@ -288,6 +299,14 @@ def main(argv=None) -> int:
     except CheckFailedError as exc:
         print(str(exc), file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # The reader closed stdout.  Pointing it at devnull lets the flush at
+        # interpreter exit drop what is still buffered without a word.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("cannot write the output: the reader closed the pipe", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ from kacpal.algebra import (
     AlgebraElement,
     character_combination,
     lambda_idempotent,
+    permute_character,
     y_element,
     y_inverse_element,
 )
@@ -27,7 +28,7 @@ from kacpal.character_basis import (
 )
 from kacpal.cyclotomic import CycNumber, zeta, zeta_power
 from kacpal.sparse import add_into
-from kacpal.wreath import CheckFailedError, Perm, WreathElement, element_index
+from kacpal.wreath import CheckFailedError, Perm, WreathElement, element_index, twist_index
 
 SIZES = [(2, 2), (3, 2), (2, 3)]
 PHI_SIZES = [(2, 2), (3, 2), (2, 3), (4, 2)]
@@ -236,6 +237,18 @@ def monomials(model):
     entry = st.one_of(st.none(), st.integers(0, model.order - 1))
     exponents = st.lists(entry, min_size=size, max_size=size)
     return st.builds(model.monomial, st.sampled_from(symmetric_group(model.m)), exponents)
+
+
+@pytest.mark.parametrize("n, m", [(1, 3), (3, 1), (2, 3), (3, 3), (4, 5)])
+def test_moved_is_the_index_of_each_moved_character(n, m):
+    model = MonomialModel(n, m)
+    shared = {}
+    for p in symmetric_group(m):
+        act = model.moved(p)
+        assert act == [twist_index(n, permute_character(lam, p)) for lam in model.chars]
+        assert model.moved(p) is act
+        # each index is one object, whichever permutation's map holds it
+        assert all(shared.setdefault(b, b) is b for b in act)
 
 
 @settings(max_examples=60, deadline=None)

@@ -14,6 +14,7 @@ from kacpal.character_basis import CharacterElement
 from kacpal import classifier
 from kacpal.classifier import (
     LabelledPartition,
+    block_terms,
     count_formula,
     dimension_by_hooks,
     enumerate_labelled_partitions,
@@ -22,7 +23,13 @@ from kacpal.classifier import (
     irrep_table,
     lambda_from_beta,
 )
-from kacpal.partitions import Partition, partition_count
+from kacpal.partitions import (
+    Partition,
+    partition_count,
+    partitions_of,
+    row_consecutive_tableau,
+    young_symmetrizer,
+)
 from kacpal.wreath import Perm, group_order, mul_row
 
 
@@ -314,6 +321,25 @@ def test_table_passes_every_character_basis_check(n, m):
     for name in ("idempotency", "rank_agreement", "orthogonality"):
         assert table.checks[name] == "pass", name
     assert all(rec.dim_rank == rec.dim_formula for rec in table.records)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_block_terms_are_the_row_consecutive_symmetrizer(k):
+    for mu in partitions_of(k):
+        terms = block_terms(mu)
+        assert isinstance(terms, tuple) and block_terms(Partition(mu)) is terms
+        symmetrizer = young_symmetrizer(row_consecutive_tableau(mu))
+        assert dict(terms) == {p: c for (_, p), c in symmetrizer.terms.items()}
+        assert len(terms) == len(symmetrizer.terms)
+
+
+def test_a_table_builds_one_symmetrizer_per_partition(monkeypatch):
+    built = []
+    real = classifier.young_symmetrizer
+    monkeypatch.setattr(classifier, "young_symmetrizer", lambda t: built.append(t.shape) or real(t))
+    block_terms.cache_clear()
+    irrep_table(3, 4)
+    assert sorted(built) == sorted(mu for k in range(1, 5) for mu in partitions_of(k))
 
 
 @pytest.mark.parametrize("checks", [False, True])

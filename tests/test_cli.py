@@ -1,3 +1,5 @@
+import errno
+import io
 import json
 import os
 import subprocess
@@ -6,10 +8,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kacpal.algebra import AlgebraElement, lambda_idempotent, s_element
 from kacpal import algebra, character_basis, classifier, cli
 from kacpal.cli import main
+from kacpal.cyclotomic import CycNumber
 from kacpal.wreath import CheckFailedError, Perm, group_order
 
 
@@ -366,6 +370,35 @@ def test_expanded_json_of_an_empty_element():
     assert text == json.dumps({**payload, "element": empty.to_json()}, indent=2) + "\n"
 
 
+@st.composite
+def algebra_elements(draw):
+    """An element at n in 1..5 whose coefficients take a few values, some
+    negative, of many digits, or irrational (n >= 2), or the empty element.
+    The values share one or two numerator vectors over several
+    denominators, so that equal numerators need not mean equal values."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 3))
+    degree = len(CycNumber.one(2 * n).num)
+    digits = st.one_of(st.integers(-3, 3), st.integers(-(10**30), 10**30))
+    vectors = draw(st.lists(st.lists(digits, min_size=1, max_size=degree), min_size=1, max_size=2))
+    value = st.builds(
+        lambda nums, den: CycNumber(2 * n, [Fraction(a, den) for a in nums]),
+        st.sampled_from(vectors),
+        st.one_of(st.integers(1, 4), st.integers(1, 10**12)),
+    )
+    pool = draw(st.lists(value, min_size=1, max_size=5))
+    indices = draw(st.sets(st.integers(0, group_order(n, m) - 1), max_size=30))
+    return AlgebraElement(n, m, {ix: draw(st.sampled_from(pool)) for ix in indices})
+
+
+@settings(max_examples=150, deadline=None)
+@given(algebra_elements())
+def test_expanded_json_is_the_one_shot_dump(e):
+    payload = {"beta": "x", "num_terms": len(e.terms)}
+    text = "".join(cli._expanded_json(payload, e))
+    assert text == json.dumps(payload | {"element": e.to_json()}, indent=2) + "\n"
+
+
 def test_idempotent_wrong_total(capsys):
     code, _, err = run(capsys, "idempotent", "--n", "2", "--m", "3", "--beta", "0:4")
     assert code == 2
@@ -462,40 +495,86 @@ def test_out_unwritable_exits_2_without_traceback(tmp_path, capsys):
     assert not target.exists()
 
 
+class ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def fileno(self):
+        return self.fd
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+def test_closed_pipe_exits_2_without_traceback(tmp_path, capsys, monkeypatch):
+    with open(tmp_path / "stdout", "w") as fh:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fh.fileno()))
+        code = main(["idempotent", "--n", "2", "--m", "2", "--beta", "0:2", "--expanded"])
+        # what is still buffered goes to devnull
+        assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert "pipe" in err and "Traceback" not in err
+
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+# the environment of a fresh interpreter, with this checkout's kacpal first
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p),
+}
 
 
-def modules_loaded_by(tmp_path, *argv) -> set:
-    """The kacpal modules, and csv, in sys.modules after one CLI call in a
-    fresh interpreter, which must pass."""
+def test_a_reader_that_closes_the_pipe_gets_no_traceback():
+    # About 1 MB of output, far past a pipe's buffer, so the reader's close
+    # meets writes still to come and the buffer flushed at exit.
+    argv = ["idempotent", "--n", "2", "--m", "5", "--beta", "1:5", "--expanded"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kacpal", *argv],
+        env=CHILD_ENV,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    assert len(err.strip().splitlines()) == 1
+    assert "pipe" in err and "Traceback" not in err
+
+
+def modules_loaded_by(tmp_path, *argvs) -> set:
+    """sys.modules after the CLI calls, one after another in a fresh
+    interpreter, each of which must pass."""
     script = (
         "import json, sys\n"
         "from kacpal.cli import main\n"
-        f"code = main({[*argv, '--out', str(tmp_path / 'out')]!r})\n"
-        "print(json.dumps([code, [m for m in sys.modules if m.startswith('kacpal') or m == 'csv']]))\n"
+        f"codes = [main([*argv, '--out', {str(tmp_path / 'out')!r}]) for argv in {argvs!r}]\n"
+        "print(json.dumps([codes, list(sys.modules)]))\n"
     )
-    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     done = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-        timeout=120,
+        [sys.executable, "-c", script], capture_output=True, text=True, env=CHILD_ENV, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    code, modules = json.loads(done.stdout)
-    assert code == 0
+    codes, modules = json.loads(done.stdout)
+    assert codes == [0] * len(argvs)
     return set(modules)
 
 
 def test_each_command_imports_only_what_it_runs(tmp_path):
-    hopf = modules_loaded_by(tmp_path, "verify", "--n", "2", "--m", "2", "--checks", "hopf")
+    hopf = modules_loaded_by(tmp_path, ("verify", "--n", "2", "--m", "2", "--checks", "hopf"))
     assert "kacpal.hopf" in hopf
     assert not {"kacpal.classifier", "kacpal.partitions", "csv"} & hopf
-    relations = modules_loaded_by(tmp_path, "verify", "--n", "2", "--m", "2", "--checks", "relations")
+    relations = modules_loaded_by(
+        tmp_path, ("verify", "--n", "2", "--m", "2", "--checks", "relations")
+    )
     assert "kacpal.algebra" in relations
     assert not {"kacpal.hopf", "kacpal.classifier", "kacpal.partitions", "csv"} & relations
-    count = modules_loaded_by(tmp_path, "count", "--n", "3", "--m", "4")
+    count = modules_loaded_by(tmp_path, ("count", "--n", "3", "--m", "4"))
     assert not {
         "kacpal.algebra",
         "kacpal.character_basis",
@@ -504,6 +583,19 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
         "kacpal.sparse",
         "csv",
     } & count
+
+
+def test_no_command_imports_dataclasses_or_inspect(tmp_path):
+    # dataclasses brings inspect, ast, dis and tokenize with it, and then
+    # compiles a method per field: milliseconds on every start.
+    loaded = modules_loaded_by(
+        tmp_path,
+        ("table", "--n", "2", "--m", "2"),
+        ("verify", "--n", "2", "--m", "2"),
+        ("idempotent", "--n", "2", "--m", "2", "--beta", "0:2", "--expanded"),
+    )
+    assert "kacpal.classifier" in loaded
+    assert not {"dataclasses", "inspect"} & loaded
 
 
 def test_every_exported_name_resolves():

@@ -1,5 +1,5 @@
-"""The immutable value types: Perm, Partition, Tableau and WreathElement
-are validated tuples, LabelledPartition a frozen dataclass."""
+"""The immutable value types: Perm, Partition, Tableau, WreathElement and
+LabelledPartition are validated tuples."""
 
 import pytest
 
@@ -8,8 +8,8 @@ from kacpal.classifier import LabelledPartition
 from kacpal.partitions import Partition, Tableau
 from kacpal.wreath import Perm, WreathElement
 
-# type -> (a builder of one value, a field or property name, a call on
-# invalid input, the value's plain tuple or None for the dataclass)
+# type -> (a builder of one value, a property name, a call on invalid
+# input, the value's plain tuple)
 VALUES = {
     "Perm": (lambda: Perm([1, 2, 0]), "m", lambda: Perm([0, 0, 1]), (1, 2, 0)),
     "Partition": (lambda: Partition([3, 1]), "size", lambda: Partition([1, 3]), (3, 1)),
@@ -29,7 +29,7 @@ VALUES = {
         lambda: LabelledPartition(2, [Partition([2]), Partition([1])]),
         "blocks",
         lambda: LabelledPartition(2, [Partition([2])]),
-        None,
+        (2, ((2,), (1,))),
     ),
 }
 
@@ -46,10 +46,9 @@ def test_value_type_is_immutable_hashable_and_validated(kind):
     assert other == value and hash(other) == hash(value)
     with pytest.raises(ValueError):
         invalid()
-    if plain is not None:
-        assert value == plain and plain == value
-        assert hash(value) == hash(plain)
-        assert {plain: 1}[value] == 1
+    assert value == plain and plain == value
+    assert hash(value) == hash(plain)
+    assert {plain: 1}[value] == 1
 
 
 def test_a_perm_key_is_its_plain_tuple_key():
