@@ -35,6 +35,7 @@ _EXPORTS = {
         "irrep_table",
         "lambda_from_beta",
     ),
+    "conjugacy": ("conjugacy_class_count",),
     "cyclotomic": (
         "CycNumber",
         "Rational",
@@ -65,7 +66,6 @@ _EXPORTS = {
         "CapExceededError",
         "Perm",
         "WreathElement",
-        "conjugacy_class_count",
         "generator_a",
         "generator_b",
         "group_order",

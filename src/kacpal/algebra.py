@@ -4,8 +4,9 @@ This algebra carries the generalised Kac-Paljutkin structure: the twist
 generators x_i, the transposition basis elements s_l, the character
 idempotents Lambda_lambda of the abelian subalgebra, and the square roots
 z_l = y_l^(-1) s_l reconstructed from the diagonal units y_l.  Every
-defining relation of the abstract presentation is then verified exactly
-rather than imposed, in the character basis of kacpal.character_basis.
+defining relation of the abstract presentation (the table in
+kacpal.relations) is then verified exactly rather than imposed, on the
+exponent tables of kacpal.character_model.
 
 Scalars live in Q(zeta_2n); elements are sparse maps from dense group
 indices to scalars.
@@ -13,16 +14,13 @@ indices to scalars.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import product
-from math import gcd, lcm
 
 from .cyclotomic import CycNumber, zeta_over, zeta_power
 from .sparse import SparseSum, add_into
 from .wreath import (
     CapExceededError,  # re-exported for callers of the capped checks below
-    Perm,
     WreathElement,
     check_cap,
     element_index,
@@ -32,9 +30,6 @@ from .wreath import (
     perm_index,
     twist_index,
 )
-
-ONE = Fraction(1)
-
 
 class AlgebraElement(SparseSum):
     """A sparse element of the group algebra over Q(zeta_2n)."""
@@ -69,15 +64,6 @@ class AlgebraElement(SparseSum):
 
     def _row(self, index: int):
         return mul_row(self.n, self.m, index).__getitem__
-
-    def root_sum(self, pairs, den: int):
-        """(1/den) sum of zeta^k x over the (k, x) pairs, x of this type and
-        zeta of order 2n; self gives only the type and its parameters."""
-        order = 2 * self.n
-        acc: dict = {}
-        for k, x in pairs:
-            add_into(acc, x.terms, zeta_over(order, k, den))
-        return self._new(acc)
 
     # -- constructors ------------------------------------------------------
 
@@ -176,11 +162,6 @@ def _check_transposition_index(m: int, l: int):
         raise ValueError(f"index {l} out of range 1..{m - 1}")
 
 
-def y_exponent(lam: tuple[int, ...], l: int) -> int:
-    """y_l acts on Lambda_lam by zeta^k for this k, -lam_l * lam_{l+1}."""
-    return -lam[l - 1] * lam[l]
-
-
 def diagonal_element(n: int, m: int, exponent) -> AlgebraElement:
     """sum_lam zeta^exponent(lam) Lambda_lam, by the change of basis."""
     ident = tuple(range(m))
@@ -191,6 +172,9 @@ def diagonal_element(n: int, m: int, exponent) -> AlgebraElement:
 
 
 def _y_power(n: int, m: int, l: int, sign: int) -> AlgebraElement:
+    # the relation table defines y_l by its eigenvalues
+    from .relations import y_exponent
+
     _check_transposition_index(m, l)
     return diagonal_element(n, m, lambda lam: sign * y_exponent(lam, l))
 
@@ -220,172 +204,7 @@ def z_element(n: int, m: int, l: int) -> AlgebraElement:
     return y_inverse_element(n, m, l) * s_element(n, m, l)
 
 
-def z_square_sum(n: int, m: int, l: int, mono):
-    """(1/n) sum over i,j in 0..n-1 of q^(-ij) mono(x_l^i x_{l+1}^j), q = zeta^2.
-
-    mono maps an x-monomial's exponent vector (a tuple) to its image; the
-    images' root_sum forms the sum, which has their type.
-    """
-    before, after = (0,) * (l - 1), (0,) * (m - l - 1)
-    pairs = [(-2 * i * j, mono(before + (i, j) + after)) for i in range(n) for j in range(n)]
-    return pairs[0][1].root_sum(pairs, n)
-
-
-def permute_character(lam: tuple[int, ...], perm) -> tuple[int, ...]:
-    """The character lam composed with a slot permutation: entry j of the
-    result is lam[perm(j)], so entry i of lam moves to slot perm^(-1)(i).
-
-    perm is a Perm, which is its one-line tuple.  Composition is
-    contravariant: permuting by a then by b is permuting by a * b.
-    """
-    return tuple([lam[j] for j in perm])
-
-
 # -- relation verification ----------------------------------------------------
-
-
-def _swap(l: int, i: int) -> int:
-    """The slot that slot i moves to under the transposition of l and l+1."""
-    return {l: l + 1, l + 1: l}.get(i, i)
-
-
-def _braid(p: str, g: dict) -> dict:
-    """The Coxeter relations of generators g[1..m-1] named with prefix p:
-    distant generators commute and neighbours satisfy the braid relation."""
-    return {
-        f"{p}_commute": [
-            (f"{p}_{l} {p}_{k} = {p}_{k} {p}_{l}", g[l] * g[k], g[k] * g[l])
-            for l in g
-            for k in g
-            if k >= l + 2
-        ],
-        f"{p}_braid": [
-            (
-                f"{p}_{l} {p}_{l + 1} {p}_{l} = {p}_{l + 1} {p}_{l} {p}_{l + 1}",
-                g[l] * g[l + 1] * g[l],
-                g[l + 1] * g[l] * g[l + 1],
-            )
-            for l in g
-            if l + 1 in g
-        ],
-    }
-
-
-def _moves_x(p: str, g: dict, xs: dict) -> list:
-    """g_l x_i = x_swap(l,i) g_l for generators g[l] named with prefix p."""
-    return [
-        (f"{p}_{l} x_{i} = x_{_swap(l, i)} {p}_{l}", g[l] * xs[i], xs[_swap(l, i)] * g[l])
-        for l in g
-        for i in xs
-    ]
-
-
-def presentation(n: int, m: int, mono, z: dict) -> dict:
-    """The defining relations of the generalised Kac-Paljutkin algebra,
-    evaluated on images of its generators.
-
-    mono(exponents) is the image of the x-monomial with that exponent tuple
-    and z[l] the image of z_l for l = 1..m-1, all sparse sums of one type.
-    Returns an ordered dict family -> [(name, lhs, rhs)].
-    """
-    one = mono((0,) * m)
-    xs = {i: mono(tuple(int(j == i - 1) for j in range(m))) for i in range(1, m + 1)}
-    return {
-        "x_power": [(f"x_{i}^{n} = 1", xs[i] ** n, one) for i in xs],
-        "x_commute": [
-            (f"x_{i} x_{j} = x_{j} x_{i}", xs[i] * xs[j], xs[j] * xs[i])
-            for i in xs
-            for j in xs
-            if i < j
-        ],
-        "zx": _moves_x("z", z, xs),
-        **_braid("z", z),
-        "z_square": [
-            (
-                f"z_{l}^2 = (1/n) sum q^(-ij) x_{l}^i x_{l + 1}^j",
-                z[l] * z[l],
-                z_square_sum(n, m, l, mono),
-            )
-            for l in z
-        ],
-    }
-
-
-def relation_families(n: int, m: int, mono, ys: dict, y_invs: dict, ss: dict, idempotent) -> dict:
-    """presentation and the further families of the relation suite, on
-    images of one type.
-
-    mono is as in presentation; ys, y_invs and ss map l = 1..m-1 to the
-    images of y_l, y_l^(-1) and s_l, and idempotent(lam) is the image of
-    Lambda_lam.  z_l is taken as y_l^(-1) s_l.  Returns an ordered dict
-    family -> [(name, lhs, rhs)].
-    """
-    one = mono((0,) * m)
-    xs = {i: mono(tuple(int(j == i - 1) for j in range(m))) for i in range(1, m + 1)}
-    zs = {l: y_invs[l] * ss[l] for l in ss}
-    moved = {l: partial(permute_character, perm=generator_b(n, m, l).perm) for l in ss}
-    checks = presentation(n, m, mono, zs)
-    checks["z_square_y"] = [(f"z_{l}^2 = y_{l}^(-2)", zs[l] * zs[l], y_invs[l] ** 2) for l in zs]
-    checks["z_lambda"] = [
-        (
-            f"z_{l} Lambda_{lam} = Lambda_{moved[l](lam)} z_{l}",
-            zs[l] * idempotent(lam),
-            idempotent(moved[l](lam)) * zs[l],
-        )
-        for l in zs
-        for lam in product(range(n), repeat=m)
-    ]
-    checks["s_square"] = [(f"s_{l}^2 = 1", ss[l] * ss[l], one) for l in ss]
-    checks.update(_braid("s", ss))
-    checks["sx"] = _moves_x("s", ss, xs)
-    checks["s_from_y_z"] = [(f"s_{l} = y_{l} z_{l}", ss[l], ys[l] * zs[l]) for l in ss]
-    return checks
-
-
-def relation_report(families: dict) -> dict:
-    """Check each family of (name, lhs, rhs) relations: pass, or fail with
-    the first failing relation and the head term of lhs - rhs, a group-basis
-    element."""
-    report = {}
-    for family, items in families.items():
-        entry: dict = {"status": "pass"}
-        for name, lhs, rhs in items:
-            if lhs != rhs:
-                diff = lhs - rhs
-                head = min(diff.terms)
-                entry = {
-                    "status": "fail",
-                    "counterexample": {
-                        "relation": name,
-                        "difference_head": {"index": head, "coeff": diff.terms[head].to_json()},
-                    },
-                }
-                break
-        report[family] = entry
-    return report
-
-
-def relation_suite_report(n: int, m: int, families: dict, y_order) -> dict:
-    """The relation suite's report on relation_families' families.
-
-    y_order(l) is the least k <= 2n with y_l^k = 1, or None; y_l must have
-    multiplicative order exactly 2n.
-    """
-    report: dict = {"n": n, "m": m, "relations": relation_report(families)}
-    y_entry: dict = {"status": "pass"}
-    for l in range(1, m):
-        k = y_order(l)
-        if k != 2 * n:
-            relation = f"y_{l}^{2 * n} != 1" if k is None else f"y_{l}^{k} = 1 with {k} < {2 * n}"
-            y_entry = {"status": "fail", "counterexample": {"relation": relation}}
-            break
-    report["relations"]["y_order"] = y_entry
-    report["notes"] = [
-        "the z_l^2 relation is checked with the index range starting at 0; "
-        "a range starting at 1 is inconsistent with z_l^2 = y_l^(-2)"
-    ]
-    report["all_pass"] = all(e["status"] == "pass" for e in report["relations"].values())
-    return report
 
 
 def verify_defining_relations(n: int, m: int, cap: int | None = None) -> dict:
@@ -397,7 +216,7 @@ def verify_defining_relations(n: int, m: int, cap: int | None = None) -> dict:
     The relations are evaluated in the character basis F(lam, p) =
     Lambda_lam p, where x^t, s_l, y_l^(+-1), z_l and Lambda_lam = F(lam, 1)
     are monomial: one permutation and, per character, a 2n-th root of unity
-    or zero.  There they are exponent tables (character_basis.Monomial) that
+    or zero.  There they are exponent tables (character_model.Monomial) that
     multiply by adding integers, and the z_l^2 sum counts its exponents per
     character before one reduction.  check_model first proves at (n, m) that
     the change of basis Phi carries these products to the group algebra's.
@@ -411,61 +230,20 @@ def verify_defining_relations(n: int, m: int, cap: int | None = None) -> dict:
     if n < 2:
         raise ValueError(f"the relation suite needs n >= 2, got n={n}: at n = 1 every y_l is 1")
     check_cap(n, m, "relation-suite", cap)
-    # kacpal.character_basis builds on this module, so it is imported here.
-    from .character_basis import MonomialModel, check_model
+    # The relation table and the model it runs on build on this module, so
+    # they are imported here, and no other command loads them.
+    from .relations import relation_suite
 
-    if m > 1:
-        check_model(n, m)
-    model = MonomialModel(n, m)
-    ys = {l: model.diagonal([y_exponent(lam, l) for lam in model.chars]) for l in range(1, m)}
-    y_invs = {l: model.diagonal([-y_exponent(lam, l) for lam in model.chars]) for l in ys}
-    ss = {l: model.monomial(generator_b(n, m, l).perm) for l in ys}
-    families = relation_families(n, m, model.x_monomial, ys, y_invs, ss, model.idempotent)
-    order = 2 * n
-
-    def y_order(l):
-        # y_l is diagonal: y_l^k = 1 exactly when k e = 0 mod 2n for each exponent e
-        return lcm(*(order // gcd(e, order) for e in ys[l].entries))
-
-    return relation_suite_report(n, m, families, y_order)
+    return relation_suite(n, m)
 
 
 # -- exact linear algebra -----------------------------------------------------
 
 
-def _echelon(vectors) -> list[dict]:
-    """Normalised pivot rows spanning an iterable of sparse {position: scalar}
-    vectors; the only elimination loop in the package.
-
-    The scalars are ints, Fractions or CycNumbers (the rows come out as
-    Fractions or CycNumbers); positions need only be hashable and mutually
-    ordered.  Incremental echelon: each new vector is reduced
-    against the pivots in insertion order (each pivot row is already clean at
-    all earlier pivot positions), then normalised on its first nonzero
-    position.
-    """
-    pivots: list[tuple] = []
-    for vec in vectors:
-        vec = {p: c for p, c in vec.items() if c}
-        for pos, row in pivots:
-            c = vec.get(pos)
-            if c is None:
-                continue
-            for p2, r2 in row.items():
-                cur = vec.get(p2)
-                s = -(c * r2) if cur is None else cur - c * r2
-                if s:
-                    vec[p2] = s
-                else:
-                    vec.pop(p2, None)
-        if not vec:
-            continue
-        lead = min(vec)
-        inv = ONE / vec[lead]
-        pivots.append((lead, {p: c * inv for p, c in vec.items()}))
-    return [row for _, row in pivots]
-
-
 def _sparse_rank(vectors) -> int:
-    """Rank of an iterable of sparse {position: scalar} vectors."""
+    """Rank of an iterable of sparse {position: scalar} vectors, by the
+    package's one elimination loop, which kacpal.character_model holds with
+    the ranks that the classification takes."""
+    from .character_model import _echelon
+
     return len(_echelon(vectors))

@@ -18,8 +18,7 @@ from itertools import combinations, product
 from math import factorial
 from operator import itemgetter
 
-from .algebra import ONE, AlgebraElement, permute_character
-from .character_basis import CharacterElement, check_model, left_ideal_basis, sandwich_rank
+from .character_basis import ONE, CharacterElement, permute_character
 from .partitions import (
     Partition,
     count_formula,
@@ -29,12 +28,7 @@ from .partitions import (
     standard_tableaux_count,
     young_symmetrizer,
 )
-from .wreath import (
-    CheckFailedError,
-    check_cap,
-    conjugacy_class_count,
-    group_order,
-)
+from .wreath import CheckFailedError, check_cap, group_order
 
 
 class LabelledPartition(tuple):
@@ -182,9 +176,10 @@ def character_idempotent(beta: LabelledPartition) -> CharacterElement:
     return result
 
 
-def idempotent_from_beta(beta: LabelledPartition) -> AlgebraElement:
+def idempotent_from_beta(beta: LabelledPartition):
     """The classification idempotent: character idempotent times the embedded
-    row-consecutive Young symmetrizers of the blocks, in the group basis."""
+    row-consecutive Young symmetrizers of the blocks, in the group basis (an
+    AlgebraElement)."""
     return character_idempotent(beta).to_group()
 
 
@@ -236,7 +231,7 @@ class IrrepRecord:
         self.dim_formula, self.dim_hook, self.dim_rank = dim_formula, dim_hook, dim_rank
 
     @cached_property
-    def idempotent(self) -> AlgebraElement:
+    def idempotent(self):
         return self.element.to_group()
 
 
@@ -304,6 +299,9 @@ def irrep_table(
     if check_conjugacy:
         check_cap(n, m, "conjugacy", cap)
     if check_idempotency or check_ranks or check_orthogonality:
+        # the model and the ranks are loaded only when a check runs
+        from .character_model import check_model, left_ideal_basis, sandwich_rank
+
         check_model(n, m)
 
     records = []
@@ -351,6 +349,8 @@ def irrep_table(
         checks["orthogonality"] = "pass" if ok else "fail"
 
     if check_conjugacy:
+        from .conjugacy import conjugacy_class_count
+
         classes = conjugacy_class_count(n, m, cap=cap)
         checks["conjugacy_count"] = "pass" if classes == len(records) else "fail"
         checks["conjugacy_classes"] = classes

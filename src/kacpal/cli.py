@@ -1,25 +1,30 @@
 """Command-line front end: tables, verification suites, idempotents, counts.
 
 Each handler imports the modules it runs when it runs, so a call loads only
-what its command and checks need: `verify --checks hopf` leaves the
-classifier out, `--checks relations` the Hopf module too, and `count` the
-algebra.
+what its command and checks need.  `table` and `idempotent` without checks
+load neither the relation table (kacpal.relations) nor the exponent-table
+model and its ranks (kacpal.character_model), and `table` without checks
+neither the field nor the group-basis algebra; `verify --checks hopf` leaves
+the classifier out, `--checks relations` the Hopf module too, and `count`
+the algebra; only the conjugacy check loads kacpal.conjugacy, and only the
+commands that write JSON load json.  With no byte code cached, compiling
+the modules a call loads is a large part of its time.
+
+main(argv) is the in-process API: it returns the exit code.  run() is the
+process entry of the kacpal script and of python -m kacpal.  It flushes
+stdout and stderr itself and then ends the process with os._exit, which
+skips the interpreter's teardown, unless a tracer, a profiler or a
+monitoring tool is attached, whose report is written at exit.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
 
-from .wreath import (
-    CapExceededError,
-    CheckFailedError,
-    check_cap,
-    conjugacy_class_count,
-)
+from .wreath import CapExceededError, CheckFailedError, check_cap
 
 KNOWN_CHECKS = ("relations", "idempotency", "ranks", "orthogonality", "hopf", "conjugacy")
 TABLE_CHECKS = ("idempotency", "ranks", "orthogonality", "conjugacy")
@@ -81,6 +86,14 @@ def _emit(args, text: str | Iterable[str]):
         sys.stdout.writelines(pieces)
 
 
+def _json(value) -> str:
+    """The JSON document of value with the command's layout; json is loaded
+    only by the commands that write it."""
+    import json
+
+    return json.dumps(value, indent=2) + "\n"
+
+
 def _expanded_json(payload: dict, e) -> Iterator[str]:
     """``json.dumps(payload | {"element": e.to_json()}, indent=2) + "\\n"`` in
     pieces, one term at a time, so that the peak memory of an expanded
@@ -88,9 +101,10 @@ def _expanded_json(payload: dict, e) -> Iterator[str]:
 
     A term sits three levels deep and its coefficient four.  The
     coefficients share one order, so (den, num) is each one's value and
-    fixes its JSON: each distinct value is encoded once.  The key hashes two
-    int tuples, where a CycNumber's own hash builds a Fraction.
+    fixes its JSON: each distinct value is encoded once.
     """
+    import json
+
     shell = json.dumps({**payload, "element": {"n": e.n, "m": e.m, "terms": []}}, indent=2)
     head, tail = shell.rsplit('"terms": []', 1)
     encode = json.JSONEncoder(indent=2).encode
@@ -129,7 +143,7 @@ def cmd_table(args) -> int:
     if args.format == "csv":
         _emit(args, table.to_csv())
     elif args.format == "json":
-        _emit(args, json.dumps(table.to_json(), indent=2) + "\n")
+        _emit(args, _json(table.to_json()))
     else:
         lines = [f"irreducible representations for n={args.n}, m={args.m}"]
         lines.append(f"{'beta':<24}{'lambda':<16}{'dim':>5}{'rank':>6}")
@@ -167,7 +181,7 @@ def cmd_verify(args) -> int:
         v != "fail" for v in parts.get("classification", {}).values()
     )
     report = {"n": args.n, "m": args.m, "checks": parts, "all_pass": ok}
-    _emit(args, json.dumps(report, indent=2) + "\n")
+    _emit(args, _json(report))
     return 0 if ok else 1
 
 
@@ -191,7 +205,7 @@ def cmd_idempotent(args) -> int:
     if args.expanded:
         _emit(args, _expanded_json(payload, e))
     else:
-        _emit(args, json.dumps(payload, indent=2) + "\n")
+        _emit(args, _json(payload))
     return 0
 
 
@@ -215,6 +229,8 @@ def cmd_count(args) -> int:
     lines = [f"count = {_decimal(formula)}"]
     code = 0
     if "conjugacy" in args.checks:
+        from .conjugacy import conjugacy_class_count
+
         classes = conjugacy_class_count(args.n, args.m, cap=args.cap)
         lines.append(f"conjugacy classes = {classes}")
         if classes != formula:
@@ -300,14 +316,50 @@ def main(argv=None) -> int:
         print(str(exc), file=sys.stderr)
         return 1
     except BrokenPipeError:
-        # The reader closed stdout.  Pointing it at devnull lets the flush at
-        # interpreter exit drop what is still buffered without a word.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        print("cannot write the output: the reader closed the pipe", file=sys.stderr)
-        return 2
+        return _reader_gone()
+
+
+def _reader_gone() -> int:
+    """The reader closed stdout.  Pointing it at devnull lets any later flush
+    drop what is still buffered without a word."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+    print("cannot write the output: the reader closed the pipe", file=sys.stderr)
+    return 2
+
+
+def _observed() -> bool:
+    """Whether a tracer, a profiler or a monitoring tool (Python 3.12+) is
+    attached, which reports at interpreter exit."""
+    if sys.gettrace() is not None or sys.getprofile() is not None:
+        return True
+    monitoring = getattr(sys, "monitoring", None)
+    return monitoring is not None and any(monitoring.get_tool(i) for i in range(6))
+
+
+def run() -> None:
+    """The process entry of ``kacpal`` and ``python -m kacpal``: main() on
+    the command line, then stdout and stderr flushed, and the process ended
+    with main's exit code without the interpreter's teardown.
+
+    A reader that closed the pipe before that flush gets main's closed-pipe
+    exit.  With a tracer or profiler attached the process exits normally, so
+    that it still writes its report at exit.
+    """
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse on a usage error or --help
+        code = exc.code
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = _reader_gone()
+    sys.stderr.flush()
+    if _observed():
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -14,11 +14,11 @@ anywhere.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import add, neg, sub
+from sys import hash_info
 
 from .sparse import power
 from .wreath import CheckFailedError
@@ -302,10 +302,18 @@ class CycNumber:
         return self.order == other.order and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        # A rational value equals its Fraction (see __eq__), so it must hash alike.
-        if self.is_rational():
-            return hash(self.rational())
-        return hash((self.order, self.den, self.num))
+        # A rational value equals its Fraction (see __eq__), so it must hash
+        # alike: this is Fraction.__hash__ on num[0] / den, without the Fraction.
+        num, den = self.num, self.den
+        if any(num[1:]):
+            return hash((self.order, den, num))
+        a = num[0]
+        try:
+            h = hash(hash(abs(a)) * pow(den, -1, hash_info.modulus))
+        except ValueError:  # den is a multiple of the modulus: no inverse
+            h = hash_info.inf
+        h = h if a >= 0 else -h
+        return -2 if h == -1 else h
 
     def __repr__(self):
         parts = []
@@ -336,10 +344,14 @@ class CycNumber:
         return cls(data["order"], coeffs)
 
     def dumps(self) -> str:
+        import json
+
         return json.dumps(self.to_json())
 
     @classmethod
     def loads(cls, text: str) -> "CycNumber":
+        import json
+
         return cls.from_json(json.loads(text))
 
 

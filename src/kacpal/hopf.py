@@ -14,7 +14,7 @@ _delta_s_image and _antipode_s_image), over the primitives of one
 representation: x-monomials x(t), diagonal elements
 diagonal(e) = sum_lam zeta^e(lam) Lambda_lam, z(l), the tensor of two
 elements and the group-like delta of a diagonal one.  _CharacterHopf holds
-them as exponent tables (character_basis.Monomial) in the character basis
+them as exponent tables (character_model.Monomial) in the character basis
 F(lam, p) = Lambda_lam p, at (n, m) for the algebra and at (n, 2m) for its
 tensor square, and the report runs on those tables.  They are the
 group-basis images changed to the character basis on each leg, exactly:
@@ -25,7 +25,7 @@ group-basis images changed to the character basis on each leg, exactly:
   the tables of x-monomials, of diagonal elements and of z_l = y_l^(-1) s_l
   are those elements, and their products are the group's;
 - the tensor square is the model at (n, 2m) keyed by
-  character_basis.tensor_key: F(lam, p) (x) F(nu, q) is F(lam nu, p (+) q),
+  character_model.tensor_key: F(lam, p) (x) F(nu, q) is F(lam nu, p (+) q),
   whose product is the model's product on each leg.  So a (x) b is the table
   at (n, 2m) whose entry a' + n^m b' is e_a' + f_b', and tables there
   multiply as the tensor square does;
@@ -92,7 +92,7 @@ holds on every basis element exactly when
   and nothing cancels: both sides are {character: exponent} maps, and
   eps(Lambda_lam) 1 is the empty map, zeta^k on every character, or, when
   eps(Lambda_lam) is neither 0 nor a root of unity, no such map;
-- relations: algebra.presentation holds on the tables of the x-monomials
+- relations: relations.presentation holds on the tables of the x-monomials
   and of the delta(z_l) at (n, 2m), multiplied by adding exponents.
 
 The non-cocommutativity witness is read from the same tables.  The flip
@@ -130,16 +130,11 @@ from __future__ import annotations
 
 from functools import cached_property, partial
 
-from .algebra import AlgebraElement, presentation, y_exponent, z_square_sum
-from .character_basis import (
-    CharacterElement,
-    MonomialModel,
-    check_model,
-    root_exponent,
-    symmetric_group,
-    tensor_key,
-)
+from .algebra import AlgebraElement
+from .character_basis import CharacterElement, symmetric_group
+from .character_model import MonomialModel, check_model, root_exponent, tensor_key
 from .cyclotomic import CycNumber, root_count_sum
+from .relations import presentation, y_exponent, z_square_sum
 from .sparse import add_into
 from .wreath import CheckFailedError, check_cap, element_at, generator_b, perm_index, twist_index
 

@@ -10,7 +10,8 @@ __slots__), scalar coercion, its identity element, and the row of its key
 product.  The one type with its own product is
 character_basis.CharacterElement: there the product of two keys is zero
 unless the right key's character is the left key's moved by its
-permutation, so it looks those keys up instead of taking rows.  The
+permutation, so it looks those keys up instead of taking rows.  root_sum,
+a sum over roots of unity, serves every type with a twist order n.  The
 repeated-squaring loop, power, is shared with the scalar field.
 """
 
@@ -110,6 +111,19 @@ class SparseSum:
 
     def __neg__(self):
         return self._new({k: -c for k, c in self.terms.items()})
+
+    def root_sum(self, pairs, den: int):
+        """(1/den) sum of zeta^k x over the (k, x) pairs, x of this type and
+        zeta of order 2n; self gives only the type and its parameters, of
+        which n sets the field.  The field is imported here, as
+        kacpal.cyclotomic builds on this module."""
+        from .cyclotomic import zeta_over
+
+        order = 2 * self.n
+        acc: dict = {}
+        for k, x in pairs:
+            add_into(acc, x.terms, zeta_over(order, k, den))
+        return self._new(acc)
 
     def scale(self, factor):
         factor = self._scalar(factor)

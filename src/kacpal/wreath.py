@@ -6,7 +6,8 @@ twists through the left factor's inverse permutation.  A dense integer
 index (Lehmer rank of the permutation, then mixed-radix twists) gives
 cache-friendly addressing for the group algebra; twist_index and
 perm_index are the package's only index arithmetic.  No routine enumerates
-the group: conjugacy classes are swept as generator orbits.  CAPS holds
+the group: kacpal.conjugacy sweeps the conjugacy classes as generator
+orbits.  CAPS holds
 the default bound on the group order of every brute-force path, and
 check_cap is the one comparison against it.
 """
@@ -254,34 +255,3 @@ def mul_row(n: int, m: int, i: int) -> tuple[int, ...]:
     twists = [twist_index(n, (left * element_at(n, m, t)).twists) for t in range(size)]
     perms = (perm_index(left.perm * Perm.from_lehmer(m, r)) * size for r in range(factorial(m)))
     return tuple(base + t for base in perms for t in twists)
-
-
-def conjugacy_class_count(n: int, m: int, cap: int | None = None) -> int:
-    """Number of conjugacy classes, as orbits under conjugation by the
-    generators x_i (generator_a) and s_l (generator_b).
-
-    A set closed under conjugation by each generator g is closed under
-    conjugation by g^(-1), a power of g in a finite group, and so under every
-    product of generators: under G.  The class of an element is therefore the
-    set its generator conjugates reach, and the sweep visits each index once.
-    """
-    order = check_cap(n, m, "conjugacy", cap)
-    gens = [generator_a(n, m, i) for i in range(1, m + 1)]
-    gens += [generator_b(n, m, l) for l in range(1, m)]
-    pairs = [(g, g.inverse()) for g in gens]
-    visited = bytearray(order)
-    count = 0
-    for start in range(order):
-        if visited[start]:
-            continue
-        count += 1
-        visited[start] = 1
-        stack = [start]
-        while stack:
-            u = element_at(n, m, stack.pop())
-            for g, g_inv in pairs:
-                ix = element_index(g * u * g_inv)
-                if not visited[ix]:
-                    visited[ix] = 1
-                    stack.append(ix)
-    return count

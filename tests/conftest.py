@@ -1,6 +1,6 @@
 import pytest
 
-from kacpal.character_basis import check_model
+from kacpal.character_model import check_model
 
 
 @pytest.fixture(autouse=True)

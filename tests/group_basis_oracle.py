@@ -15,7 +15,7 @@ convolution; z_square_rhs is the group-basis value of z_l^2.
 
 elements enumerates G, and conjugacy_class_count sweeps the classes by
 conjugating by all of it, the reference for the generator-orbit sweep of
-wreath.conjugacy_class_count.
+conjugacy.conjugacy_class_count.
 """
 
 from functools import lru_cache, partial
@@ -23,27 +23,20 @@ from itertools import product
 
 from kacpal.algebra import (
     AlgebraElement,
-    _echelon,
     _sparse_rank,
     character_combination,
     lambda_idempotent,
-    relation_families,
-    relation_suite_report,
     s_element,
     x_monomial,
     y_element,
     y_inverse_element,
-    z_square_sum,
 )
-from kacpal.character_basis import (
-    CharacterElement,
-    MonomialModel,
-    _generator_tables,
-    symmetric_group,
-)
+from kacpal.character_basis import CharacterElement, symmetric_group
+from kacpal.character_model import MonomialModel, _echelon, _generator_tables
 from kacpal.classifier import LabelledPartition, lambda_from_beta
 from kacpal.cyclotomic import CycNumber
 from kacpal.partitions import row_consecutive_tableau, young_symmetrizer
+from kacpal.relations import relation_families, relation_suite_report, z_square_sum
 from kacpal.wreath import (
     CheckFailedError,
     Perm,

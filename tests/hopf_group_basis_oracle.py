@@ -35,17 +35,12 @@ from functools import lru_cache
 
 from group_basis_oracle import basis_element
 from kacpal import hopf
-from kacpal.algebra import (
-    AlgebraElement,
-    diagonal_element,
-    presentation,
-    x_element,
-    x_monomial,
-    z_element,
-)
-from kacpal.character_basis import CharacterElement, characters, tensor_key
+from kacpal.algebra import AlgebraElement, diagonal_element, x_element, x_monomial, z_element
+from kacpal.character_basis import CharacterElement
+from kacpal.character_model import characters, tensor_key
 from kacpal.cyclotomic import CycNumber, zeta_power
 from kacpal.hopf import counit
+from kacpal.relations import presentation
 from kacpal.sparse import SparseSum, add_into
 from kacpal.wreath import element_at, group_order, mul_row, twist_index
 
@@ -68,7 +63,6 @@ class TensorElement(SparseSum):
 
     # Scalars are those of the algebra, Q(zeta_2n).
     _scalar = AlgebraElement._scalar
-    root_sum = AlgebraElement.root_sum
 
     def _one(self) -> "TensorElement":
         return TensorElement.unit(self.n, self.m)

@@ -24,7 +24,7 @@ from kacpal.algebra import (
     y_inverse_element,
     z_element,
 )
-from kacpal.character_basis import characters, check_model
+from kacpal.character_model import characters, check_model
 from kacpal.classifier import (
     count_formula,
     enumerate_labelled_partitions,
@@ -40,7 +40,8 @@ from kacpal.partitions import (
     standard_tableaux_count,
     young_symmetrizer,
 )
-from kacpal.wreath import conjugacy_class_count, group_order, mul_row
+from kacpal.conjugacy import conjugacy_class_count
+from kacpal.wreath import group_order, mul_row
 
 RELATION_PAIRS = [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4)]
 RANK_PAIRS = [(2, 2), (3, 2), (2, 3)]

@@ -12,16 +12,12 @@ from group_basis_oracle import (
     sandwich_dimension,
     z_square_rhs,
 )
-from kacpal import algebra
+from kacpal import algebra, relations
 from kacpal.algebra import (
     AlgebraElement,
-    _echelon,
     _sparse_rank,
     CapExceededError,
     lambda_idempotent,
-    permute_character,
-    presentation,
-    relation_report,
     s_element,
     verify_defining_relations,
     x_element,
@@ -30,8 +26,11 @@ from kacpal.algebra import (
     y_inverse_element,
     z_element,
 )
+from kacpal.character_basis import permute_character
+from kacpal.character_model import _echelon
 from kacpal.classifier import irrep_table
 from kacpal.cyclotomic import CycNumber, zeta_power
+from kacpal.relations import presentation, relation_report
 from kacpal.wreath import Perm, WreathElement, element_index, group_order
 
 
@@ -410,7 +409,7 @@ def fresh_generators():
 
 
 def _y_exponent_off_by_one(lam_star):
-    real = algebra.y_exponent
+    real = relations.y_exponent
     return lambda lam, l: real(lam, l) + (l == 1 and lam == lam_star)
 
 
@@ -436,7 +435,7 @@ def test_perturbed_relation_reports_match_the_oracle(
 ):
     # the same broken definition reaches the exponent tables and the
     # group-basis elements: both reports fail alike, difference heads included
-    monkeypatch.setattr(algebra, name, perturbed(m))
+    monkeypatch.setattr(relations, name, perturbed(m))
     report = verify_defining_relations(n, m)
     assert not report["all_pass"]
     failing = [entry for entry in report["relations"].values() if entry["status"] == "fail"]

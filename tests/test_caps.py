@@ -12,7 +12,8 @@ from kacpal import cli
 from kacpal.algebra import AlgebraElement, verify_defining_relations
 from kacpal.classifier import irrep_table
 from kacpal.hopf import cocommutativity_witness, hopf_axiom_report
-from kacpal.wreath import CAPS, CapExceededError, check_cap, conjugacy_class_count, group_order
+from kacpal.conjugacy import conjugacy_class_count
+from kacpal.wreath import CAPS, CapExceededError, check_cap, group_order
 
 
 def one(n, m):

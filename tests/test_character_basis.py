@@ -8,23 +8,21 @@ from hypothesis import given, settings, strategies as st
 
 from group_basis_oracle import check_model_by_products, left_ideal_dimension, sandwich_dimension
 from hopf_group_basis_oracle import TensorElement, to_characters
-from kacpal import algebra, character_basis
+from kacpal import algebra, character_basis, character_model
 from kacpal.algebra import (
     AlgebraElement,
     character_combination,
     lambda_idempotent,
-    permute_character,
     y_element,
     y_inverse_element,
 )
-from kacpal.character_basis import (
-    CharacterElement,
+from kacpal.character_basis import CharacterElement, permute_character, symmetric_group
+from kacpal.character_model import (
     MonomialModel,
     check_model,
     integral,
     left_ideal_basis,
     sandwich_rank,
-    symmetric_group,
 )
 from kacpal.cyclotomic import CycNumber, zeta, zeta_power
 from kacpal.sparse import add_into
@@ -158,17 +156,21 @@ def test_scalars_are_rational_or_of_the_model_order():
     assert type(halved.terms[key]) is Fraction and halved.terms[key] == Fraction(1, 2)
 
 
+def _set_permute_character(monkeypatch, replacement):
+    # the element product and the model's character moves read it
+    for module in (character_basis, character_model):
+        monkeypatch.setattr(module, "permute_character", replacement)
+
+
 def _swapped_permute_character(monkeypatch, n, m):
     # the product rule reading lam o p^(-1) where it should read lam o p
     real = character_basis.permute_character
-    monkeypatch.setattr(
-        character_basis, "permute_character", lambda lam, p: real(lam, Perm(p).inverse())
-    )
+    _set_permute_character(monkeypatch, lambda lam, p: real(lam, Perm(p).inverse()))
 
 
 def _unmoved_characters(monkeypatch, n, m):
     # permute_character ignoring the permutation: a composition law still holds
-    monkeypatch.setattr(character_basis, "permute_character", lambda lam, p: tuple(lam))
+    _set_permute_character(monkeypatch, lambda lam, p: tuple(lam))
 
 
 def _flipped_fourier_sign(monkeypatch, n, m):

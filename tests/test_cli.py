@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kacpal.algebra import AlgebraElement, lambda_idempotent, s_element
-from kacpal import algebra, character_basis, classifier, cli
+from kacpal import algebra, character_basis, character_model, classifier, cli
 from kacpal.cli import main
 from kacpal.cyclotomic import CycNumber
 from kacpal.wreath import CheckFailedError, Perm, group_order
@@ -160,8 +160,8 @@ def test_table_explicit_empty_checks_means_no_extra_checks(capsys):
 
 def test_rank_disagreement_is_a_failed_check(capsys, monkeypatch):
     # a left-ideal basis one row short gives every rank one too few
-    real = classifier.left_ideal_basis
-    monkeypatch.setattr(classifier, "left_ideal_basis", lambda e: real(e)[:-1])
+    real = character_model.left_ideal_basis
+    monkeypatch.setattr(character_model, "left_ideal_basis", lambda e: real(e)[:-1])
     code, out, err = run(capsys, "table", "--n", "2", "--m", "2", "--checks", "ranks")
     assert code == 1
     assert "check rank_agreement: fail" in out
@@ -172,12 +172,11 @@ def test_model_failure_exits_1(capsys, monkeypatch):
     # The product rule reading lam o p^(-1) where it should read lam o p: the
     # two agree on involutions, so only a 3-cycle (m >= 3) tells them apart.
     real = character_basis.permute_character
-    monkeypatch.setattr(
-        character_basis, "permute_character", lambda lam, p: real(lam, Perm(p).inverse())
-    )
-    character_basis.check_model(2, 2)
+    for module in (character_basis, character_model):
+        monkeypatch.setattr(module, "permute_character", lambda lam, p: real(lam, Perm(p).inverse()))
+    character_model.check_model(2, 2)
     with pytest.raises(CheckFailedError, match="does not model"):
-        character_basis.check_model(2, 3)
+        character_model.check_model(2, 3)
     code, out, err = run(capsys, "table", "--n", "2", "--m", "3", "--checks", "ranks")
     assert code == 1
     assert out == ""
@@ -196,7 +195,7 @@ def test_verify_checks_the_model_once(capsys):
     # runs its lemmas once per (n, m)
     code, _, _ = run(capsys, "verify", "--n", "2", "--m", "2", "--checks", "relations,idempotency,hopf")
     assert code == 0
-    info = character_basis.check_model.cache_info()
+    info = character_model.check_model.cache_info()
     assert (info.misses, info.hits) == (1, 2)
 
 
@@ -547,14 +546,66 @@ def test_a_reader_that_closes_the_pipe_gets_no_traceback():
     assert "pipe" in err and "Traceback" not in err
 
 
+def test_a_reader_gone_before_the_final_flush_gets_exit_2():
+    # Buffered, the small table waits in stdout until run() flushes it, and
+    # the pipe's read end is closed before the child starts.
+    env = {k: v for k, v in CHILD_ENV.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "kacpal", "table", "--n", "3", "--m", "3", "--format", "csv"],
+            env=env,
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2
+    assert done.stderr == b"cannot write the output: the reader closed the pipe\n"
+
+
+def test_a_profiler_still_reports_at_exit():
+    # run() ends the process without the interpreter's teardown only when no
+    # profiler or tracer waits to write its report at exit
+    done = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-m", "kacpal", "count", "--n", "1", "--m", "1"],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("count = 1\n")
+    assert "function calls" in done.stdout and "Ordered by" in done.stdout
+
+
+def test_main_in_process_returns_its_code():
+    script = (
+        "from kacpal.cli import main\n"
+        "codes = [main(['count', '--n', '1', '--m', '1']), main(['count', '--n', '0', '--m', '1'])]\n"
+        "print('returned', codes)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=CHILD_ENV, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "count = 1\nreturned [0, 2]\n"
+    assert done.stderr == "need --n >= 1 and --m >= 1\n"
+
+
 def modules_loaded_by(tmp_path, *argvs) -> set:
     """sys.modules after the CLI calls, one after another in a fresh
-    interpreter, each of which must pass."""
+    interpreter, each of which must pass; json is imported only to report
+    them."""
     script = (
-        "import json, sys\n"
+        "import sys\n"
         "from kacpal.cli import main\n"
         f"codes = [main([*argv, '--out', {str(tmp_path / 'out')!r}]) for argv in {argvs!r}]\n"
-        "print(json.dumps([codes, list(sys.modules)]))\n"
+        "loaded = list(sys.modules)\n"
+        "import json\n"
+        "print(json.dumps([codes, loaded]))\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=CHILD_ENV, timeout=120
@@ -579,10 +630,32 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
         "kacpal.algebra",
         "kacpal.character_basis",
         "kacpal.classifier",
+        "kacpal.conjugacy",
         "kacpal.cyclotomic",
         "kacpal.sparse",
         "csv",
+        "json",
     } & count
+    # the relation table, the exponent-table model and the ranks are loaded
+    # only by the checks that run them, the field only where a value leaves
+    # Q, and json only where JSON is written
+    checks_only = {"kacpal.relations", "kacpal.character_model", "kacpal.conjugacy"}
+    table = modules_loaded_by(
+        tmp_path,
+        ("table", "--n", "2", "--m", "2"),
+        ("table", "--n", "3", "--m", "4", "--format", "csv"),
+    )
+    assert {"kacpal.classifier", "csv"} <= table
+    assert not {"kacpal.algebra", "kacpal.cyclotomic", "json", *checks_only} & table
+    expanded = modules_loaded_by(
+        tmp_path, ("idempotent", "--n", "2", "--m", "5", "--beta", "1:5", "--expanded")
+    )
+    assert {"kacpal.classifier", "kacpal.cyclotomic", "json"} <= expanded
+    assert not checks_only & expanded
+    ranks = modules_loaded_by(tmp_path, ("table", "--n", "2", "--m", "2", "--checks", "ranks"))
+    assert "kacpal.character_model" in ranks
+    assert "kacpal.relations" not in ranks
+    assert "kacpal.relations" in relations and "kacpal.relations" in hopf
 
 
 def test_no_command_imports_dataclasses_or_inspect(tmp_path):

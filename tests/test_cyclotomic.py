@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -215,6 +216,40 @@ def test_hash_agrees_with_equality_on_rationals():
     assert half == Fraction(1, 2)
     assert hash(half) == hash(Fraction(1, 2))
     assert {half: "x"}[Fraction(1, 2)] == "x"
+
+
+MODULUS = sys.hash_info.modulus
+# 30-digit values, and denominators that the hash modulus divides, where a
+# Fraction hashes as sys.hash_info.inf with the numerator's sign
+rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(),
+    st.builds(
+        Fraction,
+        st.integers(-(10**30), 10**30),
+        st.integers(1, 10**30),
+    ),
+    st.builds(
+        Fraction,
+        st.integers(-(10**30), 10**30).filter(lambda a: a % MODULUS),
+        st.integers(1, 1000).map(lambda k: k * MODULUS),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rationals, st.sampled_from((2, 4, 6, 8, 12)))
+def test_a_rational_hashes_as_its_fraction(value, order):
+    c = CycNumber.from_rational(order, value)
+    assert hash(c) == hash(c.rational()) == hash(value)
+
+
+def test_hash_of_rationals_at_the_edges():
+    for value in (0, -1, -2, 10**30, -(10**30), Fraction(-3, 2 * MODULUS), Fraction(MODULUS, 7)):
+        c = CycNumber.from_rational(4, value)
+        assert hash(c) == hash(Fraction(value))
+    assert hash(CycNumber.from_rational(4, Fraction(1, MODULUS))) == sys.hash_info.inf
+    assert hash(CycNumber.from_rational(4, Fraction(-1, MODULUS))) == -sys.hash_info.inf
 
 
 FLOAT_ENTRY_POINTS = {

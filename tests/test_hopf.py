@@ -37,7 +37,8 @@ from kacpal.algebra import (
     y_element,
     z_element,
 )
-from kacpal.character_basis import CharacterElement, Monomial, characters, tensor_key
+from kacpal.character_basis import CharacterElement
+from kacpal.character_model import Monomial, characters, tensor_key
 from kacpal.cli import main
 from kacpal.cyclotomic import CycNumber, zeta, zeta_power
 from kacpal.hopf import (

@@ -7,14 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 import group_basis_oracle as oracle
 from group_basis_oracle import elements
-from kacpal import wreath
+from kacpal import conjugacy
 from kacpal.classifier import count_formula
 from kacpal.cli import main
+from kacpal.conjugacy import conjugacy_class_count
 from kacpal.wreath import (
     CapExceededError,
     Perm,
     WreathElement,
-    conjugacy_class_count,
     element_at,
     element_index,
     generator_a,
@@ -218,7 +218,7 @@ def test_an_orbit_sweep_missing_generators_fails_the_check(
 ):
     # negative control: without s_1, or without every x_i, the orbits at
     # (2, 3) split the 10 classes into more pieces
-    monkeypatch.setattr(wreath, generator, _left_out(getattr(wreath, generator), which))
+    monkeypatch.setattr(conjugacy, generator, _left_out(getattr(conjugacy, generator), which))
     assert conjugacy_class_count(2, 3) == classes
     code = main(["count", "--n", "2", "--m", "3", "--checks", "conjugacy"])
     out, err = capsys.readouterr()
