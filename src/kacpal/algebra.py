@@ -236,14 +236,3 @@ def verify_defining_relations(n: int, m: int, cap: int | None = None) -> dict:
 
     return relation_suite(n, m)
 
-
-# -- exact linear algebra -----------------------------------------------------
-
-
-def _sparse_rank(vectors) -> int:
-    """Rank of an iterable of sparse {position: scalar} vectors, by the
-    package's one elimination loop, which kacpal.character_model holds with
-    the ranks that the classification takes."""
-    from .character_model import _echelon
-
-    return len(_echelon(vectors))

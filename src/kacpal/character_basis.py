@@ -24,11 +24,11 @@ kacpal.character_model holds what a check needs beyond the product: the
 model check check_model, which verifies at a given (n, m) that Phi carries
 the model's product to the group's before any check relies on the model,
 the exponent tables of monomial elements, the key of the tensor square,
-and the ranks of left ideals and sandwiches.  This module holds only the
-element type and the character action permute_character, so that building
-an idempotent loads none of them; an element with rational coefficients
-loads neither the field nor the group-basis algebra, so the table of
-irreducibles without checks needs neither.
+and the ranks of left ideals and sandwiches, as traces.  This module holds
+only the element type and the character action permute_character, so that
+building an idempotent loads none of them; an element with rational
+coefficients loads neither the field nor the group-basis algebra, so the
+table of irreducibles without checks needs neither.
 """
 
 from __future__ import annotations

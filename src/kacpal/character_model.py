@@ -17,20 +17,30 @@ their defining formulas on these tables, at (n, m) and, for the tensor
 square, at (n, 2m), so no element is changed to this basis from the group
 basis.
 
-left_ideal_basis and sandwich_rank take the classification table's ranks
-in the character basis, where a classification idempotent has rational
-coordinates and m! nonzero left translates.
+The classification table's ranks are traces.  For idempotents the maps
+x -> x e and x -> e_i x e_j are idempotent, so their ranks are their traces,
+which the product rule gives in closed form when every term of e lies on
+one lam fixed by its permutation: dim A e = m! c_(lam, 1), and
+dim e_i A e_j = sum_(q: lam_i o q = lam_j) sum_sigma c_sigma d_(q^-1 sigma^-1 q)
+is a pairing of class sums over lam's stabiliser Y, as q^-1 sigma^-1 q runs
+|Y| / |C| times over the class C of sigma (Serre, Linear Representations of
+Finite Groups, ch. 2); it is 0 unless lam_i and lam_j hold each value
+equally often.  The traces rest on that lemma, checked by
+stabiliser_classes, and on the exact square e * e == e, is_idempotent.  For
+a classification idempotent c_(lam, 1) = prod f^mu / b_i!, the prefactors of
+its blocks' Young symmetrizers.  The echelon they replaced is the reference
+in tests/group_basis_oracle.py.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from math import lcm
+from math import factorial, lcm
 
 from . import algebra
 from .algebra import AlgebraElement
-from .character_basis import ONE, CharacterElement, permute_character, symmetric_group
+from .character_basis import CharacterElement, permute_character, symmetric_group
 from .cyclotomic import CycNumber, _x_power, root_count_sum, zeta_power
 from .sparse import power
 from .wreath import (
@@ -63,80 +73,66 @@ def characters(n: int, m: int) -> tuple:
     return tuple(t[::-1] for t in product(range(n), repeat=m))
 
 
-def _echelon(vectors) -> list[dict]:
-    """Normalised pivot rows spanning an iterable of sparse {position: scalar}
-    vectors; the only elimination loop in the package.
-
-    The scalars are ints, Fractions or CycNumbers (the rows come out as
-    Fractions or CycNumbers); positions need only be hashable and mutually
-    ordered.  Incremental echelon: each new vector is reduced
-    against the pivots in insertion order (each pivot row is already clean at
-    all earlier pivot positions), then normalised on its first nonzero
-    position.
-    """
-    pivots: list[tuple] = []
-    for vec in vectors:
-        vec = {p: c for p, c in vec.items() if c}
-        for pos, row in pivots:
-            c = vec.get(pos)
-            if c is None:
-                continue
-            for p2, r2 in row.items():
-                cur = vec.get(p2)
-                s = -(c * r2) if cur is None else cur - c * r2
-                if s:
-                    vec[p2] = s
-                else:
-                    vec.pop(p2, None)
-        if not vec:
-            continue
-        lead = min(vec)
-        inv = ONE / vec[lead]
-        pivots.append((lead, {p: c * inv for p, c in vec.items()}))
-    return [row for _, row in pivots]
-
-
-def left_translates(x: CharacterElement):
-    """The nonzero left translates F(mu, q) x, which span the left ideal A x.
-
-    F(mu, q) F(lam, s) is nonzero only when mu = lam o q^(-1), so each q
-    gives one translate per character in the support of x: m! vectors for a
-    classification idempotent, against |G| in the group basis.
-    """
-    n, m = x.n, x.m
-    chars = dict.fromkeys(lam for lam, _ in x.terms)
-    for q in symmetric_group(m):
-        q_inv = q.inverse()
-        for lam in chars:
-            translate = CharacterElement._make(n, m, {(permute_character(lam, q_inv), q): ONE})
-            yield (translate * x).terms
-
-
-def left_ideal_basis(x: CharacterElement) -> list[dict]:
-    """Echelon rows spanning the left ideal A x; its dimension is their number."""
-    return _echelon(left_translates(x))
-
-
-def sandwich_rank(e: CharacterElement, basis: list[dict]) -> int:
-    """The rank of {e v : v in basis}; when basis spans the left ideal A f
-    this is dim e A f, the sandwich dimension.
-
-    Scaling a vector leaves a rank unchanged, so e and the rows are taken
-    with integer coordinates and their products run on ints.
-    """
-    n, m = e.n, e.m
-    left = CharacterElement._make(n, m, integral(e.terms))
-    vectors = ((left * CharacterElement._make(n, m, integral(row))).terms for row in basis)
-    # Looked up on the algebra module at call time, so that a wrapper put there
-    # (the benchmark's tracer counts rank vectors) sees these ranks too.
-    return algebra._sparse_rank(vectors)
-
-
 def integral(terms: dict) -> dict:
     """The vector times the lcm of its coefficient denominators: integer
     coordinates on the same line, whose products need no Fraction arithmetic."""
     den = lcm(*(c.denominator for c in terms.values()))
     return {key: c.numerator * (den // c.denominator) for key, c in terms.items()}
+
+
+def is_idempotent(e: CharacterElement) -> bool:
+    """Whether e * e == e, decided on integer numerators: x = D e is integral
+    for D the lcm of e's denominators, and e * e == e exactly when x x = D x."""
+    den = lcm(*(c.denominator for c in e.terms.values()))
+    x = CharacterElement._make(e.n, e.m, integral(e.terms))
+    return (x * x).terms == {key: den * c for key, c in x.terms.items()}
+
+
+def stabiliser_classes(e: CharacterElement) -> dict:
+    """The class sums D(C) of e = sum c_sigma F(lam, sigma), keyed by class.
+
+    lam's stabiliser is the product of the symmetric groups on the slots of
+    each value of lam, so sigma's class there is its sorted cycles as
+    (value of lam on the cycle, length).  A term off one lam, or whose
+    sigma moves lam, fails the lemma the traces rest on: CheckFailedError.
+    """
+    sums: dict = {}
+    lam = next(iter(e.terms), (None,))[0]
+    for (mu, sigma), c in e.terms.items():
+        if mu != lam or permute_character(lam, sigma) != lam:
+            raise CheckFailedError(
+                f"F({list(mu)}, {list(sigma)}) is not on one character fixed by its "
+                f"permutation: the stabiliser lemma of the trace ranks fails"
+            )
+        key = tuple(sorted((lam[i], length) for i, length in Perm(sigma).cycles()))
+        sums[key] = sums.get(key, 0) + c
+    return sums
+
+
+def left_ideal_rank(classes: dict, m: int) -> int:
+    """dim A e = m! c_(lam, 1) for an idempotent e with these class sums; the
+    identity's is the one class of m cycles.  A trace that is no integer is
+    no rank: CheckFailedError."""
+    rank = factorial(m) * next((d for key, d in classes.items() if len(key) == m), 0)
+    if rank != int(rank):
+        raise CheckFailedError(f"the trace m! c_(lam, 1) = {rank} of an idempotent is not a rank")
+    return int(rank)
+
+
+def sandwich_rank(left: dict, right: dict):
+    """dim e_i A e_j for idempotents with the class sums left and right:
+    sum_C (|Y| / |C|) D_i(C) D_j(C), where |Y| / |C|, the order of a
+    centraliser, is the product over the distinct cycles of length^k k!,
+    k the cycle's multiplicity."""
+    total = 0
+    for key, d in left.items():
+        if key in right:
+            centraliser = 1
+            for cycle in set(key):
+                k = key.count(cycle)
+                centraliser *= cycle[1] ** k * factorial(k)
+            total += centraliser * d * right[key]
+    return total
 
 
 @lru_cache(maxsize=None)

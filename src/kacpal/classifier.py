@@ -8,15 +8,16 @@ in the character basis (kacpal.character_basis), where its coordinates are
 rational, by that model's own product, and mapped to the group basis by an
 exact change of basis.
 Counting and dimension formulas are cross-checked three ways (closed formula,
-hook lengths, exact rank of the generated left ideal).
+hook lengths, and the rank of the left ideal A e as the trace m! c_(lam, 1),
+c_(lam, 1) = prod f^mu / b_i!, which rests on the exact square e * e == e).
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import combinations, product
+from itertools import combinations, compress, product, repeat
 from math import factorial
-from operator import itemgetter
+from operator import itemgetter, sub
 
 from .character_basis import ONE, CharacterElement, permute_character
 from .partitions import (
@@ -41,7 +42,7 @@ class LabelledPartition(tuple):
         blocks = tuple(blocks)
         if len(blocks) != n:
             raise ValueError(f"expected {n} blocks, got {len(blocks)}")
-        if not all(isinstance(b, Partition) for b in blocks):
+        if not all(map(isinstance, blocks, repeat(Partition))):
             raise ValueError("blocks must be Partitions")
         return tuple.__new__(cls, (n, blocks))
 
@@ -49,20 +50,20 @@ class LabelledPartition(tuple):
     blocks = property(itemgetter(1))
 
     @property
-    def m(self) -> int:
-        return sum(b.size for b in self.blocks)
+    def labelled_blocks(self):
+        """(label, block) for the nonempty blocks, in label order; the empty
+        ones, all but one at m = 1, are skipped in C."""
+        return compress(enumerate(self.blocks), self.blocks)
 
     @property
-    def block_sizes(self) -> tuple[int, ...]:
-        return tuple(b.size for b in self.blocks)
+    def m(self) -> int:
+        return sum(b.size for _, b in self.labelled_blocks)
 
     def spec_string(self) -> str:
         """Compact form like '0:3,2,2;2:1,1,1' (empty labels omitted)."""
-        pieces = []
-        for label, block in enumerate(self.blocks):
-            if block.size:
-                pieces.append(f"{label}:" + ",".join(str(p) for p in block))
-        return ";".join(pieces)
+        return ";".join(
+            f"{label}:" + ",".join(str(p) for p in block) for label, block in self.labelled_blocks
+        )
 
     @classmethod
     def parse(cls, n: int, m: int, text: str) -> "LabelledPartition":
@@ -99,11 +100,12 @@ def _compositions(n: int, m: int):
 
     Stars and bars: the n - 1 bars sit among m + n - 1 places, and the parts
     are the runs of stars between them.  Bar positions in lexicographic order
-    give the parts in lexicographic order, with no recursion on n.
+    give the parts in lexicographic order, with no recursion on n.  Bar i at
+    place b has b - i stars before it, and a part is a difference of those.
     """
     for bars in combinations(range(m + n - 1), n - 1):
-        edges = (-1, *bars, m + n - 1)
-        yield tuple(edges[i + 1] - edges[i] - 1 for i in range(n))
+        stars = (0, *map(sub, bars, range(n - 1)), m)
+        yield tuple(map(sub, stars[1:], stars))
 
 
 def enumerate_labelled_partitions(n: int, m: int) -> list[LabelledPartition]:
@@ -113,16 +115,16 @@ def enumerate_labelled_partitions(n: int, m: int) -> list[LabelledPartition]:
         raise ValueError("need n >= 1 and m >= 1")
     out = []
     for comp in _compositions(n, m):
-        for blocks in product(*(partitions_of(size) for size in comp)):
+        for blocks in product(*map(partitions_of, comp)):
             out.append(LabelledPartition(n, blocks))
     return out
 
 
 def lambda_from_beta(beta: LabelledPartition) -> tuple[int, ...]:
-    """The non-decreasing character vector with block_sizes[i] entries equal to i."""
+    """The non-decreasing character vector with as many entries i as block i has boxes."""
     lam = []
-    for label, size in enumerate(beta.block_sizes):
-        lam.extend([label] * size)
+    for label, block in beta.labelled_blocks:
+        lam.extend([label] * block.size)
     return tuple(lam)
 
 
@@ -160,18 +162,17 @@ def character_idempotent(beta: LabelledPartition) -> CharacterElement:
     lam = lambda_from_beta(beta)
     result = CharacterElement._make(n, m, {(lam, tuple(range(m))): ONE})
     offset = 0
-    for block in beta.blocks:
-        if block.size:
-            terms = {}
-            for p, coeff in block_terms(block):
-                sigma = embed_permutation(p, offset, m)
-                if permute_character(lam, sigma) != lam:
-                    raise CheckFailedError(
-                        f"the block permutations of {beta.spec_string()} do not fix "
-                        f"lambda = {list(lam)}: the stabiliser lemma fails at {list(sigma)}"
-                    )
-                terms[lam, sigma] = coeff
-            result = result * CharacterElement._make(n, m, terms)
+    for _, block in beta.labelled_blocks:
+        terms = {}
+        for p, coeff in block_terms(block):
+            sigma = embed_permutation(p, offset, m)
+            if permute_character(lam, sigma) != lam:
+                raise CheckFailedError(
+                    f"the block permutations of {beta.spec_string()} do not fix "
+                    f"lambda = {list(lam)}: the stabiliser lemma fails at {list(sigma)}"
+                )
+            terms[lam, sigma] = coeff
+        result = result * CharacterElement._make(n, m, terms)
         offset += block.size
     return result
 
@@ -187,7 +188,7 @@ def irrep_dimension(beta: LabelledPartition) -> int:
     """Closed-form dimension: multinomial of block sizes times the product of
     standard-tableau counts."""
     dim = factorial(beta.m)
-    for block in beta.blocks:
+    for _, block in beta.labelled_blocks:
         dim //= factorial(block.size)
         dim *= standard_tableaux_count(block)
     return dim
@@ -196,7 +197,7 @@ def irrep_dimension(beta: LabelledPartition) -> int:
 def dimension_by_hooks(beta: LabelledPartition) -> int:
     """m! divided by the product of all hook lengths over all blocks."""
     denom = 1
-    for block in beta.blocks:
+    for _, block in beta.labelled_blocks:
         for r in range(len(block)):
             for c in range(block[r]):
                 denom *= hook_length(block, r, c)
@@ -290,29 +291,37 @@ def irrep_table(
     and the sum of squared dimensions against the algebra dimension.  The
     idempotency, rank and orthogonality checks run in the character basis,
     after check_model has verified that basis against the group algebra at
-    this (n, m); a failure there raises CheckFailedError.  cap, when given,
-    replaces the default rank-check and conjugacy caps of wreath.CAPS.
+    this (n, m); a failure there raises CheckFailedError.  The ranks and
+    sandwich dimensions are traces, ranks only of idempotents: a record whose
+    exact square fails gets dim_rank None and fails both checks.  cap, when
+    given, replaces the default rank-check and conjugacy caps of wreath.CAPS.
     """
     order = group_order(n, m)
-    if check_ranks or check_orthogonality:
+    traced = check_ranks or check_orthogonality
+    if traced:
         check_cap(n, m, "rank-check", cap)
     if check_conjugacy:
         check_cap(n, m, "conjugacy", cap)
-    if check_idempotency or check_ranks or check_orthogonality:
-        # the model and the ranks are loaded only when a check runs
-        from .character_model import check_model, left_ideal_basis, sandwich_rank
+    squared = check_idempotency or traced
+    if squared:
+        # the model and the traces are loaded only when a check runs
+        from .character_model import check_model, is_idempotent, left_ideal_rank
+        from .character_model import sandwich_rank, stabiliser_classes
 
         check_model(n, m)
 
     records = []
-    bases = []  # a basis of each left ideal A e, built once for all k^2 sandwiches
+    squares = []  # whether each e * e == e, on which every trace rests
+    class_sums = []  # of each e, shared by its rank and its k sandwiches
     for beta in enumerate_labelled_partitions(n, m):
         e = character_idempotent(beta)
         dim_rank = None
-        if check_ranks or check_orthogonality:
-            bases.append(left_ideal_basis(e))
-            if check_ranks:
-                dim_rank = len(bases[-1])
+        if traced:
+            class_sums.append(stabiliser_classes(e))
+        if squared:
+            squares.append(is_idempotent(e))
+            if check_ranks and squares[-1]:
+                dim_rank = left_ideal_rank(class_sums[-1], m)
         records.append(
             IrrepRecord(
                 beta=beta,
@@ -331,7 +340,7 @@ def irrep_table(
     )
 
     if check_idempotency:
-        ok = all(not r.element.is_zero() and r.element * r.element == r.element for r in records)
+        ok = all(squares) and all(r.element.terms for r in records)
         checks["idempotency"] = "pass" if ok else "fail"
 
     if check_ranks:
@@ -340,11 +349,11 @@ def irrep_table(
         )
 
     if check_orthogonality:
-        # dim e_i A e_j is the rank of e_i times a basis of A e_j.
-        ok = all(
-            sandwich_rank(ri.element, basis) == (1 if i == j else 0)
-            for i, ri in enumerate(records)
-            for j, basis in enumerate(bases)
+        # dim e_i A e_j is a trace only when both squares hold
+        ok = all(squares) and all(
+            sandwich_rank(ci, cj) == (1 if i == j else 0)
+            for i, ci in enumerate(class_sums)
+            for j, cj in enumerate(class_sums)
         )
         checks["orthogonality"] = "pass" if ok else "fail"
 

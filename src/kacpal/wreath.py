@@ -83,21 +83,21 @@ class Perm(tuple):
             inv[img] = i
         return Perm._make(inv)
 
-    def sign(self) -> int:
-        sgn = 1
+    def cycles(self) -> list[tuple[int, int]]:
+        """(least point, length) of each cycle, by least point."""
         seen = [False] * len(self)
+        out = []
         for start in range(len(self)):
-            if seen[start]:
-                continue
-            length = 0
-            cur = start
+            length, cur = 0, start
             while not seen[cur]:
-                seen[cur] = True
-                cur = self[cur]
-                length += 1
-            if length % 2 == 0:
-                sgn = -sgn
-        return sgn
+                seen[cur], cur, length = True, self[cur], length + 1
+            if length:
+                out.append((start, length))
+        return out
+
+    def sign(self) -> int:
+        # a cycle of length k is a product of k - 1 transpositions
+        return -1 if (len(self) - len(self.cycles())) % 2 else 1
 
     @classmethod
     def from_lehmer(cls, m: int, rank: int) -> "Perm":

@@ -1,12 +1,18 @@
-"""The group-basis classification, model check and relation suite, kept as
-the reference that the character-basis versions are tested against.
+"""The group-basis classification, model check and relation suite, and the
+echelon ranks, kept as the reference that the package's versions are tested
+against.
 
 The idempotent of a labelled partition is the character idempotent of its
 character vector times, for each block, the row-consecutive Young
 symmetrizer embedded into the group algebra at the block's slots: a chain
 of group-algebra products.  The dimension of a left ideal A e is the rank
 of the |G| left translates g * e, and a sandwich dimension dim e A f the
-rank of e times a basis of A f, all taken by the package's one echelon.
+rank of e times a basis of A f, all taken by one echelon, _echelon.  In the
+character basis the same echelon ranks the m! nonzero left translates of
+an element with one character (left_ideal_basis) and its sandwiches
+(sandwich_rank_by_echelon): the reference for the trace ranks of
+kacpal.character_model, which hold for idempotents only, where these hold
+for any element.
 
 check_model_by_products compares, under Phi, both products of every
 generator with every basis element of the character basis, and
@@ -23,7 +29,6 @@ from itertools import product
 
 from kacpal.algebra import (
     AlgebraElement,
-    _sparse_rank,
     character_combination,
     lambda_idempotent,
     s_element,
@@ -31,8 +36,8 @@ from kacpal.algebra import (
     y_element,
     y_inverse_element,
 )
-from kacpal.character_basis import CharacterElement, symmetric_group
-from kacpal.character_model import MonomialModel, _echelon, _generator_tables
+from kacpal.character_basis import ONE, CharacterElement, permute_character, symmetric_group
+from kacpal.character_model import MonomialModel, _generator_tables, integral
 from kacpal.classifier import LabelledPartition, lambda_from_beta
 from kacpal.cyclotomic import CycNumber
 from kacpal.partitions import row_consecutive_tableau, young_symmetrizer
@@ -78,7 +83,7 @@ def iota_embed(beta: LabelledPartition, label: int, s: CharacterElement) -> Alge
     Permutations act on the contiguous slot range of the block (offset by
     the sizes of the earlier blocks); twists stay zero.
     """
-    sizes = beta.block_sizes
+    sizes = [block.size for block in beta.blocks]
     if not 0 <= label < beta.n:
         raise ValueError(f"label {label} out of range")
     size = sizes[label]
@@ -105,6 +110,79 @@ def idempotent_by_products(beta: LabelledPartition, labels=None) -> AlgebraEleme
         if block.size:
             result = result * iota_embed(beta, label, young_symmetrizer(row_consecutive_tableau(block)))
     return result
+
+
+def _echelon(vectors) -> list[dict]:
+    """Normalised pivot rows spanning an iterable of sparse {position: scalar}
+    vectors.
+
+    The scalars are ints, Fractions or CycNumbers (the rows come out as
+    Fractions or CycNumbers); positions need only be hashable and mutually
+    ordered.  Incremental echelon: each new vector is reduced
+    against the pivots in insertion order (each pivot row is already clean at
+    all earlier pivot positions), then normalised on its first nonzero
+    position.
+    """
+    pivots: list[tuple] = []
+    for vec in vectors:
+        vec = {p: c for p, c in vec.items() if c}
+        for pos, row in pivots:
+            c = vec.get(pos)
+            if c is None:
+                continue
+            for p2, r2 in row.items():
+                cur = vec.get(p2)
+                s = -(c * r2) if cur is None else cur - c * r2
+                if s:
+                    vec[p2] = s
+                else:
+                    vec.pop(p2, None)
+        if not vec:
+            continue
+        lead = min(vec)
+        inv = ONE / vec[lead]
+        pivots.append((lead, {p: c * inv for p, c in vec.items()}))
+    return [row for _, row in pivots]
+
+
+def _sparse_rank(vectors) -> int:
+    """Rank of an iterable of sparse {position: scalar} vectors."""
+    return len(_echelon(vectors))
+
+
+def left_translates(x: CharacterElement):
+    """The nonzero left translates F(mu, q) x, which span the left ideal A x.
+
+    F(mu, q) F(lam, s) is nonzero only when mu = lam o q^(-1), so each q
+    gives one translate per character in the support of x: m! vectors for a
+    classification idempotent, against |G| in the group basis.
+    """
+    n, m = x.n, x.m
+    chars = dict.fromkeys(lam for lam, _ in x.terms)
+    for q in symmetric_group(m):
+        q_inv = q.inverse()
+        for lam in chars:
+            translate = CharacterElement._make(n, m, {(permute_character(lam, q_inv), q): ONE})
+            yield (translate * x).terms
+
+
+def left_ideal_basis(x: CharacterElement) -> list[dict]:
+    """Echelon rows spanning the left ideal A x; its dimension is their number."""
+    return _echelon(left_translates(x))
+
+
+def sandwich_rank_by_echelon(e: CharacterElement, basis: list[dict]) -> int:
+    """The rank of {e v : v in basis}; when basis spans the left ideal A f
+    this is dim e A f, the sandwich dimension.
+
+    Scaling a vector leaves a rank unchanged, so e and the rows are taken
+    with integer coordinates and their products run on ints.
+    """
+    n, m = e.n, e.m
+    left = CharacterElement._make(n, m, integral(e.terms))
+    return _sparse_rank(
+        (left * CharacterElement._make(n, m, integral(row))).terms for row in basis
+    )
 
 
 def basis_element(n: int, m: int, index: int) -> AlgebraElement:

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from group_basis_oracle import (
+    _echelon,
     _left_translates,
+    _sparse_rank,
     basis_element,
     left_ideal_dimension,
     relation_suite_by_group_basis,
@@ -15,7 +17,6 @@ from group_basis_oracle import (
 from kacpal import algebra, relations
 from kacpal.algebra import (
     AlgebraElement,
-    _sparse_rank,
     CapExceededError,
     lambda_idempotent,
     s_element,
@@ -27,7 +28,6 @@ from kacpal.algebra import (
     z_element,
 )
 from kacpal.character_basis import permute_character
-from kacpal.character_model import _echelon
 from kacpal.classifier import irrep_table
 from kacpal.cyclotomic import CycNumber, zeta_power
 from kacpal.relations import presentation, relation_report

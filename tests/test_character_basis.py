@@ -6,7 +6,13 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from group_basis_oracle import check_model_by_products, left_ideal_dimension, sandwich_dimension
+from group_basis_oracle import (
+    check_model_by_products,
+    left_ideal_basis,
+    left_ideal_dimension,
+    sandwich_dimension,
+    sandwich_rank_by_echelon,
+)
 from hopf_group_basis_oracle import TensorElement, to_characters
 from kacpal import algebra, character_basis, character_model
 from kacpal.algebra import (
@@ -21,9 +27,12 @@ from kacpal.character_model import (
     MonomialModel,
     check_model,
     integral,
-    left_ideal_basis,
+    is_idempotent,
+    left_ideal_rank,
     sandwich_rank,
+    stabiliser_classes,
 )
+from kacpal.classifier import irrep_table
 from kacpal.cyclotomic import CycNumber, zeta, zeta_power
 from kacpal.sparse import add_into
 from kacpal.wreath import CheckFailedError, Perm, WreathElement, element_index, twist_index
@@ -69,7 +78,99 @@ def test_ranks_and_sandwiches_match_the_group_basis(nm, data):
     basis = left_ideal_basis(y)
     assert len(left_ideal_basis(x)) == left_ideal_dimension(x.to_group())
     assert len(basis) == left_ideal_dimension(y.to_group())
-    assert sandwich_rank(x, basis) == sandwich_dimension(x.to_group(), y.to_group())
+    assert sandwich_rank_by_echelon(x, basis) == sandwich_dimension(x.to_group(), y.to_group())
+
+
+def conjugate(e: CharacterElement, g: Perm) -> CharacterElement:
+    """u e u^-1 for the group element u = sum_mu F(mu, g) of the permutation
+    g: an idempotent on lam goes to one on a moved character, with the same
+    ranks."""
+    n, m = e.n, e.m
+    chars = list(product(range(n), repeat=m))
+    u = CharacterElement(n, m, {(mu, g): 1 for mu in chars})
+    u_inv = CharacterElement(n, m, {(mu, g.inverse()): 1 for mu in chars})
+    return u * e * u_inv
+
+
+def classification_idempotents(n, m, moved):
+    """The table's idempotents, then up to `moved` of them conjugated by a
+    cyclic shift that moves their character: characters that are not
+    non-decreasing, and pairs with different characters that hold each
+    value equally often."""
+    records = irrep_table(n, m).records
+    shift = Perm(list(range(1, m)) + [0])
+    shifted = [conjugate(r.element, shift) for r in records if len(set(r.lam)) > 1]
+    return [r.element for r in records] + shifted[:moved]
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3), (2, 4), (2, 5)])
+def test_trace_ranks_match_the_echelon(n, m):
+    elements = classification_idempotents(n, m, moved=4)
+    classes = [stabiliser_classes(e) for e in elements]
+    bases = [left_ideal_basis(e) for e in elements]
+    for e, c, basis in zip(elements, classes, bases):
+        assert is_idempotent(e)
+        assert left_ideal_rank(c, m) == len(basis)
+    for e, ci in zip(elements, classes):
+        for cj, basis in zip(classes, bases):
+            assert sandwich_rank(ci, cj) == sandwich_rank_by_echelon(e, basis)
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (3, 2), (2, 3)])
+def test_trace_ranks_match_the_group_basis(n, m):
+    elements = classification_idempotents(n, m, moved=2)
+    classes = [stabiliser_classes(e) for e in elements]
+    images = [e.to_group() for e in elements]
+    for c, image in zip(classes, images):
+        assert left_ideal_rank(c, m) == left_ideal_dimension(image)
+    for ci, ei in zip(classes, images):
+        for cj, ej in zip(classes, images):
+            assert sandwich_rank(ci, cj) == sandwich_dimension(ei, ej)
+
+
+def test_a_term_off_the_stabiliser_fails_the_lemma():
+    # (0, 1) is moved by the transposition, and a second character is off lam
+    for terms in ({((0, 1), (1, 0)): 1}, {((0, 0), (0, 1)): 1, ((1, 1), (0, 1)): 1}):
+        with pytest.raises(CheckFailedError, match="the stabiliser lemma of the trace ranks"):
+            stabiliser_classes(CharacterElement(2, 2, terms))
+
+
+def test_a_trace_that_is_no_integer_fails():
+    # half of F(lam, 1) at m = 3 has the trace 3, and a third of it 2, but
+    # F(lam, 1) / 4 has 3 / 2; none of them is idempotent
+    lam = (0, 0, 0)
+    quarter = CharacterElement(2, 3, {(lam, (0, 1, 2)): Fraction(1, 4)})
+    with pytest.raises(CheckFailedError, match="is not a rank"):
+        left_ideal_rank(stabiliser_classes(quarter), 3)
+
+
+@st.composite
+def idempotents_and_others(draw):
+    """A rational element at a small (n, m): a sum of distinct classification
+    idempotents (idempotent, as they are orthogonal), possibly conjugated,
+    scaled or with a random element added, or a random element alone."""
+    n, m = draw(st.sampled_from(SIZES))
+    elements = [rec.element for rec in irrep_table(n, m).records]
+    chosen = draw(st.lists(st.sampled_from(range(len(elements))), unique=True, max_size=3))
+    e = CharacterElement(n, m)
+    for i in chosen:
+        e = e + elements[i]
+    if draw(st.booleans()):
+        e = conjugate(e, draw(st.sampled_from(symmetric_group(m))))
+    kind = draw(st.sampled_from(["idempotent", "scaled", "plus", "random"]))
+    if kind == "scaled":
+        e = e.scale(draw(RATIONALS))
+    elif kind == "plus":
+        e = e + draw(character_elements(n, m))
+    elif kind == "random":
+        e = draw(character_elements(n, m))
+    return e
+
+
+@settings(max_examples=80, deadline=None)
+@given(idempotents_and_others())
+def test_the_integer_square_is_the_fraction_square(e):
+    assert is_idempotent(e) == (e * e == e)
 
 
 @pytest.mark.parametrize("n, m", [(1, 3), (2, 2), (3, 2), (2, 3), (4, 2)])

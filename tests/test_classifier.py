@@ -248,7 +248,7 @@ def test_rank_dimension_for_each_idempotent_2_3():
     "n,m,duplicate", [(2, 2, False), (3, 2, False), (2, 2, True)]
 )
 def test_orthogonality_verdict_matches_pairwise_sandwiches(monkeypatch, n, m, duplicate):
-    # irrep_table reuses one left-ideal basis per record; the verdict must be
+    # irrep_table takes the class sums of each record once; the verdict must be
     # what the k^2 independent sandwich_dimension calls give.  The negative
     # control gives the second labelled partition the first one's idempotent.
     if duplicate:

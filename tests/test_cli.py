@@ -159,13 +159,91 @@ def test_table_explicit_empty_checks_means_no_extra_checks(capsys):
 
 
 def test_rank_disagreement_is_a_failed_check(capsys, monkeypatch):
-    # a left-ideal basis one row short gives every rank one too few
-    real = character_model.left_ideal_basis
-    monkeypatch.setattr(character_model, "left_ideal_basis", lambda e: real(e)[:-1])
+    # a trace one short gives every rank one too few
+    real = character_model.left_ideal_rank
+    monkeypatch.setattr(character_model, "left_ideal_rank", lambda classes, m: real(classes, m) - 1)
     code, out, err = run(capsys, "table", "--n", "2", "--m", "2", "--checks", "ranks")
     assert code == 1
     assert "check rank_agreement: fail" in out
     assert err == ""
+
+
+def _replace_idempotent(monkeypatch, spec, replace):
+    """The table builds replace(beta, e) for the labelled partition spec,
+    whose idempotent is e, and every other idempotent as before."""
+    real = classifier.character_idempotent
+
+    def patched(beta):
+        e = real(beta)
+        return replace(beta, e) if beta.spec_string() == spec else e
+
+    monkeypatch.setattr(classifier, "character_idempotent", patched)
+
+
+def _key_element(e, lam, perm, coeff=1):
+    return character_basis.CharacterElement(e.n, e.m, {(lam, perm): coeff})
+
+
+def _table_checks(capsys, checks):
+    code, out, err = run(
+        capsys, "table", "--n", "2", "--m", "2", "--checks", checks, "--format", "json"
+    )
+    assert err == ""
+    return code, json.loads(out)
+
+
+def test_lambda_alone_on_a_block_of_size_2_fails_the_rank(capsys, monkeypatch):
+    # F(lam, 1) is idempotent, but A F(lam, 1) has dimension m! = 2, not 1
+    _replace_idempotent(
+        monkeypatch, "0:2", lambda beta, e: _key_element(e, (0, 0), (0, 1))
+    )
+    code, payload = _table_checks(capsys, "idempotency,ranks")
+    assert code == 1
+    assert payload["checks"]["idempotency"] == "pass"
+    assert payload["checks"]["rank_agreement"] == "fail"
+    by_spec = {r["beta"]: r["dim_rank"] for r in payload["irreps"]}
+    assert (by_spec["0:2"], by_spec["0:1,1"]) == (2, 1)
+
+
+def test_a_sum_of_two_orthogonal_idempotents_fails_orthogonality(capsys, monkeypatch):
+    # e_(0:2) + e_(0:1,1) is an idempotent of rank 2 that meets e_(0:1,1)
+    other = classifier.character_idempotent(classifier.LabelledPartition.parse(2, 2, "0:1,1"))
+    _replace_idempotent(monkeypatch, "0:2", lambda beta, e: e + other)
+    code, payload = _table_checks(capsys, "idempotency,orthogonality")
+    assert code == 1
+    assert payload["checks"]["idempotency"] == "pass"
+    assert payload["checks"]["orthogonality"] == "fail"
+
+
+def test_a_perturbed_idempotent_fails_every_check_that_squares(capsys, monkeypatch):
+    # a third of F(lam, s) added: not idempotent, so no trace is a rank
+    _replace_idempotent(
+        monkeypatch, "0:1;1:1", lambda beta, e: e + _key_element(e, (0, 1), (0, 1), Fraction(1, 3))
+    )
+    code, payload = _table_checks(capsys, "idempotency,ranks,orthogonality")
+    assert code == 1
+    checks = payload["checks"]
+    assert (checks["idempotency"], checks["rank_agreement"], checks["orthogonality"]) == (
+        "fail",
+        "fail",
+        "fail",
+    )
+    by_spec = {r["beta"]: r["dim_rank"] for r in payload["irreps"]}
+    assert by_spec.pop("0:1;1:1") is None
+    assert all(isinstance(rank, int) for rank in by_spec.values())
+
+
+@pytest.mark.parametrize("checks", ["ranks", "orthogonality"])
+def test_a_term_off_the_stabiliser_exits_1(capsys, monkeypatch, checks):
+    # the transposition moves lam = (0, 1), so the traces do not hold
+    _replace_idempotent(
+        monkeypatch, "0:1;1:1", lambda beta, e: e + _key_element(e, (0, 1), (1, 0))
+    )
+    code, out, err = run(capsys, "table", "--n", "2", "--m", "2", "--checks", checks)
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "the stabiliser lemma of the trace ranks fails" in err
 
 
 def test_model_failure_exits_1(capsys, monkeypatch):
