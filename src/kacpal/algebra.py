@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .cyclotomic import CycNumber, zeta_over, zeta_power
+from .cyclotomic import CycNumber, lambda_coefficients, zeta_power
 from .sparse import SparseSum, add_into
 from .wreath import (
     CapExceededError,  # re-exported for callers of the capped checks below
@@ -122,16 +122,13 @@ def lambda_idempotent(n: int, m: int, lam: tuple[int, ...]) -> AlgebraElement:
 
     Averages all x-monomials against the character q^(lam . i); the family
     over all lam forms a complete set of orthogonal idempotents.  Each
-    coefficient is zeta^(2 lam . i) over the common denominator n^m.
+    coefficient is zeta^(2 lam . i) over the common denominator n^m, as
+    cyclotomic.lambda_coefficients gives them; an x-monomial's index is its
+    twist index.
     """
     if len(lam) != m or any(not 0 <= v < n for v in lam):
         raise ValueError(f"character {lam} not in Z_{n}^{m}")
-    order, den = 2 * n, n**m
-    terms: dict[int, CycNumber] = {}
-    for exps in product(range(n), repeat=m):
-        dot = sum(a * b for a, b in zip(lam, exps))
-        terms[twist_index(n, exps)] = zeta_over(order, 2 * dot, den)
-    return AlgebraElement._make(n, m, terms)
+    return AlgebraElement._make(n, m, dict(enumerate(lambda_coefficients(n, m, lam))))
 
 
 def character_combination(n: int, m: int, terms: dict, columns: dict) -> AlgebraElement:

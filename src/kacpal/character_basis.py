@@ -25,31 +25,22 @@ model check check_model, which verifies at a given (n, m) that Phi carries
 the model's product to the group's before any check relies on the model,
 the exponent tables of monomial elements, the key of the tensor square,
 and the ranks of left ideals and sandwiches, as traces.  This module holds
-only the element type and the character action permute_character, so that
-building an idempotent loads none of them; an element with rational
-coefficients loads neither the field nor the group-basis algebra, so the
-table of irreducibles without checks needs neither.
+only the element type, whose product reads the character action
+wreath.permute_character, so that building an idempotent loads none of
+them; an element with rational coefficients loads neither the field nor
+the group-basis algebra, so the table of irreducibles without checks needs
+neither.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 
 from .sparse import SparseSum
-from .wreath import Perm
+from .wreath import Perm, permute_character
 
 ONE = Fraction(1)
-
-
-def permute_character(lam: tuple[int, ...], perm) -> tuple[int, ...]:
-    """The character lam composed with a slot permutation: entry j of the
-    result is lam[perm(j)], so entry i of lam moves to slot perm^(-1)(i).
-
-    perm is a Perm, which is its one-line tuple.  Composition is
-    contravariant: permuting by a then by b is permuting by a * b.
-    """
-    return tuple([lam[j] for j in perm])
 
 
 class CharacterElement(SparseSum):
@@ -126,7 +117,3 @@ class CharacterElement(SparseSum):
 
         return character_combination(self.n, self.m, self.terms, {})
 
-
-def symmetric_group(m: int) -> list[Perm]:
-    """All permutations of m points, in Lehmer-rank order."""
-    return [Perm._make(images) for images in permutations(range(m))]

@@ -15,7 +15,10 @@ integers along permute_character; MonomialModel holds the character
 arithmetic of one (n, m).  The relation suite and the Hopf report evaluate
 their defining formulas on these tables, at (n, m) and, for the tensor
 square, at (n, 2m), so no element is changed to this basis from the group
-basis.
+basis.  The element types are imported only where an element is built
+(is_idempotent, Monomial.exact and Monomial.__sub__), so a check that
+passes on tables loads neither kacpal.character_basis nor the group-basis
+algebra from here.
 
 The classification table's ranks are traces.  For idempotents the maps
 x -> x e and x -> e_i x e_j are idempotent, so their ranks are their traces,
@@ -38,17 +41,16 @@ from functools import lru_cache
 from itertools import product
 from math import factorial, lcm
 
-from . import algebra
-from .algebra import AlgebraElement
-from .character_basis import CharacterElement, permute_character, symmetric_group
-from .cyclotomic import CycNumber, _x_power, root_count_sum, zeta_power
-from .sparse import power
+from .cyclotomic import CycNumber, _x_power, lambda_coefficients, root_count_sum, zeta_power
 from .wreath import (
     CheckFailedError,
     Perm,
     WreathElement,
     generator_a,
     generator_b,
+    permute_character,
+    power,
+    symmetric_group,
     twist_index,
 )
 
@@ -83,6 +85,8 @@ def integral(terms: dict) -> dict:
 def is_idempotent(e: CharacterElement) -> bool:
     """Whether e * e == e, decided on integer numerators: x = D e is integral
     for D the lcm of e's denominators, and e * e == e exactly when x x = D x."""
+    from .character_basis import CharacterElement
+
     den = lcm(*(c.denominator for c in e.terms.values()))
     x = CharacterElement._make(e.n, e.m, integral(e.terms))
     return (x * x).terms == {key: den * c for key, c in x.terms.items()}
@@ -285,6 +289,8 @@ class Monomial:
 
     def exact(self) -> CharacterElement:
         """The element with its coefficients in Q(zeta_2n)."""
+        from .character_basis import CharacterElement
+
         model, p = self.model, self.perm
         terms = {
             (model.chars[a], p): zeta_power(model.order, e)
@@ -316,14 +322,15 @@ def _generator_tables(model: MonomialModel) -> list[tuple]:
 
 def _lambda_exponents(n: int, m: int, lam: tuple, fail) -> list[int]:
     """k by twist index t for the coefficients n^-m zeta^k of Lambda_lam, as
-    algebra.lambda_idempotent builds it; fail names any other coefficient."""
-    terms, den = algebra.lambda_idempotent(n, m, lam).terms, n**m
-    row = [root_exponent(terms[t], den) if t in terms else None for t in range(den)]
-    if None in row or len(terms) != den:
-        t = row.index(None) if None in row else max(terms)
+    cyclotomic.lambda_coefficients gives them and algebra.lambda_idempotent
+    holds them; fail names any other coefficient."""
+    coefficients, den = lambda_coefficients(n, m, lam), n**m
+    row = [root_exponent(c, den) for c in coefficients]
+    if None in row:
+        t = row.index(None)
         fail(
             "the coefficients of Lambda",
-            f"Lambda_{lam} has {terms.get(t, 0)!r} at twist index {t}, "
+            f"Lambda_{lam} has {coefficients[t]!r} at twist index {t}, "
             f"not n^-m times a root of unity",
         )
     return row

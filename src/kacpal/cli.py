@@ -5,10 +5,12 @@ what its command and checks need.  `table` and `idempotent` without checks
 load neither the relation table (kacpal.relations) nor the exponent-table
 model and its ranks (kacpal.character_model), and `table` without checks
 neither the field nor the group-basis algebra; `verify --checks hopf` leaves
-the classifier out, `--checks relations` the Hopf module too, and `count`
-the algebra; only the conjugacy check loads kacpal.conjugacy, and only the
-commands that write JSON load json.  With no byte code cached, compiling
-the modules a call loads is a large part of its time.
+out the classifier, the element types (kacpal.algebra, kacpal.sparse,
+kacpal.character_basis) and fractions, `--checks relations` the Hopf
+module, the character basis and fractions, and `count` the algebra; only
+the conjugacy check loads kacpal.conjugacy, and only the commands that
+write JSON load json.  With no byte code cached, compiling the modules a
+call loads is a large part of its time.
 
 main(argv) is the in-process API: it returns the exit code.  run() is the
 process entry of the kacpal script and of python -m kacpal.  It flushes
@@ -292,13 +294,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    args.cap = args.cap_group_order
+    args.cap, source = args.cap_group_order, "--cap-group-order"
     if args.cap is None and os.environ.get("KACPAL_CAP"):
+        source = "KACPAL_CAP"
         try:
             args.cap = int(os.environ["KACPAL_CAP"])
         except ValueError:
             print("KACPAL_CAP must be an integer", file=sys.stderr)
             return 2
+    if args.cap is not None and args.cap < 1:
+        # every group order is at least 1, so such a cap would refuse every capped run
+        print(f"{source} must be at least 1, got {args.cap}", file=sys.stderr)
+        return 2
 
     if args.n < 1 or args.m < 1:
         print("need --n >= 1 and --m >= 1", file=sys.stderr)

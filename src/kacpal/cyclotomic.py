@@ -7,35 +7,56 @@ zero divisors cannot appear.  The element is stored as integer numerators
 over one positive common denominator (the representation of FLINT's
 fmpq_poly), kept in lowest terms, so two elements are equal exactly when
 their numerators and denominators coincide.  Arithmetic runs on Python ints
-with one gcd per result; Fractions appear only where values enter or leave
-(construction, coeffs, rational(), JSON).  No floating point is used
-anywhere.
+with one gcd per result.  Ints enter as they are, and JSON leaves as pairs of
+integers, so fractions is loaded only where a Fraction comes in (a
+coefficient, an operand or a comparison) or goes out (coeffs, rational(),
+from_json, and the alias Rational): the Hopf report loads none of it.  No
+floating point is used anywhere.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
 from functools import lru_cache
 from math import gcd, lcm
 from operator import add, neg, sub
 from sys import hash_info
 
-from .sparse import power
-from .wreath import CheckFailedError
-
-# The rational scalars of the package (the coefficients of rational
-# character-basis elements, Q[S_k] among them as the model at n = 1, and the
-# values CycNumber takes in and hands out) are stdlib Fractions: always
-# reduced, denominator > 0, arbitrary precision.
-Rational = Fraction
+from .wreath import CheckFailedError, power
 
 
-def _rational(value) -> Fraction:
-    """value as a Fraction, at every place where a scalar enters the exact
-    arithmetic.  A float raises TypeError: its binary value (0.1 reads as
+def __getattr__(name: str):
+    # The rational scalars of the package (the coefficients of rational
+    # character-basis elements, Q[S_k] among them as the model at n = 1, and
+    # the values CycNumber takes in and hands out) are stdlib Fractions:
+    # always reduced, denominator > 0, arbitrary precision.  Rational is
+    # looked up here on first use, so that the field loads no fractions.
+    if name == "Rational":
+        from fractions import Fraction
+
+        return Fraction
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _is_fraction(value) -> bool:
+    """Whether value is a Fraction, without loading fractions: no Fraction
+    exists before that module is loaded."""
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(value, fractions.Fraction)
+
+
+def _rational(value):
+    """value as an int or a Fraction, at every place where a scalar enters
+    the exact arithmetic; either has the numerator and denominator of its
+    value in lowest terms.  Only a value that is neither loads fractions.  A
+    float raises TypeError: its binary value (0.1 reads as
     3602879701896397/36028797018963968) is seldom the number meant."""
+    if isinstance(value, int) or _is_fraction(value):
+        return value
     if isinstance(value, float):
         raise TypeError(f"a float ({value!r}) cannot enter exact arithmetic: use an int or a Fraction")
+    from fractions import Fraction
+
     return Fraction(value)
 
 
@@ -158,14 +179,18 @@ class CycNumber:
     # -- the boundary to Fractions -------------------------------------------
 
     @property
-    def coeffs(self) -> tuple[Fraction, ...]:
+    def coeffs(self) -> tuple:
         """The coefficients of zeta^0, ..., zeta^(deg-1) as Fractions."""
+        from fractions import Fraction
+
         return tuple(Fraction(c, self.den) for c in self.num)
 
-    def rational(self) -> Fraction:
+    def rational(self):
         """The value as a Fraction; ValueError if the element is irrational."""
         if not self.is_rational():
             raise ValueError(f"not a rational element: {self!r}")
+        from fractions import Fraction
+
         return Fraction(self.num[0], self.den)
 
     # -- predicates --------------------------------------------------------
@@ -186,7 +211,7 @@ class CycNumber:
             if other.order != self.order:
                 raise ValueError(f"cyclotomic order mismatch: {self.order} vs {other.order}")
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int) or _is_fraction(other):
             return CycNumber.from_rational(self.order, other)
         return None
 
@@ -296,7 +321,7 @@ class CycNumber:
 
     def __eq__(self, other):
         if not isinstance(other, CycNumber):
-            if not isinstance(other, (int, Fraction)):
+            if not (isinstance(other, int) or _is_fraction(other)):
                 return NotImplemented
             other = CycNumber.from_rational(self.order, other)
         return self.order == other.order and self.den == other.den and self.num == other.num
@@ -332,14 +357,19 @@ class CycNumber:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
-        """JSON form with integers as decimal strings (bignum safe)."""
-        return {
-            "order": self.order,
-            "coeffs": [[str(c.numerator), str(c.denominator)] for c in self.coeffs],
-        }
+        """JSON form with integers as decimal strings (bignum safe): each
+        coefficient c / den as its pair in lowest terms, by one gcd."""
+        den = self.den
+        pairs = []
+        for c in self.num:
+            g = gcd(c, den)
+            pairs.append([str(c // g), str(den // g)])
+        return {"order": self.order, "coeffs": pairs}
 
     @classmethod
     def from_json(cls, data: dict) -> "CycNumber":
+        from fractions import Fraction
+
         coeffs = tuple(Fraction(int(num), int(den)) for num, den in data["coeffs"])
         return cls(data["order"], coeffs)
 
@@ -398,6 +428,23 @@ def zeta_over(order: int, k: int, den: int) -> CycNumber:
     numerators then 1/d = zeta^(-k) (zeta^k / d) would be an integer.
     """
     return _make(order, _x_power(order, k % order), den)
+
+
+def lambda_coefficients(n: int, m: int, lam) -> list[CycNumber]:
+    """The coefficients of the character idempotent Lambda_lam of Z_n^m in
+    Q(zeta_2n), by twist index t: zeta^(2 lam . t) / n^m.
+
+    Built slot by slot, slot 0 varying fastest, as wreath.twist_index
+    numbers the twists.  algebra.lambda_idempotent wraps this table and
+    character_model.check_model reads it; it is not remembered, so that the
+    model check reads it afresh whenever lambda_idempotent's cache is
+    cleared.
+    """
+    exponents = [0]
+    for v in lam:
+        exponents = [e + 2 * v * t for t in range(n) for e in exponents]
+    order, den = 2 * n, n**m
+    return [zeta_over(order, k, den) for k in exponents]
 
 
 @lru_cache(maxsize=None)

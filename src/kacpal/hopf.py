@@ -73,8 +73,9 @@ holds on every basis element exactly when
   pair of basis elements: delta is an algebra map;
 - coassociativity: omega_p(mu, nu) + omega_p(mu + nu, rho)
   = omega_p(mu, nu + rho) + omega_p(nu, rho) mod 2n on all n^(3m) triples
-  (the 2-cocycle identity) for p = s_1 .. s_(m-1), or for every p when an
-  edge is not multiplicative.  When delta is an algebra map, so are
+  (the 2-cocycle identity) for p = s_1 .. s_(m-1), read from the tables
+  delta(s_l) themselves, or for every p when an edge is not
+  multiplicative.  When delta is an algebra map, so are
   (delta x id) delta and (id x delta) delta, which then agree on A exactly
   when they agree on the generators Lambda_lam and s_l.  On Lambda_lam both
   are the sum of Lambda_mu (x) Lambda_nu (x) Lambda_rho over
@@ -130,13 +131,18 @@ from __future__ import annotations
 
 from functools import cached_property, partial
 
-from .algebra import AlgebraElement
-from .character_basis import CharacterElement, symmetric_group
 from .character_model import MonomialModel, check_model, root_exponent, tensor_key
 from .cyclotomic import CycNumber, root_count_sum
 from .relations import presentation, y_exponent, z_square_sum
-from .sparse import add_into
-from .wreath import CheckFailedError, check_cap, element_at, generator_b, perm_index, twist_index
+from .wreath import (
+    CheckFailedError,
+    check_cap,
+    element_at,
+    generator_b,
+    perm_index,
+    symmetric_group,
+    twist_index,
+)
 
 
 # -- the defining formulas, on the primitives of a representation -------------
@@ -286,7 +292,12 @@ class _CharacterHopf:
     def omega(self, p) -> list:
         """Row a of the table of delta(p): entry b is the exponent of
         F(a, p) (x) F(b, p)."""
-        entries, size = self.delta_p[p].entries, len(self.chars)
+        return self.rows(self.delta_p[p])
+
+    def rows(self, table) -> list:
+        """Row a of a table at (n, 2m): entry b is the exponent of
+        F(a, p) (x) F(b, q)."""
+        entries, size = table.entries, len(self.chars)
         return [entries[a::size] for a in range(size)]
 
     def name(self, a: int, p) -> str:
@@ -298,11 +309,15 @@ class _CharacterHopf:
         return [(sigma[b], b) for b in (act[c] for c in self.neg)]
 
     def coassociativity_failure(self) -> str | None:
-        # on the generators when delta is an algebra map (see the module docstring)
-        perms = self.gens.values() if self.multiplicativity_failure() is None else self.perms
+        # on the generators when delta is an algebra map (see the module
+        # docstring), whose tables are delta_s: that check walks nothing
+        if self.multiplicativity_failure() is None:
+            tables = [(p, self.delta_s[l]) for l, p in self.gens.items()]
+        else:
+            tables = [(p, self.delta_p[p]) for p in self.perms]
         plus, order, size = self.plus, self.order, len(self.chars)
-        for p in perms:
-            w = self.omega(p)
+        for p, table in tables:
+            w = self.rows(table)
             for a in range(size):
                 wa = w[a]
                 for b in range(size):
@@ -510,6 +525,9 @@ def quotient_to_sym(a: AlgebraElement) -> CharacterElement:
     the identity permutation.  Raises ValueError if a projected coefficient
     is not rational (the model at n = 1 has rational coefficients only).
     """
+    from .character_basis import CharacterElement
+    from .sparse import add_into
+
     acc: dict = {}
     for ix, c in a.terms.items():
         add_into(acc, {element_at(a.n, a.m, ix).perm: c})

@@ -22,9 +22,8 @@ from functools import partial
 from itertools import product
 from math import gcd, lcm
 
-from .character_basis import permute_character
 from .character_model import MonomialModel, check_model
-from .wreath import generator_b
+from .wreath import generator_b, permute_character
 
 
 def y_exponent(lam: tuple[int, ...], l: int) -> int:

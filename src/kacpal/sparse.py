@@ -12,10 +12,12 @@ character_basis.CharacterElement: there the product of two keys is zero
 unless the right key's character is the left key's moved by its
 permutation, so it looks those keys up instead of taking rows.  root_sum,
 a sum over roots of unity, serves every type with a twist order n.  The
-repeated-squaring loop, power, is shared with the scalar field.
+repeated-squaring loop, wreath.power, is shared with the scalar field.
 """
 
 from __future__ import annotations
+
+from .wreath import power
 
 
 def add_into(acc: dict, terms: dict, factor=None) -> dict:
@@ -35,27 +37,6 @@ def add_into(acc: dict, terms: dict, factor=None) -> dict:
         else:
             acc.pop(key, None)
     return acc
-
-
-def power(x, exponent: int, one):
-    """x ** exponent for exponent >= 0 by repeated squaring; one() gives x ** 0.
-
-    Starts from the lowest set bit and squares only while bits remain, so
-    x ** 4 costs two products and x ** 5 three.
-    """
-    if not exponent:
-        return one()
-    while not exponent & 1:
-        x = x * x
-        exponent >>= 1
-    result = x
-    exponent >>= 1
-    while exponent:
-        x = x * x
-        if exponent & 1:
-            result = result * x
-        exponent >>= 1
-    return result
 
 
 class SparseSum:

@@ -10,13 +10,18 @@ the group: kacpal.conjugacy sweeps the conjugacy classes as generator
 orbits.  CAPS holds
 the default bound on the group order of every brute-force path, and
 check_cap is the one comparison against it.
+
+The module also holds the few helpers that every other module shares,
+so that a command loads them with the group and nothing more: the
+repeated-squaring loop power, the symmetric group symmetric_group, and
+the action permute_character of a permutation on a character of Z_n^m.
 """
 
 from __future__ import annotations
 
 import sys
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain, permutations, repeat
 from math import factorial
 from operator import itemgetter
 
@@ -36,6 +41,27 @@ class CapExceededError(Exception):
 
 class CheckFailedError(Exception):
     """An exact mathematical check or invariant does not hold."""
+
+
+def power(x, exponent: int, one):
+    """x ** exponent for exponent >= 0 by repeated squaring; one() gives x ** 0.
+
+    Starts from the lowest set bit and squares only while bits remain, so
+    x ** 4 costs two products and x ** 5 three.
+    """
+    if not exponent:
+        return one()
+    while not exponent & 1:
+        x = x * x
+        exponent >>= 1
+    result = x
+    exponent >>= 1
+    while exponent:
+        x = x * x
+        if exponent & 1:
+            result = result * x
+        exponent >>= 1
+    return result
 
 
 class Perm(tuple):
@@ -113,6 +139,21 @@ class Perm(tuple):
 
     def __repr__(self):
         return f"Perm({list(self)})"
+
+
+def symmetric_group(m: int) -> list[Perm]:
+    """All permutations of m points, in Lehmer-rank order."""
+    return [Perm._make(images) for images in permutations(range(m))]
+
+
+def permute_character(lam: tuple[int, ...], perm) -> tuple[int, ...]:
+    """The character lam composed with a slot permutation: entry j of the
+    result is lam[perm(j)], so entry i of lam moves to slot perm^(-1)(i).
+
+    perm is a Perm, which is its one-line tuple.  Composition is
+    contravariant: permuting by a then by b is permuting by a * b.
+    """
+    return tuple([lam[j] for j in perm])
 
 
 class WreathElement(tuple):

@@ -36,7 +36,7 @@ from kacpal.algebra import (
     y_element,
     y_inverse_element,
 )
-from kacpal.character_basis import ONE, CharacterElement, permute_character, symmetric_group
+from kacpal.character_basis import ONE, CharacterElement
 from kacpal.character_model import MonomialModel, _generator_tables, integral
 from kacpal.classifier import LabelledPartition, lambda_from_beta
 from kacpal.cyclotomic import CycNumber
@@ -51,6 +51,8 @@ from kacpal.wreath import (
     element_index,
     group_order,
     mul_row,
+    permute_character,
+    symmetric_group,
 )
 
 

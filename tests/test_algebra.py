@@ -27,11 +27,10 @@ from kacpal.algebra import (
     y_inverse_element,
     z_element,
 )
-from kacpal.character_basis import permute_character
 from kacpal.classifier import irrep_table
 from kacpal.cyclotomic import CycNumber, zeta_power
 from kacpal.relations import presentation, relation_report
-from kacpal.wreath import Perm, WreathElement, element_index, group_order
+from kacpal.wreath import Perm, WreathElement, element_index, group_order, permute_character
 
 
 def one(n, m):

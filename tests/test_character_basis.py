@@ -1,6 +1,7 @@
 """The character basis F(lam, p) = Lambda_lam p against the group basis it models."""
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -14,7 +15,7 @@ from group_basis_oracle import (
     sandwich_rank_by_echelon,
 )
 from hopf_group_basis_oracle import TensorElement, to_characters
-from kacpal import algebra, character_basis, character_model
+from kacpal import algebra, character_basis, character_model, cyclotomic
 from kacpal.algebra import (
     AlgebraElement,
     character_combination,
@@ -22,7 +23,7 @@ from kacpal.algebra import (
     y_element,
     y_inverse_element,
 )
-from kacpal.character_basis import CharacterElement, permute_character, symmetric_group
+from kacpal.character_basis import CharacterElement
 from kacpal.character_model import (
     MonomialModel,
     check_model,
@@ -35,7 +36,15 @@ from kacpal.character_model import (
 from kacpal.classifier import irrep_table
 from kacpal.cyclotomic import CycNumber, zeta, zeta_power
 from kacpal.sparse import add_into
-from kacpal.wreath import CheckFailedError, Perm, WreathElement, element_index, twist_index
+from kacpal.wreath import (
+    CheckFailedError,
+    Perm,
+    WreathElement,
+    element_index,
+    permute_character,
+    symmetric_group,
+    twist_index,
+)
 
 SIZES = [(2, 2), (3, 2), (2, 3)]
 PHI_SIZES = [(2, 2), (3, 2), (2, 3), (4, 2)]
@@ -274,32 +283,50 @@ def _unmoved_characters(monkeypatch, n, m):
     _set_permute_character(monkeypatch, lambda lam, p: tuple(lam))
 
 
+def _set_lambda_coefficients(monkeypatch, replacement):
+    # check_model reads the coefficient table of Lambda_lam, and
+    # lambda_idempotent, which the product oracle's change of basis reads,
+    # wraps it: a fresh cache there, put back after the test, holds no
+    # element built from the true table
+    for module in (algebra, character_model):
+        monkeypatch.setattr(module, "lambda_coefficients", replacement)
+    fresh = lru_cache(maxsize=None)(algebra.lambda_idempotent.__wrapped__)
+    monkeypatch.setattr(algebra, "lambda_idempotent", fresh)
+
+
 def _flipped_fourier_sign(monkeypatch, n, m):
     # n^-m sum_t zeta^(-2 lam . t) x^t is Lambda_(-lam)
-    real = algebra.lambda_idempotent
-    monkeypatch.setattr(
-        algebra, "lambda_idempotent", lambda n, m, lam: real(n, m, tuple(-v % n for v in lam))
-    )
+    real = cyclotomic.lambda_coefficients
+    _set_lambda_coefficients(monkeypatch, lambda n, m, lam: real(n, m, tuple(-v % n for v in lam)))
 
 
 def _one_lambda_off_by_a_root(monkeypatch, n, m):
-    real = algebra.lambda_idempotent
+    real = cyclotomic.lambda_coefficients
     lam_star = (1,) + (0,) * (m - 1)
-    monkeypatch.setattr(
-        algebra,
-        "lambda_idempotent",
-        lambda n, m, lam: real(n, m, lam).scale(zeta(2 * n) if lam == lam_star else 1),
+    _set_lambda_coefficients(
+        monkeypatch,
+        lambda n, m, lam: [c * (zeta(2 * n) if lam == lam_star else 1) for c in real(n, m, lam)],
     )
+
+
+def _one_coefficient_doubled(monkeypatch, n, m):
+    # 2 n^-m zeta^k is not n^-m times a root of unity
+    real = cyclotomic.lambda_coefficients
+    lam_star = (1,) + (0,) * (m - 1)
+
+    def doubled(n, m, lam):
+        row = real(n, m, lam)
+        return [2 * row[0], *row[1:]] if lam == lam_star else row
+
+    _set_lambda_coefficients(monkeypatch, doubled)
 
 
 def _repeated_lambda(monkeypatch, n, m):
     # Lambda_(1, 0, ...) replaced by Lambda_0: still idempotent, not orthogonal
-    real = algebra.lambda_idempotent
+    real = cyclotomic.lambda_coefficients
     lam_star = (1,) + (0,) * (m - 1)
-    monkeypatch.setattr(
-        algebra,
-        "lambda_idempotent",
-        lambda n, m, lam: real(n, m, (0,) * m if lam == lam_star else lam),
+    _set_lambda_coefficients(
+        monkeypatch, lambda n, m, lam: real(n, m, (0,) * m if lam == lam_star else lam)
     )
 
 
@@ -316,6 +343,8 @@ def _repeated_lambda(monkeypatch, n, m):
         (_one_lambda_off_by_a_root, 3, 1, "the one-slot idempotents"),
         (_repeated_lambda, 3, 1, "the one-slot idempotents"),
         (_repeated_lambda, 2, 3, "factorisation"),
+        (_one_coefficient_doubled, 3, 2, "the coefficients of Lambda"),
+        (_one_coefficient_doubled, 2, 1, "the coefficients of Lambda"),
     ],
 )
 def test_a_broken_model_fails_its_lemma(monkeypatch, mutate, n, m, lemma):

@@ -332,6 +332,30 @@ def test_env_cap_must_be_integer(capsys, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--n", "2", "--m", "2"),
+        ("table", "--n", "2", "--m", "2"),
+        ("verify", "--n", "2", "--m", "2", "--checks", "hopf"),
+        ("idempotent", "--n", "2", "--m", "2", "--beta", "0:2"),
+    ],
+)
+def test_a_cap_below_1_is_bad_input(capsys, monkeypatch, argv, cap):
+    # before any work, for every command, from either source
+    monkeypatch.setattr(cli, "COMMANDS", {name: (None, runs) for name, (_, runs) in cli.COMMANDS.items()})
+    code, out, err = run(capsys, *argv, "--cap-group-order", cap)
+    assert (code, out, err) == (2, "", f"--cap-group-order must be at least 1, got {cap}\n")
+    monkeypatch.setenv("KACPAL_CAP", cap)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"KACPAL_CAP must be at least 1, got {cap}\n")
+    # the option wins over the environment, as for any cap
+    monkeypatch.setenv("KACPAL_CAP", "many")
+    code, out, err = run(capsys, *argv, "--cap-group-order", cap)
+    assert err == f"--cap-group-order must be at least 1, got {cap}\n"
+
+
 def test_count_basic(capsys):
     code, out, _ = run(capsys, "count", "--n", "2", "--m", "3")
     assert code == 0
@@ -734,6 +758,25 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
     assert "kacpal.character_model" in ranks
     assert "kacpal.relations" not in ranks
     assert "kacpal.relations" in relations and "kacpal.relations" in hopf
+    # checks that pass on exponent tables build no element, and the field
+    # takes ints without a Fraction: fractions (and decimal, which it
+    # brings) loads only where a Fraction enters or leaves
+    hopf = modules_loaded_by(tmp_path, ("verify", "--n", "3", "--m", "2", "--checks", "hopf"))
+    assert {"kacpal.hopf", "kacpal.character_model", "kacpal.cyclotomic"} <= hopf
+    assert not {
+        "kacpal.algebra",
+        "kacpal.sparse",
+        "kacpal.character_basis",
+        "kacpal.classifier",
+        "kacpal.partitions",
+        "fractions",
+        "decimal",
+    } & hopf
+    relations = modules_loaded_by(
+        tmp_path, ("verify", "--n", "2", "--m", "4", "--checks", "relations")
+    )
+    assert {"kacpal.algebra", "kacpal.relations"} <= relations
+    assert not {"kacpal.character_basis", "kacpal.classifier", "fractions"} & relations
 
 
 def test_no_command_imports_dataclasses_or_inspect(tmp_path):

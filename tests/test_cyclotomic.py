@@ -268,3 +268,83 @@ def test_floats_never_enter_the_exact_arithmetic(entry):
     # 0.1 as a Fraction is 3602879701896397/36028797018963968, not 1/10
     with pytest.raises(TypeError):
         FLOAT_ENTRY_POINTS[entry]()
+
+
+# The field takes ints as they are and writes JSON by one gcd a pair; the
+# reference below is the Fraction computation that this replaced: every
+# scalar made a Fraction on the way in, every coefficient on the way out.
+def reference_to_json(c):
+    return {
+        "order": c.order,
+        "coeffs": [[str(f.numerator), str(f.denominator)] for f in c.coeffs],
+    }
+
+
+def reference_value(c):
+    """c's coefficients as Fractions, computed from its numerators."""
+    return [Fraction(x, c.den) for x in c.num]
+
+
+boundary_scalars = st.one_of(
+    st.booleans(),
+    st.integers(-(10**30), 10**30),
+    st.integers(-5, 5),
+    rationals,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(boundary_scalars, cyc_numbers(), st.data())
+def test_the_fraction_free_boundary_matches_the_fraction_one(value, c, data):
+    order, rational = c.order, Fraction(value)
+    deg = len(c.num)
+    v = CycNumber.from_rational(order, value)
+    # in: the same canonical numerators, as plain ints
+    assert (v.num, v.den) == ((rational.numerator,) + (0,) * (deg - 1), rational.denominator)
+    assert all(type(x) is int for x in v.num + (v.den,))
+    assert CycNumber(order, [value]) == v
+    # ==, both ways, against the Fraction and against the reference
+    assert (v == value) and (value == v) and v == rational
+    assert (c == value) == (reference_value(c) == [rational] + [Fraction(0)] * (deg - 1))
+    assert (c != value) == (not c == value)
+    # arithmetic with the int or the Fraction, against coefficient-wise Fractions
+    as_fraction = data.draw(st.booleans())
+    other = rational if as_fraction else value
+    coeffs = reference_value(c)
+    shifted = [coeffs[0] + rational] + coeffs[1:]
+    assert reference_value(c + other) == shifted == reference_value(other + c)
+    assert reference_value(c - other) == [coeffs[0] - rational] + coeffs[1:]
+    assert reference_value(other - c) == [rational - coeffs[0]] + [-x for x in coeffs[1:]]
+    assert reference_value(c * other) == [x * rational for x in coeffs] == reference_value(other * c)
+    if rational:
+        assert reference_value(c / other) == [x / rational for x in coeffs]
+    if c:
+        assert other / c == v * c.inverse()
+    # out: the JSON of the Fraction computation, True as "1", and back
+    for x in (v, c, c + other, c * other):
+        assert x.to_json() == reference_to_json(x)
+        assert CycNumber.from_json(x.to_json()) == x
+    assert v.rational() == rational and type(v.rational()) is Fraction
+
+
+def test_bools_enter_as_the_ints_they_are():
+    assert CycNumber.from_rational(4, True).to_json() == {"order": 4, "coeffs": [["1", "1"], ["0", "1"]]}
+    assert CycNumber(4, [False, True]).to_json() == {"order": 4, "coeffs": [["0", "1"], ["1", "1"]]}
+    assert zeta(4) * True == zeta(4) and zeta(4) + False == zeta(4)
+    assert CycNumber.from_rational(2, True) == 1 == CycNumber.from_rational(2, 1)
+    with pytest.raises(TypeError):
+        CycNumber.from_rational(4, 0.5)
+    with pytest.raises(TypeError):
+        zeta(4) + 0.5
+    assert zeta(4) != 0.5 and zeta(4) != "1"
+
+
+def test_rational_is_the_fraction():
+    import fractions
+
+    import kacpal
+
+    assert kacpal.Rational is fractions.Fraction
+    assert cyclotomic.Rational is fractions.Fraction
+    with pytest.raises(AttributeError, match="no attribute 'Irrational'"):
+        cyclotomic.Irrational

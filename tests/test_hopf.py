@@ -408,6 +408,33 @@ def test_coassociativity_on_generators_matches_the_loop_over_every_p(monkeypatch
                 assert verdict is None
 
 
+def _walk_taken(self):
+    raise AssertionError("the walk over S_m was taken")
+
+
+@pytest.mark.parametrize("n,m", [(2, 3), (3, 2), (4, 2)])
+def test_coassociativity_on_generators_takes_no_walk(monkeypatch, n, m):
+    # once delta is an algebra map the cocycle identity runs on the tables
+    # delta(s_l) themselves, so no table of another permutation is built
+    from kacpal import hopf as module
+
+    monkeypatch.setattr(_CharacterHopf, "multiplicativity_failure", lambda self: None)
+    monkeypatch.setattr(_CharacterHopf, "_walk", property(_walk_taken))
+    assert _CharacterHopf(n, m).coassociativity_failure() is None
+    # one entry of delta(s_(m-1)) off (the last generator) breaks the identity
+    real = module._delta_s_image
+    size = n**m
+
+    def perturbed(im, l, delta_z):
+        d = real(im, l, delta_z)
+        return _bumped(d, 1 + 2 * size) if l == m - 1 else d
+
+    monkeypatch.setattr(module, "_delta_s_image", perturbed)
+    detail = _CharacterHopf(n, m).coassociativity_failure()
+    assert detail is not None and detail.startswith("(delta x id) delta and (id x delta) delta differ")
+    assert f"{list(generator_b(n, m, m - 1).perm)})" in detail
+
+
 @pytest.mark.parametrize("n,m", [(3, 2), (2, 3), (3, 3)])
 def test_coassociativity_on_generators_sees_the_last_generator(monkeypatch, n, m):
     # with the walk's verdict forced to pass, coassociativity runs over the
