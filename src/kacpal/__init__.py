@@ -19,7 +19,6 @@ _EXPORTS = {
         "AlgebraElement",
         "lambda_idempotent",
         "s_element",
-        "verify_defining_relations",
         "x_element",
         "x_monomial",
         "y_element",
@@ -39,7 +38,6 @@ _EXPORTS = {
     "cyclotomic": (
         "CycNumber",
         "Rational",
-        "cyclotomic_polynomial",
         "gauss_sum_check",
         "zeta",
         "zeta_power",
@@ -62,6 +60,8 @@ _EXPORTS = {
         "standard_tableaux_count",
         "young_symmetrizer",
     ),
+    "relations": ("verify_defining_relations",),
+    "roots": ("cyclotomic_polynomial",),
     "wreath": (
         "CapExceededError",
         "Perm",

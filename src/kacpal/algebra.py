@@ -4,9 +4,12 @@ This algebra carries the generalised Kac-Paljutkin structure: the twist
 generators x_i, the transposition basis elements s_l, the character
 idempotents Lambda_lambda of the abelian subalgebra, and the square roots
 z_l = y_l^(-1) s_l reconstructed from the diagonal units y_l.  Every
-defining relation of the abstract presentation (the table in
-kacpal.relations) is then verified exactly rather than imposed, on the
-exponent tables of kacpal.character_model.
+defining relation of the abstract presentation is verified exactly rather
+than imposed, by relations.verify_defining_relations on the exponent tables
+of kacpal.character_model, which build no element of this module; these
+elements are the reference that tests/group_basis_oracle.py checks the
+suite against, and the group-basis images of the classification
+idempotents.
 
 Scalars live in Q(zeta_2n); elements are sparse maps from dense group
 indices to scalars.
@@ -17,12 +20,11 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .cyclotomic import CycNumber, lambda_coefficients, zeta_power
+from .cyclotomic import CycNumber, _make, zeta_power
+from .roots import lambda_coefficients
 from .sparse import SparseSum, add_into
 from .wreath import (
-    CapExceededError,  # re-exported for callers of the capped checks below
     WreathElement,
-    check_cap,
     element_index,
     generator_b,
     group_order,
@@ -122,13 +124,14 @@ def lambda_idempotent(n: int, m: int, lam: tuple[int, ...]) -> AlgebraElement:
 
     Averages all x-monomials against the character q^(lam . i); the family
     over all lam forms a complete set of orthogonal idempotents.  Each
-    coefficient is zeta^(2 lam . i) over the common denominator n^m, as
-    cyclotomic.lambda_coefficients gives them; an x-monomial's index is its
-    twist index.
+    coefficient is zeta^(2 lam . i) over the common denominator n^m, the
+    pairs of roots.lambda_coefficients; an x-monomial's index is its twist
+    index.
     """
     if len(lam) != m or any(not 0 <= v < n for v in lam):
         raise ValueError(f"character {lam} not in Z_{n}^{m}")
-    return AlgebraElement._make(n, m, dict(enumerate(lambda_coefficients(n, m, lam))))
+    order, pairs = 2 * n, lambda_coefficients(n, m, lam)
+    return AlgebraElement._make(n, m, {t: _make(order, *pair) for t, pair in enumerate(pairs)})
 
 
 def character_combination(n: int, m: int, terms: dict, columns: dict) -> AlgebraElement:
@@ -199,37 +202,3 @@ def s_element(n: int, m: int, l: int) -> AlgebraElement:
 def z_element(n: int, m: int, l: int) -> AlgebraElement:
     """The square-root generator, reconstructed as y_l^(-1) s_l."""
     return y_inverse_element(n, m, l) * s_element(n, m, l)
-
-
-# -- relation verification ----------------------------------------------------
-
-
-def verify_defining_relations(n: int, m: int, cap: int | None = None) -> dict:
-    """Exactly check every defining relation on the reconstructed generators.
-
-    Returns a JSON-ready report mapping each relation family to pass/fail,
-    with the head term of the first nonzero difference as counterexample.
-
-    The relations are evaluated in the character basis F(lam, p) =
-    Lambda_lam p, where x^t, s_l, y_l^(+-1), z_l and Lambda_lam = F(lam, 1)
-    are monomial: one permutation and, per character, a 2n-th root of unity
-    or zero.  There they are exponent tables (character_model.Monomial) that
-    multiply by adding integers, and the z_l^2 sum counts its exponents per
-    character before one reduction.  check_model first proves at (n, m) that
-    the change of basis Phi carries these products to the group algebra's.
-    At m = 1 the suite has only x-monomials, whose tables are the characters
-    of Z_n: they multiply by adding exponents, as the group does, and are 1
-    only at x^0, so they need no model check.  A failing relation is rebuilt
-    exactly and its difference mapped through Phi, so its counterexample is a
-    group index.  The group-basis evaluation is kept as the reference in
-    tests/group_basis_oracle.py.
-    """
-    if n < 2:
-        raise ValueError(f"the relation suite needs n >= 2, got n={n}: at n = 1 every y_l is 1")
-    check_cap(n, m, "relation-suite", cap)
-    # The relation table and the model it runs on build on this module, so
-    # they are imported here, and no other command loads them.
-    from .relations import relation_suite
-
-    return relation_suite(n, m)
-

@@ -15,10 +15,13 @@ integers along permute_character; MonomialModel holds the character
 arithmetic of one (n, m).  The relation suite and the Hopf report evaluate
 their defining formulas on these tables, at (n, m) and, for the tensor
 square, at (n, 2m), so no element is changed to this basis from the group
-basis.  The element types are imported only where an element is built
-(is_idempotent, Monomial.exact and Monomial.__sub__), so a check that
-passes on tables loads neither kacpal.character_basis nor the group-basis
-algebra from here.
+basis.  Sums of roots of unity, such as the coefficients of a root_sum or
+of a Lambda_lam, are read as the canonical integer pairs of kacpal.roots.
+The element types and the field's element class are imported only where
+an element is built (is_idempotent, Monomial.exact and Monomial.__sub__)
+or a failure names a coefficient, so a check that passes on tables loads
+neither kacpal.character_basis, the group-basis algebra nor
+kacpal.cyclotomic from here.
 
 The classification table's ranks are traces.  For idempotents the maps
 x -> x e and x -> e_i x e_j are idempotent, so their ranks are their traces,
@@ -41,7 +44,7 @@ from functools import lru_cache
 from itertools import product
 from math import factorial, lcm
 
-from .cyclotomic import CycNumber, _x_power, lambda_coefficients, root_count_sum, zeta_power
+from .roots import lambda_coefficients, root_count_sum, root_exponent
 from .wreath import (
     CheckFailedError,
     Perm,
@@ -139,21 +142,6 @@ def sandwich_rank(left: dict, right: dict):
     return total
 
 
-@lru_cache(maxsize=None)
-def _roots(order: int) -> dict:
-    """The numerators of zeta^k -> k for the roots of unity of Q(zeta_order)."""
-    return {_x_power(order, k): k for k in range(order)}
-
-
-def root_exponent(c: CycNumber, den: int = 1) -> int | None:
-    """k with c = zeta^k / den, or None when c is not of that form.
-
-    A root of unity is a unit of the integers of Q(zeta), so its numerators
-    share no factor and zeta^k / den in lowest terms has denominator den.
-    """
-    return _roots(c.order).get(c.num) if c.den == den else None
-
-
 class MonomialModel:
     """The character arithmetic of the model at one (n, m), for Monomial
     tables: the characters in twist-index order, and the action of each
@@ -228,8 +216,8 @@ class Monomial:
     is e with c_lam = zeta^e for lam = chars[a], or None for c_lam = 0.
 
     non_roots holds, by character index, the coefficients that are neither,
-    exactly; only root_sum makes them, so a relation whose side has one
-    fails, and no product takes them.
+    exactly, as the pairs of kacpal.roots; only root_sum makes them, so a
+    relation whose side has one fails, and no product takes them.
     """
 
     __slots__ = ("model", "perm", "entries", "non_roots")
@@ -281,8 +269,8 @@ class Monomial:
         entries, non_roots = [], {}
         for a, row in enumerate(counts):
             value = root_count_sum(order, tuple(row), den)
-            e = root_exponent(value)
-            if e is None and value:
+            e = root_exponent(order, value)
+            if e is None and any(value[0]):
                 non_roots[a] = value
             entries.append(e)
         return Monomial(model, perm, tuple(entries), non_roots)
@@ -290,14 +278,16 @@ class Monomial:
     def exact(self) -> CharacterElement:
         """The element with its coefficients in Q(zeta_2n)."""
         from .character_basis import CharacterElement
+        from .cyclotomic import _make, zeta_power
 
         model, p = self.model, self.perm
+        order = model.order
         terms = {
-            (model.chars[a], p): zeta_power(model.order, e)
+            (model.chars[a], p): zeta_power(order, e)
             for a, e in enumerate(self.entries)
             if e is not None
         }
-        terms.update({(model.chars[a], p): c for a, c in self.non_roots.items()})
+        terms.update({(model.chars[a], p): _make(order, *c) for a, c in self.non_roots.items()})
         return CharacterElement._make(model.n, model.m, terms)
 
     def __sub__(self, other: "Monomial") -> AlgebraElement:
@@ -322,15 +312,18 @@ def _generator_tables(model: MonomialModel) -> list[tuple]:
 
 def _lambda_exponents(n: int, m: int, lam: tuple, fail) -> list[int]:
     """k by twist index t for the coefficients n^-m zeta^k of Lambda_lam, as
-    cyclotomic.lambda_coefficients gives them and algebra.lambda_idempotent
+    roots.lambda_coefficients gives them and algebra.lambda_idempotent
     holds them; fail names any other coefficient."""
-    coefficients, den = lambda_coefficients(n, m, lam), n**m
-    row = [root_exponent(c, den) for c in coefficients]
+    order, den = 2 * n, n**m
+    coefficients = lambda_coefficients(n, m, lam)
+    row = [root_exponent(order, c, den) for c in coefficients]
     if None in row:
+        from .cyclotomic import _make
+
         t = row.index(None)
         fail(
             "the coefficients of Lambda",
-            f"Lambda_{lam} has {coefficients[t]!r} at twist index {t}, "
+            f"Lambda_{lam} has {_make(order, *coefficients[t])!r} at twist index {t}, "
             f"not n^-m times a root of unity",
         )
     return row
@@ -420,14 +413,15 @@ def check_model(n: int, m: int) -> tuple:
                 counts = [0] * order
                 for j in range(n):
                     counts[j * e % order] += 1
-                vanishes[e] = not root_count_sum(order, tuple(counts))
+                vanishes[e] = not any(root_count_sum(order, tuple(counts))[0])
             if vanishes[e] == (a == b):
                 fail("the one-slot idempotents", f"Lambda_{a} Lambda_{b} is not [a = b] Lambda_{b}")
     for j in range(n):
         counts = [0] * order
         for row in slot:
             counts[row[j]] += 1
-        if root_count_sum(order, tuple(counts)) != (n if j == 0 else 0):
+        # the integer n or 0 is its own count of zeta^0
+        if root_count_sum(order, tuple(counts)) != root_count_sum(order, (n if j == 0 else 0,)):
             fail("the one-slot idempotents", f"their sum has the coefficient of x^{j} wrong")
 
     for a, row in enumerate(slot):

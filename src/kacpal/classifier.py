@@ -274,6 +274,24 @@ class IrrepTable:
             )
         return buf.getvalue()
 
+    def to_text(self) -> str:
+        """The table as aligned text lines, then the count, the sum of
+        squared dimensions and each check's verdict."""
+        records = self.records
+        lines = [f"irreducible representations for n={self.n}, m={self.m}"]
+        lines.append(f"{'beta':<24}{'lambda':<16}{'dim':>5}{'rank':>6}")
+        for rec in records:
+            lam = "(" + ",".join(str(v) for v in rec.lam) + ")"
+            rank_text = "" if rec.dim_rank is None else str(rec.dim_rank)
+            lines.append(
+                f"{rec.beta.spec_string():<24}{lam:<16}{rec.dim_formula:>5}{rank_text:>6}"
+            )
+        lines.append(f"count = {len(records)}")
+        lines.append(f"sum of squared dimensions = {sum(r.dim_formula ** 2 for r in records)}")
+        for name, value in self.checks.items():
+            lines.append(f"check {name}: {value}")
+        return "\n".join(lines) + "\n"
+
 
 def irrep_table(
     n: int,

@@ -4,13 +4,18 @@ Each handler imports the modules it runs when it runs, so a call loads only
 what its command and checks need.  `table` and `idempotent` without checks
 load neither the relation table (kacpal.relations) nor the exponent-table
 model and its ranks (kacpal.character_model), and `table` without checks
-neither the field nor the group-basis algebra; `verify --checks hopf` leaves
-out the classifier, the element types (kacpal.algebra, kacpal.sparse,
-kacpal.character_basis) and fractions, `--checks relations` the Hopf
-module, the character basis and fractions, and `count` the algebra; only
-the conjugacy check loads kacpal.conjugacy, and only the commands that
-write JSON load json.  With no byte code cached, compiling the modules a
-call loads is a large part of its time.
+neither the field nor the group-basis algebra.  The checks on exponent
+tables (`verify` with its default checks, `--checks hopf` and the
+classification checks) read sums of roots as the integer pairs of
+kacpal.roots and load neither the group-basis algebra (kacpal.algebra) nor
+the field's element class (kacpal.cyclotomic) when they pass; `--checks
+hopf` also leaves out the classifier, kacpal.sparse, kacpal.character_basis
+and fractions, and `--checks relations` the Hopf module, the classifier,
+the character basis, kacpal.sparse and fractions.  `count` loads neither
+the algebra nor fractions; only the conjugacy check loads
+kacpal.conjugacy, only `idempotent` builds group-basis elements, and only
+the commands that write JSON load json.  With no byte code cached,
+compiling the modules a call loads is a large part of its time.
 
 main(argv) is the in-process API: it returns the exit code.  run() is the
 process entry of the kacpal script and of python -m kacpal.  It flushes
@@ -147,19 +152,7 @@ def cmd_table(args) -> int:
     elif args.format == "json":
         _emit(args, _json(table.to_json()))
     else:
-        lines = [f"irreducible representations for n={args.n}, m={args.m}"]
-        lines.append(f"{'beta':<24}{'lambda':<16}{'dim':>5}{'rank':>6}")
-        for rec in table.records:
-            lam = "(" + ",".join(str(v) for v in rec.lam) + ")"
-            rank_text = "" if rec.dim_rank is None else str(rec.dim_rank)
-            lines.append(
-                f"{rec.beta.spec_string():<24}{lam:<16}{rec.dim_formula:>5}{rank_text:>6}"
-            )
-        lines.append(f"count = {len(table.records)}")
-        lines.append(f"sum of squared dimensions = {sum(r.dim_formula ** 2 for r in table.records)}")
-        for name, value in table.checks.items():
-            lines.append(f"check {name}: {value}")
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, table.to_text())
 
     failed = [k for k, v in table.checks.items() if v == "fail"]
     return 1 if failed else 0
@@ -169,7 +162,7 @@ def cmd_verify(args) -> int:
     checks = args.checks
     parts: dict = {}
     if "relations" in checks:
-        from .algebra import verify_defining_relations
+        from .relations import verify_defining_relations
 
         parts["relations"] = verify_defining_relations(args.n, args.m, cap=args.cap)
     if "hopf" in checks:

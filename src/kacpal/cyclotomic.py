@@ -10,8 +10,15 @@ their numerators and denominators coincide.  Arithmetic runs on Python ints
 with one gcd per result.  Ints enter as they are, and JSON leaves as pairs of
 integers, so fractions is loaded only where a Fraction comes in (a
 coefficient, an operand or a comparison) or goes out (coeffs, rational(),
-from_json, and the alias Rational): the Hopf report loads none of it.  No
-floating point is used anywhere.
+from_json, and the alias Rational).  No floating point is used anywhere.
+
+CycNumber wraps the integer layer of kacpal.roots: the cyclotomic
+polynomials, the reduced powers of zeta, the one-gcd reduction of a
+numerator-denominator pair and its JSON writer.  The checks on exponent
+tables read values as those pairs and load this module only where a
+CycNumber must exist: in an exact element, the group-basis counit, and the
+messages of a failed check, so the Hopf report, the relation suite and the
+classification checks compile none of this arithmetic when they pass.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from math import gcd, lcm
 from operator import add, neg, sub
 from sys import hash_info
 
+from .roots import _x_power, coefficient_json, cyclotomic_polynomial, reduced
 from .wreath import CheckFailedError, power
 
 
@@ -58,57 +66,6 @@ def _rational(value):
     from fractions import Fraction
 
     return Fraction(value)
-
-
-def _monic_divmod(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Divide integer polynomials (ascending coefficients); den must be monic."""
-    num_l = list(num)
-    dd = len(den) - 1
-    if len(num_l) - 1 < dd:
-        return (0,), tuple(num_l)
-    quot = [0] * (len(num_l) - dd)
-    for i in reversed(range(len(quot))):
-        c = num_l[i + dd]
-        quot[i] = c
-        if c:
-            for j, d in enumerate(den):
-                num_l[i + j] -= c * d
-    return tuple(quot), tuple(num_l[:dd])
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
-    """Integer coefficients of the cyclotomic polynomial of the given order.
-
-    Ascending degree, monic, of degree phi(order) (Euler's totient).
-    Computed by exact division of x^order - 1 by the cyclotomic polynomials
-    of all proper divisors, so the product over all divisors d of x^d-factors
-    is x^order - 1 by construction.
-    """
-    if order < 1:
-        raise ValueError("cyclotomic_polynomial requires order >= 1")
-    poly: tuple[int, ...] = tuple([-1] + [0] * (order - 1) + [1])
-    for d in range(1, order):
-        if order % d == 0:
-            poly, rem = _monic_divmod(poly, cyclotomic_polynomial(d))
-            if any(rem):
-                raise CheckFailedError(
-                    f"cyclotomic polynomial of order {d} does not divide x^{order} - 1"
-                )
-    return poly
-
-
-@lru_cache(maxsize=None)
-def _x_power(order: int, k: int) -> tuple[int, ...]:
-    """x^k reduced modulo the cyclotomic polynomial: phi(order) integers.
-
-    The only reduction of a power; it is integral because the modulus is monic
-    over the integers.
-    """
-    phi = cyclotomic_polynomial(order)
-    deg = len(phi) - 1
-    _, rem = _monic_divmod((0,) * k + (1,), phi)
-    return rem + (0,) * (deg - len(rem))
 
 
 @lru_cache(maxsize=None)
@@ -359,12 +316,7 @@ class CycNumber:
     def to_json(self) -> dict:
         """JSON form with integers as decimal strings (bignum safe): each
         coefficient c / den as its pair in lowest terms, by one gcd."""
-        den = self.den
-        pairs = []
-        for c in self.num:
-            g = gcd(c, den)
-            pairs.append([str(c // g), str(den // g)])
-        return {"order": self.order, "coeffs": pairs}
+        return coefficient_json(self.order, self.num, self.den)
 
     @classmethod
     def from_json(cls, data: dict) -> "CycNumber":
@@ -402,15 +354,8 @@ def _make(order: int, num: tuple[int, ...], den: int) -> CycNumber:
 
 
 def _reduced(order: int, num: tuple[int, ...], den: int) -> CycNumber:
-    """num / den in lowest terms, for den > 0: one gcd, skipped when den is 1.
-
-    Dividing out gcd(den, *num) also turns any zero into 0 / 1.
-    """
-    if den != 1:
-        g = gcd(den, *num)
-        if g != 1:
-            num = tuple([c // g for c in num])
-            den //= g
+    """num / den in lowest terms, for den > 0, by roots.reduced."""
+    num, den = reduced(num, den)
     return _make(order, num, den)
 
 
@@ -421,46 +366,9 @@ def zeta_power(order: int, k: int) -> CycNumber:
 
 
 def zeta_over(order: int, k: int, den: int) -> CycNumber:
-    """zeta^k / den for den > 0, with no product and no reduction.
-
-    It is already in lowest terms: zeta^k is a unit of the ring of integers
-    Z[zeta], whose basis is the powers of zeta, so if d divided all its
-    numerators then 1/d = zeta^(-k) (zeta^k / d) would be an integer.
-    """
+    """zeta^k / den for den > 0, with no product and no reduction: it is
+    already in lowest terms, as roots.lambda_coefficients argues."""
     return _make(order, _x_power(order, k % order), den)
-
-
-def lambda_coefficients(n: int, m: int, lam) -> list[CycNumber]:
-    """The coefficients of the character idempotent Lambda_lam of Z_n^m in
-    Q(zeta_2n), by twist index t: zeta^(2 lam . t) / n^m.
-
-    Built slot by slot, slot 0 varying fastest, as wreath.twist_index
-    numbers the twists.  algebra.lambda_idempotent wraps this table and
-    character_model.check_model reads it; it is not remembered, so that the
-    model check reads it afresh whenever lambda_idempotent's cache is
-    cleared.
-    """
-    exponents = [0]
-    for v in lam:
-        exponents = [e + 2 * v * t for t in range(n) for e in exponents]
-    order, den = 2 * n, n**m
-    return [zeta_over(order, k, den) for k in exponents]
-
-
-@lru_cache(maxsize=None)
-def root_count_sum(order: int, counts: tuple[int, ...], den: int = 1) -> CycNumber:
-    """The sum over k of counts[k] zeta^k / den, for integer counts indexed
-    by the exponents 0..order-1: the image of an element of the group ring
-    Z[C_order] in Q(zeta), with one integer vector per nonzero count, then
-    one reduction.  Remembered: sums of roots that a check meets again and
-    again, such as a Gauss sum, are reduced once."""
-    num = [0] * (len(cyclotomic_polynomial(order)) - 1)
-    for k, c in enumerate(counts):
-        if c:
-            for i, r in enumerate(_x_power(order, k)):
-                if r:
-                    num[i] += c * r
-    return _reduced(order, tuple(num), den)
 
 
 def zeta(order: int) -> CycNumber:

@@ -131,9 +131,9 @@ from __future__ import annotations
 
 from functools import cached_property, partial
 
-from .character_model import MonomialModel, check_model, root_exponent, tensor_key
-from .cyclotomic import CycNumber, root_count_sum
+from .character_model import MonomialModel, check_model, tensor_key
 from .relations import presentation, y_exponent, z_square_sum
+from .roots import coefficient_json, root_count_sum, root_exponent
 from .wreath import (
     CheckFailedError,
     check_cap,
@@ -180,6 +180,8 @@ def _antipode_s_image(im, l: int):
 
 def counit(a: AlgebraElement) -> CycNumber:
     """The counit: one on every group basis element, extended linearly."""
+    from .cyclotomic import CycNumber
+
     return sum(a.terms.values(), CycNumber.zero(2 * a.n))
 
 
@@ -194,7 +196,8 @@ class _CharacterHopf:
     delta_p[p] is the table of delta(p) at (n, 2m), so F(a, p) (x) F(b, p)
     is its entry a + n^m b and delta(F(lam, p)) collects the pairs with
     a + b = lam; sigma[p][a] is the exponent of F(a, p^(-1)) in S(p);
-    eps[a] = eps(F(a, p)), for every p.  delta_z, delta_s and antipode_s map
+    eps[a] = eps(F(a, p)), for every p, as the pair of kacpal.roots.
+    delta_z, delta_s and antipode_s map
     l to the tables of the generator images; the walk that builds delta_p
     and sigma checks multiplicativity, one product per Cayley edge.
     plus[a][b] is the index of the character a + b, neg[a] that of -a and
@@ -280,7 +283,9 @@ class _CharacterHopf:
     def monomial(self, a, what: str):
         """a, unless it has a coefficient off the roots of unity."""
         if a.non_roots:
-            c = a.non_roots[min(a.non_roots)]
+            from .cyclotomic import _make
+
+            c = _make(self.order, *a.non_roots[min(a.non_roots)])
             raise CheckFailedError(
                 f"{what} has the coefficient {c!r} in the character basis, "
                 f"which is not a power of zeta_{c.order}"
@@ -340,8 +345,10 @@ class _CharacterHopf:
         # eps(F(a, p)) zeta^omega F(b, p) = [a = 0] F(b, p) and its mirror:
         # eps[a] = [a = 0] and eps[b] = [b = 0], which leaves no value but 0
         # or 1, and omega = 0 wherever a or b is 0.  The first failing pair in
-        # the order of p, a, b is the least of four candidates.
-        bad = [a for a, value in enumerate(self.eps) if value != (1 if a == 0 else 0)]
+        # the order of p, a, b is the least of four candidates.  The integer
+        # [a = 0] is its own count of zeta^0.
+        order = self.order
+        bad = [a for a, e in enumerate(self.eps) if e != root_count_sum(order, (int(a == 0),))]
         for p in self.perms:
             w = self.omega(p)
             failing = [(x, 0) for x in bad[:1]] + [(0, x) for x in bad[:1]]
@@ -361,9 +368,9 @@ class _CharacterHopf:
         def unit_times(value):
             # value 1, with 1 = sum F(mu, 1), as {mu: exponent}; None, which
             # no side equals, when value is neither 0 nor a root of unity
-            if not value:
+            if not any(value[0]):
                 return {}
-            k = root_exponent(value)
+            k = root_exponent(order, value)
             return None if k is None else dict.fromkeys(range(size), k)
 
         expected = [unit_times(value) for value in self.eps]
@@ -398,10 +405,10 @@ class _CharacterHopf:
         _, perm = tensor_key(((), [j - m for j in t.perm[m:]]), ((), t.perm[:m]))
         return self.model2.monomial(perm, [e for b in range(size) for e in entries[b::size]])
 
-    def first_difference(self, l: int) -> tuple[list, CycNumber]:
+    def first_difference(self, l: int) -> tuple[list, tuple]:
         """The least pair of group indices at which delta(z_l) and its flip
-        differ, and the coefficient of the difference there; delta(z_l) must
-        differ from its flip."""
+        differ, and the coefficient of the difference there as a pair of
+        kacpal.roots; delta(z_l) must differ from its flip."""
         order, size, entries = self.order, len(self.chars), self.delta_z[l].entries
         base = perm_index(self.gens[l]) * size
         # twice_dot[t][mu] = 2 mu . t, the exponent of (t, p) in n^m Lambda_mu p
@@ -424,7 +431,7 @@ class _CharacterHopf:
                         if c:
                             counts[(k + shift) % order] += c
                 value = root_count_sum(order, tuple(counts), size * size)
-                if value:
+                if any(value[0]):
                     return [base + t, base + u], value
         raise CheckFailedError(
             f"delta(z_{l}) differs from its flip as a table but in no group-basis coordinate"
@@ -442,7 +449,7 @@ class _CharacterHopf:
                 pair, value = self.first_difference(l)
                 out[f"z_{l}"] = {
                     "status": "noncocommutative",
-                    "witness": {"pair": pair, "coefficient": value.to_json()},
+                    "witness": {"pair": pair, "coefficient": coefficient_json(self.order, *value)},
                 }
         m = self.m
         x_tables = (self.model2.x_monomial(2 * [int(j == i) for j in range(m)]) for i in range(m))

@@ -1,7 +1,8 @@
 """Partitions, Young tableaux, hook lengths, and normalised Young symmetrizers.
 
 count_formula, the number of labelled partitions, lives here beside the
-partition counts it is built from, so that the count command loads no more.
+partition counts it is built from, so that the count command loads no more:
+the symmetrizers import fractions and the character basis when called.
 
 The symmetrizer of a standard tableau is returned as an exact rational
 element of Q[S_k], the character model at n = 1; with the
@@ -10,7 +11,6 @@ standard-tableau-count prefactor it is an idempotent of that algebra.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 from math import factorial
@@ -233,7 +233,9 @@ def young_symmetrizer(t: Tableau):
     CharacterElement whose key ((0,)*k, p) is the permutation p.
     """
     # imported here, so that the count command, which needs only the counts
-    # above, loads no algebra
+    # above, loads no algebra and no fractions
+    from fractions import Fraction
+
     from .character_basis import CharacterElement
 
     if not t.is_standard():

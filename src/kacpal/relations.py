@@ -9,11 +9,13 @@ relation_families adds the suite's further families on the same images:
 z_l^2 = y_l^(-2), with y_l acting on Lambda_lam by zeta^y_exponent,
 z_l Lambda_lam = Lambda_(lam o s_l) z_l, the s_l as Coxeter generators
 moving the x_i, and s_l = y_l z_l.  The images may be of any type with *,
-** and ==: relation_suite evaluates them on exponent tables for
-algebra.verify_defining_relations, kacpal.hopf evaluates presentation on
-the tables of the comultiplication, and the group-basis evaluation is the
-reference in tests/group_basis_oracle.py.  Only the relation suite and the
-Hopf report load this module.
+** and ==: verify_defining_relations evaluates them on exponent tables,
+kacpal.hopf evaluates presentation on the tables of the comultiplication,
+and the group-basis evaluation is the reference in
+tests/group_basis_oracle.py.  Only the relation suite and the Hopf report
+load this module, and a suite that passes loads neither the group-basis
+algebra nor the field's element class: a failing relation's difference
+alone is rebuilt as an element, for its counterexample.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from itertools import product
 from math import gcd, lcm
 
 from .character_model import MonomialModel, check_model
-from .wreath import generator_b, permute_character
+from .wreath import check_cap, generator_b, permute_character
 
 
 def y_exponent(lam: tuple[int, ...], l: int) -> int:
@@ -186,9 +188,35 @@ def relation_suite_report(n: int, m: int, families: dict, y_order) -> dict:
     return report
 
 
+def verify_defining_relations(n: int, m: int, cap: int | None = None) -> dict:
+    """Exactly check every defining relation on the reconstructed generators.
+
+    Returns a JSON-ready report mapping each relation family to pass/fail,
+    with the head term of the first nonzero difference as counterexample.
+
+    The relations are evaluated in the character basis F(lam, p) =
+    Lambda_lam p, where x^t, s_l, y_l^(+-1), z_l and Lambda_lam = F(lam, 1)
+    are monomial: one permutation and, per character, a 2n-th root of unity
+    or zero.  There they are exponent tables (character_model.Monomial) that
+    multiply by adding integers, and the z_l^2 sum counts its exponents per
+    character before one reduction.  check_model first proves at (n, m) that
+    the change of basis Phi carries these products to the group algebra's.
+    At m = 1 the suite has only x-monomials, whose tables are the characters
+    of Z_n: they multiply by adding exponents, as the group does, and are 1
+    only at x^0, so they need no model check.  A failing relation is rebuilt
+    exactly and its difference mapped through Phi, so its counterexample is a
+    group index.  The group-basis evaluation is kept as the reference in
+    tests/group_basis_oracle.py.
+    """
+    if n < 2:
+        raise ValueError(f"the relation suite needs n >= 2, got n={n}: at n = 1 every y_l is 1")
+    check_cap(n, m, "relation-suite", cap)
+    return relation_suite(n, m)
+
+
 def relation_suite(n: int, m: int) -> dict:
-    """algebra.verify_defining_relations' report, on exponent tables; the
-    caller has checked n and the cap."""
+    """verify_defining_relations' report, on exponent tables; the caller has
+    checked n and the cap."""
     if m > 1:
         check_model(n, m)
     model = MonomialModel(n, m)

@@ -38,7 +38,7 @@ from kacpal import hopf
 from kacpal.algebra import AlgebraElement, diagonal_element, x_element, x_monomial, z_element
 from kacpal.character_basis import CharacterElement
 from kacpal.character_model import characters, tensor_key
-from kacpal.cyclotomic import CycNumber, zeta_power
+from kacpal.cyclotomic import CycNumber, _make, zeta_power
 from kacpal.hopf import counit
 from kacpal.relations import presentation
 from kacpal.sparse import SparseSum, add_into
@@ -405,8 +405,9 @@ def antipode_failure(hopf) -> str | None:
         w, terms = hopf.omega(p), hopf.antipode_terms(p)
         fwd, back = hopf.model.moved(p), hopf.model.moved(p.inverse())
         for lam in range(size):
-            # eps(F(lam, p)) 1, with 1 = sum F(mu, 1)
-            expected = dict.fromkeys(range(size), hopf.eps[lam]) if hopf.eps[lam] else {}
+            # eps(F(lam, p)) 1, with 1 = sum F(mu, 1); eps holds pairs
+            eps = _make(order, *hopf.eps[lam])
+            expected = dict.fromkeys(range(size), eps) if eps else {}
             left: dict = {}
             right: dict = {}
             for a in range(size):

@@ -19,7 +19,6 @@ from kacpal.algebra import (
     AlgebraElement,
     lambda_idempotent,
     s_element,
-    verify_defining_relations,
     y_element,
     y_inverse_element,
     z_element,
@@ -31,7 +30,7 @@ from kacpal.classifier import (
     irrep_table,
 )
 from kacpal.cli import main
-from kacpal.cyclotomic import CycNumber, gauss_sum_check, root_count_sum, zeta_power
+from kacpal.cyclotomic import CycNumber, gauss_sum_check, zeta_power
 from kacpal.hopf import cocommutativity_witness, hopf_axiom_report
 from kacpal.partitions import (
     partitions_of,
@@ -41,6 +40,8 @@ from kacpal.partitions import (
     young_symmetrizer,
 )
 from kacpal.conjugacy import conjugacy_class_count
+from kacpal.relations import verify_defining_relations
+from kacpal.roots import root_count_sum
 from kacpal.wreath import group_order, mul_row
 
 RELATION_PAIRS = [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4)]

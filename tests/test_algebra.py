@@ -17,10 +17,8 @@ from group_basis_oracle import (
 from kacpal import algebra, relations
 from kacpal.algebra import (
     AlgebraElement,
-    CapExceededError,
     lambda_idempotent,
     s_element,
-    verify_defining_relations,
     x_element,
     x_monomial,
     y_element,
@@ -29,8 +27,15 @@ from kacpal.algebra import (
 )
 from kacpal.classifier import irrep_table
 from kacpal.cyclotomic import CycNumber, zeta_power
-from kacpal.relations import presentation, relation_report
-from kacpal.wreath import Perm, WreathElement, element_index, group_order, permute_character
+from kacpal.relations import presentation, relation_report, verify_defining_relations
+from kacpal.wreath import (
+    CapExceededError,
+    Perm,
+    WreathElement,
+    element_index,
+    group_order,
+    permute_character,
+)
 
 
 def one(n, m):
@@ -440,6 +445,47 @@ def test_perturbed_relation_reports_match_the_oracle(
     failing = [entry for entry in report["relations"].values() if entry["status"] == "fail"]
     assert "difference_head" in failing[0]["counterexample"]
     assert report == relation_suite_by_group_basis(n, m)
+
+
+Z_SQUARE = "z_1^2 = (1/n) sum q^(-ij) x_1^i x_2^j"
+Z_BRAID = "z_1 z_2 z_1 = z_2 z_1 z_2"
+
+
+def _y_off_at_ones(m):
+    return _y_exponent_off_by_one((1,) * m)
+
+
+@pytest.mark.parametrize(
+    "n, m, name, perturbed, family, relation, index, coeffs",
+    [
+        (3, 2, "y_exponent", _y_off_at_ones(2), "z_square", Z_SQUARE, 0, [["2", "9"], ["-1", "9"]]),
+        (
+            *(4, 2, "y_exponent", _y_off_at_ones(2), "z_square", Z_SQUARE, 0),
+            [["1", "16"], ["0", "1"], ["-1", "16"], ["0", "1"]],
+        ),
+        (2, 3, "y_exponent", _y_off_at_ones(3), "z_braid", Z_BRAID, 40, [["1", "8"], ["1", "8"]]),
+        (3, 2, "z_square_sum", _z_square_sum_from_1, "z_square", Z_SQUARE, 0, [["1", "3"], ["0", "1"]]),
+    ],
+    ids=["y-off-3-2", "y-off-4-2", "y-off-2-3", "z_square-from-1-3-2"],
+)
+def test_a_failing_relation_reports_its_difference_head(
+    monkeypatch, fresh_generators, n, m, name, perturbed, family, relation, index, coeffs
+):
+    # the first failing family's counterexample, with the JSON of its
+    # difference head's coefficient, as the report prints them
+    monkeypatch.setattr(relations, name, perturbed)
+    report = verify_defining_relations(n, m)
+    first = next(f for f, entry in report["relations"].items() if entry["status"] == "fail")
+    assert (first, report["relations"][first]) == (
+        family,
+        {
+            "status": "fail",
+            "counterexample": {
+                "relation": relation,
+                "difference_head": {"index": index, "coeff": {"order": 2 * n, "coeffs": coeffs}},
+            },
+        },
+    )
 
 
 @pytest.mark.parametrize("n, m", [(2, 3), (3, 2), (4, 2)])

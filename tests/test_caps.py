@@ -9,10 +9,11 @@ import pytest
 
 from group_basis_oracle import _left_translates, left_ideal_dimension, sandwich_dimension
 from kacpal import cli
-from kacpal.algebra import AlgebraElement, verify_defining_relations
+from kacpal.algebra import AlgebraElement
 from kacpal.classifier import irrep_table
 from kacpal.hopf import cocommutativity_witness, hopf_axiom_report
 from kacpal.conjugacy import conjugacy_class_count
+from kacpal.relations import verify_defining_relations
 from kacpal.wreath import CAPS, CapExceededError, check_cap, group_order
 
 

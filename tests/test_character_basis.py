@@ -15,7 +15,7 @@ from group_basis_oracle import (
     sandwich_rank_by_echelon,
 )
 from hopf_group_basis_oracle import TensorElement, to_characters
-from kacpal import algebra, character_basis, character_model, cyclotomic
+from kacpal import algebra, character_basis, character_model, roots
 from kacpal.algebra import (
     AlgebraElement,
     character_combination,
@@ -34,7 +34,7 @@ from kacpal.character_model import (
     stabiliser_classes,
 )
 from kacpal.classifier import irrep_table
-from kacpal.cyclotomic import CycNumber, zeta, zeta_power
+from kacpal.cyclotomic import CycNumber, _make, zeta, zeta_power
 from kacpal.sparse import add_into
 from kacpal.wreath import (
     CheckFailedError,
@@ -287,35 +287,45 @@ def _set_lambda_coefficients(monkeypatch, replacement):
     # check_model reads the coefficient table of Lambda_lam, and
     # lambda_idempotent, which the product oracle's change of basis reads,
     # wraps it: a fresh cache there, put back after the test, holds no
-    # element built from the true table
+    # element built from the true table.  replacement(n, m, lam) gives the
+    # coefficients as CycNumbers; both readers take their pairs.
+    def pairs(n, m, lam):
+        return [(c.num, c.den) for c in replacement(n, m, lam)]
+
     for module in (algebra, character_model):
-        monkeypatch.setattr(module, "lambda_coefficients", replacement)
+        monkeypatch.setattr(module, "lambda_coefficients", pairs)
     fresh = lru_cache(maxsize=None)(algebra.lambda_idempotent.__wrapped__)
     monkeypatch.setattr(algebra, "lambda_idempotent", fresh)
 
 
+def _true_coefficients(n, m, lam):
+    """The coefficients of Lambda_lam as CycNumbers, from the true pairs."""
+    return [_make(2 * n, *pair) for pair in roots.lambda_coefficients(n, m, lam)]
+
+
 def _flipped_fourier_sign(monkeypatch, n, m):
     # n^-m sum_t zeta^(-2 lam . t) x^t is Lambda_(-lam)
-    real = cyclotomic.lambda_coefficients
-    _set_lambda_coefficients(monkeypatch, lambda n, m, lam: real(n, m, tuple(-v % n for v in lam)))
+    _set_lambda_coefficients(
+        monkeypatch, lambda n, m, lam: _true_coefficients(n, m, tuple(-v % n for v in lam))
+    )
 
 
 def _one_lambda_off_by_a_root(monkeypatch, n, m):
-    real = cyclotomic.lambda_coefficients
     lam_star = (1,) + (0,) * (m - 1)
     _set_lambda_coefficients(
         monkeypatch,
-        lambda n, m, lam: [c * (zeta(2 * n) if lam == lam_star else 1) for c in real(n, m, lam)],
+        lambda n, m, lam: [
+            c * (zeta(2 * n) if lam == lam_star else 1) for c in _true_coefficients(n, m, lam)
+        ],
     )
 
 
 def _one_coefficient_doubled(monkeypatch, n, m):
     # 2 n^-m zeta^k is not n^-m times a root of unity
-    real = cyclotomic.lambda_coefficients
     lam_star = (1,) + (0,) * (m - 1)
 
     def doubled(n, m, lam):
-        row = real(n, m, lam)
+        row = _true_coefficients(n, m, lam)
         return [2 * row[0], *row[1:]] if lam == lam_star else row
 
     _set_lambda_coefficients(monkeypatch, doubled)
@@ -323,10 +333,10 @@ def _one_coefficient_doubled(monkeypatch, n, m):
 
 def _repeated_lambda(monkeypatch, n, m):
     # Lambda_(1, 0, ...) replaced by Lambda_0: still idempotent, not orthogonal
-    real = cyclotomic.lambda_coefficients
     lam_star = (1,) + (0,) * (m - 1)
     _set_lambda_coefficients(
-        monkeypatch, lambda n, m, lam: real(n, m, (0,) * m if lam == lam_star else lam)
+        monkeypatch,
+        lambda n, m, lam: _true_coefficients(n, m, (0,) * m if lam == lam_star else lam),
     )
 
 
@@ -354,6 +364,24 @@ def test_a_broken_model_fails_its_lemma(monkeypatch, mutate, n, m, lemma):
         check_model(n, m)
     with pytest.raises(CheckFailedError, match="does not model"):
         check_model_by_products(n, m)
+
+
+@pytest.mark.parametrize(
+    "n, m, text",
+    [
+        (3, 2, "Lambda_(1, 0) has CycNumber(6, '2/9') at twist index 0"),
+        (2, 1, "Lambda_(1,) has CycNumber(4, '1') at twist index 0"),
+    ],
+)
+def test_a_doubled_coefficient_is_named_by_its_repr(monkeypatch, n, m, text):
+    # the failure prints the coefficient as the CycNumber it is
+    _one_coefficient_doubled(monkeypatch, n, m)
+    with pytest.raises(CheckFailedError) as failure:
+        check_model(n, m)
+    assert str(failure.value) == (
+        f"the character basis does not model the group algebra at (n={n}, m={m}): "
+        f"the coefficients of Lambda: {text}, not n^-m times a root of unity"
+    )
 
 
 @pytest.mark.parametrize("mutate", [_swapped_permute_character, _flipped_fourier_sign])
@@ -411,3 +439,19 @@ def test_root_sums_of_tables_match_the_model(n, m):
             exact = pairs[0][1].exact().root_sum([(k, x.exact()) for k, x in pairs], n)
             assert table.exact() == exact
             assert bool(table.non_roots) == bool(start)
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (3, 2), (4, 1)])
+def test_root_sums_that_cancel_have_no_coefficient(n, m):
+    # zeta^n = -1: x - x is 0 at every character, and x - 1 is 0 exactly
+    # where x is 1; a zero coefficient is neither an entry nor off the roots
+    model = MonomialModel(n, m)
+    x, one = model.x_monomial((1,) + (0,) * (m - 1)), model.one()
+    zero = x.root_sum([(0, x), (n, x)], 1)
+    assert zero.is_zero() and not zero.non_roots
+    pairs = [(0, x), (n, one)]
+    table = x.root_sum(pairs, 1)
+    assert table.exact() == x.exact().root_sum([(k, y.exact()) for k, y in pairs], 1)
+    cancelled = [a for a, e in enumerate(x.entries) if e == 0]
+    assert cancelled
+    assert all(table.entries[a] is None and a not in table.non_roots for a in cancelled)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kacpal.algebra import AlgebraElement, lambda_idempotent, s_element
-from kacpal import algebra, character_basis, character_model, classifier, cli
+from kacpal import character_basis, character_model, classifier, cli, relations
 from kacpal.cli import main
 from kacpal.cyclotomic import CycNumber
 from kacpal.wreath import CheckFailedError, Perm, group_order
@@ -44,6 +44,66 @@ def test_table_text_degenerate_n_1(capsys):
         if line.startswith(("0:", "1:"))
     ]
     assert dims == [1, 2, 1]
+
+
+# the text layout as the table command printed it before it moved into
+# IrrepTable.to_text: a row with no rank ends in its blank rank column
+TEXT_TABLES = {
+    ("2", "2", None): [
+        "irreducible representations for n=2, m=2",
+        "beta                    lambda            dim  rank",
+        "1:2                     (1,1)               1      ",
+        "1:1,1                   (1,1)               1      ",
+        "0:1;1:1                 (0,1)               2      ",
+        "0:2                     (0,0)               1      ",
+        "0:1,1                   (0,0)               1      ",
+        "count = 5",
+        "sum of squared dimensions = 8",
+        "check count_formula: pass",
+        "check sum_dim_sq: pass",
+    ],
+    ("3", "2", "ranks"): [
+        "irreducible representations for n=3, m=2",
+        "beta                    lambda            dim  rank",
+        "2:2                     (2,2)               1     1",
+        "2:1,1                   (2,2)               1     1",
+        "1:1;2:1                 (1,2)               2     2",
+        "1:2                     (1,1)               1     1",
+        "1:1,1                   (1,1)               1     1",
+        "0:1;2:1                 (0,2)               2     2",
+        "0:1;1:1                 (0,1)               2     2",
+        "0:2                     (0,0)               1     1",
+        "0:1,1                   (0,0)               1     1",
+        "count = 9",
+        "sum of squared dimensions = 18",
+        "check count_formula: pass",
+        "check sum_dim_sq: pass",
+        "check rank_agreement: pass",
+    ],
+    ("1", "3", "idempotency,ranks,orthogonality"): [
+        "irreducible representations for n=1, m=3",
+        "beta                    lambda            dim  rank",
+        "0:3                     (0,0,0)             1     1",
+        "0:2,1                   (0,0,0)             2     2",
+        "0:1,1,1                 (0,0,0)             1     1",
+        "count = 3",
+        "sum of squared dimensions = 6",
+        "check count_formula: pass",
+        "check sum_dim_sq: pass",
+        "check idempotency: pass",
+        "check rank_agreement: pass",
+        "check orthogonality: pass",
+    ],
+}
+
+
+@pytest.mark.parametrize("n, m, checks", list(TEXT_TABLES))
+def test_table_text_layout_is_unchanged(capsys, n, m, checks):
+    expected = "\n".join(TEXT_TABLES[n, m, checks]) + "\n"
+    argv = ["table", "--n", n, "--m", m] + ([] if checks is None else ["--checks", checks])
+    assert run(capsys, *argv) == (0, expected, "")
+    flags = {f"check_{c}": True for c in (checks or "").split(",") if c}
+    assert classifier.irrep_table(int(n), int(m), **flags).to_text() == expected
 
 
 def test_table_2_2_json(capsys):
@@ -116,8 +176,8 @@ def test_caps_checked_before_any_work(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the relation suite ran before the rank cap was checked")
 
-    # cmd_verify imports the suite from kacpal.algebra when it runs it
-    monkeypatch.setattr(algebra, "verify_defining_relations", refuse)
+    # cmd_verify imports the suite from kacpal.relations when it runs it
+    monkeypatch.setattr(relations, "verify_defining_relations", refuse)
     code, out, err = run(
         capsys, "verify", "--n", "2", "--m", "5", "--checks", "relations,ranks"
     )
@@ -719,14 +779,16 @@ def modules_loaded_by(tmp_path, *argvs) -> set:
 
 
 def test_each_command_imports_only_what_it_runs(tmp_path):
+    # the group-basis algebra and the field's element class are built only
+    # where an element must exist: a check that passes on exponent tables
+    # reads sums of roots as the integer pairs of kacpal.roots
+    elements = {"kacpal.algebra", "kacpal.cyclotomic"}
     hopf = modules_loaded_by(tmp_path, ("verify", "--n", "2", "--m", "2", "--checks", "hopf"))
     assert "kacpal.hopf" in hopf
     assert not {"kacpal.classifier", "kacpal.partitions", "csv"} & hopf
-    relations = modules_loaded_by(
-        tmp_path, ("verify", "--n", "2", "--m", "2", "--checks", "relations")
-    )
-    assert "kacpal.algebra" in relations
-    assert not {"kacpal.hopf", "kacpal.classifier", "kacpal.partitions", "csv"} & relations
+    suite = modules_loaded_by(tmp_path, ("verify", "--n", "2", "--m", "2", "--checks", "relations"))
+    assert {"kacpal.relations", "kacpal.roots"} <= suite
+    assert not {"kacpal.hopf", "kacpal.classifier", "kacpal.partitions", "csv", *elements} & suite
     count = modules_loaded_by(tmp_path, ("count", "--n", "3", "--m", "4"))
     assert not {
         "kacpal.algebra",
@@ -734,9 +796,12 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
         "kacpal.classifier",
         "kacpal.conjugacy",
         "kacpal.cyclotomic",
+        "kacpal.roots",
         "kacpal.sparse",
         "csv",
         "json",
+        "fractions",
+        "decimal",
     } & count
     # the relation table, the exponent-table model and the ranks are loaded
     # only by the checks that run them, the field only where a value leaves
@@ -748,35 +813,38 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
         ("table", "--n", "3", "--m", "4", "--format", "csv"),
     )
     assert {"kacpal.classifier", "csv"} <= table
-    assert not {"kacpal.algebra", "kacpal.cyclotomic", "json", *checks_only} & table
+    assert not {"kacpal.roots", "json", *elements, *checks_only} & table
     expanded = modules_loaded_by(
         tmp_path, ("idempotent", "--n", "2", "--m", "5", "--beta", "1:5", "--expanded")
     )
-    assert {"kacpal.classifier", "kacpal.cyclotomic", "json"} <= expanded
+    assert {"kacpal.classifier", *elements, "json"} <= expanded
     assert not checks_only & expanded
     ranks = modules_loaded_by(tmp_path, ("table", "--n", "2", "--m", "2", "--checks", "ranks"))
-    assert "kacpal.character_model" in ranks
-    assert "kacpal.relations" not in ranks
-    assert "kacpal.relations" in relations and "kacpal.relations" in hopf
+    assert {"kacpal.character_model", "kacpal.roots"} <= ranks
+    assert not {"kacpal.relations", *elements} & ranks
+    assert "kacpal.relations" in suite and "kacpal.relations" in hopf
     # checks that pass on exponent tables build no element, and the field
     # takes ints without a Fraction: fractions (and decimal, which it
     # brings) loads only where a Fraction enters or leaves
     hopf = modules_loaded_by(tmp_path, ("verify", "--n", "3", "--m", "2", "--checks", "hopf"))
-    assert {"kacpal.hopf", "kacpal.character_model", "kacpal.cyclotomic"} <= hopf
+    assert {"kacpal.hopf", "kacpal.character_model", "kacpal.roots"} <= hopf
     assert not {
-        "kacpal.algebra",
         "kacpal.sparse",
         "kacpal.character_basis",
         "kacpal.classifier",
         "kacpal.partitions",
         "fractions",
         "decimal",
+        *elements,
     } & hopf
-    relations = modules_loaded_by(
-        tmp_path, ("verify", "--n", "2", "--m", "4", "--checks", "relations")
-    )
-    assert {"kacpal.algebra", "kacpal.relations"} <= relations
-    assert not {"kacpal.character_basis", "kacpal.classifier", "fractions"} & relations
+    suite = modules_loaded_by(tmp_path, ("verify", "--n", "2", "--m", "4", "--checks", "relations"))
+    assert {"kacpal.relations", "kacpal.roots"} <= suite
+    unused = {"kacpal.sparse", "kacpal.character_basis", "kacpal.classifier", "fractions"}
+    assert not {*unused, *elements} & suite
+    # the default checks, the relation suite and the idempotent squares
+    default = modules_loaded_by(tmp_path, ("verify", "--n", "3", "--m", "3"))
+    assert {"kacpal.relations", "kacpal.classifier", "kacpal.roots"} <= default
+    assert not elements & default
 
 
 def test_no_command_imports_dataclasses_or_inspect(tmp_path):

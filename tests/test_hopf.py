@@ -734,10 +734,9 @@ def test_relation_check_on_tables_matches_the_dense_oracle(
     assert bool(expected) == (patch is not None)
 
 
-def test_non_monomial_delta_z_is_a_failed_check(monkeypatch, capsys):
-    # negative control: the prefactor of delta(z_1) in the model with one
-    # coefficient doubled, off the roots of unity; the report names
-    # delta(z_1) before any table product takes it
+def _prefactor_off_the_roots(monkeypatch, shift):
+    # the prefactor of delta(z_1) in the model with its first coefficient
+    # replaced by zeta^shift times itself, doubled: off the roots of unity
     from kacpal import hopf
 
     real = hopf.z_square_sum
@@ -747,17 +746,35 @@ def test_non_monomial_delta_z_is_a_failed_check(monkeypatch, capsys):
         if not isinstance(prefactor, Monomial):
             return prefactor
         entries, order = prefactor.entries, prefactor.model.order
-        value = zeta_power(order, entries[0]) * 2
-        return Monomial(prefactor.model, prefactor.perm, (None, *entries[1:]), {0: value})
+        value = zeta_power(order, entries[0] + shift) * 2
+        pair = (value.num, value.den)
+        return Monomial(prefactor.model, prefactor.perm, (None, *entries[1:]), {0: pair})
 
     monkeypatch.setattr(hopf, "z_square_sum", doubled)
+
+
+def _prefactor_failure(n, coefficient):
+    return (
+        f"the prefactor of delta(z_1) has the coefficient {coefficient} in the character "
+        f"basis, which is not a power of zeta_{2 * n}\n"
+    )
+
+
+def test_non_monomial_delta_z_is_a_failed_check(monkeypatch, capsys):
+    # negative control: the report names delta(z_1) before any table
+    # product takes the coefficient
+    _prefactor_off_the_roots(monkeypatch, 0)
     code = main(["verify", "--n", "2", "--m", "2", "--checks", "hopf"])
     out, err = capsys.readouterr()
-    assert code == 1
-    assert out == ""
-    assert len(err.splitlines()) == 1, err
-    assert "Traceback" not in err
-    assert err.startswith("the prefactor of delta(z_1) has the coefficient")
+    assert (code, out, err) == (1, "", _prefactor_failure(2, "CycNumber(4, '2')"))
+
+
+@pytest.mark.parametrize("n, coefficient", [(3, "CycNumber(6, '2*z')"), (4, "CycNumber(8, '2*z')")])
+def test_a_non_root_prefactor_is_printed_as_its_cyc_number(monkeypatch, capsys, n, coefficient):
+    _prefactor_off_the_roots(monkeypatch, 1)
+    code = main(["verify", "--n", str(n), "--m", "2", "--checks", "hopf"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, "", _prefactor_failure(n, coefficient))
 
 
 def _delta_s1_off(real, a, b):
