@@ -15,21 +15,11 @@ from importlib import import_module
 
 # module -> the names the package exports from it
 _EXPORTS = {
-    "algebra": (
-        "AlgebraElement",
-        "lambda_idempotent",
-        "s_element",
-        "x_element",
-        "x_monomial",
-        "y_element",
-        "z_element",
-    ),
     "classifier": (
         "IrrepRecord",
         "IrrepTable",
         "LabelledPartition",
         "enumerate_labelled_partitions",
-        "idempotent_from_beta",
         "irrep_dimension",
         "irrep_table",
         "lambda_from_beta",
@@ -42,12 +32,7 @@ _EXPORTS = {
         "zeta",
         "zeta_power",
     ),
-    "hopf": (
-        "cocommutativity_witness",
-        "counit",
-        "hopf_axiom_report",
-        "quotient_to_sym",
-    ),
+    "hopf": ("cocommutativity_witness", "hopf_axiom_report"),
     "partitions": (
         "Partition",
         "Tableau",

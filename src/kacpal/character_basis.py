@@ -19,7 +19,10 @@ The change of basis Phi: F(lam, p) -> Lambda_lam p is exact,
 
     Lambda_lam p = n^(-m) sum_t zeta^(2 lam . t) (t, p),
 
-computed by algebra.character_combination beside lambda_idempotent.
+with the pairs of roots.lambda_coefficients as its coefficients: the
+idempotent command writes a classification idempotent's group-basis
+coordinates from them, and character_model.character_combination, which
+maps a failing relation's difference, is the package's one Phi on elements.
 kacpal.character_model holds what a check needs beyond the product: the
 model check check_model, which verifies at a given (n, m) that Phi carries
 the model's product to the group's before any check relies on the model,
@@ -27,9 +30,8 @@ the exponent tables of monomial elements, the key of the tensor square,
 and the ranks of left ideals and sandwiches, as traces.  This module holds
 only the element type, whose product reads the character action
 wreath.permute_character, so that building an idempotent loads none of
-them; an element with rational coefficients loads neither the field nor
-the group-basis algebra, so the table of irreducibles without checks needs
-neither.
+them; an element with rational coefficients loads no field, so neither the
+table of irreducibles without checks nor the idempotent command needs one.
 """
 
 from __future__ import annotations
@@ -109,11 +111,3 @@ class CharacterElement(SparseSum):
         """The identity: the sum of all F(lam, 1)."""
         ident = tuple(range(m))
         return cls._make(n, m, {(lam, ident): ONE for lam in product(range(n), repeat=m)})
-
-    def to_group(self):
-        """The group-basis image Phi(self), an AlgebraElement, with no
-        group-algebra product."""
-        from .algebra import character_combination
-
-        return character_combination(self.n, self.m, self.terms, {})
-

@@ -20,8 +20,11 @@ of a Lambda_lam, are read as the canonical integer pairs of kacpal.roots.
 The element types and the field's element class are imported only where
 an element is built (is_idempotent, Monomial.exact and Monomial.__sub__)
 or a failure names a coefficient, so a check that passes on tables loads
-neither kacpal.character_basis, the group-basis algebra nor
-kacpal.cyclotomic from here.
+neither kacpal.character_basis nor kacpal.cyclotomic from here.  The one
+change of basis to the group basis, character_combination, serves only a
+failing relation's difference (Monomial.__sub__), whose head is a group
+index; the group-basis algebra it maps into is the reference in
+tests/group_basis_oracle.py.
 
 The classification table's ranks are traces.  For idempotents the maps
 x -> x e and x -> e_i x e_j are idempotent, so their ranks are their traces,
@@ -51,6 +54,7 @@ from .wreath import (
     WreathElement,
     generator_a,
     generator_b,
+    perm_index,
     permute_character,
     power,
     symmetric_group,
@@ -290,10 +294,44 @@ class Monomial:
         terms.update({(model.chars[a], p): _make(order, *c) for a, c in self.non_roots.items()})
         return CharacterElement._make(model.n, model.m, terms)
 
-    def __sub__(self, other: "Monomial") -> AlgebraElement:
+    def __sub__(self, other: "Monomial"):
         """The difference in the group basis, for a relation's report: both
-        sides rebuilt exactly and their difference mapped through Phi."""
-        return (self.exact() - other.exact()).to_group()
+        sides rebuilt exactly and their difference mapped through Phi, a
+        SparseSum of group indices."""
+        from .sparse import SparseSum
+
+        model, diff = self.model, self.exact() - other.exact()
+        return SparseSum._make(character_combination(model.n, model.m, diff.terms, {}))
+
+
+def character_combination(n: int, m: int, terms: dict, columns: dict) -> dict:
+    """Phi on coordinates: the group-basis terms {index: c'} of the sum of
+    c F(lam, p) = c Lambda_lam p over the terms {(lam, p): c}, the package's
+    one change of basis to the group basis.
+
+    Lambda_lam p = n^(-m) sum_t zeta^(2 lam . t) (t, p), and the index of
+    (t, p) is perm_index(p) n^m + t, so c Lambda_lam p is c times the pairs
+    of roots.lambda_coefficients shifted by perm_index(p) n^m.  columns
+    caches c Lambda_lam per (lam, c), so terms sharing a character and a
+    coefficient share their multiplications.  The field is loaded here, when
+    a coordinate must be a CycNumber: for a failing relation's difference.
+    """
+    from .cyclotomic import _make
+    from .sparse import add_into
+
+    order, size = 2 * n, n**m
+    acc: dict = {}
+    for (lam, p), c in terms.items():
+        col = columns.get((lam, c))
+        if col is None:
+            col = columns[lam, c] = {
+                t: _make(order, *pair) * c
+                for t, pair in enumerate(lambda_coefficients(n, m, lam))
+            }
+        base = perm_index(p) * size
+        shifted = {base + t: z for t, z in col.items()}
+        acc = add_into(acc, shifted) if acc else shifted
+    return acc
 
 
 def _generator_tables(model: MonomialModel) -> list[tuple]:
@@ -312,8 +350,8 @@ def _generator_tables(model: MonomialModel) -> list[tuple]:
 
 def _lambda_exponents(n: int, m: int, lam: tuple, fail) -> list[int]:
     """k by twist index t for the coefficients n^-m zeta^k of Lambda_lam, as
-    roots.lambda_coefficients gives them and algebra.lambda_idempotent
-    holds them; fail names any other coefficient."""
+    roots.lambda_coefficients gives them and character_combination reads
+    them; fail names any other coefficient."""
     order, den = 2 * n, n**m
     coefficients = lambda_coefficients(n, m, lam)
     row = [root_exponent(order, c, den) for c in coefficients]

@@ -5,8 +5,11 @@ n twist characters, with sizes summing to m.  Each produces a primitive
 idempotent: the character idempotent of its non-decreasing character vector
 times the embedded Young symmetrizers of its blocks.  The idempotent is built
 in the character basis (kacpal.character_basis), where its coordinates are
-rational, by that model's own product, and mapped to the group basis by an
-exact change of basis.
+rational, by that model's own product; every term lies on its one character
+vector, so the idempotent command writes its group-basis coordinates as the
+pairs of roots.lambda_coefficients scaled by those rationals.  The
+group-basis product of the same factors is the reference in
+tests/group_basis_oracle.py.
 Counting and dimension formulas are cross-checked three ways (closed formula,
 hook lengths, and the rank of the left ideal A e as the trace m! c_(lam, 1),
 c_(lam, 1) = prod f^mu / b_i!, which rests on the exact square e * e == e).
@@ -14,7 +17,7 @@ c_(lam, 1) = prod f^mu / b_i!, which rests on the exact square e * e == e).
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations, compress, product, repeat
 from math import factorial
 from operator import itemgetter, sub
@@ -82,7 +85,11 @@ class LabelledPartition(tuple):
                 if label in seen:
                     raise ValueError(f"label {label} given twice")
                 seen.add(label)
-                blocks[label] = Partition(int(p) for p in parts_text.split(",") if p)
+                # "label:" is an empty block; an empty part between commas is an error
+                parts = parts_text.split(",") if parts_text else ()
+                if "" in parts:
+                    raise ValueError(f"malformed labelled-partition entry: {piece!r}")
+                blocks[label] = Partition(map(int, parts))
         beta = cls(n, blocks)
         if beta.m != m:
             raise ValueError(f"block sizes sum to {beta.m}, expected {m}")
@@ -177,13 +184,6 @@ def character_idempotent(beta: LabelledPartition) -> CharacterElement:
     return result
 
 
-def idempotent_from_beta(beta: LabelledPartition):
-    """The classification idempotent: character idempotent times the embedded
-    row-consecutive Young symmetrizers of the blocks, in the group basis (an
-    AlgebraElement)."""
-    return character_idempotent(beta).to_group()
-
-
 def irrep_dimension(beta: LabelledPartition) -> int:
     """Closed-form dimension: multinomial of block sizes times the product of
     standard-tableau counts."""
@@ -208,11 +208,8 @@ def dimension_by_hooks(beta: LabelledPartition) -> int:
 
 
 class IrrepRecord:
-    """One classified irreducible with its three dimension computations.
-
-    element is its idempotent in the character basis; idempotent, the
-    group-basis image, is built on first use.
-    """
+    """One classified irreducible with its three dimension computations;
+    element is its idempotent in the character basis."""
 
     def __init__(
         self,
@@ -230,10 +227,6 @@ class IrrepRecord:
             )
         self.beta, self.lam, self.element = beta, lam, element
         self.dim_formula, self.dim_hook, self.dim_rank = dim_formula, dim_hook, dim_rank
-
-    @cached_property
-    def idempotent(self):
-        return self.element.to_group()
 
 
 class IrrepTable:

@@ -1,21 +1,21 @@
 """Command-line front end: tables, verification suites, idempotents, counts.
 
 Each handler imports the modules it runs when it runs, so a call loads only
-what its command and checks need.  `table` and `idempotent` without checks
-load neither the relation table (kacpal.relations) nor the exponent-table
-model and its ranks (kacpal.character_model), and `table` without checks
-neither the field nor the group-basis algebra.  The checks on exponent
-tables (`verify` with its default checks, `--checks hopf` and the
-classification checks) read sums of roots as the integer pairs of
-kacpal.roots and load neither the group-basis algebra (kacpal.algebra) nor
-the field's element class (kacpal.cyclotomic) when they pass; `--checks
-hopf` also leaves out the classifier, kacpal.sparse, kacpal.character_basis
-and fractions, and `--checks relations` the Hopf module, the classifier,
-the character basis, kacpal.sparse and fractions.  `count` loads neither
-the algebra nor fractions; only the conjugacy check loads
-kacpal.conjugacy, only `idempotent` builds group-basis elements, and only
-the commands that write JSON load json.  With no byte code cached,
-compiling the modules a call loads is a large part of its time.
+what its command and checks need.  `table` and `idempotent` load neither
+the relation table (kacpal.relations), the exponent-table model and its
+ranks (kacpal.character_model) nor the field (kacpal.cyclotomic):
+`idempotent --expanded` writes the group-basis coordinates of an idempotent
+built in the character basis as the integer pairs of kacpal.roots.  The
+checks on exponent tables (`verify` with its default checks, `--checks
+hopf` and the classification checks) read sums of roots as those pairs and
+load the field's element class only when a check fails; `--checks hopf`
+also leaves out the classifier, kacpal.sparse, kacpal.character_basis and
+fractions, and `--checks relations` the Hopf module, the classifier, the
+character basis, kacpal.sparse and fractions.  `count` loads neither the
+character basis nor fractions; only the conjugacy check loads
+kacpal.conjugacy, and only the commands that write JSON load json.  With
+no byte code cached, compiling the modules a call loads is a large part of
+its time.
 
 main(argv) is the in-process API: it returns the exit code.  run() is the
 process entry of the kacpal script and of python -m kacpal.  It flushes
@@ -102,31 +102,46 @@ def _json(value) -> str:
 
 
 def _expanded_json(payload: dict, e) -> Iterator[str]:
-    """``json.dumps(payload | {"element": e.to_json()}, indent=2) + "\\n"`` in
-    pieces, one term at a time, so that the peak memory of an expanded
+    """``json.dumps(payload | {"element": Phi(e).to_json()}, indent=2) + "\\n"``
+    in pieces, one term at a time, so that the peak memory of an expanded
     idempotent does not grow with its number of terms.
 
-    A term sits three levels deep and its coefficient four.  The
+    e is a classification idempotent in the character basis: every term
+    c F(lam, sigma) lies on its one lam, and Phi maps it to c Lambda_lam
+    sigma, whose coordinate at index perm_index(sigma) n^m + t is
+    c zeta^(2 lam . t) / n^m, the pair t of roots.lambda_coefficients times
+    the rational c.  Each coefficient of Lambda_lam and each c is nonzero,
+    and the sigma differ, so no two terms share an index and nothing
+    cancels.  A term sits three levels deep and its coefficient four.  The
     coefficients share one order, so (den, num) is each one's value and
     fixes its JSON: each distinct value is encoded once.
     """
     import json
 
-    shell = json.dumps({**payload, "element": {"n": e.n, "m": e.m, "terms": []}}, indent=2)
+    from .roots import coefficient_json, lambda_coefficients, reduced
+    from .wreath import perm_index
+
+    n, m = e.n, e.m
+    order, size = 2 * n, n**m
+    shell = json.dumps({**payload, "element": {"n": n, "m": m, "terms": []}}, indent=2)
     head, tail = shell.rsplit('"terms": []', 1)
     encode = json.JSONEncoder(indent=2).encode
+    pairs = lambda_coefficients(n, m, next(iter(e.terms))[0])
     texts: dict = {}
     yield head + '"terms": ['
     sep = ""
-    for ix, coeff in sorted(e.terms.items()):
-        key = coeff.den, coeff.num
-        text = texts.get(key)
-        if text is None:
-            # its strings hold no newlines
-            text = texts[key] = encode(coeff.to_json()).replace("\n", "\n        ")
-        yield f'{sep}\n      {{\n        "index": {ix},\n        "coeff": {text}\n      }}'
-        sep = ","
-    yield ("\n    ]" if sep else "]") + tail + "\n"
+    for base, c in sorted((perm_index(sigma) * size, c) for (_, sigma), c in e.terms.items()):
+        a, b = c.numerator, c.denominator
+        for index, (num, den) in enumerate(pairs, base):
+            num, den = reduced(tuple([a * x for x in num]), den * b)
+            text = texts.get((den, num))
+            if text is None:
+                # its strings hold no newlines
+                text = encode(coefficient_json(order, num, den)).replace("\n", "\n        ")
+                texts[den, num] = text
+            yield f'{sep}\n      {{\n        "index": {index},\n        "coeff": {text}\n      }}'
+            sep = ","
+    yield "\n    ]" + tail + "\n"
 
 
 def _irrep_table(args):
@@ -183,19 +198,20 @@ def cmd_verify(args) -> int:
 def cmd_idempotent(args) -> int:
     from .classifier import (
         LabelledPartition,
-        idempotent_from_beta,
+        character_idempotent,
         irrep_dimension,
         lambda_from_beta,
     )
 
     beta = LabelledPartition.parse(args.n, args.m, args.beta or "")
-    e = idempotent_from_beta(beta)
+    e = character_idempotent(beta)
     payload = {
         "beta": beta.spec_string(),
         "blocks": beta.to_json(),
         "lambda": list(lambda_from_beta(beta)),
         "dimension": irrep_dimension(beta),
-        "num_terms": len(e.terms),
+        # each term spreads over the n^m coordinates of its Lambda_lam
+        "num_terms": len(e.terms) * args.n**args.m,
     }
     if args.expanded:
         _emit(args, _expanded_json(payload, e))

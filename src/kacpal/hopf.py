@@ -5,8 +5,8 @@ square-root generators by the twisted formula
 delta(z_l) = P (z_l (x) z_l), P = (1/n) sum q^(-ij) x_l^i (x) x_{l+1}^j,
 so delta(s_l) = delta(y_l) delta(z_l); it is extended multiplicatively to
 every permutation, breadth-first over S_m from the identity.  The counit is
-the group-algebra counit (one on every basis element).  The antipode
-inverts x-monomials and fixes the square-root generators, so
+one on every group element, so eps(Lambda_lam p) = eps(Lambda_lam).  The
+antipode inverts x-monomials and fixes the square-root generators, so
 S(s_l) = z_l S(y_l), extended anti-homomorphically along the same walk.
 
 Each of these formulas is written once, on images (_delta_z_image,
@@ -121,8 +121,8 @@ first nonzero coordinate in the order of (t, u) is the least pair of
 indices.  Each coordinate counts its exponents with integers and is reduced
 once by root_count_sum, and the sum over mu is taken once for each t.
 
-The group-basis delta, antipode, tensor square and witness, the axiom checks
-on them, the dense change of basis, the relation check on dense
+The group-basis delta, counit, antipode, tensor square and witness, the
+axiom checks on them, the quotient onto Q[S_m], the dense change of basis, the relation check on dense
 character-basis tensors and the all-pairs multiplicativity and antipode
 loops are kept as the reference in tests/hopf_group_basis_oracle.py.
 """
@@ -137,7 +137,6 @@ from .roots import coefficient_json, root_count_sum, root_exponent
 from .wreath import (
     CheckFailedError,
     check_cap,
-    element_at,
     generator_b,
     perm_index,
     symmetric_group,
@@ -176,13 +175,6 @@ def _antipode_s_image(im, l: int):
     """
     n = im.n
     return im.z(l) * im.diagonal(lambda lam: -((-lam[l - 1]) % n) * ((-lam[l]) % n))
-
-
-def counit(a: AlgebraElement) -> CycNumber:
-    """The counit: one on every group basis element, extended linearly."""
-    from .cyclotomic import CycNumber
-
-    return sum(a.terms.values(), CycNumber.zero(2 * a.n))
 
 
 # -- the character basis -------------------------------------------------------
@@ -522,21 +514,3 @@ def cocommutativity_witness(n: int, m: int, cap: int | None = None) -> dict:
     and the walk over S_m is not taken."""
     check_cap(n, m, "tensor-square", cap)
     return _CharacterHopf(n, m).cocommutativity_witness()
-
-
-def quotient_to_sym(a: AlgebraElement) -> CharacterElement:
-    """Project onto the symmetric group algebra Q[S_m] by forgetting twists.
-
-    Q[S_m] is the character model at (1, m), whose key ((0,)*m, p) is the
-    permutation p.  The projection kills x_i - 1, so every x-monomial maps to
-    the identity permutation.  Raises ValueError if a projected coefficient
-    is not rational (the model at n = 1 has rational coefficients only).
-    """
-    from .character_basis import CharacterElement
-    from .sparse import add_into
-
-    acc: dict = {}
-    for ix, c in a.terms.items():
-        add_into(acc, {element_at(a.n, a.m, ix).perm: c})
-    trivial = (0,) * a.m
-    return CharacterElement(1, a.m, {(trivial, perm): c.rational() for perm, c in acc.items()})

@@ -13,9 +13,10 @@ moving the x_i, and s_l = y_l z_l.  The images may be of any type with *,
 kacpal.hopf evaluates presentation on the tables of the comultiplication,
 and the group-basis evaluation is the reference in
 tests/group_basis_oracle.py.  Only the relation suite and the Hopf report
-load this module, and a suite that passes loads neither the group-basis
-algebra nor the field's element class: a failing relation's difference
-alone is rebuilt as an element, for its counterexample.
+load this module, and a suite that passes loads no field element class: a
+failing relation's difference alone is rebuilt as an element and mapped to
+the group basis by character_model.character_combination, for its
+counterexample.
 """
 
 from __future__ import annotations
@@ -144,8 +145,9 @@ def relation_families(n: int, m: int, mono, ys: dict, y_invs: dict, ss: dict, id
 
 def relation_report(families: dict) -> dict:
     """Check each family of (name, lhs, rhs) relations: pass, or fail with
-    the first failing relation and the head term of lhs - rhs, a group-basis
-    element."""
+    the first failing relation and the head term of lhs - rhs, a SparseSum
+    keyed by group index on exponent tables and on the group-basis
+    reference alike."""
     report = {}
     for family, items in families.items():
         entry: dict = {"status": "pass"}

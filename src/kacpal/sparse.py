@@ -1,18 +1,19 @@
-"""Finitely supported linear combinations over a group basis.
+"""Finitely supported linear combinations over a basis.
 
-The group algebra of Z_n wr S_m is a sparse map from group keys to nonzero
-scalars, and so are its elements in the character basis, Q[S_k] among them
-as the character model at n = 1, and the tensor square as that model at
-(n, 2m).  This module holds
-the code that adds and multiplies such sums.  An element type subclasses
-SparseSum and supplies what differs: its parameters (declared as its
-__slots__), scalar coercion, its identity element, and the row of its key
-product.  The one type with its own product is
-character_basis.CharacterElement: there the product of two keys is zero
-unless the right key's character is the left key's moved by its
-permutation, so it looks those keys up instead of taking rows.  root_sum,
-a sum over roots of unity, serves every type with a twist order n.  The
-repeated-squaring loop, wreath.power, is shared with the scalar field.
+The elements of the character basis, Q[S_k] among them as the character
+model at n = 1 and the tensor square as that model at (n, 2m), are sparse
+maps from keys to nonzero scalars.  This module holds the linear core
+that adds, negates, scales and compares such sums; an element type
+subclasses SparseSum and supplies what differs: its parameters (declared as
+its __slots__), scalar coercion, its identity element, and its product.
+character_basis.CharacterElement is the package's one such type.  The
+group-basis algebra and its tensor square, which multiply by rows of the
+group's multiplication table, are SparseSums of the test oracles
+(tests/group_basis_oracle.py and tests/hopf_group_basis_oracle.py).  A bare
+SparseSum, with no
+parameters, holds a failing relation's difference in the group basis
+(character_model.Monomial.__sub__).  The repeated-squaring loop,
+wreath.power, is shared with the scalar field.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ class SparseSum:
 
     A subclass names its parameters (such as n and m) in its own __slots__;
     two sums combine only when those parameters agree.  It also defines
-    _scalar(value), which coerces a scalar; _one(), its identity element; and
-    _row(key), a callable mapping a right key k to the key of key * k.
+    _scalar(value), which coerces a scalar; _one(), its identity element;
+    and __mul__, its product.
     """
 
     __slots__ = ("terms",)
@@ -93,19 +94,6 @@ class SparseSum:
     def __neg__(self):
         return self._new({k: -c for k, c in self.terms.items()})
 
-    def root_sum(self, pairs, den: int):
-        """(1/den) sum of zeta^k x over the (k, x) pairs, x of this type and
-        zeta of order 2n; self gives only the type and its parameters, of
-        which n sets the field.  The field is imported here, as
-        kacpal.cyclotomic builds on this module."""
-        from .cyclotomic import zeta_over
-
-        order = 2 * self.n
-        acc: dict = {}
-        for k, x in pairs:
-            add_into(acc, x.terms, zeta_over(order, k, den))
-        return self._new(acc)
-
     def scale(self, factor):
         factor = self._scalar(factor)
         if not factor:
@@ -113,20 +101,6 @@ class SparseSum:
         return self._new({k: c * factor for k, c in self.terms.items()})
 
     # -- multiplicative operations -------------------------------------------
-
-    def __mul__(self, other):
-        self._check(other)
-        right = other.terms
-        acc: dict = {}
-        if right:  # a zero right factor must not build any product rows
-            for i, a in self.terms.items():
-                row = self._row(i)
-                for j, b in right.items():
-                    k = row(j)
-                    c = a * b
-                    cur = acc.get(k)
-                    acc[k] = c if cur is None else cur + c
-        return self._new({k: v for k, v in acc.items() if v})
 
     def __pow__(self, exponent: int):
         if exponent < 0:

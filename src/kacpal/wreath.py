@@ -286,13 +286,3 @@ def element_at(n: int, m: int, index: int) -> WreathElement:
         twist_part, t = divmod(twist_part, n)
         twists.append(t)
     return WreathElement(n, twists, Perm.from_lehmer(m, perm_rank))
-
-
-@lru_cache(maxsize=None)
-def mul_row(n: int, m: int, i: int) -> tuple[int, ...]:
-    """Row i of the multiplication table: indices of element_i * element_j.
-    (s, p)(t, q) has the twists of (s, p)(t, 1) and the permutation pq."""
-    left, size = element_at(n, m, i), n**m
-    twists = [twist_index(n, (left * element_at(n, m, t)).twists) for t in range(size)]
-    perms = (perm_index(left.perm * Perm.from_lehmer(m, r)) * size for r in range(factorial(m)))
-    return tuple(base + t for base in perms for t in twists)

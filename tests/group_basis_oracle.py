@@ -1,6 +1,19 @@
-"""The group-basis classification, model check and relation suite, and the
-echelon ranks, kept as the reference that the package's versions are tested
-against.
+"""The group algebra and its group-basis classification, model check and
+relation suite, and the echelon ranks, kept as the reference that the
+package's versions are tested against.
+
+AlgebraElement is the group algebra of Z_n wr S_m over Q(zeta_2n): a
+sparse map from dense group indices to CycNumbers, multiplied by rows of
+the group's multiplication table (mul_row, row_product).  x_element,
+x_monomial, lambda_idempotent, diagonal_element, y_element,
+y_inverse_element, s_element and z_element are the distinguished elements
+of the generalised Kac-Paljutkin structure, built in that basis; to_group
+maps an element of the character basis there by the package's one change
+of basis, character_model.character_combination, and idempotent_from_beta
+is a classification idempotent's image.  counit and quotient_to_sym are the
+counit and the projection onto Q[S_m] on group-basis elements; root_sum,
+the sum over roots of unity of relations.z_square_sum, serves every
+element type with a twist order n.
 
 The idempotent of a labelled partition is the character idempotent of its
 character vector times, for each block, the row-consecutive Young
@@ -26,22 +39,22 @@ conjugacy.conjugacy_class_count.
 
 from functools import lru_cache, partial
 from itertools import product
+from math import factorial
 
-from kacpal.algebra import (
-    AlgebraElement,
-    character_combination,
-    lambda_idempotent,
-    s_element,
-    x_monomial,
-    y_element,
-    y_inverse_element,
-)
 from kacpal.character_basis import ONE, CharacterElement
-from kacpal.character_model import MonomialModel, _generator_tables, integral
-from kacpal.classifier import LabelledPartition, lambda_from_beta
-from kacpal.cyclotomic import CycNumber
+from kacpal.character_model import (
+    MonomialModel,
+    _generator_tables,
+    character_combination,
+    integral,
+)
+from kacpal.classifier import LabelledPartition, character_idempotent, lambda_from_beta
+from kacpal.cyclotomic import CycNumber, _make, zeta_over, zeta_power
 from kacpal.partitions import row_consecutive_tableau, young_symmetrizer
+from kacpal import relations
 from kacpal.relations import relation_families, relation_suite_report, z_square_sum
+from kacpal.roots import lambda_coefficients
+from kacpal.sparse import SparseSum, add_into
 from kacpal.wreath import (
     CheckFailedError,
     Perm,
@@ -49,11 +62,217 @@ from kacpal.wreath import (
     check_cap,
     element_at,
     element_index,
+    generator_b,
     group_order,
-    mul_row,
+    perm_index,
     permute_character,
     symmetric_group,
+    twist_index,
 )
+
+
+@lru_cache(maxsize=None)
+def mul_row(n: int, m: int, i: int) -> tuple[int, ...]:
+    """Row i of the multiplication table: indices of element_i * element_j.
+    (s, p)(t, q) has the twists of (s, p)(t, 1) and the permutation pq."""
+    left, size = element_at(n, m, i), n**m
+    twists = [twist_index(n, (left * element_at(n, m, t)).twists) for t in range(size)]
+    perms = (perm_index(left.perm * Perm.from_lehmer(m, r)) * size for r in range(factorial(m)))
+    return tuple(base + t for base in perms for t in twists)
+
+
+def row_product(a, b):
+    """a * b for sums over group keys whose type maps a left key to the row
+    of its products, _row(key): a callable from a right key k to the key of
+    key * k."""
+    a._check(b)
+    right = b.terms
+    acc: dict = {}
+    if right:  # a zero right factor must not build any product rows
+        for i, x in a.terms.items():
+            row = a._row(i)
+            for j, y in right.items():
+                k = row(j)
+                c = x * y
+                cur = acc.get(k)
+                acc[k] = c if cur is None else cur + c
+    return a._new({k: v for k, v in acc.items() if v})
+
+
+def root_sum(like, pairs, den: int):
+    """(1/den) sum of zeta^k x over the (k, x) pairs, x of like's type and
+    zeta of order 2n; like gives only the type and its parameters, of which
+    n sets the field."""
+    order = 2 * like.n
+    acc: dict = {}
+    for k, x in pairs:
+        add_into(acc, x.terms, zeta_over(order, k, den))
+    return like._new(acc)
+
+
+class AlgebraElement(SparseSum):
+    """A sparse element of the group algebra over Q(zeta_2n)."""
+
+    __slots__ = ("n", "m")
+
+    def __init__(self, n: int, m: int, terms=None):
+        order = group_order(n, m)
+        clean: dict[int, CycNumber] = {}
+        self._assign(n, m, clean)  # _scalar reads n
+        for index, coeff in (terms or {}).items():
+            if not 0 <= index < order:
+                raise ValueError(f"group index {index} out of range for (n={n}, m={m})")
+            coeff = self._scalar(coeff)
+            if coeff:
+                clean[index] = coeff
+
+    __mul__ = row_product
+    root_sum = root_sum
+
+    def _scalar(self, value) -> CycNumber:
+        """value in Q(zeta_2n): a CycNumber of order 2n, or a rational."""
+        if isinstance(value, CycNumber):
+            if value.order != 2 * self.n:
+                raise ValueError(f"coefficient order {value.order} != {2 * self.n}")
+            return value
+        return CycNumber.from_rational(2 * self.n, value)
+
+    def _one(self) -> "AlgebraElement":
+        return AlgebraElement.one(self.n, self.m)
+
+    def _row(self, index: int):
+        return mul_row(self.n, self.m, index).__getitem__
+
+    @classmethod
+    def one(cls, n: int, m: int) -> "AlgebraElement":
+        return cls._make(n, m, {0: CycNumber.one(2 * n)})
+
+    @classmethod
+    def basis(cls, element: WreathElement) -> "AlgebraElement":
+        return cls._make(
+            element.n, element.m, {element_index(element): CycNumber.one(2 * element.n)}
+        )
+
+    def __repr__(self):
+        head = ", ".join(f"{ix}: {c!r}" for ix, c in sorted(self.terms.items())[:4])
+        more = "" if len(self.terms) <= 4 else f", ... ({len(self.terms)} terms)"
+        return f"AlgebraElement(n={self.n}, m={self.m}, {{{head}{more}}})"
+
+    def to_json(self) -> dict:
+        terms = [{"index": ix, "coeff": c.to_json()} for ix, c in sorted(self.terms.items())]
+        return {"n": self.n, "m": self.m, "terms": terms}
+
+    @classmethod
+    def from_json(cls, data: dict) -> "AlgebraElement":
+        terms = {item["index"]: CycNumber.from_json(item["coeff"]) for item in data["terms"]}
+        return cls(data["n"], data["m"], terms)
+
+
+def to_group(x: CharacterElement) -> AlgebraElement:
+    """The group-basis image Phi(x), with no group-algebra product."""
+    return AlgebraElement._make(x.n, x.m, character_combination(x.n, x.m, x.terms, {}))
+
+
+def idempotent_from_beta(beta: LabelledPartition) -> AlgebraElement:
+    """The classification idempotent in the group basis: the character
+    idempotent times the embedded row-consecutive Young symmetrizers of the
+    blocks, mapped by Phi."""
+    return to_group(character_idempotent(beta))
+
+
+def x_element(n: int, m: int, i: int) -> AlgebraElement:
+    """The twist generator at slot i (1-based) as a basis element."""
+    if not 1 <= i <= m:
+        raise ValueError(f"x index {i} out of range 1..{m}")
+    return x_monomial(n, m, tuple(1 if j == i - 1 else 0 for j in range(m)))
+
+
+def x_monomial(n: int, m: int, exponents) -> AlgebraElement:
+    """The product of x generators with the given exponent vector."""
+    exponents = tuple(e % n for e in exponents)
+    if len(exponents) != m:
+        raise ValueError("exponent vector length must be m")
+    # x-monomials carry the identity permutation, whose Lehmer rank is 0,
+    # so their index is just the mixed-radix twist value.
+    return AlgebraElement._make(n, m, {twist_index(n, exponents): CycNumber.one(2 * n)})
+
+
+@lru_cache(maxsize=None)
+def lambda_idempotent(n: int, m: int, lam: tuple[int, ...]) -> AlgebraElement:
+    """The character idempotent of the abelian subalgebra for character lam.
+
+    Averages all x-monomials against the character q^(lam . i); the family
+    over all lam forms a complete set of orthogonal idempotents.  Each
+    coefficient is zeta^(2 lam . i) over the common denominator n^m, the
+    pairs of roots.lambda_coefficients; an x-monomial's index is its twist
+    index.
+    """
+    if len(lam) != m or any(not 0 <= v < n for v in lam):
+        raise ValueError(f"character {lam} not in Z_{n}^{m}")
+    order, pairs = 2 * n, lambda_coefficients(n, m, lam)
+    return AlgebraElement._make(n, m, {t: _make(order, *pair) for t, pair in enumerate(pairs)})
+
+
+def diagonal_element(n: int, m: int, exponent) -> AlgebraElement:
+    """sum_lam zeta^exponent(lam) Lambda_lam, by the change of basis."""
+    ident = tuple(range(m))
+    terms = {
+        (lam, ident): zeta_power(2 * n, exponent(lam)) for lam in product(range(n), repeat=m)
+    }
+    return AlgebraElement._make(n, m, character_combination(n, m, terms, {}))
+
+
+def _y_power(n: int, m: int, l: int, sign: int) -> AlgebraElement:
+    # the relation table defines y_l by its eigenvalues, looked up at call
+    # time, so a test that replaces y_exponent reaches these elements too
+    if not 1 <= l <= m - 1:
+        raise ValueError(f"index {l} out of range 1..{m - 1}")
+    return diagonal_element(n, m, lambda lam: sign * relations.y_exponent(lam, l))
+
+
+@lru_cache(maxsize=None)
+def y_element(n: int, m: int, l: int) -> AlgebraElement:
+    """The unit of order 2n acting on the character idempotents by
+    zeta^(-lam_l * lam_{l+1})."""
+    return _y_power(n, m, l, 1)
+
+
+@lru_cache(maxsize=None)
+def y_inverse_element(n: int, m: int, l: int) -> AlgebraElement:
+    """Inverse of y_element, by inverting each diagonal eigenvalue."""
+    return _y_power(n, m, l, -1)
+
+
+@lru_cache(maxsize=None)
+def s_element(n: int, m: int, l: int) -> AlgebraElement:
+    """The transposition generator as a group basis element."""
+    return AlgebraElement.basis(generator_b(n, m, l))
+
+
+@lru_cache(maxsize=None)
+def z_element(n: int, m: int, l: int) -> AlgebraElement:
+    """The square-root generator, reconstructed as y_l^(-1) s_l."""
+    return y_inverse_element(n, m, l) * s_element(n, m, l)
+
+
+def counit(a: AlgebraElement) -> CycNumber:
+    """The counit: one on every group basis element, extended linearly."""
+    return sum(a.terms.values(), CycNumber.zero(2 * a.n))
+
+
+def quotient_to_sym(a: AlgebraElement) -> CharacterElement:
+    """Project onto the symmetric group algebra Q[S_m] by forgetting twists.
+
+    Q[S_m] is the character model at (1, m), whose key ((0,)*m, p) is the
+    permutation p.  The projection kills x_i - 1, so every x-monomial maps to
+    the identity permutation.  Raises ValueError if a projected coefficient
+    is not rational (the model at n = 1 has rational coefficients only).
+    """
+    acc: dict = {}
+    for ix, c in a.terms.items():
+        add_into(acc, {element_at(a.n, a.m, ix).perm: c})
+    trivial = (0,) * a.m
+    return CharacterElement(1, a.m, {(trivial, perm): c.rational() for perm, c in acc.items()})
 
 
 @lru_cache(maxsize=None)
@@ -236,7 +455,7 @@ def check_model_by_products(n: int, m: int) -> None:
     gens = []
     for name, g, table in _generator_tables(MonomialModel(n, m)):
         image = table.exact()
-        if character_combination(n, m, image.terms, columns) != AlgebraElement.basis(g):
+        if character_combination(n, m, image.terms, columns) != AlgebraElement.basis(g).terms:
             raise CheckFailedError(
                 f"the character basis does not model the group algebra at (n={n}, m={m}): "
                 f"Phi maps the image of {name} elsewhere"
@@ -247,10 +466,10 @@ def check_model_by_products(n: int, m: int) -> None:
     for lam in product(range(n), repeat=m):
         for p in symmetric_group(m):
             f = CharacterElement._make(n, m, {(lam, p): 1})
-            phi = character_combination(n, m, f.terms, columns).terms
+            phi = character_combination(n, m, f.terms, columns)
             for name, image, left, right in gens:
                 for side, moved, model in (("left", left, image * f), ("right", right, f * image)):
-                    phi_model = character_combination(n, m, model.terms, columns).terms
+                    phi_model = character_combination(n, m, model.terms, columns)
                     if phi_model != {moved[h]: c for h, c in phi.items()}:
                         raise CheckFailedError(
                             f"the character basis does not model the group algebra at "

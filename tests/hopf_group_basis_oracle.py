@@ -2,7 +2,8 @@
 kept as the reference that the character-basis report is tested against.
 
 TensorElement, tensor and the group-like _diagonal are the tensor square of
-the group algebra; _GroupBasis holds the primitives of the package's defining
+the group algebra of group_basis_oracle, multiplied by rows of the group's
+table on each leg; _GroupBasis holds the primitives of the package's defining
 formulas there, and _delta_z, _delta_s and _antipode_s evaluate
 hopf._delta_z_image, hopf._delta_s_image and hopf._antipode_s_image on it,
 each looked up at call time, so a test that replaces a formula (and clears
@@ -17,7 +18,8 @@ and compares the two sides of an axiom as dense tensor-square or
 group-algebra sums: (delta x id) delta against (id x delta) delta,
 (eps x id) delta against the identity, and m (S x id) delta against eps 1.
 relation_failures evaluates the defining relations on dense character-basis
-tensors at (n, 2m), the reference for the report's check on exponent tables.
+tensors at (n, 2m), as _Characters, which carry the root sum of the z_l^2
+relation: the reference for the report's check on exponent tables.
 character_coordinates and to_characters are the dense change of basis
 Phi^(-1), one CycNumber product per term and character, the reference for
 the generator tables that the report builds from the defining formulas.
@@ -33,16 +35,25 @@ from copy import copy
 from fractions import Fraction
 from functools import lru_cache
 
-from group_basis_oracle import basis_element
+from group_basis_oracle import (
+    AlgebraElement,
+    basis_element,
+    counit,
+    diagonal_element,
+    mul_row,
+    root_sum,
+    row_product,
+    x_element,
+    x_monomial,
+    z_element,
+)
 from kacpal import hopf
-from kacpal.algebra import AlgebraElement, diagonal_element, x_element, x_monomial, z_element
 from kacpal.character_basis import CharacterElement
 from kacpal.character_model import characters, tensor_key
 from kacpal.cyclotomic import CycNumber, _make, zeta_power
-from kacpal.hopf import counit
 from kacpal.relations import presentation
 from kacpal.sparse import SparseSum, add_into
-from kacpal.wreath import element_at, group_order, mul_row, twist_index
+from kacpal.wreath import element_at, group_order, twist_index
 
 
 class TensorElement(SparseSum):
@@ -63,6 +74,8 @@ class TensorElement(SparseSum):
 
     # Scalars are those of the algebra, Q(zeta_2n).
     _scalar = AlgebraElement._scalar
+    __mul__ = row_product
+    root_sum = root_sum
 
     def _one(self) -> "TensorElement":
         return TensorElement.unit(self.n, self.m)
@@ -346,6 +359,19 @@ def _fixed_sparse(n: int, m: int, rng: random.Random, size: int = 3) -> AlgebraE
     return AlgebraElement(n, m, terms)
 
 
+class _Characters(CharacterElement):
+    """Elements of the character model with the root sum that
+    relations.z_square_sum takes, which the package's element type leaves
+    to the exponent tables.  No __slots__ of its own, so that its parameters
+    are CharacterElement's."""
+
+    root_sum = root_sum
+
+
+def _summable(x: CharacterElement) -> _Characters:
+    return _Characters._make(x.n, x.m, x.terms)
+
+
 def relation_failures(n: int, m: int) -> list[str]:
     """The defining relations that delta breaks, as the report names them,
     with the images of the x-monomials and of the z_l changed to the
@@ -356,8 +382,8 @@ def relation_failures(n: int, m: int) -> list[str]:
     families = presentation(
         n,
         m,
-        lambda e: to_characters(_diagonal(x_monomial(n, m, e))),
-        {l: to_characters(_delta_z(n, m, l)) for l in range(1, m)},
+        lambda e: _summable(to_characters(_diagonal(x_monomial(n, m, e)))),
+        {l: _summable(to_characters(_delta_z(n, m, l))) for l in range(1, m)},
     )
     return [
         f"delta({name})" for items in families.values() for name, lhs, rhs in items if lhs != rhs

@@ -5,26 +5,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from group_basis_oracle import (
+    AlgebraElement,
     _echelon,
     _left_translates,
     _sparse_rank,
     basis_element,
-    left_ideal_dimension,
-    relation_suite_by_group_basis,
-    sandwich_dimension,
-    z_square_rhs,
-)
-from kacpal import algebra, relations
-from kacpal.algebra import (
-    AlgebraElement,
     lambda_idempotent,
+    left_ideal_dimension,
+    mul_row,
+    relation_suite_by_group_basis,
     s_element,
+    sandwich_dimension,
     x_element,
     x_monomial,
     y_element,
     y_inverse_element,
+    to_group,
     z_element,
+    z_square_rhs,
 )
+from kacpal import relations
 from kacpal.classifier import irrep_table
 from kacpal.cyclotomic import CycNumber, zeta_power
 from kacpal.relations import presentation, relation_report, verify_defining_relations
@@ -300,8 +300,6 @@ def test_matrix_of_lambda_translates_has_rank_m_factorial():
     n, m = 2, 2
     e = lambda_idempotent(n, m, (0, 1))
     cols = []
-    from kacpal.wreath import mul_row
-
     for g in range(group_order(n, m)):
         row = mul_row(n, m, g)
         cols.append({row[h]: c for h, c in e.terms.items()})
@@ -381,7 +379,7 @@ def test_sandwich_dimension_matches_group_columns(nm, data):
 
 @pytest.mark.parametrize("n, m", [(2, 2), (3, 2)])
 def test_sandwich_dimension_matches_group_columns_on_idempotents(n, m):
-    idempotents = [r.idempotent for r in irrep_table(n, m).records]
+    idempotents = [to_group(r.element) for r in irrep_table(n, m).records]
     for e in idempotents:
         for f in idempotents:
             assert sandwich_dimension(e, f) == sandwich_by_group_columns(e, f)
@@ -404,7 +402,7 @@ def test_relation_report_matches_the_group_basis_oracle(n, m):
 def fresh_generators():
     """Clears the cached group-basis generators before and after a test that
     perturbs their definitions."""
-    caches = (y_element, y_inverse_element, algebra.z_element)
+    caches = (y_element, y_inverse_element, z_element)
     for cache in caches:
         cache.cache_clear()
     yield

@@ -7,9 +7,13 @@ from math import isqrt
 
 import pytest
 
-from group_basis_oracle import _left_translates, left_ideal_dimension, sandwich_dimension
+from group_basis_oracle import (
+    AlgebraElement,
+    _left_translates,
+    left_ideal_dimension,
+    sandwich_dimension,
+)
 from kacpal import cli
-from kacpal.algebra import AlgebraElement
 from kacpal.classifier import irrep_table
 from kacpal.hopf import cocommutativity_witness, hopf_axiom_report
 from kacpal.conjugacy import conjugacy_class_count

@@ -1,31 +1,30 @@
 """The character basis F(lam, p) = Lambda_lam p against the group basis it models."""
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from group_basis_oracle import (
+    AlgebraElement,
     check_model_by_products,
+    lambda_idempotent,
     left_ideal_basis,
     left_ideal_dimension,
+    root_sum,
     sandwich_dimension,
     sandwich_rank_by_echelon,
-)
-from hopf_group_basis_oracle import TensorElement, to_characters
-from kacpal import algebra, character_basis, character_model, roots
-from kacpal.algebra import (
-    AlgebraElement,
-    character_combination,
-    lambda_idempotent,
+    to_group,
     y_element,
     y_inverse_element,
 )
+from hopf_group_basis_oracle import TensorElement, to_characters
+from kacpal import character_basis, character_model, roots
 from kacpal.character_basis import CharacterElement
 from kacpal.character_model import (
     MonomialModel,
+    character_combination,
     check_model,
     integral,
     is_idempotent,
@@ -65,10 +64,10 @@ def character_elements(n, m, coeffs=RATIONALS, max_size=4):
 @pytest.mark.parametrize("n, m", SIZES)
 def test_product_matches_the_group_product_on_every_basis_pair(n, m):
     basis = [CharacterElement(n, m, {key: 1}) for key in basis_keys(n, m)]
-    images = [f.to_group() for f in basis]
+    images = [to_group(f) for f in basis]
     for f, phi_f in zip(basis, images):
         for g, phi_g in zip(basis, images):
-            assert (f * g).to_group() == phi_f * phi_g, (f.terms, g.terms)
+            assert to_group(f * g) == phi_f * phi_g, (f.terms, g.terms)
 
 
 @settings(max_examples=40, deadline=None)
@@ -76,7 +75,7 @@ def test_product_matches_the_group_product_on_every_basis_pair(n, m):
 def test_product_matches_the_group_product(nm, data):
     n, m = nm
     x, y = (data.draw(character_elements(n, m)) for _ in range(2))
-    assert (x * y).to_group() == x.to_group() * y.to_group()
+    assert to_group(x * y) == to_group(x) * to_group(y)
 
 
 @settings(max_examples=40, deadline=None)
@@ -85,9 +84,9 @@ def test_ranks_and_sandwiches_match_the_group_basis(nm, data):
     n, m = nm
     x, y = (data.draw(character_elements(n, m)) for _ in range(2))
     basis = left_ideal_basis(y)
-    assert len(left_ideal_basis(x)) == left_ideal_dimension(x.to_group())
-    assert len(basis) == left_ideal_dimension(y.to_group())
-    assert sandwich_rank_by_echelon(x, basis) == sandwich_dimension(x.to_group(), y.to_group())
+    assert len(left_ideal_basis(x)) == left_ideal_dimension(to_group(x))
+    assert len(basis) == left_ideal_dimension(to_group(y))
+    assert sandwich_rank_by_echelon(x, basis) == sandwich_dimension(to_group(x), to_group(y))
 
 
 def conjugate(e: CharacterElement, g: Perm) -> CharacterElement:
@@ -129,7 +128,7 @@ def test_trace_ranks_match_the_echelon(n, m):
 def test_trace_ranks_match_the_group_basis(n, m):
     elements = classification_idempotents(n, m, moved=2)
     classes = [stabiliser_classes(e) for e in elements]
-    images = [e.to_group() for e in elements]
+    images = [to_group(e) for e in elements]
     for c, image in zip(classes, images):
         assert left_ideal_rank(c, m) == left_ideal_dimension(image)
     for ci, ei in zip(classes, images):
@@ -185,7 +184,7 @@ def test_the_integer_square_is_the_fraction_square(e):
 @pytest.mark.parametrize("n, m", [(1, 3), (2, 2), (3, 2), (2, 3), (4, 2)])
 def test_identity_and_model_check(n, m):
     one = CharacterElement.one(n, m)
-    assert one.to_group() == AlgebraElement.one(n, m)
+    assert to_group(one) == AlgebraElement.one(n, m)
     f = CharacterElement(n, m, {basis_keys(n, m)[-1]: Fraction(2, 3)})
     assert one * f == f == f * one
     check_model(n, m)
@@ -233,11 +232,11 @@ def field_coefficients(n):
 def test_the_change_of_basis_matches_its_definition(nm, data):
     n, m = nm
     x, y = (data.draw(character_elements(n, m, field_coefficients(n))) for _ in range(2))
-    assert x.to_group().terms == phi_reference(n, m, x.terms)
-    # one column cache shared by two elements, as check_model shares it
+    assert to_group(x).terms == phi_reference(n, m, x.terms)
+    # one column cache shared by two elements, as check_model_by_products shares it
     columns: dict = {}
     for z in (x, y, x):
-        assert character_combination(n, m, z.terms, columns).terms == phi_reference(n, m, z.terms)
+        assert character_combination(n, m, z.terms, columns) == phi_reference(n, m, z.terms)
 
 
 @pytest.mark.parametrize("n, m", PHI_SIZES)
@@ -284,18 +283,15 @@ def _unmoved_characters(monkeypatch, n, m):
 
 
 def _set_lambda_coefficients(monkeypatch, replacement):
-    # check_model reads the coefficient table of Lambda_lam, and
-    # lambda_idempotent, which the product oracle's change of basis reads,
-    # wraps it: a fresh cache there, put back after the test, holds no
-    # element built from the true table.  replacement(n, m, lam) gives the
-    # coefficients as CycNumbers; both readers take their pairs.
+    # check_model and character_combination, the change of basis that the
+    # product oracle reads, both take the coefficient table of Lambda_lam
+    # from kacpal.character_model, unremembered, so no element built from
+    # the true table survives the replacement.  replacement(n, m, lam) gives
+    # the coefficients as CycNumbers; both readers take their pairs.
     def pairs(n, m, lam):
         return [(c.num, c.den) for c in replacement(n, m, lam)]
 
-    for module in (algebra, character_model):
-        monkeypatch.setattr(module, "lambda_coefficients", pairs)
-    fresh = lru_cache(maxsize=None)(algebra.lambda_idempotent.__wrapped__)
-    monkeypatch.setattr(algebra, "lambda_idempotent", fresh)
+    monkeypatch.setattr(character_model, "lambda_coefficients", pairs)
 
 
 def _true_coefficients(n, m, lam):
@@ -419,7 +415,7 @@ def test_monomial_tables_multiply_as_the_model(nm, data):
     product_ = a * b
     assert product_.exact() == a.exact() * b.exact()
     assert (product_ == a * b) and ((a == b) == (a.exact() == b.exact()))
-    assert (a - b).terms == (a.exact() - b.exact()).to_group().terms
+    assert (a - b).terms == to_group(a.exact() - b.exact()).terms
 
 
 @pytest.mark.parametrize("n, m", [(2, 2), (3, 2), (3, 3)])
@@ -436,7 +432,7 @@ def test_root_sums_of_tables_match_the_model(n, m):
                 for j in range(start, n)
             ]
             table = pairs[0][1].root_sum(pairs, n)
-            exact = pairs[0][1].exact().root_sum([(k, x.exact()) for k, x in pairs], n)
+            exact = root_sum(pairs[0][1].exact(), [(k, x.exact()) for k, x in pairs], n)
             assert table.exact() == exact
             assert bool(table.non_roots) == bool(start)
 
@@ -451,7 +447,7 @@ def test_root_sums_that_cancel_have_no_coefficient(n, m):
     assert zero.is_zero() and not zero.non_roots
     pairs = [(0, x), (n, one)]
     table = x.root_sum(pairs, 1)
-    assert table.exact() == x.exact().root_sum([(k, y.exact()) for k, y in pairs], 1)
+    assert table.exact() == root_sum(x.exact(), [(k, y.exact()) for k, y in pairs], 1)
     cancelled = [a for a, e in enumerate(x.entries) if e == 0]
     assert cancelled
     assert all(table.entries[a] is None and a not in table.non_roots for a in cancelled)

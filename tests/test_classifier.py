@@ -4,12 +4,17 @@ from math import prod
 import pytest
 
 from group_basis_oracle import (
+    AlgebraElement,
     idempotent_by_products,
+    idempotent_from_beta,
     iota_embed,
+    lambda_idempotent,
     left_ideal_dimension,
+    mul_row,
+    s_element,
     sandwich_dimension,
+    to_group,
 )
-from kacpal.algebra import AlgebraElement, lambda_idempotent, s_element
 from kacpal.character_basis import CharacterElement
 from kacpal import classifier
 from kacpal.classifier import (
@@ -18,7 +23,6 @@ from kacpal.classifier import (
     count_formula,
     dimension_by_hooks,
     enumerate_labelled_partitions,
-    idempotent_from_beta,
     irrep_dimension,
     irrep_table,
     lambda_from_beta,
@@ -30,7 +34,7 @@ from kacpal.partitions import (
     row_consecutive_tableau,
     young_symmetrizer,
 )
-from kacpal.wreath import Perm, group_order, mul_row
+from kacpal.wreath import Perm, group_order
 
 
 def beta_of(n, m, spec):
@@ -241,7 +245,7 @@ def test_rank_dimension_for_each_idempotent_2_3():
     table = irrep_table(2, 3, check_ranks=True)
     for rec in table.records:
         assert rec.dim_rank == rec.dim_formula
-        assert left_ideal_dimension(rec.idempotent) == rec.dim_formula
+        assert left_ideal_dimension(to_group(rec.element)) == rec.dim_formula
 
 
 @pytest.mark.parametrize(
@@ -260,13 +264,13 @@ def test_orthogonality_verdict_matches_pairwise_sandwiches(monkeypatch, n, m, du
             lambda beta: real(betas[0] if beta == betas[1] else beta),
         )
     table = irrep_table(n, m, check_ranks=True, check_orthogonality=True)
-    idempotents = [rec.idempotent for rec in table.records]
+    idempotents = [to_group(rec.element) for rec in table.records]
     matrix = [[sandwich_dimension(e, f) for f in idempotents] for e in idempotents]
     identity = [[int(i == j) for j in range(len(idempotents))] for i in range(len(idempotents))]
     assert table.checks["orthogonality"] == ("pass" if matrix == identity else "fail")
     assert table.checks["orthogonality"] == ("fail" if duplicate else "pass")
     for rec in table.records:
-        assert rec.dim_rank == left_ideal_dimension(rec.idempotent)
+        assert rec.dim_rank == left_ideal_dimension(to_group(rec.element))
 
 
 def test_ideal_and_complement_dimensions_fill_the_algebra():

@@ -10,11 +10,16 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kacpal.algebra import AlgebraElement, lambda_idempotent, s_element
+from group_basis_oracle import (
+    AlgebraElement,
+    idempotent_from_beta,
+    lambda_idempotent,
+    s_element,
+    to_group,
+)
 from kacpal import character_basis, character_model, classifier, cli, relations
 from kacpal.cli import main
-from kacpal.cyclotomic import CycNumber
-from kacpal.wreath import CheckFailedError, Perm, group_order
+from kacpal.wreath import CheckFailedError, Perm, group_order, symmetric_group
 
 
 def run(capsys, *argv):
@@ -517,47 +522,62 @@ def test_expanded_idempotent_streams_the_whole_payload_bytes(tmp_path, capsys, n
     assert code == 0
     payload = json.loads(out)
     beta = classifier.LabelledPartition.parse(n, m, spec)
-    assert payload["element"] == classifier.idempotent_from_beta(beta).to_json()
+    assert payload["element"] == idempotent_from_beta(beta).to_json()
     assert out == json.dumps(payload, indent=2) + "\n"
     target = tmp_path / "e.json"
     assert run(capsys, *argv, "--out", str(target))[:2] == (0, "")
     assert target.read_text() == out
 
 
-def test_expanded_json_of_an_empty_element():
-    payload = {"beta": "x", "num_terms": 0}
-    empty = AlgebraElement(2, 2, {})
-    text = "".join(cli._expanded_json(payload, empty))
-    assert text == json.dumps({**payload, "element": empty.to_json()}, indent=2) + "\n"
-
-
 @st.composite
-def algebra_elements(draw):
-    """An element at n in 1..5 whose coefficients take a few values, some
-    negative, of many digits, or irrational (n >= 2), or the empty element.
-    The values share one or two numerator vectors over several
-    denominators, so that equal numerators need not mean equal values."""
+def one_character_elements(draw):
+    """A rational element of the character basis at n in 1..5 whose terms
+    lie on one character, as a classification idempotent's do, with
+    coefficients of few or many digits, some negative.  The coefficients
+    share one or two numerators over several denominators, so that equal
+    numerators need not mean equal values."""
     n = draw(st.integers(1, 5))
     m = draw(st.integers(1, 3))
-    degree = len(CycNumber.one(2 * n).num)
-    digits = st.one_of(st.integers(-3, 3), st.integers(-(10**30), 10**30))
-    vectors = draw(st.lists(st.lists(digits, min_size=1, max_size=degree), min_size=1, max_size=2))
+    lam = tuple(draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)))
+    digits = st.one_of(st.integers(-3, 3), st.integers(-(10**30), 10**30)).filter(bool)
+    numerators = draw(st.lists(digits, min_size=1, max_size=2))
     value = st.builds(
-        lambda nums, den: CycNumber(2 * n, [Fraction(a, den) for a in nums]),
-        st.sampled_from(vectors),
+        Fraction,
+        st.sampled_from(numerators),
         st.one_of(st.integers(1, 4), st.integers(1, 10**12)),
     )
-    pool = draw(st.lists(value, min_size=1, max_size=5))
-    indices = draw(st.sets(st.integers(0, group_order(n, m) - 1), max_size=30))
-    return AlgebraElement(n, m, {ix: draw(st.sampled_from(pool)) for ix in indices})
+    perms = draw(st.sets(st.sampled_from(symmetric_group(m)), min_size=1))
+    return character_basis.CharacterElement(n, m, {(lam, p): draw(value) for p in perms})
 
 
 @settings(max_examples=150, deadline=None)
-@given(algebra_elements())
+@given(one_character_elements())
 def test_expanded_json_is_the_one_shot_dump(e):
-    payload = {"beta": "x", "num_terms": len(e.terms)}
+    payload = {"beta": "x", "num_terms": len(e.terms) * e.n**e.m}
+    image = to_group(e)
+    assert len(image.terms) == payload["num_terms"]
     text = "".join(cli._expanded_json(payload, e))
-    assert text == json.dumps(payload | {"element": e.to_json()}, indent=2) + "\n"
+    assert text == json.dumps(payload | {"element": image.to_json()}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("n, m", [(1, 4), (2, 3), (3, 2), (4, 2), (2, 4), (3, 3), (5, 2)])
+def test_idempotent_writes_the_group_basis_image(capsys, n, m):
+    # every idempotent against the oracle's change of basis: the compact
+    # payload's num_terms and the expanded element
+    for beta in classifier.enumerate_labelled_partitions(n, m):
+        spec = beta.spec_string()
+        e = idempotent_from_beta(beta)
+        payload = {
+            "beta": spec,
+            "blocks": beta.to_json(),
+            "lambda": list(classifier.lambda_from_beta(beta)),
+            "dimension": classifier.irrep_dimension(beta),
+            "num_terms": len(e.terms),
+        }
+        argv = ["idempotent", "--n", str(n), "--m", str(m), "--beta", spec]
+        assert run(capsys, *argv) == (0, json.dumps(payload, indent=2) + "\n", "")
+        expanded = json.dumps(payload | {"element": e.to_json()}, indent=2) + "\n"
+        assert run(capsys, *argv, "--expanded") == (0, expanded, ""), spec
 
 
 def test_idempotent_wrong_total(capsys):
@@ -569,6 +589,14 @@ def test_idempotent_wrong_total(capsys):
 def test_idempotent_malformed_beta(capsys):
     code, _, err = run(capsys, "idempotent", "--n", "2", "--m", "3", "--beta", "nope")
     assert code == 2
+    # an empty part between commas is malformed; "label:" is an empty block
+    for spec in ("0:2,,", "0:,2"):
+        code, out, err = run(capsys, "idempotent", "--n", "2", "--m", "2", "--beta", spec)
+        assert (code, out) == (2, "")
+        assert err == f"malformed labelled-partition entry: {spec!r}\n"
+    code, out, err = run(capsys, "idempotent", "--n", "2", "--m", "2", "--beta", "0:2;1:")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["beta"] == "0:2"
 
 
 def test_unknown_check_rejected(capsys):
@@ -814,11 +842,15 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
     )
     assert {"kacpal.classifier", "csv"} <= table
     assert not {"kacpal.roots", "json", *elements, *checks_only} & table
-    expanded = modules_loaded_by(
-        tmp_path, ("idempotent", "--n", "2", "--m", "5", "--beta", "1:5", "--expanded")
-    )
-    assert {"kacpal.classifier", *elements, "json"} <= expanded
-    assert not checks_only & expanded
+    # idempotent writes its group-basis coordinates as the integer pairs of
+    # kacpal.roots: no group-basis element and no field element
+    for extra in ((), ("--expanded",)):
+        idempotent = modules_loaded_by(
+            tmp_path, ("idempotent", "--n", "2", "--m", "5", "--beta", "1:5", *extra)
+        )
+        assert {"kacpal.classifier", "json"} <= idempotent
+        assert not {*elements, *checks_only} & idempotent
+    assert "kacpal.roots" in idempotent
     ranks = modules_loaded_by(tmp_path, ("table", "--n", "2", "--m", "2", "--checks", "ranks"))
     assert {"kacpal.character_model", "kacpal.roots"} <= ranks
     assert not {"kacpal.relations", *elements} & ranks

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from group_basis_oracle import AlgebraElement
 from kacpal import cyclotomic
-from kacpal.algebra import AlgebraElement
 from kacpal.character_basis import CharacterElement
 from kacpal.cyclotomic import (
     CycNumber,

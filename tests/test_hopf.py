@@ -8,7 +8,21 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from group_basis_oracle import basis_element, elements
+from group_basis_oracle import (
+    AlgebraElement,
+    basis_element,
+    counit,
+    elements,
+    lambda_idempotent,
+    mul_row,
+    quotient_to_sym,
+    s_element,
+    to_group,
+    x_element,
+    x_monomial,
+    y_element,
+    z_element,
+)
 import hopf_group_basis_oracle as oracle
 from hopf_group_basis_oracle import (
     TensorElement,
@@ -28,26 +42,11 @@ from hopf_group_basis_oracle import (
     relation_failures,
     tensor,
 )
-from kacpal.algebra import (
-    AlgebraElement,
-    lambda_idempotent,
-    s_element,
-    x_element,
-    x_monomial,
-    y_element,
-    z_element,
-)
 from kacpal.character_basis import CharacterElement
 from kacpal.character_model import Monomial, characters, tensor_key
 from kacpal.cli import main
 from kacpal.cyclotomic import CycNumber, zeta, zeta_power
-from kacpal.hopf import (
-    _CharacterHopf,
-    cocommutativity_witness,
-    counit,
-    hopf_axiom_report,
-    quotient_to_sym,
-)
+from kacpal.hopf import _CharacterHopf, cocommutativity_witness, hopf_axiom_report
 from kacpal.wreath import (
     CapExceededError,
     Perm,
@@ -217,7 +216,7 @@ def character_basis_images(hopf):
     n, m = hopf.n, hopf.m
     for p in hopf.perms:
         for lam, chars in enumerate(hopf.chars):
-            yield lam, p, CharacterElement._make(n, m, {(chars, p): Fraction(1)}).to_group()
+            yield lam, p, to_group(CharacterElement._make(n, m, {(chars, p): Fraction(1)}))
 
 
 @pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 3), (4, 2)])
@@ -604,7 +603,7 @@ def _one_entry_off(l_star, a, b):
             chars, s = characters(n, m), generator_b(n, m, l).perm
             left, right = (chars[a], s), (chars[b], s)
             c = oracle.to_characters(d).terms[tensor_key(left, right)]
-            phi = [CharacterElement(n, m, {key: 1}).to_group() for key in (left, right)]
+            phi = [to_group(CharacterElement(n, m, {key: 1})) for key in (left, right)]
             return d + tensor(*phi).scale(c * (zeta(2 * n) - CycNumber.one(2 * n)))
 
         return perturbed
@@ -658,16 +657,14 @@ def test_witness_on_tables_matches_the_group_basis_witness(
 def test_hopf_report_builds_no_group_product_rows(monkeypatch):
     # every axiom and the witness on tables: no group-basis product row, no
     # enumeration of G and no group-algebra product
-    from kacpal import wreath
-
     def refuse(*args):
         raise AssertionError("a group-algebra product in the Hopf report")
 
     monkeypatch.setattr(AlgebraElement, "__mul__", refuse)
-    wreath.mul_row.cache_clear()
+    mul_row.cache_clear()
     report = hopf_axiom_report(3, 3, cap=200)
     assert report["all_pass"]
-    assert wreath.mul_row.cache_info().currsize == 0
+    assert mul_row.cache_info().currsize == 0
 
 
 Z1_SQUARE = "delta(z_1^2 = (1/n) sum q^(-ij) x_1^i x_2^j)"

@@ -7,7 +7,7 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kacpal.algebra import lambda_idempotent
+from group_basis_oracle import lambda_idempotent
 from kacpal.character_model import characters
 from kacpal.cyclotomic import CycNumber, _make, zeta_over, zeta_power
 from kacpal.roots import (

@@ -10,8 +10,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from group_basis_oracle import AlgebraElement
 from hopf_group_basis_oracle import TensorElement
-from kacpal.algebra import AlgebraElement
 from kacpal.character_basis import CharacterElement
 from kacpal.cyclotomic import CycNumber, zeta, zeta_power
 from kacpal.sparse import add_into

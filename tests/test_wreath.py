@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import group_basis_oracle as oracle
-from group_basis_oracle import elements
+from group_basis_oracle import elements, mul_row
 from kacpal import conjugacy
 from kacpal.classifier import count_formula
 from kacpal.cli import main
@@ -20,7 +20,6 @@ from kacpal.wreath import (
     generator_a,
     generator_b,
     group_order,
-    mul_row,
     perm_index,
 )
 
