@@ -21,17 +21,28 @@ The change of basis Phi: F(lam, p) -> Lambda_lam p is exact,
 
 with the pairs of roots.lambda_coefficients as its coefficients: the
 idempotent command writes a classification idempotent's group-basis
-coordinates from them, and character_model.character_combination, which
-maps a failing relation's difference, is the package's one Phi on elements.
+coordinates from them, and character_model.Monomial.difference_head reads
+a failing relation's group-basis head from them on exponent tables.
 kacpal.character_model holds what a check needs beyond the product: the
 model check check_model, which verifies at a given (n, m) that Phi carries
 the model's product to the group's before any check relies on the model,
 the exponent tables of monomial elements, the key of the tensor square,
 and the ranks of left ideals and sandwiches, as traces.  This module holds
-only the element type, whose product reads the character action
-wreath.permute_character, so that building an idempotent loads none of
-them; an element with rational coefficients loads no field, so neither the
-table of irreducibles without checks nor the idempotent command needs one.
+only the element type and its linear core, and the product reads the
+character action wreath.permute_character, so that building an
+idempotent loads none of them; an element with rational coefficients
+loads no field, so neither the table of irreducibles without checks nor
+the idempotent command needs one.
+
+SparseSum is the linear core of an element at (n, m): sum, difference,
+negation, scaling, powers, equality and hashing of a sparse map from keys
+to nonzero scalars, with add_into, the in-place accumulator.
+CharacterElement, the package's one element type, subclasses it with its
+scalars, its identity and its product; the group-basis algebra and its
+tensor square of the test oracles (tests/group_basis_oracle.py and
+tests/hopf_group_basis_oracle.py), which multiply by rows of the group's
+multiplication table, subclass it too.  The repeated-squaring loop,
+wreath.power, is shared with the scalar field.
 """
 
 from __future__ import annotations
@@ -39,10 +50,105 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from .sparse import SparseSum
-from .wreath import Perm, permute_character
+from .wreath import Perm, permute_character, power
 
 ONE = Fraction(1)
+
+
+def add_into(acc: dict, terms: dict, factor=None) -> dict:
+    """In place acc += factor * terms (factor defaults to one).
+
+    Coefficients that cancel to zero are removed, so acc stays a valid
+    sparse sum.  Returns acc.
+    """
+    for key, c in terms.items():
+        if factor is not None:
+            c = c * factor
+        cur = acc.get(key)
+        if cur is not None:
+            c = cur + c
+        if c:
+            acc[key] = c
+        else:
+            acc.pop(key, None)
+    return acc
+
+
+class SparseSum:
+    """An immutable finitely supported sum at (n, m): terms maps keys to
+    nonzero scalars, and two sums combine only when their (n, m) agree.
+
+    A subclass defines _scalar(value), which coerces a scalar; _one(), its
+    identity element; and __mul__, its product.  Its __init__ validates the
+    terms into the dict it hands to SparseSum.__init__.
+    """
+
+    __slots__ = ("n", "m", "terms")
+
+    def __init__(self, n: int, m: int, terms: dict):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "terms", terms)
+
+    @classmethod
+    def _make(cls, n: int, m: int, terms: dict):
+        """An element from (n, m) and a terms dict, unchecked; the element
+        takes ownership of the dict."""
+        self = object.__new__(cls)
+        SparseSum.__init__(self, n, m, terms)
+        return self
+
+    @classmethod
+    def zero(cls, n: int, m: int):
+        return cls._make(n, m, {})
+
+    def _new(self, terms: dict):
+        return self._make(self.n, self.m, terms)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _check(self, other):
+        if (self.n, self.m) != (other.n, other.m):
+            raise ValueError(f"{type(self).__name__} parameter mismatch")
+
+    # -- linear operations ---------------------------------------------------
+
+    def __add__(self, other):
+        self._check(other)
+        return self._new(add_into(dict(self.terms), other.terms))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._new({k: -c for k, c in self.terms.items()})
+
+    def scale(self, factor):
+        factor = self._scalar(factor)
+        if not factor:
+            return self._new({})
+        return self._new({k: c * factor for k, c in self.terms.items()})
+
+    # -- multiplicative operations -------------------------------------------
+
+    def __pow__(self, exponent: int):
+        if exponent < 0:
+            raise ValueError(f"negative powers are not supported on {type(self).__name__}")
+        return power(self, exponent, self._one)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, type(self))
+            and (self.n, self.m) == (other.n, other.m)
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self.n, self.m, frozenset(self.terms.items())))
 
 
 class CharacterElement(SparseSum):
@@ -56,11 +162,11 @@ class CharacterElement(SparseSum):
     Q(zeta_2n); all multiply by the same rule.
     """
 
-    __slots__ = ("n", "m")
+    __slots__ = ()
 
     def __init__(self, n: int, m: int, terms=None):
         clean: dict = {}
-        self._assign(n, m, clean)  # _scalar reads n
+        super().__init__(n, m, clean)  # _scalar reads n
         for (lam, p), coeff in (terms or {}).items():
             lam, p = tuple(lam), Perm(p)
             if len(lam) != m or any(not 0 <= v < n for v in lam):

@@ -17,13 +17,15 @@ their defining formulas on these tables, at (n, m) and, for the tensor
 square, at (n, 2m), so no element is changed to this basis from the group
 basis.  Sums of roots of unity, such as the coefficients of a root_sum or
 of a Lambda_lam, are read as the canonical integer pairs of kacpal.roots.
-The element types and the field's element class are imported only where
-an element is built (is_idempotent, Monomial.exact and Monomial.__sub__)
-or a failure names a coefficient, so a check that passes on tables loads
-neither kacpal.character_basis nor kacpal.cyclotomic from here.  The one
-change of basis to the group basis, character_combination, serves only a
-failing relation's difference (Monomial.__sub__), whose head is a group
-index; the group-basis algebra it maps into is the reference in
+The element type and the field's element class are imported only where an
+element is built (is_idempotent) or a failed model check names a
+coefficient, so a check on tables loads neither kacpal.character_basis nor
+kacpal.cyclotomic from here, whether it passes or a relation fails: a
+failing relation's counterexample, the least group index at which Phi of
+its difference is nonzero, is read from the two tables
+(Monomial.difference_head) as an integer pair of kacpal.roots.  The exact
+elements of the tables and the change of basis to the group basis on
+elements, against which that head is tested, are the reference in
 tests/group_basis_oracle.py.
 
 The classification table's ranks are traces.  For idempotents the maps
@@ -47,7 +49,7 @@ from functools import lru_cache
 from itertools import product
 from math import factorial, lcm
 
-from .roots import lambda_coefficients, root_count_sum, root_exponent
+from .roots import coefficient_json, lambda_coefficients, root_count_sum, root_exponent
 from .wreath import (
     CheckFailedError,
     Perm,
@@ -279,59 +281,44 @@ class Monomial:
             entries.append(e)
         return Monomial(model, perm, tuple(entries), non_roots)
 
-    def exact(self) -> CharacterElement:
-        """The element with its coefficients in Q(zeta_2n)."""
-        from .character_basis import CharacterElement
-        from .cyclotomic import _make, zeta_power
+    def difference_head(self, other: "Monomial") -> tuple[int, dict]:
+        """The least group index at which Phi(self - other) is nonzero, and
+        the JSON of its coefficient there, for a relation's report.
 
-        model, p = self.model, self.perm
-        order = model.order
-        terms = {
-            (model.chars[a], p): zeta_power(order, e)
-            for a, e in enumerate(self.entries)
-            if e is not None
-        }
-        terms.update({(model.chars[a], p): _make(order, *c) for a, c in self.non_roots.items()})
-        return CharacterElement._make(model.n, model.m, terms)
-
-    def __sub__(self, other: "Monomial"):
-        """The difference in the group basis, for a relation's report: both
-        sides rebuilt exactly and their difference mapped through Phi, a
-        SparseSum of group indices."""
-        from .sparse import SparseSum
-
-        model, diff = self.model, self.exact() - other.exact()
-        return SparseSum._make(character_combination(model.n, model.m, diff.terms, {}))
-
-
-def character_combination(n: int, m: int, terms: dict, columns: dict) -> dict:
-    """Phi on coordinates: the group-basis terms {index: c'} of the sum of
-    c F(lam, p) = c Lambda_lam p over the terms {(lam, p): c}, the package's
-    one change of basis to the group basis.
-
-    Lambda_lam p = n^(-m) sum_t zeta^(2 lam . t) (t, p), and the index of
-    (t, p) is perm_index(p) n^m + t, so c Lambda_lam p is c times the pairs
-    of roots.lambda_coefficients shifted by perm_index(p) n^m.  columns
-    caches c Lambda_lam per (lam, c), so terms sharing a character and a
-    coefficient share their multiplications.  The field is loaded here, when
-    a coordinate must be a CycNumber: for a failing relation's difference.
-    """
-    from .cyclotomic import _make
-    from .sparse import add_into
-
-    order, size = 2 * n, n**m
-    acc: dict = {}
-    for (lam, p), c in terms.items():
-        col = columns.get((lam, c))
-        if col is None:
-            col = columns[lam, c] = {
-                t: _make(order, *pair) * c
-                for t, pair in enumerate(lambda_coefficients(n, m, lam))
-            }
-        base = perm_index(p) * size
-        shifted = {base + t: z for t, z in col.items()}
-        acc = add_into(acc, shifted) if acc else shifted
-    return acc
+        Phi(F(lam, p)) = Lambda_lam p has the coordinate n^-m zeta^(2 lam . t)
+        at the index perm_index(p) n^m + t, so a table's coordinate there is
+        n^-m sum_lam c_lam zeta^(2 lam . t), read as first_difference in
+        kacpal.hopf reads its witness: the exponents are counted with
+        integers, the non_roots numerators added over the lcm of their
+        denominators, and the count reduced once.  Sides on two permutations
+        fill two blocks of indices, visited in perm_index order.  Tables that
+        differ in no coordinate fail: CheckFailedError.
+        """
+        model = self.model
+        order, size = model.order, len(model.chars)
+        den = lcm(*(d for table in (self, other) for _, d in table.non_roots.values()))
+        blocks: dict = {}
+        for table, sign in ((self, 1), (other, -1)):
+            blocks.setdefault(perm_index(table.perm), []).append((table, sign))
+        # twice_dot[t][a] = 2 lam . t for lam = chars[a]: (t, p) has zeta^(2 lam . t)
+        # in n^m Lambda_lam p
+        twice_dot = [[-e % order for e in model.x_monomial(t).entries] for t in model.chars]
+        for block in sorted(blocks):
+            for t, phase in enumerate(twice_dot):
+                counts = [0] * order
+                for table, sign in blocks[block]:
+                    root = sign * den
+                    for e, k in zip(table.entries, phase):
+                        if e is not None:
+                            counts[(e + k) % order] += root
+                    for a, (num, d) in table.non_roots.items():
+                        scale = sign * (den // d)
+                        for i, c in enumerate(num):
+                            counts[(i + phase[a]) % order] += scale * c
+                value = root_count_sum(order, tuple(counts), den * size)
+                if any(value[0]):
+                    return block * size + t, coefficient_json(order, *value)
+        raise CheckFailedError("two exponent tables differ but in no group-basis coordinate")
 
 
 def _generator_tables(model: MonomialModel) -> list[tuple]:
@@ -350,8 +337,7 @@ def _generator_tables(model: MonomialModel) -> list[tuple]:
 
 def _lambda_exponents(n: int, m: int, lam: tuple, fail) -> list[int]:
     """k by twist index t for the coefficients n^-m zeta^k of Lambda_lam, as
-    roots.lambda_coefficients gives them and character_combination reads
-    them; fail names any other coefficient."""
+    roots.lambda_coefficients gives them; fail names any other coefficient."""
     order, den = 2 * n, n**m
     coefficients = lambda_coefficients(n, m, lam)
     row = [root_exponent(order, c, den) for c in coefficients]

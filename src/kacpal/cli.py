@@ -9,9 +9,10 @@ built in the character basis as the integer pairs of kacpal.roots.  The
 checks on exponent tables (`verify` with its default checks, `--checks
 hopf` and the classification checks) read sums of roots as those pairs and
 load the field's element class only when a check fails; `--checks hopf`
-also leaves out the classifier, kacpal.sparse, kacpal.character_basis and
-fractions, and `--checks relations` the Hopf module, the classifier, the
-character basis, kacpal.sparse and fractions.  `count` loads neither the
+also leaves out the classifier, kacpal.character_basis and fractions, and
+`--checks relations` the Hopf module, the classifier, the character basis,
+the field's element class and fractions, even when a relation fails: its
+counterexample is read from its exponent tables.  `count` loads neither the
 character basis nor fractions; only the conjugacy check loads
 kacpal.conjugacy, and only the commands that write JSON load json.  With
 no byte code cached, compiling the modules a call loads is a large part of

@@ -16,11 +16,11 @@ CycNumber wraps the integer layer of kacpal.roots: the cyclotomic
 polynomials, the reduced powers of zeta, the one-gcd reduction of a
 numerator-denominator pair and its JSON writer.  The checks on exponent
 tables read values as those pairs and load this module only where a
-CycNumber must exist: in an exact element, a failing relation's group-basis
-difference, and the messages of a failed check, so the Hopf report, the
-relation suite and the classification checks compile none of this
-arithmetic when they pass, and the idempotent command, which writes its
-coordinates as pairs, none at all.
+CycNumber must exist: in an exact element and the messages of a failed
+check, so the Hopf report and the classification checks compile none of
+this arithmetic when they pass, the relation suite none when it fails
+either (a failing relation's group-basis head is a pair), and the
+idempotent command, which writes its coordinates as pairs, none at all.
 """
 
 from __future__ import annotations

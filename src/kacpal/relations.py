@@ -13,10 +13,11 @@ moving the x_i, and s_l = y_l z_l.  The images may be of any type with *,
 kacpal.hopf evaluates presentation on the tables of the comultiplication,
 and the group-basis evaluation is the reference in
 tests/group_basis_oracle.py.  Only the relation suite and the Hopf report
-load this module, and a suite that passes loads no field element class: a
-failing relation's difference alone is rebuilt as an element and mapped to
-the group basis by character_model.character_combination, for its
-counterexample.
+load this module, and the suite loads no element type, no field element
+class and no fractions, whether a relation passes or fails: a failing
+relation's counterexample, the head of its difference in the group basis,
+is read from the two exponent tables by
+character_model.Monomial.difference_head.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def presentation(n: int, m: int, mono, z: dict) -> dict:
     evaluated on images of its generators.
 
     mono(exponents) is the image of the x-monomial with that exponent tuple
-    and z[l] the image of z_l for l = 1..m-1, all sparse sums of one type.
+    and z[l] the image of z_l for l = 1..m-1, all of one type.
     Returns an ordered dict family -> [(name, lhs, rhs)].
     """
     one = mono((0,) * m)
@@ -145,21 +146,20 @@ def relation_families(n: int, m: int, mono, ys: dict, y_invs: dict, ss: dict, id
 
 def relation_report(families: dict) -> dict:
     """Check each family of (name, lhs, rhs) relations: pass, or fail with
-    the first failing relation and the head term of lhs - rhs, a SparseSum
-    keyed by group index on exponent tables and on the group-basis
-    reference alike."""
+    the first failing relation and the head term of Phi(lhs - rhs), the
+    least group index at which it is nonzero, as lhs.difference_head(rhs)
+    gives it on exponent tables and on the group-basis reference alike."""
     report = {}
     for family, items in families.items():
         entry: dict = {"status": "pass"}
         for name, lhs, rhs in items:
             if lhs != rhs:
-                diff = lhs - rhs
-                head = min(diff.terms)
+                index, coeff = lhs.difference_head(rhs)
                 entry = {
                     "status": "fail",
                     "counterexample": {
                         "relation": name,
-                        "difference_head": {"index": head, "coeff": diff.terms[head].to_json()},
+                        "difference_head": {"index": index, "coeff": coeff},
                     },
                 }
                 break
@@ -205,10 +205,10 @@ def verify_defining_relations(n: int, m: int, cap: int | None = None) -> dict:
     the change of basis Phi carries these products to the group algebra's.
     At m = 1 the suite has only x-monomials, whose tables are the characters
     of Z_n: they multiply by adding exponents, as the group does, and are 1
-    only at x^0, so they need no model check.  A failing relation is rebuilt
-    exactly and its difference mapped through Phi, so its counterexample is a
-    group index.  The group-basis evaluation is kept as the reference in
-    tests/group_basis_oracle.py.
+    only at x^0, so they need no model check.  A failing relation's
+    counterexample is the least group index at which Phi of its difference
+    is nonzero, read from its two tables.  The group-basis evaluation is
+    kept as the reference in tests/group_basis_oracle.py.
     """
     if n < 2:
         raise ValueError(f"the relation suite needs n >= 2, got n={n}: at n = 1 every y_l is 1")

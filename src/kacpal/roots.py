@@ -92,11 +92,10 @@ def lambda_coefficients(n: int, m: int, lam) -> list[tuple]:
     numbers the twists.  Each pair is already in lowest terms: zeta^k is a
     unit of the ring of integers Z[zeta], whose basis is the powers of zeta,
     so if d divided all its numerators then 1/d = zeta^(-k) (zeta^k / d)
-    would be an integer.  character_model.check_model reads this table,
-    and the group-basis coordinates are these pairs times a rational: those
-    of an expanded idempotent, which the idempotent command writes with
-    coefficient_json, and those of character_model.character_combination.
-    It is not remembered, so that each of them reads it afresh.
+    would be an integer.  character_model.check_model reads this table, and
+    the idempotent command writes an expanded idempotent's group-basis
+    coordinates as these pairs times a rational, with coefficient_json.  It
+    is not remembered, so that each of them reads it afresh.
     """
     exponents = [0]
     for v in lam:

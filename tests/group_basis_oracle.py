@@ -8,12 +8,14 @@ the group's multiplication table (mul_row, row_product).  x_element,
 x_monomial, lambda_idempotent, diagonal_element, y_element,
 y_inverse_element, s_element and z_element are the distinguished elements
 of the generalised Kac-Paljutkin structure, built in that basis; to_group
-maps an element of the character basis there by the package's one change
-of basis, character_model.character_combination, and idempotent_from_beta
-is a classification idempotent's image.  counit and quotient_to_sym are the
-counit and the projection onto Q[S_m] on group-basis elements; root_sum,
-the sum over roots of unity of relations.z_square_sum, serves every
-element type with a twist order n.
+maps an element of the character basis there by the change of basis on
+elements, character_combination, and idempotent_from_beta is a
+classification idempotent's image.  exact is the element of an exponent
+table (character_model.Monomial) with its coefficients in Q(zeta_2n):
+to_group(exact(a) - exact(b)) is the reference for a.difference_head(b).
+counit and quotient_to_sym are the counit and the projection onto Q[S_m]
+on group-basis elements; root_sum, the sum over roots of unity of
+relations.z_square_sum, serves every element type with a twist order n.
 
 The idempotent of a labelled partition is the character idempotent of its
 character vector times, for each block, the row-consecutive Young
@@ -41,20 +43,14 @@ from functools import lru_cache, partial
 from itertools import product
 from math import factorial
 
-from kacpal.character_basis import ONE, CharacterElement
-from kacpal.character_model import (
-    MonomialModel,
-    _generator_tables,
-    character_combination,
-    integral,
-)
+from kacpal.character_basis import ONE, CharacterElement, SparseSum, add_into
+from kacpal.character_model import Monomial, MonomialModel, _generator_tables, integral
 from kacpal.classifier import LabelledPartition, character_idempotent, lambda_from_beta
 from kacpal.cyclotomic import CycNumber, _make, zeta_over, zeta_power
 from kacpal.partitions import row_consecutive_tableau, young_symmetrizer
 from kacpal import relations
 from kacpal.relations import relation_families, relation_suite_report, z_square_sum
 from kacpal.roots import lambda_coefficients
-from kacpal.sparse import SparseSum, add_into
 from kacpal.wreath import (
     CheckFailedError,
     Perm,
@@ -113,12 +109,12 @@ def root_sum(like, pairs, den: int):
 class AlgebraElement(SparseSum):
     """A sparse element of the group algebra over Q(zeta_2n)."""
 
-    __slots__ = ("n", "m")
+    __slots__ = ()
 
     def __init__(self, n: int, m: int, terms=None):
         order = group_order(n, m)
         clean: dict[int, CycNumber] = {}
-        self._assign(n, m, clean)  # _scalar reads n
+        super().__init__(n, m, clean)  # _scalar reads n
         for index, coeff in (terms or {}).items():
             if not 0 <= index < order:
                 raise ValueError(f"group index {index} out of range for (n={n}, m={m})")
@@ -143,6 +139,12 @@ class AlgebraElement(SparseSum):
     def _row(self, index: int):
         return mul_row(self.n, self.m, index).__getitem__
 
+    def difference_head(self, other: "AlgebraElement") -> tuple[int, dict]:
+        """The least index of self - other and its coefficient's JSON."""
+        diff = (self - other).terms
+        head = min(diff)
+        return head, diff[head].to_json()
+
     @classmethod
     def one(cls, n: int, m: int) -> "AlgebraElement":
         return cls._make(n, m, {0: CycNumber.one(2 * n)})
@@ -166,6 +168,44 @@ class AlgebraElement(SparseSum):
     def from_json(cls, data: dict) -> "AlgebraElement":
         terms = {item["index"]: CycNumber.from_json(item["coeff"]) for item in data["terms"]}
         return cls(data["n"], data["m"], terms)
+
+
+def character_combination(n: int, m: int, terms: dict, columns: dict) -> dict:
+    """Phi on coordinates: the group-basis terms {index: c'} of the sum of
+    c F(lam, p) = c Lambda_lam p over the terms {(lam, p): c}.
+
+    Lambda_lam p = n^(-m) sum_t zeta^(2 lam . t) (t, p), and the index of
+    (t, p) is perm_index(p) n^m + t, so c Lambda_lam p is c times the pairs
+    of roots.lambda_coefficients shifted by perm_index(p) n^m.  columns
+    caches c Lambda_lam per (lam, c), so terms sharing a character and a
+    coefficient share their multiplications.
+    """
+    order, size = 2 * n, n**m
+    acc: dict = {}
+    for (lam, p), c in terms.items():
+        col = columns.get((lam, c))
+        if col is None:
+            col = columns[lam, c] = {
+                t: _make(order, *pair) * c
+                for t, pair in enumerate(lambda_coefficients(n, m, lam))
+            }
+        base = perm_index(p) * size
+        shifted = {base + t: z for t, z in col.items()}
+        acc = add_into(acc, shifted) if acc else shifted
+    return acc
+
+
+def exact(table: Monomial) -> CharacterElement:
+    """The element of an exponent table, with its coefficients in Q(zeta_2n)."""
+    model, p = table.model, table.perm
+    order = model.order
+    terms = {
+        (model.chars[a], p): zeta_power(order, e)
+        for a, e in enumerate(table.entries)
+        if e is not None
+    }
+    terms.update({(model.chars[a], p): _make(order, *c) for a, c in table.non_roots.items()})
+    return CharacterElement._make(model.n, model.m, terms)
 
 
 def to_group(x: CharacterElement) -> AlgebraElement:
@@ -454,7 +494,7 @@ def check_model_by_products(n: int, m: int) -> None:
     elems = elements(n, m)
     gens = []
     for name, g, table in _generator_tables(MonomialModel(n, m)):
-        image = table.exact()
+        image = exact(table)
         if character_combination(n, m, image.terms, columns) != AlgebraElement.basis(g).terms:
             raise CheckFailedError(
                 f"the character basis does not model the group algebra at (n={n}, m={m}): "

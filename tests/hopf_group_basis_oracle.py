@@ -48,23 +48,22 @@ from group_basis_oracle import (
     z_element,
 )
 from kacpal import hopf
-from kacpal.character_basis import CharacterElement
+from kacpal.character_basis import CharacterElement, SparseSum, add_into
 from kacpal.character_model import characters, tensor_key
 from kacpal.cyclotomic import CycNumber, _make, zeta_power
 from kacpal.relations import presentation
-from kacpal.sparse import SparseSum, add_into
 from kacpal.wreath import element_at, group_order, twist_index
 
 
 class TensorElement(SparseSum):
     """A sparse element of the tensor square of the group algebra."""
 
-    __slots__ = ("n", "m")
+    __slots__ = ()
 
     def __init__(self, n: int, m: int, terms=None):
         order = group_order(n, m)
         clean: dict[tuple[int, int], CycNumber] = {}
-        self._assign(n, m, clean)  # _scalar reads n
+        super().__init__(n, m, clean)  # _scalar reads n
         for (i, j), coeff in (terms or {}).items():
             if not (0 <= i < order and 0 <= j < order):
                 raise ValueError(f"tensor index ({i}, {j}) out of range")
@@ -362,8 +361,7 @@ def _fixed_sparse(n: int, m: int, rng: random.Random, size: int = 3) -> AlgebraE
 class _Characters(CharacterElement):
     """Elements of the character model with the root sum that
     relations.z_square_sum takes, which the package's element type leaves
-    to the exponent tables.  No __slots__ of its own, so that its parameters
-    are CharacterElement's."""
+    to the exponent tables."""
 
     root_sum = root_sum
 

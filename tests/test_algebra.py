@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import group_basis_oracle
 from group_basis_oracle import (
     AlgebraElement,
     _echelon,
@@ -33,6 +34,7 @@ from kacpal.wreath import (
     Perm,
     WreathElement,
     element_index,
+    generator_b,
     group_order,
     permute_character,
 )
@@ -453,6 +455,16 @@ def _y_off_at_ones(m):
     return _y_exponent_off_by_one((1,) * m)
 
 
+def _s_3_on_slots_1_and_4(n, m, l):
+    # s_3 swapping slots 1 and 4, not 3 and 4: z_3 moves x_1 and x_4, so the
+    # sides of z_commute and z_braid land on different permutations
+    if l != 3:
+        return generator_b(n, m, l)
+    images = list(range(m))
+    images[0], images[3] = 3, 0
+    return WreathElement(n, (0,) * m, Perm(images))
+
+
 @pytest.mark.parametrize(
     "n, m, name, perturbed, family, relation, index, coeffs",
     [
@@ -463,8 +475,12 @@ def _y_off_at_ones(m):
         ),
         (2, 3, "y_exponent", _y_off_at_ones(3), "z_braid", Z_BRAID, 40, [["1", "8"], ["1", "8"]]),
         (3, 2, "z_square_sum", _z_square_sum_from_1, "z_square", Z_SQUARE, 0, [["1", "3"], ["0", "1"]]),
+        (
+            *(2, 4, "generator_b", _s_3_on_slots_1_and_4, "zx", "z_3 x_1 = x_1 z_3", 336),
+            [["1", "4"], ["-1", "4"]],
+        ),
     ],
-    ids=["y-off-3-2", "y-off-4-2", "y-off-2-3", "z_square-from-1-3-2"],
+    ids=["y-off-3-2", "y-off-4-2", "y-off-2-3", "z_square-from-1-3-2", "s_3-on-slots-1-4-2-4"],
 )
 def test_a_failing_relation_reports_its_difference_head(
     monkeypatch, fresh_generators, n, m, name, perturbed, family, relation, index, coeffs
@@ -484,6 +500,20 @@ def test_a_failing_relation_reports_its_difference_head(
             },
         },
     )
+
+
+def test_relations_on_two_permutations_report_as_the_oracle(monkeypatch, fresh_generators):
+    # every family's head, those whose sides lie on two permutations
+    # included, as the group-basis evaluation with the same s_3 finds it
+    for module in (relations, group_basis_oracle):
+        monkeypatch.setattr(module, "generator_b", _s_3_on_slots_1_and_4)
+    s_element.cache_clear()
+    try:
+        report = verify_defining_relations(2, 4)
+        assert report["relations"]["z_commute"]["status"] == "fail"
+        assert report == relation_suite_by_group_basis(2, 4)
+    finally:
+        s_element.cache_clear()
 
 
 @pytest.mark.parametrize("n, m", [(2, 3), (3, 2), (4, 2)])

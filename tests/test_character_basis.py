@@ -6,9 +6,12 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import group_basis_oracle
 from group_basis_oracle import (
     AlgebraElement,
+    character_combination,
     check_model_by_products,
+    exact,
     lambda_idempotent,
     left_ideal_basis,
     left_ideal_dimension,
@@ -21,10 +24,9 @@ from group_basis_oracle import (
 )
 from hopf_group_basis_oracle import TensorElement, to_characters
 from kacpal import character_basis, character_model, roots
-from kacpal.character_basis import CharacterElement
+from kacpal.character_basis import CharacterElement, add_into
 from kacpal.character_model import (
     MonomialModel,
-    character_combination,
     check_model,
     integral,
     is_idempotent,
@@ -34,7 +36,6 @@ from kacpal.character_model import (
 )
 from kacpal.classifier import irrep_table
 from kacpal.cyclotomic import CycNumber, _make, zeta, zeta_power
-from kacpal.sparse import add_into
 from kacpal.wreath import (
     CheckFailedError,
     Perm,
@@ -285,13 +286,14 @@ def _unmoved_characters(monkeypatch, n, m):
 def _set_lambda_coefficients(monkeypatch, replacement):
     # check_model and character_combination, the change of basis that the
     # product oracle reads, both take the coefficient table of Lambda_lam
-    # from kacpal.character_model, unremembered, so no element built from
-    # the true table survives the replacement.  replacement(n, m, lam) gives
+    # from their own modules, unremembered, so no element built from the
+    # true table survives the replacement.  replacement(n, m, lam) gives
     # the coefficients as CycNumbers; both readers take their pairs.
     def pairs(n, m, lam):
         return [(c.num, c.den) for c in replacement(n, m, lam)]
 
-    monkeypatch.setattr(character_model, "lambda_coefficients", pairs)
+    for module in (character_model, group_basis_oracle):
+        monkeypatch.setattr(module, "lambda_coefficients", pairs)
 
 
 def _true_coefficients(n, m, lam):
@@ -389,10 +391,21 @@ def test_mutations_the_model_cannot_see_pass(monkeypatch, mutate):
 
 
 def monomials(model):
+    """Exponent tables, and root sums of tables on one permutation, which
+    carry non_roots where a coefficient is off the roots of unity."""
     size = len(model.chars)
     entry = st.one_of(st.none(), st.integers(0, model.order - 1))
     exponents = st.lists(entry, min_size=size, max_size=size)
-    return st.builds(model.monomial, st.sampled_from(symmetric_group(model.m)), exponents)
+    root = st.integers(0, model.order - 1)
+
+    def on(p):
+        tables = st.builds(model.monomial, st.just(p), exponents)
+        pairs = st.lists(st.tuples(root, tables), min_size=1, max_size=3)
+        dens = st.integers(1, 3)
+        sums = st.builds(lambda pairs, den: pairs[0][1].root_sum(pairs, den), pairs, dens)
+        return st.one_of(tables, sums)
+
+    return st.sampled_from(symmetric_group(model.m)).flatmap(on)
 
 
 @pytest.mark.parametrize("n, m", [(1, 3), (3, 1), (2, 3), (3, 3), (4, 5)])
@@ -412,10 +425,22 @@ def test_moved_is_the_index_of_each_moved_character(n, m):
 def test_monomial_tables_multiply_as_the_model(nm, data):
     model = MonomialModel(*nm)
     a, b = (data.draw(monomials(model)) for _ in range(2))
-    product_ = a * b
-    assert product_.exact() == a.exact() * b.exact()
-    assert (product_ == a * b) and ((a == b) == (a.exact() == b.exact()))
-    assert (a - b).terms == to_group(a.exact() - b.exact()).terms
+    if a.non_roots or b.non_roots:
+        with pytest.raises(ValueError, match="no exponent to add"):
+            a * b
+    else:
+        product_ = a * b
+        assert exact(product_) == exact(a) * exact(b)
+        assert product_ == a * b
+    assert (a == b) == (exact(a) == exact(b))
+    # the head of Phi(a - b), read from the tables, against the change of basis
+    diff = to_group(exact(a) - exact(b)).terms
+    if diff:
+        head = min(diff)
+        assert a.difference_head(b) == (head, diff[head].to_json())
+    else:
+        with pytest.raises(CheckFailedError, match="no group-basis coordinate"):
+            a.difference_head(b)
 
 
 @pytest.mark.parametrize("n, m", [(2, 2), (3, 2), (3, 3)])
@@ -432,8 +457,8 @@ def test_root_sums_of_tables_match_the_model(n, m):
                 for j in range(start, n)
             ]
             table = pairs[0][1].root_sum(pairs, n)
-            exact = root_sum(pairs[0][1].exact(), [(k, x.exact()) for k, x in pairs], n)
-            assert table.exact() == exact
+            expected = root_sum(exact(pairs[0][1]), [(k, exact(x)) for k, x in pairs], n)
+            assert exact(table) == expected
             assert bool(table.non_roots) == bool(start)
 
 
@@ -447,7 +472,7 @@ def test_root_sums_that_cancel_have_no_coefficient(n, m):
     assert zero.is_zero() and not zero.non_roots
     pairs = [(0, x), (n, one)]
     table = x.root_sum(pairs, 1)
-    assert table.exact() == root_sum(x.exact(), [(k, y.exact()) for k, y in pairs], 1)
+    assert exact(table) == root_sum(exact(x), [(k, exact(y)) for k, y in pairs], 1)
     cancelled = [a for a, e in enumerate(x.entries) if e == 0]
     assert cancelled
     assert all(table.entries[a] is None and a not in table.non_roots for a in cancelled)

@@ -18,7 +18,9 @@ from group_basis_oracle import (
     to_group,
 )
 from kacpal import character_basis, character_model, classifier, cli, relations
+from kacpal.character_model import Monomial
 from kacpal.cli import main
+from kacpal.roots import root_count_sum
 from kacpal.wreath import CheckFailedError, Perm, group_order, symmetric_group
 
 
@@ -189,6 +191,26 @@ def test_caps_checked_before_any_work(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "ranks" in err
+
+
+def test_sides_that_differ_in_no_coordinate_exit_1(capsys, monkeypatch):
+    # the z_l^2 sum with one root of unity written as a coefficient off the
+    # roots: a table unequal to that of z_l z_l but the same element, so the
+    # difference has no head to report
+    real = relations.z_square_sum
+
+    def rewritten(n, m, l, mono):
+        table = real(n, m, l, mono)
+        order, entries = table.model.order, list(table.entries)
+        a = next(a for a, e in enumerate(entries) if e is not None)
+        root = root_count_sum(order, tuple(int(k == entries[a]) for k in range(order)))
+        entries[a] = None
+        return Monomial(table.model, table.perm, tuple(entries), {a: root})
+
+    monkeypatch.setattr(relations, "z_square_sum", rewritten)
+    code, out, err = run(capsys, "verify", "--n", "2", "--m", "2", "--checks", "relations")
+    assert (code, out) == (1, "")
+    assert "no group-basis coordinate" in err
 
 
 @pytest.mark.parametrize(
@@ -825,7 +847,6 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
         "kacpal.conjugacy",
         "kacpal.cyclotomic",
         "kacpal.roots",
-        "kacpal.sparse",
         "csv",
         "json",
         "fractions",
@@ -861,7 +882,6 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
     hopf = modules_loaded_by(tmp_path, ("verify", "--n", "3", "--m", "2", "--checks", "hopf"))
     assert {"kacpal.hopf", "kacpal.character_model", "kacpal.roots"} <= hopf
     assert not {
-        "kacpal.sparse",
         "kacpal.character_basis",
         "kacpal.classifier",
         "kacpal.partitions",
@@ -871,12 +891,40 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
     } & hopf
     suite = modules_loaded_by(tmp_path, ("verify", "--n", "2", "--m", "4", "--checks", "relations"))
     assert {"kacpal.relations", "kacpal.roots"} <= suite
-    unused = {"kacpal.sparse", "kacpal.character_basis", "kacpal.classifier", "fractions"}
+    unused = {"kacpal.character_basis", "kacpal.classifier", "fractions"}
     assert not {*unused, *elements} & suite
     # the default checks, the relation suite and the idempotent squares
     default = modules_loaded_by(tmp_path, ("verify", "--n", "3", "--m", "3"))
     assert {"kacpal.relations", "kacpal.classifier", "kacpal.roots"} <= default
     assert not elements & default
+
+
+def test_a_failing_relation_suite_loads_no_element_and_no_field(tmp_path):
+    # the counterexample's group-basis head is read from the two exponent
+    # tables as an integer pair, so a failure builds no element either
+    out = tmp_path / "out"
+    script = (
+        "import sys\n"
+        "from kacpal import relations\n"
+        "from kacpal.cli import main\n"
+        "real = relations.y_exponent\n"
+        "relations.y_exponent = lambda lam, l: real(lam, l) + (lam == (1, 1))\n"
+        "argv = ['verify', '--n', '3', '--m', '2', '--checks', 'relations']\n"
+        f"code = main([*argv, '--out', {str(out)!r}])\n"
+        "loaded = list(sys.modules)\n"
+        "import json\n"
+        "print(json.dumps([code, loaded]))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=CHILD_ENV, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    code, loaded = json.loads(done.stdout)
+    assert code == 1
+    z_square = json.loads(out.read_text())["checks"]["relations"]["relations"]["z_square"]
+    assert z_square["counterexample"]["difference_head"]["index"] == 0
+    assert {"kacpal.relations", "kacpal.roots"} <= set(loaded)
+    assert not {"kacpal.character_basis", "kacpal.cyclotomic", "fractions"} & set(loaded)
 
 
 def test_no_command_imports_dataclasses_or_inspect(tmp_path):

@@ -13,6 +13,7 @@ from group_basis_oracle import (
     basis_element,
     counit,
     elements,
+    exact,
     lambda_idempotent,
     mul_row,
     quotient_to_sym,
@@ -258,15 +259,15 @@ def test_generator_tables_match_the_group_basis_images(n, m):
     # (n, 2m), S(s_l) at (n, m), and delta(x_i) = x_i (x) x_i at (n, 2m)
     hopf = _CharacterHopf(n, m)
     for l in range(1, m):
-        assert hopf.delta_z[l].exact() == oracle.to_characters(_delta_z(n, m, l)), l
-        assert hopf.delta_s[l].exact() == oracle.to_characters(_delta_s(n, m, l)), l
+        assert exact(hopf.delta_z[l]) == oracle.to_characters(_delta_z(n, m, l)), l
+        assert exact(hopf.delta_s[l]) == oracle.to_characters(_delta_s(n, m, l)), l
         expected = oracle.character_coordinates(n, m, _antipode_s(n, m, l).terms)
-        assert hopf.antipode_s[l].exact().terms == expected, l
+        assert exact(hopf.antipode_s[l]).terms == expected, l
     for i in range(1, m + 1):
         t = tuple(int(j == i - 1) for j in range(m))
         x_twice = hopf.model2.x_monomial(t + t)
         assert hopf.group_like(hopf.x(t)) == x_twice == hopf.tensor(hopf.x(t), hopf.x(t))
-        assert x_twice.exact() == oracle.to_characters(_diagonal(x_monomial(n, m, t)))
+        assert exact(x_twice) == oracle.to_characters(_diagonal(x_monomial(n, m, t)))
 
 
 @pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 3), (3, 3), (2, 4), (4, 3)])
