@@ -4,7 +4,9 @@ Realizes the algebra as the group algebra of the generalised symmetric
 group (m-tuples of Z_n twists permuted by S_m), constructs the primitive
 idempotents indexed by labelled partitions, and verifies every relation,
 counting formula, dimension formula, and Hopf axiom by exact computation
-over cyclotomic rationals.
+with rational arithmetic only: a value of the cyclotomic field is an
+integer pair of kacpal.roots, and a sum of roots of unity is read from
+exponent tables.
 
 The names below are imported from their modules on first use (PEP 562), so
 importing the package, as every command-line call does, loads no module
@@ -25,13 +27,6 @@ _EXPORTS = {
         "lambda_from_beta",
     ),
     "conjugacy": ("conjugacy_class_count",),
-    "cyclotomic": (
-        "CycNumber",
-        "Rational",
-        "gauss_sum_check",
-        "zeta",
-        "zeta_power",
-    ),
     "hopf": ("cocommutativity_witness", "hopf_axiom_report"),
     "partitions": (
         "Partition",

@@ -30,9 +30,8 @@ the exponent tables of monomial elements, the key of the tensor square,
 and the ranks of left ideals and sandwiches, as traces.  This module holds
 only the element type and its linear core, and the product reads the
 character action wreath.permute_character, so that building an
-idempotent loads none of them; an element with rational coefficients
-loads no field, so neither the table of irreducibles without checks nor
-the idempotent command needs one.
+idempotent loads none of them.  Its coefficients are rational, so neither
+the table of irreducibles nor the idempotent command needs a field.
 
 SparseSum is the linear core of an element at (n, m): sum, difference,
 negation, scaling, powers, equality and hashing of a sparse map from keys
@@ -41,8 +40,9 @@ CharacterElement, the package's one element type, subclasses it with its
 scalars, its identity and its product; the group-basis algebra and its
 tensor square of the test oracles (tests/group_basis_oracle.py and
 tests/hopf_group_basis_oracle.py), which multiply by rows of the group's
-multiplication table, subclass it too.  The repeated-squaring loop,
-wreath.power, is shared with the scalar field.
+multiplication table, subclass it too, with coefficients in Q(zeta_2n)
+from the field class of tests/cyclotomic_oracle.py.  The repeated-squaring
+loop, wreath.power, is shared with that field.
 """
 
 from __future__ import annotations
@@ -156,10 +156,11 @@ class CharacterElement(SparseSum):
     tuple in Z_n^m and p a permutation of m points: a Perm, or its one-line
     tuple, which is the same key because a Perm is that tuple.
 
-    Coefficients are Fractions, or CycNumbers of order 2n: the generator
-    images that check_model multiplies by carry roots of unity, and tensors,
-    elements at (n, 2m) keyed by tensor_key, carry any coefficients in
-    Q(zeta_2n); all multiply by the same rule.
+    Coefficients are Fractions: the package builds elements only for the
+    classification idempotents and the Young symmetrizers of Q[S_k], whose
+    coordinates here are rational.  The generators, Lambda_lam and the
+    tensor square, whose coefficients are roots of unity, are exponent
+    tables of kacpal.character_model.
     """
 
     __slots__ = ()
@@ -177,20 +178,13 @@ class CharacterElement(SparseSum):
             if coeff:
                 clean[lam, p] = coeff
 
-    def _scalar(self, value):
-        """value in Q(zeta_2n): a CycNumber of order 2n, or a rational as a Fraction.
-
-        The field is imported only for a value that is not an int or a
-        Fraction, so that rational elements load none of it."""
-        if isinstance(value, (int, Fraction)):
-            return Fraction(value)
-        from .cyclotomic import CycNumber, _rational
-
-        if isinstance(value, CycNumber):
-            if value.order != 2 * self.n:
-                raise ValueError(f"coefficient order {value.order} != {2 * self.n}")
-            return value
-        return _rational(value)
+    def _scalar(self, value) -> Fraction:
+        """value as a Fraction.  A float raises TypeError: its binary value
+        (0.1 reads as 3602879701896397/36028797018963968) is seldom the
+        number meant."""
+        if isinstance(value, float):
+            raise TypeError(f"a float ({value!r}) cannot enter exact arithmetic: use an int or a Fraction")
+        return Fraction(value)
 
     def _one(self) -> "CharacterElement":
         return CharacterElement.one(self.n, self.m)

@@ -17,13 +17,13 @@ their defining formulas on these tables, at (n, m) and, for the tensor
 square, at (n, 2m), so no element is changed to this basis from the group
 basis.  Sums of roots of unity, such as the coefficients of a root_sum or
 of a Lambda_lam, are read as the canonical integer pairs of kacpal.roots.
-The element type and the field's element class are imported only where an
-element is built (is_idempotent) or a failed model check names a
-coefficient, so a check on tables loads neither kacpal.character_basis nor
-kacpal.cyclotomic from here, whether it passes or a relation fails: a
-failing relation's counterexample, the least group index at which Phi of
-its difference is nonzero, is read from the two tables
-(Monomial.difference_head) as an integer pair of kacpal.roots.  The exact
+The element type is imported only where an element is built
+(is_idempotent), so a check on tables loads neither kacpal.character_basis
+nor fractions from here, whether it passes or fails: a failed model check
+names a coefficient by roots.coefficient_repr, and a failing relation's
+counterexample, the least group index at which Phi of its difference is
+nonzero, is read from the two tables (Monomial.difference_head) as an
+integer pair of kacpal.roots.  The exact
 elements of the tables and the change of basis to the group basis on
 elements, against which that head is tested, are the reference in
 tests/group_basis_oracle.py.
@@ -49,7 +49,13 @@ from functools import lru_cache
 from itertools import product
 from math import factorial, lcm
 
-from .roots import coefficient_json, lambda_coefficients, root_count_sum, root_exponent
+from .roots import (
+    coefficient_json,
+    coefficient_repr,
+    lambda_coefficients,
+    root_count_sum,
+    root_exponent,
+)
 from .wreath import (
     CheckFailedError,
     Perm,
@@ -342,12 +348,10 @@ def _lambda_exponents(n: int, m: int, lam: tuple, fail) -> list[int]:
     coefficients = lambda_coefficients(n, m, lam)
     row = [root_exponent(order, c, den) for c in coefficients]
     if None in row:
-        from .cyclotomic import _make
-
         t = row.index(None)
         fail(
             "the coefficients of Lambda",
-            f"Lambda_{lam} has {_make(order, *coefficients[t])!r} at twist index {t}, "
+            f"Lambda_{lam} has {coefficient_repr(order, *coefficients[t])} at twist index {t}, "
             f"not n^-m times a root of unity",
         )
     return row

@@ -2,17 +2,17 @@
 
 Each handler imports the modules it runs when it runs, so a call loads only
 what its command and checks need.  `table` and `idempotent` load neither
-the relation table (kacpal.relations), the exponent-table model and its
-ranks (kacpal.character_model) nor the field (kacpal.cyclotomic):
-`idempotent --expanded` writes the group-basis coordinates of an idempotent
-built in the character basis as the integer pairs of kacpal.roots.  The
-checks on exponent tables (`verify` with its default checks, `--checks
-hopf` and the classification checks) read sums of roots as those pairs and
-load the field's element class only when a check fails; `--checks hopf`
-also leaves out the classifier, kacpal.character_basis and fractions, and
-`--checks relations` the Hopf module, the classifier, the character basis,
-the field's element class and fractions, even when a relation fails: its
-counterexample is read from its exponent tables.  `count` loads neither the
+the relation table (kacpal.relations) nor the exponent-table model and its
+ranks (kacpal.character_model): `idempotent --expanded` writes the
+group-basis coordinates of an idempotent built in the character basis as
+the integer pairs of kacpal.roots.  The checks on exponent tables (`verify`
+with its default checks, `--checks hopf` and the classification checks)
+read sums of roots as those pairs, and a failed check names a coefficient
+from its pair; `--checks hopf` also leaves out the classifier,
+kacpal.character_basis and fractions, and `--checks relations` the Hopf
+module, the classifier, the character basis and fractions, whether a check
+passes or fails: a failing relation's counterexample is read from its
+exponent tables.  `count` loads neither the
 character basis nor fractions; only the conjugacy check loads
 kacpal.conjugacy, and only the commands that write JSON load json.  With
 no byte code cached, compiling the modules a call loads is a large part of

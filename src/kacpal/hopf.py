@@ -41,7 +41,9 @@ group-basis images changed to the character basis on each leg, exactly:
   its exponents with integers, and each count is reduced once.  By the Gauss
   sum P is diagonal with entry zeta^(2 mu_l nu_(l+1)); a P with another
   coefficient raises CheckFailedError naming delta(z_l) before any table
-  product takes it.
+  product takes it, with the coefficient written from its pair by
+  roots.coefficient_repr, so that a failing report loads no fractions
+  either.
 
 tests/hopf_group_basis_oracle.py evaluates the same formulas in the group
 basis and compares these tables with them under the dense change of basis.
@@ -133,7 +135,7 @@ from functools import cached_property, partial
 
 from .character_model import MonomialModel, check_model, tensor_key
 from .relations import presentation, y_exponent, z_square_sum
-from .roots import coefficient_json, root_count_sum, root_exponent
+from .roots import coefficient_json, coefficient_repr, root_count_sum, root_exponent
 from .wreath import (
     CheckFailedError,
     check_cap,
@@ -275,12 +277,10 @@ class _CharacterHopf:
     def monomial(self, a, what: str):
         """a, unless it has a coefficient off the roots of unity."""
         if a.non_roots:
-            from .cyclotomic import _make
-
-            c = _make(self.order, *a.non_roots[min(a.non_roots)])
+            c = coefficient_repr(self.order, *a.non_roots[min(a.non_roots)])
             raise CheckFailedError(
-                f"{what} has the coefficient {c!r} in the character basis, "
-                f"which is not a power of zeta_{c.order}"
+                f"{what} has the coefficient {c} in the character basis, "
+                f"which is not a power of zeta_{self.order}"
             )
         return a
 

@@ -13,11 +13,10 @@ moving the x_i, and s_l = y_l z_l.  The images may be of any type with *,
 kacpal.hopf evaluates presentation on the tables of the comultiplication,
 and the group-basis evaluation is the reference in
 tests/group_basis_oracle.py.  Only the relation suite and the Hopf report
-load this module, and the suite loads no element type, no field element
-class and no fractions, whether a relation passes or fails: a failing
-relation's counterexample, the head of its difference in the group basis,
-is read from the two exponent tables by
-character_model.Monomial.difference_head.
+load this module, and the suite loads no element type and no fractions,
+whether a relation passes or fails: a failing relation's counterexample,
+the head of its difference in the group basis, is read from the two
+exponent tables by character_model.Monomial.difference_head.
 """
 
 from __future__ import annotations

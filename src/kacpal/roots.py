@@ -4,12 +4,13 @@ zeta, and values as canonical integer pairs.
 A value of Q(zeta_N) is the pair (num, den): phi(N) integer numerators of
 zeta^0, ..., zeta^(deg-1) over one positive common denominator, in lowest
 terms, so zero is all-zero numerators over 1 and two values are equal
-exactly when their pairs are.  This is the form of kacpal.cyclotomic's
-CycNumber without the order, which the caller knows: the checks on exponent
-tables (kacpal.character_model and kacpal.hopf) read sums of roots of unity
-as these pairs and compare them, and only a failure message or an exact
-element wraps one as a CycNumber.  A pair is a tuple, so it is always
-truthy: a value is zero exactly when any(num) is false.
+exactly when their pairs are.  The order is not part of the pair, since
+the caller knows it.  This is the package's one form of a field value: the
+checks on exponent tables (kacpal.character_model and kacpal.hopf) read
+sums of roots of unity as these pairs and compare them, the idempotent
+command writes them with coefficient_json, and a failed check names one
+with coefficient_repr.  A pair is a tuple, so it is always truthy: a value
+is zero exactly when any(num) is false.
 """
 
 from __future__ import annotations
@@ -129,6 +130,20 @@ def coefficient_json(order: int, num: tuple[int, ...], den: int) -> dict:
         g = gcd(c, den)
         pairs.append([str(c // g), str(den // g)])
     return {"order": order, "coeffs": pairs}
+
+
+def coefficient_repr(order: int, num: tuple[int, ...], den: int) -> str:
+    """The value num / den of Q(zeta_order) as a failed check names it: the
+    order, then each nonzero coefficient in lowest terms, by one gcd, times
+    its power of z, as the field class of the test oracle prints itself."""
+    parts = []
+    for i, c in enumerate(num):
+        if c:
+            g = gcd(c, den)
+            c, d = c // g, den // g
+            term = str(c) if d == 1 else f"{c}/{d}"
+            parts.append(term if i == 0 else f"{term}*z" if i == 1 else f"{term}*z^{i}")
+    return f"CycNumber({order}, {' + '.join(parts) or '0'!r})"
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,5 @@
-"""Exact arithmetic in the cyclotomic field Q(zeta_N).
+"""The cyclotomic field Q(zeta_N) as an element class, kept as the reference
+that the integer pairs of kacpal.roots are tested against.
 
 A field element is a polynomial in zeta with rational coefficients, kept
 reduced modulo the N-th cyclotomic polynomial.  Reduction modulo the
@@ -7,66 +8,43 @@ zero divisors cannot appear.  The element is stored as integer numerators
 over one positive common denominator (the representation of FLINT's
 fmpq_poly), kept in lowest terms, so two elements are equal exactly when
 their numerators and denominators coincide.  Arithmetic runs on Python ints
-with one gcd per result.  Ints enter as they are, and JSON leaves as pairs of
-integers, so fractions is loaded only where a Fraction comes in (a
-coefficient, an operand or a comparison) or goes out (coeffs, rational(),
-from_json, and the alias Rational).  No floating point is used anywhere.
+with one gcd per result; ints enter as they are, Fractions come in as
+coefficients, operands and comparisons, and JSON leaves as pairs of
+integers.  No floating point is used anywhere.
 
 CycNumber wraps the integer layer of kacpal.roots: the cyclotomic
 polynomials, the reduced powers of zeta, the one-gcd reduction of a
-numerator-denominator pair and its JSON writer.  The checks on exponent
-tables read values as those pairs and load this module only where a
-CycNumber must exist: in an exact element and the messages of a failed
-check, so the Hopf report and the classification checks compile none of
-this arithmetic when they pass, the relation suite none when it fails
-either (a failing relation's group-basis head is a pair), and the
-idempotent command, which writes its coordinates as pairs, none at all.
+numerator-denominator pair and its JSON writer.  The package reads every
+value of Q(zeta_N) as such a pair, with no element class; the group-basis
+oracles (group_basis_oracle.py, hopf_group_basis_oracle.py) hold their
+coefficients as CycNumbers, and test_roots.py and
+test_cyclotomic_reference.py compare the pairs and this arithmetic with
+independent references.
 """
 
 from __future__ import annotations
 
-import sys
+import json
+from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import add, neg, sub
 from sys import hash_info
 
-from .roots import _x_power, coefficient_json, cyclotomic_polynomial, reduced
-from .wreath import CheckFailedError, power
-
-
-def __getattr__(name: str):
-    # The rational scalars of the package (the coefficients of rational
-    # character-basis elements, Q[S_k] among them as the model at n = 1, and
-    # the values CycNumber takes in and hands out) are stdlib Fractions:
-    # always reduced, denominator > 0, arbitrary precision.  Rational is
-    # looked up here on first use, so that the field loads no fractions.
-    if name == "Rational":
-        from fractions import Fraction
-
-        return Fraction
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _is_fraction(value) -> bool:
-    """Whether value is a Fraction, without loading fractions: no Fraction
-    exists before that module is loaded."""
-    fractions = sys.modules.get("fractions")
-    return fractions is not None and isinstance(value, fractions.Fraction)
+from kacpal.roots import _x_power, coefficient_json, cyclotomic_polynomial, reduced
+from kacpal.wreath import CheckFailedError, power
 
 
 def _rational(value):
     """value as an int or a Fraction, at every place where a scalar enters
     the exact arithmetic; either has the numerator and denominator of its
-    value in lowest terms.  Only a value that is neither loads fractions.  A
-    float raises TypeError: its binary value (0.1 reads as
-    3602879701896397/36028797018963968) is seldom the number meant."""
-    if isinstance(value, int) or _is_fraction(value):
+    value in lowest terms.  A float raises TypeError: its binary value (0.1
+    reads as 3602879701896397/36028797018963968) is seldom the number
+    meant."""
+    if isinstance(value, (int, Fraction)):
         return value
     if isinstance(value, float):
         raise TypeError(f"a float ({value!r}) cannot enter exact arithmetic: use an int or a Fraction")
-    from fractions import Fraction
-
     return Fraction(value)
 
 
@@ -140,16 +118,12 @@ class CycNumber:
     @property
     def coeffs(self) -> tuple:
         """The coefficients of zeta^0, ..., zeta^(deg-1) as Fractions."""
-        from fractions import Fraction
-
         return tuple(Fraction(c, self.den) for c in self.num)
 
     def rational(self):
         """The value as a Fraction; ValueError if the element is irrational."""
         if not self.is_rational():
             raise ValueError(f"not a rational element: {self!r}")
-        from fractions import Fraction
-
         return Fraction(self.num[0], self.den)
 
     # -- predicates --------------------------------------------------------
@@ -170,7 +144,7 @@ class CycNumber:
             if other.order != self.order:
                 raise ValueError(f"cyclotomic order mismatch: {self.order} vs {other.order}")
             return other
-        if isinstance(other, int) or _is_fraction(other):
+        if isinstance(other, (int, Fraction)):
             return CycNumber.from_rational(self.order, other)
         return None
 
@@ -280,7 +254,7 @@ class CycNumber:
 
     def __eq__(self, other):
         if not isinstance(other, CycNumber):
-            if not (isinstance(other, int) or _is_fraction(other)):
+            if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = CycNumber.from_rational(self.order, other)
         return self.order == other.order and self.den == other.den and self.num == other.num
@@ -322,20 +296,14 @@ class CycNumber:
 
     @classmethod
     def from_json(cls, data: dict) -> "CycNumber":
-        from fractions import Fraction
-
         coeffs = tuple(Fraction(int(num), int(den)) for num, den in data["coeffs"])
         return cls(data["order"], coeffs)
 
     def dumps(self) -> str:
-        import json
-
         return json.dumps(self.to_json())
 
     @classmethod
     def loads(cls, text: str) -> "CycNumber":
-        import json
-
         return cls.from_json(json.loads(text))
 
 

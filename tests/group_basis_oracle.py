@@ -13,6 +13,8 @@ elements, character_combination, and idempotent_from_beta is a
 classification idempotent's image.  exact is the element of an exponent
 table (character_model.Monomial) with its coefficients in Q(zeta_2n):
 to_group(exact(a) - exact(b)) is the reference for a.difference_head(b).
+FieldCharacterElement is the character-basis element with coefficients
+in Q(zeta_2n), which the package's rational CharacterElement does not take.
 counit and quotient_to_sym are the counit and the projection onto Q[S_m]
 on group-basis elements; root_sum, the sum over roots of unity of
 relations.z_square_sum, serves every element type with a twist order n.
@@ -43,10 +45,10 @@ from functools import lru_cache, partial
 from itertools import product
 from math import factorial
 
+from cyclotomic_oracle import CycNumber, _make, zeta_over, zeta_power
 from kacpal.character_basis import ONE, CharacterElement, SparseSum, add_into
 from kacpal.character_model import Monomial, MonomialModel, _generator_tables, integral
 from kacpal.classifier import LabelledPartition, character_idempotent, lambda_from_beta
-from kacpal.cyclotomic import CycNumber, _make, zeta_over, zeta_power
 from kacpal.partitions import row_consecutive_tableau, young_symmetrizer
 from kacpal import relations
 from kacpal.relations import relation_families, relation_suite_report, z_square_sum
@@ -104,6 +106,21 @@ def root_sum(like, pairs, den: int):
     for k, x in pairs:
         add_into(acc, x.terms, zeta_over(order, k, den))
     return like._new(acc)
+
+
+class FieldCharacterElement(CharacterElement):
+    """A character-basis element with coefficients in Q(zeta_2n): the
+    package's CharacterElement takes rationals only."""
+
+    __slots__ = ()
+
+    def _scalar(self, value):
+        """value in Q(zeta_2n): a CycNumber of order 2n, or a rational as a Fraction."""
+        if isinstance(value, CycNumber):
+            if value.order != 2 * self.n:
+                raise ValueError(f"coefficient order {value.order} != {2 * self.n}")
+            return value
+        return super()._scalar(value)
 
 
 class AlgebraElement(SparseSum):

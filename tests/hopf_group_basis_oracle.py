@@ -35,6 +35,7 @@ from copy import copy
 from fractions import Fraction
 from functools import lru_cache
 
+from cyclotomic_oracle import CycNumber, _make, zeta_power
 from group_basis_oracle import (
     AlgebraElement,
     basis_element,
@@ -50,7 +51,6 @@ from group_basis_oracle import (
 from kacpal import hopf
 from kacpal.character_basis import CharacterElement, SparseSum, add_into
 from kacpal.character_model import characters, tensor_key
-from kacpal.cyclotomic import CycNumber, _make, zeta_power
 from kacpal.relations import presentation
 from kacpal.wreath import element_at, group_order, twist_index
 

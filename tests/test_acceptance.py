@@ -12,6 +12,7 @@ from math import factorial
 
 import pytest
 
+from cyclotomic_oracle import CycNumber, gauss_sum_check, zeta_power
 from group_basis_oracle import (
     AlgebraElement,
     lambda_idempotent,
@@ -33,7 +34,6 @@ from kacpal.classifier import (
     irrep_table,
 )
 from kacpal.cli import main
-from kacpal.cyclotomic import CycNumber, gauss_sum_check, zeta_power
 from kacpal.hopf import cocommutativity_witness, hopf_axiom_report
 from kacpal.partitions import (
     partitions_of,

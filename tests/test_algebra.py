@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cyclotomic_oracle import CycNumber, zeta_power
 import group_basis_oracle
 from group_basis_oracle import (
     AlgebraElement,
@@ -27,7 +28,6 @@ from group_basis_oracle import (
 )
 from kacpal import relations
 from kacpal.classifier import irrep_table
-from kacpal.cyclotomic import CycNumber, zeta_power
 from kacpal.relations import presentation, relation_report, verify_defining_relations
 from kacpal.wreath import (
     CapExceededError,

@@ -6,9 +6,11 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cyclotomic_oracle import CycNumber, _make, zeta, zeta_power
 import group_basis_oracle
 from group_basis_oracle import (
     AlgebraElement,
+    FieldCharacterElement,
     character_combination,
     check_model_by_products,
     exact,
@@ -35,7 +37,6 @@ from kacpal.character_model import (
     stabiliser_classes,
 )
 from kacpal.classifier import irrep_table
-from kacpal.cyclotomic import CycNumber, _make, zeta, zeta_power
 from kacpal.wreath import (
     CheckFailedError,
     Perm,
@@ -57,9 +58,9 @@ def basis_keys(n, m):
 RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
-def character_elements(n, m, coeffs=RATIONALS, max_size=4):
+def character_elements(n, m, coeffs=RATIONALS, max_size=4, element=CharacterElement):
     terms = st.dictionaries(st.sampled_from(basis_keys(n, m)), coeffs, max_size=max_size)
-    return terms.map(lambda t: CharacterElement(n, m, t))
+    return terms.map(lambda t: element(n, m, t))
 
 
 @pytest.mark.parametrize("n, m", SIZES)
@@ -232,7 +233,8 @@ def field_coefficients(n):
 @given(st.sampled_from(PHI_SIZES), st.data())
 def test_the_change_of_basis_matches_its_definition(nm, data):
     n, m = nm
-    x, y = (data.draw(character_elements(n, m, field_coefficients(n))) for _ in range(2))
+    field_elements = character_elements(n, m, field_coefficients(n), element=FieldCharacterElement)
+    x, y = (data.draw(field_elements) for _ in range(2))
     assert to_group(x).terms == phi_reference(n, m, x.terms)
     # one column cache shared by two elements, as check_model_by_products shares it
     columns: dict = {}
@@ -253,15 +255,20 @@ def test_y_is_its_sum_of_character_idempotents(n, m):
 
 
 def test_scalars_are_rational_or_of_the_model_order():
-    tensor = to_characters(TensorElement.unit(2, 2))
+    # the package's elements are rational; the oracle's field elements take
+    # CycNumbers of the model's order
+    rational = to_characters(TensorElement.unit(2, 2))
+    with pytest.raises(TypeError):
+        rational.scale(zeta(4))
+    tensor = FieldCharacterElement._make(rational.n, rational.m, dict(rational.terms))
     scaled = tensor.scale(zeta(4))
     assert scaled.terms == {key: c * zeta(4) for key, c in tensor.terms.items()}
     with pytest.raises(ValueError, match="order 6 != 4"):
         tensor.scale(zeta(6))
     key = basis_keys(2, 2)[-1]
-    assert CharacterElement(2, 2, {key: zeta(4)}).terms == {key: zeta(4)}
+    assert FieldCharacterElement(2, 2, {key: zeta(4)}).terms == {key: zeta(4)}
     with pytest.raises(ValueError, match="order 8 != 4"):
-        CharacterElement(2, 2, {key: zeta(8)})
+        FieldCharacterElement(2, 2, {key: zeta(8)})
     halved = CharacterElement(2, 2, {key: 1}).scale(Fraction(1, 2))
     assert type(halved.terms[key]) is Fraction and halved.terms[key] == Fraction(1, 2)
 

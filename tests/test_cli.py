@@ -829,10 +829,9 @@ def modules_loaded_by(tmp_path, *argvs) -> set:
 
 
 def test_each_command_imports_only_what_it_runs(tmp_path):
-    # the group-basis algebra and the field's element class are built only
-    # where an element must exist: a check that passes on exponent tables
-    # reads sums of roots as the integer pairs of kacpal.roots
-    elements = {"kacpal.algebra", "kacpal.cyclotomic"}
+    # no command builds a group-basis element: a check that passes on
+    # exponent tables reads sums of roots as the integer pairs of kacpal.roots
+    elements = {"kacpal.algebra"}
     hopf = modules_loaded_by(tmp_path, ("verify", "--n", "2", "--m", "2", "--checks", "hopf"))
     assert "kacpal.hopf" in hopf
     assert not {"kacpal.classifier", "kacpal.partitions", "csv"} & hopf
@@ -845,7 +844,6 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
         "kacpal.character_basis",
         "kacpal.classifier",
         "kacpal.conjugacy",
-        "kacpal.cyclotomic",
         "kacpal.roots",
         "csv",
         "json",
@@ -853,8 +851,7 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
         "decimal",
     } & count
     # the relation table, the exponent-table model and the ranks are loaded
-    # only by the checks that run them, the field only where a value leaves
-    # Q, and json only where JSON is written
+    # only by the checks that run them, and json only where JSON is written
     checks_only = {"kacpal.relations", "kacpal.character_model", "kacpal.conjugacy"}
     table = modules_loaded_by(
         tmp_path,
@@ -864,7 +861,7 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
     assert {"kacpal.classifier", "csv"} <= table
     assert not {"kacpal.roots", "json", *elements, *checks_only} & table
     # idempotent writes its group-basis coordinates as the integer pairs of
-    # kacpal.roots: no group-basis element and no field element
+    # kacpal.roots: no group-basis element
     for extra in ((), ("--expanded",)):
         idempotent = modules_loaded_by(
             tmp_path, ("idempotent", "--n", "2", "--m", "5", "--beta", "1:5", *extra)
@@ -876,9 +873,8 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
     assert {"kacpal.character_model", "kacpal.roots"} <= ranks
     assert not {"kacpal.relations", *elements} & ranks
     assert "kacpal.relations" in suite and "kacpal.relations" in hopf
-    # checks that pass on exponent tables build no element, and the field
-    # takes ints without a Fraction: fractions (and decimal, which it
-    # brings) loads only where a Fraction enters or leaves
+    # checks that pass on exponent tables build no element and load no
+    # fractions (nor decimal, which it brings)
     hopf = modules_loaded_by(tmp_path, ("verify", "--n", "3", "--m", "2", "--checks", "hopf"))
     assert {"kacpal.hopf", "kacpal.character_model", "kacpal.roots"} <= hopf
     assert not {
@@ -899,32 +895,98 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
     assert not elements & default
 
 
-def test_a_failing_relation_suite_loads_no_element_and_no_field(tmp_path):
-    # the counterexample's group-basis head is read from the two exponent
-    # tables as an integer pair, so a failure builds no element either
+def test_every_package_module_serves_a_command(tmp_path):
+    # one passing run of each command and each check loads, between them,
+    # every module of the package: none is kept for the tests alone
+    loaded = modules_loaded_by(
+        tmp_path,
+        ("count", "--n", "2", "--m", "2", "--checks", "conjugacy"),
+        ("table", "--n", "2", "--m", "2", "--checks", "idempotency,ranks,orthogonality,conjugacy"),
+        ("verify", "--n", "2", "--m", "2", "--checks", "relations,idempotency,ranks,orthogonality,hopf"),
+        ("idempotent", "--n", "2", "--m", "2", "--beta", "0:2", "--expanded"),
+    )
+    package = {f"kacpal.{path.stem}" for path in (Path(SRC) / "kacpal").glob("*.py")}
+    package -= {"kacpal.__init__", "kacpal.__main__"}
+    assert {name for name in loaded if name.startswith("kacpal.")} == package
+
+
+# Each failing run in a fresh interpreter: the setup that breaks one check,
+# its command line, and the message it must exit 1 with (None for a relation,
+# which is reported in the JSON instead).
+FAILING_RUNS = {
+    "relation": (
+        "from kacpal import relations\n"
+        "real = relations.y_exponent\n"
+        "relations.y_exponent = lambda lam, l: real(lam, l) + (lam == (1, 1))\n",
+        ("verify", "--n", "3", "--m", "2", "--checks", "relations"),
+        None,
+    ),
+    # the prefactor of delta(z_1) with its first coefficient 2 zeta^(k + 1)
+    "hopf-prefactor": (
+        "from kacpal import hopf\n"
+        "from kacpal.character_model import Monomial\n"
+        "from kacpal.roots import _x_power\n"
+        "real = hopf.z_square_sum\n"
+        "def doubled(n, m, l, mono):\n"
+        "    prefactor = real(n, m, l, mono)\n"
+        "    if not isinstance(prefactor, Monomial):\n"
+        "        return prefactor\n"
+        "    entries, order = prefactor.entries, prefactor.model.order\n"
+        "    pair = (tuple(2 * c for c in _x_power(order, (entries[0] + 1) % order)), 1)\n"
+        "    return Monomial(prefactor.model, prefactor.perm, (None, *entries[1:]), {0: pair})\n"
+        "hopf.z_square_sum = doubled\n",
+        ("verify", "--n", "3", "--m", "2", "--checks", "hopf"),
+        "the prefactor of delta(z_1) has the coefficient CycNumber(6, '2*z') in the character "
+        "basis, which is not a power of zeta_6\n",
+    ),
+    # the first coefficient of Lambda_(1, 0), 2 n^-m: no root of unity over n^m
+    "lambda-coefficient": (
+        "from kacpal import character_model\n"
+        "real = character_model.lambda_coefficients\n"
+        "def doubled(n, m, lam):\n"
+        "    (num, den), *rest = real(n, m, lam)\n"
+        "    first = (tuple(2 * c for c in num), den) if lam == (1, 0) else (num, den)\n"
+        "    return [first, *rest]\n"
+        "character_model.lambda_coefficients = doubled\n",
+        ("verify", "--n", "3", "--m", "2", "--checks", "relations"),
+        "the character basis does not model the group algebra at (n=3, m=2): the coefficients "
+        "of Lambda: Lambda_(1, 0) has CycNumber(6, '2/9') at twist index 0, not n^-m times a "
+        "root of unity\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILING_RUNS))
+def test_a_failing_check_loads_no_element_and_no_field(tmp_path, case):
+    # a failing relation's group-basis head is read from the two exponent
+    # tables as an integer pair, and a failed model or Hopf check writes its
+    # coefficient from its pair: a failure builds no element and no Fraction
+    setup, argv, message = FAILING_RUNS[case]
     out = tmp_path / "out"
     script = (
-        "import sys\n"
-        "from kacpal import relations\n"
+        "import contextlib, io, sys\n"
+        f"{setup}"
         "from kacpal.cli import main\n"
-        "real = relations.y_exponent\n"
-        "relations.y_exponent = lambda lam, l: real(lam, l) + (lam == (1, 1))\n"
-        "argv = ['verify', '--n', '3', '--m', '2', '--checks', 'relations']\n"
-        f"code = main([*argv, '--out', {str(out)!r}])\n"
+        "err = io.StringIO()\n"
+        "with contextlib.redirect_stderr(err):\n"
+        f"    code = main([*{argv!r}, '--out', {str(out)!r}])\n"
         "loaded = list(sys.modules)\n"
         "import json\n"
-        "print(json.dumps([code, loaded]))\n"
+        "print(json.dumps([code, err.getvalue(), loaded]))\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=CHILD_ENV, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    code, loaded = json.loads(done.stdout)
+    code, err, loaded = json.loads(done.stdout)
     assert code == 1
-    z_square = json.loads(out.read_text())["checks"]["relations"]["relations"]["z_square"]
-    assert z_square["counterexample"]["difference_head"]["index"] == 0
+    if message is None:
+        z_square = json.loads(out.read_text())["checks"]["relations"]["relations"]["z_square"]
+        assert z_square["counterexample"]["difference_head"]["index"] == 0
+    else:
+        assert err == message
     assert {"kacpal.relations", "kacpal.roots"} <= set(loaded)
-    assert not {"kacpal.character_basis", "kacpal.cyclotomic", "fractions"} & set(loaded)
+    assert not {"kacpal.character_basis", "fractions", "decimal"} & set(loaded)
 
 
 def test_no_command_imports_dataclasses_or_inspect(tmp_path):

@@ -4,16 +4,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from group_basis_oracle import AlgebraElement
-from kacpal import cyclotomic
-from kacpal.character_basis import CharacterElement
-from kacpal.cyclotomic import (
+import cyclotomic_oracle
+from cyclotomic_oracle import (
     CycNumber,
     cyclotomic_polynomial,
     gauss_sum_check,
     zeta,
     zeta_power,
 )
+from group_basis_oracle import AlgebraElement
+from kacpal.character_basis import CharacterElement
 from kacpal.wreath import CheckFailedError
 from test_cyclotomic_reference import euler_phi
 
@@ -133,7 +133,7 @@ def test_inverse_cancels(a):
 def test_inverse_checks_that_the_norm_is_rational(monkeypatch):
     # With the identity in place of the other conjugate of Q(zeta_4), the
     # "norm" of 1 + zeta is (1 + zeta)^2 = 2 zeta, which is not rational.
-    monkeypatch.setattr(cyclotomic, "_galois_images", lambda order: (((1, 0), (0, 1)),))
+    monkeypatch.setattr(cyclotomic_oracle, "_galois_images", lambda order: (((1, 0), (0, 1)),))
     with pytest.raises(CheckFailedError, match="not rational"):
         (zeta(4) + 1).inverse()
 
@@ -270,6 +270,15 @@ def test_floats_never_enter_the_exact_arithmetic(entry):
         FLOAT_ENTRY_POINTS[entry]()
 
 
+def test_a_field_coefficient_never_enters_the_package_element():
+    # the package's CharacterElement is rational; FieldCharacterElement of
+    # the group-basis oracle is the one that takes a CycNumber
+    with pytest.raises(TypeError):
+        CharacterElement(2, 2, {((0, 1), (1, 0)): zeta(4)})
+    with pytest.raises(TypeError):
+        CharacterElement.one(2, 2).scale(zeta(4))
+
+
 # The field takes ints as they are and writes JSON by one gcd a pair; the
 # reference below is the Fraction computation that this replaced: every
 # scalar made a Fraction on the way in, every coefficient on the way out.
@@ -338,13 +347,3 @@ def test_bools_enter_as_the_ints_they_are():
         zeta(4) + 0.5
     assert zeta(4) != 0.5 and zeta(4) != "1"
 
-
-def test_rational_is_the_fraction():
-    import fractions
-
-    import kacpal
-
-    assert kacpal.Rational is fractions.Fraction
-    assert cyclotomic.Rational is fractions.Fraction
-    with pytest.raises(AttributeError, match="no attribute 'Irrational'"):
-        cyclotomic.Irrational

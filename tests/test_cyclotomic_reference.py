@@ -13,7 +13,7 @@ from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
-from kacpal.cyclotomic import CycNumber, cyclotomic_polynomial
+from cyclotomic_oracle import CycNumber, cyclotomic_polynomial
 
 ORDERS = (1, 2, 3, 4, 5, 6, 8, 10, 12)
 BIG = 10**30

@@ -8,6 +8,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cyclotomic_oracle import CycNumber, zeta, zeta_power
 from group_basis_oracle import (
     AlgebraElement,
     basis_element,
@@ -46,7 +47,6 @@ from hopf_group_basis_oracle import (
 from kacpal.character_basis import CharacterElement
 from kacpal.character_model import Monomial, characters, tensor_key
 from kacpal.cli import main
-from kacpal.cyclotomic import CycNumber, zeta, zeta_power
 from kacpal.hopf import _CharacterHopf, cocommutativity_witness, hopf_axiom_report
 from kacpal.wreath import (
     CapExceededError,

@@ -1,17 +1,19 @@
 """The integer layer kacpal.roots against CycNumber arithmetic: each pair it
-returns is the canonical (num, den) of the value the field computes."""
+returns is the canonical (num, den) of the value the field computes, and
+each pair it writes is written as the field writes that value."""
 
 from fractions import Fraction
 from math import prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from cyclotomic_oracle import CycNumber, _make, zeta_over, zeta_power
 from group_basis_oracle import lambda_idempotent
 from kacpal.character_model import characters
-from kacpal.cyclotomic import CycNumber, _make, zeta_over, zeta_power
 from kacpal.roots import (
     coefficient_json,
+    coefficient_repr,
     cyclotomic_polynomial,
     lambda_coefficients,
     root_count_sum,
@@ -28,7 +30,11 @@ def degree(order):
 @st.composite
 def cyc_numbers(draw, order=None):
     order = draw(st.sampled_from(ORDERS)) if order is None else order
-    coeff = st.fractions(min_value=-20, max_value=20, max_denominator=30)
+    coeff = st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(min_value=-20, max_value=20, max_denominator=30),
+        st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**20)),
+    )
     return CycNumber(order, draw(st.lists(coeff, min_size=degree(order), max_size=degree(order))))
 
 
@@ -68,6 +74,17 @@ def test_coefficient_json_is_each_coefficient_in_lowest_terms(c):
     expected = [[str(f.numerator), str(f.denominator)] for f in c.coeffs]
     assert coefficient_json(c.order, c.num, c.den) == {"order": c.order, "coeffs": expected}
     assert c.to_json() == coefficient_json(c.order, c.num, c.den)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cyc_numbers())
+@example(CycNumber(1, [0]))
+@example(CycNumber(2, [-3]))
+@example(CycNumber(6, [Fraction(2, 9)]))
+@example(CycNumber(12, [Fraction(1, 2), 0, Fraction(-10**30, 3)]))
+def test_coefficient_repr_is_the_field_repr(c):
+    # the oracle's repr goes through Fractions, the writer through one gcd
+    assert coefficient_repr(c.order, c.num, c.den) == repr(c)
 
 
 def root_exponent_by_search(c: CycNumber, den: int):
