@@ -33,10 +33,8 @@ _EXPORTS = {
         "Tableau",
         "count_formula",
         "hook_length",
-        "partition_count",
         "partitions_of",
         "row_consecutive_tableau",
-        "standard_tableaux",
         "standard_tableaux_count",
         "young_symmetrizer",
     ),

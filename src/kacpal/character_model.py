@@ -1,11 +1,11 @@
 """The exponent-table model of the character basis, its model check, and
 the ranks taken in it.
 
-The tensor square of the algebra at (n, m) is modelled by the elements of
-kacpal.character_basis at (n, 2m), keyed by tensor_key.  check_model
-verifies at a given (n, m), from the lemmas behind the product rule, that
-the change of basis Phi carries the model's product to the group's before
-any check relies on the model.
+The tensor square of the algebra at (n, m) is modelled by the character
+basis at (n, 2m), keyed by tensor_key.  check_model verifies at a given
+(n, m), from the lemmas behind the product rule, that the change of basis
+Phi carries the model's product to the group's before any check relies on
+the model.
 
 An element with one permutation p whose coefficients are 2n-th roots of
 unity or zero, sum_lam zeta^e(lam) F(lam, p), is monomial: the generators
@@ -17,13 +17,13 @@ their defining formulas on these tables, at (n, m) and, for the tensor
 square, at (n, 2m), so no element is changed to this basis from the group
 basis.  Sums of roots of unity, such as the coefficients of a root_sum or
 of a Lambda_lam, are read as the canonical integer pairs of kacpal.roots.
-The element type is imported only where an element is built
-(is_idempotent), so a check on tables loads neither kacpal.character_basis
-nor fractions from here, whether it passes or fails: a failed model check
-names a coefficient by roots.coefficient_repr, and a failing relation's
-counterexample, the least group index at which Phi of its difference is
-nonzero, is read from the two tables (Monomial.difference_head) as an
-integer pair of kacpal.roots.  The exact
+An element with rational coefficients, a classification idempotent, is the
+plain map {(lam, p): c} that wreath.character_product multiplies, so a
+check on tables loads no fractions from here, whether it passes or fails:
+a failed model check names a coefficient by roots.coefficient_repr, and a
+failing relation's counterexample, the least group index at which Phi of
+its difference is nonzero, is read from the two tables
+(Monomial.difference_head) as an integer pair of kacpal.roots.  The exact
 elements of the tables and the change of basis to the group basis on
 elements, against which that head is tested, are the reference in
 tests/group_basis_oracle.py.
@@ -60,6 +60,7 @@ from .wreath import (
     CheckFailedError,
     Perm,
     WreathElement,
+    character_product,
     generator_a,
     generator_b,
     perm_index,
@@ -97,17 +98,16 @@ def integral(terms: dict) -> dict:
     return {key: c.numerator * (den // c.denominator) for key, c in terms.items()}
 
 
-def is_idempotent(e: CharacterElement) -> bool:
-    """Whether e * e == e, decided on integer numerators: x = D e is integral
-    for D the lcm of e's denominators, and e * e == e exactly when x x = D x."""
-    from .character_basis import CharacterElement
+def is_idempotent(e: dict) -> bool:
+    """Whether e * e == e for a map e = {(lam, p): c} of rationals, decided
+    on integer numerators: x = D e is integral for D the lcm of e's
+    denominators, and e * e == e exactly when x x = D x."""
+    den = lcm(*(c.denominator for c in e.values()))
+    x = integral(e)
+    return character_product(x, x) == {key: den * c for key, c in x.items()}
 
-    den = lcm(*(c.denominator for c in e.terms.values()))
-    x = CharacterElement._make(e.n, e.m, integral(e.terms))
-    return (x * x).terms == {key: den * c for key, c in x.terms.items()}
 
-
-def stabiliser_classes(e: CharacterElement) -> dict:
+def stabiliser_classes(e: dict) -> dict:
     """The class sums D(C) of e = sum c_sigma F(lam, sigma), keyed by class.
 
     lam's stabiliser is the product of the symmetric groups on the slots of
@@ -116,8 +116,8 @@ def stabiliser_classes(e: CharacterElement) -> dict:
     sigma moves lam, fails the lemma the traces rest on: CheckFailedError.
     """
     sums: dict = {}
-    lam = next(iter(e.terms), (None,))[0]
-    for (mu, sigma), c in e.terms.items():
+    lam = next(iter(e), (None,))[0]
+    for (mu, sigma), c in e.items():
         if mu != lam or permute_character(lam, sigma) != lam:
             raise CheckFailedError(
                 f"F({list(mu)}, {list(sigma)}) is not on one character fixed by its "

@@ -4,11 +4,13 @@ A labelled partition assigns one (possibly empty) partition to each of the
 n twist characters, with sizes summing to m.  Each produces a primitive
 idempotent: the character idempotent of its non-decreasing character vector
 times the embedded Young symmetrizers of its blocks.  The idempotent is built
-in the character basis (kacpal.character_basis), where its coordinates are
-rational, by that model's own product; every term lies on its one character
-vector, so the idempotent command writes its group-basis coordinates as the
-pairs of roots.lambda_coefficients scaled by those rationals.  The
-group-basis product of the same factors is the reference in
+in the character basis F(lam, p) = Lambda_lam p, where its coordinates are
+rational, as the plain map {(lam, sigma): c} that wreath.character_product
+multiplies; every term lies on its one character vector, so the idempotent
+command writes its group-basis coordinates as the pairs of
+roots.lambda_coefficients scaled by those rationals.  The group-basis
+product of the same factors, and the element type whose product
+character_product replaced, are the references in
 tests/group_basis_oracle.py.
 Counting and dimension formulas are cross-checked three ways (closed formula,
 hook lengths, and the rank of the left ideal A e as the trace m! c_(lam, 1),
@@ -22,7 +24,6 @@ from itertools import combinations, compress, product, repeat
 from math import factorial
 from operator import itemgetter, sub
 
-from .character_basis import ONE, CharacterElement, permute_character
 from .partitions import (
     Partition,
     count_formula,
@@ -32,7 +33,13 @@ from .partitions import (
     standard_tableaux_count,
     young_symmetrizer,
 )
-from .wreath import CheckFailedError, check_cap, group_order
+from .wreath import (
+    CheckFailedError,
+    character_product,
+    check_cap,
+    group_order,
+    permute_character,
+)
 
 
 class LabelledPartition(tuple):
@@ -150,14 +157,14 @@ def block_terms(block: Partition) -> tuple:
     in Q[S_k], built once per partition: they depend on neither n nor the
     label.  A tuple, so that no caller can change what the next one reads."""
     symmetrizer = young_symmetrizer(row_consecutive_tableau(block))
-    return tuple((p, coeff) for (_, p), coeff in symmetrizer.terms.items())
+    return tuple((p, coeff) for (_, p), coeff in symmetrizer.items())
 
 
-def character_idempotent(beta: LabelledPartition) -> CharacterElement:
+def character_idempotent(beta: LabelledPartition) -> dict:
     """The classification idempotent in the character basis: F(lam, 1) times
     the row-consecutive Young symmetrizer of each block, embedded on the
-    block's contiguous slots (offset by the sizes of the earlier blocks) and
-    keyed (lam, sigma).
+    block's contiguous slots (offset by the sizes of the earlier blocks), as
+    the map {(lam, sigma): c} of wreath.character_product.
 
     The model's product F(lam, s) F(lam, t) = [lam = lam o s] F(lam, st)
     keeps every term only because each block permutation fixes lam, which is
@@ -165,9 +172,9 @@ def character_idempotent(beta: LabelledPartition) -> CharacterElement:
     in the stabiliser of lam.  That lemma is checked on every embedded
     permutation, and a failure raises CheckFailedError.
     """
-    n, m = beta.n, beta.m
+    m = beta.m
     lam = lambda_from_beta(beta)
-    result = CharacterElement._make(n, m, {(lam, tuple(range(m))): ONE})
+    result = {(lam, tuple(range(m))): 1}
     offset = 0
     for _, block in beta.labelled_blocks:
         terms = {}
@@ -179,7 +186,7 @@ def character_idempotent(beta: LabelledPartition) -> CharacterElement:
                     f"lambda = {list(lam)}: the stabiliser lemma fails at {list(sigma)}"
                 )
             terms[lam, sigma] = coeff
-        result = result * CharacterElement._make(n, m, terms)
+        result = character_product(result, terms)
         offset += block.size
     return result
 
@@ -209,13 +216,14 @@ def dimension_by_hooks(beta: LabelledPartition) -> int:
 
 class IrrepRecord:
     """One classified irreducible with its three dimension computations;
-    element is its idempotent in the character basis."""
+    element is its idempotent in the character basis, the map
+    {(lam, sigma): c}."""
 
     def __init__(
         self,
         beta: LabelledPartition,
         lam: tuple[int, ...],
-        element: CharacterElement,
+        element: dict,
         dim_formula: int,
         dim_hook: int,
         dim_rank: int | None = None,
@@ -351,7 +359,7 @@ def irrep_table(
     )
 
     if check_idempotency:
-        ok = all(squares) and all(r.element.terms for r in records)
+        ok = all(squares) and all(r.element for r in records)
         checks["idempotency"] = "pass" if ok else "fail"
 
     if check_ranks:

@@ -8,15 +8,16 @@ group-basis coordinates of an idempotent built in the character basis as
 the integer pairs of kacpal.roots.  The checks on exponent tables (`verify`
 with its default checks, `--checks hopf` and the classification checks)
 read sums of roots as those pairs, and a failed check names a coefficient
-from its pair; `--checks hopf` also leaves out the classifier,
-kacpal.character_basis and fractions, and `--checks relations` the Hopf
-module, the classifier, the character basis and fractions, whether a check
-passes or fails: a failing relation's counterexample is read from its
-exponent tables.  `count` loads neither the
-character basis nor fractions; only the conjugacy check loads
-kacpal.conjugacy, and only the commands that write JSON load json.  With
-no byte code cached, compiling the modules a call loads is a large part of
-its time.
+from its pair; `--checks hopf` also leaves out the classifier and
+fractions, and `--checks relations` the Hopf module, the classifier and
+fractions, whether a check passes or fails: a failing relation's
+counterexample is read from its exponent tables.  A classification
+idempotent is a plain map {(lam, sigma): c}, built and squared by
+wreath.character_product, so `table` without checks loads no model either.
+`count` loads neither the classifier nor fractions; only the conjugacy
+check loads kacpal.conjugacy, and only the commands that write JSON load
+json.  With no byte code cached, compiling the modules a call loads is a
+large part of its time.
 
 main(argv) is the in-process API: it returns the exit code.  run() is the
 process entry of the kacpal script and of python -m kacpal.  It flushes
@@ -102,36 +103,36 @@ def _json(value) -> str:
     return json.dumps(value, indent=2) + "\n"
 
 
-def _expanded_json(payload: dict, e) -> Iterator[str]:
+def _expanded_json(payload: dict, n: int, m: int, e: dict) -> Iterator[str]:
     """``json.dumps(payload | {"element": Phi(e).to_json()}, indent=2) + "\\n"``
     in pieces, one term at a time, so that the peak memory of an expanded
     idempotent does not grow with its number of terms.
 
-    e is a classification idempotent in the character basis: every term
-    c F(lam, sigma) lies on its one lam, and Phi maps it to c Lambda_lam
-    sigma, whose coordinate at index perm_index(sigma) n^m + t is
-    c zeta^(2 lam . t) / n^m, the pair t of roots.lambda_coefficients times
-    the rational c.  Each coefficient of Lambda_lam and each c is nonzero,
-    and the sigma differ, so no two terms share an index and nothing
-    cancels.  A term sits three levels deep and its coefficient four.  The
-    coefficients share one order, so (den, num) is each one's value and
-    fixes its JSON: each distinct value is encoded once.
+    e is a classification idempotent at (n, m) in the character basis, the
+    map {(lam, sigma): c}: every term c F(lam, sigma) lies on its one lam,
+    and Phi maps it to c Lambda_lam sigma, whose coordinate at index
+    perm_index(sigma) n^m + t is c zeta^(2 lam . t) / n^m, the pair t of
+    roots.lambda_coefficients times the rational c.  Each coefficient of
+    Lambda_lam and each c is nonzero, and the sigma differ, so no two terms
+    share an index and nothing cancels.  A term sits three levels deep and
+    its coefficient four.  The coefficients share one order, so (den, num)
+    is each one's value and fixes its JSON: each distinct value is encoded
+    once.
     """
     import json
 
     from .roots import coefficient_json, lambda_coefficients, reduced
     from .wreath import perm_index
 
-    n, m = e.n, e.m
     order, size = 2 * n, n**m
     shell = json.dumps({**payload, "element": {"n": n, "m": m, "terms": []}}, indent=2)
     head, tail = shell.rsplit('"terms": []', 1)
     encode = json.JSONEncoder(indent=2).encode
-    pairs = lambda_coefficients(n, m, next(iter(e.terms))[0])
+    pairs = lambda_coefficients(n, m, next(iter(e))[0])
     texts: dict = {}
     yield head + '"terms": ['
     sep = ""
-    for base, c in sorted((perm_index(sigma) * size, c) for (_, sigma), c in e.terms.items()):
+    for base, c in sorted((perm_index(sigma) * size, c) for (_, sigma), c in e.items()):
         a, b = c.numerator, c.denominator
         for index, (num, den) in enumerate(pairs, base):
             num, den = reduced(tuple([a * x for x in num]), den * b)
@@ -212,10 +213,10 @@ def cmd_idempotent(args) -> int:
         "lambda": list(lambda_from_beta(beta)),
         "dimension": irrep_dimension(beta),
         # each term spreads over the n^m coordinates of its Lambda_lam
-        "num_terms": len(e.terms) * args.n**args.m,
+        "num_terms": len(e) * args.n**args.m,
     }
     if args.expanded:
-        _emit(args, _expanded_json(payload, e))
+        _emit(args, _expanded_json(payload, args.n, args.m, e))
     else:
         _emit(args, _json(payload))
     return 0

@@ -124,9 +124,10 @@ indices.  Each coordinate counts its exponents with integers and is reduced
 once by root_count_sum, and the sum over mu is taken once for each t.
 
 The group-basis delta, counit, antipode, tensor square and witness, the
-axiom checks on them, the quotient onto Q[S_m], the dense change of basis, the relation check on dense
-character-basis tensors and the all-pairs multiplicativity and antipode
-loops are kept as the reference in tests/hopf_group_basis_oracle.py.
+axiom checks on them, the quotient onto Q[S_m], the dense change of basis,
+the relation check on dense character-basis tensors (the oracle's
+CharacterElement), and the all-pairs multiplicativity and antipode loops
+are kept as the reference in tests/hopf_group_basis_oracle.py.
 """
 
 from __future__ import annotations

@@ -2,10 +2,11 @@
 
 count_formula, the number of labelled partitions, lives here beside the
 partition counts it is built from, so that the count command loads no more:
-the symmetrizers import fractions and the character basis when called.
+the symmetrizers import fractions when called.
 
 The symmetrizer of a standard tableau is returned as an exact rational
-element of Q[S_k], the character model at n = 1; with the
+element of Q[S_k], the character basis at n = 1, as the plain map
+{((0,)*k, p): c} that wreath.character_product multiplies; with the
 standard-tableau-count prefactor it is an idempotent of that algebra.
 """
 
@@ -15,7 +16,7 @@ from functools import lru_cache
 from itertools import permutations, product
 from math import factorial
 
-from .wreath import CheckFailedError, Perm
+from .wreath import CheckFailedError, Perm, character_product
 
 
 class Partition(tuple):
@@ -64,11 +65,6 @@ def partitions_of(k: int) -> tuple[Partition, ...]:
                 yield (first,) + rest
 
     return tuple(Partition(p) for p in gen(k, k))
-
-
-def partition_count(k: int) -> int:
-    """The partition function p(k)."""
-    return partition_counts(k)[k] if k >= 0 else 0
 
 
 def partition_counts(k: int) -> list[int]:
@@ -159,9 +155,6 @@ class Tableau(tuple):
     def __repr__(self):
         return f"Tableau({[list(r) for r in self]})"
 
-    def to_json(self) -> list[list[int]]:
-        return [list(r) for r in self]
-
 
 def row_consecutive_tableau(mu: Partition) -> Tableau:
     """The standard tableau whose rows are filled with consecutive integers."""
@@ -171,31 +164,6 @@ def row_consecutive_tableau(mu: Partition) -> Tableau:
         rows.append(range(start, start + part))
         start += part
     return Tableau(rows)
-
-
-def standard_tableaux(mu: Partition) -> list[Tableau]:
-    """Brute-force enumeration of all standard tableaux of the shape."""
-    k = mu.size
-    results: list[Tableau] = []
-    counts = [0] * len(mu)
-    cells: list[list[int]] = [[] for _ in mu]
-
-    def place(value: int):
-        if value > k:
-            results.append(Tableau([list(r) for r in cells]))
-            return
-        for r in range(len(mu)):
-            if counts[r] < mu[r] and (r == 0 or counts[r - 1] > counts[r]):
-                cells[r].append(value)
-                counts[r] += 1
-                place(value + 1)
-                counts[r] -= 1
-                cells[r].pop()
-
-    if k == 0:
-        return [Tableau([])]
-    place(1)
-    return results
 
 
 def _value_perms_preserving(blocks: list[tuple[int, ...]], k: int) -> list[Perm]:
@@ -224,25 +192,23 @@ def vertical_group(t: Tableau) -> list[Perm]:
     return _value_perms_preserving(cols, t.size)
 
 
-def young_symmetrizer(t: Tableau):
+def young_symmetrizer(t: Tableau) -> dict:
     """The normalised Young symmetrizer of a standard tableau, in Q[S_k].
 
     Row sum times sign-weighted column sum, scaled by the number of standard
     tableaux over k factorial; with that prefactor the result squares to
-    itself.  Q[S_k] is the character model at (1, k): the element is a
-    CharacterElement whose key ((0,)*k, p) is the permutation p.
+    itself.  Q[S_k] is the character basis at (1, k): the element is the
+    map {((0,)*k, p): c}, whose key ((0,)*k, p) is the permutation p.
     """
     # imported here, so that the count command, which needs only the counts
-    # above, loads no algebra and no fractions
+    # above, loads no fractions
     from fractions import Fraction
-
-    from .character_basis import CharacterElement
 
     if not t.is_standard():
         raise ValueError("young_symmetrizer requires a standard tableau")
     k = t.size
     trivial = (0,) * k
-    h = CharacterElement(1, k, {(trivial, p): 1 for p in horizontal_group(t)})
-    v = CharacterElement(1, k, {(trivial, p): p.sign() for p in vertical_group(t)})
+    h = {(trivial, p): 1 for p in horizontal_group(t)}
+    v = {(trivial, p): p.sign() for p in vertical_group(t)}
     prefactor = Fraction(standard_tableaux_count(t.shape), factorial(k))
-    return (h * v).scale(prefactor)
+    return {key: c * prefactor for key, c in character_product(h, v).items()}

@@ -13,8 +13,11 @@ check_cap is the one comparison against it.
 
 The module also holds the few helpers that every other module shares,
 so that a command loads them with the group and nothing more: the
-repeated-squaring loop power, the symmetric group symmetric_group, and
-the action permute_character of a permutation on a character of Z_n^m.
+repeated-squaring loop power, the symmetric group symmetric_group, the
+action permute_character of a permutation on a character of Z_n^m, and
+character_product, the product of the character basis F(lam, p) =
+Lambda_lam p on plain maps {(lam, p): c}, by which the Young symmetrizers
+and the classification idempotents are built and squared.
 """
 
 from __future__ import annotations
@@ -94,9 +97,6 @@ class Perm(tuple):
     def m(self) -> int:
         return len(self)
 
-    def __call__(self, point: int) -> int:
-        return self[point]
-
     def __mul__(self, other: "Perm") -> "Perm":
         # composition: (self * other)(i) = self(other(i))
         if not isinstance(other, Perm):
@@ -156,6 +156,35 @@ def permute_character(lam: tuple[int, ...], perm) -> tuple[int, ...]:
     return tuple([lam[j] for j in perm])
 
 
+def character_product(x: dict, y: dict) -> dict:
+    """The product of two elements of the character basis, given as maps
+    {(lam, p): c} of nonzero coefficients: lam a character in Z_n^m and p a
+    permutation of m points, a Perm or its one-line tuple.
+
+    With p x^t p^(-1) = x^(t o p^(-1)) a permutation moves a character
+    idempotent as p Lambda_mu = Lambda_(mu o p^(-1)) p, so
+
+        F(lam, p) F(mu, q) = [mu = lam o p] F(lam, pq),
+
+    the crossed-product form of C[Z_n^m] x| S_m (Serre, Linear
+    Representations of Finite Groups, 8.2).  Each left key meets only the
+    right terms on its partner character, found by lookup; coefficients
+    that cancel are dropped.
+    """
+    by_character: dict = {}
+    for (mu, q), b in y.items():
+        by_character.setdefault(mu, []).append((q, b))
+    acc: dict = {}
+    for (lam, p), a in x.items():
+        # lam = mu o p^(-1) exactly when mu = lam o p
+        for q, b in by_character.get(permute_character(lam, p), ()):
+            key = (lam, tuple([p[j] for j in q]))
+            c = a * b
+            cur = acc.get(key)
+            acc[key] = c if cur is None else cur + c
+    return {k: v for k, v in acc.items() if v}
+
+
 class WreathElement(tuple):
     """A group element: Z_n twist vector plus a permutation of the slots, as
     the validated tuple (n, twists, perm)."""
@@ -179,10 +208,6 @@ class WreathElement(tuple):
     twists = property(itemgetter(1))
     perm = property(itemgetter(2))
 
-    @classmethod
-    def identity(cls, n: int, m: int) -> "WreathElement":
-        return cls(n, (0,) * m, Perm.identity(m))
-
     @property
     def m(self) -> int:
         return len(self.twists)
@@ -204,13 +229,6 @@ class WreathElement(tuple):
 
     def __repr__(self):
         return f"WreathElement(n={self.n}, twists={list(self.twists)}, perm={list(self.perm)})"
-
-    def to_json(self) -> dict:
-        return {"twists": list(self.twists), "perm": list(self.perm)}
-
-    @classmethod
-    def from_json(cls, n: int, data: dict) -> "WreathElement":
-        return cls(n, data["twists"], Perm(data["perm"]))
 
 
 def group_order(n: int, m: int) -> int:

@@ -2,6 +2,16 @@
 relation suite, and the echelon ranks, kept as the reference that the
 package's versions are tested against.
 
+SparseSum is the linear core of an element at (n, m): sum, difference,
+negation, scaling, powers, equality and hashing of a sparse map from keys
+to nonzero scalars, with add_into, the in-place accumulator.
+CharacterElement subclasses it over the character basis F(lam, p) =
+Lambda_lam p, with rational coefficients and the product
+F(lam, p) F(mu, q) = [mu = lam o p] F(lam, pq): the reference for
+wreath.character_product, by which the package builds and squares its
+classification idempotents as plain {(lam, p): c} maps.  Each element type
+here and in tests/hopf_group_basis_oracle.py subclasses SparseSum.
+
 AlgebraElement is the group algebra of Z_n wr S_m over Q(zeta_2n): a
 sparse map from dense group indices to CycNumbers, multiplied by rows of
 the group's multiplication table (mul_row, row_product).  x_element,
@@ -14,7 +24,7 @@ classification idempotent's image.  exact is the element of an exponent
 table (character_model.Monomial) with its coefficients in Q(zeta_2n):
 to_group(exact(a) - exact(b)) is the reference for a.difference_head(b).
 FieldCharacterElement is the character-basis element with coefficients
-in Q(zeta_2n), which the package's rational CharacterElement does not take.
+in Q(zeta_2n), which the rational CharacterElement does not take.
 counit and quotient_to_sym are the counit and the projection onto Q[S_m]
 on group-basis elements; root_sum, the sum over roots of unity of
 relations.z_square_sum, serves every element type with a twist order n.
@@ -38,18 +48,19 @@ convolution; z_square_rhs is the group-basis value of z_l^2.
 
 elements enumerates G, and conjugacy_class_count sweeps the classes by
 conjugating by all of it, the reference for the generator-orbit sweep of
-conjugacy.conjugacy_class_count.
+conjugacy.conjugacy_class_count.  standard_tableaux enumerates the standard
+tableaux of a shape, the reference for the hook length formula.
 """
 
+from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
 from math import factorial
 
 from cyclotomic_oracle import CycNumber, _make, zeta_over, zeta_power
-from kacpal.character_basis import ONE, CharacterElement, SparseSum, add_into
 from kacpal.character_model import Monomial, MonomialModel, _generator_tables, integral
 from kacpal.classifier import LabelledPartition, character_idempotent, lambda_from_beta
-from kacpal.partitions import row_consecutive_tableau, young_symmetrizer
+from kacpal.partitions import Partition, Tableau, row_consecutive_tableau, young_symmetrizer
 from kacpal import relations
 from kacpal.relations import relation_families, relation_suite_report, z_square_sum
 from kacpal.roots import lambda_coefficients
@@ -64,9 +75,169 @@ from kacpal.wreath import (
     group_order,
     perm_index,
     permute_character,
+    power,
     symmetric_group,
     twist_index,
 )
+
+ONE = Fraction(1)
+
+
+def add_into(acc: dict, terms: dict, factor=None) -> dict:
+    """In place acc += factor * terms (factor defaults to one).
+
+    Coefficients that cancel to zero are removed, so acc stays a valid
+    sparse sum.  Returns acc.
+    """
+    for key, c in terms.items():
+        if factor is not None:
+            c = c * factor
+        cur = acc.get(key)
+        if cur is not None:
+            c = cur + c
+        if c:
+            acc[key] = c
+        else:
+            acc.pop(key, None)
+    return acc
+
+
+class SparseSum:
+    """An immutable finitely supported sum at (n, m): terms maps keys to
+    nonzero scalars, and two sums combine only when their (n, m) agree.
+
+    A subclass defines _scalar(value), which coerces a scalar; _one(), its
+    identity element; and __mul__, its product.  Its __init__ validates the
+    terms into the dict it hands to SparseSum.__init__.
+    """
+
+    __slots__ = ("n", "m", "terms")
+
+    def __init__(self, n: int, m: int, terms: dict):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "terms", terms)
+
+    @classmethod
+    def _make(cls, n: int, m: int, terms: dict):
+        """An element from (n, m) and a terms dict, unchecked; the element
+        takes ownership of the dict."""
+        self = object.__new__(cls)
+        SparseSum.__init__(self, n, m, terms)
+        return self
+
+    @classmethod
+    def zero(cls, n: int, m: int):
+        return cls._make(n, m, {})
+
+    def _new(self, terms: dict):
+        return self._make(self.n, self.m, terms)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _check(self, other):
+        if (self.n, self.m) != (other.n, other.m):
+            raise ValueError(f"{type(self).__name__} parameter mismatch")
+
+    # -- linear operations ---------------------------------------------------
+
+    def __add__(self, other):
+        self._check(other)
+        return self._new(add_into(dict(self.terms), other.terms))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._new({k: -c for k, c in self.terms.items()})
+
+    def scale(self, factor):
+        factor = self._scalar(factor)
+        if not factor:
+            return self._new({})
+        return self._new({k: c * factor for k, c in self.terms.items()})
+
+    # -- multiplicative operations -------------------------------------------
+
+    def __pow__(self, exponent: int):
+        if exponent < 0:
+            raise ValueError(f"negative powers are not supported on {type(self).__name__}")
+        return power(self, exponent, self._one)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, type(self))
+            and (self.n, self.m) == (other.n, other.m)
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self.n, self.m, frozenset(self.terms.items())))
+
+
+class CharacterElement(SparseSum):
+    """A sparse element over the basis F(lam, p), keyed by (lam, p): lam a
+    tuple in Z_n^m and p a permutation of m points: a Perm, or its one-line
+    tuple, which is the same key because a Perm is that tuple.
+
+    Coefficients are Fractions, as those of the classification idempotents
+    and the Young symmetrizers of Q[S_k] are; FieldCharacterElement takes
+    coefficients in Q(zeta_2n).  Its product is the reference for
+    wreath.character_product, which the package runs on the terms maps.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, n: int, m: int, terms=None):
+        clean: dict = {}
+        super().__init__(n, m, clean)  # _scalar reads n
+        for (lam, p), coeff in (terms or {}).items():
+            lam, p = tuple(lam), Perm(p)
+            if len(lam) != m or any(not 0 <= v < n for v in lam):
+                raise ValueError(f"character {lam} not in Z_{n}^{m}")
+            if p.m != m:
+                raise ValueError(f"{tuple(p)} is not a permutation of {m} slots")
+            coeff = self._scalar(coeff)
+            if coeff:
+                clean[lam, p] = coeff
+
+    def _scalar(self, value) -> Fraction:
+        """value as a Fraction.  A float raises TypeError: its binary value
+        (0.1 reads as 3602879701896397/36028797018963968) is seldom the
+        number meant."""
+        if isinstance(value, float):
+            raise TypeError(f"a float ({value!r}) cannot enter exact arithmetic: use an int or a Fraction")
+        return Fraction(value)
+
+    def _one(self) -> "CharacterElement":
+        return CharacterElement.one(self.n, self.m)
+
+    def __mul__(self, other):
+        """F(lam, p) F(mu, q) = [mu = lam o p] F(lam, pq): each left key meets
+        only the right terms on its partner character, found by lookup."""
+        self._check(other)
+        by_character: dict = {}
+        for (mu, q), b in other.terms.items():
+            by_character.setdefault(mu, []).append((q, b))
+        acc: dict = {}
+        for (lam, p), a in self.terms.items():
+            # lam = mu o p^(-1) exactly when mu = lam o p
+            for q, b in by_character.get(permute_character(lam, p), ()):
+                key = (lam, tuple([p[j] for j in q]))
+                c = a * b
+                cur = acc.get(key)
+                acc[key] = c if cur is None else cur + c
+        return self._new({k: v for k, v in acc.items() if v})
+
+    @classmethod
+    def one(cls, n: int, m: int) -> "CharacterElement":
+        """The identity: the sum of all F(lam, 1)."""
+        ident = tuple(range(m))
+        return cls._make(n, m, {(lam, ident): ONE for lam in product(range(n), repeat=m)})
 
 
 @lru_cache(maxsize=None)
@@ -109,8 +280,8 @@ def root_sum(like, pairs, den: int):
 
 
 class FieldCharacterElement(CharacterElement):
-    """A character-basis element with coefficients in Q(zeta_2n): the
-    package's CharacterElement takes rationals only."""
+    """A character-basis element with coefficients in Q(zeta_2n):
+    CharacterElement takes rationals only."""
 
     __slots__ = ()
 
@@ -227,14 +398,20 @@ def exact(table: Monomial) -> CharacterElement:
 
 def to_group(x: CharacterElement) -> AlgebraElement:
     """The group-basis image Phi(x), with no group-algebra product."""
-    return AlgebraElement._make(x.n, x.m, character_combination(x.n, x.m, x.terms, {}))
+    return terms_to_group(x.n, x.m, x.terms)
+
+
+def terms_to_group(n: int, m: int, terms: dict) -> AlgebraElement:
+    """Phi of a character-basis map {(lam, p): c} at (n, m), the form in
+    which the package holds a classification idempotent."""
+    return AlgebraElement._make(n, m, character_combination(n, m, terms, {}))
 
 
 def idempotent_from_beta(beta: LabelledPartition) -> AlgebraElement:
     """The classification idempotent in the group basis: the character
     idempotent times the embedded row-consecutive Young symmetrizers of the
     blocks, mapped by Phi."""
-    return to_group(character_idempotent(beta))
+    return terms_to_group(beta.n, beta.m, character_idempotent(beta))
 
 
 def x_element(n: int, m: int, i: int) -> AlgebraElement:
@@ -386,8 +563,35 @@ def idempotent_by_products(beta: LabelledPartition, labels=None) -> AlgebraEleme
     for label in range(beta.n) if labels is None else labels:
         block = beta.blocks[label]
         if block.size:
-            result = result * iota_embed(beta, label, young_symmetrizer(row_consecutive_tableau(block)))
+            symmetrizer = young_symmetrizer(row_consecutive_tableau(block))
+            result = result * iota_embed(beta, label, CharacterElement(1, block.size, symmetrizer))
     return result
+
+
+def standard_tableaux(mu: Partition) -> list[Tableau]:
+    """Brute-force enumeration of all standard tableaux of the shape: the
+    reference for the hook length formula."""
+    k = mu.size
+    results: list[Tableau] = []
+    counts = [0] * len(mu)
+    cells: list[list[int]] = [[] for _ in mu]
+
+    def place(value: int):
+        if value > k:
+            results.append(Tableau([list(r) for r in cells]))
+            return
+        for r in range(len(mu)):
+            if counts[r] < mu[r] and (r == 0 or counts[r - 1] > counts[r]):
+                cells[r].append(value)
+                counts[r] += 1
+                place(value + 1)
+                counts[r] -= 1
+                cells[r].pop()
+
+    if k == 0:
+        return [Tableau([])]
+    place(1)
+    return results
 
 
 def _echelon(vectors) -> list[dict]:

@@ -38,6 +38,9 @@ from functools import lru_cache
 from cyclotomic_oracle import CycNumber, _make, zeta_power
 from group_basis_oracle import (
     AlgebraElement,
+    CharacterElement,
+    SparseSum,
+    add_into,
     basis_element,
     counit,
     diagonal_element,
@@ -49,7 +52,6 @@ from group_basis_oracle import (
     z_element,
 )
 from kacpal import hopf
-from kacpal.character_basis import CharacterElement, SparseSum, add_into
 from kacpal.character_model import characters, tensor_key
 from kacpal.relations import presentation
 from kacpal.wreath import element_at, group_order, twist_index
@@ -360,8 +362,8 @@ def _fixed_sparse(n: int, m: int, rng: random.Random, size: int = 3) -> AlgebraE
 
 class _Characters(CharacterElement):
     """Elements of the character model with the root sum that
-    relations.z_square_sum takes, which the package's element type leaves
-    to the exponent tables."""
+    relations.z_square_sum takes, which the package leaves to the exponent
+    tables."""
 
     root_sum = root_sum
 

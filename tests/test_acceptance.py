@@ -20,7 +20,8 @@ from group_basis_oracle import (
     mul_row,
     s_element,
     sandwich_dimension,
-    to_group,
+    standard_tableaux,
+    terms_to_group,
     y_element,
     y_inverse_element,
     z_element,
@@ -38,7 +39,6 @@ from kacpal.hopf import cocommutativity_witness, hopf_axiom_report
 from kacpal.partitions import (
     partitions_of,
     row_consecutive_tableau,
-    standard_tableaux,
     standard_tableaux_count,
     young_symmetrizer,
 )
@@ -105,7 +105,7 @@ def test_criterion_1_golden_table(capsys):
     for key in table_row_order:
         spec, expression, dim = rows[key]
         rec = by_spec[spec]
-        assert to_group(rec.element) == expression, f"row ({key}) differs"
+        assert terms_to_group(n, m, rec.element) == expression, f"row ({key}) differs"
         assert rec.dim_formula == dim
         dims_in_table_order.append(rec.dim_formula)
     assert dims_in_table_order == [1, 2, 1, 3, 3, 1, 2, 1, 3, 3]
@@ -229,7 +229,7 @@ def test_criterion_4_dimension_triple_agreement():
         table = irrep_table(n, m, check_ranks=True)
         for rec in table.records:
             assert rec.dim_formula == rec.dim_hook == rec.dim_rank, rec.beta
-        idempotents = [to_group(rec.element) for rec in table.records]
+        idempotents = [terms_to_group(n, m, rec.element) for rec in table.records]
         for i, e in enumerate(idempotents):
             for j, f in enumerate(idempotents):
                 expected = 1 if i == j else 0

@@ -22,7 +22,7 @@ from group_basis_oracle import (
     x_monomial,
     y_element,
     y_inverse_element,
-    to_group,
+    terms_to_group,
     z_element,
     z_square_rhs,
 )
@@ -292,7 +292,7 @@ def test_permute_character_moves_entry_i_to_the_inverse_image():
     assert permute_character(lam, perm) == ("b", "c", "a")
     assert permute_character(lam, tuple(perm)) == ("b", "c", "a")
     for i in range(3):
-        assert permute_character(lam, perm)[perm.inverse()(i)] == lam[i]
+        assert permute_character(lam, perm)[perm.inverse()[i]] == lam[i]
     # permuting by a then by b is permuting by a * b
     b = Perm([0, 2, 1])
     assert permute_character(permute_character(lam, perm), b) == permute_character(lam, perm * b)
@@ -381,7 +381,7 @@ def test_sandwich_dimension_matches_group_columns(nm, data):
 
 @pytest.mark.parametrize("n, m", [(2, 2), (3, 2)])
 def test_sandwich_dimension_matches_group_columns_on_idempotents(n, m):
-    idempotents = [to_group(r.element) for r in irrep_table(n, m).records]
+    idempotents = [terms_to_group(n, m, r.element) for r in irrep_table(n, m).records]
     for e in idempotents:
         for f in idempotents:
             assert sandwich_dimension(e, f) == sandwich_by_group_columns(e, f)

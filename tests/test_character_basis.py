@@ -1,4 +1,5 @@
-"""The character basis F(lam, p) = Lambda_lam p against the group basis it models."""
+"""The character basis F(lam, p) = Lambda_lam p against the group basis it
+models, and wreath.character_product against the oracle's element product."""
 
 from fractions import Fraction
 from itertools import product
@@ -10,7 +11,9 @@ from cyclotomic_oracle import CycNumber, _make, zeta, zeta_power
 import group_basis_oracle
 from group_basis_oracle import (
     AlgebraElement,
+    CharacterElement,
     FieldCharacterElement,
+    add_into,
     character_combination,
     check_model_by_products,
     exact,
@@ -25,8 +28,7 @@ from group_basis_oracle import (
     y_inverse_element,
 )
 from hopf_group_basis_oracle import TensorElement, to_characters
-from kacpal import character_basis, character_model, roots
-from kacpal.character_basis import CharacterElement, add_into
+from kacpal import character_model, roots, wreath
 from kacpal.character_model import (
     MonomialModel,
     check_model,
@@ -41,6 +43,7 @@ from kacpal.wreath import (
     CheckFailedError,
     Perm,
     WreathElement,
+    character_product,
     element_index,
     permute_character,
     symmetric_group,
@@ -80,6 +83,36 @@ def test_product_matches_the_group_product(nm, data):
     assert to_group(x * y) == to_group(x) * to_group(y)
 
 
+def summed_elements(n, m):
+    """Oracle elements that are sums: one drawn element, the sum of two, or
+    a difference of one with itself, which cancels to zero."""
+    elements = character_elements(n, m)
+    return st.one_of(
+        elements,
+        st.builds(lambda a, b: a + b, elements, elements),
+        elements.map(lambda a: a - a),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([(1, 4), (2, 2), (3, 2), (2, 3)]), st.data())
+def test_character_product_is_the_oracle_product(nm, data):
+    n, m = nm
+    x, y = (data.draw(summed_elements(n, m)) for _ in range(2))
+    assert character_product(x.terms, y.terms) == (x * y).terms
+    # (1 + s)(s - 1) = s^2 - 1 = 0 on a character that the involution s
+    # fixes: every term of the product cancels
+    lam = (data.draw(st.integers(0, n - 1)),) * m
+    ident = Perm.identity(m)
+    s = data.draw(st.sampled_from([p for p in symmetric_group(m) if p != ident and p * p == ident]))
+    c = data.draw(RATIONALS.filter(bool))
+    a = CharacterElement(n, m, {(lam, ident): c, (lam, s): c})
+    b = CharacterElement(n, m, {(lam, s): 1, (lam, ident): -1})
+    assert character_product(a.terms, b.terms) == {} == (a * b).terms
+    x, y = x + a, y + b
+    assert character_product(x.terms, y.terms) == (x * y).terms
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(SIZES), st.data())
 def test_ranks_and_sandwiches_match_the_group_basis(nm, data):
@@ -102,24 +135,30 @@ def conjugate(e: CharacterElement, g: Perm) -> CharacterElement:
     return u * e * u_inv
 
 
+def table_idempotents(n, m):
+    """The table's records, and their idempotents as oracle elements."""
+    records = irrep_table(n, m).records
+    return records, [CharacterElement._make(n, m, r.element) for r in records]
+
+
 def classification_idempotents(n, m, moved):
     """The table's idempotents, then up to `moved` of them conjugated by a
     cyclic shift that moves their character: characters that are not
     non-decreasing, and pairs with different characters that hold each
     value equally often."""
-    records = irrep_table(n, m).records
+    records, elements = table_idempotents(n, m)
     shift = Perm(list(range(1, m)) + [0])
-    shifted = [conjugate(r.element, shift) for r in records if len(set(r.lam)) > 1]
-    return [r.element for r in records] + shifted[:moved]
+    shifted = [conjugate(e, shift) for r, e in zip(records, elements) if len(set(r.lam)) > 1]
+    return elements + shifted[:moved]
 
 
 @pytest.mark.parametrize("n, m", [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3), (2, 4), (2, 5)])
 def test_trace_ranks_match_the_echelon(n, m):
     elements = classification_idempotents(n, m, moved=4)
-    classes = [stabiliser_classes(e) for e in elements]
+    classes = [stabiliser_classes(e.terms) for e in elements]
     bases = [left_ideal_basis(e) for e in elements]
     for e, c, basis in zip(elements, classes, bases):
-        assert is_idempotent(e)
+        assert is_idempotent(e.terms)
         assert left_ideal_rank(c, m) == len(basis)
     for e, ci in zip(elements, classes):
         for cj, basis in zip(classes, bases):
@@ -129,7 +168,7 @@ def test_trace_ranks_match_the_echelon(n, m):
 @pytest.mark.parametrize("n, m", [(2, 2), (3, 2), (2, 3)])
 def test_trace_ranks_match_the_group_basis(n, m):
     elements = classification_idempotents(n, m, moved=2)
-    classes = [stabiliser_classes(e) for e in elements]
+    classes = [stabiliser_classes(e.terms) for e in elements]
     images = [to_group(e) for e in elements]
     for c, image in zip(classes, images):
         assert left_ideal_rank(c, m) == left_ideal_dimension(image)
@@ -142,7 +181,7 @@ def test_a_term_off_the_stabiliser_fails_the_lemma():
     # (0, 1) is moved by the transposition, and a second character is off lam
     for terms in ({((0, 1), (1, 0)): 1}, {((0, 0), (0, 1)): 1, ((1, 1), (0, 1)): 1}):
         with pytest.raises(CheckFailedError, match="the stabiliser lemma of the trace ranks"):
-            stabiliser_classes(CharacterElement(2, 2, terms))
+            stabiliser_classes(CharacterElement(2, 2, terms).terms)
 
 
 def test_a_trace_that_is_no_integer_fails():
@@ -151,7 +190,7 @@ def test_a_trace_that_is_no_integer_fails():
     lam = (0, 0, 0)
     quarter = CharacterElement(2, 3, {(lam, (0, 1, 2)): Fraction(1, 4)})
     with pytest.raises(CheckFailedError, match="is not a rank"):
-        left_ideal_rank(stabiliser_classes(quarter), 3)
+        left_ideal_rank(stabiliser_classes(quarter.terms), 3)
 
 
 @st.composite
@@ -160,7 +199,7 @@ def idempotents_and_others(draw):
     idempotents (idempotent, as they are orthogonal), possibly conjugated,
     scaled or with a random element added, or a random element alone."""
     n, m = draw(st.sampled_from(SIZES))
-    elements = [rec.element for rec in irrep_table(n, m).records]
+    elements = table_idempotents(n, m)[1]
     chosen = draw(st.lists(st.sampled_from(range(len(elements))), unique=True, max_size=3))
     e = CharacterElement(n, m)
     for i in chosen:
@@ -180,7 +219,7 @@ def idempotents_and_others(draw):
 @settings(max_examples=80, deadline=None)
 @given(idempotents_and_others())
 def test_the_integer_square_is_the_fraction_square(e):
-    assert is_idempotent(e) == (e * e == e)
+    assert is_idempotent(e.terms) == (e * e == e)
 
 
 @pytest.mark.parametrize("n, m", [(1, 3), (2, 2), (3, 2), (2, 3), (4, 2)])
@@ -274,14 +313,15 @@ def test_scalars_are_rational_or_of_the_model_order():
 
 
 def _set_permute_character(monkeypatch, replacement):
-    # the element product and the model's character moves read it
-    for module in (character_basis, character_model):
+    # the package's product, the oracle's element product and the model's
+    # character moves read it
+    for module in (wreath, group_basis_oracle, character_model):
         monkeypatch.setattr(module, "permute_character", replacement)
 
 
 def _swapped_permute_character(monkeypatch, n, m):
     # the product rule reading lam o p^(-1) where it should read lam o p
-    real = character_basis.permute_character
+    real = wreath.permute_character
     _set_permute_character(monkeypatch, lambda lam, p: real(lam, Perm(p).inverse()))
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from group_basis_oracle import (
     AlgebraElement,
+    CharacterElement,
     idempotent_by_products,
     idempotent_from_beta,
     iota_embed,
@@ -13,13 +14,13 @@ from group_basis_oracle import (
     mul_row,
     s_element,
     sandwich_dimension,
-    to_group,
+    terms_to_group,
 )
-from kacpal.character_basis import CharacterElement
 from kacpal import classifier
 from kacpal.classifier import (
     LabelledPartition,
     block_terms,
+    character_idempotent,
     count_formula,
     dimension_by_hooks,
     enumerate_labelled_partitions,
@@ -29,7 +30,7 @@ from kacpal.classifier import (
 )
 from kacpal.partitions import (
     Partition,
-    partition_count,
+    partition_counts,
     partitions_of,
     row_consecutive_tableau,
     young_symmetrizer,
@@ -45,7 +46,7 @@ def test_enumeration_counts():
     assert len(enumerate_labelled_partitions(2, 3)) == 10
     assert len(enumerate_labelled_partitions(2, 2)) == 5
     for m in range(1, 6):
-        assert len(enumerate_labelled_partitions(1, m)) == partition_count(m)
+        assert len(enumerate_labelled_partitions(1, m)) == partition_counts(m)[m]
 
 
 def test_enumeration_order_frozen_2_3():
@@ -96,14 +97,15 @@ def compositions(n, m):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_count_formula_matches_the_composition_sum(n):
     for m in range(0, 12):
-        expected = sum(prod(partition_count(k) for k in comp) for comp in compositions(n, m))
+        counts = partition_counts(m)
+        expected = sum(prod(counts[k] for k in comp) for comp in compositions(n, m))
         assert count_formula(n, m) == expected
 
 
 @pytest.mark.parametrize("n,m", [(30, 30), (7, 40), (1, 60)])
 def test_count_formula_matches_the_power_series(n, m):
     # the coefficient of x^m in (sum_k p(k) x^k)^n, by n truncated products
-    series = [partition_count(k) for k in range(m + 1)]
+    series = partition_counts(m)
     power = [1] + [0] * m
     for _ in range(n):
         power = [sum(power[j] * series[k - j] for j in range(k + 1)) for k in range(m + 1)]
@@ -242,10 +244,11 @@ def test_table_3_2_with_conjugacy():
 
 
 def test_rank_dimension_for_each_idempotent_2_3():
-    table = irrep_table(2, 3, check_ranks=True)
+    n, m = 2, 3
+    table = irrep_table(n, m, check_ranks=True)
     for rec in table.records:
         assert rec.dim_rank == rec.dim_formula
-        assert left_ideal_dimension(to_group(rec.element)) == rec.dim_formula
+        assert left_ideal_dimension(terms_to_group(n, m, rec.element)) == rec.dim_formula
 
 
 @pytest.mark.parametrize(
@@ -264,13 +267,13 @@ def test_orthogonality_verdict_matches_pairwise_sandwiches(monkeypatch, n, m, du
             lambda beta: real(betas[0] if beta == betas[1] else beta),
         )
     table = irrep_table(n, m, check_ranks=True, check_orthogonality=True)
-    idempotents = [to_group(rec.element) for rec in table.records]
+    idempotents = [terms_to_group(n, m, rec.element) for rec in table.records]
     matrix = [[sandwich_dimension(e, f) for f in idempotents] for e in idempotents]
     identity = [[int(i == j) for j in range(len(idempotents))] for i in range(len(idempotents))]
     assert table.checks["orthogonality"] == ("pass" if matrix == identity else "fail")
     assert table.checks["orthogonality"] == ("fail" if duplicate else "pass")
     for rec in table.records:
-        assert rec.dim_rank == left_ideal_dimension(to_group(rec.element))
+        assert rec.dim_rank == left_ideal_dimension(terms_to_group(n, m, rec.element))
 
 
 def test_ideal_and_complement_dimensions_fill_the_algebra():
@@ -333,8 +336,26 @@ def test_block_terms_are_the_row_consecutive_symmetrizer(k):
         terms = block_terms(mu)
         assert isinstance(terms, tuple) and block_terms(Partition(mu)) is terms
         symmetrizer = young_symmetrizer(row_consecutive_tableau(mu))
-        assert dict(terms) == {p: c for (_, p), c in symmetrizer.terms.items()}
-        assert len(terms) == len(symmetrizer.terms)
+        assert dict(terms) == {p: c for (_, p), c in symmetrizer.items()}
+        assert len(terms) == len(symmetrizer)
+
+
+@pytest.mark.parametrize("n, m", [(2, 4), (3, 3), (2, 5)])
+def test_character_idempotent_is_the_oracle_product(n, m):
+    # F(lam, 1) times each block's symmetrizer embedded on its slots, as
+    # elements of the oracle with its own product rule
+    for beta in enumerate_labelled_partitions(n, m):
+        lam = lambda_from_beta(beta)
+        expected = CharacterElement(n, m, {(lam, Perm.identity(m)): 1})
+        offset = 0
+        for _, block in beta.labelled_blocks:
+            embedded = {}
+            for (_, p), c in young_symmetrizer(row_consecutive_tableau(block)).items():
+                images = [*range(offset), *(offset + i for i in p), *range(offset + len(p), m)]
+                embedded[lam, Perm(images)] = c
+            expected = expected * CharacterElement(n, m, embedded)
+            offset += block.size
+        assert character_idempotent(beta) == expected.terms, beta
 
 
 def test_a_table_builds_one_symmetrizer_per_partition(monkeypatch):

@@ -1,3 +1,4 @@
+import ast
 import errno
 import io
 import json
@@ -12,12 +13,13 @@ from hypothesis import given, settings, strategies as st
 
 from group_basis_oracle import (
     AlgebraElement,
+    CharacterElement,
     idempotent_from_beta,
     lambda_idempotent,
     s_element,
     to_group,
 )
-from kacpal import character_basis, character_model, classifier, cli, relations
+from kacpal import character_model, classifier, cli, relations, wreath
 from kacpal.character_model import Monomial
 from kacpal.cli import main
 from kacpal.roots import root_count_sum
@@ -267,8 +269,9 @@ def _replace_idempotent(monkeypatch, spec, replace):
     monkeypatch.setattr(classifier, "character_idempotent", patched)
 
 
-def _key_element(e, lam, perm, coeff=1):
-    return character_basis.CharacterElement(e.n, e.m, {(lam, perm): coeff})
+def _plus(e, terms):
+    """The terms map of e + terms at (2, 2), added as oracle elements."""
+    return (CharacterElement._make(2, 2, e) + CharacterElement(2, 2, terms)).terms
 
 
 def _table_checks(capsys, checks):
@@ -282,7 +285,7 @@ def _table_checks(capsys, checks):
 def test_lambda_alone_on_a_block_of_size_2_fails_the_rank(capsys, monkeypatch):
     # F(lam, 1) is idempotent, but A F(lam, 1) has dimension m! = 2, not 1
     _replace_idempotent(
-        monkeypatch, "0:2", lambda beta, e: _key_element(e, (0, 0), (0, 1))
+        monkeypatch, "0:2", lambda beta, e: {((0, 0), (0, 1)): 1}
     )
     code, payload = _table_checks(capsys, "idempotency,ranks")
     assert code == 1
@@ -295,7 +298,7 @@ def test_lambda_alone_on_a_block_of_size_2_fails_the_rank(capsys, monkeypatch):
 def test_a_sum_of_two_orthogonal_idempotents_fails_orthogonality(capsys, monkeypatch):
     # e_(0:2) + e_(0:1,1) is an idempotent of rank 2 that meets e_(0:1,1)
     other = classifier.character_idempotent(classifier.LabelledPartition.parse(2, 2, "0:1,1"))
-    _replace_idempotent(monkeypatch, "0:2", lambda beta, e: e + other)
+    _replace_idempotent(monkeypatch, "0:2", lambda beta, e: _plus(e, other))
     code, payload = _table_checks(capsys, "idempotency,orthogonality")
     assert code == 1
     assert payload["checks"]["idempotency"] == "pass"
@@ -305,7 +308,7 @@ def test_a_sum_of_two_orthogonal_idempotents_fails_orthogonality(capsys, monkeyp
 def test_a_perturbed_idempotent_fails_every_check_that_squares(capsys, monkeypatch):
     # a third of F(lam, s) added: not idempotent, so no trace is a rank
     _replace_idempotent(
-        monkeypatch, "0:1;1:1", lambda beta, e: e + _key_element(e, (0, 1), (0, 1), Fraction(1, 3))
+        monkeypatch, "0:1;1:1", lambda beta, e: _plus(e, {((0, 1), (0, 1)): Fraction(1, 3)})
     )
     code, payload = _table_checks(capsys, "idempotency,ranks,orthogonality")
     assert code == 1
@@ -324,7 +327,7 @@ def test_a_perturbed_idempotent_fails_every_check_that_squares(capsys, monkeypat
 def test_a_term_off_the_stabiliser_exits_1(capsys, monkeypatch, checks):
     # the transposition moves lam = (0, 1), so the traces do not hold
     _replace_idempotent(
-        monkeypatch, "0:1;1:1", lambda beta, e: e + _key_element(e, (0, 1), (1, 0))
+        monkeypatch, "0:1;1:1", lambda beta, e: _plus(e, {((0, 1), (1, 0)): 1})
     )
     code, out, err = run(capsys, "table", "--n", "2", "--m", "2", "--checks", checks)
     assert code == 1
@@ -336,8 +339,8 @@ def test_a_term_off_the_stabiliser_exits_1(capsys, monkeypatch, checks):
 def test_model_failure_exits_1(capsys, monkeypatch):
     # The product rule reading lam o p^(-1) where it should read lam o p: the
     # two agree on involutions, so only a 3-cycle (m >= 3) tells them apart.
-    real = character_basis.permute_character
-    for module in (character_basis, character_model):
+    real = wreath.permute_character
+    for module in (wreath, character_model):
         monkeypatch.setattr(module, "permute_character", lambda lam, p: real(lam, Perm(p).inverse()))
     character_model.check_model(2, 2)
     with pytest.raises(CheckFailedError, match="does not model"):
@@ -569,7 +572,7 @@ def one_character_elements(draw):
         st.one_of(st.integers(1, 4), st.integers(1, 10**12)),
     )
     perms = draw(st.sets(st.sampled_from(symmetric_group(m)), min_size=1))
-    return character_basis.CharacterElement(n, m, {(lam, p): draw(value) for p in perms})
+    return CharacterElement(n, m, {(lam, p): draw(value) for p in perms})
 
 
 @settings(max_examples=150, deadline=None)
@@ -578,7 +581,7 @@ def test_expanded_json_is_the_one_shot_dump(e):
     payload = {"beta": "x", "num_terms": len(e.terms) * e.n**e.m}
     image = to_group(e)
     assert len(image.terms) == payload["num_terms"]
-    text = "".join(cli._expanded_json(payload, e))
+    text = "".join(cli._expanded_json(payload, e.n, e.m, e.terms))
     assert text == json.dumps(payload | {"element": image.to_json()}, indent=2) + "\n"
 
 
@@ -841,7 +844,6 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
     count = modules_loaded_by(tmp_path, ("count", "--n", "3", "--m", "4"))
     assert not {
         "kacpal.algebra",
-        "kacpal.character_basis",
         "kacpal.classifier",
         "kacpal.conjugacy",
         "kacpal.roots",
@@ -851,8 +853,9 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
         "decimal",
     } & count
     # the relation table, the exponent-table model and the ranks are loaded
-    # only by the checks that run them, and json only where JSON is written
-    checks_only = {"kacpal.relations", "kacpal.character_model", "kacpal.conjugacy"}
+    # only by the checks that run them, and json only where JSON is written;
+    # the idempotents are built by wreath.character_product, with no model
+    checks_only = {"kacpal.relations", "kacpal.character_model", "kacpal.conjugacy", "kacpal.hopf"}
     table = modules_loaded_by(
         tmp_path,
         ("table", "--n", "2", "--m", "2"),
@@ -878,7 +881,6 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
     hopf = modules_loaded_by(tmp_path, ("verify", "--n", "3", "--m", "2", "--checks", "hopf"))
     assert {"kacpal.hopf", "kacpal.character_model", "kacpal.roots"} <= hopf
     assert not {
-        "kacpal.character_basis",
         "kacpal.classifier",
         "kacpal.partitions",
         "fractions",
@@ -887,7 +889,7 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
     } & hopf
     suite = modules_loaded_by(tmp_path, ("verify", "--n", "2", "--m", "4", "--checks", "relations"))
     assert {"kacpal.relations", "kacpal.roots"} <= suite
-    unused = {"kacpal.character_basis", "kacpal.classifier", "fractions"}
+    unused = {"kacpal.classifier", "fractions"}
     assert not {*unused, *elements} & suite
     # the default checks, the relation suite and the idempotent squares
     default = modules_loaded_by(tmp_path, ("verify", "--n", "3", "--m", "3"))
@@ -895,19 +897,115 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
     assert not elements & default
 
 
+# One passing run of each command, each check and each table format.
+PASSING_RUNS = (
+    ("count", "--n", "2", "--m", "2", "--checks", "conjugacy"),
+    ("table", "--n", "2", "--m", "2", "--checks", "idempotency,ranks,orthogonality,conjugacy"),
+    ("table", "--n", "2", "--m", "2", "--checks", "idempotency", "--format", "csv"),
+    ("table", "--n", "2", "--m", "2", "--checks", "ranks", "--format", "json"),
+    ("verify", "--n", "2", "--m", "2", "--checks", "relations,idempotency,ranks,orthogonality,hopf"),
+    ("idempotent", "--n", "2", "--m", "2", "--beta", "0:2"),
+    ("idempotent", "--n", "2", "--m", "2", "--beta", "0:2", "--expanded"),
+)
+
+# The functions of the package that no passing run calls, each with the
+# test that drives it: failure paths, the process entry, the reprs, the
+# witness that the acceptance criteria gate, and the conjugate partition
+# kept for the transpose symmetry of the table.
+CALLED_BY_TESTS_ONLY = {
+    "character_model.Monomial.difference_head": "test_character_basis.py::test_monomial_tables_multiply_as_the_model",
+    "character_model.Monomial.is_zero": "test_character_basis.py::test_root_sums_that_cancel_have_no_coefficient",
+    "hopf._CharacterHopf.name": "test_hopf.py::test_perturbed_cocycle_fails",
+    "roots.coefficient_repr": "test_roots.py::test_coefficient_repr_is_the_field_repr",
+    "cli.run": "test_cli.py::test_a_reader_gone_before_the_final_flush_gets_exit_2",
+    "cli._reader_gone": "test_cli.py::test_closed_pipe_exits_2_without_traceback",
+    "cli._observed": "test_cli.py::test_a_profiler_still_reports_at_exit",
+    "classifier.LabelledPartition.__repr__": "test_values.py::test_a_value_repr_names_its_type_and_fields",
+    "partitions.Partition.__repr__": "test_values.py::test_a_value_repr_names_its_type_and_fields",
+    "partitions.Tableau.__repr__": "test_values.py::test_a_value_repr_names_its_type_and_fields",
+    "wreath.Perm.__repr__": "test_values.py::test_a_value_repr_names_its_type_and_fields",
+    "wreath.WreathElement.__repr__": "test_values.py::test_a_value_repr_names_its_type_and_fields",
+    "hopf.cocommutativity_witness": "test_acceptance.py::test_criterion_5_witness_at_2_6_within_1_5s",
+    "partitions.Partition.conjugate": "test_partitions.py::test_conjugate",
+}
+
+
+def package_modules() -> dict:
+    """The path of each module of the package but __init__ and __main__."""
+    paths = {path.stem: path for path in (Path(SRC) / "kacpal").glob("*.py")}
+    return {name: path for name, path in paths.items() if name not in ("__init__", "__main__")}
+
+
 def test_every_package_module_serves_a_command(tmp_path):
     # one passing run of each command and each check loads, between them,
     # every module of the package: none is kept for the tests alone
-    loaded = modules_loaded_by(
-        tmp_path,
-        ("count", "--n", "2", "--m", "2", "--checks", "conjugacy"),
-        ("table", "--n", "2", "--m", "2", "--checks", "idempotency,ranks,orthogonality,conjugacy"),
-        ("verify", "--n", "2", "--m", "2", "--checks", "relations,idempotency,ranks,orthogonality,hopf"),
-        ("idempotent", "--n", "2", "--m", "2", "--beta", "0:2", "--expanded"),
-    )
-    package = {f"kacpal.{path.stem}" for path in (Path(SRC) / "kacpal").glob("*.py")}
-    package -= {"kacpal.__init__", "kacpal.__main__"}
+    loaded = modules_loaded_by(tmp_path, *PASSING_RUNS)
+    package = {f"kacpal.{name}" for name in package_modules()}
     assert {name for name in loaded if name.startswith("kacpal.")} == package
+
+
+def defined_functions() -> dict:
+    """module.qualname of every function and method that a module of the
+    package defines at its top level or in a top-level class, keyed by
+    (module, the first line of its code: its first decorator or its def); a
+    nested function runs with the function that defines it."""
+    names = {}
+
+    def add(module, node, qualname):
+        first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
+        names[module, first] = f"{module}.{qualname}"
+
+    for module, path in package_modules().items():
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                add(module, node, node.name)
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        add(module, item, f"{node.name}.{item.name}")
+    return names
+
+
+def code_called_by(tmp_path, *argvs) -> set:
+    """(module, first line) of the code of every function of the package
+    called by the CLI calls, one after another under a profile hook in a
+    fresh interpreter, each of which must pass."""
+    script = (
+        "import os, sys\n"
+        f"package = os.path.realpath(os.path.join({SRC!r}, 'kacpal')) + os.sep\n"
+        "called = set()\n"
+        "def hook(frame, event, arg):\n"
+        "    code = frame.f_code\n"
+        "    if event == 'call' and os.path.realpath(code.co_filename).startswith(package):\n"
+        "        called.add((os.path.basename(code.co_filename)[:-3], code.co_firstlineno))\n"
+        "sys.setprofile(hook)\n"
+        "from kacpal.cli import main\n"
+        f"codes = [main([*argv, '--out', {str(tmp_path / 'out')!r}]) for argv in {argvs!r}]\n"
+        "sys.setprofile(None)\n"
+        "import json\n"
+        "print(json.dumps([codes, sorted(called)]))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=CHILD_ENV, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    codes, called = json.loads(done.stdout)
+    assert codes == [0] * len(argvs)
+    return {tuple(code) for code in called}
+
+
+def test_every_package_function_serves_a_command_or_a_named_test(tmp_path):
+    # each function of the package is called by a passing run, or is on the
+    # list above with the test that drives it: none is kept for tests alone
+    defined = defined_functions()
+    called = code_called_by(tmp_path, *PASSING_RUNS)
+    assert {name for code, name in defined.items() if code not in called} == set(
+        CALLED_BY_TESTS_ONLY
+    )
+    tests = Path(__file__).resolve().parent
+    for test in set(CALLED_BY_TESTS_ONLY.values()):
+        filename, name = test.split("::")
+        assert f"def {name}(" in (tests / filename).read_text(), test
 
 
 # Each failing run in a fresh interpreter: the setup that breaks one check,
@@ -986,7 +1084,7 @@ def test_a_failing_check_loads_no_element_and_no_field(tmp_path, case):
     else:
         assert err == message
     assert {"kacpal.relations", "kacpal.roots"} <= set(loaded)
-    assert not {"kacpal.character_basis", "fractions", "decimal"} & set(loaded)
+    assert not {"kacpal.classifier", "fractions", "decimal"} & set(loaded)
 
 
 def test_no_command_imports_dataclasses_or_inspect(tmp_path):

@@ -12,8 +12,7 @@ from cyclotomic_oracle import (
     zeta,
     zeta_power,
 )
-from group_basis_oracle import AlgebraElement
-from kacpal.character_basis import CharacterElement
+from group_basis_oracle import AlgebraElement, CharacterElement
 from kacpal.wreath import CheckFailedError
 from test_cyclotomic_reference import euler_phi
 
@@ -271,8 +270,8 @@ def test_floats_never_enter_the_exact_arithmetic(entry):
 
 
 def test_a_field_coefficient_never_enters_the_package_element():
-    # the package's CharacterElement is rational; FieldCharacterElement of
-    # the group-basis oracle is the one that takes a CycNumber
+    # the oracle's CharacterElement, whose terms maps the package
+    # multiplies, is rational; FieldCharacterElement takes a CycNumber
     with pytest.raises(TypeError):
         CharacterElement(2, 2, {((0, 1), (1, 0)): zeta(4)})
     with pytest.raises(TypeError):

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from cyclotomic_oracle import CycNumber, zeta, zeta_power
 from group_basis_oracle import (
     AlgebraElement,
+    CharacterElement,
     basis_element,
     counit,
     elements,
@@ -44,7 +45,6 @@ from hopf_group_basis_oracle import (
     relation_failures,
     tensor,
 )
-from kacpal.character_basis import CharacterElement
 from kacpal.character_model import Monomial, characters, tensor_key
 from kacpal.cli import main
 from kacpal.hopf import _CharacterHopf, cocommutativity_witness, hopf_axiom_report

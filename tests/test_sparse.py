@@ -11,9 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclotomic_oracle import CycNumber, zeta, zeta_power
-from group_basis_oracle import AlgebraElement
+from group_basis_oracle import AlgebraElement, CharacterElement, add_into
 from hopf_group_basis_oracle import TensorElement
-from kacpal.character_basis import CharacterElement, add_into
 from kacpal.wreath import Perm, element_at, element_index, group_order
 
 GROUPS = [(3, 2), (2, 3)]

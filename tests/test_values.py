@@ -3,10 +3,9 @@ LabelledPartition are validated tuples."""
 
 import pytest
 
-from kacpal.character_basis import CharacterElement
 from kacpal.classifier import LabelledPartition
 from kacpal.partitions import Partition, Tableau
-from kacpal.wreath import Perm, WreathElement
+from kacpal.wreath import Perm, WreathElement, character_product
 
 # type -> (a builder of one value, a property name, a call on invalid
 # input, the value's plain tuple)
@@ -51,9 +50,24 @@ def test_value_type_is_immutable_hashable_and_validated(kind):
     assert {plain: 1}[value] == 1
 
 
+REPRS = {
+    "Perm": "Perm([1, 2, 0])",
+    "Partition": "Partition([3, 1])",
+    "Tableau": "Tableau([[1, 2], [3]])",
+    "WreathElement": "WreathElement(n=3, twists=[2, 0], perm=[1, 0])",
+    "LabelledPartition": "LabelledPartition(2, [[2], [1]])",
+}
+
+
+@pytest.mark.parametrize("kind", VALUES)
+def test_a_value_repr_names_its_type_and_fields(kind):
+    # failure messages print values by their reprs
+    assert repr(VALUES[kind][0]()) == REPRS[kind]
+
+
 def test_a_perm_key_is_its_plain_tuple_key():
     lam = (0, 1)
-    by_perm = CharacterElement(2, 2, {(lam, Perm([1, 0])): 1})
-    by_tuple = CharacterElement(2, 2, {(lam, (1, 0)): 1})
-    assert by_perm == by_tuple and hash(by_perm) == hash(by_tuple)
-    assert by_perm * by_perm == by_tuple * by_tuple
+    by_perm = {(lam, Perm([1, 0])): 1}
+    by_tuple = {(lam, (1, 0)): 1}
+    assert by_perm == by_tuple and [hash(key) for key in by_perm] == [hash(key) for key in by_tuple]
+    assert character_product(by_perm, by_perm) == character_product(by_tuple, by_tuple)
