@@ -30,11 +30,9 @@ _EXPORTS = {
     "hopf": ("cocommutativity_witness", "hopf_axiom_report"),
     "partitions": (
         "Partition",
-        "Tableau",
         "count_formula",
         "hook_length",
         "partitions_of",
-        "row_consecutive_tableau",
         "standard_tableaux_count",
         "young_symmetrizer",
     ),

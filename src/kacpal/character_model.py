@@ -23,7 +23,8 @@ check on tables loads no fractions from here, whether it passes or fails:
 a failed model check names a coefficient by roots.coefficient_repr, and a
 failing relation's counterexample, the least group index at which Phi of
 its difference is nonzero, is read from the two tables
-(Monomial.difference_head) as an integer pair of kacpal.roots.  The exact
+(Monomial.difference_head) as an integer pair of kacpal.roots, as is the
+Hopf report's non-cocommutativity witness.  The exact
 elements of the tables and the change of basis to the group basis on
 elements, against which that head is tested, are the reference in
 tests/group_basis_oracle.py.
@@ -289,42 +290,61 @@ class Monomial:
 
     def difference_head(self, other: "Monomial") -> tuple[int, dict]:
         """The least group index at which Phi(self - other) is nonzero, and
-        the JSON of its coefficient there, for a relation's report.
+        the JSON of its coefficient there, for a relation's report and for
+        the Hopf report's non-cocommutativity witness.
 
         Phi(F(lam, p)) = Lambda_lam p has the coordinate n^-m zeta^(2 lam . t)
         at the index perm_index(p) n^m + t, so a table's coordinate there is
-        n^-m sum_lam c_lam zeta^(2 lam . t), read as first_difference in
-        kacpal.hopf reads its witness: the exponents are counted with
+        n^-m sum_lam c_lam zeta^(2 lam . t): the exponents are counted with
         integers, the non_roots numerators added over the lcm of their
-        denominators, and the count reduced once.  Sides on two permutations
-        fill two blocks of indices, visited in perm_index order.  Tables that
-        differ in no coordinate fail: CheckFailedError.
+        denominators, and the count reduced once.  Over the first m // 2
+        slots and the rest, the two legs at (n, 2m), 2 lam . t is
+        2 lam' . t' + 2 lam'' . t'', so for each t'' the sum over lam'' is
+        taken once, then for each t' that over lam'.  Sides on two
+        permutations fill two blocks of indices, visited in perm_index
+        order.  Tables that differ in no coordinate fail: CheckFailedError.
         """
         model = self.model
-        order, size = model.order, len(model.chars)
+        n, m, order, size = model.n, model.m, model.order, len(model.chars)
         den = lcm(*(d for table in (self, other) for _, d in table.non_roots.values()))
         blocks: dict = {}
         for table, sign in ((self, 1), (other, -1)):
             blocks.setdefault(perm_index(table.perm), []).append((table, sign))
-        # twice_dot[t][a] = 2 lam . t for lam = chars[a]: (t, p) has zeta^(2 lam . t)
-        # in n^m Lambda_lam p
-        twice_dot = [[-e % order for e in model.x_monomial(t).entries] for t in model.chars]
+        first, last = _twice_dot(n, m // 2), _twice_dot(n, m - m // 2)
+        low = len(first)
         for block in sorted(blocks):
-            for t, phase in enumerate(twice_dot):
-                counts = [0] * order
+            for outer, phase in enumerate(last):
+                # by lam', the counts of sum_lam'' c_lam zeta^(2 lam'' . t'')
+                rows = [[0] * order for _ in range(low)]
                 for table, sign in blocks[block]:
-                    root = sign * den
-                    for e, k in zip(table.entries, phase):
-                        if e is not None:
-                            counts[(e + k) % order] += root
+                    root, entries = sign * den, table.entries
+                    for high, shift in enumerate(phase):
+                        for row, e in zip(rows, entries[high * low : (high + 1) * low]):
+                            if e is not None:
+                                row[(e + shift) % order] += root
                     for a, (num, d) in table.non_roots.items():
-                        scale = sign * (den // d)
+                        high, part = divmod(a, low)
+                        row, shift, scale = rows[part], phase[high], sign * (den // d)
                         for i, c in enumerate(num):
-                            counts[(i + phase[a]) % order] += scale * c
-                value = root_count_sum(order, tuple(counts), den * size)
-                if any(value[0]):
-                    return block * size + t, coefficient_json(order, *value)
+                            row[(i + shift) % order] += scale * c
+                for inner, shifts in enumerate(first):
+                    counts = [0] * order
+                    for row, shift in zip(rows, shifts):
+                        for k, c in enumerate(row):
+                            if c:
+                                counts[(k + shift) % order] += c
+                    value = root_count_sum(order, tuple(counts), den * size)
+                    if any(value[0]):
+                        return block * size + outer * low + inner, coefficient_json(order, *value)
         raise CheckFailedError("two exponent tables differ but in no group-basis coordinate")
+
+
+@lru_cache(maxsize=None)
+def _twice_dot(n: int, k: int) -> tuple:
+    """Row t, by twist index, of 2 lam . t for lam = chars[a] at (n, k): the
+    exponent of (t, p) in n^k Lambda_lam p, read from the table of x^t."""
+    model = MonomialModel(n, k)
+    return tuple(tuple(-e % model.order for e in model.x_monomial(t).entries) for t in model.chars)
 
 
 def _generator_tables(model: MonomialModel) -> list[tuple]:

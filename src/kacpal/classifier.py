@@ -29,7 +29,6 @@ from .partitions import (
     count_formula,
     hook_length,
     partitions_of,
-    row_consecutive_tableau,
     standard_tableaux_count,
     young_symmetrizer,
 )
@@ -153,10 +152,11 @@ def embed_permutation(p, offset: int, m: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def block_terms(block: Partition) -> tuple:
-    """The (p, coeff) terms of the block's row-consecutive Young symmetrizer
-    in Q[S_k], built once per partition: they depend on neither n nor the
-    label.  A tuple, so that no caller can change what the next one reads."""
-    symmetrizer = young_symmetrizer(row_consecutive_tableau(block))
+    """The (p, coeff) terms of young_symmetrizer(block), the Young
+    symmetrizer of the block's row-consecutive tableau in Q[S_k], built from
+    the shape once per partition: they depend on neither n nor the label.
+    A tuple, so that no caller can change what the next one reads."""
+    symmetrizer = young_symmetrizer(block)
     return tuple((p, coeff) for (_, p), coeff in symmetrizer.items())
 
 

@@ -333,17 +333,19 @@ def main(argv=None) -> int:
     except CheckFailedError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except BrokenPipeError:
-        return _reader_gone()
+    except OSError as exc:
+        return _stdout_failed(exc)
 
 
-def _reader_gone() -> int:
-    """The reader closed stdout.  Pointing it at devnull lets any later flush
-    drop what is still buffered without a word."""
+def _stdout_failed(exc: OSError) -> int:
+    """Writing stdout failed: the reader closed the pipe, or the device
+    refused the write.  Pointing stdout at devnull lets any later flush drop
+    what is still buffered without a word."""
     devnull = os.open(os.devnull, os.O_WRONLY)
     os.dup2(devnull, sys.stdout.fileno())
     os.close(devnull)
-    print("cannot write the output: the reader closed the pipe", file=sys.stderr)
+    reason = "the reader closed the pipe" if isinstance(exc, BrokenPipeError) else exc.strerror
+    print(f"cannot write the output: {reason}", file=sys.stderr)
     return 2
 
 
@@ -361,9 +363,9 @@ def run() -> None:
     the command line, then stdout and stderr flushed, and the process ended
     with main's exit code without the interpreter's teardown.
 
-    A reader that closed the pipe before that flush gets main's closed-pipe
-    exit.  With a tracer or profiler attached the process exits normally, so
-    that it still writes its report at exit.
+    A write to stdout that fails at that flush gets main's exit for a
+    failed write.  With a tracer or profiler attached the process exits
+    normally, so that it still writes its report at exit.
     """
     try:
         code = main()
@@ -371,8 +373,8 @@ def run() -> None:
         code = exc.code
     try:
         sys.stdout.flush()
-    except BrokenPipeError:
-        code = _reader_gone()
+    except OSError as exc:
+        code = _stdout_failed(exc)
     sys.stderr.flush()
     if _observed():
         sys.exit(code)

@@ -114,14 +114,24 @@ x^t p = (t, p) in the group,
 
 P is diagonal and z_l lies on s_l, so both legs of the table d of
 delta(z_l) lie on s_l, and the coordinate of (t, s_l) (x) (u, s_l) in the
-difference is
+difference is D(t, u), with
 
-    n^-2m sum over mu, nu of (zeta^d(mu, nu) - zeta^d(nu, mu)) zeta^(2 (mu . t + nu . u)).
+    D(t, w) = n^-2m sum_(mu, nu) (zeta^d(mu, nu) - zeta^d(nu, mu)) zeta^(2 (mu . t + nu . w)).
 
 The group index of (t, p) is perm_index(p) n^m + twist_index(t), so the
-first nonzero coordinate in the order of (t, u) is the least pair of
-indices.  Each coordinate counts its exponents with integers and is reduced
-once by root_count_sum, and the sum over mu is taken once for each t.
+witness is the least pair (t, w) with D(t, w) nonzero, in t-major order.
+Monomial.difference_head, the routine that reads a failing relation's
+head, reads it from flip delta(z_l) - delta(z_l) at (n, 2m):
+
+- there the twist pair (first leg u, second leg v) has the index
+  u + n^m v, so difference_head visits v in the outer loop and u in the
+  inner one;
+- the coordinate of flip delta(z_l) - delta(z_l) at (u, v) is D(v, u);
+- D is antisymmetric, so its support is symmetric, and the first nonzero
+  coordinate that difference_head meets is the least pair (t, w) = (v, u)
+  in t-major order, with the same coefficient D(t, w);
+- so the witness pair is [base + v, base + u], with
+  v, u = divmod(index mod n^(2m), n^m) and base = perm_index(s_l) n^m.
 
 The group-basis delta, counit, antipode, tensor square and witness, the
 axiom checks on them, the quotient onto Q[S_m], the dense change of basis,
@@ -136,7 +146,7 @@ from functools import cached_property, partial
 
 from .character_model import MonomialModel, check_model, tensor_key
 from .relations import presentation, y_exponent, z_square_sum
-from .roots import coefficient_json, coefficient_repr, root_count_sum, root_exponent
+from .roots import coefficient_repr, root_count_sum, root_exponent
 from .wreath import (
     CheckFailedError,
     check_cap,
@@ -398,51 +408,25 @@ class _CharacterHopf:
         _, perm = tensor_key(((), [j - m for j in t.perm[m:]]), ((), t.perm[:m]))
         return self.model2.monomial(perm, [e for b in range(size) for e in entries[b::size]])
 
-    def first_difference(self, l: int) -> tuple[list, tuple]:
-        """The least pair of group indices at which delta(z_l) and its flip
-        differ, and the coefficient of the difference there as a pair of
-        kacpal.roots; delta(z_l) must differ from its flip."""
-        order, size, entries = self.order, len(self.chars), self.delta_z[l].entries
-        base = perm_index(self.gens[l]) * size
-        # twice_dot[t][mu] = 2 mu . t, the exponent of (t, p) in n^m Lambda_mu p
-        twice_dot = [[-e % order for e in self.x(t).entries] for t in self.chars]
-        for t, phase in enumerate(twice_dot):
-            # by nu, the counts of sum_mu (zeta^d(mu, nu) - zeta^d(nu, mu)) zeta^(2 mu . t)
-            by_nu = []
-            for nu in range(size):
-                counts = [0] * order
-                for e, f, k in zip(entries[nu * size : (nu + 1) * size], entries[nu::size], phase):
-                    if e is not None:
-                        counts[(e + k) % order] += 1
-                    if f is not None:
-                        counts[(f + k) % order] -= 1
-                by_nu.append(counts)
-            for u, shifts in enumerate(twice_dot):
-                counts = [0] * order
-                for row, shift in zip(by_nu, shifts):
-                    for k, c in enumerate(row):
-                        if c:
-                            counts[(k + shift) % order] += c
-                value = root_count_sum(order, tuple(counts), size * size)
-                if any(value[0]):
-                    return [base + t, base + u], value
-        raise CheckFailedError(
-            f"delta(z_{l}) differs from its flip as a table but in no group-basis coordinate"
-        )
-
     def cocommutativity_witness(self) -> dict:
         """Whether each delta(z_l) differs from its flip, with the first
         nonzero coordinate of the difference as witness, and whether the
         x generators are symmetric."""
         out: dict = {}
+        size = len(self.chars)
         for l, table in self.delta_z.items():
-            if table == self.flip(table):
+            flipped = self.flip(table)
+            if table == flipped:
                 out[f"z_{l}"] = {"status": "cocommutative"}
             else:
-                pair, value = self.first_difference(l)
+                # index u + n^m v holds D(v, u), so the witness is (v, u):
+                # see the module docstring
+                index, coefficient = flipped.difference_head(table)
+                v, u = divmod(index % size**2, size)
+                base = perm_index(self.gens[l]) * size
                 out[f"z_{l}"] = {
                     "status": "noncocommutative",
-                    "witness": {"pair": pair, "coefficient": coefficient_json(self.order, *value)},
+                    "witness": {"pair": [base + v, base + u], "coefficient": coefficient},
                 }
         m = self.m
         x_tables = (self.model2.x_monomial(2 * [int(j == i) for j in range(m)]) for i in range(m))

@@ -1,19 +1,20 @@
-"""Partitions, Young tableaux, hook lengths, and normalised Young symmetrizers.
+"""Partitions, hook lengths, and normalised Young symmetrizers.
 
 count_formula, the number of labelled partitions, lives here beside the
 partition counts it is built from, so that the count command loads no more:
 the symmetrizers import fractions when called.
 
-The symmetrizer of a standard tableau is returned as an exact rational
-element of Q[S_k], the character basis at n = 1, as the plain map
-{((0,)*k, p): c} that wreath.character_product multiplies; with the
-standard-tableau-count prefactor it is an idempotent of that algebra.
+The symmetrizer of a shape, that of its row-consecutive tableau, is
+returned as an exact rational element of Q[S_k], the character basis at
+n = 1, as the plain map {((0,)*k, p): c} that wreath.character_product
+multiplies; with the standard-tableau-count prefactor it is an idempotent
+of that algebra.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import accumulate, chain, permutations, product
 from math import factorial
 
 from .wreath import CheckFailedError, Perm, character_product
@@ -123,80 +124,14 @@ def standard_tableaux_count(mu: Partition) -> int:
     return count
 
 
-class Tableau(tuple):
-    """A filling of a Young diagram with 1..k: the tuple of its rows."""
-
-    __slots__ = ()
-
-    def __new__(cls, rows):
-        self = tuple.__new__(cls, (tuple(int(v) for v in row) for row in rows))
-        k = self.shape.size  # the shape validates the row lengths
-        if sorted(v for row in self for v in row) != list(range(1, k + 1)):
-            raise ValueError("tableau entries must be a bijection onto 1..k")
-        return self
-
-    @property
-    def shape(self) -> Partition:
-        return Partition(len(row) for row in self)
-
-    @property
-    def size(self) -> int:
-        return sum(len(row) for row in self)
-
-    def is_standard(self) -> bool:
-        for r, row in enumerate(self):
-            for c, v in enumerate(row):
-                if c + 1 < len(row) and not v < row[c + 1]:
-                    return False
-                if r + 1 < len(self) and c < len(self[r + 1]) and not v < self[r + 1][c]:
-                    return False
-        return True
-
-    def __repr__(self):
-        return f"Tableau({[list(r) for r in self]})"
-
-
-def row_consecutive_tableau(mu: Partition) -> Tableau:
-    """The standard tableau whose rows are filled with consecutive integers."""
-    rows = []
-    start = 1
-    for part in mu:
-        rows.append(range(start, start + part))
-        start += part
-    return Tableau(rows)
-
-
-def _value_perms_preserving(blocks: list[tuple[int, ...]], k: int) -> list[Perm]:
-    """All permutations of {0..k-1} preserving each block of values (1-based)."""
-    out = []
-    for choice in product(*(permutations(block) for block in blocks)):
-        images = list(range(k))
-        for block, permuted in zip(blocks, choice):
-            for orig, new in zip(block, permuted):
-                images[orig - 1] = new - 1
-        out.append(Perm(images))
-    return out
-
-
-def horizontal_group(t: Tableau) -> list[Perm]:
-    """Permutations preserving the entry set of every row."""
-    return _value_perms_preserving(list(t), t.size)
-
-
-def vertical_group(t: Tableau) -> list[Perm]:
-    """Permutations preserving the entry set of every column."""
-    cols = []
-    if t:
-        for c in range(t.shape[0]):
-            cols.append(tuple(row[c] for row in t if c < len(row)))
-    return _value_perms_preserving(cols, t.size)
-
-
-def young_symmetrizer(t: Tableau) -> dict:
-    """The normalised Young symmetrizer of a standard tableau, in Q[S_k].
+def young_symmetrizer(mu: Partition) -> dict:
+    """The normalised Young symmetrizer of the shape's row-consecutive
+    tableau, whose rows are filled with consecutive integers, in Q[S_k].
 
     Row sum times sign-weighted column sum, scaled by the number of standard
     tableaux over k factorial; with that prefactor the result squares to
+    itself.  The row group R and the column group C are the permutations of
+    the slots 0..k-1 that map each row, or each column, of that filling to
     itself.  Q[S_k] is the character basis at (1, k): the element is the
     map {((0,)*k, p): c}, whose key ((0,)*k, p) is the permutation p.
     """
@@ -204,11 +139,18 @@ def young_symmetrizer(t: Tableau) -> dict:
     # above, loads no fractions
     from fractions import Fraction
 
-    if not t.is_standard():
-        raise ValueError("young_symmetrizer requires a standard tableau")
-    k = t.size
+    k = mu.size
+    rows = [range(end - part, end) for part, end in zip(mu, accumulate(mu))]
+    columns = [[row[c] for row in rows if c < len(row)] for c in range(mu[0] if mu else 0)]
+
+    def preserving(blocks):
+        # each choice moves the slots of the blocks, in order, to its images
+        slots = [*chain(*blocks)]
+        for choice in product(*map(permutations, blocks)):
+            yield Perm(image for _, image in sorted(zip(slots, chain(*choice))))
+
     trivial = (0,) * k
-    h = {(trivial, p): 1 for p in horizontal_group(t)}
-    v = {(trivial, p): p.sign() for p in vertical_group(t)}
-    prefactor = Fraction(standard_tableaux_count(t.shape), factorial(k))
+    h = {(trivial, p): 1 for p in preserving(rows)}
+    v = {(trivial, p): p.sign() for p in preserving(columns)}
+    prefactor = Fraction(standard_tableaux_count(mu), factorial(k))
     return {key: c * prefactor for key, c in character_product(h, v).items()}

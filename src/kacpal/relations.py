@@ -16,7 +16,8 @@ tests/group_basis_oracle.py.  Only the relation suite and the Hopf report
 load this module, and the suite loads no element type and no fractions,
 whether a relation passes or fails: a failing relation's counterexample,
 the head of its difference in the group basis, is read from the two
-exponent tables by character_model.Monomial.difference_head.
+exponent tables by character_model.Monomial.difference_head, which reads
+the Hopf report's witness too.
 """
 
 from __future__ import annotations
@@ -212,12 +213,6 @@ def verify_defining_relations(n: int, m: int, cap: int | None = None) -> dict:
     if n < 2:
         raise ValueError(f"the relation suite needs n >= 2, got n={n}: at n = 1 every y_l is 1")
     check_cap(n, m, "relation-suite", cap)
-    return relation_suite(n, m)
-
-
-def relation_suite(n: int, m: int) -> dict:
-    """verify_defining_relations' report, on exponent tables; the caller has
-    checked n and the cap."""
     if m > 1:
         check_model(n, m)
     model = MonomialModel(n, m)

@@ -240,15 +240,16 @@ def check_cap(n: int, m: int, what: str, cap: int | None = None) -> int:
     defaults to CAPS[what]."""
     if cap is None:
         cap = CAPS[what]
-    # An order past the cap and past the longest decimal Python prints is
-    # refused under its formula, so it is built one factor at a time and no
-    # further: the refusal costs what those bounds cost, not what m does.
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    named = max(cap, 10**digits - 1) if digits else None
+    # An order past the cap and past the longest decimal Python prints (the
+    # default 4300 digits where no limit is set) is refused under its
+    # formula, so it is built one factor at a time and no further: the
+    # refusal costs what those bounds cost, not what m does.
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    named = max(cap, 10**digits - 1)
     order = 1
     for factor in chain(range(2, m + 1), repeat(n, m)):
         order *= factor
-        if named is not None and order > named:
+        if order > named:
             raise CapExceededError(f"group order {n}^{m}*{m}! exceeds {what} cap {cap}")
     if order > cap:
         raise CapExceededError(f"group order {order} exceeds {what} cap {cap}")

@@ -49,7 +49,10 @@ convolution; z_square_rhs is the group-basis value of z_l^2.
 elements enumerates G, and conjugacy_class_count sweeps the classes by
 conjugating by all of it, the reference for the generator-orbit sweep of
 conjugacy.conjugacy_class_count.  standard_tableaux enumerates the standard
-tableaux of a shape, the reference for the hook length formula.
+tableaux of a shape, the reference for the hook length formula, and
+symmetrizer_by_brute_force finds the row and column groups of a shape's
+row-consecutive filling among all of S_k, the reference for
+partitions.young_symmetrizer.
 """
 
 from fractions import Fraction
@@ -60,7 +63,7 @@ from math import factorial
 from cyclotomic_oracle import CycNumber, _make, zeta_over, zeta_power
 from kacpal.character_model import Monomial, MonomialModel, _generator_tables, integral
 from kacpal.classifier import LabelledPartition, character_idempotent, lambda_from_beta
-from kacpal.partitions import Partition, Tableau, row_consecutive_tableau, young_symmetrizer
+from kacpal.partitions import Partition, young_symmetrizer
 from kacpal import relations
 from kacpal.relations import relation_families, relation_suite_report, z_square_sum
 from kacpal.roots import lambda_coefficients
@@ -563,22 +566,22 @@ def idempotent_by_products(beta: LabelledPartition, labels=None) -> AlgebraEleme
     for label in range(beta.n) if labels is None else labels:
         block = beta.blocks[label]
         if block.size:
-            symmetrizer = young_symmetrizer(row_consecutive_tableau(block))
+            symmetrizer = young_symmetrizer(block)
             result = result * iota_embed(beta, label, CharacterElement(1, block.size, symmetrizer))
     return result
 
 
-def standard_tableaux(mu: Partition) -> list[Tableau]:
-    """Brute-force enumeration of all standard tableaux of the shape: the
-    reference for the hook length formula."""
+def standard_tableaux(mu: Partition) -> list[tuple]:
+    """Brute-force enumeration of all standard tableaux of the shape, each
+    the tuple of its rows: the reference for the hook length formula."""
     k = mu.size
-    results: list[Tableau] = []
+    results: list[tuple] = []
     counts = [0] * len(mu)
     cells: list[list[int]] = [[] for _ in mu]
 
     def place(value: int):
         if value > k:
-            results.append(Tableau([list(r) for r in cells]))
+            results.append(tuple(map(tuple, cells)))
             return
         for r in range(len(mu)):
             if counts[r] < mu[r] and (r == 0 or counts[r - 1] > counts[r]):
@@ -589,9 +592,31 @@ def standard_tableaux(mu: Partition) -> list[Tableau]:
                 cells[r].pop()
 
     if k == 0:
-        return [Tableau([])]
+        return [()]
     place(1)
     return results
+
+
+def symmetrizer_by_brute_force(mu: Partition) -> dict:
+    """The normalised Young symmetrizer h v f^mu / k! of the shape's
+    row-consecutive filling, as CharacterElement terms at (1, k): R and C
+    are the permutations in symmetric_group(k) that map each row, or each
+    column, of the filling 0..k-1 to itself, found by testing all of them,
+    and f^mu counts the brute-force standard tableaux."""
+    k = mu.size
+    rows, start = [], 0
+    for part in mu:
+        rows.append(set(range(start, start + part)))
+        start += part
+    columns = [{min(row) + c for row in rows if c < len(row)} for c in range(len(rows[0]))]
+
+    def keeping(blocks):
+        return [p for p in symmetric_group(k) if all({p[i] for i in b} == b for b in blocks)]
+
+    trivial = (0,) * k
+    h = CharacterElement(1, k, {(trivial, p): 1 for p in keeping(rows)})
+    v = CharacterElement(1, k, {(trivial, p): p.sign() for p in keeping(columns)})
+    return (h * v).scale(Fraction(len(standard_tableaux(mu)), factorial(k))).terms
 
 
 def _echelon(vectors) -> list[dict]:

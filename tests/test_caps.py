@@ -2,6 +2,7 @@
 group-basis rank oracle, reads its default there, names that cap in its
 error, and takes an explicit cap."""
 
+import sys
 import time
 from math import isqrt
 
@@ -105,3 +106,16 @@ def test_a_refusal_costs_no_more_than_the_cap():
         check_cap(2, 10**6, "enumeration")
     assert time.perf_counter() - start < 1
     assert str(info.value) == "group order 2^1000000*1000000! exceeds enumeration cap 10000"
+    # with no int-to-str limit the refusal reads the default 4300 digits:
+    # it still names the formula rather than the whole decimal
+    if hasattr(sys, "set_int_max_str_digits"):
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            start = time.perf_counter()
+            with pytest.raises(CapExceededError) as info:
+                check_cap(2, 30000, "enumeration")
+            assert time.perf_counter() - start < 1
+        finally:
+            sys.set_int_max_str_digits(before)
+        assert str(info.value) == "group order 2^30000*30000! exceeds enumeration cap 10000"

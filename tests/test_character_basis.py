@@ -468,7 +468,7 @@ def test_moved_is_the_index_of_each_moved_character(n, m):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([(2, 2), (3, 2), (2, 3), (4, 2)]), st.data())
+@given(st.sampled_from([(2, 2), (3, 2), (2, 3), (4, 2), (3, 1), (2, 4)]), st.data())
 def test_monomial_tables_multiply_as_the_model(nm, data):
     model = MonomialModel(*nm)
     a, b = (data.draw(monomials(model)) for _ in range(2))

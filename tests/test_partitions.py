@@ -8,21 +8,17 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from group_basis_oracle import CharacterElement, standard_tableaux
+from group_basis_oracle import CharacterElement, standard_tableaux, symmetrizer_by_brute_force
 from kacpal.character_model import is_idempotent
 from kacpal.partitions import (
     Partition,
-    Tableau,
     hook_length,
-    horizontal_group,
     partition_counts,
     partitions_of,
-    row_consecutive_tableau,
     standard_tableaux_count,
-    vertical_group,
     young_symmetrizer,
 )
-from kacpal.wreath import Perm
+from kacpal.wreath import Perm, symmetric_group
 
 
 def test_partition_validation():
@@ -119,53 +115,37 @@ def test_sum_of_squares_is_factorial(k):
     assert sum(standard_tableaux_count(mu) ** 2 for mu in partitions_of(k)) == factorial(k)
 
 
-def test_row_consecutive_tableau():
-    assert row_consecutive_tableau(Partition((3, 2, 2))) == ((1, 2, 3), (4, 5), (6, 7))
-    assert row_consecutive_tableau(Partition((1, 1, 1))) == ((1,), (2,), (3,))
-    assert row_consecutive_tableau(Partition((4,))) == ((1, 2, 3, 4),)
-    for k in range(1, 7):
-        for mu in partitions_of(k):
-            assert row_consecutive_tableau(mu).is_standard()
-
-
-def test_tableau_validation():
-    with pytest.raises(ValueError):
-        Tableau([[1, 2], [2]])
-    t = Tableau([[1, 3], [2]])
-    assert t.is_standard()
-    assert not Tableau([[2, 3], [1]]).is_standard()
-    assert t[0][1] == 3
-
-
 def test_row_groups_single_row():
-    t = row_consecutive_tableau(Partition((3,)))
-    h = horizontal_group(t)
-    v = vertical_group(t)
-    assert len(h) == 6
-    assert v == [Perm.identity(3)]
+    # R = S_3 and C = {1}: every permutation, each with 1/3!
+    e = young_symmetrizer(Partition((3,)))
+    assert {p for _, p in e} == set(symmetric_group(3))
+    assert set(e.values()) == {Fraction(1, 6)}
 
 
 def test_groups_for_hook_shape():
-    t = row_consecutive_tableau(Partition((2, 1)))
-    assert set(horizontal_group(t)) == {Perm.identity(3), Perm([1, 0, 2])}
-    assert set(vertical_group(t)) == {Perm.identity(3), Perm([2, 1, 0])}
+    # rows {0, 1} and {2}, columns {0, 2} and {1}: the support is R C
+    rows = {Perm.identity(3), Perm([1, 0, 2])}
+    columns = {Perm.identity(3), Perm([2, 1, 0])}
+    e = young_symmetrizer(Partition((2, 1)))
+    assert {p: c for (_, p), c in e.items()} == {
+        r * c: Fraction(c.sign(), 3) for r in rows for c in columns
+    }
 
 
 def test_group_sizes_match_shape_factorials():
-    mu = Partition((3, 2, 2))
-    t = row_consecutive_tableau(mu)
-    assert len(horizontal_group(t)) == 6 * 2 * 2
-    assert len(vertical_group(t)) == 6 * 6 * 1
+    # R and C meet only in 1, so R C has |R| |C| distinct terms, none cancelling
+    e = young_symmetrizer(Partition((3, 2, 2)))
+    assert len(e) == (6 * 2 * 2) * (6 * 6 * 1) == 864
 
 
 def test_symmetrizer_single_row_and_column():
     k = 4
     trivial = (0,) * k
-    full = young_symmetrizer(row_consecutive_tableau(Partition((k,))))
+    full = young_symmetrizer(Partition((k,)))
     assert full == {
         (trivial, Perm.from_lehmer(k, r)): Fraction(1, factorial(k)) for r in range(factorial(k))
     }
-    sign = young_symmetrizer(row_consecutive_tableau(Partition((1,) * k)))
+    sign = young_symmetrizer(Partition((1,) * k))
     assert sign == {
         (trivial, Perm.from_lehmer(k, r)): Fraction(Perm.from_lehmer(k, r).sign(), factorial(k))
         for r in range(factorial(k))
@@ -173,8 +153,7 @@ def test_symmetrizer_single_row_and_column():
 
 
 def test_symmetrizer_hook_expansion():
-    t = row_consecutive_tableau(Partition((2, 1)))
-    e = young_symmetrizer(t)
+    e = young_symmetrizer(Partition((2, 1)))
     swap01 = Perm([1, 0, 2])
     swap02 = Perm([2, 1, 0])
     trivial = (0, 0, 0)
@@ -191,33 +170,17 @@ def test_symmetrizer_hook_expansion():
 def test_symmetrizer_idempotent(k):
     # e * e == e, squared exactly on integer numerators
     for mu in partitions_of(k):
-        e = young_symmetrizer(row_consecutive_tableau(mu))
+        e = young_symmetrizer(mu)
         assert is_idempotent(e)
         assert e
 
 
-def test_symmetrizer_idempotent_other_standard_tableaux():
-    for t in standard_tableaux(Partition((3, 2))):
-        e = CharacterElement(1, 5, young_symmetrizer(t))
-        assert e * e == e
-
-
 @pytest.mark.parametrize("k", range(1, 7))
 def test_symmetrizer_is_the_oracle_product(k):
-    # the row sum times the signed column sum as oracle elements, with the
-    # oracle's own product rule, scaled by f^mu / k!
-    trivial = (0,) * k
+    # the row sum times the signed column sum, with R and C found among all
+    # of S_k and multiplied by the oracle's own product rule
     for mu in partitions_of(k):
-        for t in {row_consecutive_tableau(mu), *standard_tableaux(mu)[:3]}:
-            h = CharacterElement(1, k, {(trivial, p): 1 for p in horizontal_group(t)})
-            v = CharacterElement(1, k, {(trivial, p): p.sign() for p in vertical_group(t)})
-            prefactor = Fraction(standard_tableaux_count(mu), factorial(k))
-            assert young_symmetrizer(t) == (h * v).scale(prefactor).terms, t
-
-
-def test_symmetrizer_rejects_non_standard():
-    with pytest.raises(ValueError):
-        young_symmetrizer(Tableau([[2, 3], [1]]))
+        assert young_symmetrizer(mu) == symmetrizer_by_brute_force(mu), mu
 
 
 def test_formal_sum_algebra():

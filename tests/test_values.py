@@ -1,10 +1,10 @@
-"""The immutable value types: Perm, Partition, Tableau, WreathElement and
+"""The immutable value types: Perm, Partition, WreathElement and
 LabelledPartition are validated tuples."""
 
 import pytest
 
 from kacpal.classifier import LabelledPartition
-from kacpal.partitions import Partition, Tableau
+from kacpal.partitions import Partition
 from kacpal.wreath import Perm, WreathElement, character_product
 
 # type -> (a builder of one value, a property name, a call on invalid
@@ -12,12 +12,6 @@ from kacpal.wreath import Perm, WreathElement, character_product
 VALUES = {
     "Perm": (lambda: Perm([1, 2, 0]), "m", lambda: Perm([0, 0, 1]), (1, 2, 0)),
     "Partition": (lambda: Partition([3, 1]), "size", lambda: Partition([1, 3]), (3, 1)),
-    "Tableau": (
-        lambda: Tableau([[1, 2], [3]]),
-        "shape",
-        lambda: Tableau([[1, 3], [3]]),
-        ((1, 2), (3,)),
-    ),
     "WreathElement": (
         lambda: WreathElement(3, [2, 0], Perm([1, 0])),
         "twists",
@@ -53,7 +47,6 @@ def test_value_type_is_immutable_hashable_and_validated(kind):
 REPRS = {
     "Perm": "Perm([1, 2, 0])",
     "Partition": "Partition([3, 1])",
-    "Tableau": "Tableau([[1, 2], [3]])",
     "WreathElement": "WreathElement(n=3, twists=[2, 0], perm=[1, 0])",
     "LabelledPartition": "LabelledPartition(2, [[2], [1]])",
 }
