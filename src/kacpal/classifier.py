@@ -85,17 +85,18 @@ class LabelledPartition(tuple):
                 if ":" not in piece:
                     raise ValueError(f"malformed labelled-partition entry: {piece!r}")
                 label_text, parts_text = piece.split(":", 1)
-                label = int(label_text)
+                try:
+                    label = int(label_text)
+                    # "label:" is an empty block; an empty part between commas is an error
+                    parts = [int(part) for part in parts_text.split(",")] if parts_text else []
+                except ValueError:
+                    raise ValueError(f"malformed labelled-partition entry: {piece!r}") from None
                 if not 0 <= label < n:
                     raise ValueError(f"label {label} out of range 0..{n - 1}")
                 if label in seen:
                     raise ValueError(f"label {label} given twice")
                 seen.add(label)
-                # "label:" is an empty block; an empty part between commas is an error
-                parts = parts_text.split(",") if parts_text else ()
-                if "" in parts:
-                    raise ValueError(f"malformed labelled-partition entry: {piece!r}")
-                blocks[label] = Partition(map(int, parts))
+                blocks[label] = Partition(parts)
         beta = cls(n, blocks)
         if beta.m != m:
             raise ValueError(f"block sizes sum to {beta.m}, expected {m}")

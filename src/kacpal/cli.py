@@ -32,6 +32,7 @@ import argparse
 import os
 import sys
 from collections.abc import Iterable, Iterator
+from contextlib import suppress
 
 from .wreath import CapExceededError, CheckFailedError, check_cap
 
@@ -311,15 +312,15 @@ def main(argv=None) -> int:
         try:
             args.cap = int(os.environ["KACPAL_CAP"])
         except ValueError:
-            print("KACPAL_CAP must be an integer", file=sys.stderr)
+            _warn("KACPAL_CAP must be an integer")
             return 2
     if args.cap is not None and args.cap < 1:
         # every group order is at least 1, so such a cap would refuse every capped run
-        print(f"{source} must be at least 1, got {args.cap}", file=sys.stderr)
+        _warn(f"{source} must be at least 1, got {args.cap}")
         return 2
 
     if args.n < 1 or args.m < 1:
-        print("need --n >= 1 and --m >= 1", file=sys.stderr)
+        _warn("need --n >= 1 and --m >= 1")
         return 2
 
     handler = COMMANDS[args.command][0]
@@ -328,10 +329,10 @@ def main(argv=None) -> int:
         _check_caps(args, args.checks + (args.command,))
         return handler(args)
     except (CapExceededError, ValueError) as exc:
-        print(str(exc), file=sys.stderr)
+        _warn(str(exc))
         return 2
     except CheckFailedError as exc:
-        print(str(exc), file=sys.stderr)
+        _warn(str(exc))
         return 1
     except OSError as exc:
         return _stdout_failed(exc)
@@ -345,8 +346,15 @@ def _stdout_failed(exc: OSError) -> int:
     os.dup2(devnull, sys.stdout.fileno())
     os.close(devnull)
     reason = "the reader closed the pipe" if isinstance(exc, BrokenPipeError) else exc.strerror
-    print(f"cannot write the output: {reason}", file=sys.stderr)
+    _warn(f"cannot write the output: {reason}")
     return 2
+
+
+def _warn(message: str) -> None:
+    """Write the one-line message to stderr.  A stderr that cannot take it
+    changes nothing: the run still exits with its own code."""
+    with suppress(OSError):
+        print(message, file=sys.stderr)
 
 
 def _observed() -> bool:
@@ -375,7 +383,8 @@ def run() -> None:
         sys.stdout.flush()
     except OSError as exc:
         code = _stdout_failed(exc)
-    sys.stderr.flush()
+    with suppress(OSError):
+        sys.stderr.flush()
     if _observed():
         sys.exit(code)
     os._exit(code)

@@ -23,17 +23,25 @@ relation: the reference for the report's check on exponent tables.
 character_coordinates and to_characters are the dense change of basis
 Phi^(-1), one CycNumber product per term and character, the reference for
 the generator tables that the report builds from the defining formulas.
-multiplicativity_failure and antipode_failure are the report's loops before
-it checked delta(p) delta(s_l) = delta(p s_l) on the edges of its walk and
-compared the antipode identity on exponents: every pair of permutations, and
-sums of CycNumbers.  coassociativity_on_every_p runs the report's cocycle
-loop over every permutation, the reference for its run over the generators.
+
+WalkHopf is the report's _CharacterHopf as it was before it checked every
+axiom on the generators alone: one breadth-first walk over the Cayley graph
+of S_m builds delta(p) and S(p) for every p, with multiplicativity as
+delta(p) delta(s_l) = delta(p s_l) on every edge of the walk, and the
+counit, antipode and cocycle loops run over every p (the cocycle loop over
+the generators alone once every edge passes).  It is the reference for the
+verdicts and the failure details of the checks on the generators.
+multiplicativity_failure and antipode_failure are the walk's checks before
+it compared products on its edges and the antipode identity on exponents:
+every pair of permutations, and sums of CycNumbers.
+coassociativity_on_every_p runs the walk's cocycle loop over every
+permutation, the reference for its run over the generators.
 """
 
 import random
 from copy import copy
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from cyclotomic_oracle import CycNumber, _make, zeta_power
 from group_basis_oracle import (
@@ -54,7 +62,8 @@ from group_basis_oracle import (
 from kacpal import hopf
 from kacpal.character_model import characters, tensor_key
 from kacpal.relations import presentation
-from kacpal.wreath import element_at, group_order, twist_index
+from kacpal.roots import root_count_sum, root_exponent
+from kacpal.wreath import element_at, group_order, symmetric_group, twist_index
 
 
 class TensorElement(SparseSum):
@@ -175,9 +184,9 @@ def _perm_word(images: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def tables_along_words(hopf) -> tuple[dict, dict]:
-    """delta(p) and the exponents of S(p) for every p of a
-    hopf._CharacterHopf, each multiplied out along the canonical word of p:
-    the reference for the report's breadth-first walk."""
+    """delta(p) and the exponents of S(p) for every p of a WalkHopf, each
+    multiplied out along the canonical word of p: the reference for its
+    breadth-first walk."""
     delta, sigma = {}, {}
     for p in hopf.perms:
         table, antipode = hopf.model2.one(), hopf.model.one()
@@ -186,6 +195,136 @@ def tables_along_words(hopf) -> tuple[dict, dict]:
             antipode = hopf.antipode_s[l] * antipode
         delta[p], sigma[p] = table, antipode.entries
     return delta, sigma
+
+
+class WalkHopf(hopf._CharacterHopf):
+    """The report's tables and checks before they ran on the generators
+    alone: delta_p[p] is the table of delta(p) at (n, 2m) and sigma[p][a]
+    the exponent of F(a, p^(-1)) in S(p), for every p, built by the
+    breadth-first walk; omega(p) and antipode_terms(p) read them."""
+
+    def __init__(self, n: int, m: int):
+        super().__init__(n, m)
+        self.perms = symmetric_group(m)
+
+    @cached_property
+    def _walk(self) -> tuple[dict, dict, str | None]:
+        """delta(p) and the exponents of S(p) for every p, and the first
+        edge that is not multiplicative: each edge p -> p s_l takes one
+        table product, delta(p) delta(s_l), and the first edge to reach
+        p s_l stores it as delta(p s_l), with S(p s_l) = S(s_l) S(p)."""
+        one, size = self.perms[0], len(self.chars)
+        delta, antipode = {one: self.model2.one()}, {one: self.model.one()}
+        failure, reached = None, [one]
+        for p in reached:  # grows as the walk reaches new permutations
+            for l, s in self.gens.items():
+                product, q = delta[p] * self.delta_s[l], p * s
+                if q not in delta:
+                    delta[q] = product
+                    antipode[q] = self.antipode_s[l] * antipode[p]
+                    reached.append(q)
+                elif failure is None and product.entries != delta[q].entries:
+                    # the first differing term F(a, q) (x) F(b, q) in the order of a, b
+                    got, want = product.entries, delta[q].entries
+                    a, b = min((k % size, k // size) for k, e in enumerate(got) if e != want[k])
+                    lam = self.plus[a][b]
+                    failure = (
+                        f"delta(F F') and delta(F) delta(F') differ for F = "
+                        f"{self.name(lam, p)}, F' = {self.name(self.model.moved(p)[lam], s)} "
+                        f"at the term {self.name(a, q)} (x) {self.name(b, q)}"
+                    )
+        return delta, {p: table.entries for p, table in antipode.items()}, failure
+
+    delta_p = cached_property(lambda self: self._walk[0])
+    sigma = cached_property(lambda self: self._walk[1])
+
+    def omega(self, p) -> list:
+        """Row a of the table of delta(p): entry b is the exponent of
+        F(a, p) (x) F(b, p)."""
+        return self.rows(self.delta_p[p])
+
+    def antipode_terms(self, p) -> list[tuple[int, int]]:
+        """Entry a is (e, b): S(F(a, p)) = S(p) F(-a, 1) = zeta^e F(b, p^(-1)), b = (-a) o p."""
+        sigma, act = self.sigma[p], self.model.moved(p)
+        return [(sigma[b], b) for b in (act[c] for c in self.neg)]
+
+    def multiplicativity_failure(self) -> str | None:
+        return self._walk[2]
+
+    def coassociativity_failure(self) -> str | None:
+        # on the generators when every edge of the walk is multiplicative
+        if self.multiplicativity_failure() is None:
+            tables = [(p, self.delta_s[l]) for l, p in self.gens.items()]
+        else:
+            tables = [(p, self.delta_p[p]) for p in self.perms]
+        plus, order, size = self.plus, self.order, len(self.chars)
+        for p, table in tables:
+            w = self.rows(table)
+            for a in range(size):
+                wa = w[a]
+                for b in range(size):
+                    wab, wb, w_sum, plus_b = wa[b], w[b], w[plus[a][b]], plus[b]
+                    for c in range(size):
+                        if (wab + w_sum[c] - wa[plus_b[c]] - wb[c]) % order:
+                            lam = plus[plus[a][b]][c]
+                            return (
+                                f"(delta x id) delta and (id x delta) delta differ on "
+                                f"{self.name(lam, p)} at the term "
+                                f"{self.name(a, p)} (x) {self.name(b, p)} (x) {self.name(c, p)}"
+                            )
+        return None
+
+    def counit_failure(self) -> str | None:
+        # eps[a] = [a = 0] and omega_p = 0 wherever a or b is 0, for every p;
+        # the first failing pair in the order of p, a, b
+        order = self.order
+        bad = [a for a, e in enumerate(self.eps) if e != root_count_sum(order, (int(a == 0),))]
+        for p in self.perms:
+            w = self.omega(p)
+            failing = [(x, 0) for x in bad[:1]] + [(0, x) for x in bad[:1]]
+            failing += [(0, b) for b, e in enumerate(w[0]) if e][:1]
+            failing += [(a, 0) for a, row in enumerate(w) if row[0]][:1]
+            if failing:
+                a, b = min(failing)
+                return (
+                    f"(eps x id) delta or (id x eps) delta is not the identity on "
+                    f"{self.name(self.plus[a][b], p)}"
+                )
+        return None
+
+    def antipode_failure(self) -> str | None:
+        # m (S x id) delta = eps 1 and its mirror on every F(lam, p), each
+        # side a {character: exponent} map
+        order, size = self.order, len(self.chars)
+
+        def unit_times(value):
+            if not any(value[0]):
+                return {}
+            k = root_exponent(order, value)
+            return None if k is None else dict.fromkeys(range(size), k)
+
+        expected = [unit_times(value) for value in self.eps]
+        for p in self.perms:
+            w, terms = self.omega(p), self.antipode_terms(p)
+            fwd, back = self.model.moved(p), self.model.moved(p.inverse())
+            for lam in range(size):
+                left: dict = {}
+                right: dict = {}
+                for a in range(size):
+                    b = self.plus[lam][self.neg[a]]
+                    e = w[a][b]
+                    k, c = terms[a]
+                    if back[c] == b:
+                        left[c] = (e + k) % order
+                    k, c = terms[b]
+                    if c == fwd[a]:
+                        right[a] = (e + k) % order
+                if left != expected[lam] or right != expected[lam]:
+                    return (
+                        f"m (S x id) delta or m (id x S) delta is not eps 1 on "
+                        f"{self.name(lam, p)}"
+                    )
+        return None
 
 
 @lru_cache(maxsize=None)
@@ -391,7 +530,7 @@ def relation_failures(n: int, m: int) -> list[str]:
 
 
 def multiplicativity_failure(hopf) -> str | None:
-    """delta(p) delta(q) = delta(pq) on the tables of a hopf._CharacterHopf,
+    """delta(p) delta(q) = delta(pq) on the tables of a WalkHopf,
     checked entry by entry for every pair of permutations:
     omega_pq(mu, nu) = omega_p(mu, nu) + omega_q(mu o p, nu o p) mod 2n."""
     order, size = hopf.order, len(hopf.chars)
@@ -414,9 +553,9 @@ def multiplicativity_failure(hopf) -> str | None:
 
 
 def coassociativity_on_every_p(hopf) -> str | None:
-    """The report's cocycle loop over every permutation of a
-    hopf._CharacterHopf, as it runs when an edge of the walk is not
-    multiplicative: the reference for its run over the generators."""
+    """The cocycle loop over every permutation of a WalkHopf, as it runs
+    when an edge of the walk is not multiplicative: the reference for the
+    run over the generators."""
     every_p = copy(hopf)
     every_p.multiplicativity_failure = lambda: "an edge of the walk, as if not multiplicative"
     return every_p.coassociativity_failure()
@@ -424,7 +563,7 @@ def coassociativity_on_every_p(hopf) -> str | None:
 
 def antipode_failure(hopf) -> str | None:
     """m (S x id) delta = eps 1 and its mirror on every F(lam, p), on the
-    tables of a hopf._CharacterHopf, with each side summed as CycNumbers."""
+    tables of a WalkHopf, with each side summed as CycNumbers."""
     order, size = hopf.order, len(hopf.chars)
     zetas = [zeta_power(order, k) for k in range(order)]
     for p in hopf.perms:

@@ -354,6 +354,20 @@ def test_criterion_5_whole_hopf_report_within_2_5s(n, m):
     announce(5, f"every Hopf axiom on every basis element at ({n}, {m}) in {elapsed:.1f}s")
 
 
+def test_criterion_5_whole_hopf_report_at_2_6_within_2s():
+    # every axiom on the generators, the relation check and the witnesses at
+    # (2, 6), with every module cache of kacpal cleared; the breadth-first walk
+    # over S_6 and the counit and antipode loops over every permutation took
+    # the report to 4.1 s here on a shared 2-core VM, Python 3.11
+    _clear_kacpal_caches()
+    start = time.time()
+    report = hopf_axiom_report(2, 6, cap=group_order(2, 6))
+    elapsed = time.time() - start
+    assert report["all_pass"], report
+    assert elapsed < 2, f"the Hopf report at (2, 6) took {elapsed:.1f}s"
+    announce(5, f"every Hopf axiom at (2, 6), checked on the generators, in {elapsed:.1f}s")
+
+
 def test_criterion_5_witness_at_2_6_within_1_5s():
     # the non-cocommutativity witness from the tables of the delta(z_l), with
     # every module cache of kacpal cleared; building each delta(z_l) in the

@@ -615,7 +615,7 @@ def test_idempotent_malformed_beta(capsys):
     code, _, err = run(capsys, "idempotent", "--n", "2", "--m", "3", "--beta", "nope")
     assert code == 2
     # an empty part between commas is malformed; "label:" is an empty block
-    for spec in ("0:2,,", "0:,2"):
+    for spec in ("0:2,,", "0:,2", "x:2", "0:a"):
         code, out, err = run(capsys, "idempotent", "--n", "2", "--m", "2", "--beta", spec)
         assert (code, out) == (2, "")
         assert err == f"malformed labelled-partition entry: {spec!r}\n"
@@ -803,8 +803,14 @@ def test_a_full_device_gets_exit_2(argv):
             text=True,
             timeout=120,
         )
+        # a stderr on the full device too cannot take the message, and
+        # changes nothing else
+        silent = subprocess.run(
+            [sys.executable, "-m", "kacpal", *argv], env=CHILD_ENV, stdout=full, stderr=full, timeout=120
+        )
     assert done.returncode == 2
     assert done.stderr == "cannot write the output: No space left on device\n"
+    assert silent.returncode == 2
 
 
 def test_a_profiler_still_reports_at_exit():
@@ -944,6 +950,7 @@ CALLED_BY_TESTS_ONLY = {
     "roots.coefficient_repr": "test_roots.py::test_coefficient_repr_is_the_field_repr",
     "cli.run": "test_cli.py::test_a_reader_gone_before_the_final_flush_gets_exit_2",
     "cli._stdout_failed": "test_cli.py::test_closed_pipe_exits_2_without_traceback",
+    "cli._warn": "test_cli.py::test_idempotent_malformed_beta",
     "cli._observed": "test_cli.py::test_a_profiler_still_reports_at_exit",
     "classifier.LabelledPartition.__repr__": "test_values.py::test_a_value_repr_names_its_type_and_fields",
     "partitions.Partition.__repr__": "test_values.py::test_a_value_repr_names_its_type_and_fields",
@@ -1109,6 +1116,29 @@ def test_a_failing_check_loads_no_element_and_no_field(tmp_path, case):
         assert err == message
     assert {"kacpal.relations", "kacpal.roots"} <= set(loaded)
     assert not {"kacpal.classifier", "fractions", "decimal"} & set(loaded)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize(
+    "setup, argv, code",
+    [
+        ("", ("table", "--n", "2", "--m", "0"), 2),
+        ("", ("verify", "--n", "2", "--m", "9", "--checks", "hopf"), 2),
+        ("", ("idempotent", "--n", "2", "--m", "2", "--beta", "0:x"), 2),
+        ("", ("verify", "--n", "3", "--m", "2", "--checks", "hopf"), 0),
+        (FAILING_RUNS["hopf-prefactor"][0], ("verify", "--n", "3", "--m", "2", "--checks", "hopf"), 1),
+    ],
+    ids=["bad-input", "cap", "bad-beta", "pass", "failed-check"],
+)
+def test_an_unwritable_stderr_keeps_the_exit_code(setup, argv, code):
+    # the one-line message that cannot be written is dropped: bad input, a
+    # cap and a failed output still exit 2, a failed check 1 and a pass 0
+    script = f"import sys\n{setup}from kacpal.cli import run\nsys.argv = ['kacpal', *{argv!r}]\nrun()\n"
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=CHILD_ENV, stdout=subprocess.DEVNULL, stderr=full, timeout=120
+        )
+    assert done.returncode == code
 
 
 def test_no_command_imports_dataclasses_or_inspect(tmp_path):

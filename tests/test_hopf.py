@@ -50,10 +50,14 @@ from kacpal.cli import main
 from kacpal.hopf import _CharacterHopf, cocommutativity_witness, hopf_axiom_report
 from kacpal.wreath import (
     CapExceededError,
+    CheckFailedError,
     Perm,
     WreathElement,
+    element_at,
+    element_index,
     generator_b,
     group_order,
+    symmetric_group,
     twist_index,
 )
 
@@ -213,7 +217,8 @@ def test_group_basis_oracle_on_generators(n, m):
 
 
 def character_basis_images(hopf):
-    """(lam, p, Phi(F(lam, p))) for every basis element."""
+    """(lam, p, Phi(F(lam, p))) for every basis element, p over the
+    permutations of a WalkHopf."""
     n, m = hopf.n, hopf.m
     for p in hopf.perms:
         for lam, chars in enumerate(hopf.chars):
@@ -222,9 +227,10 @@ def character_basis_images(hopf):
 
 @pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 3), (4, 2)])
 def test_character_delta_matches_the_group_basis_delta(n, m):
-    # delta of every basis element F(lam, p), built from the exponent tables,
-    # against the group-basis delta changed to the character basis
-    hopf = _CharacterHopf(n, m)
+    # delta of every basis element F(lam, p), the walk's products of the
+    # generator tables, against the group-basis delta changed to the
+    # character basis
+    hopf = oracle.WalkHopf(n, m)
     size = len(hopf.chars)
     for lam, p, phi in character_basis_images(hopf):
         expected = {
@@ -242,7 +248,7 @@ def test_character_delta_matches_the_group_basis_delta(n, m):
 # has two letters (m >= 3)
 @pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3)])
 def test_character_antipode_matches_the_group_basis_antipode(n, m):
-    hopf = _CharacterHopf(n, m)
+    hopf = oracle.WalkHopf(n, m)
     for lam, p, phi in character_basis_images(hopf):
         e, b = hopf.antipode_terms(p)[lam]
         expected = {(hopf.chars[b], p.inverse()): zeta_power(2 * n, e)}
@@ -272,64 +278,47 @@ def test_generator_tables_match_the_group_basis_images(n, m):
 
 @pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 3), (3, 3), (2, 4), (4, 3)])
 def test_breadth_first_tables_equal_the_products_along_words(n, m):
-    # delta(p) and S(p), one table product per permutation from the first p
-    # that reaches it, against the products along each canonical word
-    hopf = _CharacterHopf(n, m)
+    # the oracle's walk: delta(p) and S(p), one table product per permutation
+    # from the first p that reaches it, against the products along each
+    # canonical word
+    hopf = oracle.WalkHopf(n, m)
     delta_p, sigma = oracle.tables_along_words(hopf)
     assert hopf.delta_p == delta_p
     assert hopf.sigma == sigma
 
 
+def _seeded_entry_off(hopf, tables: str, rng):
+    """A copy of a WalkHopf, with its walk not yet taken, whose one table of
+    delta(s_l) ("delta_s") or of S(s_l) ("antipode_s") has one entry times a
+    root of unity."""
+    broken, l = copy(hopf), rng.randrange(1, hopf.m)
+    for walked in ("_walk", "delta_p", "sigma"):
+        broken.__dict__.pop(walked, None)
+    table = getattr(hopf, tables)[l]
+    k, r = rng.randrange(len(table.entries)), rng.randrange(1, hopf.order)
+    setattr(broken, tables, {**getattr(hopf, tables), l: _bumped(table, k, r)})
+    return broken
+
+
 @pytest.mark.parametrize("n,m", [(2, 3), (3, 3), (2, 4)])
-def test_multiplicativity_on_generators_matches_the_all_pairs_oracle(
-    monkeypatch, fresh_images, n, m
-):
-    # the walk's check of delta(p) delta(s_l) = delta(p s_l) on its edges
-    # against delta(p) delta(q) = delta(pq) over every pair: the true tables,
-    # one entry of delta(s_1) off, and one entry off in the product that the
-    # walk stores as delta(p) for a permutation of two or more letters
-    from kacpal import hopf as module
-
-    hopf = _CharacterHopf(n, m)
-    assert hopf.multiplicativity_failure() is None
-    assert oracle.multiplicativity_failure(hopf) is None
-    size = n**m
-    entries = [(0, 1), (1, 2), (size - 1, 1), (size - 1, size - 1)]
-    real = module._delta_s_image
-    for a, b in entries:
-        with monkeypatch.context() as patch:
-            patch.setattr(module, "_delta_s_image", _delta_s1_off(real, a, b))
-            broken = _CharacterHopf(n, m)
-        assert broken.multiplicativity_failure() is not None, (a, b)
-        assert oracle.multiplicativity_failure(broken) is not None, (a, b)
-    p = next(p for p in hopf.perms if len(_perm_word(p)) >= 2)
-    for a, b in entries:
-        broken = _CharacterHopf(n, m)
-        with monkeypatch.context() as patch:
-            _store_one_product_off(patch, broken, hopf.delta_p[p].perm, a + size * b)
-            stored = broken.delta_p[p]
-        assert stored == _bumped(hopf.delta_p[p], a + size * b), (p, a, b)
-        assert broken.multiplicativity_failure() is not None, (p, a, b)
-        assert oracle.multiplicativity_failure(broken) is not None, (p, a, b)
-        # the generator tables are true, so only the loop over every p that
-        # a failing walk falls back to sees that omega_p is no cocycle
-        assert broken.coassociativity_failure() is not None, (p, a, b)
-
-
-def _store_one_product_off(patch, hopf, perm, k):
-    # the first table product of the walk of hopf on perm at (n, 2m), the one
-    # it stores, with entry k off by one
-    real = Monomial.__mul__
-    done = []
-
-    def mul(self, other):
-        product = real(self, other)
-        if self.model is hopf.model2 and product.perm == perm and not done:
-            done.append(product)
-            return _bumped(product, k)
-        return product
-
-    patch.setattr(Monomial, "__mul__", mul)
+def test_multiplicativity_on_generators_matches_the_all_pairs_oracle(n, m):
+    # the group presentation on the generator tables against the walk's check
+    # on its edges and delta(p) delta(q) = delta(pq) over every pair: the true
+    # tables, and seeded entries of a delta(s_l) off
+    walk = oracle.WalkHopf(n, m)
+    assert _CharacterHopf.multiplicativity_failure(walk) is None
+    assert walk.multiplicativity_failure() is None
+    assert oracle.multiplicativity_failure(walk) is None
+    rng, failed = random.Random(7 * n + m), 0
+    for _ in range(8):
+        broken = _seeded_entry_off(walk, "delta_s", rng)
+        detail = _CharacterHopf.multiplicativity_failure(broken)
+        assert (detail is None) == (broken.multiplicativity_failure() is None)
+        assert (detail is None) == (oracle.multiplicativity_failure(broken) is None)
+        if detail is not None:
+            failed += 1
+            assert detail.startswith("delta(s_") and detail.endswith(") fails, so delta is not an algebra map")
+    assert failed
 
 
 def _count_products(patch, hopf):
@@ -347,18 +336,27 @@ def _count_products(patch, hopf):
 
 
 @pytest.mark.parametrize("n,m", [(2, 3), (3, 3), (2, 4)])
-def test_the_walk_takes_one_table_product_per_edge(monkeypatch, n, m):
-    # m! (m - 1) products of delta tables, one per edge p -> p s_l, and one
-    # antipode product per permutation the walk reaches; the checks after the
-    # walk take none
+def test_the_checks_on_the_generators_take_no_product_per_permutation(monkeypatch, n, m):
+    # the walk took m! (m - 1) products of delta tables and m! - 1 of
+    # antipode tables.  The cocycle, the counit and the antipode identity take
+    # none; multiplicativity takes those of group_presentation on the delta
+    # tables at (n, 2m), and the antipode those of group_presentation on the
+    # iota S tables at (n, m)
+    from kacpal.relations import group_presentation
+
     hopf = _CharacterHopf(n, m)
     with monkeypatch.context() as patch:
         counts = _count_products(patch, hopf)
-        assert hopf.multiplicativity_failure() is None
         assert hopf.coassociativity_failure() is None
+        assert hopf.counit_failure() is None
+        assert counts == {hopf.model2: 0, hopf.model: 0}
+        assert hopf.multiplicativity_failure() is None
         assert hopf.antipode_failure() is None
-    assert counts[hopf.model2] == factorial(m) * (m - 1)
-    assert counts[hopf.model] == factorial(m) - 1
+        taken = dict(counts)
+        counts.update({hopf.model2: 0, hopf.model: 0})
+        group_presentation(n, m, lambda e: hopf.model2.x_monomial(e + e), hopf.delta_s)
+        group_presentation(n, m, hopf.x, {l: hopf.inverted(t) for l, t in hopf.antipode_s.items()})
+    assert taken == counts
 
 
 def _delta_s1_coboundary(real, f):
@@ -384,14 +382,14 @@ def _delta_s1_coboundary(real, f):
     "n,m,cases", [(2, 2, 6), (3, 2, 6), (2, 3, 6), (3, 3, 6), (2, 4, 6), (4, 3, 0)]
 )
 def test_coassociativity_on_generators_matches_the_loop_over_every_p(monkeypatch, n, m, cases):
-    # the cocycle identity on omega_(s_1) .. omega_(s_(m-1)) against the loop
-    # over every permutation: the true tables, then seeded random cases of one
-    # entry of delta(s_1) off and of omega_(s_1) plus a coboundary
+    # the cocycle identity on omega_(s_1) .. omega_(s_(m-1)) against the
+    # walk's loop over every permutation: the true tables, then seeded random
+    # cases of one entry of delta(s_1) off and of omega_(s_1) plus a coboundary
     from kacpal import hopf as module
 
-    hopf = _CharacterHopf(n, m)
+    hopf = oracle.WalkHopf(n, m)
     assert hopf.multiplicativity_failure() is None
-    assert hopf.coassociativity_failure() is None
+    assert _CharacterHopf.coassociativity_failure(hopf) is None
     assert oracle.coassociativity_on_every_p(hopf) is None
     rng, size, order = random.Random(19 * n + m), n**m, 2 * n
     real = module._delta_s_image
@@ -401,26 +399,24 @@ def test_coassociativity_on_generators_matches_the_loop_over_every_p(monkeypatch
         for patched in (off, _delta_s1_coboundary(real, f)):
             with monkeypatch.context() as patch:
                 patch.setattr(module, "_delta_s_image", patched)
-                broken = _CharacterHopf(n, m)
-            verdict = broken.coassociativity_failure()
+                broken = oracle.WalkHopf(n, m)
+            verdict = _CharacterHopf.coassociativity_failure(broken)
             assert (verdict is None) == (oracle.coassociativity_on_every_p(broken) is None)
             if patched is not off:
                 assert verdict is None
 
 
-def _walk_taken(self):
-    raise AssertionError("the walk over S_m was taken")
-
-
 @pytest.mark.parametrize("n,m", [(2, 3), (3, 2), (4, 2)])
 def test_coassociativity_on_generators_takes_no_walk(monkeypatch, n, m):
-    # once delta is an algebra map the cocycle identity runs on the tables
-    # delta(s_l) themselves, so no table of another permutation is built
+    # the cocycle identity runs on the tables delta(s_l) themselves, so no
+    # table of another permutation is built: no table product is taken
     from kacpal import hopf as module
 
-    monkeypatch.setattr(_CharacterHopf, "multiplicativity_failure", lambda self: None)
-    monkeypatch.setattr(_CharacterHopf, "_walk", property(_walk_taken))
-    assert _CharacterHopf(n, m).coassociativity_failure() is None
+    hopf = _CharacterHopf(n, m)
+    with monkeypatch.context() as patch:
+        counts = _count_products(patch, hopf)
+        assert hopf.coassociativity_failure() is None
+    assert counts == {hopf.model2: 0, hopf.model: 0}
     # one entry of delta(s_(m-1)) off (the last generator) breaks the identity
     real = module._delta_s_image
     size = n**m
@@ -437,8 +433,8 @@ def test_coassociativity_on_generators_takes_no_walk(monkeypatch, n, m):
 
 @pytest.mark.parametrize("n,m", [(3, 2), (2, 3), (3, 3)])
 def test_coassociativity_on_generators_sees_the_last_generator(monkeypatch, n, m):
-    # with the walk's verdict forced to pass, coassociativity runs over the
-    # generators alone, and must still see one entry of delta(s_(m-1)) off
+    # with multiplicativity forced to pass, coassociativity must still see
+    # one entry of delta(s_(m-1)) off
     from kacpal import hopf as module
 
     real = module._delta_s_image
@@ -458,33 +454,196 @@ def test_coassociativity_on_generators_sees_the_last_generator(monkeypatch, n, m
 
 @pytest.mark.parametrize("n,m", [(3, 2), (2, 3), (3, 3)])
 def test_antipode_on_exponents_matches_the_cyclotomic_oracle(monkeypatch, n, m):
-    # the antipode identity compared as {character: exponent} maps against
-    # the sums of CycNumbers: the true tables, a counit of 2, one entry of
-    # delta(s_1) off and one exponent of S(p) off.  The identity reads the
-    # entries F(a, p) (x) F(-a, p) of delta(p) only
+    # the antipode identity on F(lam, 1) and F(lam, s_l), compared on
+    # exponents, against the sums of CycNumbers on every F(lam, p) of the walk:
+    # the true tables, a counit of 2, one entry of delta(s_1) off, one
+    # exponent of S(s_(m-1)) off, and a pair of them that only the mirror
+    # sees.  The identity reads the entries F(a, p) (x) F(-a, p) of delta(p)
+    # only
     from kacpal import hopf as module
 
-    hopf = _CharacterHopf(n, m)
-    assert hopf.antipode_failure() is None
+    hopf = oracle.WalkHopf(n, m)
+    assert _CharacterHopf.antipode_failure(hopf) is None
     assert oracle.antipode_failure(hopf) is None
     cases = []
     with monkeypatch.context() as patch:
         off = _delta_s1_off(module._delta_s_image, 1, hopf.neg[1])
         patch.setattr(module, "_delta_s_image", off)
-        cases.append(_CharacterHopf(n, m))
+        cases.append(oracle.WalkHopf(n, m))
     with monkeypatch.context() as patch:
         _counit_of_two(patch)
-        cases.append(_CharacterHopf(n, m))
-    p = hopf.perms[-1]
-    skewed = copy(hopf)
-    sigma = list(hopf.sigma[p])
-    sigma[1] += 1
-    skewed.sigma = {**hopf.sigma, p: tuple(sigma)}
+        cases.append(oracle.WalkHopf(n, m))
+    skewed = oracle.WalkHopf(n, m)
+    skewed.antipode_s = {**skewed.antipode_s, m - 1: _bumped(skewed.antipode_s[m - 1], 1)}
     cases.append(skewed)
+    if n > 2:
+        # S(s_1) times zeta at the character 1 = (-a) o s_1, and omega_(s_1)(a, -a)
+        # times zeta^(-1): m (S x id) delta still holds, and only its mirror
+        # fails (at n = 2 every character is its own negative, and both hold)
+        mirror = oracle.WalkHopf(n, m)
+        a = next(a for a, c in enumerate(mirror.model.moved(mirror.gens[1])) if c == mirror.neg[1])
+        k = a + len(mirror.chars) * mirror.neg[a]
+        mirror.antipode_s = {**mirror.antipode_s, 1: _bumped(mirror.antipode_s[1], 1)}
+        mirror.delta_s = {**mirror.delta_s, 1: _bumped(mirror.delta_s[1], k, -1)}
+        cases.append(mirror)
     for broken in cases:
-        failure = broken.antipode_failure()
+        failure = _CharacterHopf.antipode_failure(broken)
         assert failure is not None
-        assert failure == oracle.antipode_failure(broken)
+        assert failure == oracle.antipode_failure(broken) == broken.antipode_failure()
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 3), (3, 3)])
+def test_inverted_tables_are_the_group_inverse(n, m):
+    # iota(F(lam, p)) = F((-lam) o p, p^(-1)) against g -> g^(-1) in the group
+    # basis, on the S(s_l) tables and a seeded table on each permutation
+    hopf = _CharacterHopf(n, m)
+    rng = random.Random(10 * n + m)
+    tables = list(hopf.antipode_s.values())
+    tables += [hopf.model.monomial(p, [rng.randrange(2 * n) for _ in hopf.chars]) for p in symmetric_group(m)]
+    for t in tables:
+        group = to_group(exact(t)).terms
+        inverse = {element_index(element_at(n, m, i).inverse()): c for i, c in group.items()}
+        assert to_group(exact(hopf.inverted(t))).terms == inverse, t.perm
+
+
+@pytest.mark.parametrize("n,m", [(3, 2), (4, 2), (2, 3), (3, 3)])
+def test_an_antipode_that_is_no_anti_map_fails_by_name(n, m):
+    # negative control: S(s_1) times zeta on the characters c and -c, and the
+    # entries omega_(s_1)(a, -a) that meet them moved back, so the identity
+    # holds on every F(lam, 1) and F(lam, s_1) but S(s_1)^2 is not 1 in the
+    # opposite algebra.  The walk multiplied S along words without asking
+    # whether they agree, and passed it
+    walk = oracle.WalkHopf(n, m)
+    size, act = n**m, walk.model.moved(walk.gens[1])
+    targets = {1, walk.neg[1]}
+    sigma, omega = list(walk.antipode_s[1].entries), list(walk.delta_s[1].entries)
+    for c in targets:
+        sigma[c] += 1
+    for a in range(size):
+        if act[a] in targets:
+            omega[a + size * walk.neg[a]] -= 1
+    walk.antipode_s = {**walk.antipode_s, 1: walk.model.monomial(walk.antipode_s[1].perm, sigma)}
+    walk.delta_s = {**walk.delta_s, 1: walk.model2.monomial(walk.delta_s[1].perm, omega)}
+    detail = "S(s_1^2 = 1) fails in the opposite algebra, so S is not an anti-map"
+    assert _CharacterHopf.antipode_failure(walk) == detail
+    assert walk.antipode_failure() is None
+    assert _CharacterHopf.multiplicativity_failure(walk) == "delta(s_1^2 = 1) fails, so delta is not an algebra map"
+
+
+AXIOMS = ("coassociativity", "counit", "antipode", "multiplicativity")
+
+
+def _failures(hopf, checks) -> dict:
+    return {name: getattr(checks, f"{name}_failure")(hopf) for name in AXIOMS}
+
+
+# (n, m, seeded cases of each kind): the walk's loops over every p take
+# about a tenth of a second a case at (4, 3)
+@pytest.mark.parametrize(
+    "n,m,cases", [(2, 2, 25), (3, 2, 25), (4, 2, 25), (2, 3, 25), (3, 3, 25), (4, 3, 20)]
+)
+def test_every_verdict_matches_the_walk_oracle(n, m, cases):
+    # each axiom checked on the generators against the walk over S_m with
+    # its loops over every p: the true tables, seeded single entries of a
+    # delta(s_l) and of an S(s_l) times a root of unity, and omega_(s_1) plus
+    # a coboundary.  The counit and the antipode give the walk's details;
+    # so does coassociativity when every edge of the walk is multiplicative
+    walk = oracle.WalkHopf(n, m)  # copied below before its walk is taken
+    rng, size, order = random.Random(31 * n + m), n**m, 2 * n
+    tables = [walk] + [_seeded_entry_off(walk, t, rng) for t in ("delta_s", "antipode_s") for _ in range(cases)]
+    # and one entry in row 0, and one in column 0, of delta(s_(m-1)), which
+    # the counit reads
+    row_0, column_0, both = copy(walk), copy(walk), copy(walk)
+    row_0.delta_s = {**walk.delta_s, m - 1: _bumped(walk.delta_s[m - 1], size * rng.randrange(1, size))}
+    column_0.delta_s = {**walk.delta_s, m - 1: _bumped(walk.delta_s[m - 1], rng.randrange(1, size))}
+    # and s_1 and s_(m-1) both off, whose first failure Lehmer order decides
+    both.delta_s = {**walk.delta_s, 1: row_0.delta_s[m - 1] if m == 2 else _bumped(walk.delta_s[1], size)}
+    both.delta_s[m - 1] = row_0.delta_s[m - 1]
+    both.antipode_s = {l: _bumped(table, 1) for l, table in walk.antipode_s.items()}
+    f = [0] + [rng.randrange(order) for _ in range(size - 1)]
+    d = walk.delta_s[1]
+    coboundary = copy(walk)
+    coboundary.delta_s = {
+        **walk.delta_s,
+        1: d.model.monomial(
+            d.perm,
+            [e + f[k % size] + f[k // size] - f[walk.plus[k % size][k // size]] for k, e in enumerate(d.entries)],
+        ),
+    }
+    failed = {name: 0 for name in AXIOMS}
+    for hopf in [*tables, row_0, column_0, both, coboundary]:
+        new, old = _failures(hopf, _CharacterHopf), _failures(hopf, oracle.WalkHopf)
+        assert {k: v is None for k, v in new.items()} == {k: v is None for k, v in old.items()}
+        assert (new["counit"], new["antipode"]) == (old["counit"], old["antipode"])
+        if old["multiplicativity"] is None:
+            assert new["coassociativity"] == old["coassociativity"]
+        for name in AXIOMS:
+            failed[name] += new[name] is not None
+    assert all(failed.values()), failed
+    assert _failures(coboundary, _CharacterHopf)["coassociativity"] is None
+
+
+@pytest.fixture
+def fresh_lemma():
+    from kacpal import relations
+
+    relations.check_coxeter.cache_clear()
+    yield relations
+    relations.check_coxeter.cache_clear()
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_the_coxeter_relations_present_a_group_of_order_m_factorial(monkeypatch, fresh_lemma, m):
+    # the enumeration closes at exactly m! cosets: asked for one more, it
+    # reports the count it closed at
+    if m < 8:
+        fresh_lemma.check_coxeter(m)
+        fresh_lemma.check_coxeter.cache_clear()
+    monkeypatch.setattr(fresh_lemma, "factorial", lambda k: factorial(k) + 1)
+    with pytest.raises(CheckFailedError, match=f"closed at {factorial(m)} cosets, not {factorial(m) + 1}$"):
+        fresh_lemma.check_coxeter(m)
+
+
+def _without_one(real, family, index):
+    # the Coxeter relations with one relation of the family left out
+    def braid(p, g):
+        families = real(p, g)
+        families[f"{p}_{family}"] = [r for i, r in enumerate(families[f"{p}_{family}"]) if i != index]
+        return families
+
+    return braid
+
+
+@pytest.mark.parametrize("m, family, index", [(3, "braid", 0), (4, "braid", 1), (5, "commute", 2), (6, "braid", 3)])
+def test_a_missing_coxeter_relation_fails_the_lemma(monkeypatch, capsys, fresh_lemma, m, family, index):
+    # mutation: with one relation left out of the families the group they
+    # present is infinite, so the enumeration passes its bound; the lemma
+    # fails by name, and the Hopf report exits 1 with one line on stderr
+    monkeypatch.setattr(fresh_lemma, "_braid", _without_one(fresh_lemma._braid, family, index))
+    with pytest.raises(CheckFailedError, match=f"the Coxeter relations do not present S_{m}: "):
+        fresh_lemma.check_coxeter(m)
+    code = main(["verify", "--n", "2", "--m", str(m), "--checks", "hopf", "--cap-group-order", str(group_order(2, m))])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == (
+        f"the Coxeter relations do not present S_{m}: "
+        f"the enumeration did not close in {5 * factorial(m)} cosets\n"
+    )
+
+
+def test_an_extra_coxeter_relation_fails_the_lemma(monkeypatch, fresh_lemma):
+    # s_1 s_2 = s_2 s_1 beside the braid relation makes s_1 = s_2: the
+    # enumeration closes, at 2 cosets, not 3! = 6
+    real = fresh_lemma._braid
+
+    def braid(p, g):
+        families = real(p, g)
+        families[f"{p}_commute"] = [("extra", g[1] * g[2], g[2] * g[1])]
+        return families
+
+    monkeypatch.setattr(fresh_lemma, "_braid", braid)
+    with pytest.raises(CheckFailedError, match="S_3: the enumeration closed at 2 cosets, not 6$"):
+        fresh_lemma.check_coxeter(3)
 
 
 def coefficients(n):
@@ -575,10 +734,10 @@ def fresh_images():
         cache.cache_clear()
 
 
-def _bumped(table, k):
-    """The exponent table with entry k times zeta."""
+def _bumped(table, k, r=1):
+    """The exponent table with entry k times zeta^r."""
     entries = list(table.entries)
-    entries[k] += 1
+    entries[k] += r
     return table.model.monomial(table.perm, entries)
 
 
