@@ -86,14 +86,12 @@ def _moves_x(p: str, g: dict, xs: dict) -> list:
     ]
 
 
-def _images(m: int, mono) -> tuple:
-    """The image of 1 and those of x_1 .. x_m, as mono maps exponent tuples."""
-    return mono((0,) * m), {i: mono(tuple(int(j == i - 1) for j in range(m))) for i in range(1, m + 1)}
-
-
-def _x_families(n: int, one, xs: dict) -> dict:
-    """x_i^n = 1 and the x_i commute."""
-    return {
+def _x_images(n: int, m: int, mono) -> tuple:
+    """The image of 1 and those of x_1 .. x_m, as mono maps exponent tuples,
+    and the families x_i^n = 1 and the x_i commute on them."""
+    one = mono((0,) * m)
+    xs = {i: mono(tuple(int(j == i - 1) for j in range(m))) for i in range(1, m + 1)}
+    return one, xs, {
         "x_power": [(f"x_{i}^{n} = 1", xs[i] ** n, one) for i in xs],
         "x_commute": [
             (f"x_{i} x_{j} = x_{j} x_{i}", xs[i] * xs[j], xs[j] * xs[i])
@@ -112,9 +110,9 @@ def presentation(n: int, m: int, mono, z: dict) -> dict:
     and z[l] the image of z_l for l = 1..m-1, all of one type.
     Returns an ordered dict family -> [(name, lhs, rhs)].
     """
-    one, xs = _images(m, mono)
+    _, xs, x_families = _x_images(n, m, mono)
     return {
-        **_x_families(n, one, xs),
+        **x_families,
         "zx": _moves_x("z", z, xs),
         **_braid("z", z),
         "z_square": [
@@ -138,8 +136,8 @@ def group_presentation(n: int, m: int, mono, ss: dict) -> dict:
     """A presentation of Z_n wr S_m on images, with mono as in presentation
     and ss[l] the image of s_l.  sx moves every x to the left, so it presents
     a group of order at most n^m times that of coxeter, m! by check_coxeter."""
-    one, xs = _images(m, mono)
-    return {**_x_families(n, one, xs), **coxeter(ss, one), "sx": _moves_x("s", ss, xs)}
+    one, xs, x_families = _x_images(n, m, mono)
+    return {**x_families, **coxeter(ss, one), "sx": _moves_x("s", ss, xs)}
 
 
 class _Word(tuple):
