@@ -6,16 +6,16 @@ presentation is the abstract presentation: x_i^n = 1, the x_i commute, z_l
 moves x_i as the transposition (l, l+1) moves slot i, the z_l satisfy the
 Coxeter relations, and z_l^2 is the double sum z_square_sum.
 group_presentation is that of the group Z_n wr S_m, with the s_l as
-Coxeter generators (coxeter) moving the x_i; check_coxeter proves by coset
+Coxeter generators (coxeter) moving the x_i; kacpal.hopf proves by coset
 enumeration that the Coxeter relations present S_m.
 relation_families adds the suite's further families on the same images:
 z_l^2 = y_l^(-2), with y_l acting on Lambda_lam by zeta^y_exponent,
 z_l Lambda_lam = Lambda_(lam o s_l) z_l, group_presentation and
-s_l = y_l z_l.  The images may be of any type with *,
-** and ==: verify_defining_relations evaluates them on exponent tables,
-kacpal.hopf evaluates presentation and group_presentation on the tables of
-the comultiplication and group_presentation on those of the antipode,
-and the group-basis evaluation is the reference in
+s_l = y_l z_l.  The images may be of any type with *, ** and ==:
+verify_defining_relations evaluates them on exponent tables, kacpal.hopf
+evaluates group_presentation on the tables of the comultiplication and of
+the antipode, and presentation on those of a comultiplication that is no
+algebra map, and the group-basis evaluation is the reference in
 tests/group_basis_oracle.py.  Only the relation suite and the Hopf report
 load this module, and the suite loads no element type and no fractions,
 whether a relation passes or fails: a failing relation's counterexample,
@@ -26,12 +26,12 @@ the Hopf report's witness too.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import partial
 from itertools import product
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 
 from .character_model import MonomialModel, check_model
-from .wreath import CheckFailedError, check_cap, generator_b, permute_character
+from .wreath import check_cap, generator_b, permute_character
 
 
 def y_exponent(lam: tuple[int, ...], l: int) -> int:
@@ -86,12 +86,14 @@ def _moves_x(p: str, g: dict, xs: dict) -> list:
     ]
 
 
-def _x_images(n: int, m: int, mono) -> tuple:
-    """The image of 1 and those of x_1 .. x_m, as mono maps exponent tuples,
-    and the families x_i^n = 1 and the x_i commute on them."""
-    one = mono((0,) * m)
-    xs = {i: mono(tuple(int(j == i - 1) for j in range(m))) for i in range(1, m + 1)}
-    return one, xs, {
+def _x_images(m: int, mono) -> tuple:
+    """The image of 1 and those of x_1 .. x_m, as mono maps exponent tuples."""
+    return mono((0,) * m), {i: mono(tuple(int(j == i - 1) for j in range(m))) for i in range(1, m + 1)}
+
+
+def _x_families(n: int, one, xs: dict) -> dict:
+    """x_i^n = 1 and the x_i commute, on the images of _x_images."""
+    return {
         "x_power": [(f"x_{i}^{n} = 1", xs[i] ** n, one) for i in xs],
         "x_commute": [
             (f"x_{i} x_{j} = x_{j} x_{i}", xs[i] * xs[j], xs[j] * xs[i])
@@ -110,9 +112,9 @@ def presentation(n: int, m: int, mono, z: dict) -> dict:
     and z[l] the image of z_l for l = 1..m-1, all of one type.
     Returns an ordered dict family -> [(name, lhs, rhs)].
     """
-    _, xs, x_families = _x_images(n, m, mono)
+    one, xs = _x_images(m, mono)
     return {
-        **x_families,
+        **_x_families(n, one, xs),
         "zx": _moves_x("z", z, xs),
         **_braid("z", z),
         "z_square": [
@@ -135,85 +137,10 @@ def coxeter(g: dict, one) -> dict:
 def group_presentation(n: int, m: int, mono, ss: dict) -> dict:
     """A presentation of Z_n wr S_m on images, with mono as in presentation
     and ss[l] the image of s_l.  sx moves every x to the left, so it presents
-    a group of order at most n^m times that of coxeter, m! by check_coxeter."""
-    one, xs, x_families = _x_images(n, m, mono)
-    return {**x_families, **coxeter(ss, one), "sx": _moves_x("s", ss, xs)}
-
-
-class _Word(tuple):
-    """A word in letters 2 (l - 1) for s_l and 2 (l - 1) + 1 for its inverse."""
-
-    def __mul__(self, other):
-        return _Word(tuple.__add__(self, other))
-
-
-@lru_cache(maxsize=None)
-def check_coxeter(m: int) -> None:
-    """Check the lemma that coxeter presents a group of order m!, or raise
-    CheckFailedError naming it; a pass is remembered.
-
-    Each relation lhs = rhs, evaluated on words, is the relator lhs rhs^(-1).
-    Coset enumeration of the trivial subgroup counts the group's elements
-    (Todd and Coxeter, Proc. Edinburgh Math. Soc. 5, 1936) by the HLT
-    strategy (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
-    5.1): at each live coset in turn the relators, then x x^(-1) for each
-    letter x, are scanned, with cosets defined to close each scan and a coset
-    found equal to another merged into it.  It fails past 5 m! cosets.
-    """
-    words = {l: _Word((2 * l - 2,)) for l in range(1, m)}
-    families = coxeter(words, _Word()).values()
-    relators = [lhs + tuple(x ^ 1 for x in reversed(rhs)) for items in families for _, lhs, rhs in items]
-    relators += [(x, x ^ 1) for x in range(2 * m - 2)]
-    lemma, order = f"the Coxeter relations do not present S_{m}", factorial(m)
-    table, parent = [[None] * (2 * m - 2)], [0]
-
-    def rep(c):
-        while parent[c] != c:
-            parent[c] = c = parent[parent[c]]
-        return c
-
-    def coincide(a, b):
-        pairs = [(a, b)]
-        for a, b in pairs:  # grows as merges force merges
-            a, b = sorted((rep(a), rep(b)))
-            if a != b:
-                parent[b] = a
-                for x, d in enumerate(table[b]):
-                    if d is not None:
-                        table[d][x ^ 1] = None
-                        d = rep(d)
-                        if table[a][x] is not None:
-                            pairs.append((d, table[a][x]))
-                        elif table[d][x ^ 1] is not None:
-                            pairs.append((a, table[d][x ^ 1]))
-                        else:
-                            table[a][x], table[d][x ^ 1] = d, a
-
-    def scan(a, w):
-        # w from both ends at coset a; a gap of one letter is a deduction
-        f, b, i, j = a, a, 0, len(w) - 1
-        while True:
-            while i <= j and table[f][w[i]] is not None:
-                f, i = table[f][w[i]], i + 1
-            while j >= i and table[b][w[j] ^ 1] is not None:
-                b, j = table[b][w[j] ^ 1], j - 1
-            if j < i:
-                return coincide(f, b) if f != b else None
-            if i < j:  # define the coset f w[i]
-                if len(table) == 5 * order:
-                    raise CheckFailedError(f"{lemma}: the enumeration did not close in {5 * order} cosets")
-                table.append([None] * (2 * m - 2))
-                parent.append(len(table) - 1)
-            table[f][w[i]] = b if i == j else len(table) - 1
-            table[table[f][w[i]]][w[i] ^ 1] = f
-
-    for a, _ in enumerate(table):  # grows as cosets are defined
-        for w in relators:
-            if parent[a] == a:
-                scan(a, w)
-    count = sum(c == p for c, p in enumerate(parent))
-    if count != order:
-        raise CheckFailedError(f"{lemma}: the enumeration closed at {count} cosets, not {order}")
+    a group of order at most n^m times that of coxeter, m! by
+    hopf.check_coxeter."""
+    one, xs = _x_images(m, mono)
+    return {**_x_families(n, one, xs), **coxeter(ss, one), "sx": _moves_x("s", ss, xs)}
 
 
 def relation_families(n: int, m: int, mono, ys: dict, y_invs: dict, ss: dict, idempotent) -> dict:
@@ -225,6 +152,7 @@ def relation_families(n: int, m: int, mono, ys: dict, y_invs: dict, ss: dict, id
     Lambda_lam.  z_l is taken as y_l^(-1) s_l.  Returns an ordered dict
     family -> [(name, lhs, rhs)].
     """
+    one, xs = _x_images(m, mono)
     zs = {l: y_invs[l] * ss[l] for l in ss}
     moved = {l: partial(permute_character, perm=generator_b(n, m, l).perm) for l in ss}
     checks = presentation(n, m, mono, zs)
@@ -238,8 +166,9 @@ def relation_families(n: int, m: int, mono, ys: dict, y_invs: dict, ss: dict, id
         for l in zs
         for lam in product(range(n), repeat=m)
     ]
-    # x_power and x_commute keep their places
-    checks.update(group_presentation(n, m, mono, ss))
+    # group_presentation's families beyond presentation's x families
+    checks.update(coxeter(ss, one))
+    checks["sx"] = _moves_x("s", ss, xs)
     checks["s_from_y_z"] = [(f"s_{l} = y_{l} z_{l}", ss[l], ys[l] * zs[l]) for l in ss]
     return checks
 

@@ -585,11 +585,11 @@ def test_every_verdict_matches_the_walk_oracle(n, m, cases):
 
 @pytest.fixture
 def fresh_lemma():
-    from kacpal import relations
+    from kacpal import hopf
 
-    relations.check_coxeter.cache_clear()
-    yield relations
-    relations.check_coxeter.cache_clear()
+    hopf.check_coxeter.cache_clear()
+    yield hopf
+    hopf.check_coxeter.cache_clear()
 
 
 @pytest.mark.parametrize("m", range(1, 9))
@@ -619,7 +619,9 @@ def test_a_missing_coxeter_relation_fails_the_lemma(monkeypatch, capsys, fresh_l
     # mutation: with one relation left out of the families the group they
     # present is infinite, so the enumeration passes its bound; the lemma
     # fails by name, and the Hopf report exits 1 with one line on stderr
-    monkeypatch.setattr(fresh_lemma, "_braid", _without_one(fresh_lemma._braid, family, index))
+    from kacpal import relations
+
+    monkeypatch.setattr(relations, "_braid", _without_one(relations._braid, family, index))
     with pytest.raises(CheckFailedError, match=f"the Coxeter relations do not present S_{m}: "):
         fresh_lemma.check_coxeter(m)
     code = main(["verify", "--n", "2", "--m", str(m), "--checks", "hopf", "--cap-group-order", str(group_order(2, m))])
@@ -634,14 +636,16 @@ def test_a_missing_coxeter_relation_fails_the_lemma(monkeypatch, capsys, fresh_l
 def test_an_extra_coxeter_relation_fails_the_lemma(monkeypatch, fresh_lemma):
     # s_1 s_2 = s_2 s_1 beside the braid relation makes s_1 = s_2: the
     # enumeration closes, at 2 cosets, not 3! = 6
-    real = fresh_lemma._braid
+    from kacpal import relations
+
+    real = relations._braid
 
     def braid(p, g):
         families = real(p, g)
         families[f"{p}_commute"] = [("extra", g[1] * g[2], g[2] * g[1])]
         return families
 
-    monkeypatch.setattr(fresh_lemma, "_braid", braid)
+    monkeypatch.setattr(relations, "_braid", braid)
     with pytest.raises(CheckFailedError, match="S_3: the enumeration closed at 2 cosets, not 6$"):
         fresh_lemma.check_coxeter(3)
 
@@ -868,6 +872,31 @@ def test_wrong_delta_z_fails_relation_preservation(monkeypatch, fresh_images):
         assert entry["status"] == "fail", (n, m)
         assert entry["detail"] == detail, (n, m)
         assert not report["all_pass"]
+
+
+@pytest.mark.parametrize("n,m", [(3, 2), (2, 3), (3, 3)])
+def test_delta_preserves_relations_follows_from_multiplicativity(monkeypatch, n, m):
+    # a multiplicative delta preserves every relation of the algebra, so the
+    # report evaluates none of them; with one entry of delta(s_(m-1)) off,
+    # delta is no algebra map and the delta(z_l) tables still keep them
+    from kacpal import hopf as module
+
+    def refuse(self):
+        raise AssertionError("the relations evaluated for a multiplicative delta")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_CharacterHopf, "relation_failures", refuse)
+        assert hopf_axiom_report(n, m, cap=group_order(n, m))["all_pass"]
+    real = module._delta_s_image
+
+    def perturbed(im, l, delta_z):
+        d = real(im, l, delta_z)
+        return _bumped(d, 1 + 2 * len(im.chars)) if l == m - 1 else d
+
+    monkeypatch.setattr(module, "_delta_s_image", perturbed)
+    report = hopf_axiom_report(n, m, cap=group_order(n, m))
+    assert report["axioms"]["delta_multiplicative"]["status"] == "fail"
+    assert report["axioms"]["delta_preserves_relations"] == "pass"
 
 
 @pytest.mark.parametrize("n, m", [(2, 2), (3, 2), (2, 3), (4, 2)])
