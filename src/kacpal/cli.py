@@ -19,26 +19,44 @@ check loads kacpal.conjugacy, and only the commands that write JSON load
 json.  With no byte code cached, compiling the modules a call loads is a
 large part of its time.
 
-main(argv) is the in-process API: it returns the exit code.  run() is the
-process entry of the kacpal script and of python -m kacpal.  It flushes
-stdout and stderr itself and then ends the process with os._exit, which
-skips the interpreter's teardown, unless a tracer, a profiler or a
-monitoring tool is attached, whose report is written at exit.
+The command line is parsed from COMMANDS, the one description of each
+command: its handler, its help line, the checks it runs and its own
+options.  No call loads argparse, which with the gettext and locale it
+brings and the parsers it builds takes about half of what the package
+adds to a bare interpreter on a short call.  An option takes its value as
+--opt value or --opt=value, the last one given wins, and an option is
+named in full: no prefix stands for it.  -h or --help, alone or after a
+command, writes the help built from that table.  A usage error is one
+line on stderr and exit 2, as for any other bad input.  Every output
+reaches stdout or the --out file in writes of at most WRITE_SIZE
+characters.
+
+main(argv) is the in-process API: it returns the exit code and never ends
+the process.  run() is the process entry of the kacpal script and of
+python -m kacpal.  It flushes stdout and stderr itself and then ends the
+process with os._exit, which skips the interpreter's teardown, unless a
+tracer, a profiler or a monitoring tool is attached, whose report is
+written at exit.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from collections.abc import Iterable, Iterator
 from contextlib import suppress
+from types import SimpleNamespace
 
 from .wreath import CapExceededError, CheckFailedError, check_cap
 
 KNOWN_CHECKS = ("relations", "idempotency", "ranks", "orthogonality", "hopf", "conjugacy")
 TABLE_CHECKS = ("idempotency", "ranks", "orthogonality", "conjugacy")
 DEFAULT_VERIFY_CHECKS = ("relations", "idempotency")
+
+# The most characters handed to stdout or the --out file at once: an output
+# given in pieces is joined into writes of this size, so that it costs a
+# write per 64 KiB, not one per piece, and its memory stays bounded.
+WRITE_SIZE = 1 << 16
 
 # Every check, and every command whose own cost grows with |G|, against
 # (its cap's name in wreath.CAPS, checks to disable instead).
@@ -58,7 +76,7 @@ def _parse_checks(text: str | None, command: str) -> tuple[str, ...]:
     if text is None:
         return DEFAULT_VERIFY_CHECKS if command == "verify" else ()
     checks = tuple(c.strip() for c in text.split(",") if c.strip())
-    runs = COMMANDS[command][1]
+    runs = COMMANDS[command][2]
     for c in checks:
         if c not in KNOWN_CHECKS:
             raise ValueError(f"unknown check {c!r}; known: {', '.join(KNOWN_CHECKS)}")
@@ -83,17 +101,35 @@ def _check_caps(args, names):
             raise CapExceededError(f"{exc}; {hint} --cap-group-order") from None
 
 
-def _emit(args, text: str | Iterable[str]):
-    """Write the output, given whole or as pieces written as they come."""
-    pieces = (text,) if isinstance(text, str) else text
-    if args.out:
+def _emit(out: str | None, text: str | Iterable[str]):
+    """Write the output, given whole or as pieces written as they come, to
+    the file out, else to stdout."""
+    pieces = _writes((text,) if isinstance(text, str) else text)
+    if out:
         try:
-            with open(args.out, "w") as fh:
+            with open(out, "w") as fh:
                 fh.writelines(pieces)
         except OSError as exc:
-            raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from exc
+            raise ValueError(f"cannot write --out {out}: {exc.strerror}") from exc
     else:
         sys.stdout.writelines(pieces)
+
+
+def _writes(pieces: Iterable[str]) -> Iterator[str]:
+    """The pieces joined and cut into writes of WRITE_SIZE characters, and a
+    last one of the rest."""
+    batch, size = [], 0
+    for piece in pieces:
+        batch.append(piece)
+        size += len(piece)
+        if size >= WRITE_SIZE:
+            text = "".join(batch)
+            end = size - size % WRITE_SIZE
+            for start in range(0, end, WRITE_SIZE):
+                yield text[start : start + WRITE_SIZE]
+            batch, size = [text[end:]], size - end
+    if size:
+        yield "".join(batch)
 
 
 def _json(value) -> str:
@@ -106,19 +142,20 @@ def _json(value) -> str:
 
 def _expanded_json(payload: dict, n: int, m: int, e: dict) -> Iterator[str]:
     """``json.dumps(payload | {"element": Phi(e).to_json()}, indent=2) + "\\n"``
-    in pieces, one term at a time, so that the peak memory of an expanded
-    idempotent does not grow with its number of terms.
+    in pieces, one permutation block at a time, so that the peak memory of
+    an expanded idempotent does not grow with its number of blocks.
 
     e is a classification idempotent at (n, m) in the character basis, the
     map {(lam, sigma): c}: every term c F(lam, sigma) lies on its one lam,
     and Phi maps it to c Lambda_lam sigma, whose coordinate at index
     perm_index(sigma) n^m + t is c zeta^(2 lam . t) / n^m, the pair t of
-    roots.lambda_coefficients times the rational c.  Each coefficient of
-    Lambda_lam and each c is nonzero, and the sigma differ, so no two terms
-    share an index and nothing cancels.  A term sits three levels deep and
-    its coefficient four.  The coefficients share one order, so (den, num)
-    is each one's value and fixes its JSON: each distinct value is encoded
-    once.
+    roots.lambda_coefficients times the rational c: the block of sigma.
+    Each coefficient of Lambda_lam and each c is nonzero, and the sigma
+    differ, so no two terms share an index and nothing cancels.  A term
+    sits three levels deep and its coefficient four.  The coefficients
+    share one order, so (num, den) is each one's value and fixes its JSON:
+    each distinct value is encoded once, and each distinct c has its n^m
+    texts built once.
     """
     import json
 
@@ -130,20 +167,27 @@ def _expanded_json(payload: dict, n: int, m: int, e: dict) -> Iterator[str]:
     head, tail = shell.rsplit('"terms": []', 1)
     encode = json.JSONEncoder(indent=2).encode
     pairs = lambda_coefficients(n, m, next(iter(e))[0])
-    texts: dict = {}
+    values: dict = {}  # (num, den) -> its JSON
+    blocks: dict = {}  # c -> the JSON of its n^m coefficients
     yield head + '"terms": ['
     sep = ""
     for base, c in sorted((perm_index(sigma) * size, c) for (_, sigma), c in e.items()):
-        a, b = c.numerator, c.denominator
-        for index, (num, den) in enumerate(pairs, base):
-            num, den = reduced(tuple([a * x for x in num]), den * b)
-            text = texts.get((den, num))
-            if text is None:
-                # its strings hold no newlines
-                text = encode(coefficient_json(order, num, den)).replace("\n", "\n        ")
-                texts[den, num] = text
-            yield f'{sep}\n      {{\n        "index": {index},\n        "coeff": {text}\n      }}'
-            sep = ","
+        texts = blocks.get(c)
+        if texts is None:
+            a, b = c.numerator, c.denominator
+            texts = blocks[c] = []
+            for num, den in pairs:
+                value = reduced(tuple([a * x for x in num]), den * b)
+                text = values.get(value)
+                if text is None:
+                    # its strings hold no newlines
+                    text = values[value] = encode(coefficient_json(order, *value)).replace("\n", "\n        ")
+                texts.append(text)
+        yield sep + ",".join(
+            f'\n      {{\n        "index": {index},\n        "coeff": {text}\n      }}'
+            for index, text in enumerate(texts, base)
+        )
+        sep = ","
     yield "\n    ]" + tail + "\n"
 
 
@@ -166,11 +210,11 @@ def cmd_table(args) -> int:
     table = _irrep_table(args)
 
     if args.format == "csv":
-        _emit(args, table.to_csv())
+        _emit(args.out, table.to_csv())
     elif args.format == "json":
-        _emit(args, _json(table.to_json()))
+        _emit(args.out, _json(table.to_json()))
     else:
-        _emit(args, table.to_text())
+        _emit(args.out, table.to_text())
 
     failed = [k for k, v in table.checks.items() if v == "fail"]
     return 1 if failed else 0
@@ -194,7 +238,7 @@ def cmd_verify(args) -> int:
         v != "fail" for v in parts.get("classification", {}).values()
     )
     report = {"n": args.n, "m": args.m, "checks": parts, "all_pass": ok}
-    _emit(args, _json(report))
+    _emit(args.out, _json(report))
     return 0 if ok else 1
 
 
@@ -217,9 +261,9 @@ def cmd_idempotent(args) -> int:
         "num_terms": len(e) * args.n**args.m,
     }
     if args.expanded:
-        _emit(args, _expanded_json(payload, args.n, args.m, e))
+        _emit(args.out, _expanded_json(payload, args.n, args.m, e))
     else:
-        _emit(args, _json(payload))
+        _emit(args.out, _json(payload))
     return 0
 
 
@@ -250,84 +294,178 @@ def cmd_count(args) -> int:
         if classes != formula:
             lines.append("MISMATCH: counting formula disagrees with brute-force classes")
             code = 1
-    _emit(args, "\n".join(lines) + "\n")
+    _emit(args.out, "\n".join(lines) + "\n")
     return code
 
 
-# command -> (handler, the checks it runs; --checks accepts no others).  A
-# handler takes the parsed arguments, with the parsed checks and the cap in
-# force (--cap-group-order, else KACPAL_CAP, else None for the defaults) set.
+# option -> (its kind, its help line), for the options of every command.  A
+# kind is int for an integer, a tuple for one of its values (the first is
+# the default), None for a flag, which takes no value, or the name of a
+# text value in the help.
+COMMON_OPTIONS = {
+    "--n": (int, "twist order (>= 1)"),
+    "--m": (int, "number of slots (>= 1)"),
+    "--cap-group-order": (int, "cap on the group order of every capped check (default: KACPAL_CAP)"),
+    "--out": ("PATH", "write output to this path"),
+}
+REQUIRED = ("--n", "--m", "--beta")
+HELP = ("-h", "--help")
+
+# command -> (handler, help line, the checks it runs, its own options as in
+# COMMON_OPTIONS); --checks accepts no other checks.  A handler takes the
+# parsed arguments, with the parsed checks and the cap in force
+# (--cap-group-order, else KACPAL_CAP, else None for the defaults) set.
 COMMANDS = {
-    "table": (cmd_table, TABLE_CHECKS),
-    "verify": (cmd_verify, KNOWN_CHECKS),
-    "idempotent": (cmd_idempotent, ()),
-    "count": (cmd_count, ("conjugacy",)),
+    "table": (
+        cmd_table,
+        "emit the table of irreducibles",
+        TABLE_CHECKS,
+        {
+            "--format": (("text", "json", "csv"), "output format (default: text)"),
+            "--checks": ("LIST", "comma list of extra checks"),
+        },
+    ),
+    "verify": (
+        cmd_verify,
+        "run verification suites, emit a JSON report",
+        KNOWN_CHECKS,
+        {"--checks": ("LIST", "comma list (default: relations,idempotency)")},
+    ),
+    "idempotent": (
+        cmd_idempotent,
+        "emit the idempotent of one labelled partition",
+        (),
+        {
+            "--beta": ("SPEC", "spec string like '0:3,2,2;2:1,1,1'"),
+            "--expanded": (None, "include the group-basis expansion"),
+        },
+    ),
+    "count": (
+        cmd_count,
+        "count the irreducibles",
+        ("conjugacy",),
+        {"--checks": ("LIST", "comma list; 'conjugacy' cross-checks")},
+    ),
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="kacpal",
-        description=(
-            "Exact classification and verification for the group algebras of "
-            "generalised symmetric groups"
-        ),
+def _parse_args(argv: list[str]) -> tuple:
+    """(command, its arguments) from the command line, each option's value
+    under its name without the dashes and with _ for -; or (command, None),
+    command None before one, when it asks for help.  A usage error raises
+    ValueError."""
+    command = argv[0] if argv else None
+    if command in HELP:
+        return None, None
+    if command not in COMMANDS:
+        what = "missing command" if command is None else f"unknown command {command!r}"
+        raise ValueError(f"{what}; choose from: {', '.join(COMMANDS)}")
+    options = {**COMMON_OPTIONS, **COMMANDS[command][3]}
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in HELP:
+            return command, None
+        name, has_value, value = token.partition("=")
+        if name not in options:
+            raise ValueError(f"unrecognised argument {token!r}; {command} takes: {', '.join(options)}")
+        kind = options[name][0]
+        if kind is None:
+            if has_value:
+                raise ValueError(f"{name} takes no value")
+            given[name] = True
+            continue
+        if not has_value:
+            value = next(tokens, None)
+            if value is None:
+                raise ValueError(f"{name} needs a value")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise ValueError(f"{name} needs an integer, got {value!r}") from None
+        elif isinstance(kind, tuple) and value not in kind:
+            raise ValueError(f"{name} must be one of {', '.join(kind)}, got {value!r}")
+        given[name] = value
+    missing = [name for name in REQUIRED if name in options and name not in given]
+    if missing:
+        raise ValueError(f"{command} needs {' and '.join(missing)}")
+    args = SimpleNamespace()
+    for name, (kind, _) in options.items():
+        default = kind[0] if isinstance(kind, tuple) else (False if kind is None else None)
+        setattr(args, name[2:].replace("-", "_"), given.get(name, default))
+    return command, args
+
+
+def _usage(command: str | None) -> str:
+    """The help of the command, or of kacpal for None, from COMMANDS."""
+    if command is None:
+        return "\n".join(
+            [
+                "usage: kacpal COMMAND --n INT --m INT [options]",
+                "",
+                "Exact classification and verification for the group algebras of",
+                "generalised symmetric groups.",
+                "",
+                "commands:",
+                *(f"  {name:<12}{entry[1]}" for name, entry in COMMANDS.items()),
+                "",
+                "kacpal COMMAND -h lists the options of COMMAND.",
+                "",
+            ]
+        )
+    _, help_line, _, own = COMMANDS[command]
+    options = {**COMMON_OPTIONS, **own}
+    forms = {name: _form(name, kind) for name, (kind, _) in options.items()}
+    required = [forms[name] for name in REQUIRED if name in forms]
+    optional = [f"[{form}]" for name, form in forms.items() if name not in REQUIRED]
+    width = max(map(len, forms.values())) + 2
+    return "\n".join(
+        [
+            f"usage: kacpal {command} {' '.join(required + optional)}",
+            "",
+            help_line,
+            "",
+            "options:",
+            *(f"  {forms[name]:<{width}}{text}" for name, (_, text) in options.items()),
+            f"  {'-h, --help':<{width}}show this help",
+            "",
+        ]
     )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--n", type=int, required=True, help="twist order (>= 1)")
-        p.add_argument("--m", type=int, required=True, help="number of slots (>= 1)")
-        p.add_argument("--cap-group-order", type=int, default=None)
-        p.add_argument("--out", default=None, help="write output to this path")
 
-    p_table = sub.add_parser("table", help="emit the table of irreducibles")
-    common(p_table)
-    p_table.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p_table.add_argument("--checks", default=None, help="comma list of extra checks")
-
-    p_verify = sub.add_parser("verify", help="run verification suites, emit a JSON report")
-    common(p_verify)
-    p_verify.add_argument("--checks", default=None, help="comma list (default: relations,idempotency)")
-
-    p_idem = sub.add_parser("idempotent", help="emit the idempotent of one labelled partition")
-    common(p_idem)
-    p_idem.add_argument("--beta", required=True, help="spec string like '0:3,2,2;2:1,1,1'")
-    p_idem.add_argument("--expanded", action="store_true", help="include the group-basis expansion")
-
-    p_count = sub.add_parser("count", help="count the irreducibles")
-    common(p_count)
-    p_count.add_argument("--checks", default=None, help="comma list; 'conjugacy' cross-checks")
-
-    return parser
+def _form(name: str, kind) -> str:
+    """The option with its value as the help writes it."""
+    if kind is None:
+        return name
+    if isinstance(kind, tuple):
+        return f"{name} {{{','.join(kind)}}}"
+    return f"{name} {'INT' if kind is int else kind}"
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    args.cap, source = args.cap_group_order, "--cap-group-order"
-    if args.cap is None and os.environ.get("KACPAL_CAP"):
-        source = "KACPAL_CAP"
-        try:
-            args.cap = int(os.environ["KACPAL_CAP"])
-        except ValueError:
-            _warn("KACPAL_CAP must be an integer")
-            return 2
-    if args.cap is not None and args.cap < 1:
-        # every group order is at least 1, so such a cap would refuse every capped run
-        _warn(f"{source} must be at least 1, got {args.cap}")
-        return 2
-
-    if args.n < 1 or args.m < 1:
-        _warn("need --n >= 1 and --m >= 1")
-        return 2
-
-    handler = COMMANDS[args.command][0]
     try:
-        args.checks = _parse_checks(getattr(args, "checks", None), args.command)
-        _check_caps(args, args.checks + (args.command,))
-        return handler(args)
+        command, args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+        if args is None:
+            _emit(None, _usage(command))
+            return 0
+
+        args.cap, source = args.cap_group_order, "--cap-group-order"
+        if args.cap is None and os.environ.get("KACPAL_CAP"):
+            source = "KACPAL_CAP"
+            try:
+                args.cap = int(os.environ["KACPAL_CAP"])
+            except ValueError:
+                raise ValueError("KACPAL_CAP must be an integer") from None
+        if args.cap is not None and args.cap < 1:
+            # every group order is at least 1, so such a cap would refuse every capped run
+            raise ValueError(f"{source} must be at least 1, got {args.cap}")
+        if args.n < 1 or args.m < 1:
+            raise ValueError("need --n >= 1 and --m >= 1")
+
+        args.checks = _parse_checks(getattr(args, "checks", None), command)
+        _check_caps(args, args.checks + (command,))
+        return COMMANDS[command][0](args)
     except (CapExceededError, ValueError) as exc:
         _warn(str(exc))
         return 2
@@ -375,10 +513,7 @@ def run() -> None:
     failed write.  With a tracer or profiler attached the process exits
     normally, so that it still writes its report at exit.
     """
-    try:
-        code = main()
-    except SystemExit as exc:  # argparse on a usage error or --help
-        code = exc.code
+    code = main()
     try:
         sys.stdout.flush()
     except OSError as exc:

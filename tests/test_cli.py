@@ -2,6 +2,7 @@ import ast
 import errno
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -434,7 +435,7 @@ def test_env_cap_must_be_integer(capsys, monkeypatch):
 )
 def test_a_cap_below_1_is_bad_input(capsys, monkeypatch, argv, cap):
     # before any work, for every command, from either source
-    monkeypatch.setattr(cli, "COMMANDS", {name: (None, runs) for name, (_, runs) in cli.COMMANDS.items()})
+    monkeypatch.setattr(cli, "COMMANDS", {name: (None, *rest) for name, (_, *rest) in cli.COMMANDS.items()})
     code, out, err = run(capsys, *argv, "--cap-group-order", cap)
     assert (code, out, err) == (2, "", f"--cap-group-order must be at least 1, got {cap}\n")
     monkeypatch.setenv("KACPAL_CAP", cap)
@@ -672,6 +673,56 @@ def test_table_checks_at_n_1_run_in_the_rational_field(capsys):
         assert f"check {check}: pass" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (),
+        ("tables", "--n", "2", "--m", "2"),
+        ("table", "--n", "2", "--m", "2", "--colour", "red"),
+        ("table", "--n", "x", "--m", "2"),
+        ("table", "--n", "2", "--m", "2", "--format", "xml"),
+        ("table", "--n", "2"),
+        ("idempotent", "--n", "2", "--m", "2"),
+        # an option is named in full: no prefix stands for it
+        ("table", "--n", "2", "--m", "2", "--form", "csv"),
+    ],
+    ids=[
+        "no-command",
+        "unknown-command",
+        "unknown-option",
+        "not-an-integer",
+        "unknown-format",
+        "missing-m",
+        "missing-beta",
+        "prefix",
+    ],
+)
+def test_a_usage_error_is_one_line_and_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.endswith("\n"), err
+
+
+def test_an_option_takes_its_value_after_an_equals_sign_and_the_last_one_wins(capsys):
+    expected = run(capsys, "table", "--n", "2", "--m", "2", "--format", "csv")
+    assert expected[0] == 0
+    assert run(capsys, "table", "--n=2", "--m=2", "--format=csv") == expected
+    repeated = ("table", "--n", "3", "--format", "json", "--m", "2", "--n=2", "--format", "csv")
+    assert run(capsys, *repeated) == expected
+
+
+def test_help_names_the_commands_and_the_options_of_a_command(capsys):
+    code, out, err = run(capsys, "-h")
+    assert (code, err) == (0, "")
+    for command in ("table", "verify", "idempotent", "count"):
+        assert f"\n  {command} " in out
+    code, out, err = run(capsys, "table", "--help")
+    assert (code, err) == (0, "")
+    for option in ("--n", "--m", "--cap-group-order", "--out", "--format", "--checks"):
+        assert f"\n  {option} " in out
+    assert "--beta" not in out
+
+
 def test_invalid_parameters(capsys):
     code, _, err = run(capsys, "count", "--n", "0", "--m", "3")
     assert code == 2
@@ -791,6 +842,8 @@ def test_a_reader_gone_before_the_final_flush_gets_exit_2():
         ("idempotent", "--n", "2", "--m", "2", "--beta", "0:2", "--expanded"),
         # about 100 KB, past stdout's buffer, so the write fails inside main
         ("idempotent", "--n", "2", "--m", "4", "--beta", "0:4", "--expanded"),
+        ("--help",),
+        ("table", "--help"),
     ],
 )
 def test_a_full_device_gets_exit_2(argv):
@@ -811,6 +864,30 @@ def test_a_full_device_gets_exit_2(argv):
     assert done.returncode == 2
     assert done.stderr == "cannot write the output: No space left on device\n"
     assert silent.returncode == 2
+
+
+class CountingStdout(io.StringIO):
+    """A stdout that counts the pieces it is handed."""
+
+    pieces = 0
+
+    def write(self, text):
+        self.pieces += 1
+        return super().write(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+
+def test_the_expanded_idempotent_is_written_in_64_kib_pieces(monkeypatch):
+    # about 1 MB in 3840 terms, which were once handed over one at a time
+    stdout = CountingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["idempotent", "--n", "2", "--m", "5", "--beta", "1:5", "--expanded"]) == 0
+    text = stdout.getvalue()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    assert stdout.pieces <= math.ceil(len(text.encode()) / 65536) + 1
 
 
 def test_a_profiler_still_reports_at_exit():
@@ -941,9 +1018,9 @@ PASSING_RUNS = (
 )
 
 # The functions of the package that no passing run calls, each with the
-# test that drives it: failure paths, the process entry, the reprs, the
-# witness that the acceptance criteria gate, and the conjugate partition
-# kept for the transpose symmetry of the table.
+# test that drives it: failure paths, the process entry, the help, the
+# reprs, the witness that the acceptance criteria gate, and the conjugate
+# partition kept for the transpose symmetry of the table.
 CALLED_BY_TESTS_ONLY = {
     "character_model.Monomial.is_zero": "test_character_basis.py::test_root_sums_that_cancel_have_no_coefficient",
     "hopf._CharacterHopf.name": "test_hopf.py::test_perturbed_cocycle_fails",
@@ -953,6 +1030,8 @@ CALLED_BY_TESTS_ONLY = {
     "cli._stdout_failed": "test_cli.py::test_closed_pipe_exits_2_without_traceback",
     "cli._warn": "test_cli.py::test_idempotent_malformed_beta",
     "cli._observed": "test_cli.py::test_a_profiler_still_reports_at_exit",
+    "cli._usage": "test_cli.py::test_help_names_the_commands_and_the_options_of_a_command",
+    "cli._form": "test_cli.py::test_help_names_the_commands_and_the_options_of_a_command",
     "classifier.LabelledPartition.__repr__": "test_values.py::test_a_value_repr_names_its_type_and_fields",
     "partitions.Partition.__repr__": "test_values.py::test_a_value_repr_names_its_type_and_fields",
     "wreath.Perm.__repr__": "test_values.py::test_a_value_repr_names_its_type_and_fields",
@@ -1153,7 +1232,8 @@ def test_no_command_imports_dataclasses_or_inspect(tmp_path):
         ("idempotent", "--n", "2", "--m", "2", "--beta", "0:2", "--expanded"),
     )
     assert "kacpal.classifier" in loaded
-    assert not {"dataclasses", "inspect"} & loaded
+    # argparse brings gettext and locale, and builds its parsers on every call
+    assert not {"dataclasses", "inspect", "argparse", "gettext", "locale"} & loaded
 
 
 def test_every_exported_name_resolves():
