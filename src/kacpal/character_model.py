@@ -17,10 +17,10 @@ their defining formulas on these tables, at (n, m) and, for the tensor
 square, at (n, 2m), so no element is changed to this basis from the group
 basis.  Sums of roots of unity, such as the coefficients of a root_sum or
 of a Lambda_lam, are read as the canonical integer pairs of kacpal.roots.
-An element with rational coefficients, a classification idempotent, is the
-plain map {(lam, p): c} that wreath.character_product multiplies, so a
-check on tables loads no fractions from here, whether it passes or fails:
-a failed model check names a coefficient by roots.coefficient_repr, and a
+A classification idempotent is held in integer form, +-1 terms
+{(lam, p): c} over one scale (num, den), and no check multiplies it, so no
+check loads fractions, whether it passes or fails: a failed model check
+names a coefficient by roots.coefficient_repr, and a
 failing relation's counterexample, the least group index at which Phi of
 its difference is nonzero, is read from the two tables
 (Monomial.difference_head) as an integer pair of kacpal.roots, as is the
@@ -38,17 +38,19 @@ is a pairing of class sums over lam's stabiliser Y, as q^-1 sigma^-1 q runs
 |Y| / |C| times over the class C of sigma (Serre, Linear Representations of
 Finite Groups, ch. 2); it is 0 unless lam_i and lam_j hold each value
 equally often.  The traces rest on that lemma, checked by
-stabiliser_classes, and on the exact square e * e == e, is_idempotent.  For
-a classification idempotent c_(lam, 1) = prod f^mu / b_i!, the prefactors of
-its blocks' Young symmetrizers.  The echelon they replaced is the reference
+stabiliser_classes, and on the idempotency of each e, read from its
+blocks' shapes by symmetrizer_square.  For a classification idempotent
+c_(lam, 1) = prod f^mu / b_i!, the prefactors of its blocks' Young
+symmetrizers.  The square and the echelon they replaced are the reference
 in tests/group_basis_oracle.py.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
-from math import factorial, lcm
+from itertools import permutations, product
+from math import factorial, lcm, prod
+from operator import add
 
 from .roots import (
     coefficient_json,
@@ -61,7 +63,6 @@ from .wreath import (
     CheckFailedError,
     Perm,
     WreathElement,
-    character_product,
     generator_a,
     generator_b,
     perm_index,
@@ -92,22 +93,6 @@ def characters(n: int, m: int) -> tuple:
     return tuple(t[::-1] for t in product(range(n), repeat=m))
 
 
-def integral(terms: dict) -> dict:
-    """The vector times the lcm of its coefficient denominators: integer
-    coordinates on the same line, whose products need no Fraction arithmetic."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    return {key: c.numerator * (den // c.denominator) for key, c in terms.items()}
-
-
-def is_idempotent(e: dict) -> bool:
-    """Whether e * e == e for a map e = {(lam, p): c} of rationals, decided
-    on integer numerators: x = D e is integral for D the lcm of e's
-    denominators, and e * e == e exactly when x x = D x."""
-    den = lcm(*(c.denominator for c in e.values()))
-    x = integral(e)
-    return character_product(x, x) == {key: den * c for key, c in x.items()}
-
-
 def stabiliser_classes(e: dict) -> dict:
     """The class sums D(C) of e = sum c_sigma F(lam, sigma), keyed by class.
 
@@ -129,30 +114,80 @@ def stabiliser_classes(e: dict) -> dict:
     return sums
 
 
-def left_ideal_rank(classes: dict, m: int) -> int:
-    """dim A e = m! c_(lam, 1) for an idempotent e with these class sums; the
-    identity's is the one class of m cycles.  A trace that is no integer is
-    no rank: CheckFailedError."""
-    rank = factorial(m) * next((d for key, d in classes.items() if len(key) == m), 0)
-    if rank != int(rank):
-        raise CheckFailedError(f"the trace m! c_(lam, 1) = {rank} of an idempotent is not a rank")
-    return int(rank)
+def left_ideal_rank(classes: dict, scale: tuple, m: int) -> int:
+    """dim A e = m! c_(lam, 1) for an idempotent (num / den) sum c F(lam, p)
+    whose terms have these class sums, scale = (num, den); the identity's is
+    the one class of m cycles."""
+    return _rank(factorial(m) * next((d for key, d in classes.items() if len(key) == m), 0), scale)
 
 
-def sandwich_rank(left: dict, right: dict):
-    """dim e_i A e_j for idempotents with the class sums left and right:
-    sum_C (|Y| / |C|) D_i(C) D_j(C), where |Y| / |C|, the order of a
-    centraliser, is the product over the distinct cycles of length^k k!,
-    k the cycle's multiplicity."""
+def sandwich_rank(left: tuple, right: tuple) -> int:
+    """dim e_i A e_j for idempotents given as (class sums, scale), as for
+    left_ideal_rank: sum_C (|Y| / |C|) D_i(C) D_j(C) times the scales, where
+    |Y| / |C|, the order of a centraliser, is the product over the distinct
+    cycles of length^k k!, k the cycle's multiplicity."""
+    (classes, (num, den)), (other, (other_num, other_den)) = left, right
     total = 0
-    for key, d in left.items():
-        if key in right:
+    for key, d in classes.items():
+        if key in other:
             centraliser = 1
             for cycle in set(key):
                 k = key.count(cycle)
                 centraliser *= cycle[1] ** k * factorial(k)
-            total += centraliser * d * right[key]
-    return total
+            total += centraliser * d * other[key]
+    return _rank(total, (num * other_num, den * other_den))
+
+
+def _rank(trace: int, scale: tuple) -> int:
+    """The trace times num / den: CheckFailedError if no integer, no rank."""
+    rank, rest = divmod(trace * scale[0], scale[1])
+    if rest:
+        raise CheckFailedError(f"the trace {trace} * {scale[0]}/{scale[1]} of an idempotent is not a rank")
+    return rank
+
+
+def symmetrizer_square(mu, terms) -> int:
+    """xi with y^2 = xi y, for y = h v given as its terms ((p, c), ...): the
+    Young symmetrizer of mu's row-consecutive tableau, whose rows and
+    columns are read from mu alone.  Von Neumann's lemma (Fulton and Harris,
+    Representation Theory, 4.2) is checked by integer comparisons: y_1 = 1;
+    t y = y and y u = -y on every term for the swaps t and u of adjacent
+    slots of a row and of a column, which generate the row and column groups
+    R and C; y has |R| |C| terms, so its support is R C (R and C meet in 1);
+    and each sigma off it sends two slots x, z of a column into one row, so
+    t = (sigma(x) sigma(z)) in R has sigma^-1 t sigma = (x z) in C.  Then any
+    a with r a = a and a c = sgn(c) a has a_sigma = a_(t sigma (x z)) =
+    -a_sigma = 0 off R C and is a_1 y: so y^2 = xi y, xi = sum_p y_p y_(p^-1).
+    The construction guarantees the lemma: its failure raises
+    CheckFailedError naming it."""
+    k, y = mu.size, dict(terms)
+    row_of = [r for r, part in enumerate(mu) for _ in range(part)]
+    column_of = [c for part in mu for c in range(part)]
+    slots = range(k)
+
+    def fail(detail):
+        raise CheckFailedError(f"von Neumann's lemma fails for the symmetrizer of {list(mu)}: {detail}")
+
+    def swap(a, b):
+        return [b if i == a else a if i == b else i for i in slots]
+
+    row_swaps = [swap(a, a + 1) for a in slots[:-1] if row_of[a] == row_of[a + 1]]
+    # the slot below a is a + mu[row of a]
+    column_swaps = [swap(a, a + mu[r]) for a, r, c in zip(slots, row_of, column_of) if c < (*mu, 0)[r + 1]]
+    if y.get(tuple(slots)) != 1:
+        fail("the coefficient of 1 is not 1")
+    for p, c in y.items():
+        if any(y.get(tuple(map(t.__getitem__, p))) != c for t in row_swaps):
+            fail(f"the terms at {list(p)} and its left translates by the row group differ")
+        if any(y.get(tuple(map(p.__getitem__, u))) != -c for u in column_swaps):
+            fail(f"the terms at {list(p)} and its right translates by the column group are not opposite")
+    if len(y) != prod(map(factorial, (*mu, *mu.conjugate()))):
+        fail(f"{len(y)} terms, not |R| |C|")
+    weights = [c * len(mu) for c in column_of]  # plus the row of a slot's image: a (column, row) pair
+    for sigma in permutations(slots):
+        if sigma not in y and len(set(map(add, weights, map(row_of.__getitem__, sigma)))) == k:
+            fail(f"{list(sigma)} is off the support, but no two slots of a column go to one row")
+    return sum(c * y.get(tuple(sorted(slots, key=p.__getitem__)), 0) for p, c in y.items())
 
 
 class MonomialModel:

@@ -3,25 +3,21 @@
 A labelled partition assigns one (possibly empty) partition to each of the
 n twist characters, with sizes summing to m.  Each produces a primitive
 idempotent: the character idempotent of its non-decreasing character vector
-times the embedded Young symmetrizers of its blocks.  The idempotent is built
-in the character basis F(lam, p) = Lambda_lam p, where its coordinates are
-rational, as the plain map {(lam, sigma): c} that wreath.character_product
-multiplies; every term lies on its one character vector, so the idempotent
-command writes its group-basis coordinates as the pairs of
-roots.lambda_coefficients scaled by those rationals.  The group-basis
-product of the same factors, and the element type whose product
-character_product replaced, are the references in
-tests/group_basis_oracle.py.
-Counting and dimension formulas are cross-checked three ways (closed formula,
-hook lengths, and the rank of the left ideal A e as the trace m! c_(lam, 1),
-c_(lam, 1) = prod f^mu / b_i!, which rests on the exact square e * e == e).
+times the embedded Young symmetrizers of its blocks, built in the character
+basis F(lam, p) = Lambda_lam p in integer form: +-1 terms {(lam, sigma): c}
+over one scale (num, den).  The keyed product, the group-basis product of
+the same factors, and the element type they replaced are the references in
+tests/group_basis_oracle.py.  Counting and dimension formulas are
+cross-checked three ways (closed formula, hook lengths, and the rank of the
+left ideal A e as the trace m! c_(lam, 1), c_(lam, 1) = prod f^mu / b_i!,
+which rests on the idempotency of e, read per block shape).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, compress, product, repeat
-from math import factorial
+from math import factorial, prod
 from operator import itemgetter, sub
 
 from .partitions import (
@@ -32,13 +28,7 @@ from .partitions import (
     standard_tableaux_count,
     young_symmetrizer,
 )
-from .wreath import (
-    CheckFailedError,
-    character_product,
-    check_cap,
-    group_order,
-    permute_character,
-)
+from .wreath import CheckFailedError, check_cap, group_order, permute_character
 
 
 class LabelledPartition(tuple):
@@ -153,43 +143,54 @@ def embed_permutation(p, offset: int, m: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def block_terms(block: Partition) -> tuple:
-    """The (p, coeff) terms of young_symmetrizer(block), the Young
-    symmetrizer of the block's row-consecutive tableau in Q[S_k], built from
-    the shape once per partition: they depend on neither n nor the label.
-    A tuple, so that no caller can change what the next one reads."""
-    symmetrizer = young_symmetrizer(block)
-    return tuple((p, coeff) for (_, p), coeff in symmetrizer.items())
+    """young_symmetrizer(block) as ((p, sign) pairs, scale), built once per
+    partition, and a tuple, so that no caller can change what the next reads."""
+    terms, scale = young_symmetrizer(block)
+    return tuple((p, sign) for (_, p), sign in terms.items()), scale
 
 
-def character_idempotent(beta: LabelledPartition) -> dict:
-    """The classification idempotent in the character basis: F(lam, 1) times
-    the row-consecutive Young symmetrizer of each block, embedded on the
-    block's contiguous slots (offset by the sizes of the earlier blocks), as
-    the map {(lam, sigma): c} of wreath.character_product.
+def character_idempotent(beta: LabelledPartition) -> tuple:
+    """The classification idempotent in the character basis, in integer
+    form (terms, (num, den)): F(lam, 1) times the row-consecutive Young
+    symmetrizer of each block, embedded on the block's contiguous slots
+    (offset by the sizes of the earlier blocks).
 
     The model's product F(lam, s) F(lam, t) = [lam = lam o s] F(lam, st)
     keeps every term only because each block permutation fixes lam, which is
     non-decreasing and constant on each block: the blocks' permutations lie
     in the stabiliser of lam.  That lemma is checked on every embedded
-    permutation, and a failure raises CheckFailedError.
+    permutation, and that it fixes every slot outside its block's: then the
+    blocks' factors commute, and their product is the Cartesian product of
+    their terms, each sigma the blocks' images side by side.  A failure of
+    either raises CheckFailedError.
     """
     m = beta.m
     lam = lambda_from_beta(beta)
-    result = {(lam, tuple(range(m))): 1}
+    products = [((), 1)]  # (images of the slots so far, sign)
+    num = den = 1
     offset = 0
     for _, block in beta.labelled_blocks:
-        terms = {}
-        for p, coeff in block_terms(block):
+        terms, (f, k_factorial) = block_terms(block)
+        end = offset + block.size
+        outside = (tuple(range(offset)), tuple(range(end, m)))
+        part = []
+        for p, sign in terms:
             sigma = embed_permutation(p, offset, m)
             if permute_character(lam, sigma) != lam:
                 raise CheckFailedError(
                     f"the block permutations of {beta.spec_string()} do not fix "
                     f"lambda = {list(lam)}: the stabiliser lemma fails at {list(sigma)}"
                 )
-            terms[lam, sigma] = coeff
-        result = character_product(result, terms)
-        offset += block.size
-    return result
+            if (sigma[:offset], sigma[end:]) != outside:
+                raise CheckFailedError(
+                    f"the blocks of {beta.spec_string()} are not on disjoint slots: "
+                    f"{list(sigma)} moves a slot outside {offset}..{end - 1}"
+                )
+            part.append((sigma[offset:end], sign))
+        products = [(images + q, s * t) for images, s in products for q, t in part]
+        num, den = num * f, den * k_factorial
+        offset = end
+    return {(lam, images): sign for images, sign in products}, (num, den)
 
 
 def irrep_dimension(beta: LabelledPartition) -> int:
@@ -217,8 +218,8 @@ def dimension_by_hooks(beta: LabelledPartition) -> int:
 
 class IrrepRecord:
     """One classified irreducible with its three dimension computations;
-    element is its idempotent in the character basis, the map
-    {(lam, sigma): c}."""
+    element is its idempotent in the character basis in the integer form of
+    character_idempotent, (terms, (num, den))."""
 
     def __init__(
         self,
@@ -258,23 +259,15 @@ class IrrepTable:
         return {"n": self.n, "m": self.m, "irreps": irreps, "checks": self.checks}
 
     def to_csv(self) -> str:
-        import csv
-        import io
-
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["beta_spec", "lambda", "dim_formula", "dim_hook", "dim_rank"])
+        """The table as csv.writer writes it: \r\n line ends, and a spec
+        string quoted when it holds a comma; no field holds a quote."""
+        lines = ["beta_spec,lambda,dim_formula,dim_hook,dim_rank"]
         for rec in self.records:
-            writer.writerow(
-                [
-                    rec.beta.spec_string(),
-                    " ".join(str(v) for v in rec.lam),
-                    rec.dim_formula,
-                    rec.dim_hook,
-                    "" if rec.dim_rank is None else rec.dim_rank,
-                ]
-            )
-        return buf.getvalue()
+            spec = rec.beta.spec_string()
+            spec = f'"{spec}"' if "," in spec else spec
+            rank = "" if rec.dim_rank is None else rec.dim_rank
+            lines.append(f"{spec},{' '.join(map(str, rec.lam))},{rec.dim_formula},{rec.dim_hook},{rank}")
+        return "\r\n".join(lines) + "\r\n"
 
     def to_text(self) -> str:
         """The table as aligned text lines, then the count, the sum of
@@ -311,10 +304,12 @@ def irrep_table(
     and the sum of squared dimensions against the algebra dimension.  The
     idempotency, rank and orthogonality checks run in the character basis,
     after check_model has verified that basis against the group algebra at
-    this (n, m); a failure there raises CheckFailedError.  The ranks and
-    sandwich dimensions are traces, ranks only of idempotents: a record whose
-    exact square fails gets dim_rank None and fails both checks.  cap, when
-    given, replaces the default rank-check and conjugacy caps of wreath.CAPS.
+    this (n, m); a failure there raises CheckFailedError.  With y_i^2 = xi_i y_i
+    for each block (symmetrizer_square, once per shape), e^2 = (prod xi_i num
+    / den) e.  The ranks and sandwich dimensions are traces, ranks only of
+    idempotents: a record that is not gets dim_rank None and fails both
+    checks.  cap, when given, replaces the default rank-check and conjugacy
+    caps of wreath.CAPS.
     """
     order = group_order(n, m)
     traced = check_ranks or check_orthogonality
@@ -322,26 +317,31 @@ def irrep_table(
         check_cap(n, m, "rank-check", cap)
     if check_conjugacy:
         check_cap(n, m, "conjugacy", cap)
-    squared = check_idempotency or traced
-    if squared:
+    checked = check_idempotency or traced
+    if checked:
         # the model and the traces are loaded only when a check runs
-        from .character_model import check_model, is_idempotent, left_ideal_rank
-        from .character_model import sandwich_rank, stabiliser_classes
+        from .character_model import check_model, left_ideal_rank, sandwich_rank
+        from .character_model import stabiliser_classes, symmetrizer_square
 
         check_model(n, m)
 
     records = []
-    squares = []  # whether each e * e == e, on which every trace rests
-    class_sums = []  # of each e, shared by its rank and its k sandwiches
+    squares: dict = {}  # xi_i of each block shape
+    idempotent = []  # whether each e * e == e, on which every trace rests
+    traces = []  # (class sums, scale) of each e, shared by its rank and its k sandwiches
     for beta in enumerate_labelled_partitions(n, m):
         e = character_idempotent(beta)
+        terms, (num, den) = e
         dim_rank = None
         if traced:
-            class_sums.append(stabiliser_classes(e))
-        if squared:
-            squares.append(is_idempotent(e))
-            if check_ranks and squares[-1]:
-                dim_rank = left_ideal_rank(class_sums[-1], m)
+            traces.append((stabiliser_classes(terms), (num, den)))
+        if checked:
+            for _, block in beta.labelled_blocks:
+                if block not in squares:
+                    squares[block] = symmetrizer_square(block, block_terms(block)[0])
+            idempotent.append(prod(squares[block] for _, block in beta.labelled_blocks) * num == den)
+            if check_ranks and idempotent[-1]:
+                dim_rank = left_ideal_rank(*traces[-1], m)
         records.append(
             IrrepRecord(
                 beta=beta,
@@ -360,7 +360,7 @@ def irrep_table(
     )
 
     if check_idempotency:
-        ok = all(squares) and all(r.element for r in records)
+        ok = all(idempotent) and all(r.element[0] for r in records)
         checks["idempotency"] = "pass" if ok else "fail"
 
     if check_ranks:
@@ -369,11 +369,11 @@ def irrep_table(
         )
 
     if check_orthogonality:
-        # dim e_i A e_j is a trace only when both squares hold
-        ok = all(squares) and all(
-            sandwich_rank(ci, cj) == (1 if i == j else 0)
-            for i, ci in enumerate(class_sums)
-            for j, cj in enumerate(class_sums)
+        # dim e_i A e_j is a trace only when both are idempotent
+        ok = all(idempotent) and all(
+            sandwich_rank(ti, tj) == (1 if i == j else 0)
+            for i, ti in enumerate(traces)
+            for j, tj in enumerate(traces)
         )
         checks["orthogonality"] = "pass" if ok else "fail"
 

@@ -12,12 +12,11 @@ from its pair; `--checks hopf` also leaves out the classifier and
 fractions, and `--checks relations` the Hopf module, the classifier and
 fractions, whether a check passes or fails: a failing relation's
 counterexample is read from its exponent tables.  A classification
-idempotent is a plain map {(lam, sigma): c}, built and squared by
-wreath.character_product, so `table` without checks loads no model either.
-`count` loads neither the classifier nor fractions; only the conjugacy
-check loads kacpal.conjugacy, and only the commands that write JSON load
-json.  With no byte code cached, compiling the modules a call loads is a
-large part of its time.
+idempotent is held in integer form and never multiplied, so no command
+loads fractions.  `count` loads no classifier; only the conjugacy check
+loads kacpal.conjugacy, only the commands that write JSON load json, and
+only -h or --help loads kacpal.usage, the help.  With no byte code cached,
+compiling the modules a call loads is a large part of its time.
 
 The command line is parsed from COMMANDS, the one description of each
 command: its handler, its help line, the checks it runs and its own
@@ -140,22 +139,21 @@ def _json(value) -> str:
     return json.dumps(value, indent=2) + "\n"
 
 
-def _expanded_json(payload: dict, n: int, m: int, e: dict) -> Iterator[str]:
+def _expanded_json(payload: dict, n: int, m: int, e: tuple) -> Iterator[str]:
     """``json.dumps(payload | {"element": Phi(e).to_json()}, indent=2) + "\\n"``
     in pieces, one permutation block at a time, so that the peak memory of
     an expanded idempotent does not grow with its number of blocks.
 
-    e is a classification idempotent at (n, m) in the character basis, the
-    map {(lam, sigma): c}: every term c F(lam, sigma) lies on its one lam,
-    and Phi maps it to c Lambda_lam sigma, whose coordinate at index
-    perm_index(sigma) n^m + t is c zeta^(2 lam . t) / n^m, the pair t of
-    roots.lambda_coefficients times the rational c: the block of sigma.
-    Each coefficient of Lambda_lam and each c is nonzero, and the sigma
-    differ, so no two terms share an index and nothing cancels.  A term
-    sits three levels deep and its coefficient four.  The coefficients
-    share one order, so (num, den) is each one's value and fixes its JSON:
-    each distinct value is encoded once, and each distinct c has its n^m
-    texts built once.
+    e is a classification idempotent at (n, m) in the character basis, in
+    integer form (terms, (num, den)): every term c F(lam, sigma) lies on its
+    one lam, and Phi maps it to c' Lambda_lam sigma, c' = c num / den, whose
+    coordinate at index perm_index(sigma) n^m + t is the pair t of
+    roots.lambda_coefficients times c': the block of sigma.  Each
+    coefficient of Lambda_lam and each c is nonzero, and the sigma differ,
+    so nothing cancels.  A term sits three levels deep and its coefficient
+    four.  The coefficients share one order, so a reduced pair fixes its
+    JSON: each distinct value is encoded once, and each distinct c has its
+    n^m texts built once.
     """
     import json
 
@@ -166,18 +164,19 @@ def _expanded_json(payload: dict, n: int, m: int, e: dict) -> Iterator[str]:
     shell = json.dumps({**payload, "element": {"n": n, "m": m, "terms": []}}, indent=2)
     head, tail = shell.rsplit('"terms": []', 1)
     encode = json.JSONEncoder(indent=2).encode
-    pairs = lambda_coefficients(n, m, next(iter(e))[0])
+    terms, (scale, scale_den) = e
+    pairs = lambda_coefficients(n, m, next(iter(terms))[0])
     values: dict = {}  # (num, den) -> its JSON
     blocks: dict = {}  # c -> the JSON of its n^m coefficients
     yield head + '"terms": ['
     sep = ""
-    for base, c in sorted((perm_index(sigma) * size, c) for (_, sigma), c in e.items()):
+    for base, c in sorted((perm_index(sigma) * size, c) for (_, sigma), c in terms.items()):
         texts = blocks.get(c)
         if texts is None:
-            a, b = c.numerator, c.denominator
+            a = c * scale
             texts = blocks[c] = []
             for num, den in pairs:
-                value = reduced(tuple([a * x for x in num]), den * b)
+                value = reduced(tuple([a * x for x in num]), den * scale_den)
                 text = values.get(value)
                 if text is None:
                     # its strings hold no newlines
@@ -258,7 +257,7 @@ def cmd_idempotent(args) -> int:
         "lambda": list(lambda_from_beta(beta)),
         "dimension": irrep_dimension(beta),
         # each term spreads over the n^m coordinates of its Lambda_lam
-        "num_terms": len(e) * args.n**args.m,
+        "num_terms": len(e[0]) * args.n**args.m,
     }
     if args.expanded:
         _emit(args.out, _expanded_json(payload, args.n, args.m, e))
@@ -397,57 +396,13 @@ def _parse_args(argv: list[str]) -> tuple:
     return command, args
 
 
-def _usage(command: str | None) -> str:
-    """The help of the command, or of kacpal for None, from COMMANDS."""
-    if command is None:
-        return "\n".join(
-            [
-                "usage: kacpal COMMAND --n INT --m INT [options]",
-                "",
-                "Exact classification and verification for the group algebras of",
-                "generalised symmetric groups.",
-                "",
-                "commands:",
-                *(f"  {name:<12}{entry[1]}" for name, entry in COMMANDS.items()),
-                "",
-                "kacpal COMMAND -h lists the options of COMMAND.",
-                "",
-            ]
-        )
-    _, help_line, _, own = COMMANDS[command]
-    options = {**COMMON_OPTIONS, **own}
-    forms = {name: _form(name, kind) for name, (kind, _) in options.items()}
-    required = [forms[name] for name in REQUIRED if name in forms]
-    optional = [f"[{form}]" for name, form in forms.items() if name not in REQUIRED]
-    width = max(map(len, forms.values())) + 2
-    return "\n".join(
-        [
-            f"usage: kacpal {command} {' '.join(required + optional)}",
-            "",
-            help_line,
-            "",
-            "options:",
-            *(f"  {forms[name]:<{width}}{text}" for name, (_, text) in options.items()),
-            f"  {'-h, --help':<{width}}show this help",
-            "",
-        ]
-    )
-
-
-def _form(name: str, kind) -> str:
-    """The option with its value as the help writes it."""
-    if kind is None:
-        return name
-    if isinstance(kind, tuple):
-        return f"{name} {{{','.join(kind)}}}"
-    return f"{name} {'INT' if kind is int else kind}"
-
-
 def main(argv=None) -> int:
     try:
         command, args = _parse_args(sys.argv[1:] if argv is None else list(argv))
         if args is None:
-            _emit(None, _usage(command))
+            from .usage import usage
+
+            _emit(None, usage(command))
             return 0
 
         args.cap, source = args.cap_group_order, "--cap-group-order"

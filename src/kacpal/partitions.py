@@ -1,14 +1,7 @@
-"""Partitions, hook lengths, and normalised Young symmetrizers.
+"""Partitions, hook lengths, and Young symmetrizers in integer form.
 
 count_formula, the number of labelled partitions, lives here beside the
-partition counts it is built from, so that the count command loads no more:
-the symmetrizers import fractions when called.
-
-The symmetrizer of a shape, that of its row-consecutive tableau, is
-returned as an exact rational element of Q[S_k], the character basis at
-n = 1, as the plain map {((0,)*k, p): c} that wreath.character_product
-multiplies; with the standard-tableau-count prefactor it is an idempotent
-of that algebra.
+partition counts it is built from, so that the count command loads no more.
 """
 
 from __future__ import annotations
@@ -17,7 +10,7 @@ from functools import lru_cache
 from itertools import accumulate, chain, permutations, product
 from math import factorial
 
-from .wreath import CheckFailedError, Perm, character_product
+from .wreath import CheckFailedError, Perm
 
 
 class Partition(tuple):
@@ -124,21 +117,15 @@ def standard_tableaux_count(mu: Partition) -> int:
     return count
 
 
-def young_symmetrizer(mu: Partition) -> dict:
-    """The normalised Young symmetrizer of the shape's row-consecutive
-    tableau, whose rows are filled with consecutive integers, in Q[S_k].
-
-    Row sum times sign-weighted column sum, scaled by the number of standard
-    tableaux over k factorial; with that prefactor the result squares to
-    itself.  The row group R and the column group C are the permutations of
-    the slots 0..k-1 that map each row, or each column, of that filling to
-    itself.  Q[S_k] is the character basis at (1, k): the element is the
-    map {((0,)*k, p): c}, whose key ((0,)*k, p) is the permutation p.
-    """
-    # imported here, so that the count command, which needs only the counts
-    # above, loads no fractions
-    from fractions import Fraction
-
+def young_symmetrizer(mu: Partition) -> tuple:
+    """The Young symmetrizer of the shape's row-consecutive tableau, whose
+    rows are filled with consecutive integers, in integer form: the terms
+    {((0,)*k, p): +-1} of y = h v in Q[S_k], the character basis at n = 1,
+    and the scale (f, k!) that makes it idempotent, f the number of standard
+    tableaux.  h and v sum the row group R and, signed, the column group C
+    of that filling; y is written out as r c with the sign of c for each
+    pair of R x C, whose |R| |C| terms are distinct exactly when R and C meet
+    only in 1, so none cancels.  A collision raises CheckFailedError."""
     k = mu.size
     rows = [range(end - part, end) for part, end in zip(mu, accumulate(mu))]
     columns = [[row[c] for row in rows if c < len(row)] for c in range(mu[0] if mu else 0)]
@@ -147,10 +134,12 @@ def young_symmetrizer(mu: Partition) -> dict:
         # each choice moves the slots of the blocks, in order, to its images
         slots = [*chain(*blocks)]
         for choice in product(*map(permutations, blocks)):
-            yield Perm(image for _, image in sorted(zip(slots, chain(*choice))))
+            yield Perm._make(image for _, image in sorted(zip(slots, chain(*choice))))
 
     trivial = (0,) * k
-    h = {(trivial, p): 1 for p in preserving(rows)}
-    v = {(trivial, p): p.sign() for p in preserving(columns)}
-    prefactor = Fraction(standard_tableaux_count(mu), factorial(k))
-    return {key: c * prefactor for key, c in character_product(h, v).items()}
+    row_group = [*preserving(rows)]
+    column_group = [(c, c.sign()) for c in preserving(columns)]
+    terms = {(trivial, r * c): sign for r in row_group for c, sign in column_group}
+    if len(terms) != len(row_group) * len(column_group):
+        raise CheckFailedError(f"the row and column groups of {mu!r} meet beyond 1")
+    return terms, (standard_tableaux_count(mu), factorial(k))

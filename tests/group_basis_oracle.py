@@ -6,11 +6,16 @@ SparseSum is the linear core of an element at (n, m): sum, difference,
 negation, scaling, powers, equality and hashing of a sparse map from keys
 to nonzero scalars, with add_into, the in-place accumulator.
 CharacterElement subclasses it over the character basis F(lam, p) =
-Lambda_lam p, with rational coefficients and the product
-F(lam, p) F(mu, q) = [mu = lam o p] F(lam, pq): the reference for
-wreath.character_product, by which the package builds and squares its
-classification idempotents as plain {(lam, p): c} maps.  Each element type
-here and in tests/hopf_group_basis_oracle.py subclasses SparseSum.
+Lambda_lam p, with rational coefficients and the keyed product
+F(lam, p) F(mu, q) = [mu = lam o p] F(lam, pq), character_product on
+plain {(lam, p): c} maps.  With it, is_idempotent squares a map exactly on
+integer numerators (integral): the reference for the idempotency that the
+package reads per block shape from von Neumann's lemma
+(character_model.symmetrizer_square).  rational turns the package's integer
+form (terms, (num, den)) of a Young symmetrizer or a classification
+idempotent into its map of Fractions, and integer_form turns such a map
+back.  Each element type here and in tests/hopf_group_basis_oracle.py
+subclasses SparseSum.
 
 AlgebraElement is the group algebra of Z_n wr S_m over Q(zeta_2n): a
 sparse map from dense group indices to CycNumbers, multiplied by rows of
@@ -58,10 +63,10 @@ partitions.young_symmetrizer.
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
-from math import factorial
+from math import factorial, lcm
 
 from cyclotomic_oracle import CycNumber, _make, zeta_over, zeta_power
-from kacpal.character_model import Monomial, MonomialModel, _generator_tables, integral
+from kacpal.character_model import Monomial, MonomialModel, _generator_tables
 from kacpal.classifier import LabelledPartition, character_idempotent, lambda_from_beta
 from kacpal.partitions import Partition, young_symmetrizer
 from kacpal import relations
@@ -189,8 +194,8 @@ class CharacterElement(SparseSum):
 
     Coefficients are Fractions, as those of the classification idempotents
     and the Young symmetrizers of Q[S_k] are; FieldCharacterElement takes
-    coefficients in Q(zeta_2n).  Its product is the reference for
-    wreath.character_product, which the package runs on the terms maps.
+    coefficients in Q(zeta_2n).  Its product is character_product on the
+    terms maps.
     """
 
     __slots__ = ()
@@ -220,27 +225,72 @@ class CharacterElement(SparseSum):
         return CharacterElement.one(self.n, self.m)
 
     def __mul__(self, other):
-        """F(lam, p) F(mu, q) = [mu = lam o p] F(lam, pq): each left key meets
-        only the right terms on its partner character, found by lookup."""
         self._check(other)
-        by_character: dict = {}
-        for (mu, q), b in other.terms.items():
-            by_character.setdefault(mu, []).append((q, b))
-        acc: dict = {}
-        for (lam, p), a in self.terms.items():
-            # lam = mu o p^(-1) exactly when mu = lam o p
-            for q, b in by_character.get(permute_character(lam, p), ()):
-                key = (lam, tuple([p[j] for j in q]))
-                c = a * b
-                cur = acc.get(key)
-                acc[key] = c if cur is None else cur + c
-        return self._new({k: v for k, v in acc.items() if v})
+        return self._new(character_product(self.terms, other.terms))
 
     @classmethod
     def one(cls, n: int, m: int) -> "CharacterElement":
         """The identity: the sum of all F(lam, 1)."""
         ident = tuple(range(m))
         return cls._make(n, m, {(lam, ident): ONE for lam in product(range(n), repeat=m)})
+
+
+def character_product(x: dict, y: dict) -> dict:
+    """The product of two elements of the character basis, given as maps
+    {(lam, p): c} of nonzero coefficients: lam a character in Z_n^m and p a
+    permutation of m points, a Perm or its one-line tuple.
+
+    With p x^t p^(-1) = x^(t o p^(-1)) a permutation moves a character
+    idempotent as p Lambda_mu = Lambda_(mu o p^(-1)) p, so
+
+        F(lam, p) F(mu, q) = [mu = lam o p] F(lam, pq),
+
+    the crossed-product form of C[Z_n^m] x| S_m (Serre, Linear
+    Representations of Finite Groups, 8.2).  Each left key meets only the
+    right terms on its partner character, found by lookup; coefficients
+    that cancel are dropped.
+    """
+    by_character: dict = {}
+    for (mu, q), b in y.items():
+        by_character.setdefault(mu, []).append((q, b))
+    acc: dict = {}
+    for (lam, p), a in x.items():
+        # lam = mu o p^(-1) exactly when mu = lam o p
+        for q, b in by_character.get(permute_character(lam, p), ()):
+            key = (lam, tuple([p[j] for j in q]))
+            c = a * b
+            cur = acc.get(key)
+            acc[key] = c if cur is None else cur + c
+    return {k: v for k, v in acc.items() if v}
+
+
+def integral(terms: dict) -> dict:
+    """The vector times the lcm of its coefficient denominators: integer
+    coordinates on the same line, whose products need no Fraction arithmetic."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {key: c.numerator * (den // c.denominator) for key, c in terms.items()}
+
+
+def is_idempotent(e: dict) -> bool:
+    """Whether e * e == e for a map e = {(lam, p): c} of rationals, decided
+    on integer numerators: x = D e is integral for D the lcm of e's
+    denominators, and e * e == e exactly when x x = D x."""
+    den = lcm(*(c.denominator for c in e.values()))
+    x = integral(e)
+    return character_product(x, x) == {key: den * c for key, c in x.items()}
+
+
+def rational(form: tuple) -> dict:
+    """The map {key: c num / den} of Fractions of an integer form
+    (terms, (num, den))."""
+    terms, (num, den) = form
+    return {key: Fraction(c * num, den) for key, c in terms.items()}
+
+
+def integer_form(terms: dict) -> tuple:
+    """A map of rationals in integer form: its integral terms over (1, D),
+    D the lcm of its denominators."""
+    return integral(terms), (1, lcm(*(Fraction(c).denominator for c in terms.values())))
 
 
 @lru_cache(maxsize=None)
@@ -414,7 +464,7 @@ def idempotent_from_beta(beta: LabelledPartition) -> AlgebraElement:
     """The classification idempotent in the group basis: the character
     idempotent times the embedded row-consecutive Young symmetrizers of the
     blocks, mapped by Phi."""
-    return terms_to_group(beta.n, beta.m, character_idempotent(beta))
+    return terms_to_group(beta.n, beta.m, rational(character_idempotent(beta)))
 
 
 def x_element(n: int, m: int, i: int) -> AlgebraElement:
@@ -566,7 +616,7 @@ def idempotent_by_products(beta: LabelledPartition, labels=None) -> AlgebraEleme
     for label in range(beta.n) if labels is None else labels:
         block = beta.blocks[label]
         if block.size:
-            symmetrizer = young_symmetrizer(block)
+            symmetrizer = rational(young_symmetrizer(block))
             result = result * iota_embed(beta, label, CharacterElement(1, block.size, symmetrizer))
     return result
 

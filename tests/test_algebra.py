@@ -15,6 +15,7 @@ from group_basis_oracle import (
     lambda_idempotent,
     left_ideal_dimension,
     mul_row,
+    rational,
     relation_suite_by_group_basis,
     s_element,
     sandwich_dimension,
@@ -381,7 +382,7 @@ def test_sandwich_dimension_matches_group_columns(nm, data):
 
 @pytest.mark.parametrize("n, m", [(2, 2), (3, 2)])
 def test_sandwich_dimension_matches_group_columns_on_idempotents(n, m):
-    idempotents = [terms_to_group(n, m, r.element) for r in irrep_table(n, m).records]
+    idempotents = [terms_to_group(n, m, rational(r.element)) for r in irrep_table(n, m).records]
     for e in idempotents:
         for f in idempotents:
             assert sandwich_dimension(e, f) == sandwich_by_group_columns(e, f)

@@ -1,5 +1,5 @@
 """The character basis F(lam, p) = Lambda_lam p against the group basis it
-models, and wreath.character_product against the oracle's element product."""
+models, and the trace ranks of character_model against the echelon."""
 
 from fractions import Fraction
 from itertools import product
@@ -15,11 +15,16 @@ from group_basis_oracle import (
     FieldCharacterElement,
     add_into,
     character_combination,
+    character_product,
     check_model_by_products,
     exact,
+    integer_form,
+    integral,
+    is_idempotent,
     lambda_idempotent,
     left_ideal_basis,
     left_ideal_dimension,
+    rational,
     root_sum,
     sandwich_dimension,
     sandwich_rank_by_echelon,
@@ -32,8 +37,6 @@ from kacpal import character_model, roots, wreath
 from kacpal.character_model import (
     MonomialModel,
     check_model,
-    integral,
-    is_idempotent,
     left_ideal_rank,
     sandwich_rank,
     stabiliser_classes,
@@ -43,7 +46,6 @@ from kacpal.wreath import (
     CheckFailedError,
     Perm,
     WreathElement,
-    character_product,
     element_index,
     permute_character,
     symmetric_group,
@@ -94,12 +96,14 @@ def summed_elements(n, m):
     )
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(st.sampled_from([(1, 4), (2, 2), (3, 2), (2, 3)]), st.data())
-def test_character_product_is_the_oracle_product(nm, data):
+def test_the_keyed_product_is_the_group_product(nm, data):
+    # character_product, the oracle that the integer idempotents are tested
+    # against, is the group algebra's product under Phi
     n, m = nm
     x, y = (data.draw(summed_elements(n, m)) for _ in range(2))
-    assert character_product(x.terms, y.terms) == (x * y).terms
+    assert to_group(CharacterElement._make(n, m, character_product(x.terms, y.terms))) == to_group(x) * to_group(y)
     # (1 + s)(s - 1) = s^2 - 1 = 0 on a character that the involution s
     # fixes: every term of the product cancels
     lam = (data.draw(st.integers(0, n - 1)),) * m
@@ -108,9 +112,8 @@ def test_character_product_is_the_oracle_product(nm, data):
     c = data.draw(RATIONALS.filter(bool))
     a = CharacterElement(n, m, {(lam, ident): c, (lam, s): c})
     b = CharacterElement(n, m, {(lam, s): 1, (lam, ident): -1})
-    assert character_product(a.terms, b.terms) == {} == (a * b).terms
-    x, y = x + a, y + b
-    assert character_product(x.terms, y.terms) == (x * y).terms
+    assert character_product(a.terms, b.terms) == {}
+    assert (to_group(a) * to_group(b)).is_zero()
 
 
 @settings(max_examples=40, deadline=None)
@@ -138,7 +141,13 @@ def conjugate(e: CharacterElement, g: Perm) -> CharacterElement:
 def table_idempotents(n, m):
     """The table's records, and their idempotents as oracle elements."""
     records = irrep_table(n, m).records
-    return records, [CharacterElement._make(n, m, r.element) for r in records]
+    return records, [CharacterElement._make(n, m, rational(r.element)) for r in records]
+
+
+def integer_traces(e: CharacterElement) -> tuple:
+    """(class sums, scale) of e's integer form, as irrep_table passes them."""
+    terms, scale = integer_form(e.terms)
+    return stabiliser_classes(terms), scale
 
 
 def classification_idempotents(n, m, moved):
@@ -155,26 +164,26 @@ def classification_idempotents(n, m, moved):
 @pytest.mark.parametrize("n, m", [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3), (2, 4), (2, 5)])
 def test_trace_ranks_match_the_echelon(n, m):
     elements = classification_idempotents(n, m, moved=4)
-    classes = [stabiliser_classes(e.terms) for e in elements]
+    traces = [integer_traces(e) for e in elements]
     bases = [left_ideal_basis(e) for e in elements]
-    for e, c, basis in zip(elements, classes, bases):
+    for e, trace, basis in zip(elements, traces, bases):
         assert is_idempotent(e.terms)
-        assert left_ideal_rank(c, m) == len(basis)
-    for e, ci in zip(elements, classes):
-        for cj, basis in zip(classes, bases):
-            assert sandwich_rank(ci, cj) == sandwich_rank_by_echelon(e, basis)
+        assert left_ideal_rank(*trace, m) == len(basis)
+    for e, ti in zip(elements, traces):
+        for tj, basis in zip(traces, bases):
+            assert sandwich_rank(ti, tj) == sandwich_rank_by_echelon(e, basis)
 
 
 @pytest.mark.parametrize("n, m", [(2, 2), (3, 2), (2, 3)])
 def test_trace_ranks_match_the_group_basis(n, m):
     elements = classification_idempotents(n, m, moved=2)
-    classes = [stabiliser_classes(e.terms) for e in elements]
+    traces = [integer_traces(e) for e in elements]
     images = [to_group(e) for e in elements]
-    for c, image in zip(classes, images):
-        assert left_ideal_rank(c, m) == left_ideal_dimension(image)
-    for ci, ei in zip(classes, images):
-        for cj, ej in zip(classes, images):
-            assert sandwich_rank(ci, cj) == sandwich_dimension(ei, ej)
+    for trace, image in zip(traces, images):
+        assert left_ideal_rank(*trace, m) == left_ideal_dimension(image)
+    for ti, ei in zip(traces, images):
+        for tj, ej in zip(traces, images):
+            assert sandwich_rank(ti, tj) == sandwich_dimension(ei, ej)
 
 
 def test_a_term_off_the_stabiliser_fails_the_lemma():
@@ -190,7 +199,10 @@ def test_a_trace_that_is_no_integer_fails():
     lam = (0, 0, 0)
     quarter = CharacterElement(2, 3, {(lam, (0, 1, 2)): Fraction(1, 4)})
     with pytest.raises(CheckFailedError, match="is not a rank"):
-        left_ideal_rank(stabiliser_classes(quarter.terms), 3)
+        left_ideal_rank(*integer_traces(quarter), 3)
+    # the sandwich of F(lam, 1) / 4 with itself is the trace 6 / 16
+    with pytest.raises(CheckFailedError, match="is not a rank"):
+        sandwich_rank(integer_traces(quarter), integer_traces(quarter))
 
 
 @st.composite

@@ -1,7 +1,10 @@
+import csv
+import io
 from fractions import Fraction
 from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from group_basis_oracle import (
     AlgebraElement,
@@ -11,12 +14,16 @@ from group_basis_oracle import (
     iota_embed,
     lambda_idempotent,
     left_ideal_dimension,
+    character_product,
+    is_idempotent,
     mul_row,
+    rational,
     s_element,
     sandwich_dimension,
     terms_to_group,
 )
 from kacpal import classifier
+from kacpal.character_model import symmetrizer_square
 from kacpal.classifier import (
     LabelledPartition,
     block_terms,
@@ -247,7 +254,7 @@ def test_rank_dimension_for_each_idempotent_2_3():
     table = irrep_table(n, m, check_ranks=True)
     for rec in table.records:
         assert rec.dim_rank == rec.dim_formula
-        assert left_ideal_dimension(terms_to_group(n, m, rec.element)) == rec.dim_formula
+        assert left_ideal_dimension(terms_to_group(n, m, rational(rec.element))) == rec.dim_formula
 
 
 @pytest.mark.parametrize(
@@ -266,13 +273,13 @@ def test_orthogonality_verdict_matches_pairwise_sandwiches(monkeypatch, n, m, du
             lambda beta: real(betas[0] if beta == betas[1] else beta),
         )
     table = irrep_table(n, m, check_ranks=True, check_orthogonality=True)
-    idempotents = [terms_to_group(n, m, rec.element) for rec in table.records]
+    idempotents = [terms_to_group(n, m, rational(rec.element)) for rec in table.records]
     matrix = [[sandwich_dimension(e, f) for f in idempotents] for e in idempotents]
     identity = [[int(i == j) for j in range(len(idempotents))] for i in range(len(idempotents))]
     assert table.checks["orthogonality"] == ("pass" if matrix == identity else "fail")
     assert table.checks["orthogonality"] == ("fail" if duplicate else "pass")
     for rec in table.records:
-        assert rec.dim_rank == left_ideal_dimension(terms_to_group(n, m, rec.element))
+        assert rec.dim_rank == left_ideal_dimension(terms_to_group(n, m, rational(rec.element)))
 
 
 def test_ideal_and_complement_dimensions_fill_the_algebra():
@@ -319,6 +326,33 @@ def test_table_json_and_csv_shapes():
     assert len(lines) == 6
 
 
+def csv_writer_text(table) -> str:
+    """The table as csv.writer writes it, the reference for to_csv."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["beta_spec", "lambda", "dim_formula", "dim_hook", "dim_rank"])
+    for rec in table.records:
+        writer.writerow(
+            [
+                rec.beta.spec_string(),
+                " ".join(str(v) for v in rec.lam),
+                rec.dim_formula,
+                rec.dim_hook,
+                "" if rec.dim_rank is None else rec.dim_rank,
+            ]
+        )
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("ranks", [False, True])
+@pytest.mark.parametrize("n, m", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4), (1, 1), (5, 1)])
+def test_csv_is_what_csv_writer_writes(n, m, ranks):
+    # the classification grid of the acceptance suite, with and without the
+    # rank column, and the one-slot tables whose specs hold no comma
+    table = irrep_table(n, m, check_ranks=ranks)
+    assert table.to_csv() == csv_writer_text(table)
+
+
 @pytest.mark.parametrize("n, m", [(4, 3), (2, 4)])
 def test_table_passes_every_character_basis_check(n, m):
     table = irrep_table(
@@ -332,29 +366,84 @@ def test_table_passes_every_character_basis_check(n, m):
 @pytest.mark.parametrize("k", range(1, 6))
 def test_block_terms_are_the_row_consecutive_symmetrizer(k):
     for mu in partitions_of(k):
-        terms = block_terms(mu)
-        assert isinstance(terms, tuple) and block_terms(Partition(mu)) is terms
-        symmetrizer = young_symmetrizer(mu)
+        terms, scale = block_terms(mu)
+        assert isinstance(terms, tuple) and block_terms(Partition(mu)) == (terms, scale)
+        assert block_terms(Partition(mu))[0] is terms
+        symmetrizer, symmetrizer_scale = young_symmetrizer(mu)
         assert dict(terms) == {p: c for (_, p), c in symmetrizer.items()}
-        assert len(terms) == len(symmetrizer)
+        assert len(terms) == len(symmetrizer) and scale == symmetrizer_scale
+
+
+def keyed_product_idempotent(beta):
+    """F(lam, 1) times each block's symmetrizer embedded on its slots, as
+    elements of the oracle with its keyed product rule."""
+    n, m = beta.n, beta.m
+    lam = lambda_from_beta(beta)
+    expected = CharacterElement(n, m, {(lam, Perm.identity(m)): 1})
+    offset = 0
+    for _, block in beta.labelled_blocks:
+        embedded = {}
+        for (_, p), c in rational(young_symmetrizer(block)).items():
+            images = [*range(offset), *(offset + i for i in p), *range(offset + len(p), m)]
+            embedded[lam, Perm(images)] = c
+        expected = expected * CharacterElement(n, m, embedded)
+        offset += block.size
+    return expected.terms
 
 
 @pytest.mark.parametrize("n, m", [(2, 4), (3, 3), (2, 5)])
 def test_character_idempotent_is_the_oracle_product(n, m):
-    # F(lam, 1) times each block's symmetrizer embedded on its slots, as
-    # elements of the oracle with its own product rule
     for beta in enumerate_labelled_partitions(n, m):
-        lam = lambda_from_beta(beta)
-        expected = CharacterElement(n, m, {(lam, Perm.identity(m)): 1})
-        offset = 0
-        for _, block in beta.labelled_blocks:
-            embedded = {}
-            for (_, p), c in young_symmetrizer(block).items():
-                images = [*range(offset), *(offset + i for i in p), *range(offset + len(p), m)]
-                embedded[lam, Perm(images)] = c
-            expected = expected * CharacterElement(n, m, embedded)
-            offset += block.size
-        assert character_idempotent(beta) == expected.terms, beta
+        terms, scale = character_idempotent(beta)
+        assert set(terms.values()) <= {1, -1}, beta
+        assert rational((terms, scale)) == keyed_product_idempotent(beta), beta
+
+
+@st.composite
+def labelled_partitions(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 6 if n < 3 else 4))
+    return draw(st.sampled_from(enumerate_labelled_partitions(n, m)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(labelled_partitions())
+def test_the_integer_idempotent_scaled_back_is_the_keyed_product(beta):
+    assert rational(character_idempotent(beta)) == keyed_product_idempotent(beta)
+
+
+def shape_verdict(mu):
+    """Whether (f / k!) y squares to itself, read from symmetrizer_square."""
+    xi = symmetrizer_square(mu, block_terms(mu)[0])
+    f, k_factorial = block_terms(mu)[1]
+    return xi * f == k_factorial
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_the_shape_verdict_is_the_integer_square(k):
+    for mu in partitions_of(k):
+        terms, (f, k_factorial) = young_symmetrizer(mu)
+        xi = symmetrizer_square(mu, block_terms(mu)[0])
+        assert shape_verdict(mu) == is_idempotent(rational((terms, (f, k_factorial)))) is True
+        # y^2 = xi y, and no other scale than f / k! makes (scale) y idempotent
+        y = {key: c for key, c in terms.items()}
+        assert character_product(y, y) == {key: xi * c for key, c in y.items()}
+        assert not is_idempotent(rational((terms, (f + 1, k_factorial))))
+
+
+@pytest.mark.parametrize("n, m", [(2, 4), (3, 3), (2, 5)])
+def test_the_idempotency_verdicts_are_the_integer_squares(n, m):
+    # the verdict for each beta, from its blocks' shapes, against the square
+    # of its idempotent: every one holds, as the table's idempotency check
+    # is, and with its scale off by one neither
+    table = irrep_table(n, m, check_idempotency=True, cap=group_order(n, m))
+    assert table.checks["idempotency"] == "pass"
+    for rec in table.records:
+        terms, (num, den) = rec.element
+        xi = prod(symmetrizer_square(block, block_terms(block)[0]) for _, block in rec.beta.labelled_blocks)
+        for scale in ((num, den), (num + 1, den)):
+            assert (xi * scale[0] == scale[1]) == is_idempotent(rational((terms, scale))), rec.beta
+        assert xi * num == den
 
 
 def test_a_table_builds_one_symmetrizer_per_partition(monkeypatch):

@@ -16,8 +16,10 @@ from group_basis_oracle import (
     AlgebraElement,
     CharacterElement,
     idempotent_from_beta,
+    integer_form,
     lambda_idempotent,
     s_element,
+    standard_tableaux,
     to_group,
 )
 from kacpal import character_model, classifier, cli, relations, wreath
@@ -158,7 +160,7 @@ def test_verify_rank_cap_exceeded(capsys):
     code, out, err = run(capsys, "verify", "--n", "2", "--m", "6", "--checks", "ranks")
     assert (code, out) == (2, "")
     assert err == (
-        "group order 46080 exceeds rank-check cap 2000; "
+        "group order 46080 exceeds rank-check cap 1000; "
         "disable checks: ranks,orthogonality or raise --cap-group-order\n"
     )
 
@@ -251,7 +253,9 @@ def test_table_explicit_empty_checks_means_no_extra_checks(capsys):
 def test_rank_disagreement_is_a_failed_check(capsys, monkeypatch):
     # a trace one short gives every rank one too few
     real = character_model.left_ideal_rank
-    monkeypatch.setattr(character_model, "left_ideal_rank", lambda classes, m: real(classes, m) - 1)
+    monkeypatch.setattr(
+        character_model, "left_ideal_rank", lambda classes, scale, m: real(classes, scale, m) - 1
+    )
     code, out, err = run(capsys, "table", "--n", "2", "--m", "2", "--checks", "ranks")
     assert code == 1
     assert "check rank_agreement: fail" in out
@@ -270,9 +274,18 @@ def _replace_idempotent(monkeypatch, spec, replace):
     monkeypatch.setattr(classifier, "character_idempotent", patched)
 
 
-def _plus(e, terms):
-    """The terms map of e + terms at (2, 2), added as oracle elements."""
-    return (CharacterElement._make(2, 2, e) + CharacterElement(2, 2, terms)).terms
+def _plus(e, other):
+    """e + other for integer forms (terms, (num, den)): the terms added over
+    a shared scale, else over the product of the denominators."""
+    (terms, (num, den)), (more, (other_num, other_den)) = e, other
+    if (num, den) != (other_num, other_den):
+        terms = {key: c * num * other_den for key, c in terms.items()}
+        more = {key: c * other_num * den for key, c in more.items()}
+        num, den = 1, den * other_den
+    total = dict(terms)
+    for key, c in more.items():
+        total[key] = total.get(key, 0) + c
+    return {key: c for key, c in total.items() if c}, (num, den)
 
 
 def _table_checks(capsys, checks):
@@ -284,9 +297,11 @@ def _table_checks(capsys, checks):
 
 
 def test_lambda_alone_on_a_block_of_size_2_fails_the_rank(capsys, monkeypatch):
-    # F(lam, 1) is idempotent, but A F(lam, 1) has dimension m! = 2, not 1
+    # F(lam, 1) is idempotent, but A F(lam, 1) has dimension m! = 2, not 1.
+    # It is written over the scale 1 / 2 of the block (2), as the table
+    # reads an idempotent's verdict from its scale and its blocks
     _replace_idempotent(
-        monkeypatch, "0:2", lambda beta, e: {((0, 0), (0, 1)): 1}
+        monkeypatch, "0:2", lambda beta, e: ({((0, 0), (0, 1)): 2}, (1, 2))
     )
     code, payload = _table_checks(capsys, "idempotency,ranks")
     assert code == 1
@@ -307,9 +322,9 @@ def test_a_sum_of_two_orthogonal_idempotents_fails_orthogonality(capsys, monkeyp
 
 
 def test_a_perturbed_idempotent_fails_every_check_that_squares(capsys, monkeypatch):
-    # a third of F(lam, s) added: not idempotent, so no trace is a rank
+    # a third of F(lam, 1) added: not idempotent, so no trace is a rank
     _replace_idempotent(
-        monkeypatch, "0:1;1:1", lambda beta, e: _plus(e, {((0, 1), (0, 1)): Fraction(1, 3)})
+        monkeypatch, "0:1;1:1", lambda beta, e: _plus(e, ({((0, 1), (0, 1)): 1}, (1, 3)))
     )
     code, payload = _table_checks(capsys, "idempotency,ranks,orthogonality")
     assert code == 1
@@ -328,7 +343,7 @@ def test_a_perturbed_idempotent_fails_every_check_that_squares(capsys, monkeypat
 def test_a_term_off_the_stabiliser_exits_1(capsys, monkeypatch, checks):
     # the transposition moves lam = (0, 1), so the traces do not hold
     _replace_idempotent(
-        monkeypatch, "0:1;1:1", lambda beta, e: _plus(e, {((0, 1), (1, 0)): 1})
+        monkeypatch, "0:1;1:1", lambda beta, e: _plus(e, ({((0, 1), (1, 0)): 1}, (1, 1)))
     )
     code, out, err = run(capsys, "table", "--n", "2", "--m", "2", "--checks", checks)
     assert code == 1
@@ -399,6 +414,97 @@ def test_stabiliser_lemma_failure_exits_1(capsys, monkeypatch, mutation):
     assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert "the stabiliser lemma fails" in err
+
+
+def _sign_flipped(mu, terms, scale):
+    # the sign of the transposition (0 1) in the row group
+    swap = (0, (1, 0, 2))
+    key = next(key for key in terms if (0, tuple(key[1])) == swap)
+    return {**terms, key: -terms[key]}, scale
+
+
+def _prefactor_off_by_one(mu, terms, scale):
+    return terms, (scale[0] + 1, scale[1])
+
+
+def _another_column_group(mu, terms, scale):
+    # h v with v the signed sum of the column group of another standard
+    # tableau than the row-consecutive one, multiplied by the oracle's
+    # keyed product: nothing checks that R and C meet in 1
+    k = mu.size
+    rows = [range(sum(mu[:r]), sum(mu[:r + 1])) for r in range(len(mu))]
+    other = standard_tableaux(mu)[-1]
+    columns = [{row[c] - 1 for row in other if c < len(row)} for c in range(mu[0])]
+    trivial = (0,) * k
+
+    def keeping(blocks):
+        return [p for p in symmetric_group(k) if all({p[i] for i in b} == set(b) for b in blocks)]
+
+    h = CharacterElement(1, k, {(trivial, p): 1 for p in keeping(rows)})
+    v = CharacterElement(1, k, {(trivial, p): p.sign() for p in keeping(columns)})
+    return {key: int(c) for key, c in (h * v).terms.items()}, scale
+
+
+@pytest.fixture
+def fresh_block_terms():
+    """The symmetrizers built afresh in the test and after it, so that a
+    mutated one is not remembered."""
+    classifier.block_terms.cache_clear()
+    yield
+    classifier.block_terms.cache_clear()
+
+
+# mutation of the symmetrizer of a shape -> (the shape, the run, what stderr
+# names, or None when the table reports the failed check).  Each run exits 1.
+SYMMETRIZER_MUTATIONS = {
+    "one sign of y flipped": (
+        _sign_flipped, (2, 1), ("table", "--n", "1", "--m", "3", "--checks", "idempotency"),
+        "von Neumann's lemma fails for the symmetrizer of [2, 1]",
+    ),
+    "the prefactor off by one": (
+        _prefactor_off_by_one, (2, 1), ("table", "--n", "2", "--m", "3", "--checks", "idempotency"), None,
+    ),
+    "another tableau's columns at (2,1)": (
+        _another_column_group, (2, 1), ("table", "--n", "1", "--m", "3", "--checks", "idempotency"),
+        "von Neumann's lemma fails for the symmetrizer of [2, 1]",
+    ),
+    "another tableau's columns at (3,2)": (
+        _another_column_group, (3, 2), ("verify", "--n", "1", "--m", "5", "--checks", "ranks"),
+        "von Neumann's lemma fails for the symmetrizer of [3, 2]",
+    ),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(SYMMETRIZER_MUTATIONS))
+def test_a_mutated_symmetrizer_exits_1(capsys, monkeypatch, fresh_block_terms, mutation):
+    # the idempotency of every record rests on its blocks' symmetrizers:
+    # each mutation fails von Neumann's lemma or the identity coefficient
+    mutate, shape, argv, named = SYMMETRIZER_MUTATIONS[mutation]
+    real = classifier.young_symmetrizer
+
+    def mutated(mu):
+        terms, scale = real(mu)
+        return mutate(mu, terms, scale) if mu == shape else (terms, scale)
+
+    monkeypatch.setattr(classifier, "young_symmetrizer", mutated)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    if named is None:
+        assert "check idempotency: fail" in out and err == ""
+    else:
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert named in err
+
+
+def test_blocks_on_overlapping_slots_exit_1(capsys, monkeypatch):
+    # both blocks of 0:2;1:2 put on the slots 0, 1: the second block's swap
+    # fixes lam = (0, 0, 1, 1), so only the check of disjoint slots sees it
+    real = classifier.embed_permutation
+    monkeypatch.setattr(classifier, "embed_permutation", lambda p, offset, m: real(p, 0, m))
+    code, out, err = run(capsys, "idempotent", "--n", "2", "--m", "4", "--beta", "0:2;1:2")
+    assert (code, out) == (1, "")
+    assert err == "the blocks of 0:2;1:2 are not on disjoint slots: [1, 0, 2, 3] moves a slot outside 2..3\n"
 
 
 def test_cap_override_allows_more(capsys):
@@ -582,7 +688,7 @@ def test_expanded_json_is_the_one_shot_dump(e):
     payload = {"beta": "x", "num_terms": len(e.terms) * e.n**e.m}
     image = to_group(e)
     assert len(image.terms) == payload["num_terms"]
-    text = "".join(cli._expanded_json(payload, e.n, e.m, e.terms))
+    text = "".join(cli._expanded_json(payload, e.n, e.m, integer_form(e.terms)))
     assert text == json.dumps(payload | {"element": image.to_json()}, indent=2) + "\n"
 
 
@@ -712,6 +818,7 @@ def test_an_option_takes_its_value_after_an_equals_sign_and_the_last_one_wins(ca
 
 
 def test_help_names_the_commands_and_the_options_of_a_command(capsys):
+    # kacpal.usage, loaded by -h and --help alone, writes it
     code, out, err = run(capsys, "-h")
     assert (code, err) == (0, "")
     for command in ("table", "verify", "idempotent", "count"):
@@ -922,11 +1029,12 @@ def test_main_in_process_returns_its_code():
 def modules_loaded_by(tmp_path, *argvs) -> set:
     """sys.modules after the CLI calls, one after another in a fresh
     interpreter, each of which must pass; json is imported only to report
-    them."""
+    them.  What a call writes to stdout, the help, is dropped."""
     script = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
         "from kacpal.cli import main\n"
-        f"codes = [main([*argv, '--out', {str(tmp_path / 'out')!r}]) for argv in {argvs!r}]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main([*argv, '--out', {str(tmp_path / 'out')!r}]) for argv in {argvs!r}]\n"
         "loaded = list(sys.modules)\n"
         "import json\n"
         "print(json.dumps([codes, loaded]))\n"
@@ -960,18 +1068,21 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
         "json",
         "fractions",
         "decimal",
+        "kacpal.usage",
     } & count
     # the relation table, the exponent-table model and the ranks are loaded
     # only by the checks that run them, and json only where JSON is written;
-    # the idempotents are built by wreath.character_product, with no model
+    # the idempotents are built in integer form, with no model, and the CSV
+    # is written without the csv module
     checks_only = {"kacpal.relations", "kacpal.character_model", "kacpal.conjugacy", "kacpal.hopf"}
+    no_field = {"fractions", "decimal"}
     table = modules_loaded_by(
         tmp_path,
         ("table", "--n", "2", "--m", "2"),
         ("table", "--n", "3", "--m", "4", "--format", "csv"),
     )
-    assert {"kacpal.classifier", "csv"} <= table
-    assert not {"kacpal.roots", "json", *elements, *checks_only} & table
+    assert "kacpal.classifier" in table
+    assert not {"kacpal.roots", "json", "csv", "kacpal.usage", *no_field, *elements, *checks_only} & table
     # idempotent writes its group-basis coordinates as the integer pairs of
     # kacpal.roots: no group-basis element
     for extra in ((), ("--expanded",)):
@@ -979,11 +1090,15 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
             tmp_path, ("idempotent", "--n", "2", "--m", "5", "--beta", "1:5", *extra)
         )
         assert {"kacpal.classifier", "json"} <= idempotent
-        assert not {*elements, *checks_only} & idempotent
+        assert not {*no_field, *elements, *checks_only} & idempotent
     assert "kacpal.roots" in idempotent
-    ranks = modules_loaded_by(tmp_path, ("table", "--n", "2", "--m", "2", "--checks", "ranks"))
+    ranks = modules_loaded_by(
+        tmp_path,
+        ("table", "--n", "2", "--m", "2", "--checks", "ranks,orthogonality,idempotency"),
+        ("table", "--n", "2", "--m", "3", "--checks", "ranks", "--format", "csv"),
+    )
     assert {"kacpal.character_model", "kacpal.roots"} <= ranks
-    assert not {"kacpal.relations", *elements} & ranks
+    assert not {"kacpal.relations", *no_field, *elements} & ranks
     assert "kacpal.relations" in suite and "kacpal.relations" in hopf
     # checks that pass on exponent tables build no element and load no
     # fractions (nor decimal, which it brings)
@@ -1000,13 +1115,15 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
     assert {"kacpal.relations", "kacpal.roots"} <= suite
     unused = {"kacpal.classifier", "fractions"}
     assert not {*unused, *elements} & suite
-    # the default checks, the relation suite and the idempotent squares
+    # the default checks, the relation suite and the idempotency of each
+    # block shape
     default = modules_loaded_by(tmp_path, ("verify", "--n", "3", "--m", "3"))
     assert {"kacpal.relations", "kacpal.classifier", "kacpal.roots"} <= default
-    assert not elements & default
+    assert not {*no_field, *elements} & default
 
 
-# One passing run of each command, each check and each table format.
+# One passing run of each command, each check and each table format, and
+# of the help; the help goes to stdout whatever --out says.
 PASSING_RUNS = (
     ("count", "--n", "2", "--m", "2", "--checks", "conjugacy"),
     ("table", "--n", "2", "--m", "2", "--checks", "idempotency,ranks,orthogonality,conjugacy"),
@@ -1015,12 +1132,13 @@ PASSING_RUNS = (
     ("verify", "--n", "2", "--m", "2", "--checks", "relations,idempotency,ranks,orthogonality,hopf"),
     ("idempotent", "--n", "2", "--m", "2", "--beta", "0:2"),
     ("idempotent", "--n", "2", "--m", "2", "--beta", "0:2", "--expanded"),
+    ("--help",),
+    ("table", "-h"),
 )
 
 # The functions of the package that no passing run calls, each with the
-# test that drives it: failure paths, the process entry, the help, the
-# reprs, the witness that the acceptance criteria gate, and the conjugate
-# partition kept for the transpose symmetry of the table.
+# test that drives it: failure paths, the process entry, the reprs, and the
+# witness that the acceptance criteria gate.
 CALLED_BY_TESTS_ONLY = {
     "character_model.Monomial.is_zero": "test_character_basis.py::test_root_sums_that_cancel_have_no_coefficient",
     "hopf._CharacterHopf.name": "test_hopf.py::test_perturbed_cocycle_fails",
@@ -1030,14 +1148,11 @@ CALLED_BY_TESTS_ONLY = {
     "cli._stdout_failed": "test_cli.py::test_closed_pipe_exits_2_without_traceback",
     "cli._warn": "test_cli.py::test_idempotent_malformed_beta",
     "cli._observed": "test_cli.py::test_a_profiler_still_reports_at_exit",
-    "cli._usage": "test_cli.py::test_help_names_the_commands_and_the_options_of_a_command",
-    "cli._form": "test_cli.py::test_help_names_the_commands_and_the_options_of_a_command",
     "classifier.LabelledPartition.__repr__": "test_values.py::test_a_value_repr_names_its_type_and_fields",
     "partitions.Partition.__repr__": "test_values.py::test_a_value_repr_names_its_type_and_fields",
     "wreath.Perm.__repr__": "test_values.py::test_a_value_repr_names_its_type_and_fields",
     "wreath.WreathElement.__repr__": "test_values.py::test_a_value_repr_names_its_type_and_fields",
     "hopf.cocommutativity_witness": "test_acceptance.py::test_criterion_5_witness_at_2_6_within_1_5s",
-    "partitions.Partition.conjugate": "test_partitions.py::test_conjugate",
 }
 
 
@@ -1080,9 +1195,10 @@ def defined_functions() -> dict:
 def code_called_by(tmp_path, *argvs) -> set:
     """(module, first line) of the code of every function of the package
     called by the CLI calls, one after another under a profile hook in a
-    fresh interpreter, each of which must pass."""
+    fresh interpreter, each of which must pass.  What a call writes to
+    stdout, the help, is dropped."""
     script = (
-        "import os, sys\n"
+        "import contextlib, io, os, sys\n"
         f"package = os.path.realpath(os.path.join({SRC!r}, 'kacpal')) + os.sep\n"
         "called = set()\n"
         "def hook(frame, event, arg):\n"
@@ -1091,7 +1207,8 @@ def code_called_by(tmp_path, *argvs) -> set:
         "        called.add((os.path.basename(code.co_filename)[:-3], code.co_firstlineno))\n"
         "sys.setprofile(hook)\n"
         "from kacpal.cli import main\n"
-        f"codes = [main([*argv, '--out', {str(tmp_path / 'out')!r}]) for argv in {argvs!r}]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main([*argv, '--out', {str(tmp_path / 'out')!r}]) for argv in {argvs!r}]\n"
         "sys.setprofile(None)\n"
         "import json\n"
         "print(json.dumps([codes, sorted(called)]))\n"

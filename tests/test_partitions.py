@@ -8,8 +8,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from group_basis_oracle import CharacterElement, standard_tableaux, symmetrizer_by_brute_force
-from kacpal.character_model import is_idempotent
+from group_basis_oracle import (
+    CharacterElement,
+    is_idempotent,
+    rational,
+    standard_tableaux,
+    symmetrizer_by_brute_force,
+)
+from kacpal import partitions
 from kacpal.partitions import (
     Partition,
     hook_length,
@@ -18,7 +24,7 @@ from kacpal.partitions import (
     standard_tableaux_count,
     young_symmetrizer,
 )
-from kacpal.wreath import Perm, symmetric_group
+from kacpal.wreath import CheckFailedError, Perm, symmetric_group
 
 
 def test_partition_validation():
@@ -116,17 +122,17 @@ def test_sum_of_squares_is_factorial(k):
 
 
 def test_row_groups_single_row():
-    # R = S_3 and C = {1}: every permutation, each with 1/3!
-    e = young_symmetrizer(Partition((3,)))
-    assert {p for _, p in e} == set(symmetric_group(3))
-    assert set(e.values()) == {Fraction(1, 6)}
+    # R = S_3 and C = {1}: every permutation, each with +1, over 1/3!
+    terms, scale = young_symmetrizer(Partition((3,)))
+    assert {p for _, p in terms} == set(symmetric_group(3))
+    assert set(terms.values()) == {1} and scale == (1, 6)
 
 
 def test_groups_for_hook_shape():
     # rows {0, 1} and {2}, columns {0, 2} and {1}: the support is R C
     rows = {Perm.identity(3), Perm([1, 0, 2])}
     columns = {Perm.identity(3), Perm([2, 1, 0])}
-    e = young_symmetrizer(Partition((2, 1)))
+    e = rational(young_symmetrizer(Partition((2, 1))))
     assert {p: c for (_, p), c in e.items()} == {
         r * c: Fraction(c.sign(), 3) for r in rows for c in columns
     }
@@ -134,18 +140,26 @@ def test_groups_for_hook_shape():
 
 def test_group_sizes_match_shape_factorials():
     # R and C meet only in 1, so R C has |R| |C| distinct terms, none cancelling
-    e = young_symmetrizer(Partition((3, 2, 2)))
-    assert len(e) == (6 * 2 * 2) * (6 * 6 * 1) == 864
+    terms, _ = young_symmetrizer(Partition((3, 2, 2)))
+    assert len(terms) == (6 * 2 * 2) * (6 * 6 * 1) == 864
+
+
+def test_groups_that_meet_beyond_1_are_refused(monkeypatch):
+    # a row group listed with each element twice: its products with C
+    # collide, as they would for an R and a C that share a transposition
+    monkeypatch.setattr(partitions, "permutations", lambda block: [tuple(block)] * 2)
+    with pytest.raises(CheckFailedError, match=r"row and column groups of Partition\(\[2, 1\]\) meet"):
+        young_symmetrizer(Partition((2, 1)))
 
 
 def test_symmetrizer_single_row_and_column():
     k = 4
     trivial = (0,) * k
-    full = young_symmetrizer(Partition((k,)))
+    full = rational(young_symmetrizer(Partition((k,))))
     assert full == {
         (trivial, Perm.from_lehmer(k, r)): Fraction(1, factorial(k)) for r in range(factorial(k))
     }
-    sign = young_symmetrizer(Partition((1,) * k))
+    sign = rational(young_symmetrizer(Partition((1,) * k)))
     assert sign == {
         (trivial, Perm.from_lehmer(k, r)): Fraction(Perm.from_lehmer(k, r).sign(), factorial(k))
         for r in range(factorial(k))
@@ -153,24 +167,26 @@ def test_symmetrizer_single_row_and_column():
 
 
 def test_symmetrizer_hook_expansion():
-    e = young_symmetrizer(Partition((2, 1)))
+    terms, scale = young_symmetrizer(Partition((2, 1)))
     swap01 = Perm([1, 0, 2])
     swap02 = Perm([2, 1, 0])
     trivial = (0, 0, 0)
-    assert e == {
-        (trivial, Perm.identity(3)): Fraction(1, 3),
-        (trivial, swap01): Fraction(1, 3),
-        (trivial, swap02): Fraction(-1, 3),
-        (trivial, swap01 * swap02): Fraction(-1, 3),
+    assert terms == {
+        (trivial, Perm.identity(3)): 1,
+        (trivial, swap01): 1,
+        (trivial, swap02): -1,
+        (trivial, swap01 * swap02): -1,
     }
-    assert all(type(c) is Fraction for c in e.values())
+    # integers over the scale f / k! = 2 / 3!, which no command reduces
+    assert all(type(c) is int for c in terms.values())
+    assert scale == (2, 6)
 
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_symmetrizer_idempotent(k):
     # e * e == e, squared exactly on integer numerators
     for mu in partitions_of(k):
-        e = young_symmetrizer(mu)
+        e = rational(young_symmetrizer(mu))
         assert is_idempotent(e)
         assert e
 
@@ -180,7 +196,7 @@ def test_symmetrizer_is_the_oracle_product(k):
     # the row sum times the signed column sum, with R and C found among all
     # of S_k and multiplied by the oracle's own product rule
     for mu in partitions_of(k):
-        assert young_symmetrizer(mu) == symmetrizer_by_brute_force(mu), mu
+        assert rational(young_symmetrizer(mu)) == symmetrizer_by_brute_force(mu), mu
 
 
 def test_formal_sum_algebra():

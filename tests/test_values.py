@@ -3,9 +3,10 @@ LabelledPartition are validated tuples."""
 
 import pytest
 
+from group_basis_oracle import character_product
 from kacpal.classifier import LabelledPartition
 from kacpal.partitions import Partition
-from kacpal.wreath import Perm, WreathElement, character_product
+from kacpal.wreath import Perm, WreathElement
 
 # type -> (a builder of one value, a property name, a call on invalid
 # input, the value's plain tuple)
