@@ -26,9 +26,10 @@ group-basis images changed to the character basis on each leg, exactly:
   are those elements, and their products are the group's;
 - the tensor square is the model at (n, 2m) keyed by
   character_model.tensor_key: F(lam, p) (x) F(nu, q) is F(lam nu, p (+) q),
-  whose product is the model's product on each leg.  So a (x) b is the table
-  at (n, 2m) whose entry a' + n^m b' is e_a' + f_b', and tables there
-  multiply as the tensor square does;
+  whose product is the model's product on each leg; MonomialModel.moved
+  checks the composition law on each table it builds there too.  So a (x) b
+  is the table at (n, 2m) whose entry a' + n^m b' is e_a' + f_b', and tables
+  there multiply as the tensor square does;
 - delta(Lambda_lam) = sum over mu + nu = lam of Lambda_mu (x) Lambda_nu.
   Lambda_lam = n^-m sum_t zeta^(2 lam . t) x^t, delta(x^t) = x^t (x) x^t,
   and on each leg x^t = sum_mu zeta^(-2 mu . t) Lambda_mu, so the
@@ -64,7 +65,7 @@ basis element exactly when it holds there:
   and delta(s_l) satisfy a presentation of the group,
   relations.group_presentation, checked on the tables at (n, 2m).  It rests
   on the lemma that the Coxeter relations present S_m, which check_coxeter
-  proves by coset enumeration;
+  proves by induction on m, with k cosets enumerated at level k;
 - coassociativity: both sides are then algebra maps, equal on the
   Lambda_lam (the table of delta(1) is 0), so the axiom holds exactly when
   each omega_(s_l) satisfies the 2-cocycle identity omega(mu, nu) +
@@ -140,7 +141,6 @@ tests/hopf_group_basis_oracle.py.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from math import factorial
 
 from .character_model import MonomialModel, check_model, tensor_key
 from .relations import coxeter, group_presentation, presentation, y_exponent, z_square_sum
@@ -191,25 +191,17 @@ class _Word(tuple):
         return _Word(tuple.__add__(self, other))
 
 
-@lru_cache(maxsize=None)
-def check_coxeter(m: int) -> None:
-    """Check the lemma that coxeter presents a group of order m!, or raise
-    CheckFailedError naming it; a pass is remembered.
-
-    Each relation lhs = rhs, evaluated on words, is the relator lhs rhs^(-1).
-    Coset enumeration of the trivial subgroup counts the group's elements
-    (Todd and Coxeter, Proc. Edinburgh Math. Soc. 5, 1936) by the HLT
-    strategy (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
-    5.1): at each live coset in turn the relators, then x x^(-1) for each
-    letter x, are scanned, with cosets defined to close each scan and a coset
-    found equal to another merged into it.  It fails past 5 m! cosets.
-    """
-    words = {l: _Word((2 * l - 2,)) for l in range(1, m)}
-    families = coxeter(words, _Word()).values()
-    relators = [lhs + tuple(x ^ 1 for x in reversed(rhs)) for items in families for _, lhs, rhs in items]
-    relators += [(x, x ^ 1) for x in range(2 * m - 2)]
-    lemma, order = f"the Coxeter relations do not present S_{m}", factorial(m)
-    table, parent = [[None] * (2 * m - 2)], [0]
+def _cosets(relators: list, letters: int, subgroup: list, bound: int, lemma: str) -> int:
+    """The number of cosets of the subgroup generated by the words subgroup
+    in the group on letters 0 .. letters - 1, x ^ 1 the inverse of x, with
+    these relators; CheckFailedError names lemma past bound cosets.  Coset
+    enumeration (Todd and Coxeter, Proc. Edinburgh Math. Soc. 5, 1936) in
+    the HLT strategy (Holt, Eick and O'Brien, Handbook of Computational Group
+    Theory, 5.1) scans the subgroup's generators at coset 0, then at each
+    live coset in turn the relators and x x^(-1) for each letter x, defining
+    cosets to close each scan and merging a coset found equal to another."""
+    relators = [*relators, *((x, x ^ 1) for x in range(letters))]
+    table, parent = [[None] * letters], [0]
 
     def rep(c):
         while parent[c] != c:
@@ -244,20 +236,44 @@ def check_coxeter(m: int) -> None:
             if j < i:
                 return coincide(f, b) if f != b else None
             if i < j:  # define the coset f w[i]
-                if len(table) == 5 * order:
-                    raise CheckFailedError(f"{lemma}: the enumeration did not close in {5 * order} cosets")
-                table.append([None] * (2 * m - 2))
+                if len(table) == bound:
+                    raise CheckFailedError(f"{lemma}, the enumeration did not close in {bound} cosets")
+                table.append([None] * letters)
                 parent.append(len(table) - 1)
             table[f][w[i]] = b if i == j else len(table) - 1
             table[table[f][w[i]]][w[i] ^ 1] = f
 
+    for w in subgroup:
+        scan(0, w)
     for a, _ in enumerate(table):  # grows as cosets are defined
         for w in relators:
             if parent[a] == a:
                 scan(a, w)
-    count = sum(c == p for c, p in enumerate(parent))
-    if count != order:
-        raise CheckFailedError(f"{lemma}: the enumeration closed at {count} cosets, not {order}")
+    return sum(c == p for c, p in enumerate(parent))
+
+
+@lru_cache(maxsize=None)
+def check_coxeter(m: int) -> None:
+    """Check the lemma that coxeter presents a group of order m!, or raise
+    CheckFailedError naming it; a pass is remembered.
+
+    Each relation lhs = rhs of coxeter on words is the relator lhs rhs^(-1).
+    By induction on k = 2 .. m, with G_k presented by the relators whose
+    letters all lie among s_1 .. s_(k-1), so that each level's relations hold
+    the last's: H_k = <s_1 .. s_(k-2)> must have exactly k cosets in G_k,
+    defining at most 5 k.  H_k's generators satisfy G_(k-1)'s relations, so
+    |G_k| = k |H_k| <= k |G_(k-1)| and |G_m| <= m!; the adjacent
+    transpositions of S_m satisfy the relations and generate it, so
+    |G_m| = m!.
+    """
+    families = coxeter({l: _Word((2 * l - 2,)) for l in range(1, m)}, _Word()).values()
+    relators = [lhs + tuple(x ^ 1 for x in reversed(rhs)) for items in families for _, lhs, rhs in items]
+    for k in range(2, m + 1):
+        lemma = f"the Coxeter relations do not present S_{m}: at level {k} of the induction"
+        level = [w for w in relators if max(w) < 2 * k - 2]
+        count = _cosets(level, 2 * k - 2, [(2 * l - 2,) for l in range(1, k - 1)], 5 * k, lemma)
+        if count != k:
+            raise CheckFailedError(f"{lemma}, the enumeration closed at {count} cosets, not {k}")
 
 
 # -- the character basis -------------------------------------------------------

@@ -7,7 +7,7 @@ moves x_i as the transposition (l, l+1) moves slot i, the z_l satisfy the
 Coxeter relations, and z_l^2 is the double sum z_square_sum.
 group_presentation is that of the group Z_n wr S_m, with the s_l as
 Coxeter generators (coxeter) moving the x_i; kacpal.hopf proves by coset
-enumeration that the Coxeter relations present S_m.
+enumeration, by induction on m, that the Coxeter relations present S_m.
 relation_families adds the suite's further families on the same images:
 z_l^2 = y_l^(-2), with y_l acting on Lambda_lam by zeta^y_exponent,
 z_l Lambda_lam = Lambda_(lam o s_l) z_l, group_presentation and
@@ -138,7 +138,7 @@ def group_presentation(n: int, m: int, mono, ss: dict) -> dict:
     """A presentation of Z_n wr S_m on images, with mono as in presentation
     and ss[l] the image of s_l.  sx moves every x to the left, so it presents
     a group of order at most n^m times that of coxeter, m! by
-    hopf.check_coxeter."""
+    hopf.check_coxeter's induction on m."""
     one, xs = _x_images(m, mono)
     return {**_x_families(n, one, xs), **coxeter(ss, one), "sx": _moves_x("s", ss, xs)}
 

@@ -13,15 +13,15 @@ check_cap is the one comparison against it.
 
 The module also holds the few helpers that every other module shares,
 so that a command loads them with the group and nothing more: the
-repeated-squaring loop power, the symmetric group symmetric_group, and the
-action permute_character of a permutation on a character of Z_n^m.
+repeated-squaring loop power and the action permute_character of a
+permutation on a character of Z_n^m.
 """
 
 from __future__ import annotations
 
 import sys
 from functools import lru_cache
-from itertools import chain, permutations, repeat
+from itertools import chain, repeat
 from math import factorial
 from operator import itemgetter
 
@@ -139,11 +139,6 @@ class Perm(tuple):
 
     def __repr__(self):
         return f"Perm({list(self)})"
-
-
-def symmetric_group(m: int) -> list[Perm]:
-    """All permutations of m points, in Lehmer-rank order."""
-    return [Perm._make(images) for images in permutations(range(m))]
 
 
 def permute_character(lam: tuple[int, ...], perm) -> tuple[int, ...]:

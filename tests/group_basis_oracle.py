@@ -62,7 +62,7 @@ partitions.young_symmetrizer.
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import product
+from itertools import permutations, product
 from math import factorial, lcm
 
 from cyclotomic_oracle import CycNumber, _make, zeta_over, zeta_power
@@ -84,11 +84,15 @@ from kacpal.wreath import (
     perm_index,
     permute_character,
     power,
-    symmetric_group,
     twist_index,
 )
 
 ONE = Fraction(1)
+
+
+def symmetric_group(m: int) -> list[Perm]:
+    """All permutations of m points, in Lehmer-rank order."""
+    return [Perm._make(images) for images in permutations(range(m))]
 
 
 def add_into(acc: dict, terms: dict, factor=None) -> dict:

@@ -55,6 +55,7 @@ from group_basis_oracle import (
     mul_row,
     root_sum,
     row_product,
+    symmetric_group,
     x_element,
     x_monomial,
     z_element,
@@ -63,7 +64,7 @@ from kacpal import hopf
 from kacpal.character_model import characters, tensor_key
 from kacpal.relations import presentation
 from kacpal.roots import root_count_sum, root_exponent
-from kacpal.wreath import element_at, group_order, symmetric_group, twist_index
+from kacpal.wreath import element_at, group_order, twist_index
 
 
 class TensorElement(SparseSum):

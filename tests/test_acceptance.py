@@ -190,6 +190,26 @@ def test_criterion_2_relation_suite_at_2000_1_within_1s():
     announce(2, f"all defining relations hold exactly at (2000, 1) in {elapsed:.2f}s")
 
 
+def test_criterion_2_relation_suite_at_2_8_within_1s():
+    # 4.5-5.5 s and 110 MB when check_model composed the tables of all of
+    # S_8, on a shared 2-core VM, Python 3.11
+    start = time.time()
+    report = verify_defining_relations(2, 8, cap=group_order(2, 8))
+    elapsed = time.time() - start
+    assert report["all_pass"], report
+    assert elapsed < 1, f"the relation suite at (2, 8) took {elapsed:.1f}s"
+    announce(2, f"all defining relations hold exactly at (2, 8) in {elapsed:.2f}s")
+
+
+def test_criterion_4_model_check_at_2_8_within_0_5s():
+    # 3.8 s when the composition law was swept over S_8
+    start = time.time()
+    check_model(2, 8)
+    elapsed = time.time() - start
+    assert elapsed < 0.5, f"check_model(2, 8) took {elapsed:.2f}s"
+    announce(4, f"the character basis models the group algebra at (2, 8) in {elapsed:.2f}s")
+
+
 def test_criterion_4_model_check_at_4_4_and_2_6_within_3s():
     for n, m in ((4, 4), (2, 6)):
         lambda_idempotent.cache_clear()
@@ -337,6 +357,17 @@ def _clear_kacpal_caches():
             for value in list(vars(module).values()):
                 if callable(getattr(value, "cache_clear", None)):
                     value.cache_clear()
+
+
+def test_criterion_5_coxeter_lemma_at_8_within_0_05s():
+    # 0.8-1.2 s when the enumeration counted all 8! cosets of the trivial subgroup
+    hopf.check_coxeter.cache_clear()
+    start = time.time()
+    hopf.check_coxeter(8)
+    elapsed = time.time() - start
+    hopf.check_coxeter.cache_clear()
+    assert elapsed < 0.05, f"check_coxeter(8) took {elapsed:.3f}s"
+    announce(5, f"the Coxeter relations present S_8, checked by induction in {elapsed * 1000:.1f}ms")
 
 
 def test_criterion_5_whole_hopf_report_at_4_3_within_2_5s():

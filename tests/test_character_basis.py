@@ -28,6 +28,7 @@ from group_basis_oracle import (
     root_sum,
     sandwich_dimension,
     sandwich_rank_by_echelon,
+    symmetric_group,
     to_group,
     y_element,
     y_inverse_element,
@@ -42,13 +43,13 @@ from kacpal.character_model import (
     stabiliser_classes,
 )
 from kacpal.classifier import irrep_table
+from kacpal.cli import main
 from kacpal.wreath import (
     CheckFailedError,
     Perm,
     WreathElement,
     element_index,
     permute_character,
-    symmetric_group,
     twist_index,
 )
 
@@ -441,6 +442,31 @@ def test_a_doubled_coefficient_is_named_by_its_repr(monkeypatch, n, m, text):
     )
 
 
+@pytest.mark.parametrize("check, size", [("relations", 3), ("hopf", 6)])
+def test_a_corrupted_table_fails_the_composition_law(monkeypatch, capsys, check, size):
+    # mutation: the table of each permutation of order above 2 on size
+    # slots, and no other, built from a slot map with two entries swapped.
+    # check_model at (2, 3) builds a 3-cycle's table, and the Hopf report at
+    # (2, 3) builds tables of the tensor model at (2, 6) that no model check
+    # covers: each table is checked against its prefix as it is built
+    real = character_model.permute_character
+
+    def corrupted(lam, p):
+        moved = list(real(lam, p))
+        if len(p) == size and p * p != Perm.identity(size):
+            moved[0], moved[1] = moved[1], moved[0]
+        return tuple(moved)
+
+    monkeypatch.setattr(character_model, "permute_character", corrupted)
+    code = main(["verify", "--n", "2", "--m", "3", "--checks", check])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == (
+        f"the character basis does not model the group algebra at (n=2, m={size}): the composition law: "
+        f"permute_character by {[1, 0, *range(2, size)]} then s_2 is not by their product\n"
+    )
+
+
 @pytest.mark.parametrize("mutate", [_swapped_permute_character, _flipped_fourier_sign])
 def test_mutations_the_model_cannot_see_pass(monkeypatch, mutate):
     # at m = 2 every permutation is an involution, and at n = 2 -lam = lam
@@ -468,10 +494,16 @@ def monomials(model):
 
 
 @pytest.mark.parametrize("n, m", [(1, 3), (3, 1), (2, 3), (3, 3), (4, 5)])
-def test_moved_is_the_index_of_each_moved_character(n, m):
+@settings(max_examples=5, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_moved_is_the_index_of_each_moved_character(n, m, rng):
+    # the tables are built in a shuffled order, so the check of each against
+    # its prefix meets prefixes that are cached and prefixes that are not
     model = MonomialModel(n, m)
     shared = {}
-    for p in symmetric_group(m):
+    perms = symmetric_group(m)
+    rng.shuffle(perms)
+    for p in perms:
         act = model.moved(p)
         assert act == [twist_index(n, permute_character(lam, p)) for lam in model.chars]
         assert model.moved(p) is act

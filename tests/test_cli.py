@@ -20,13 +20,14 @@ from group_basis_oracle import (
     lambda_idempotent,
     s_element,
     standard_tableaux,
+    symmetric_group,
     to_group,
 )
 from kacpal import character_model, classifier, cli, relations, wreath
 from kacpal.character_model import Monomial
 from kacpal.cli import main
 from kacpal.roots import root_count_sum
-from kacpal.wreath import CheckFailedError, Perm, group_order, symmetric_group
+from kacpal.wreath import CheckFailedError, Perm, group_order
 
 
 def run(capsys, *argv):
@@ -1141,6 +1142,7 @@ PASSING_RUNS = (
 # witness that the acceptance criteria gate.
 CALLED_BY_TESTS_ONLY = {
     "character_model.Monomial.is_zero": "test_character_basis.py::test_root_sums_that_cancel_have_no_coefficient",
+    "character_model.MonomialModel.fail": "test_character_basis.py::test_a_broken_model_fails_its_lemma",
     "hopf._CharacterHopf.name": "test_hopf.py::test_perturbed_cocycle_fails",
     "hopf._CharacterHopf.relation_failures": "test_hopf.py::test_relation_check_on_tables_matches_the_dense_oracle",
     "roots.coefficient_repr": "test_roots.py::test_coefficient_repr_is_the_field_repr",

@@ -20,6 +20,7 @@ from group_basis_oracle import (
     mul_row,
     quotient_to_sym,
     s_element,
+    symmetric_group,
     to_group,
     x_element,
     x_monomial,
@@ -57,7 +58,6 @@ from kacpal.wreath import (
     element_index,
     generator_b,
     group_order,
-    symmetric_group,
     twist_index,
 )
 
@@ -592,16 +592,37 @@ def fresh_lemma():
     hopf.check_coxeter.cache_clear()
 
 
+def _counted(monkeypatch, lemma) -> list:
+    """(level, bound, count, relators) of each enumeration that
+    lemma.check_coxeter runs."""
+    real, counts = lemma._cosets, []
+
+    def counted(relators, letters, subgroup, bound, what):
+        counts.append((letters // 2 + 1, bound, real(relators, letters, subgroup, bound, what), relators))
+        return counts[-1][2]
+
+    monkeypatch.setattr(lemma, "_cosets", counted)
+    return counts
+
+
 @pytest.mark.parametrize("m", range(1, 9))
 def test_the_coxeter_relations_present_a_group_of_order_m_factorial(monkeypatch, fresh_lemma, m):
-    # the enumeration closes at exactly m! cosets: asked for one more, it
-    # reports the count it closed at
-    if m < 8:
-        fresh_lemma.check_coxeter(m)
-        fresh_lemma.check_coxeter.cache_clear()
-    monkeypatch.setattr(fresh_lemma, "factorial", lambda k: factorial(k) + 1)
-    with pytest.raises(CheckFailedError, match=f"closed at {factorial(m)} cosets, not {factorial(m) + 1}$"):
-        fresh_lemma.check_coxeter(m)
+    # the induction closes at exactly k cosets at each level k, defining at
+    # most 5 k; the oracle, the same enumeration on the relators of the last
+    # level with no subgroup generator, counts the m! elements of the group
+    real, counts = fresh_lemma._cosets, _counted(monkeypatch, fresh_lemma)
+    fresh_lemma.check_coxeter(m)
+    assert [count[:3] for count in counts] == [(k, 5 * k, k) for k in range(2, m + 1)]
+    relators = counts[-1][3] if counts else []
+    assert real(relators, 2 * m - 2, [], 5 * factorial(m), "S_m") == factorial(m)
+
+
+def test_every_level_of_the_induction_closes_at_exactly_k_cosets(monkeypatch, fresh_lemma):
+    # level k is the same at every m >= k, so the lemma at m = 40 runs every
+    # level up to 40
+    counts = _counted(monkeypatch, fresh_lemma)
+    fresh_lemma.check_coxeter(40)
+    assert [count[:3] for count in counts] == [(k, 5 * k, k) for k in range(2, 41)]
 
 
 def _without_one(real, family, index):
@@ -616,9 +637,10 @@ def _without_one(real, family, index):
 
 @pytest.mark.parametrize("m, family, index", [(3, "braid", 0), (4, "braid", 1), (5, "commute", 2), (6, "braid", 3)])
 def test_a_missing_coxeter_relation_fails_the_lemma(monkeypatch, capsys, fresh_lemma, m, family, index):
-    # mutation: with one relation left out of the families the group they
-    # present is infinite, so the enumeration passes its bound; the lemma
-    # fails by name, and the Hopf report exits 1 with one line on stderr
+    # mutation: with one relation left out of the families, the enumeration
+    # at the level that first holds it, level m, passes its bound of 5 m
+    # cosets; the lemma fails by name and level, and the Hopf report exits 1
+    # with one line on stderr
     from kacpal import relations
 
     monkeypatch.setattr(relations, "_braid", _without_one(relations._braid, family, index))
@@ -628,14 +650,14 @@ def test_a_missing_coxeter_relation_fails_the_lemma(monkeypatch, capsys, fresh_l
     out, err = capsys.readouterr()
     assert (code, out) == (1, "")
     assert err == (
-        f"the Coxeter relations do not present S_{m}: "
-        f"the enumeration did not close in {5 * factorial(m)} cosets\n"
+        f"the Coxeter relations do not present S_{m}: at level {m} of the induction, "
+        f"the enumeration did not close in {5 * m} cosets\n"
     )
 
 
 def test_an_extra_coxeter_relation_fails_the_lemma(monkeypatch, fresh_lemma):
     # s_1 s_2 = s_2 s_1 beside the braid relation makes s_1 = s_2: the
-    # enumeration closes, at 2 cosets, not 3! = 6
+    # cosets of <s_1> close at 1, not 3
     from kacpal import relations
 
     real = relations._braid
@@ -646,7 +668,7 @@ def test_an_extra_coxeter_relation_fails_the_lemma(monkeypatch, fresh_lemma):
         return families
 
     monkeypatch.setattr(relations, "_braid", braid)
-    with pytest.raises(CheckFailedError, match="S_3: the enumeration closed at 2 cosets, not 6$"):
+    with pytest.raises(CheckFailedError, match="S_3: at level 3 of the induction, the enumeration closed at 1 cosets, not 3$"):
         fresh_lemma.check_coxeter(3)
 
 

@@ -13,6 +13,7 @@ from group_basis_oracle import (
     is_idempotent,
     rational,
     standard_tableaux,
+    symmetric_group,
     symmetrizer_by_brute_force,
 )
 from kacpal import partitions
@@ -24,7 +25,7 @@ from kacpal.partitions import (
     standard_tableaux_count,
     young_symmetrizer,
 )
-from kacpal.wreath import CheckFailedError, Perm, symmetric_group
+from kacpal.wreath import CheckFailedError, Perm
 
 
 def test_partition_validation():
