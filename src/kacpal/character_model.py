@@ -45,8 +45,6 @@ symmetrizers.  The square and the echelon they replaced are the reference
 in tests/group_basis_oracle.py.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from itertools import permutations, product
 from math import factorial, lcm, prod
@@ -217,7 +215,7 @@ class MonomialModel:
         is a base case.  Any other p is a s, with s the adjacent
         transposition at p's last descent, so a is shorter, and p's table
         must be a's followed by s's.  a's table, if not cached, is built and
-        checked the same way and not kept.
+        checked the same way, before p's, and not kept.
         """
         act = self._moved.get(p)
         if act is None:
@@ -227,6 +225,10 @@ class MonomialModel:
     def _checked(self, p) -> list[int]:
         """p's table, built and checked as moved says, and not cached."""
         n, m, indices = self.n, self.m, self._indices
+        l = max((l for l in range(1, m) if p[l - 1] > p[l]), default=0)  # p's last descent
+        s = Perm.transposition(m, l - 1, l) if l else p
+        a = p * s  # p = a s with a shorter; the identity if p is 1 or s
+        first = None if a == Perm.identity(m) else self._moved.get(a) or self._checked(a)
         weights = [0] * m
         for j, i in enumerate(permute_character(tuple(range(m)), p)):
             weights[i] = n**j
@@ -234,13 +236,10 @@ class MonomialModel:
         for w in weights:
             act = [a + d * w for d in range(n) for a in act]
         act = [indices[a] for a in act]
-        l = max((l for l in range(1, m) if p[l - 1] > p[l]), default=0)  # p's last descent
-        s = Perm.transposition(m, l - 1, l) if l else p
-        a = p * s  # p = a s with a shorter; the identity if p is 1 or s
         if not l and act != indices:
             self.fail("the composition law", "permute_character moves a character by the identity")
-        if a != Perm.identity(m):
-            first, then = self._moved.get(a) or self._checked(a), self.moved(s)
+        if first is not None:
+            then = self.moved(s)
             if [then[b] for b in first] != act:
                 detail = f"permute_character by {list(a)} then s_{l} is not by their product"
                 self.fail("the composition law", detail)

@@ -13,8 +13,6 @@ left ideal A e as the trace m! c_(lam, 1), c_(lam, 1) = prod f^mu / b_i!,
 which rests on the idempotency of e, read per block shape).
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from itertools import combinations, compress, product, repeat
 from math import factorial, prod

@@ -38,8 +38,6 @@ tracer, a profiler or a monitoring tool is attached, whose report is
 written at exit.
 """
 
-from __future__ import annotations
-
 import os
 import sys
 from collections.abc import Iterable, Iterator

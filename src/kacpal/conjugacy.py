@@ -6,8 +6,6 @@ The sweep that conjugates by every element of G, which this replaced, is
 the reference in tests/group_basis_oracle.py.
 """
 
-from __future__ import annotations
-
 from .wreath import check_cap, element_at, element_index, generator_a, generator_b
 
 

@@ -65,7 +65,8 @@ basis element exactly when it holds there:
   and delta(s_l) satisfy a presentation of the group,
   relations.group_presentation, checked on the tables at (n, 2m).  It rests
   on the lemma that the Coxeter relations present S_m, which check_coxeter
-  proves by induction on m, with k cosets enumerated at level k;
+  proves by induction on m, with k cosets enumerated at level k, and on the
+  wreath-order lemma, check_wreath: the s_l have n^m cosets in that group;
 - coassociativity: both sides are then algebra maps, equal on the
   Lambda_lam (the table of delta(1) is 0), so the axiom holds exactly when
   each omega_(s_l) satisfies the 2-cocycle identity omega(mu, nu) +
@@ -138,8 +139,6 @@ and S(p) built for every p, are the reference in
 tests/hopf_group_basis_oracle.py.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache, partial
 
 from .character_model import MonomialModel, check_model, tensor_key
@@ -185,10 +184,18 @@ def _antipode_s_image(im, l: int):
 
 
 class _Word(tuple):
-    """A word in letters 2 (l - 1) for s_l and 2 (l - 1) + 1 for its inverse."""
+    """A word in letters 2 (l - 1) for s_l and 2 (m + i - 2) for x_i, each + 1 for its inverse."""
 
     def __mul__(self, other):
         return _Word(tuple.__add__(self, other))
+
+    def __pow__(self, k):
+        return _Word(tuple.__mul__(self, k))
+
+
+def _relators(families: dict) -> list:
+    """The relator lhs rhs^(-1) of each relation lhs = rhs of the families, on words."""
+    return [lhs + tuple(x ^ 1 for x in reversed(rhs)) for items in families.values() for _, lhs, rhs in items]
 
 
 def _cosets(relators: list, letters: int, subgroup: list, bound: int, lemma: str) -> int:
@@ -257,7 +264,6 @@ def check_coxeter(m: int) -> None:
     """Check the lemma that coxeter presents a group of order m!, or raise
     CheckFailedError naming it; a pass is remembered.
 
-    Each relation lhs = rhs of coxeter on words is the relator lhs rhs^(-1).
     By induction on k = 2 .. m, with G_k presented by the relators whose
     letters all lie among s_1 .. s_(k-1), so that each level's relations hold
     the last's: H_k = <s_1 .. s_(k-2)> must have exactly k cosets in G_k,
@@ -266,14 +272,30 @@ def check_coxeter(m: int) -> None:
     transpositions of S_m satisfy the relations and generate it, so
     |G_m| = m!.
     """
-    families = coxeter({l: _Word((2 * l - 2,)) for l in range(1, m)}, _Word()).values()
-    relators = [lhs + tuple(x ^ 1 for x in reversed(rhs)) for items in families for _, lhs, rhs in items]
+    relators = _relators(coxeter({l: _Word((2 * l - 2,)) for l in range(1, m)}, _Word()))
     for k in range(2, m + 1):
         lemma = f"the Coxeter relations do not present S_{m}: at level {k} of the induction"
         level = [w for w in relators if max(w) < 2 * k - 2]
         count = _cosets(level, 2 * k - 2, [(2 * l - 2,) for l in range(1, k - 1)], 5 * k, lemma)
         if count != k:
             raise CheckFailedError(f"{lemma}, the enumeration closed at {count} cosets, not {k}")
+
+
+@lru_cache(maxsize=None)
+def check_wreath(n: int, m: int) -> None:
+    """Check the wreath-order lemma, that group_presentation presents a group
+    of order n^m m!, or raise CheckFailedError naming it; a pass is
+    remembered.  Its s_l satisfy coxeter, so by check_coxeter, run first,
+    they generate H of order at most m!.  H must have exactly n^m cosets,
+    defining at most 4 n^m + 10: then the order is at most n^m m!, that of
+    Z_n wr S_m, which satisfies the relations."""
+    check_coxeter(m)
+    mono = lambda e: _Word(2 * (m + i) - 2 for i, k in enumerate(e) for _ in range(k))  # noqa: E731
+    relators = _relators(group_presentation(n, m, mono, {l: _Word((2 * l - 2,)) for l in range(1, m)}))
+    lemma = f"the wreath relations do not present Z_{n} wr S_{m}"
+    count = _cosets(relators, 4 * m - 2, [(2 * l - 2,) for l in range(1, m)], 4 * n**m + 10, lemma)
+    if count != n**m:
+        raise CheckFailedError(f"{lemma}, the enumeration closed at {count} cosets, not {n**m}")
 
 
 # -- the character basis -------------------------------------------------------
@@ -392,8 +414,8 @@ class _CharacterHopf:
 
     def multiplicativity_failure(self) -> str | None:
         # the images must satisfy a presentation of the group, as the
-        # Coxeter lemma makes group_presentation
-        check_coxeter(self.m)
+        # Coxeter and wreath-order lemmas make group_presentation
+        check_wreath(self.n, self.m)
         mono = lambda e: self.model2.x_monomial(e + e)  # noqa: E731
         broken = _broken(group_presentation(self.n, self.m, mono, self.delta_s))
         return f"delta({broken[0]}) fails, so delta is not an algebra map" if broken else None
@@ -439,7 +461,7 @@ class _CharacterHopf:
             return f"m (S x id) delta or m (id x S) delta is not eps 1 on {self.name(*failing[0])}"
         # S is an anti-map exactly when iota S is an algebra map, with
         # iota S(x_i) = x_i
-        check_coxeter(self.m)
+        check_wreath(self.n, self.m)
         iota_s = {l: self.inverted(table) for l, table in self.antipode_s.items()}
         broken = _broken(group_presentation(self.n, self.m, self.x, iota_s))
         return f"S({broken[0]}) fails in the opposite algebra, so S is not an anti-map" if broken else None

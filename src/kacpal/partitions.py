@@ -4,8 +4,6 @@ count_formula, the number of labelled partitions, lives here beside the
 partition counts it is built from, so that the count command loads no more.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from itertools import accumulate, chain, permutations, product
 from math import factorial

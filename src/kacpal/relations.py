@@ -24,8 +24,6 @@ exponent tables by character_model.Monomial.difference_head, which reads
 the Hopf report's witness too.
 """
 
-from __future__ import annotations
-
 from functools import partial
 from itertools import product
 from math import gcd, lcm
@@ -136,9 +134,9 @@ def coxeter(g: dict, one) -> dict:
 
 def group_presentation(n: int, m: int, mono, ss: dict) -> dict:
     """A presentation of Z_n wr S_m on images, with mono as in presentation
-    and ss[l] the image of s_l.  sx moves every x to the left, so it presents
-    a group of order at most n^m times that of coxeter, m! by
-    hopf.check_coxeter's induction on m."""
+    and ss[l] the image of s_l.  It presents a group of order n^m m!: m! for
+    coxeter by hopf.check_coxeter's induction on m, and n^m cosets of the s_l
+    by hopf.check_wreath."""
     one, xs = _x_images(m, mono)
     return {**_x_families(n, one, xs), **coxeter(ss, one), "sx": _moves_x("s", ss, xs)}
 

@@ -13,8 +13,6 @@ with coefficient_repr.  A pair is a tuple, so it is always truthy: a value
 is zero exactly when any(num) is false.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from math import gcd
 

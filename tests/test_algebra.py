@@ -401,18 +401,6 @@ def test_relation_report_matches_the_group_basis_oracle(n, m):
     assert verify_defining_relations(n, m) == relation_suite_by_group_basis(n, m)
 
 
-@pytest.fixture
-def fresh_generators():
-    """Clears the cached group-basis generators before and after a test that
-    perturbs their definitions."""
-    caches = (y_element, y_inverse_element, z_element)
-    for cache in caches:
-        cache.cache_clear()
-    yield
-    for cache in caches:
-        cache.cache_clear()
-
-
 def _y_exponent_off_by_one(lam_star):
     real = relations.y_exponent
     return lambda lam, l: real(lam, l) + (l == 1 and lam == lam_star)
@@ -436,7 +424,7 @@ def _z_square_sum_from_1(n, m, l, mono):
     ids=["y_1-off-at-ones", "y_1-off-at-last-slot", "z_square-from-1"],
 )
 def test_perturbed_relation_reports_match_the_oracle(
-    monkeypatch, fresh_generators, n, m, name, perturbed
+    monkeypatch, n, m, name, perturbed
 ):
     # the same broken definition reaches the exponent tables and the
     # group-basis elements: both reports fail alike, difference heads included
@@ -484,7 +472,7 @@ def _s_3_on_slots_1_and_4(n, m, l):
     ids=["y-off-3-2", "y-off-4-2", "y-off-2-3", "z_square-from-1-3-2", "s_3-on-slots-1-4-2-4"],
 )
 def test_a_failing_relation_reports_its_difference_head(
-    monkeypatch, fresh_generators, n, m, name, perturbed, family, relation, index, coeffs
+    monkeypatch, n, m, name, perturbed, family, relation, index, coeffs
 ):
     # the first failing family's counterexample, with the JSON of its
     # difference head's coefficient, as the report prints them
@@ -503,18 +491,14 @@ def test_a_failing_relation_reports_its_difference_head(
     )
 
 
-def test_relations_on_two_permutations_report_as_the_oracle(monkeypatch, fresh_generators):
+def test_relations_on_two_permutations_report_as_the_oracle(monkeypatch):
     # every family's head, those whose sides lie on two permutations
     # included, as the group-basis evaluation with the same s_3 finds it
     for module in (relations, group_basis_oracle):
         monkeypatch.setattr(module, "generator_b", _s_3_on_slots_1_and_4)
-    s_element.cache_clear()
-    try:
-        report = verify_defining_relations(2, 4)
-        assert report["relations"]["z_commute"]["status"] == "fail"
-        assert report == relation_suite_by_group_basis(2, 4)
-    finally:
-        s_element.cache_clear()
+    report = verify_defining_relations(2, 4)
+    assert report["relations"]["z_commute"]["status"] == "fail"
+    assert report == relation_suite_by_group_basis(2, 4)
 
 
 @pytest.mark.parametrize("n, m", [(2, 3), (3, 2), (4, 2)])

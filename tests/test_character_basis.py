@@ -7,8 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclotomic_oracle import CycNumber, _make, zeta, zeta_power
-import group_basis_oracle
+from cyclotomic_oracle import CycNumber, zeta, zeta_power
 from group_basis_oracle import (
     AlgebraElement,
     CharacterElement,
@@ -34,7 +33,15 @@ from group_basis_oracle import (
     y_inverse_element,
 )
 from hopf_group_basis_oracle import TensorElement, to_characters
-from kacpal import character_model, roots, wreath
+from test_mutations import (
+    _flipped_fourier_sign,
+    _one_coefficient_doubled,
+    _one_lambda_off_by_a_root,
+    _repeated_lambda,
+    _swapped_permute_character,
+    _unmoved_characters,
+)
+from kacpal import character_model
 from kacpal.character_model import (
     MonomialModel,
     check_model,
@@ -325,79 +332,6 @@ def test_scalars_are_rational_or_of_the_model_order():
     assert type(halved.terms[key]) is Fraction and halved.terms[key] == Fraction(1, 2)
 
 
-def _set_permute_character(monkeypatch, replacement):
-    # the package's product, the oracle's element product and the model's
-    # character moves read it
-    for module in (wreath, group_basis_oracle, character_model):
-        monkeypatch.setattr(module, "permute_character", replacement)
-
-
-def _swapped_permute_character(monkeypatch, n, m):
-    # the product rule reading lam o p^(-1) where it should read lam o p
-    real = wreath.permute_character
-    _set_permute_character(monkeypatch, lambda lam, p: real(lam, Perm(p).inverse()))
-
-
-def _unmoved_characters(monkeypatch, n, m):
-    # permute_character ignoring the permutation: a composition law still holds
-    _set_permute_character(monkeypatch, lambda lam, p: tuple(lam))
-
-
-def _set_lambda_coefficients(monkeypatch, replacement):
-    # check_model and character_combination, the change of basis that the
-    # product oracle reads, both take the coefficient table of Lambda_lam
-    # from their own modules, unremembered, so no element built from the
-    # true table survives the replacement.  replacement(n, m, lam) gives
-    # the coefficients as CycNumbers; both readers take their pairs.
-    def pairs(n, m, lam):
-        return [(c.num, c.den) for c in replacement(n, m, lam)]
-
-    for module in (character_model, group_basis_oracle):
-        monkeypatch.setattr(module, "lambda_coefficients", pairs)
-
-
-def _true_coefficients(n, m, lam):
-    """The coefficients of Lambda_lam as CycNumbers, from the true pairs."""
-    return [_make(2 * n, *pair) for pair in roots.lambda_coefficients(n, m, lam)]
-
-
-def _flipped_fourier_sign(monkeypatch, n, m):
-    # n^-m sum_t zeta^(-2 lam . t) x^t is Lambda_(-lam)
-    _set_lambda_coefficients(
-        monkeypatch, lambda n, m, lam: _true_coefficients(n, m, tuple(-v % n for v in lam))
-    )
-
-
-def _one_lambda_off_by_a_root(monkeypatch, n, m):
-    lam_star = (1,) + (0,) * (m - 1)
-    _set_lambda_coefficients(
-        monkeypatch,
-        lambda n, m, lam: [
-            c * (zeta(2 * n) if lam == lam_star else 1) for c in _true_coefficients(n, m, lam)
-        ],
-    )
-
-
-def _one_coefficient_doubled(monkeypatch, n, m):
-    # 2 n^-m zeta^k is not n^-m times a root of unity
-    lam_star = (1,) + (0,) * (m - 1)
-
-    def doubled(n, m, lam):
-        row = _true_coefficients(n, m, lam)
-        return [2 * row[0], *row[1:]] if lam == lam_star else row
-
-    _set_lambda_coefficients(monkeypatch, doubled)
-
-
-def _repeated_lambda(monkeypatch, n, m):
-    # Lambda_(1, 0, ...) replaced by Lambda_0: still idempotent, not orthogonal
-    lam_star = (1,) + (0,) * (m - 1)
-    _set_lambda_coefficients(
-        monkeypatch,
-        lambda n, m, lam: _true_coefficients(n, m, (0,) * m if lam == lam_star else lam),
-    )
-
-
 @pytest.mark.parametrize(
     "mutate, n, m, lemma",
     [
@@ -416,7 +350,7 @@ def _repeated_lambda(monkeypatch, n, m):
     ],
 )
 def test_a_broken_model_fails_its_lemma(monkeypatch, mutate, n, m, lemma):
-    mutate(monkeypatch, n, m)
+    mutate(monkeypatch)
     message = f"does not model the group algebra at \\(n={n}, m={m}\\): {lemma}:"
     with pytest.raises(CheckFailedError, match=message):
         check_model(n, m)
@@ -433,7 +367,7 @@ def test_a_broken_model_fails_its_lemma(monkeypatch, mutate, n, m, lemma):
 )
 def test_a_doubled_coefficient_is_named_by_its_repr(monkeypatch, n, m, text):
     # the failure prints the coefficient as the CycNumber it is
-    _one_coefficient_doubled(monkeypatch, n, m)
+    _one_coefficient_doubled(monkeypatch)
     with pytest.raises(CheckFailedError) as failure:
         check_model(n, m)
     assert str(failure.value) == (
@@ -470,7 +404,7 @@ def test_a_corrupted_table_fails_the_composition_law(monkeypatch, capsys, check,
 @pytest.mark.parametrize("mutate", [_swapped_permute_character, _flipped_fourier_sign])
 def test_mutations_the_model_cannot_see_pass(monkeypatch, mutate):
     # at m = 2 every permutation is an involution, and at n = 2 -lam = lam
-    mutate(monkeypatch, 2, 2)
+    mutate(monkeypatch)
     check_model(2, 2)
     check_model_by_products(2, 2)
 

@@ -1,4 +1,3 @@
-import json
 import random
 from copy import copy
 from fractions import Fraction
@@ -46,6 +45,8 @@ from hopf_group_basis_oracle import (
     relation_failures,
     tensor,
 )
+from test_mutations import _bumped, _counit_of_two, _delta_s1_coboundary, _delta_s1_off, _group_like_delta_z
+from kacpal import hopf
 from kacpal.character_model import Monomial, characters, tensor_key
 from kacpal.cli import main
 from kacpal.hopf import _CharacterHopf, cocommutativity_witness, hopf_axiom_report
@@ -359,23 +360,6 @@ def test_the_checks_on_the_generators_take_no_product_per_permutation(monkeypatc
     assert taken == counts
 
 
-def _delta_s1_coboundary(real, f):
-    # the formula of delta(s_l), with omega_(s_1) plus the coboundary
-    # (delta f)(a, b) = f(a) + f(b) - f(a + b): still a 2-cocycle
-    def perturbed(im, l, delta_z):
-        d = real(im, l, delta_z)
-        if l == 1 and isinstance(d, Monomial):
-            size = len(im.chars)
-            entries = [
-                e + f[k % size] + f[k // size] - f[im.plus[k % size][k // size]]
-                for k, e in enumerate(d.entries)
-            ]
-            return d.model.monomial(d.perm, entries)
-        return d
-
-    return perturbed
-
-
 # (n, m, random cases of each kind): at (4, 3) the loop over every p takes
 # about half a second a case, so it checks the true tables only
 @pytest.mark.parametrize(
@@ -471,7 +455,7 @@ def test_antipode_on_exponents_matches_the_cyclotomic_oracle(monkeypatch, n, m):
         patch.setattr(module, "_delta_s_image", off)
         cases.append(oracle.WalkHopf(n, m))
     with monkeypatch.context() as patch:
-        _counit_of_two(patch)
+        patch.setattr(module, "check_model", _counit_of_two(module.check_model))
         cases.append(oracle.WalkHopf(n, m))
     skewed = oracle.WalkHopf(n, m)
     skewed.antipode_s = {**skewed.antipode_s, m - 1: _bumped(skewed.antipode_s[m - 1], 1)}
@@ -583,45 +567,36 @@ def test_every_verdict_matches_the_walk_oracle(n, m, cases):
     assert _failures(coboundary, _CharacterHopf)["coassociativity"] is None
 
 
-@pytest.fixture
-def fresh_lemma():
-    from kacpal import hopf
-
-    hopf.check_coxeter.cache_clear()
-    yield hopf
-    hopf.check_coxeter.cache_clear()
-
-
-def _counted(monkeypatch, lemma) -> list:
+def _counted(monkeypatch) -> list:
     """(level, bound, count, relators) of each enumeration that
-    lemma.check_coxeter runs."""
-    real, counts = lemma._cosets, []
+    hopf.check_coxeter runs."""
+    real, counts = hopf._cosets, []
 
     def counted(relators, letters, subgroup, bound, what):
         counts.append((letters // 2 + 1, bound, real(relators, letters, subgroup, bound, what), relators))
         return counts[-1][2]
 
-    monkeypatch.setattr(lemma, "_cosets", counted)
+    monkeypatch.setattr(hopf, "_cosets", counted)
     return counts
 
 
 @pytest.mark.parametrize("m", range(1, 9))
-def test_the_coxeter_relations_present_a_group_of_order_m_factorial(monkeypatch, fresh_lemma, m):
+def test_the_coxeter_relations_present_a_group_of_order_m_factorial(monkeypatch, m):
     # the induction closes at exactly k cosets at each level k, defining at
     # most 5 k; the oracle, the same enumeration on the relators of the last
     # level with no subgroup generator, counts the m! elements of the group
-    real, counts = fresh_lemma._cosets, _counted(monkeypatch, fresh_lemma)
-    fresh_lemma.check_coxeter(m)
+    real, counts = hopf._cosets, _counted(monkeypatch)
+    hopf.check_coxeter(m)
     assert [count[:3] for count in counts] == [(k, 5 * k, k) for k in range(2, m + 1)]
     relators = counts[-1][3] if counts else []
     assert real(relators, 2 * m - 2, [], 5 * factorial(m), "S_m") == factorial(m)
 
 
-def test_every_level_of_the_induction_closes_at_exactly_k_cosets(monkeypatch, fresh_lemma):
+def test_every_level_of_the_induction_closes_at_exactly_k_cosets(monkeypatch):
     # level k is the same at every m >= k, so the lemma at m = 40 runs every
     # level up to 40
-    counts = _counted(monkeypatch, fresh_lemma)
-    fresh_lemma.check_coxeter(40)
+    counts = _counted(monkeypatch)
+    hopf.check_coxeter(40)
     assert [count[:3] for count in counts] == [(k, 5 * k, k) for k in range(2, 41)]
 
 
@@ -636,7 +611,7 @@ def _without_one(real, family, index):
 
 
 @pytest.mark.parametrize("m, family, index", [(3, "braid", 0), (4, "braid", 1), (5, "commute", 2), (6, "braid", 3)])
-def test_a_missing_coxeter_relation_fails_the_lemma(monkeypatch, capsys, fresh_lemma, m, family, index):
+def test_a_missing_coxeter_relation_fails_the_lemma(monkeypatch, capsys, m, family, index):
     # mutation: with one relation left out of the families, the enumeration
     # at the level that first holds it, level m, passes its bound of 5 m
     # cosets; the lemma fails by name and level, and the Hopf report exits 1
@@ -645,7 +620,7 @@ def test_a_missing_coxeter_relation_fails_the_lemma(monkeypatch, capsys, fresh_l
 
     monkeypatch.setattr(relations, "_braid", _without_one(relations._braid, family, index))
     with pytest.raises(CheckFailedError, match=f"the Coxeter relations do not present S_{m}: "):
-        fresh_lemma.check_coxeter(m)
+        hopf.check_coxeter(m)
     code = main(["verify", "--n", "2", "--m", str(m), "--checks", "hopf", "--cap-group-order", str(group_order(2, m))])
     out, err = capsys.readouterr()
     assert (code, out) == (1, "")
@@ -655,7 +630,7 @@ def test_a_missing_coxeter_relation_fails_the_lemma(monkeypatch, capsys, fresh_l
     )
 
 
-def test_an_extra_coxeter_relation_fails_the_lemma(monkeypatch, fresh_lemma):
+def test_an_extra_coxeter_relation_fails_the_lemma(monkeypatch):
     # s_1 s_2 = s_2 s_1 beside the braid relation makes s_1 = s_2: the
     # cosets of <s_1> close at 1, not 3
     from kacpal import relations
@@ -669,7 +644,7 @@ def test_an_extra_coxeter_relation_fails_the_lemma(monkeypatch, fresh_lemma):
 
     monkeypatch.setattr(relations, "_braid", braid)
     with pytest.raises(CheckFailedError, match="S_3: at level 3 of the induction, the enumeration closed at 1 cosets, not 3$"):
-        fresh_lemma.check_coxeter(3)
+        hopf.check_coxeter(3)
 
 
 def coefficients(n):
@@ -742,36 +717,6 @@ def test_non_cocommutativity_witness(n, m):
     assert out["x_generators"] == "symmetric"
 
 
-@pytest.fixture
-def fresh_images():
-    # the group-basis generator images are remembered per process; a test
-    # that replaces a formula must neither read nor leave a remembered image
-    caches = (
-        oracle._delta_z,
-        oracle._delta_s,
-        oracle._delta_basis,
-        oracle._antipode_s,
-        oracle._antipode_basis,
-    )
-    for cache in caches:
-        cache.cache_clear()
-    yield
-    for cache in caches:
-        cache.cache_clear()
-
-
-def _bumped(table, k, r=1):
-    """The exponent table with entry k times zeta^r."""
-    entries = list(table.entries)
-    entries[k] += r
-    return table.model.monomial(table.perm, entries)
-
-
-def _group_like_delta_z(real):
-    # z_l (x) z_l: respects every relation except the twisted square of z_l
-    return lambda im, l: im.tensor(im.z(l), im.z(l))
-
-
 def _one_entry_off(l_star, a, b):
     """The formula of delta(z_l), for l = l_star with the coefficient of
     F(chars[a], s_l) (x) F(chars[b], s_l) times zeta: one entry of its
@@ -822,12 +767,10 @@ def _right_last_twist(real):
     ids=["true", "group_like", "left_x1", "right_last_twist"],
 )
 def test_witness_on_tables_matches_the_group_basis_witness(
-    monkeypatch, fresh_images, capsys, n, m, patch
+    monkeypatch, capsys, n, m, patch
 ):
     # the witness read from the delta(z_l) tables against the group-basis
     # delta(z_l) minus its flip, each made from the one formula both evaluate
-    from kacpal import hopf
-
     if patch is not None:
         monkeypatch.setattr(hopf, "_delta_z_image", patch(hopf._delta_z_image))
     out = cocommutativity_witness(n, m, cap=group_order(n, m))
@@ -856,14 +799,12 @@ def test_hopf_report_builds_no_group_product_rows(monkeypatch):
 Z1_SQUARE = "delta(z_1^2 = (1/n) sum q^(-ij) x_1^i x_2^j)"
 
 
-def test_wrong_delta_z_fails_relation_preservation(monkeypatch, fresh_images):
+def test_wrong_delta_z_fails_relation_preservation(monkeypatch):
     # negative controls: the report names exactly the relations a broken
     # delta(z_l) violates.  One entry of delta(z_l) breaks z_l^2, the braid
     # relations with its neighbours and its commutation with the distant
     # z_k; a relation between x-monomials, or moving x_i past z_l, cannot
     # see it
-    from kacpal import hopf
-
     real = hopf._delta_z_image
     caches = (oracle._delta_z, oracle._delta_s, oracle._delta_basis)
     cases = [
@@ -928,13 +869,11 @@ def test_delta_preserves_relations_follows_from_multiplicativity(monkeypatch, n,
     ids=["true", "group_like", "one_entry_off"],
 )
 def test_relation_check_on_tables_matches_the_dense_oracle(
-    monkeypatch, fresh_images, n, m, patch
+    monkeypatch, n, m, patch
 ):
     # the relation check on exponent tables against the evaluation on dense
     # CharacterElements at (n, 2m), for the true delta(z_l) and two breaks,
     # each made in the one formula that both evaluate
-    from kacpal import hopf
-
     if patch is not None:
         monkeypatch.setattr(hopf, "_delta_z_image", patch(hopf._delta_z_image))
     expected = relation_failures(n, m)
@@ -945,8 +884,6 @@ def test_relation_check_on_tables_matches_the_dense_oracle(
 def _prefactor_off_the_roots(monkeypatch, shift):
     # the prefactor of delta(z_1) in the model with its first coefficient
     # replaced by zeta^shift times itself, doubled: off the roots of unity
-    from kacpal import hopf
-
     real = hopf.z_square_sum
 
     def doubled(n, m, l, mono):
@@ -985,18 +922,6 @@ def test_a_non_root_prefactor_is_printed_as_its_cyc_number(monkeypatch, capsys, 
     assert (code, out, err) == (1, "", _prefactor_failure(n, coefficient))
 
 
-def _delta_s1_off(real, a, b):
-    # the formula of delta(s_l), with one entry of the table of delta(s_1)
-    # off by one in the model
-    def perturbed(im, l, delta_z):
-        d = real(im, l, delta_z)
-        if l == 1 and isinstance(d, Monomial):
-            return _bumped(d, a + len(im.chars) * b)
-        return d
-
-    return perturbed
-
-
 # every axiom each perturbation below breaks: those named in its broken set,
 # and these too
 ALSO_FAILING = {(1, 2): {"antipode"}, (0, 1): {"coassociativity", "delta_multiplicative"}}
@@ -1013,8 +938,6 @@ def test_perturbed_cocycle_fails(monkeypatch, entry, broken):
     # negative control: one exponent of omega_(s_1) moved by one, the entry
     # of F(chars[a], s_1) (x) F(chars[b], s_1) in the table of delta(s_1)
     # built from its formula; an entry in row 0 is the counit's
-    from kacpal import hopf
-
     monkeypatch.setattr(hopf, "_delta_s_image", _delta_s1_off(hopf._delta_s_image, *entry))
     report = hopf_axiom_report(3, 2)
     failed = {name for name, status in report["axioms"].items() if status != "pass"}
@@ -1022,30 +945,6 @@ def test_perturbed_cocycle_fails(monkeypatch, entry, broken):
     assert failed == broken | ALSO_FAILING[entry], report["axioms"]
     assert all(report["axioms"][name]["status"] == "fail" for name in failed)
     assert not report["all_pass"]
-
-
-def _counit_of_two(monkeypatch):
-    # eps(Lambda_0) = 2, every other eps(Lambda_lam) still 0: the exponents
-    # of Lambda_0 that check_model reads are counted twice
-    from kacpal import hopf
-
-    real = hopf.check_model
-    monkeypatch.setattr(hopf, "check_model", lambda n, m: (real(n, m)[0] * 2, *real(n, m)[1:]))
-
-
-def test_a_counit_off_0_and_1_fails_the_report(monkeypatch, capsys):
-    # negative control for the counit read on exponents
-    _counit_of_two(monkeypatch)
-    report = hopf_axiom_report(3, 2)
-    assert report["axioms"]["counit"] == {
-        "status": "fail",
-        "detail": "(eps x id) delta or (id x eps) delta is not the identity on F((0, 0), [0, 1])",
-    }
-    assert not report["all_pass"]
-    code = main(["verify", "--n", "3", "--m", "2", "--checks", "hopf"])
-    out, err = capsys.readouterr()
-    assert (code, err) == (1, "")
-    assert json.loads(out)["all_pass"] is False
 
 
 def test_basis_maps_decode_one_index(monkeypatch):
